@@ -27,7 +27,7 @@ use spo_bench::{
 use spo_cache::PolicyCache;
 use spo_core::{AnalysisOptions, MemoScope};
 use spo_corpus::Lib;
-use spo_engine::{AnalysisEngine, EngineStats, Publication};
+use spo_engine::{AnalysisEngine, EngineStats};
 use spo_guard::GuardConfig;
 use spo_obs::Snapshot;
 use spo_serve::{OptionsSpec, Registry};
@@ -521,10 +521,9 @@ fn measure_index(corpus: &spo_corpus::Corpus, scale: f64) -> IndexLatency {
     }
 }
 
-/// One (jobs × publication) cell of the scale sweep.
+/// One worker-count cell of the scale sweep.
 struct SweepRow {
     jobs: usize,
-    publication: &'static str,
     stats: EngineStats,
 }
 
@@ -559,10 +558,9 @@ fn env_list(var: &str, default: &str) -> Vec<f64> {
 
 /// The scale sweep: for each corpus scale in `SPO_SWEEP_SCALES` (default
 /// `1,10`), analyze the jdk implementation under global memoization at
-/// each worker count in `SPO_SWEEP_JOBS` (default `1,2,4,8`), once with
-/// write-behind publication and once with the direct-publication
-/// baseline. Cross-jobs speedup is only meaningful relative to the
-/// machine's core count, which the JSON records alongside the rows.
+/// each worker count in `SPO_SWEEP_JOBS` (default `1,2,4,8`). Cross-jobs
+/// speedup is only meaningful relative to the machine's core count, which
+/// the JSON records alongside the rows.
 fn measure_scale_sweep() -> (usize, Vec<SweepScale>, Option<IndexLatency>) {
     use spo_corpus::{generate, CorpusConfig};
     let scales = env_list("SPO_SWEEP_SCALES", "1,10");
@@ -596,36 +594,28 @@ fn measure_scale_sweep() -> (usize, Vec<SweepScale>, Option<IndexLatency>) {
         let _ = AnalysisEngine::new(1).analyze_library(program, "jdk", options);
         let mut rows = Vec::new();
         for &j in &jobs {
-            for (publication, name) in [
-                (Publication::WriteBehind, "write_behind"),
-                (Publication::Direct, "direct"),
-            ] {
-                // Best of 3 trials by wall clock: a single scheduler
-                // preemption while a shard lock is held shows up as a
-                // milliseconds-long wait outlier, and the sweep is about
-                // the publication protocol, not the host's time slicing.
-                let stats = (0..3)
-                    .map(|_| {
-                        let engine = AnalysisEngine::new(j).with_publication(publication);
-                        engine.analyze_library(program, "jdk", options).1
-                    })
-                    .min_by_key(|s| s.wall_nanos)
-                    .expect("at least one trial");
-                let row = SweepRow {
-                    jobs: j,
-                    publication: name,
-                    stats,
-                };
-                eprintln!(
-                    "scale {scale:>4} jobs {j} {name:<12} wall {:>9.1} ms  \
-                     lock p99 {:>7.1} us  {} flushes  {} batches stolen",
-                    row.wall_ms(),
-                    row.lock_wait_us(0.99),
-                    row.stats.writeback_flushes,
-                    row.stats.batches_stolen,
-                );
-                rows.push(row);
-            }
+            // Best of 3 trials by wall clock: a single scheduler
+            // preemption while a shard lock is held shows up as a
+            // milliseconds-long wait outlier, and the sweep is about the
+            // engine, not the host's time slicing.
+            let stats = (0..3)
+                .map(|_| {
+                    AnalysisEngine::new(j)
+                        .analyze_library(program, "jdk", options)
+                        .1
+                })
+                .min_by_key(|s| s.wall_nanos)
+                .expect("at least one trial");
+            let row = SweepRow { jobs: j, stats };
+            eprintln!(
+                "scale {scale:>4} jobs {j} wall {:>9.1} ms  \
+                 lock p99 {:>7.1} us  {} flushes  {} batches stolen",
+                row.wall_ms(),
+                row.lock_wait_us(0.99),
+                row.stats.writeback_flushes,
+                row.stats.batches_stolen,
+            );
+            rows.push(row);
         }
         out.push(SweepScale {
             scale,
@@ -788,9 +778,9 @@ fn write_json(
     }
     out.push_str("  ],\n");
     // Scale sweep: jdk under global memo across corpus scales × worker
-    // counts × publication modes. `parallel_speedup` is relative to the
-    // jobs=1 run of the same scale and publication mode; `cores` bounds
-    // what any cross-jobs speedup can honestly reach on this machine.
+    // counts. `parallel_speedup` is relative to the jobs=1 run of the
+    // same scale; `cores` bounds what any cross-jobs speedup can honestly
+    // reach on this machine.
     out.push_str("  \"scale_sweep\": {\n");
     let _ = writeln!(out, "    \"cores\": {cores},");
     out.push_str("    \"scales\": [\n");
@@ -803,7 +793,7 @@ fn write_json(
             let baseline = s
                 .rows
                 .iter()
-                .find(|b| b.jobs == 1 && b.publication == r.publication)
+                .find(|b| b.jobs == 1)
                 .map_or(0.0, SweepRow::wall_ms);
             let speedup = if r.wall_ms() > 0.0 {
                 baseline / r.wall_ms()
@@ -812,7 +802,7 @@ fn write_json(
             };
             let _ = writeln!(
                 out,
-                "          {{ \"jobs\": {}, \"publication\": \"{}\", \"workers\": {}, \
+                "          {{ \"jobs\": {}, \"workers\": {}, \
                  \"oversubscribed\": {}, \
                  \"wall_ms\": {:.3}, \"parallel_speedup\": {:.3}, \
                  \"lock_wait_events\": {}, \"lock_wait_p50_us\": {:.3}, \
@@ -820,7 +810,6 @@ fn write_json(
                  \"batches_formed\": {}, \"writeback.flushes\": {}, \
                  \"writeback.deferred_hits\": {} }}{}",
                 r.jobs,
-                r.publication,
                 r.stats.workers,
                 r.stats.workers > cores,
                 r.wall_ms(),
@@ -1112,7 +1101,6 @@ fn main() {
     let mut table = Table::new(vec![
         "scale",
         "jobs",
-        "publication",
         "wall ms",
         "speedup",
         "lock p99 us",
@@ -1124,7 +1112,7 @@ fn main() {
             let baseline = s
                 .rows
                 .iter()
-                .find(|b| b.jobs == 1 && b.publication == r.publication)
+                .find(|b| b.jobs == 1)
                 .map_or(0.0, SweepRow::wall_ms);
             // An oversubscribed cell (workers > cores) measures the
             // host's time slicing, not the engine; label it instead of
@@ -1137,7 +1125,6 @@ fn main() {
             table.row(vec![
                 format!("{}", s.scale),
                 r.jobs.to_string(),
-                r.publication.to_string(),
                 format!("{:.1}", r.wall_ms()),
                 speedup,
                 format!("{:.1}", r.lock_wait_us(0.99)),

@@ -13,8 +13,7 @@ use crate::events::{EventDef, EventKey};
 use crate::policy::{AnalysisStats, EntryPolicy, EventPolicy, LibraryPolicies};
 use crate::store::{EventRec, LocalStore, MemoKey, Summary, SummaryStore};
 use spo_dataflow::{
-    run_forward_governed, AbsVal, ConstEnv, Dnf, FixpointStats, Flow, ForwardAnalysis, JoinLattice,
-    MustSet,
+    run_forward, AbsVal, ConstEnv, Dnf, FixpointStats, Flow, ForwardAnalysis, JoinLattice, MustSet,
 };
 use spo_guard::Governor;
 use spo_jir::{Expr, FieldFlags, FieldRef, FieldTarget, LocalId, MethodId, Program, Stmt};
@@ -231,61 +230,43 @@ impl<'p> Analyzer<'p> {
         let root = entry_points(self.program)
             .into_iter()
             .find(|&m| self.program.method_signature(m) == signature)?;
-        let lib = self.analyze_entries("single", &[root]);
-        lib.entries.into_values().next()
+        let (_, entry) = self.analyze_root(
+            root,
+            &LocalStore::default(),
+            &LocalStore::default(),
+            &mut AnalysisStats::default(),
+            &self.recorder,
+            &Governor::unlimited(),
+        );
+        Some(entry)
     }
 
-    /// Analyzes a chosen set of entry points (both passes) with private
-    /// serial summary stores.
+    /// Analyzes a chosen set of entry points (both passes), one root at a
+    /// time through [`Analyzer::analyze_root`]. This serial loop is the
+    /// reference the parallel engine is tested against.
     pub fn analyze_entries(&self, name: &str, roots: &[MethodId]) -> LibraryPolicies {
-        let may_store = LocalStore::default();
-        let must_store = LocalStore::default();
-        self.analyze_entries_with(name, roots, &may_store, &must_store)
-    }
-
-    /// Analyzes a chosen set of entry points (both passes) against the
-    /// given summary stores.
-    ///
-    /// This is the store-pluggable variant behind [`analyze_entries`]: the
-    /// serial analyzer passes fresh [`LocalStore`]s, while the parallel
-    /// engine passes [`SharedStore`]s so workers reuse each other's
-    /// summaries. Results are identical either way — memoized summaries
-    /// are pure functions of their key.
-    ///
-    /// [`analyze_entries`]: Analyzer::analyze_entries
-    /// [`SharedStore`]: crate::SharedStore
-    pub fn analyze_entries_with(
-        &self,
-        name: &str,
-        roots: &[MethodId],
-        may_store: &dyn SummaryStore<Dnf>,
-        must_store: &dyn SummaryStore<MustSet>,
-    ) -> LibraryPolicies {
-        let mut stats = AnalysisStats {
-            entry_points: roots.len(),
-            ..Default::default()
-        };
-
-        let t0 = Instant::now();
-        let may = self.run_pass::<Dnf>(roots, &mut stats, may_store);
-        stats.may_nanos = t0.elapsed().as_nanos();
-        self.recorder
-            .duration("ispa.pass.may")
-            .record(stats.may_nanos as u64);
-
-        let t1 = Instant::now();
-        let must = self.run_pass::<MustSet>(roots, &mut stats, must_store);
-        stats.must_nanos = t1.elapsed().as_nanos();
-        self.recorder
-            .duration("ispa.pass.must")
-            .record(stats.must_nanos as u64);
-        stats.record_into(&self.recorder);
-
+        // Global memo shares one store pair across all roots; the other
+        // scopes get a fresh pair per root, as the engine's workers do.
+        let global = (LocalStore::default(), LocalStore::default());
+        let governor = Governor::unlimited();
+        let mut stats = AnalysisStats::default();
         let mut entries = std::collections::BTreeMap::new();
-        for (sig, raw_may) in may {
-            let entry = combine_raw(sig.clone(), raw_may, must.get(&sig));
-            entries.insert(sig, entry);
+        for &root in roots {
+            let fresh;
+            let (may, must) = if self.options.memo == MemoScope::Global {
+                (&global.0, &global.1)
+            } else {
+                fresh = (LocalStore::default(), LocalStore::default());
+                (&fresh.0, &fresh.1)
+            };
+            let (sig, entry) =
+                self.analyze_root(root, may, must, &mut stats, &self.recorder, &governor);
+            // Protected methods can collide with public overrides on the
+            // signature key across class boundaries; keep the first
+            // (deterministic: roots come in program order).
+            entries.entry(sig).or_insert(entry);
         }
+        stats.record_into(&self.recorder);
         LibraryPolicies {
             name: name.to_owned(),
             entries,
@@ -297,53 +278,18 @@ impl<'p> Analyzer<'p> {
     /// Analyzes a single entry point (both passes) against the given
     /// summary stores, returning its signature key and policy.
     ///
-    /// This is the unit of work the parallel engine fans out: each worker
-    /// analyzes whole roots against shared stores and the engine merges the
-    /// `(signature, policy)` pairs back in root order, reproducing the
-    /// serial first-root-wins merge exactly.
-    pub fn analyze_root_with(
-        &self,
-        root: MethodId,
-        may_store: &dyn SummaryStore<Dnf>,
-        must_store: &dyn SummaryStore<MustSet>,
-        stats: &mut AnalysisStats,
-    ) -> (String, EntryPolicy) {
-        self.analyze_root_traced(root, may_store, must_store, stats, &self.recorder)
-    }
-
-    /// Like [`Analyzer::analyze_root_with`], recording metrics into an
-    /// explicit recorder instead of the analyzer's own — the parallel
-    /// engine hands each worker a private recorder here and merges them in
-    /// worker-id order afterwards.
+    /// This is the unit of work of both library drivers: the serial
+    /// [`Analyzer::analyze_entries`] loop and the parallel engine, whose
+    /// workers each pass a private recorder (merged in worker-id order
+    /// afterwards) and merge the `(signature, policy)` pairs back in root
+    /// order, reproducing the serial first-root-wins fold exactly.
     ///
-    /// [`Analyzer::analyze_root_with`]: Analyzer::analyze_root_with
-    pub fn analyze_root_traced(
-        &self,
-        root: MethodId,
-        may_store: &dyn SummaryStore<Dnf>,
-        must_store: &dyn SummaryStore<MustSet>,
-        stats: &mut AnalysisStats,
-        rec: &Recorder,
-    ) -> (String, EntryPolicy) {
-        self.analyze_root_governed(
-            root,
-            may_store,
-            must_store,
-            stats,
-            rec,
-            &Governor::unlimited(),
-        )
-    }
-
-    /// Like [`Analyzer::analyze_root_traced`], under a per-root
-    /// [`Governor`]: every method-frame entry and worklist transfer is
-    /// checked against the governor's budget and cancel token. Exhaustion
-    /// raises an [`Interrupt`](spo_guard::Interrupt) unwind — callers with
-    /// a non-trivial budget must run this inside
+    /// Every method-frame entry and worklist transfer is checked against
+    /// the `governor`'s budget and cancel token. Exhaustion raises an
+    /// [`Interrupt`](spo_guard::Interrupt) unwind — callers with a
+    /// non-trivial budget must run this inside
     /// [`quarantine`](spo_guard::quarantine), as the parallel engine does.
-    ///
-    /// [`Analyzer::analyze_root_traced`]: Analyzer::analyze_root_traced
-    pub fn analyze_root_governed(
+    pub fn analyze_root(
         &self,
         root: MethodId,
         may_store: &dyn SummaryStore<Dnf>,
@@ -367,43 +313,8 @@ impl<'p> Analyzer<'p> {
         rec.duration("ispa.root.must").record(must_nanos as u64);
 
         let sig = self.program.method_signature(root);
-        let entry = combine_raw(sig.clone(), raw_may, Some(&raw_must));
+        let entry = combine_raw(sig.clone(), raw_may, &raw_must);
         (sig, entry)
-    }
-
-    /// Runs one pass (MAY or MUST) over all roots.
-    fn run_pass<P: PolicyDomain>(
-        &self,
-        roots: &[MethodId],
-        stats: &mut AnalysisStats,
-        store: &dyn SummaryStore<P>,
-    ) -> std::collections::BTreeMap<String, RawEntry<P>> {
-        let resolver = Resolver::new(&self.hierarchy);
-        let governor = Governor::unlimited();
-        let mut pass = Pass {
-            program: self.program,
-            resolver,
-            options: self.options,
-            store,
-            stack: Vec::new(),
-            taint_floor: usize::MAX,
-            stats,
-            obs: PassObs::new(&self.recorder),
-            governor: &governor,
-        };
-        let mut out = std::collections::BTreeMap::new();
-        for &root in roots {
-            if pass.options.memo == MemoScope::PerEntry {
-                pass.store.clear();
-            }
-            let raw = pass.analyze_entry(root);
-            // Protected methods can collide with public overrides on the
-            // signature key across class boundaries; keep the first
-            // (deterministic: roots come in program order).
-            out.entry(self.program.method_signature(root))
-                .or_insert(raw);
-        }
-        out
     }
 
     /// Runs one pass (MAY or MUST) over a single root.
@@ -432,11 +343,7 @@ impl<'p> Analyzer<'p> {
 }
 
 /// Zips the per-root results of the two passes into an [`EntryPolicy`].
-fn combine_raw(
-    sig: String,
-    raw_may: RawEntry<Dnf>,
-    raw_must: Option<&RawEntry<MustSet>>,
-) -> EntryPolicy {
+fn combine_raw(sig: String, raw_may: RawEntry<Dnf>, raw_must: &RawEntry<MustSet>) -> EntryPolicy {
     let mut entry = EntryPolicy::new(sig);
     for (key, dnf) in raw_may.events {
         let mut ep = EventPolicy {
@@ -444,10 +351,8 @@ fn combine_raw(
             may_paths: dnf,
             ..Default::default()
         };
-        if let Some(rm) = raw_must {
-            if let Some(ms) = rm.events.get(&key) {
-                ep.must = crate::checks::CheckSet::from_bits(ms.unwrap_or_empty());
-            }
+        if let Some(ms) = raw_must.events.get(&key) {
+            ep.must = crate::checks::CheckSet::from_bits(ms.unwrap_or_empty());
         }
         entry.events.insert(key, ep);
     }
@@ -543,7 +448,7 @@ struct FrameObs {
     unresolved: u64,
 }
 
-/// Mutable state of one pass over one library.
+/// Mutable state of one pass (MAY or MUST) over one root.
 struct Pass<'a, 'p, P: PolicyDomain> {
     program: &'p Program,
     resolver: Resolver<'a>,
@@ -698,7 +603,7 @@ impl<'a, 'p, P: PolicyDomain> Pass<'a, 'p, P> {
             },
             call_cache: HashMap::new(),
         };
-        let (results, fx) = run_forward_governed(body, &cfg, &mut spda, governor);
+        let (results, fx) = run_forward(body, &cfg, &mut spda, governor);
         let call_cache = spda.call_cache;
         let mut fobs = FrameObs {
             fx,
@@ -1604,9 +1509,10 @@ class t.O {
             snap.work["ispa.frames_analyzed"],
             lib.stats.frames_analyzed as u64
         );
-        // Pass durations were recorded.
-        assert_eq!(snap.durations["ispa.pass.may"].count, 1);
-        assert_eq!(snap.durations["ispa.pass.must"].count, 1);
+        // Per-root pass durations were recorded, one per entry point.
+        let roots = lib.stats.entry_points as u64;
+        assert_eq!(snap.durations["ispa.root.may"].count, roots);
+        assert_eq!(snap.durations["ispa.root.must"].count, roots);
         // Deterministic sections are stable across reruns.
         let (_, snap2) = run();
         assert_eq!(snap.deterministic_json(), snap2.deterministic_json());

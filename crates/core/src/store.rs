@@ -2,10 +2,11 @@
 //!
 //! The analysis memoizes context-sensitive method summaries keyed by
 //! `(method, in-policy, const-params, privileged)`. Where those summaries
-//! live is a policy decision: the serial analyzer keeps them in a
-//! single-threaded [`LocalStore`]; the parallel engine shares a sharded,
-//! lock-striped [`SharedStore`] between workers so a summary computed by
-//! one worker is reused by all others.
+//! live is a policy decision: the serial analyzer (and every engine run
+//! outside global memo scope) keeps them in a single-threaded
+//! [`LocalStore`]; under global memo each engine worker reads and writes a
+//! sharded, lock-striped [`SharedStore`] through its own [`WriteBehind`]
+//! buffer, so a summary computed by one worker is reused by all others.
 //!
 //! Sharing is safe because only *clean* summaries — those whose subtree was
 //! not cut by recursion — are ever inserted, and a clean summary is a pure
@@ -85,45 +86,31 @@ pub struct FrameCost {
 /// Storage backend for memoized method summaries.
 ///
 /// Implementations use interior mutability so a store can be shared by
-/// reference — between the two passes of a serial run, or between worker
-/// threads of a parallel run.
+/// reference between the analysis frames of one root (and, for a
+/// [`LocalStore`] under global memo, between roots).
 pub trait SummaryStore<P: PolicyDomain> {
     /// Looks up the summary for `key`, if one was recorded.
     fn get(&self, key: &MemoKey<P>) -> Option<Arc<Summary<P>>>;
 
-    /// Records the summary computed for `key`. Returns `true` if the key
-    /// was newly inserted, `false` if another computation (a concurrent
-    /// worker, in the shared store) got there first — the signal the
-    /// observability layer uses to count each memoized frame exactly once
-    /// regardless of worker count.
-    fn insert(&self, key: MemoKey<P>, summary: Arc<Summary<P>>) -> bool;
-
-    /// Like [`insert`], but carrying the frame's deterministic metrics so
-    /// a buffering store can defer the insert — and with it the
-    /// committed-vs-speculative decision — to a later batched flush.
+    /// Records the summary computed for `key`, carrying the frame's
+    /// deterministic metrics so a buffering store can defer the insert —
+    /// and with it the committed-vs-speculative decision — to a later
+    /// batched flush.
     ///
-    /// Returns `Some(newness)` when the insert happened immediately (the
-    /// caller flushes its own frame metrics, as with [`insert`]), or
-    /// `None` when it was deferred: the store now owns `cost` and must
-    /// flush it under the same commit protocol once the batched insert
-    /// resolves. The default implementation never defers.
-    ///
-    /// [`insert`]: SummaryStore::insert
+    /// Returns `Some(newness)` when the insert happened immediately:
+    /// `true` if the key was newly inserted, `false` if another
+    /// computation got there first — the signal the observability layer
+    /// uses to count each memoized frame exactly once regardless of
+    /// worker count; the caller flushes its own frame metrics. Returns
+    /// `None` when the insert was deferred: the store now owns `cost` and
+    /// must flush it under the same commit protocol once the batched
+    /// insert resolves.
     fn insert_costed(
         &self,
         key: MemoKey<P>,
         summary: Arc<Summary<P>>,
         cost: FrameCost,
-    ) -> Option<bool> {
-        let _ = cost;
-        Some(self.insert(key, summary))
-    }
-
-    /// Drops all recorded summaries ([`MemoScope::PerEntry`] runs clear
-    /// between entry points).
-    ///
-    /// [`MemoScope::PerEntry`]: crate::MemoScope::PerEntry
-    fn clear(&self);
+    ) -> Option<bool>;
 
     /// Number of summaries currently stored.
     fn len(&self) -> usize;
@@ -153,12 +140,14 @@ impl<P: PolicyDomain> SummaryStore<P> for LocalStore<P> {
         self.map.borrow().get(key).map(Arc::clone)
     }
 
-    fn insert(&self, key: MemoKey<P>, summary: Arc<Summary<P>>) -> bool {
-        self.map.borrow_mut().insert(key, summary).is_none()
-    }
-
-    fn clear(&self) {
-        self.map.borrow_mut().clear();
+    /// Never defers: the frame's metrics are settled by the caller.
+    fn insert_costed(
+        &self,
+        key: MemoKey<P>,
+        summary: Arc<Summary<P>>,
+        _cost: FrameCost,
+    ) -> Option<bool> {
+        Some(self.map.borrow_mut().insert(key, summary).is_none())
     }
 
     fn len(&self) -> usize {
@@ -252,9 +241,43 @@ impl<P: PolicyDomain> SharedStore<P> {
         self.shards.len()
     }
 
+    /// Looks up the summary for `key`, counting the shard's hit or miss.
+    pub fn get(&self, key: &MemoKey<P>) -> Option<Arc<Summary<P>>> {
+        let shard = self.shard(key);
+        let map = match shard.map.try_read() {
+            Ok(guard) => guard,
+            Err(std::sync::TryLockError::WouldBlock) => {
+                shard.contended.fetch_add(1, Ordering::Relaxed);
+                blocking_acquire(&shard.wait, || {
+                    shard.map.read().unwrap_or_else(|e| e.into_inner())
+                })
+            }
+            Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
+        };
+        let hit = map.get(key).map(Arc::clone);
+        match hit {
+            Some(_) => shard.hits.fetch_add(1, Ordering::Relaxed),
+            None => shard.misses.fetch_add(1, Ordering::Relaxed),
+        };
+        hit
+    }
+
+    /// Number of summaries currently stored.
+    pub fn len(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.map.read().unwrap_or_else(|e| e.into_inner()).len())
+            .sum()
+    }
+
+    /// Returns `true` if the store holds no summaries.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
     /// Inserts a batch of summaries with **one lock acquisition per
     /// touched shard**, returning each entry's newness in input order
-    /// (same contract as [`SummaryStore::insert`], first writer wins).
+    /// (`true` for the first writer of a key, `false` for later ones).
     ///
     /// This is the write-behind publication path: a worker that buffered
     /// N summaries pays `distinct shards` write acquisitions instead of
@@ -321,70 +344,12 @@ impl<P: PolicyDomain> Default for SharedStore<P> {
     }
 }
 
-impl<P: PolicyDomain> SummaryStore<P> for SharedStore<P> {
-    fn get(&self, key: &MemoKey<P>) -> Option<Arc<Summary<P>>> {
-        let shard = self.shard(key);
-        let map = match shard.map.try_read() {
-            Ok(guard) => guard,
-            Err(std::sync::TryLockError::WouldBlock) => {
-                shard.contended.fetch_add(1, Ordering::Relaxed);
-                blocking_acquire(&shard.wait, || {
-                    shard.map.read().unwrap_or_else(|e| e.into_inner())
-                })
-            }
-            Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
-        };
-        let hit = map.get(key).map(Arc::clone);
-        match hit {
-            Some(_) => shard.hits.fetch_add(1, Ordering::Relaxed),
-            None => shard.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        hit
-    }
-
-    fn insert(&self, key: MemoKey<P>, summary: Arc<Summary<P>>) -> bool {
-        let shard = self.shard(&key);
-        let mut map = match shard.map.try_write() {
-            Ok(guard) => guard,
-            Err(std::sync::TryLockError::WouldBlock) => {
-                shard.contended.fetch_add(1, Ordering::Relaxed);
-                blocking_acquire(&shard.wait, || {
-                    shard.map.write().unwrap_or_else(|e| e.into_inner())
-                })
-            }
-            Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
-        };
-        // First writer wins: a racing worker's identical summary is
-        // discarded so `true` is returned for exactly one insert per key.
-        match map.entry(key) {
-            std::collections::hash_map::Entry::Occupied(_) => false,
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(summary);
-                true
-            }
-        }
-    }
-
-    fn clear(&self) {
-        for shard in &self.shards {
-            shard.map.write().unwrap_or_else(|e| e.into_inner()).clear();
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.map.read().unwrap_or_else(|e| e.into_inner()).len())
-            .sum()
-    }
-}
-
 /// Pre-resolved metric handles for deferred frame publication. The
 /// deterministic names mirror the ISPA pass's frame-commit protocol
 /// exactly (`ispa.frames`, `dataflow.transfers`, …): a frame whose clean
-/// summary is deferred here flushes to the *same* counters it would have
-/// flushed to had it been inserted directly, just later — so the
-/// deterministic sections stay byte-identical to direct publication.
+/// summary is deferred here flushes to the *same* counters an immediate
+/// insert would have, just later — so the deterministic sections stay
+/// byte-identical to the serial analyzer's.
 struct WriteBehindObs {
     frames: Counter,
     transfers: Counter,
@@ -460,8 +425,8 @@ pub struct WriteBehindStats {
 /// decision for each buffered summary — committed vs speculative — is
 /// deferred with it and settled by the batched insert's newness, so
 /// exactly one committed flush still happens globally per unique memo key
-/// and the deterministic stats sections remain byte-identical to direct
-/// publication at any worker count.
+/// and the deterministic stats sections remain byte-identical to the
+/// serial analyzer's at any worker count.
 ///
 /// Not `Sync`: one instance per worker thread, dropped (after a final
 /// [`flush`]) when the worker retires.
@@ -552,17 +517,6 @@ impl<'s, P: PolicyDomain> SummaryStore<P> for WriteBehind<'s, P> {
         Some(hit)
     }
 
-    fn insert(&self, key: MemoKey<P>, summary: Arc<Summary<P>>) -> bool {
-        // Uncosted inserts pass straight through: the caller settles the
-        // commit protocol on the return value immediately, so deferring
-        // here would double-count the frame at flush time. Reads still
-        // benefit from the local cache.
-        self.local
-            .borrow_mut()
-            .insert(key.clone(), Arc::clone(&summary));
-        self.shared.insert(key, summary)
-    }
-
     fn insert_costed(
         &self,
         key: MemoKey<P>,
@@ -580,12 +534,6 @@ impl<'s, P: PolicyDomain> SummaryStore<P> for WriteBehind<'s, P> {
             self.flush();
         }
         None
-    }
-
-    fn clear(&self) {
-        self.local.borrow_mut().clear();
-        self.pending.borrow_mut().clear();
-        self.shared.clear();
     }
 
     fn len(&self) -> usize {
@@ -625,19 +573,16 @@ mod tests {
     fn local_store_roundtrip() {
         let store = LocalStore::default();
         assert!(store.get(&key(1)).is_none());
-        store.insert(key(1), summary());
+        assert!(store.is_empty());
+        store.insert_costed(key(1), summary(), FrameCost::default());
         assert!(store.get(&key(1)).is_some());
         assert_eq!(store.len(), 1);
-        store.clear();
-        assert!(store.is_empty());
     }
 
     #[test]
     fn shared_store_roundtrip_and_stats() {
         let store: SharedStore<Dnf> = SharedStore::new(4);
-        for i in 0..64 {
-            store.insert(key(i), summary());
-        }
+        store.insert_batch((0..64).map(|i| (key(i), summary())).collect());
         assert_eq!(store.len(), 64);
         for i in 0..64 {
             assert!(store.get(&key(i)).is_some(), "key {i}");
@@ -650,21 +595,16 @@ mod tests {
         assert_eq!(stats.iter().map(|s| s.entries).sum::<usize>(), 64);
         // Keys spread over more than one stripe.
         assert!(stats.iter().filter(|s| s.entries > 0).count() > 1);
-        store.clear();
-        assert_eq!(store.len(), 0);
     }
 
     #[test]
     fn insert_reports_newness() {
+        // A local store never defers: every insert settles immediately.
         let local = LocalStore::default();
-        assert!(local.insert(key(1), summary()));
-        assert!(!local.insert(key(1), summary()));
-        assert!(local.insert(key(2), summary()));
-
-        let shared: SharedStore<Dnf> = SharedStore::default();
-        assert!(shared.insert(key(1), summary()));
-        assert!(!shared.insert(key(1), summary()));
-        assert_eq!(shared.len(), 1);
+        let insert = |i| local.insert_costed(key(i), summary(), FrameCost::default());
+        assert_eq!(insert(1), Some(true));
+        assert_eq!(insert(1), Some(false));
+        assert_eq!(insert(2), Some(true));
     }
 
     #[test]
@@ -678,7 +618,7 @@ mod tests {
             std::thread::scope(|s| {
                 s.spawn(|| {
                     for i in 0..2000 {
-                        store.insert(key(i), summary());
+                        store.insert_batch(vec![(key(i), summary())]);
                     }
                 });
                 s.spawn(|| {
@@ -703,10 +643,10 @@ mod tests {
     #[test]
     fn insert_batch_locks_once_per_shard_and_reports_newness_in_order() {
         let store: SharedStore<Dnf> = SharedStore::new(4);
-        store.insert(key(2), summary());
+        store.insert_batch(vec![(key(2), summary())]);
         let newness = store.insert_batch(vec![
             (key(1), summary()),
-            (key(2), summary()), // loses to the direct insert above
+            (key(2), summary()), // loses to the earlier batch
             (key(3), summary()),
             (key(3), summary()), // duplicate within the batch: first wins
         ]);
@@ -735,7 +675,6 @@ mod tests {
         assert_eq!(wb.insert_costed(key(2), summary(), cost), None);
         // Deferred writes are visible to this worker, invisible to others.
         assert!(wb.get(&key(1)).is_some());
-        use crate::SummaryStore as _;
         assert_eq!(shared.len(), 0);
         assert_eq!(wb.stats().deferred_hits, 1);
 
@@ -787,7 +726,7 @@ mod tests {
     fn write_behind_read_through_caches_shared_hits() {
         let rec = spo_obs::Recorder::new();
         let shared: SharedStore<Dnf> = SharedStore::new(4);
-        shared.insert(key(1), summary());
+        shared.insert_batch(vec![(key(1), summary())]);
         let wb = WriteBehind::new(&shared, &rec);
         assert!(wb.get(&key(1)).is_some());
         assert!(wb.get(&key(1)).is_some());
@@ -806,7 +745,6 @@ mod tests {
         for i in 0..WriteBehind::<Dnf>::DEFAULT_CAPACITY as u32 {
             wb.insert_costed(key(i), summary(), FrameCost::default());
         }
-        use crate::SummaryStore as _;
         assert_eq!(wb.stats().flushes, 1, "capacity overflow flushes inline");
         assert_eq!(shared.len(), WriteBehind::<Dnf>::DEFAULT_CAPACITY);
     }
@@ -819,7 +757,7 @@ mod tests {
                 let store = &store;
                 s.spawn(move || {
                     for i in 0..32 {
-                        store.insert(key(t * 32 + i), summary());
+                        store.insert_batch(vec![(key(t * 32 + i), summary())]);
                         assert!(store.get(&key(t * 32 + i)).is_some());
                     }
                 });

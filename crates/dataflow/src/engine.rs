@@ -94,37 +94,20 @@ impl FixpointStats {
 }
 
 /// Runs `analysis` to fixpoint over `body`, returning per-statement IN
-/// states.
+/// states and the run's [`FixpointStats`] cost accounting.
 ///
 /// The worklist is seeded with the entry statement and iterates in
 /// reverse-post-order priority; on structured control flow this converges in
 /// the two passes the paper cites for SPDA.
-pub fn run_forward<A: ForwardAnalysis>(
-    body: &Body,
-    cfg: &Cfg,
-    analysis: &mut A,
-) -> DataflowResults<A::State> {
-    run_forward_traced(body, cfg, analysis).0
-}
-
-/// Like [`run_forward`], additionally returning the [`FixpointStats`] cost
-/// accounting for the run.
-pub fn run_forward_traced<A: ForwardAnalysis>(
-    body: &Body,
-    cfg: &Cfg,
-    analysis: &mut A,
-) -> (DataflowResults<A::State>, FixpointStats) {
-    run_forward_governed(body, cfg, analysis, &Governor::unlimited())
-}
-
-/// Like [`run_forward_traced`], under a [`Governor`]: every worklist pop
-/// checks the solve-local transfer count against the step budget (and,
-/// periodically, the cancel token and deadline). Exhaustion *trips* — it
-/// raises an [`Interrupt`](spo_guard::Interrupt) unwind that the caller's
-/// per-root [`quarantine`](spo_guard::quarantine) boundary converts into a
+///
+/// Every worklist pop checks the solve-local transfer count against the
+/// `governor`'s step budget (and, periodically, its cancel token and
+/// deadline). Exhaustion *trips* — it raises an
+/// [`Interrupt`](spo_guard::Interrupt) unwind that the caller's per-root
+/// [`quarantine`](spo_guard::quarantine) boundary converts into a
 /// structured fault — so a pathological fixpoint degrades one root instead
-/// of hanging the run.
-pub fn run_forward_governed<A: ForwardAnalysis>(
+/// of hanging the run. Pass [`Governor::unlimited`] for an ungoverned solve.
+pub fn run_forward<A: ForwardAnalysis>(
     body: &Body,
     cfg: &Cfg,
     analysis: &mut A,
@@ -306,7 +289,7 @@ mod tests {
         let mut a = AssignedLocals {
             env_entry: ConstEnv::entry(n, body.n_params),
         };
-        let r = run_forward(&body, &cfg, &mut a);
+        let (r, _) = run_forward(&body, &cfg, &mut a, &Governor::unlimited());
         (p, r)
     }
 
@@ -330,7 +313,7 @@ class T {
         let mut a = AssignedLocals {
             env_entry: ConstEnv::entry(body.locals.len(), body.n_params),
         };
-        let (_, stats) = run_forward_traced(&body, &cfg, &mut a);
+        let (_, stats) = run_forward(&body, &cfg, &mut a, &Governor::unlimited());
         assert_eq!(stats.stmts, 3);
         assert_eq!(stats.visited, 3);
         // The back edge forces at least one re-transfer of the loop head.
@@ -340,7 +323,10 @@ class T {
         let mut a2 = AssignedLocals {
             env_entry: ConstEnv::entry(body.locals.len(), body.n_params),
         };
-        assert_eq!(run_forward_traced(&body, &cfg, &mut a2).1, stats);
+        assert_eq!(
+            run_forward(&body, &cfg, &mut a2, &Governor::unlimited()).1,
+            stats
+        );
     }
 
     #[test]

@@ -41,9 +41,6 @@ mod taint;
 
 pub use alias::{is_aliasable, AliasClasses};
 pub use constprop::{AbsVal, ConstEnv};
-pub use engine::{
-    run_forward, run_forward_governed, run_forward_traced, DataflowResults, FixpointStats, Flow,
-    ForwardAnalysis,
-};
+pub use engine::{run_forward, DataflowResults, FixpointStats, Flow, ForwardAnalysis};
 pub use lattice::{BitSet32, Dnf, JoinLattice, MustSet, DNF_WIDTH};
 pub use taint::{data_dependence, tainted_statements, TaintSet};

@@ -14,6 +14,7 @@
 
 use crate::engine::{run_forward, Flow, ForwardAnalysis};
 use crate::lattice::JoinLattice;
+use spo_guard::Governor;
 use spo_jir::{Body, Cfg, Expr, LocalId, Operand, Stmt};
 
 /// A set of tainted locals (dense bitvector).
@@ -143,7 +144,9 @@ pub fn data_dependence(body: &Body, cfg: &Cfg, seeds: &[LocalId]) -> Vec<Option<
         seed_set.insert(s);
     }
     let mut analysis = TaintAnalysis { seeds: seed_set };
-    run_forward(body, cfg, &mut analysis).inputs
+    run_forward(body, cfg, &mut analysis, &Governor::unlimited())
+        .0
+        .inputs
 }
 
 /// Statement indices that *touch* tainted data: read a tainted local or

@@ -81,7 +81,7 @@ pub struct EngineStats {
     /// Cone-overlap batches formed by the scheduler for this run.
     pub batches_formed: u64,
     /// Shard-grouped write-behind publications performed across all
-    /// workers (0 with direct publication or non-global memo scopes).
+    /// workers (0 under non-global memo scopes).
     pub writeback_flushes: u64,
     /// Lookups served from a worker-local write-behind buffer without
     /// touching a shard lock.
@@ -211,30 +211,12 @@ pub struct ComparisonSet {
 pub struct AnalysisEngine {
     jobs: usize,
     shards: usize,
-    publication: Publication,
     recorder: Recorder,
     tracer: Tracer,
     guard: GuardConfig,
     cache: Option<Arc<PolicyCache>>,
     resident: Option<Arc<ResidentStore>>,
     chaos: spo_chaos::FaultPlan,
-}
-
-/// How workers publish freshly computed summaries to the shared store
-/// (global memo scope only; other scopes never share).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Publication {
-    /// Every clean summary is inserted into its shard as it is computed —
-    /// one lock acquisition per summary. The pre-batching behavior, kept
-    /// as the bench baseline for the write-behind lock-wait comparison.
-    Direct,
-    /// Workers buffer summaries locally and publish in shard-grouped
-    /// batches at batch boundaries (one lock acquisition per touched
-    /// shard per flush), reading through the local buffer first. Results
-    /// and deterministic stats are byte-identical to [`Direct`] — see
-    /// [`WriteBehind`].
-    #[default]
-    WriteBehind,
 }
 
 /// The error [`AnalysisEngine::with_shards`] returns when the requested
@@ -300,7 +282,6 @@ impl ResidentStore {
 
     /// Number of memoized summaries currently held (both passes).
     pub fn summaries(&self) -> usize {
-        use spo_core::SummaryStore as _;
         self.may.len() + self.must.len()
     }
 
@@ -332,7 +313,6 @@ impl AnalysisEngine {
         AnalysisEngine {
             jobs,
             shards: DEFAULT_SHARDS,
-            publication: Publication::default(),
             recorder: Recorder::disabled(),
             tracer: Tracer::disabled(),
             guard: GuardConfig::default(),
@@ -422,14 +402,6 @@ impl AnalysisEngine {
         }
         self.shards = shards;
         Ok(self)
-    }
-
-    /// Selects the summary publication mode (default
-    /// [`Publication::WriteBehind`]). [`Publication::Direct`] is the
-    /// per-summary baseline the bench sweep measures lock waits against.
-    pub fn with_publication(mut self, publication: Publication) -> Self {
-        self.publication = publication;
-        self
     }
 
     /// Attaches an observability recorder. Each worker records into a
@@ -604,7 +576,6 @@ impl AnalysisEngine {
                 let guard = &self.guard;
                 let chaos = &self.chaos;
                 let lanes = &worker_lanes;
-                let publication = self.publication;
                 let batches_stolen = &batches_stolen;
                 let wb_flushes = &wb_flushes;
                 let wb_deferred_hits = &wb_deferred_hits;
@@ -616,12 +587,9 @@ impl AnalysisEngine {
                     // Write-behind façades over the shared pair: reads go
                     // through this worker's buffer first, writes publish
                     // in shard-grouped flushes at batch boundaries.
-                    let wb = (publication == Publication::WriteBehind)
-                        .then_some(shared)
-                        .flatten()
-                        .map(|(may, must)| {
-                            (WriteBehind::new(may, rec), WriteBehind::new(must, rec))
-                        });
+                    let wb = shared.map(|(may, must)| {
+                        (WriteBehind::new(may, rec), WriteBehind::new(must, rec))
+                    });
                     let run_root =
                         |idx: usize,
                          local: &mut Vec<(usize, String, EntryPolicy, AnalysisStats)>,
@@ -659,17 +627,14 @@ impl AnalysisEngine {
                                     panic!("chaos: injected fault at engine.root.panic for {sig}");
                                 }
                                 governor.check_point();
-                                match (&wb, shared) {
-                                    (Some((may, must)), _) => analyzer.analyze_root_governed(
+                                match &wb {
+                                    Some((may, must)) => analyzer.analyze_root(
                                         roots[idx], may, must, &mut stats, rec, &governor,
                                     ),
-                                    (None, Some((may, must))) => analyzer.analyze_root_governed(
-                                        roots[idx], may, must, &mut stats, rec, &governor,
-                                    ),
-                                    (None, None) => {
+                                    None => {
                                         let may = LocalStore::default();
                                         let must = LocalStore::default();
-                                        analyzer.analyze_root_governed(
+                                        analyzer.analyze_root(
                                             roots[idx], &may, &must, &mut stats, rec, &governor,
                                         )
                                     }
@@ -681,8 +646,7 @@ impl AnalysisEngine {
                                 // a clean run restricted to them. Clean
                                 // summaries its subtree completed stay
                                 // buffered: they are pure functions of their
-                                // keys, exactly as valid as under direct
-                                // publication.
+                                // keys, so publishing them is still sound.
                                 Ok((sig, entry)) => local.push((idx, sig, entry, stats)),
                                 Err(fault) => local_faults.push((idx, sig, fault)),
                             }
@@ -1122,6 +1086,46 @@ class t.A {
                 assert_eq!(stats.entry_points, serial.stats.entry_points);
             }
         }
+
+        // On the generated corpora the serial analyzer must also agree
+        // with a one-worker engine on every analysis counter and on the
+        // deterministic stats sections, not just on the entries.
+        use spo_corpus::{generate, CorpusConfig, Lib};
+        let counters = |s: &AnalysisStats| {
+            (
+                s.entry_points,
+                s.frames_analyzed,
+                s.memo_hits,
+                s.memo_misses,
+                s.unresolved_calls,
+            )
+        };
+        let corpus = generate(&CorpusConfig::test_sized());
+        for lib in [Lib::Jdk, Lib::Harmony, Lib::Classpath] {
+            let program = corpus.program(lib);
+            for memo in [MemoScope::None, MemoScope::PerEntry, MemoScope::Global] {
+                let options = AnalysisOptions {
+                    memo,
+                    ..Default::default()
+                };
+                let serial_rec = Recorder::new();
+                let serial = Analyzer::new(program, options)
+                    .with_recorder(serial_rec.clone())
+                    .analyze_library("lib");
+                let engine_rec = Recorder::new();
+                let (par, stats) = AnalysisEngine::new(1)
+                    .with_recorder(engine_rec.clone())
+                    .analyze_library(program, "lib", options);
+                let what = format!("{lib:?} memo {memo:?}");
+                assert_eq!(par.entries, serial.entries, "{what}");
+                assert_eq!(counters(&stats.analysis), counters(&serial.stats), "{what}");
+                assert_eq!(
+                    engine_rec.snapshot().deterministic_json(),
+                    serial_rec.snapshot().deterministic_json(),
+                    "{what}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1140,21 +1144,6 @@ class t.A {
         // The buffered summaries still reach the shared store at flush.
         let entries: usize = stats.may_shards.iter().map(|s| s.entries).sum();
         assert!(entries > 0, "{stats}");
-    }
-
-    #[test]
-    fn direct_publication_still_records_shard_hits() {
-        let program = sample_program();
-        let (_, stats) = AnalysisEngine::new(1)
-            .with_publication(Publication::Direct)
-            .analyze_library(&program, "t", AnalysisOptions::default());
-        // The bench baseline bypasses write-behind: every memo probe and
-        // publication goes straight to the shared store.
-        assert!(stats.analysis.memo_hits > 0, "{stats}");
-        let shard_hits: u64 = stats.may_shards.iter().map(|s| s.hits).sum();
-        assert!(shard_hits > 0, "{stats}");
-        assert_eq!(stats.writeback_flushes, 0, "{stats}");
-        assert_eq!(stats.writeback_deferred_hits, 0, "{stats}");
     }
 
     #[test]

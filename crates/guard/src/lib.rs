@@ -298,7 +298,8 @@ impl Governor {
 
     /// Per-worklist-pop check: `steps` is the solve-local transfer count.
     /// Trips when the per-solve step budget is exhausted; checks
-    /// cancellation/deadline every [`DEADLINE_STRIDE`] steps.
+    /// cancellation and the deadline only on a fixed stride of steps, so
+    /// the clock is read rarely.
     #[inline]
     pub fn check_step(&self, steps: u64) {
         if !self.governed {
