@@ -476,7 +476,7 @@ fn measure_index(corpus: &spo_corpus::Corpus, scale: f64) -> IndexLatency {
     let index = spo_index::PolicyIndex::parse(&jdk_bytes).expect("jdk index parses");
     let parse_ms = t.elapsed().as_secs_f64() * 1e3;
 
-    // Query latency: binary search + blob decode + render per query, the
+    // Query latency: row lookup + blob decode + render per query, the
     // daemon's warm-index path. Stride the entry points down to at most
     // 1024 timed queries so the scale-10 run stays short.
     let sigs: Vec<&str> = index
@@ -886,7 +886,7 @@ fn write_json(
     let _ = writeln!(out, "  \"serve_query_p99_ms\": {:.4},", serve.p99_ms);
     let _ = writeln!(out, "  \"serve_warm_speedup\": {:.1},", serve.speedup());
     // Compiled-index headline (`spo index`, measured at the largest sweep
-    // scale): query latency is binary search + blob decode + render on a
+    // scale): query latency is row lookup + blob decode + render on a
     // parsed index; the budget is sub-millisecond p99 at scale 10.
     if let Some(ix) = index {
         let _ = writeln!(out, "  \"index_scale\": {},", ix.scale);

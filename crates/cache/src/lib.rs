@@ -13,8 +13,8 @@
 //!
 //! A root's cached policy is a pure function of:
 //!
-//! 1. the **cache format version** ([`FORMAT_VERSION`]) — bumped whenever
-//!    the serialization or the analysis semantics change;
+//! 1. the **format version** ([`spo_index::FORMAT_VERSION`]) — bumped
+//!    whenever the serialization or the analysis semantics change;
 //! 2. the **analysis options** that affect results (`icp`, the event
 //!    definition, interprocedurality — the memo scope is deliberately
 //!    excluded because results are memo-invariant);
@@ -50,80 +50,66 @@
 //!
 //! ## Storage layout
 //!
-//! One *pack file* per cache directory (`policies.spc`): a text version
-//! header line followed by length-prefixed binary entries, each the
-//! compact encoding of one root's `(signature, key, cone, EntryPolicy)`,
-//! addressed by a *root key* ([`PolicyCache::root_key`]: library name +
-//! root identity, so implementations sharing signatures coexist in one
-//! directory). The pack is loaded once at [`PolicyCache::open`]; lookups
-//! and stores then touch only memory, and [`PolicyCache::flush`] rewrites
-//! the pack atomically (temp file + `rename`) when anything changed. The
-//! warm path of a run with thousands of roots therefore costs one
-//! sequential read and at most one sequential write — never a syscall per
-//! root.
+//! One `spo-index` file per library and options token,
+//! `<fnv64(library, options token):016x>.spc`: the format `spo cache
+//! export-index` writes, without intra policies, each entry carrying its
+//! cone identity list and cone key. One file per library, because entries
+//! are addressed by signature and implementations share signatures; one
+//! per options token, so a run's full and intraprocedural analyses never
+//! evict each other. A file is read and validated (checksum, header
+//! library and token) once, on its first lookup; lookups and stores then
+//! touch memory, and [`PolicyCache::flush`] writes only changed files
+//! through [`spo_index::write_index_file`], appending: loaded tables seed
+//! the interners, untouched entries are copied verbatim, and only
+//! re-stored entries are encoded.
 //!
 //! ## Corruption safety
 //!
-//! A cache can be truncated, corrupted, or written by a different version
-//! at any time; none of that may panic or change results. The pack header
-//! and every entry's framing are validated at load, and each entry's
-//! content is re-validated at lookup; any mismatch degrades to a *cold*
-//! analysis plus a [`Diagnostic`] on the `cache` phase — warnings only,
-//! never an error, never an exit-code change. The next flush rewrites the
-//! pack from the healthy in-memory store, healing the corruption.
+//! A truncated, corrupted, or version-bumped file never panics or changes
+//! results: an unreadable file is an empty store and an undecodable entry
+//! is dropped, each with a [`Diagnostic`] on the `cache` phase (a warning,
+//! never an exit-code change). The affected roots run cold, and the next
+//! flush rewrites the file from the healthy in-memory state.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 use spo_chaos::FaultPlan;
-use spo_core::{AnalysisOptions, EntryPolicy, EventPolicy};
-use spo_dataflow::{BitSet32, Dnf};
+use spo_core::{AnalysisOptions, EntryPolicy, MemoScope};
 use spo_guard::{Cause, Diagnostic, Phase, Severity};
+use spo_index::{IndexWriter, PolicyIndex};
 use spo_jir::{
     method_content_hash, method_identity_hash, structure_hash, Fnv64, MethodId, Program,
 };
 use spo_obs::trace;
 use spo_resolve::{CallGraph, Hierarchy};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 
-/// The on-disk format version. Any change to the entry serialization, the
-/// key derivation, or the analysis semantics the cached policies depend on
-/// must bump this; old packs then read as version mismatches and fall
-/// back to cold analysis.
-pub const FORMAT_VERSION: u32 = 3;
-
-/// Name of the pack file inside the cache directory.
-pub const PACK_FILE: &str = "policies.spc";
-
-/// Folds one cone's sorted member content hashes into a cache key.
-fn fold_key(opts: &str, salt: u64, sorted_contents: &[u64]) -> u64 {
+/// The hash state every cache key of one program and options set starts
+/// from: format version, options token, structure salt.
+fn key_prefix(program: &Program, options: &AnalysisOptions) -> Fnv64 {
     let mut h = Fnv64::new();
-    h.write_u64(FORMAT_VERSION as u64);
-    h.write_str(opts);
-    h.write_u64(salt);
-    for &content in sorted_contents {
-        h.write_u64(content);
-    }
-    h.finish()
+    h.write_u64(spo_index::FORMAT_VERSION as u64);
+    h.write_str(&spo_index::options_token(options));
+    h.write_u64(structure_hash(program));
+    h
 }
 
-/// Renders the result-affecting analysis options into the key. The memo
-/// scope is excluded: summaries are memo-invariant, so one cache serves
-/// every memoization configuration. Shared with the compiled policy
-/// index so both identify an options configuration by the same token.
-fn options_token(options: &AnalysisOptions) -> String {
-    spo_index::options_token(options)
+/// Folds one cone's sorted member content hashes into a cache key.
+fn fold_key(mut prefix: Fnv64, sorted_contents: &[u64]) -> u64 {
+    for &content in sorted_contents {
+        prefix.write_u64(content);
+    }
+    prefix.finish()
 }
 
 /// Current identity → content hashes of every method in one program, plus
-/// the structure salt and options token — everything needed to re-key a
-/// *stored* cone without building a call graph.
+/// the key prefix (structure salt and options token) — everything needed
+/// to re-key a *stored* cone without building a call graph.
 pub struct ContentTable {
-    opts: String,
-    salt: u64,
+    prefix: Fnv64,
     content_by_identity: HashMap<u64, u64>,
 }
 
@@ -131,8 +117,7 @@ impl ContentTable {
     /// Hashes every method of `program` once (identity and content).
     pub fn new(program: &Program, options: &AnalysisOptions) -> ContentTable {
         ContentTable {
-            opts: options_token(options),
-            salt: structure_hash(program),
+            prefix: key_prefix(program, options),
             content_by_identity: program
                 .all_methods()
                 .map(|(id, _)| {
@@ -154,7 +139,7 @@ impl ContentTable {
             .map(|identity| self.content_by_identity.get(identity).copied())
             .collect::<Option<_>>()?;
         contents.sort_unstable();
-        Some(fold_key(&self.opts, self.salt, &contents))
+        Some(fold_key(self.prefix, &contents))
     }
 }
 
@@ -171,8 +156,7 @@ impl CacheKeyer {
     pub fn new(program: &Program, roots: &[MethodId], options: &AnalysisOptions) -> CacheKeyer {
         let hierarchy = Hierarchy::new(program);
         let cg = CallGraph::build(&hierarchy, roots.to_vec());
-        let salt = structure_hash(program);
-        let opts = options_token(options);
+        let prefix = key_prefix(program, options);
         // Dense re-indexing of the reachable set, then one hash pair per
         // reachable method and an epoch-stamped DFS per root with no
         // allocation inside the loop (cones overlap heavily, so per-root
@@ -218,7 +202,7 @@ impl CacheKeyer {
             }
             cone_contents.sort_unstable();
             cone_identities.sort_unstable();
-            let key = fold_key(&opts, salt, &cone_contents);
+            let key = fold_key(prefix, &cone_contents);
             keys.insert(root, (key, cone_identities));
         }
         CacheKeyer { roots: keys }
@@ -246,44 +230,126 @@ pub struct CacheStats {
     /// stored cone re-keyed differently (an edit) — so the root analyzed
     /// cold.
     pub misses: u64,
-    /// Unusable cache state rejected (corrupt or version-bumped pack,
-    /// undecodable entry) — the affected roots fell back to cold analysis.
+    /// Unusable cache state rejected (unreadable, corrupt, or
+    /// version-bumped file, undecodable entry) — the affected roots fell
+    /// back to cold analysis.
     pub invalidated: u64,
-    /// Total encoded entry bytes read from and written to the cache.
+    /// Total cache-file bytes read and written.
     pub bytes: u64,
-    /// Flush attempts repeated after a transient write error (interrupted
-    /// syscall or injected chaos fault) before the pack landed or the
-    /// flush gave up.
+    /// Write attempts repeated after a transient error (interrupted
+    /// syscall or injected chaos fault) before a file landed or the flush
+    /// gave up.
     pub flush_retries: u64,
 }
 
-/// Flush attempts before a persistently failing pack write degrades to a
-/// diagnostic (the first attempt plus bounded retries of transient
-/// errors).
-pub const FLUSH_ATTEMPTS: u32 = 3;
-
-/// Whether an IO error is worth retrying: interrupted syscalls and
-/// timeout-shaped kinds, which is also the shape `spo-chaos` gives its
-/// injected transient faults.
-fn is_transient(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::Interrupted
-            | std::io::ErrorKind::WouldBlock
-            | std::io::ErrorKind::TimedOut
-    )
+/// An entry stored since its file was loaded or last flushed.
+#[derive(Debug)]
+struct Fresh {
+    key: u64,
+    cone: Vec<u64>,
+    entry: EntryPolicy,
 }
 
-/// In-memory view of the pack: encoded entry blobs by root key, plus
-/// whether anything diverged from the on-disk pack since open/flush.
-#[derive(Debug, Default)]
-struct Store {
-    entries: HashMap<u64, Vec<u8>>,
+/// One cache file's in-memory state: the file as loaded or last flushed,
+/// plus what changed since.
+#[derive(Debug)]
+struct File {
+    library: String,
+    // Memo scope normalized away: equal options here ⇔ equal tokens.
+    options: AnalysisOptions,
+    path: PathBuf,
+    index: Option<PolicyIndex<'static>>,
+    // The bytes last flushed, parsed into `index` on the next access (a
+    // one-shot run never pays for it).
+    flushed: Option<Vec<u8>>,
+    fresh: BTreeMap<u64, Fresh>,
+    // Loaded records found undecodable: misses now, dropped at flush.
+    dropped: HashSet<u64>,
     dirty: bool,
 }
 
-/// A persistent store of per-root policy entries (one pack file per
-/// directory).
+/// What one lookup found.
+enum Lookup {
+    Hit(EntryPolicy),
+    Miss,
+    Stale,
+    Invalid(String),
+}
+
+impl File {
+    fn unit(&self) -> String {
+        self.path
+            .file_name()
+            .map_or_else(String::new, |n| n.to_string_lossy().into_owned())
+    }
+
+    fn lookup(&self, root_key: u64, signature: &str, table: &ContentTable) -> Lookup {
+        if let Some(fresh) = self.fresh.get(&root_key) {
+            return if fresh.entry.signature != signature {
+                Lookup::Miss
+            } else if table.key_of_cone(&fresh.cone) == Some(fresh.key) {
+                Lookup::Hit(fresh.entry.clone())
+            } else {
+                Lookup::Stale
+            };
+        }
+        let index = match &self.index {
+            Some(index) if !self.dropped.contains(&root_key) => index,
+            _ => return Lookup::Miss,
+        };
+        let Some(rec) = index.find(root_key) else {
+            return Lookup::Miss;
+        };
+        let read = || -> Result<Lookup, String> {
+            if index.signature_of(rec)? != signature {
+                return Ok(Lookup::Miss);
+            }
+            // A stale cone is rejected before the policy is decoded.
+            if table.key_of_cone(&index.cone(rec)?) != Some(rec.cone_key) {
+                return Ok(Lookup::Stale);
+            }
+            Ok(Lookup::Hit(index.decode(rec)?.0))
+        };
+        read().unwrap_or_else(Lookup::Invalid)
+    }
+
+    /// The file's next contents: the loaded file's tables and untouched
+    /// entries as they are, plus the re-stored entries encoded against
+    /// them.
+    fn render(&self) -> Result<Vec<u8>, String> {
+        let mut writer = match &self.index {
+            Some(base) => IndexWriter::extending(base, |k| {
+                !self.fresh.contains_key(&k) && !self.dropped.contains(&k)
+            })?,
+            None => IndexWriter::new(false),
+        };
+        for fresh in self.fresh.values() {
+            writer.entry(
+                &fresh.entry.signature,
+                fresh.key,
+                &fresh.cone,
+                &fresh.entry,
+                None,
+            );
+        }
+        writer.finish(
+            &self.library,
+            &spo_index::options_token(&self.options),
+            [0, 0],
+        )
+    }
+}
+
+/// The cache file of one library and options token.
+fn file_name(library: &str, token: &str) -> String {
+    let mut h = Fnv64::new();
+    h.write_str(library);
+    h.write_str(token);
+    format!("{:016x}.spc", h.finish())
+}
+
+/// A persistent store of per-root policy entries: one `spo-index` file
+/// per library and options token in one directory.
 ///
 /// All operations are infallible from the caller's perspective: I/O and
 /// decode failures surface as [`Diagnostic`]s (drained via
@@ -295,8 +361,8 @@ pub struct PolicyCache {
     // Read-mostly once warm: a resident process (the serve daemon) shares
     // one handle across many concurrent sessions whose lookups vastly
     // outnumber write-backs, so reads take a shared lock and only
-    // store/flush/invalidation take the exclusive one.
-    store: RwLock<Store>,
+    // load/store/flush/invalidation take the exclusive one.
+    files: RwLock<Vec<File>>,
     stats: Mutex<CacheStats>,
     diagnostics: Mutex<Vec<Diagnostic>>,
     // Captured from the process-wide spo-chaos plan at open (and
@@ -306,10 +372,9 @@ pub struct PolicyCache {
 }
 
 impl PolicyCache {
-    /// Opens the cache directory (creating it if needed) and loads the
-    /// pack file. A missing pack is an empty cache; a corrupt, truncated,
-    /// or version-mismatched pack degrades to an empty cache with a
-    /// diagnostic — the next [`PolicyCache::flush`] heals it.
+    /// Opens the cache directory, creating it if needed. Files load
+    /// lazily, on the first lookup or store for their library and
+    /// options.
     ///
     /// # Errors
     ///
@@ -319,42 +384,13 @@ impl PolicyCache {
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<PolicyCache> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let cache = PolicyCache {
+        Ok(PolicyCache {
             dir,
-            store: RwLock::new(Store::default()),
+            files: RwLock::new(Vec::new()),
             stats: Mutex::new(CacheStats::default()),
             diagnostics: Mutex::new(Vec::new()),
             chaos: Mutex::new(spo_chaos::current()),
-        };
-        let path = cache.pack_path();
-        match std::fs::read(&path) {
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => {
-                cache.lock_stats().invalidated += 1;
-                cache.diag(PACK_FILE, format!("{}: {e}", path.display()));
-            }
-            Ok(bytes) => match parse_pack(&bytes) {
-                Ok(entries) => cache.lock_store().entries = entries,
-                Err(why) => {
-                    cache.lock_stats().invalidated += 1;
-                    cache.diag(
-                        PACK_FILE,
-                        format!("{}: {why}; falling back to cold analysis", path.display()),
-                    );
-                }
-            },
-        }
-        Ok(cache)
-    }
-
-    /// The address of one root's entry: library name (so implementations
-    /// with overlapping signatures coexist in one directory) + the root's
-    /// [identity hash](spo_jir::method_identity_hash).
-    pub fn root_key(library: &str, identity: u64) -> u64 {
-        let mut h = Fnv64::new();
-        h.write_str(library);
-        h.write_u64(identity);
-        h.finish()
+        })
     }
 
     /// The cache directory.
@@ -362,40 +398,23 @@ impl PolicyCache {
         &self.dir
     }
 
-    fn pack_path(&self) -> PathBuf {
-        self.dir.join(PACK_FILE)
+    fn read_files(&self) -> std::sync::RwLockReadGuard<'_, Vec<File>> {
+        self.files.read().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn read_store(&self) -> std::sync::RwLockReadGuard<'_, Store> {
-        self.store.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn lock_store(&self) -> std::sync::RwLockWriteGuard<'_, Store> {
-        self.store.write().unwrap_or_else(|e| e.into_inner())
+    fn write_files(&self) -> std::sync::RwLockWriteGuard<'_, Vec<File>> {
+        self.files.write().unwrap_or_else(|e| e.into_inner())
     }
 
     fn lock_stats(&self) -> std::sync::MutexGuard<'_, CacheStats> {
         self.stats.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn diag(&self, unit: &str, message: String) {
+    fn push_diag(&self, diag: Diagnostic) {
         self.diagnostics
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .push(Diagnostic::cache_fallback(unit.to_owned(), message));
-    }
-
-    fn chaos_diag(&self, message: String) {
-        self.diagnostics
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(Diagnostic {
-                severity: Severity::Warning,
-                phase: Phase::Chaos,
-                root: PACK_FILE.to_owned(),
-                cause: Cause::Chaos,
-                message,
-            });
+            .push(diag);
     }
 
     /// Replaces the fault plan this handle draws injected faults from
@@ -404,184 +423,210 @@ impl PolicyCache {
         *self.chaos.lock().unwrap_or_else(|e| e.into_inner()) = plan;
     }
 
-    /// Looks up the policy stored under `root_key`, validating the stored
-    /// cone against `table`. Returns the stored signature and policy on a
-    /// hit. A stale entry (its cone re-keys differently — an edit) is a
-    /// plain miss; an undecodable entry counts as invalidated, is dropped
-    /// from the store (healed on flush), and emits a diagnostic. Either
-    /// way the caller analyzes cold.
-    pub fn lookup(&self, root_key: u64, table: &ContentTable) -> Option<(String, EntryPolicy)> {
+    /// The state of `library`'s file under `options` (memo scope already
+    /// normalized), loading it on first use. An unreadable, corrupt, or
+    /// foreign file is one diagnostic and an empty store.
+    fn file_mut<'f>(
+        &self,
+        files: &'f mut Vec<File>,
+        library: &str,
+        options: AnalysisOptions,
+    ) -> &'f mut File {
+        if let Some(pos) = files
+            .iter()
+            .position(|f| f.library == library && f.options == options)
+        {
+            let file = &mut files[pos];
+            if let Some(bytes) = file.flushed.take() {
+                let index = PolicyIndex::parse(&bytes).expect("a rendered file parses");
+                file.index = Some(index.into_owned());
+            }
+            return file;
+        }
+        let token = spo_index::options_token(&options);
+        let mut file = File {
+            library: library.to_owned(),
+            options,
+            path: self.dir.join(file_name(library, &token)),
+            index: None,
+            flushed: None,
+            fresh: BTreeMap::new(),
+            dropped: HashSet::new(),
+            dirty: false,
+        };
+        let _trace = trace::span_now("cache.load", "cache");
+        let loaded = match std::fs::read(&file.path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e.to_string()),
+            Ok(bytes) => {
+                self.lock_stats().bytes += bytes.len() as u64;
+                PolicyIndex::parse(&bytes).and_then(|index| {
+                    if index.library() != library || index.options_token() != token {
+                        Err(format!(
+                            "file holds {:?} under {:?}, not {library:?} under {token:?}",
+                            index.library(),
+                            index.options_token()
+                        ))
+                    } else if index.has_intra() {
+                        Err("not a summary-cache file (carries intra policies)".to_owned())
+                    } else {
+                        Ok(Some(index.into_owned()))
+                    }
+                })
+            }
+        };
+        match loaded {
+            Ok(index) => file.index = index,
+            Err(why) => {
+                self.lock_stats().invalidated += 1;
+                self.push_diag(Diagnostic::cache_fallback(
+                    file.unit(),
+                    format!(
+                        "{}: {why}; falling back to cold analysis",
+                        file.path.display()
+                    ),
+                ));
+            }
+        }
+        files.push(file);
+        files.last_mut().expect("just pushed")
+    }
+
+    /// Looks up `signature`'s policy in `library`'s file under `options`,
+    /// validating the stored cone against `table`. A stale entry (its
+    /// cone re-keys differently — an edit) is a plain miss; an
+    /// undecodable entry counts as invalidated, is dropped (healed on
+    /// flush), and emits a diagnostic. Either way the caller analyzes
+    /// cold.
+    pub fn lookup(
+        &self,
+        library: &str,
+        options: &AnalysisOptions,
+        signature: &str,
+        table: &ContentTable,
+    ) -> Option<EntryPolicy> {
+        let options = normalized(options);
+        let root_key = spo_index::root_key(signature);
         // The hot path (hit, miss, stale) only reads, so concurrent
         // sessions validate under the shared lock; the exclusive lock is
-        // taken only to drop an undecodable entry below.
-        let store = self.read_store();
-        let Some(blob) = store.entries.get(&root_key) else {
-            drop(store);
-            self.lock_stats().misses += 1;
-            trace::instant_now("cache.miss", "cache");
-            return None;
-        };
-        match decode_blob(blob, table) {
-            Ok(Some((signature, entry))) => {
-                let len = blob.len() as u64;
-                drop(store);
-                let mut stats = self.lock_stats();
-                stats.hits += 1;
-                stats.bytes += len;
-                drop(stats);
+        // taken only to load a file or to drop an undecodable entry.
+        let found = self
+            .read_files()
+            .iter()
+            .find(|f| f.library == library && f.options == options && f.flushed.is_none())
+            .map(|f| f.lookup(root_key, signature, table));
+        let found = found.unwrap_or_else(|| {
+            let mut files = self.write_files();
+            self.file_mut(&mut files, library, options)
+                .lookup(root_key, signature, table)
+        });
+        match found {
+            Lookup::Hit(entry) => {
+                self.lock_stats().hits += 1;
                 trace::instant_now("cache.hit", "cache");
-                Some((signature, entry))
+                Some(entry)
             }
-            Ok(None) => {
-                // Stale: the cone re-keyed differently under the current
-                // program. The follow-up store overwrites this entry.
-                drop(store);
+            Lookup::Miss => {
+                self.lock_stats().misses += 1;
+                trace::instant_now("cache.miss", "cache");
+                None
+            }
+            Lookup::Stale => {
+                // The follow-up store replaces the stale entry.
                 self.lock_stats().misses += 1;
                 trace::instant_now("cache.stale", "cache");
                 None
             }
-            Err(why) => {
-                drop(store);
-                // Re-acquire exclusively; removal is idempotent if another
-                // session already dropped the same corrupt entry.
-                let mut store = self.lock_store();
-                if store.entries.remove(&root_key).is_some() {
-                    store.dirty = true;
-                }
-                drop(store);
+            Lookup::Invalid(why) => {
+                let mut files = self.write_files();
+                let file = self.file_mut(&mut files, library, options);
+                // Idempotent if another session already dropped it.
+                file.dirty |= file.dropped.insert(root_key);
+                let unit = file.unit();
+                drop(files);
                 self.lock_stats().invalidated += 1;
                 trace::instant_now("cache.invalidated", "cache");
-                self.diag(
-                    &format!("{root_key:016x}"),
-                    format!("entry {root_key:016x}: {why}; falling back to cold analysis"),
-                );
+                self.push_diag(Diagnostic::cache_fallback(
+                    unit,
+                    format!("entry {signature}: {why}; falling back to cold analysis"),
+                ));
                 None
             }
         }
     }
 
-    /// Stores `entry` with its `key` and cone under `root_key` in memory;
+    /// Stores `entry` for `signature` in `library`'s file under
+    /// `options`, with its cone `key` and cone identity list, in memory;
     /// [`PolicyCache::flush`] persists it.
-    pub fn store(&self, root_key: u64, key: u64, cone: &[u64], entry: &EntryPolicy) {
-        let blob = encode_blob(key, cone, entry);
-        self.lock_stats().bytes += blob.len() as u64;
-        let mut store = self.lock_store();
-        store.entries.insert(root_key, blob);
-        store.dirty = true;
-    }
-
-    /// Writes the pack file atomically and durably if anything changed
-    /// since open or the last flush: temp file + `sync_all`, atomic
-    /// `rename` over the pack, then a best-effort `sync_all` on the
-    /// directory so the rename itself survives a crash. Transient errors
-    /// (interrupted syscalls, injected chaos faults) are retried up to
-    /// [`FLUSH_ATTEMPTS`] times with a short backoff; persistent failures
-    /// degrade to a diagnostic — the run's results are already computed
-    /// and unaffected, and the next flush retries from scratch because
-    /// the store stays dirty.
-    pub fn flush(&self) {
-        let mut store = self.lock_store();
-        if !store.dirty {
-            return;
-        }
-        let _trace = trace::span_now("cache.flush", "cache");
-        let pack = render_pack(&store.entries);
-        let path = self.pack_path();
-        // pid + per-process sequence: two sessions of one resident daemon
-        // flushing the same directory concurrently must not share a temp
-        // file (the rename itself is atomic either way).
-        static FLUSH_SEQ: AtomicU64 = AtomicU64::new(0);
-        let tmp = self.dir.join(format!(
-            "{PACK_FILE}.tmp-{}-{}",
-            std::process::id(),
-            FLUSH_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let chaos = self.chaos.lock().unwrap_or_else(|e| e.into_inner()).clone();
-        let mut last_err: Option<std::io::Error> = None;
-        for attempt in 0..FLUSH_ATTEMPTS {
-            match self.write_pack_durably(&chaos, &tmp, &path, &pack) {
-                Ok(()) => {
-                    store.dirty = false;
-                    if attempt > 0 {
-                        chaos.note_recovered(PACK_FILE);
-                        let why = last_err
-                            .take()
-                            .map_or_else(String::new, |e| format!(": {e}"));
-                        self.chaos_diag(format!(
-                            "{}: flush recovered after {attempt} retry(s){why}",
-                            path.display()
-                        ));
-                    }
-                    return;
-                }
-                Err(e) if attempt + 1 < FLUSH_ATTEMPTS && is_transient(&e) => {
-                    self.lock_stats().flush_retries += 1;
-                    last_err = Some(e);
-                    // Tiny exponential backoff: 1ms, 2ms. Real transient
-                    // errors (EINTR under signal storms) clear quickly;
-                    // anything slower is persistent and hits the cap.
-                    std::thread::sleep(std::time::Duration::from_millis(1 << attempt));
-                }
-                Err(e) => {
-                    last_err = Some(e);
-                    break;
-                }
-            }
-        }
-        let _ = std::fs::remove_file(&tmp);
-        drop(store);
-        let e = last_err.expect("every failed attempt records its error");
-        self.diag(PACK_FILE, format!("{}: write failed: {e}", path.display()));
-    }
-
-    /// One durable write attempt: create + write + `sync_all` the temp
-    /// file, `rename` it over the pack, `sync_all` the directory.
-    /// Chaos fault sites are compiled into each step; the bit-flip site
-    /// corrupts the payload but lets the write *succeed* (silent
-    /// corruption for the next open to detect and heal).
-    fn write_pack_durably(
+    pub fn store(
         &self,
-        chaos: &FaultPlan,
-        tmp: &Path,
-        path: &Path,
-        pack: &[u8],
-    ) -> std::io::Result<()> {
-        use spo_chaos::sites;
-        use std::io::Write as _;
-        let flipped: Vec<u8>;
-        let payload: &[u8] = if !pack.is_empty() && chaos.should_fire(sites::CACHE_BITFLIP) {
-            let pos = chaos.amount(sites::CACHE_BITFLIP, pack.len() as u64) as usize;
-            let mut copy = pack.to_vec();
-            copy[pos] ^= 0x01;
-            flipped = copy;
-            &flipped
-        } else {
-            pack
+        library: &str,
+        options: &AnalysisOptions,
+        signature: &str,
+        key: u64,
+        cone: &[u64],
+        entry: &EntryPolicy,
+    ) {
+        let mut files = self.write_files();
+        let file = self.file_mut(&mut files, library, normalized(options));
+        debug_assert_eq!(entry.signature, signature);
+        let fresh = Fresh {
+            key,
+            cone: cone.to_vec(),
+            entry: entry.clone(),
         };
-        {
-            let mut f = std::fs::File::create(tmp)?;
-            if chaos.should_fire(sites::CACHE_WRITE_SHORT) {
-                f.write_all(&payload[..payload.len() / 2])?;
-                let _ = f.sync_all();
-                return Err(spo_chaos::injected_io_error(sites::CACHE_WRITE_SHORT));
+        file.fresh.insert(spo_index::root_key(signature), fresh);
+        file.dirty = true;
+    }
+
+    /// Writes every file that changed since it was loaded or last
+    /// flushed, atomically and durably ([`spo_index::write_index_file`]).
+    /// Persistent write failures degrade to a diagnostic — the run's
+    /// results are already computed and unaffected, and the file stays
+    /// dirty, so the next flush retries.
+    pub fn flush(&self) {
+        let mut files = self.write_files();
+        let chaos = self.chaos.lock().unwrap_or_else(|e| e.into_inner()).clone();
+        for file in files.iter_mut().filter(|f| f.dirty) {
+            let _trace = trace::span_now("cache.flush", "cache");
+            let written = file.render().and_then(|bytes| {
+                let write = spo_index::write_index_file(&file.path, &bytes, &chaos);
+                self.lock_stats().flush_retries += write.retried.len() as u64;
+                match write.result {
+                    Ok(()) => Ok((bytes, write.retried)),
+                    Err(e) => Err(e.to_string()),
+                }
+            });
+            let (bytes, retried) = match written {
+                Ok(written) => written,
+                Err(why) => {
+                    let message = format!("{}: write failed: {why}", file.path.display());
+                    self.push_diag(Diagnostic::cache_fallback(file.unit(), message));
+                    continue;
+                }
+            };
+            self.lock_stats().bytes += bytes.len() as u64;
+            if let Some(last) = retried.last() {
+                self.push_diag(Diagnostic {
+                    severity: Severity::Warning,
+                    phase: Phase::Chaos,
+                    root: file.unit(),
+                    cause: Cause::Chaos,
+                    message: format!(
+                        "{}: flush recovered after {} retry(s): {last}",
+                        file.path.display(),
+                        retried.len()
+                    ),
+                });
             }
-            f.write_all(payload)?;
-            if chaos.should_fire(sites::CACHE_FSYNC_FAIL) {
-                return Err(spo_chaos::injected_io_error(sites::CACHE_FSYNC_FAIL));
-            }
-            f.sync_all()?;
+            // The in-memory state follows the bytes just rendered (an
+            // injected bit flip corrupts only the copy on disk).
+            file.index = None;
+            file.flushed = Some(bytes);
+            file.fresh.clear();
+            file.dropped.clear();
+            file.dirty = false;
         }
-        if chaos.should_fire(sites::CACHE_RENAME_FAIL) {
-            return Err(spo_chaos::injected_io_error(sites::CACHE_RENAME_FAIL));
-        }
-        std::fs::rename(tmp, path)?;
-        // The rename is durable only once the directory entry is synced;
-        // a failure here is not worth failing the flush over (the data
-        // file itself is already synced).
-        if let Ok(dir) = std::fs::File::open(&self.dir) {
-            let _ = dir.sync_all();
-        }
-        Ok(())
     }
 
     /// This process's running counters.
@@ -595,38 +640,59 @@ impl PolicyCache {
         std::mem::take(&mut self.diagnostics.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
-    /// Cached entries and the pack file's size in bytes on disk.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying error if the pack file's metadata cannot be
-    /// read (a missing pack is simply empty, not an error).
-    pub fn disk_usage(&self) -> std::io::Result<(usize, u64)> {
-        let entries = self.read_store().entries.len();
-        match std::fs::metadata(self.pack_path()) {
-            Ok(meta) => Ok((entries, meta.len())),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok((entries, 0)),
-            Err(e) => Err(e),
+    /// The cache's files on disk.
+    fn disk_files(&self) -> std::io::Result<Vec<PathBuf>> {
+        let mut paths = Vec::new();
+        for entry in std::fs::read_dir(&self.dir)? {
+            let path = entry?.path();
+            if path.extension().is_some_and(|e| e == "spc") {
+                paths.push(path);
+            }
         }
+        Ok(paths)
     }
 
-    /// Removes the pack file and the in-memory store, returning how many
-    /// entries were dropped.
+    /// Entries in the cache's files on disk (a file that does not parse
+    /// holds none) and their total size in bytes.
     ///
     /// # Errors
     ///
-    /// Returns the underlying error if the pack file exists but cannot be
+    /// Returns the underlying error if the directory or a file in it
+    /// cannot be read.
+    pub fn disk_usage(&self) -> std::io::Result<(usize, u64)> {
+        let mut usage = (0, 0);
+        for path in self.disk_files()? {
+            let bytes = std::fs::read(&path)?;
+            usage.0 += PolicyIndex::parse(&bytes).map_or(0, |index| index.len());
+            usage.1 += bytes.len() as u64;
+        }
+        Ok(usage)
+    }
+
+    /// Removes every cache file and the in-memory state, returning how
+    /// many entries the files held.
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying error if a cache file cannot be read or
     /// removed.
     pub fn clear(&self) -> std::io::Result<usize> {
-        let mut store = self.lock_store();
-        let removed = store.entries.len();
-        store.entries.clear();
-        store.dirty = false;
-        match std::fs::remove_file(self.pack_path()) {
-            Ok(()) => Ok(removed),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(removed),
-            Err(e) => Err(e),
+        let mut files = self.write_files();
+        let (removed, _) = self.disk_usage()?;
+        for path in self.disk_files()? {
+            std::fs::remove_file(path)?;
         }
+        files.clear();
+        Ok(removed)
+    }
+}
+
+/// `options` with the memo scope normalized away: one file serves every
+/// memoization configuration.
+fn normalized(options: &AnalysisOptions) -> AnalysisOptions {
+    AnalysisOptions {
+        memo: MemoScope::Global,
+        ..*options
     }
 }
 
@@ -635,206 +701,6 @@ impl Drop for PolicyCache {
     fn drop(&mut self) {
         self.flush();
     }
-}
-
-// ---------------------------------------------------------------------------
-// Pack format
-//
-//   "spo-cache <FORMAT_VERSION>\n"
-//   u64 LE  entry count
-//   repeated: u64 LE root key, u32 LE blob length, blob bytes
-//
-// and each blob (see encode_blob/decode_blob):
-//
-//   str     signature                    (str = u32 LE length + UTF-8 bytes)
-//   u64     cone key
-//   u32     cone size, u64 identity hash each (sorted)
-//   u32     event count
-//   per event: EventKey, u32 must bits, u32 may bits,
-//              u32 disjunct count, u32 bits each
-//   u32     event-origin count;  per item: EventKey, u32 count, str each
-//   u32     check-origin count;  per item: u8 check, u32 count, str each
-//
-// EventKey = u8 tag (0 = ApiReturn, 1 = Native, 2 = DataRead,
-// 3 = DataWrite) + str name for every tag but 0.
-//
-// The primitive writers and the bounded reader are shared with the
-// compiled policy index ([`spo_index::codec`]); only the blob layout is
-// cache-specific.
-// ---------------------------------------------------------------------------
-
-use spo_index::codec::{put_event_key, put_str, put_u32, put_u64, Cursor};
-
-fn encode_blob(key: u64, cone: &[u64], entry: &EntryPolicy) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64 + 8 * cone.len());
-    put_str(&mut buf, &entry.signature);
-    put_u64(&mut buf, key);
-    put_u32(&mut buf, cone.len() as u32);
-    for &identity in cone {
-        put_u64(&mut buf, identity);
-    }
-    put_u32(&mut buf, entry.events.len() as u32);
-    for (event, policy) in &entry.events {
-        put_event_key(&mut buf, event);
-        put_u32(&mut buf, policy.must.bits().bits());
-        put_u32(&mut buf, policy.may.bits().bits());
-        let disjuncts = policy.may_paths.disjuncts();
-        put_u32(&mut buf, disjuncts.len() as u32);
-        for d in disjuncts {
-            put_u32(&mut buf, d.bits());
-        }
-    }
-    put_u32(&mut buf, entry.event_origins.len() as u32);
-    for (event, origins) in &entry.event_origins {
-        put_event_key(&mut buf, event);
-        put_u32(&mut buf, origins.len() as u32);
-        for origin in origins {
-            put_str(&mut buf, origin);
-        }
-    }
-    put_u32(&mut buf, entry.check_origins.len() as u32);
-    for (&check, origins) in &entry.check_origins {
-        buf.push(check);
-        put_u32(&mut buf, origins.len() as u32);
-        for origin in origins {
-            put_str(&mut buf, origin);
-        }
-    }
-    buf
-}
-
-/// Decodes a blob and validates its stored cone against `table`.
-/// `Ok(None)` means well-formed but stale (cone re-keys differently);
-/// the policy body is then not decoded at all.
-///
-/// Every length-prefixed collection is read through the shared checked
-/// counted reads ([`Cursor::counted`]): a count is validated against the
-/// bytes actually remaining *before* anything is reserved, so a length
-/// field truncated or corrupted into a huge value degrades to the
-/// cold-fallback diagnostic path instead of a capacity panic.
-fn decode_blob(blob: &[u8], table: &ContentTable) -> Result<Option<(String, EntryPolicy)>, String> {
-    let mut c = Cursor::new(blob);
-    let signature = c.str()?;
-    let key = c.u64()?;
-    let cone_len = c.counted(8)?;
-    let mut cone = Vec::with_capacity(cone_len as usize);
-    for _ in 0..cone_len {
-        cone.push(c.u64()?);
-    }
-    if table.key_of_cone(&cone) != Some(key) {
-        return Ok(None);
-    }
-    let mut entry = EntryPolicy::new(signature);
-    // Min event encoding: u8 tag + u32 must + u32 may + u32 disjunct count.
-    for _ in 0..c.counted(13)? {
-        let event = c.event_key()?;
-        let must = spo_core::CheckSet::from_bits(BitSet32::from_bits(c.u32()?));
-        let may = spo_core::CheckSet::from_bits(BitSet32::from_bits(c.u32()?));
-        let n_disjuncts = c.counted(4)?;
-        let may_paths: Dnf = (0..n_disjuncts)
-            .map(|_| c.u32().map(BitSet32::from_bits))
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .collect();
-        entry.events.insert(
-            event,
-            EventPolicy {
-                must,
-                may,
-                may_paths,
-            },
-        );
-    }
-    // Min origin-list encoding: u8 event tag / check + u32 count.
-    for _ in 0..c.counted(5)? {
-        let event = c.event_key()?;
-        let n = c.counted(4)?;
-        let origins = (0..n).map(|_| c.str()).collect::<Result<_, _>>()?;
-        entry.event_origins.insert(event, origins);
-    }
-    for _ in 0..c.counted(5)? {
-        let check = c.u8()?;
-        let n = c.counted(4)?;
-        let origins = (0..n).map(|_| c.str()).collect::<Result<_, _>>()?;
-        entry.check_origins.insert(check, origins);
-    }
-    if c.pos() != blob.len() {
-        return Err("trailing bytes in entry".to_owned());
-    }
-    let signature = entry.signature.clone();
-    Ok(Some((signature, entry)))
-}
-
-fn render_pack(entries: &HashMap<u64, Vec<u8>>) -> Vec<u8> {
-    let payload: usize = entries.values().map(|b| b.len() + 12).sum();
-    let mut pack = Vec::with_capacity(40 + payload);
-    pack.extend_from_slice(format!("spo-cache {FORMAT_VERSION}\n").as_bytes());
-    put_u64(&mut pack, entries.len() as u64);
-    // Key order, so identical stores render identical packs regardless of
-    // hash-map iteration order.
-    let mut keys: Vec<u64> = entries.keys().copied().collect();
-    keys.sort_unstable();
-    for key in keys {
-        let blob = &entries[&key];
-        put_u64(&mut pack, key);
-        put_u32(&mut pack, blob.len() as u32);
-        pack.extend_from_slice(blob);
-    }
-    // Trailing whole-pack checksum: a single flipped bit anywhere in the
-    // file must discard the pack, not decode into a different-but-valid
-    // summary (policy bitmasks have no internal redundancy of their own).
-    let mut h = Fnv64::new();
-    h.write(&pack);
-    put_u64(&mut pack, h.finish());
-    pack
-}
-
-/// Parses and validates a pack file; the `Err` string names what was
-/// wrong for the diagnostic. Any framing damage or checksum mismatch
-/// discards the whole pack — the cache degrades to cold roots and heals
-/// on the next flush.
-fn parse_pack(bytes: &[u8]) -> Result<HashMap<u64, Vec<u8>>, String> {
-    let header_end = bytes
-        .iter()
-        .position(|&b| b == b'\n')
-        .ok_or("missing cache version header")?;
-    let header = std::str::from_utf8(&bytes[..header_end])
-        .map_err(|_| "missing cache version header".to_owned())?;
-    match header.strip_prefix("spo-cache ") {
-        Some(v) if v == FORMAT_VERSION.to_string() => {}
-        Some(v) => return Err(format!("cache format version {v} != {FORMAT_VERSION}")),
-        None => return Err("missing cache version header".to_owned()),
-    }
-    if bytes.len() < header_end + 9 {
-        return Err("truncated pack (no checksum)".to_owned());
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let mut h = Fnv64::new();
-    h.write(body);
-    let want = u64::from_le_bytes(tail.try_into().expect("split_at leaves 8 bytes"));
-    if h.finish() != want {
-        return Err("pack checksum mismatch (corrupt cache)".to_owned());
-    }
-    let bytes = body;
-    let mut c = Cursor::at(bytes, header_end + 1);
-    // Min entry encoding: u64 key + u32 length. The checked counted read
-    // bounds the count against the remaining bytes before the map is
-    // sized, so a corrupt count cannot drive a huge reservation.
-    let count = c
-        .counted64(12)
-        .map_err(|_| "truncated pack (no entry count)".to_owned())?;
-    let mut entries = HashMap::with_capacity(count as usize);
-    for i in 0..count {
-        let frame = || format!("truncated pack (entry {i} of {count})");
-        let key = c.u64().map_err(|_| frame())?;
-        let len = c.u32().map_err(|_| frame())? as usize;
-        let blob = c.take(len).map_err(|_| frame())?;
-        entries.insert(key, blob.to_vec());
-    }
-    if c.pos() != bytes.len() {
-        return Err("trailing bytes after last pack entry".to_owned());
-    }
-    Ok(entries)
 }
 
 #[cfg(test)]
@@ -883,9 +749,16 @@ class t.A {
 }
 "#;
 
+    const OPTS: AnalysisOptions = AnalysisOptions {
+        memo: MemoScope::Global,
+        icp: true,
+        events: spo_core::EventDef::Narrow,
+        interprocedural: true,
+    };
+
     fn analyzed_entry(src: &str, sig_contains: &str) -> (Program, MethodId, EntryPolicy) {
         let program = spo_jir::parse_program(src).unwrap();
-        let lib = Analyzer::new(&program, AnalysisOptions::default()).analyze_library("t");
+        let lib = Analyzer::new(&program, OPTS).analyze_library("t");
         let root = spo_resolve::entry_points(&program)
             .into_iter()
             .find(|&m| program.method_signature(m).contains(sig_contains))
@@ -895,141 +768,274 @@ class t.A {
         (program, root, entry)
     }
 
-    /// One root's full cache context: root key, cone key + identities,
-    /// and the current content table.
-    fn keyed(program: &Program, root: MethodId) -> (u64, u64, Vec<u64>, ContentTable) {
-        let options = AnalysisOptions::default();
-        let keyer = CacheKeyer::new(program, &[root], &options);
-        let rk = PolicyCache::root_key("t", method_identity_hash(program, root));
-        let table = ContentTable::new(program, &options);
+    /// One root's full cache context: cone key + identities and the
+    /// current content table.
+    fn keyed(program: &Program, root: MethodId) -> (u64, Vec<u64>, ContentTable) {
+        let keyer = CacheKeyer::new(program, &[root], &OPTS);
+        let table = ContentTable::new(program, &OPTS);
         (
-            rk,
             keyer.key(root).unwrap(),
             keyer.cone(root).unwrap().to_vec(),
             table,
         )
     }
 
+    /// Stores `entry` in library "t"'s file.
+    fn store(cache: &PolicyCache, key: u64, cone: &[u64], entry: &EntryPolicy) {
+        cache.store("t", &OPTS, &entry.signature, key, cone, entry);
+    }
+
+    /// Looks `entry`'s signature up in library "t"'s file.
+    fn lookup(
+        cache: &PolicyCache,
+        entry: &EntryPolicy,
+        table: &ContentTable,
+    ) -> Option<EntryPolicy> {
+        cache.lookup("t", &OPTS, &entry.signature, table)
+    }
+
+    /// The cache files in `dir`.
+    fn spc_files(dir: &Path) -> Vec<PathBuf> {
+        let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "spc"))
+            .collect();
+        files.sort();
+        files
+    }
+
     #[test]
     fn roundtrip_store_flush_reopen_lookup() {
         let (program, root, entry) = analyzed_entry(SRC, "t.A.read");
-        let (rk, key, cone, table) = keyed(&program, root);
+        let (key, cone, table) = keyed(&program, root);
         let dir = temp_dir("roundtrip");
         let cache = PolicyCache::open(&dir).unwrap();
-        assert_eq!(cache.lookup(rk, &table), None);
-        cache.store(rk, key, &cone, &entry);
-        assert_eq!(
-            cache.lookup(rk, &table),
-            Some((entry.signature.clone(), entry.clone()))
-        );
+        assert_eq!(lookup(&cache, &entry, &table), None);
+        store(&cache, key, &cone, &entry);
+        assert_eq!(lookup(&cache, &entry, &table), Some(entry.clone()));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.invalidated), (1, 1, 0));
-        assert!(stats.bytes > 0);
         assert!(cache.take_diagnostics().is_empty());
         cache.flush();
+        assert!(cache.stats().bytes > 0);
 
-        // A fresh open reads the flushed pack.
+        // A fresh open reads the flushed file.
         let reopened = PolicyCache::open(&dir).unwrap();
-        assert_eq!(
-            reopened.lookup(rk, &table),
-            Some((entry.signature.clone(), entry))
-        );
+        assert_eq!(lookup(&reopened, &entry, &table), Some(entry));
         assert!(reopened.take_diagnostics().is_empty());
     }
 
     #[test]
     fn drop_flushes_unpersisted_stores() {
         let (program, root, entry) = analyzed_entry(SRC, "t.A.read");
-        let (rk, key, cone, table) = keyed(&program, root);
+        let (key, cone, table) = keyed(&program, root);
         let dir = temp_dir("drop-flush");
         {
             let cache = PolicyCache::open(&dir).unwrap();
-            cache.store(rk, key, &cone, &entry);
+            store(&cache, key, &cone, &entry);
             // No explicit flush.
         }
         let reopened = PolicyCache::open(&dir).unwrap();
-        assert_eq!(
-            reopened.lookup(rk, &table),
-            Some((entry.signature.clone(), entry))
-        );
+        assert_eq!(lookup(&reopened, &entry, &table), Some(entry));
     }
 
     #[test]
     fn stored_cone_revalidates_without_a_call_graph() {
         let (program, root, entry) = analyzed_entry(SRC, "t.A.read");
-        let (rk, key, cone, table) = keyed(&program, root);
+        let (key, cone, table) = keyed(&program, root);
         // The cone carries the root and its transitive callees by identity.
         assert!(cone.contains(&method_identity_hash(&program, root)));
         assert_eq!(table.key_of_cone(&cone), Some(key));
 
-        let cache = PolicyCache::open(temp_dir("revalidate")).unwrap();
-        cache.store(rk, key, &cone, &entry);
+        let dir = temp_dir("revalidate");
+        let cache = PolicyCache::open(&dir).unwrap();
+        store(&cache, key, &cone, &entry);
+        cache.flush();
+        // Validation is the same for a stored entry and a loaded one.
+        for cache in [cache, PolicyCache::open(&dir).unwrap()] {
+            // A body edit inside the cone re-keys it: stale entry, plain
+            // miss, no diagnostic.
+            let edited = SRC.replace("virtualinvoke sm.checkRead(\"f\");", "nop;");
+            let program2 = spo_jir::parse_program(&edited).unwrap();
+            let table2 = ContentTable::new(&program2, &OPTS);
+            assert_ne!(table2.key_of_cone(&cone), Some(key));
+            assert_eq!(lookup(&cache, &entry, &table2), None);
+            assert_eq!(cache.stats().misses, 1);
+            assert!(cache.take_diagnostics().is_empty());
 
-        // A body edit inside the cone re-keys it: stale entry, plain miss,
-        // no diagnostic.
-        let edited = SRC.replace("virtualinvoke sm.checkRead(\"f\");", "nop;");
-        let program2 = spo_jir::parse_program(&edited).unwrap();
-        let table2 = ContentTable::new(&program2, &AnalysisOptions::default());
-        assert_ne!(table2.key_of_cone(&cone), Some(key));
-        assert_eq!(cache.lookup(rk, &table2), None);
-        assert_eq!(cache.stats().misses, 1);
-        assert!(cache.take_diagnostics().is_empty());
+            // A deleted cone member also re-keys (to nothing at all).
+            let removed = SRC.replace("method private static native void op0();", "");
+            let program3 = spo_jir::parse_program(&removed).unwrap();
+            let table3 = ContentTable::new(&program3, &OPTS);
+            assert_eq!(table3.key_of_cone(&cone), None);
+            assert_eq!(lookup(&cache, &entry, &table3), None);
 
-        // A deleted cone member also re-keys (to nothing at all).
-        let removed = SRC.replace("method private static native void op0();", "");
-        let program3 = spo_jir::parse_program(&removed).unwrap();
-        let table3 = ContentTable::new(&program3, &AnalysisOptions::default());
-        assert_eq!(table3.key_of_cone(&cone), None);
-        assert_eq!(cache.lookup(rk, &table3), None);
-
-        // Unrelated edits keep the hit.
-        let unrelated = SRC.replace("i = 0;", "i = 7;");
-        let program4 = spo_jir::parse_program(&unrelated).unwrap();
-        let table4 = ContentTable::new(&program4, &AnalysisOptions::default());
-        assert_eq!(
-            cache.lookup(rk, &table4),
-            Some((entry.signature.clone(), entry))
-        );
+            // Unrelated edits keep the hit.
+            let unrelated = SRC.replace("i = 0;", "i = 7;");
+            let program4 = spo_jir::parse_program(&unrelated).unwrap();
+            let table4 = ContentTable::new(&program4, &OPTS);
+            assert_eq!(lookup(&cache, &entry, &table4), Some(entry.clone()));
+        }
     }
 
     #[test]
-    fn root_keys_separate_libraries() {
-        let (program, root, _) = analyzed_entry(SRC, "t.A.read");
-        let identity = method_identity_hash(&program, root);
-        assert_ne!(
-            PolicyCache::root_key("jdk", identity),
-            PolicyCache::root_key("harmony", identity)
-        );
-    }
-
-    #[test]
-    fn blob_codec_roundtrips_exactly() {
+    fn libraries_and_options_get_separate_files() {
         let (program, root, entry) = analyzed_entry(SRC, "t.A.read");
-        let (_, key, cone, table) = keyed(&program, root);
-        assert!(!entry.events.is_empty(), "fixture should have events");
-        assert!(
-            !entry.event_origins.is_empty() || !entry.check_origins.is_empty(),
-            "fixture should have origins"
-        );
-        let blob = encode_blob(key, &cone, &entry);
+        let dir = temp_dir("separate");
+        let cache = PolicyCache::open(&dir).unwrap();
+        let intra = AnalysisOptions {
+            interprocedural: false,
+            ..OPTS
+        };
+        let mut stored = Vec::new();
+        for (library, options) in [("jdk", OPTS), ("harmony", OPTS), ("jdk", intra)] {
+            let keyer = CacheKeyer::new(&program, &[root], &options);
+            let mut entry = entry.clone();
+            entry.check_origins.insert(0, [library.to_owned()].into());
+            let cone = keyer.cone(root).unwrap();
+            cache.store(
+                library,
+                &options,
+                &entry.signature,
+                keyer.key(root).unwrap(),
+                cone,
+                &entry,
+            );
+            stored.push((library, options, entry));
+        }
+        cache.flush();
+        assert_eq!(spc_files(&dir).len(), 3);
+        // The memo scope is result-invariant and shares a file.
+        let memo_none = AnalysisOptions {
+            memo: MemoScope::None,
+            ..OPTS
+        };
+        let reopened = PolicyCache::open(&dir).unwrap();
+        for (library, options, entry) in stored {
+            let table = ContentTable::new(&program, &options);
+            let sig = &entry.signature;
+            assert_eq!(
+                reopened.lookup(library, &options, sig, &table),
+                Some(entry.clone())
+            );
+            if options == OPTS {
+                let got = reopened.lookup(library, &memo_none, sig, &table);
+                assert_eq!(got, Some(entry));
+            }
+        }
+        assert_eq!(reopened.stats().hits, 5);
+        assert!(reopened.take_diagnostics().is_empty());
+    }
+
+    #[test]
+    fn cache_files_are_summary_indexes() {
+        let program = spo_jir::parse_program(SRC).unwrap();
+        let lib = Analyzer::new(&program, OPTS).analyze_library("t");
+        let roots = spo_resolve::entry_points(&program);
+        let keyer = CacheKeyer::new(&program, &roots, &OPTS);
+        let dir = temp_dir("index");
+        let cache = PolicyCache::open(&dir).unwrap();
+        for &root in &roots {
+            let sig = program.method_signature(root);
+            let (key, cone) = (keyer.key(root).unwrap(), keyer.cone(root).unwrap());
+            cache.store("t", &OPTS, &sig, key, cone, &lib.entries[&sig]);
+        }
+        cache.flush();
+        let files = spc_files(&dir);
+        assert_eq!(files.len(), 1);
+        let bytes = std::fs::read(&files[0]).unwrap();
+        let index = PolicyIndex::parse(&bytes).unwrap();
         assert_eq!(
-            decode_blob(&blob, &table),
-            Ok(Some((entry.signature.clone(), entry)))
+            (index.library(), index.options_token(), index.has_intra()),
+            ("t", spo_index::options_token(&OPTS).as_str(), false)
         );
+        assert_eq!(index.len(), lib.entries.len());
+        for (sig, entry) in &lib.entries {
+            assert_eq!(
+                index.query(sig).unwrap(),
+                Some(spo_core::render_entry(sig, entry))
+            );
+        }
+    }
+
+    #[test]
+    fn flush_encodes_only_restored_entries() {
+        let program = spo_jir::parse_program(SRC).unwrap();
+        let lib = Analyzer::new(&program, OPTS).analyze_library("t");
+        let roots = spo_resolve::entry_points(&program);
+        let keyer = CacheKeyer::new(&program, &roots, &OPTS);
+        let table = ContentTable::new(&program, &OPTS);
+        let dir = temp_dir("append");
+        let cache = PolicyCache::open(&dir).unwrap();
+        for &root in &roots {
+            let sig = program.method_signature(root);
+            let (key, cone) = (keyer.key(root).unwrap(), keyer.cone(root).unwrap());
+            cache.store("t", &OPTS, &sig, key, cone, &lib.entries[&sig]);
+        }
+        drop(cache);
+        let path = spc_files(&dir).pop().unwrap();
+        let before = std::fs::read(&path).unwrap();
+
+        // Re-store one entry with a changed policy: the other blobs are
+        // copied byte for byte, and the old tables are a prefix of the
+        // new ones.
+        let cache = PolicyCache::open(&dir).unwrap();
+        let (sig, entry) = lib
+            .entries
+            .iter()
+            .find(|(_, e)| !e.events.is_empty())
+            .unwrap();
+        let mut changed = entry.clone();
+        changed
+            .check_origins
+            .insert(9, ["t.A.fresh()".to_owned()].into());
+        let root = roots
+            .iter()
+            .copied()
+            .find(|&r| program.method_signature(r) == *sig)
+            .unwrap();
+        assert_eq!(cache.lookup("t", &OPTS, sig, &table), Some(entry.clone()));
+        cache.store(
+            "t",
+            &OPTS,
+            sig,
+            keyer.key(root).unwrap(),
+            keyer.cone(root).unwrap(),
+            &changed,
+        );
+        cache.flush();
+        let after = std::fs::read(&path).unwrap();
+        let (old, new) = (
+            PolicyIndex::parse(&before).unwrap(),
+            PolicyIndex::parse(&after).unwrap(),
+        );
+        assert_eq!(old.len(), new.len());
+        for rec in new.records() {
+            let (got, _) = new.decode(rec).unwrap();
+            if got.signature == *sig {
+                assert_eq!(got, changed);
+            } else {
+                assert_eq!(got, lib.entries[&got.signature]);
+                assert_eq!(old.find(rec.root_key).unwrap().cone_key, rec.cone_key);
+            }
+        }
+        assert!(after.len() > before.len());
+        let reopened = PolicyCache::open(&dir).unwrap();
+        assert_eq!(reopened.lookup("t", &OPTS, sig, &table), Some(changed));
     }
 
     #[test]
     fn body_edit_changes_only_affected_cone_keys() {
         let program = spo_jir::parse_program(SRC).unwrap();
         let roots = spo_resolve::entry_points(&program);
-        let options = AnalysisOptions::default();
-        let keyer1 = CacheKeyer::new(&program, &roots, &options);
+        let keyer1 = CacheKeyer::new(&program, &roots, &OPTS);
 
         // Edit a body inside t.A.read's cone but outside t.A.idle's.
         let edited = SRC.replace("virtualinvoke sm.checkRead(\"f\");", "nop;");
         let program2 = spo_jir::parse_program(&edited).unwrap();
         let roots2 = spo_resolve::entry_points(&program2);
-        let keyer2 = CacheKeyer::new(&program2, &roots2, &options);
+        let keyer2 = CacheKeyer::new(&program2, &roots2, &OPTS);
 
         for (&r1, &r2) in roots.iter().zip(&roots2) {
             let sig = program.method_signature(r1);
@@ -1047,11 +1053,10 @@ class t.A {
     fn structural_edit_changes_every_key() {
         let program = spo_jir::parse_program(SRC).unwrap();
         let roots = spo_resolve::entry_points(&program);
-        let options = AnalysisOptions::default();
-        let keyer1 = CacheKeyer::new(&program, &roots, &options);
+        let keyer1 = CacheKeyer::new(&program, &roots, &OPTS);
         let edited = SRC.replace("class t.A {", "class t.A {\n  field int pad;");
         let program2 = spo_jir::parse_program(&edited).unwrap();
-        let keyer2 = CacheKeyer::new(&program2, &spo_resolve::entry_points(&program2), &options);
+        let keyer2 = CacheKeyer::new(&program2, &spo_resolve::entry_points(&program2), &OPTS);
         for (&r1, &r2) in roots
             .iter()
             .zip(spo_resolve::entry_points(&program2).iter())
@@ -1064,7 +1069,7 @@ class t.A {
     fn result_affecting_options_partition_the_key_space() {
         let program = spo_jir::parse_program(SRC).unwrap();
         let roots = spo_resolve::entry_points(&program);
-        let base = AnalysisOptions::default();
+        let base = OPTS;
         let root = roots[0];
         let key = |o: &AnalysisOptions| CacheKeyer::new(&program, &roots, o).key(root).unwrap();
         let base_key = key(&base);
@@ -1083,51 +1088,59 @@ class t.A {
         }
         // Memo scope is result-invariant and shares the key.
         let memo = AnalysisOptions {
-            memo: spo_core::MemoScope::None,
+            memo: MemoScope::None,
             ..base
         };
         assert_eq!(key(&memo), base_key);
     }
 
     #[test]
-    fn corrupt_truncated_and_version_bumped_packs_degrade_cleanly() {
+    fn corrupt_truncated_and_version_bumped_files_degrade_cleanly() {
         let (program, root, entry) = analyzed_entry(SRC, "t.A.read");
-        let (rk, key, cone, table) = keyed(&program, root);
+        let (key, cone, table) = keyed(&program, root);
         let dir = temp_dir("corrupt");
         {
             let cache = PolicyCache::open(&dir).unwrap();
-            cache.store(rk, key, &cone, &entry);
+            store(&cache, key, &cone, &entry);
             cache.flush();
         }
-        let path = dir.join(PACK_FILE);
+        let path = spc_files(&dir).pop().unwrap();
         let good = std::fs::read(&path).unwrap();
 
         let mut bumped = good.clone();
-        bumped.splice(..b"spo-cache 2".len(), b"spo-cache 9".iter().copied());
-        let mangled: [Vec<u8>; 5] = [
-            b"@@@ not a cache pack @@@".to_vec(), // corrupt header
+        bumped.splice(..b"spo-index 2".len(), b"spo-index 9".iter().copied());
+        // The same entries under another library's name.
+        let foreign = {
+            let mut w = IndexWriter::new(false);
+            w.entry(&entry.signature, key, &cone, &entry, None);
+            w.finish("other", &spo_index::options_token(&OPTS), [0, 0])
+                .unwrap()
+        };
+        let mangled: [Vec<u8>; 6] = [
+            b"@@@ not a cache file @@@".to_vec(), // corrupt header
             good[..good.len() / 2].to_vec(),      // truncated mid-entry
             bumped,                               // version bump
             Vec::new(),                           // empty file
             good.iter().rev().copied().collect(), // garbage body
+            foreign,                              // wrong header library
         ];
         for (i, bad) in mangled.iter().enumerate() {
             std::fs::write(&path, bad).unwrap();
             let cache = PolicyCache::open(&dir).unwrap();
-            assert_eq!(cache.lookup(rk, &table), None, "case {i}");
+            assert_eq!(lookup(&cache, &entry, &table), None, "case {i}");
             let stats = cache.stats();
             assert_eq!((stats.invalidated, stats.misses), (1, 1), "case {i}");
             let diags = cache.take_diagnostics();
             assert_eq!(diags.len(), 1, "case {i}");
             assert_eq!(diags[0].cause, spo_guard::Cause::Cache);
             assert_eq!(diags[0].severity, spo_guard::Severity::Warning);
-            // A fresh store + flush heals the pack in place.
-            cache.store(rk, key, &cone, &entry);
+            // A fresh store + flush heals the file in place.
+            store(&cache, key, &cone, &entry);
             cache.flush();
             let healed = PolicyCache::open(&dir).unwrap();
             assert_eq!(
-                healed.lookup(rk, &table),
-                Some((entry.signature.clone(), entry.clone())),
+                lookup(&healed, &entry, &table),
+                Some(entry.clone()),
                 "case {i}"
             );
             assert!(healed.take_diagnostics().is_empty(), "case {i}");
@@ -1136,25 +1149,49 @@ class t.A {
 
     #[test]
     fn undecodable_entry_is_dropped_and_healed() {
-        let (program, root, _) = analyzed_entry(SRC, "t.A.read");
-        let (rk, _, _, table) = keyed(&program, root);
-        let cache = PolicyCache::open(temp_dir("bad-entry")).unwrap();
-        // Well-framed pack, nonsense blob under the right root key.
-        cache.lock_store().entries.insert(rk, vec![0xde, 0xad]);
-        assert_eq!(cache.lookup(rk, &table), None);
+        let (program, root, entry) = analyzed_entry(SRC, "t.A.read");
+        let (key, cone, table) = keyed(&program, root);
+        let dir = temp_dir("bad-entry");
+        {
+            let cache = PolicyCache::open(&dir).unwrap();
+            store(&cache, key, &cone, &entry);
+        }
+        // A well-framed, checksummed file whose one blob claims an
+        // impossible event count right after its (valid) cone.
+        let path = spc_files(&dir).pop().unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let cone_bytes: Vec<u8> = cone.iter().flat_map(|c| c.to_le_bytes()).collect();
+        let events_at = bytes
+            .windows(cone_bytes.len())
+            .position(|w| w == cone_bytes)
+            .unwrap()
+            + cone_bytes.len();
+        bytes[events_at..events_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let body = bytes.len() - 8;
+        let mut h = Fnv64::new();
+        h.write(&bytes[..body]);
+        bytes[body..].copy_from_slice(&h.finish().to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+
+        let cache = PolicyCache::open(&dir).unwrap();
+        assert_eq!(lookup(&cache, &entry, &table), None);
         assert_eq!(cache.stats().invalidated, 1);
         assert_eq!(cache.take_diagnostics().len(), 1);
-        // The bad blob was dropped: next lookup is a plain miss.
-        assert_eq!(cache.lookup(rk, &table), None);
+        // The bad entry was dropped: the next lookup is a plain miss, and
+        // the flush writes the file without it.
+        assert_eq!(lookup(&cache, &entry, &table), None);
         assert_eq!(cache.stats().misses, 1);
+        cache.flush();
+        let bytes = std::fs::read(&path).unwrap();
+        assert!(PolicyIndex::parse(&bytes).unwrap().is_empty());
     }
 
     #[test]
     fn clear_and_disk_usage() {
         let (program, root, entry) = analyzed_entry(SRC, "t.A.read");
-        let (rk, key, cone, _) = keyed(&program, root);
+        let (key, cone, _) = keyed(&program, root);
         let cache = PolicyCache::open(temp_dir("clear")).unwrap();
-        cache.store(rk, key, &cone, &entry);
+        store(&cache, key, &cone, &entry);
         cache.flush();
         let (entries, bytes) = cache.disk_usage().unwrap();
         assert_eq!(entries, 1);
@@ -1172,14 +1209,14 @@ class t.A {
             sites::CACHE_RENAME_FAIL,
         ] {
             let (program, root, entry) = analyzed_entry(SRC, "t.A.read");
-            let (rk, key, cone, table) = keyed(&program, root);
+            let (key, cone, table) = keyed(&program, root);
             let dir = temp_dir(&format!("retry-{}", site.replace('.', "-")));
             let cache = PolicyCache::open(&dir).unwrap();
             let plan = FaultPlan::seeded(1).site_once(site);
             cache.set_fault_plan(plan.clone());
-            cache.store(rk, key, &cone, &entry);
+            store(&cache, key, &cone, &entry);
             cache.flush();
-            // The injected failure was absorbed by one retry: the pack
+            // The injected failure was absorbed by one retry: the file
             // landed, the recovery is on the record, and no temp file
             // litters the directory.
             assert_eq!(plan.injected(), 1, "{site}");
@@ -1199,8 +1236,8 @@ class t.A {
             drop(cache);
             let reopened = PolicyCache::open(&dir).unwrap();
             assert_eq!(
-                reopened.lookup(rk, &table),
-                Some((entry.signature.clone(), entry.clone())),
+                lookup(&reopened, &entry, &table),
+                Some(entry.clone()),
                 "{site}"
             );
         }
@@ -1210,61 +1247,60 @@ class t.A {
     fn persistent_flush_failure_degrades_to_a_diagnostic_and_stays_dirty() {
         use spo_chaos::{sites, FaultPlan};
         let (program, root, entry) = analyzed_entry(SRC, "t.A.read");
-        let (rk, key, cone, table) = keyed(&program, root);
+        let (key, cone, table) = keyed(&program, root);
         let dir = temp_dir("flush-fail");
         let cache = PolicyCache::open(&dir).unwrap();
-        // Rate 1.0 fires on every attempt: all FLUSH_ATTEMPTS fail.
+        // Rate 1.0 fires on every attempt: all attempts fail.
         cache.set_fault_plan(FaultPlan::seeded(2).site(sites::CACHE_RENAME_FAIL, 1.0));
-        cache.store(rk, key, &cone, &entry);
+        store(&cache, key, &cone, &entry);
         cache.flush();
-        assert_eq!(cache.stats().flush_retries, u64::from(FLUSH_ATTEMPTS - 1));
+        assert_eq!(
+            cache.stats().flush_retries,
+            u64::from(spo_index::WRITE_ATTEMPTS - 1)
+        );
         let diags = cache.take_diagnostics();
         assert!(
             diags.iter().any(|d| d.message.contains("write failed")),
             "{diags:?}"
         );
-        assert!(!dir.join(PACK_FILE).exists());
-        // Disarm the plan: the store is still dirty, so the next flush
-        // lands the pack — degradation never loses the computed entries.
+        assert!(spc_files(&dir).is_empty());
+        // Disarm the plan: the file is still dirty, so the next flush
+        // lands it — degradation never loses the computed entries.
         cache.set_fault_plan(FaultPlan::disabled());
         cache.flush();
         drop(cache);
         let reopened = PolicyCache::open(&dir).unwrap();
-        assert_eq!(
-            reopened.lookup(rk, &table),
-            Some((entry.signature.clone(), entry.clone()))
-        );
+        assert_eq!(lookup(&reopened, &entry, &table), Some(entry.clone()));
     }
 
     #[test]
     fn bitflip_corruption_is_caught_on_reopen_and_heals_on_flush() {
         use spo_chaos::{sites, FaultPlan};
         let (program, root, entry) = analyzed_entry(SRC, "t.A.read");
-        let (rk, key, cone, table) = keyed(&program, root);
+        let (key, cone, table) = keyed(&program, root);
         let dir = temp_dir("bitflip");
         {
             let cache = PolicyCache::open(&dir).unwrap();
             cache.set_fault_plan(FaultPlan::seeded(3).site_once(sites::CACHE_BITFLIP));
-            cache.store(rk, key, &cone, &entry);
+            store(&cache, key, &cone, &entry);
             cache.flush();
-            // The flip is silent at write time: the flush "succeeded".
+            // The flip is silent at write time: the flush "succeeded",
+            // and this handle still serves the healthy entry.
             assert!(cache.take_diagnostics().is_empty());
+            assert_eq!(lookup(&cache, &entry, &table), Some(entry.clone()));
             cache.set_fault_plan(FaultPlan::disabled());
         }
-        // The corruption surfaces on the next open or lookup as a
-        // degrade-to-cold (never a panic), and a fresh store + flush
-        // heals the pack in place.
+        // The corruption surfaces on the next load as a degrade-to-cold
+        // (never a panic), and a fresh store + flush heals the file in
+        // place.
         let reopened = PolicyCache::open(&dir).unwrap();
-        if reopened.lookup(rk, &table) != Some((entry.signature.clone(), entry.clone())) {
-            reopened.store(rk, key, &cone, &entry);
-        }
+        assert_eq!(lookup(&reopened, &entry, &table), None);
+        assert_eq!(reopened.take_diagnostics().len(), 1);
+        store(&reopened, key, &cone, &entry);
         reopened.flush();
         drop(reopened);
         let healed = PolicyCache::open(&dir).unwrap();
+        assert_eq!(lookup(&healed, &entry, &table), Some(entry.clone()));
         assert!(healed.take_diagnostics().is_empty());
-        assert_eq!(
-            healed.lookup(rk, &table),
-            Some((entry.signature.clone(), entry.clone()))
-        );
     }
 }

@@ -4,7 +4,7 @@
 //! degrade-to-cold fallbacks only earn trust if something in the tree can
 //! actually *produce* the failures they claim to absorb. This crate is
 //! that something: a seeded plan of named fault sites compiled into the
-//! cache's pack IO, the daemon's session IO, and the engine's worker
+//! durable index writer, the daemon's session IO, and the engine's worker
 //! loop. Every failure a plan injects is a pure function of the plan's
 //! seed plus either a per-site sequence number or a caller-supplied key,
 //! so any observed failure replays from a single printed seed.
@@ -46,16 +46,17 @@ pub const ENV_VAR: &str = "SPO_CHAOS";
 /// Canonical fault-site names. Sites are compiled into production code
 /// paths; a plan only arms the subset it names.
 pub mod sites {
-    /// Cache pack flush writes only a prefix of the temp file, then
-    /// fails with a transient error (a torn write).
+    /// A durable index write (cache flush or `export-index`) writes only
+    /// a prefix of the temp file, then fails with a transient error (a
+    /// torn write).
     pub const CACHE_WRITE_SHORT: &str = "cache.write.short";
-    /// Cache pack flush fails at the atomic rename step.
+    /// A durable index write fails at the atomic rename step.
     pub const CACHE_RENAME_FAIL: &str = "cache.rename.fail";
-    /// Cache pack flush flips one byte of the encoded pack before
+    /// A durable index write flips one byte of the encoded file before
     /// writing — the write *succeeds*, leaving silent corruption for the
-    /// next open to detect and heal.
+    /// next load to detect and heal.
     pub const CACHE_BITFLIP: &str = "cache.bitflip";
-    /// Cache pack flush fails at `sync_all` on the temp file.
+    /// A durable index write fails at `sync_all` on the temp file.
     pub const CACHE_FSYNC_FAIL: &str = "cache.fsync.fail";
     /// Daemon drops the connection mid-response: half the frame is
     /// written, then both stream halves are shut down.

@@ -53,7 +53,7 @@ use spo_core::{
 };
 use spo_dataflow::{Dnf, MustSet};
 use spo_guard::{quarantine, Diagnostic, Fault, GuardConfig};
-use spo_jir::{method_identity_hash, MethodId, Program};
+use spo_jir::{MethodId, Program};
 use spo_obs::trace::{self, TraceLane, Tracer};
 use spo_obs::{HistSnapshot, Recorder};
 use spo_resolve::entry_points;
@@ -492,18 +492,13 @@ impl AnalysisEngine {
             (cache, ContentTable::new(program, &options), before)
         });
         let mut cached: Vec<(usize, String, EntryPolicy)> = Vec::new();
-        let mut root_keys: Vec<u64> = vec![0; roots.len()];
         let work: Vec<usize> = match &cache_state {
             None => (0..roots.len()).collect(),
             Some((cache, table, _)) => (0..roots.len())
                 .filter(|&idx| {
-                    let rk = PolicyCache::root_key(name, method_identity_hash(program, roots[idx]));
-                    root_keys[idx] = rk;
-                    match cache.lookup(rk, table) {
-                        // The stored signature is derived from the same
-                        // class/name/descriptor the identity hash covers,
-                        // so it equals what a cold run would format.
-                        Some((sig, entry)) => {
+                    let sig = program.method_signature(roots[idx]);
+                    match cache.lookup(name, &options, &sig, table) {
+                        Some(entry) => {
                             cached.push((idx, sig, entry));
                             false
                         }
@@ -719,15 +714,15 @@ impl AnalysisEngine {
             if !results.is_empty() {
                 let miss_roots: Vec<MethodId> = work.iter().map(|&idx| roots[idx]).collect();
                 let keyer = CacheKeyer::new(program, &miss_roots, &options);
-                for (idx, _, entry, _) in &results {
+                for (idx, sig, entry, _) in &results {
                     if let (Some(key), Some(cone)) =
                         (keyer.key(roots[*idx]), keyer.cone(roots[*idx]))
                     {
-                        cache.store(root_keys[*idx], key, cone, entry);
+                        cache.store(name, &options, sig, key, cone, entry);
                     }
                 }
             }
-            // One atomic pack rewrite per run (no-op when every root hit).
+            // One durable file write per run (no-op when every root hit).
             cache.flush();
         }
         // Warm-started roots join the merge stream crediting exactly the
@@ -1482,6 +1477,36 @@ class t.B {
             );
             assert_eq!(warm_stats.cache_misses, 0);
         }
+    }
+
+    #[test]
+    fn full_and_intra_analyses_do_not_evict_each_other() {
+        use spo_corpus::{generate, CorpusConfig, Lib};
+        let corpus = generate(&CorpusConfig::test_sized());
+        let implementations = [
+            ("jdk", corpus.program(Lib::Jdk)),
+            ("harmony", corpus.program(Lib::Harmony)),
+        ];
+        let cache = Arc::new(PolicyCache::open(cache_dir("thrash")).unwrap());
+        let engine = AnalysisEngine::new(2).with_cache(Arc::clone(&cache));
+        let render = |set: &ComparisonSet| {
+            set.comparisons
+                .iter()
+                .map(|c| spo_core::render_reports(&c.diff, &c.groups))
+                .collect::<String>()
+        };
+        let cold = engine.compare_all(&implementations, AnalysisOptions::default());
+        let warm = engine.compare_all(&implementations, AnalysisOptions::default());
+        let analyzed: usize = cold
+            .libraries
+            .iter()
+            .chain(&cold.intra)
+            .map(|l| l.stats.entry_points)
+            .sum();
+        assert_eq!(warm.stats.cache_misses, 0, "{}", warm.stats);
+        assert_eq!(warm.stats.cache_hits, analyzed as u64);
+        assert_eq!(render(&warm), render(&cold));
+        assert!(cache.take_diagnostics().is_empty());
     }
 
     #[test]

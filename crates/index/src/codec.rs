@@ -1,5 +1,5 @@
-//! Shared little-endian codec primitives for the length-prefixed binary
-//! packs (`spo-cache`'s `policies.spc` and this crate's `policies.spi`).
+//! Little-endian codec primitives for the length-prefixed `spo-index`
+//! layout (exported `.spi` files and the summary cache's `.spc` files).
 //!
 //! Reading is built on [`Cursor`], a bounded reader whose every method
 //! fails soundly on truncation, and on *checked counted reads*
@@ -7,8 +7,6 @@
 //! bytes actually remaining **before** any allocation or slicing, so a
 //! length field truncated or corrupted into a huge value degrades to a
 //! decode error instead of a capacity panic or an over-reserve.
-
-use spo_core::EventKey;
 
 /// Appends a little-endian u32.
 pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
@@ -24,28 +22,6 @@ pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
 pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_u32(buf, s.len() as u32);
     buf.extend_from_slice(s.as_bytes());
-}
-
-/// Appends an [`EventKey`] with its name inlined: u8 tag (0 = ApiReturn,
-/// 1 = Native, 2 = DataRead, 3 = DataWrite) + [`put_str`] name for every
-/// tag but 0. This is the cache-blob encoding; the index interns names
-/// and encodes keys itself.
-pub fn put_event_key(buf: &mut Vec<u8>, key: &EventKey) {
-    match key {
-        EventKey::ApiReturn => buf.push(0),
-        EventKey::Native(name) => {
-            buf.push(1);
-            put_str(buf, name);
-        }
-        EventKey::DataRead(name) => {
-            buf.push(2);
-            put_str(buf, name);
-        }
-        EventKey::DataWrite(name) => {
-            buf.push(3);
-            put_str(buf, name);
-        }
-    }
 }
 
 /// Bounded reader over a byte slice; every method fails soundly on
@@ -138,7 +114,7 @@ impl<'a> Cursor<'a> {
         Ok(n)
     }
 
-    /// [`Self::counted`] for u64 counts (pack-level entry counts).
+    /// [`Self::counted`] for u64 counts (file-level row and byte counts).
     ///
     /// # Errors
     ///
@@ -161,17 +137,8 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Reads a length-prefixed UTF-8 string, owned.
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncation or invalid UTF-8.
-    pub fn str(&mut self) -> Result<String, String> {
-        Ok(self.str_ref()?.to_owned())
-    }
-
     /// Reads a length-prefixed UTF-8 string borrowed from the underlying
-    /// bytes — the zero-copy variant the index reader uses.
+    /// bytes (zero-copy).
     ///
     /// # Errors
     ///
@@ -180,22 +147,6 @@ impl<'a> Cursor<'a> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
         std::str::from_utf8(bytes).map_err(|_| "invalid UTF-8 in entry".to_owned())
-    }
-
-    /// Reads an [`EventKey`] in the inlined-name encoding of
-    /// [`put_event_key`].
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncation or an unknown tag.
-    pub fn event_key(&mut self) -> Result<EventKey, String> {
-        match self.u8()? {
-            0 => Ok(EventKey::ApiReturn),
-            1 => Ok(EventKey::Native(self.str()?)),
-            2 => Ok(EventKey::DataRead(self.str()?)),
-            3 => Ok(EventKey::DataWrite(self.str()?)),
-            t => Err(format!("unknown event tag {t}")),
-        }
     }
 }
 
@@ -209,12 +160,10 @@ mod tests {
         put_u32(&mut buf, 7);
         put_u64(&mut buf, u64::MAX - 1);
         put_str(&mut buf, "Class.method(int)");
-        put_event_key(&mut buf, &EventKey::Native("connect0".into()));
         let mut c = Cursor::new(&buf);
         assert_eq!(c.u32().unwrap(), 7);
         assert_eq!(c.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(c.str().unwrap(), "Class.method(int)");
-        assert_eq!(c.event_key().unwrap(), EventKey::Native("connect0".into()));
+        assert_eq!(c.str_ref().unwrap(), "Class.method(int)");
         assert_eq!(c.remaining(), 0);
     }
 
@@ -223,7 +172,7 @@ mod tests {
         let mut buf = Vec::new();
         put_str(&mut buf, "hello");
         let mut c = Cursor::new(&buf[..6]); // length says 5, only 2 remain
-        assert!(c.str().is_err());
+        assert!(c.str_ref().is_err());
     }
 
     #[test]

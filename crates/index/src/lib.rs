@@ -1,70 +1,66 @@
-//! # spo-index — compiled single-file policy index
+//! # spo-index — the one durable policy format
 //!
-//! The analysis pipeline answers "what checks guard entry point X?" and
-//! "where do two implementations disagree?" by re-deriving
-//! [`LibraryPolicies`] from source — seconds of work at scale. This crate
-//! compiles a finished `LibraryPolicies` (plus its intraprocedural
-//! ablation, which root-cause classification needs) into one small,
-//! versioned, checksummed file — `policies.spi`, format `spo-index/1` —
-//! so both questions become pure index reads on a sub-millisecond budget.
+//! Compiles finished per-entry policies into one small, versioned,
+//! checksummed file (`spo-index/2`) so "what checks guard entry point
+//! X?" and "where do two implementations disagree?" become index reads
+//! instead of re-deriving [`LibraryPolicies`] from source. Two holders
+//! share the format: an **exported index** (`policies.spi`,
+//! [`IndexBuilder`]) carries a library's full policies and its
+//! intraprocedural ablation; the **summary cache** (`spo-cache`) keeps
+//! one file per library and options token, whose entries carry their
+//! dependency cone.
 //!
-//! ## Layout (`spo-index/1`, all integers little-endian)
+//! ## Layout (`spo-index/2`, all integers little-endian)
 //!
 //! ```text
-//! "spo-index 1\n"                       text version header
+//! "spo-index 2\n"                       text version header
 //! str   library name                    (str = u32 length + UTF-8 bytes)
-//! str   options token                   (cache-compatible, see options_token)
+//! str   options token                   (see options_token)
+//! u8    intra flag                      1: every blob holds an intra policy
 //! u64   entry-point stat (full)         feeds render_analysis's footer
 //! u64   entry-point stat (intra)
-//! u32 S; S × str                        string table (signatures, event
-//!                                        names, origin methods — interned)
-//! u32 C; C × check set                  check-set table: u32 must bits,
-//!                                        u32 may bits, u32 D, D × u32 —
-//!                                        each distinct (must, may, paths)
-//!                                        triple stored once
-//! u64 N                                 entry-point count
-//! N × 36-byte row                       offset table, sorted by root key:
-//!                                        u64 root_key | u32 off | u32 len |
-//!                                        u32 flags | u64 content_hash |
-//!                                        u64 cone fingerprint
+//! u32 S; S × str                        string table (interned)
+//! u32 C; C × check set                  u32 must, u32 may, u32 D, D × u32
+//! u64 N; N × 24-byte row                sorted by root key: u64 root_key |
+//!                                        u32 off | u32 len | u64 cone key
 //! u64 B; B bytes                        blob region (off/len index into it)
 //! u64   FNV-64 of everything above      whole-file checksum
 //! ```
 //!
-//! Each entry blob holds the full policy then the intra policy, both as:
-//! interned signature id, then events (`event key`, u32 check-set id),
-//! event origins and check origins (interned string ids). Event keys in
-//! blobs are a u8 tag plus an interned u32 name id — unlike the cache
-//! blob codec, names are never inlined.
+//! A blob is the interned signature id, the cone identity list (u32
+//! count, one u64 [method identity hash](spo_jir::method_identity_hash)
+//! each; exports write 0), the full policy and, under the intra flag, the
+//! intra policy. A policy is its events (u8 tag + interned name id, u32
+//! check-set id), event origins and check origins (interned string ids).
+//! Tables only grow: [`IndexWriter::extending`] seeds its interners from
+//! an existing file, so old ids stay valid and kept blobs are copied
+//! verbatim — a cache flush encodes only the entries it re-stored.
 //!
-//! ## Query model
+//! ## Query model and corruption discipline
 //!
 //! [`PolicyIndex::parse`] validates the checksum and decodes only the two
-//! small shared tables; the offset table and blob region stay borrowed
-//! `&[u8]`. A query is two phases, following the fingerprint→evaluate
-//! model: [`PolicyIndex::find`] binary-searches the fixed-width offset
-//! table by `root_key(signature)` without allocating, then
-//! [`PolicyIndex::decode`] materializes just that entry's policies for
-//! rendering. Output is byte-identical to the analysis path because both
-//! funnel through [`spo_core::render_entry`] / [`spo_core::render_analysis`].
-//!
-//! ## Corruption discipline
-//!
-//! Same as the v3 cache pack: a trailing whole-file FNV-64 checksum plus
-//! bounded, counted reads ([`codec::Cursor`]) mean a truncated, bit-flipped,
-//! or version-bumped index degrades to a typed parse error — callers fall
-//! back to full analysis with a diagnostic, never a silent wrong answer
-//! and never a panic.
+//! shared tables; rows and blobs stay borrowed (a long-lived holder takes
+//! [`PolicyIndex::into_owned`]). [`PolicyIndex::find`] locates a row by
+//! `root_key(signature)` without allocating, and [`PolicyIndex::decode`]
+//! materializes one entry; output funnels through
+//! [`spo_core::render_entry`] / [`spo_core::render_analysis`], so it is
+//! byte-identical to the analysis path. Bounded, counted reads
+//! ([`codec::Cursor`]) turn a truncated, bit-flipped, or version-bumped
+//! file into a typed parse error, never a wrong answer or a panic, and
+//! [`write_index_file`] (temp file, fsync, atomic rename) never damages
+//! the previous file.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+use spo_chaos::FaultPlan;
 use spo_core::{
     render_analysis, render_entry, AnalysisOptions, AnalysisStats, EntryPolicy, EventKey,
     EventPolicy, LibraryPolicies,
 };
 use spo_dataflow::{BitSet32, Dnf};
 use spo_jir::Fnv64;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::path::Path;
@@ -73,41 +69,21 @@ pub mod codec;
 
 use codec::Cursor;
 
-/// The on-disk index format version; bumped whenever the layout or the
-/// policy semantics it captures change. Old files then read as version
+/// The on-disk format version; bumped whenever the layout or the policy
+/// semantics it captures change. Old files then read as version
 /// mismatches and consumers fall back to full analysis.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
-/// Conventional file name for a compiled index.
+/// Conventional file name for an exported index.
 pub const INDEX_FILE: &str = "policies.spi";
 
 /// Fixed-width offset-table row size in bytes: u64 root key, u32 blob
-/// offset, u32 blob length, u32 flags, u64 content hash, u64 fingerprint.
-pub const ROW_BYTES: usize = 36;
-
-/// Per-entry flag bits stored in the offset table, readable without
-/// decoding the blob.
-pub mod flags {
-    /// The full (interprocedural) policy performs at least one check.
-    pub const HAS_CHECKS: u32 = 1 << 0;
-    /// Some event of the full policy has an empty may set — the shape an
-    /// unguarded event or a privileged-region-wrapped call site leaves.
-    pub const UNGUARDED_EVENT: u32 = 1 << 1;
-    /// The intraprocedural ablation policy performs at least one check.
-    pub const INTRA_HAS_CHECKS: u32 = 1 << 2;
-    /// The index was built with inferred-check-patterns (ICP) guard
-    /// recognition enabled.
-    pub const OPT_ICP: u32 = 1 << 3;
-    /// The index was built from an interprocedural full analysis.
-    pub const OPT_INTERPROCEDURAL: u32 = 1 << 4;
-    /// The index was built under the broad event definition.
-    pub const OPT_BROAD: u32 = 1 << 5;
-}
+/// offset, u32 blob length, u64 cone key.
+pub const ROW_BYTES: usize = 24;
 
 /// Renders the result-affecting analysis options into a stable token. The
-/// memo scope is excluded: results are memo-invariant. This is the cache
-/// crate's key token, shared so an index and a cache built from the same
-/// options agree on identity.
+/// memo scope is excluded: results are memo-invariant. Every file records
+/// the token it was built under, and the summary cache keys by it.
 pub fn options_token(options: &AnalysisOptions) -> String {
     format!(
         "icp={} events={:?} interprocedural={}",
@@ -115,8 +91,8 @@ pub fn options_token(options: &AnalysisOptions) -> String {
     )
 }
 
-/// The root key an entry point's signature sorts and binary-searches
-/// under: its seedless FNV-64 hash.
+/// The root key an entry point's signature sorts and is found under: its
+/// seedless FNV-64 hash.
 pub fn root_key(signature: &str) -> u64 {
     let mut h = Fnv64::new();
     h.write(signature.as_bytes());
@@ -128,22 +104,24 @@ fn header_line() -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Builder
+// Writer
 // ---------------------------------------------------------------------------
 
 /// Interns values of one kind, assigning dense u32 ids in first-use order
-/// (deterministic: the builder walks entries in signature order).
+/// (deterministic: writers add entries in a fixed order).
 struct Interner<T: std::hash::Hash + Eq + Clone> {
     ids: HashMap<T, u32>,
     items: Vec<T>,
 }
 
 impl<T: std::hash::Hash + Eq + Clone> Interner<T> {
-    fn new() -> Self {
-        Interner {
-            ids: HashMap::new(),
-            items: Vec::new(),
+    /// An interner whose ids `0..items.len()` are `items` in order.
+    fn seeded(items: Vec<T>) -> Self {
+        let mut ids = HashMap::with_capacity(items.len());
+        for (id, item) in items.iter().enumerate() {
+            ids.entry(item.clone()).or_insert(id as u32);
         }
+        Interner { ids, items }
     }
 
     fn intern(&mut self, item: &T) -> u32 {
@@ -157,8 +135,201 @@ impl<T: std::hash::Hash + Eq + Clone> Interner<T> {
     }
 }
 
-/// Compiles a library's full and intraprocedural policies into
-/// `spo-index/1` bytes.
+/// A check set's table encoding: must bits, may bits, disjunct bits.
+type SetBits = (u32, u32, Vec<u32>);
+
+fn set_bits(policy: &EventPolicy) -> SetBits {
+    (
+        policy.must.bits().bits(),
+        policy.may.bits().bits(),
+        policy
+            .may_paths
+            .disjuncts()
+            .iter()
+            .map(|d| d.bits())
+            .collect(),
+    )
+}
+
+/// Assembles `spo-index/2` bytes from entries: encodes new entries
+/// against interned string and check-set tables, and copies entries of an
+/// existing file verbatim.
+pub struct IndexWriter<'s> {
+    strings: Interner<&'s str>,
+    sets: Interner<SetBits>,
+    // (root key, blob, cone key) per entry; sorted at finish.
+    rows: Vec<(u64, Cow<'s, [u8]>, u64)>,
+    intra: bool,
+}
+
+impl<'s> IndexWriter<'s> {
+    /// An empty writer. `intra` sets whether every entry carries an
+    /// intraprocedural policy.
+    pub fn new(intra: bool) -> Self {
+        IndexWriter {
+            strings: Interner::seeded(Vec::new()),
+            sets: Interner::seeded(Vec::new()),
+            rows: Vec::new(),
+            intra,
+        }
+    }
+
+    /// A writer that extends `base`: its tables seed the interners (so
+    /// every id a `base` blob holds keeps its meaning), and each `base`
+    /// entry whose root key `keep` accepts is copied verbatim.
+    ///
+    /// # Errors
+    ///
+    /// Fails if a kept record's blob lies outside `base`'s blob region.
+    pub fn extending(
+        base: &'s PolicyIndex<'_>,
+        keep: impl Fn(u64) -> bool,
+    ) -> Result<Self, String> {
+        let mut writer = IndexWriter {
+            strings: Interner::seeded(base.strings.iter().map(|s| s.as_ref()).collect()),
+            sets: Interner::seeded(base.sets.iter().map(set_bits).collect()),
+            rows: Vec::with_capacity(base.len()),
+            intra: base.intra,
+        };
+        for rec in base.records().filter(|r| keep(r.root_key)) {
+            let blob = base.blob_of(rec)?;
+            writer
+                .rows
+                .push((rec.root_key, Cow::Borrowed(blob), rec.cone_key));
+        }
+        Ok(writer)
+    }
+
+    /// Encodes one entry: its signature, cone key and cone identity list
+    /// (empty for exports), and its policies. `intra` must be present
+    /// exactly when the writer carries intraprocedural policies.
+    pub fn entry(
+        &mut self,
+        signature: &'s str,
+        cone_key: u64,
+        cone: &[u64],
+        full: &'s EntryPolicy,
+        intra: Option<&'s EntryPolicy>,
+    ) {
+        // The header's intra flag tells readers how many policies a blob
+        // holds; a mismatch would write a file that fails to decode.
+        assert_eq!(intra.is_some(), self.intra, "intra policy presence");
+        let mut blob = Vec::with_capacity(64 + 8 * cone.len());
+        codec::put_u32(&mut blob, self.strings.intern(&signature));
+        codec::put_u32(&mut blob, cone.len() as u32);
+        for &identity in cone {
+            codec::put_u64(&mut blob, identity);
+        }
+        self.encode_policy(&mut blob, full);
+        if let Some(intra) = intra {
+            self.encode_policy(&mut blob, intra);
+        }
+        self.rows
+            .push((root_key(signature), Cow::Owned(blob), cone_key));
+    }
+
+    fn put_event_key(&mut self, buf: &mut Vec<u8>, key: &'s EventKey) {
+        let (tag, name) = match key {
+            EventKey::ApiReturn => return buf.push(0),
+            EventKey::Native(name) => (1, name),
+            EventKey::DataRead(name) => (2, name),
+            EventKey::DataWrite(name) => (3, name),
+        };
+        buf.push(tag);
+        codec::put_u32(buf, self.strings.intern(&name.as_str()));
+    }
+
+    fn encode_policy(&mut self, buf: &mut Vec<u8>, entry: &'s EntryPolicy) {
+        codec::put_u32(buf, entry.events.len() as u32);
+        for (event, policy) in &entry.events {
+            self.put_event_key(buf, event);
+            codec::put_u32(buf, self.sets.intern(&set_bits(policy)));
+        }
+        codec::put_u32(buf, entry.event_origins.len() as u32);
+        for (event, origins) in &entry.event_origins {
+            self.put_event_key(buf, event);
+            codec::put_u32(buf, origins.len() as u32);
+            for origin in origins {
+                codec::put_u32(buf, self.strings.intern(&origin.as_str()));
+            }
+        }
+        codec::put_u32(buf, entry.check_origins.len() as u32);
+        for (&check, origins) in &entry.check_origins {
+            buf.push(check);
+            codec::put_u32(buf, origins.len() as u32);
+            for origin in origins {
+                codec::put_u32(buf, self.strings.intern(&origin.as_str()));
+            }
+        }
+    }
+
+    /// Seals the file: header, tables, offset table sorted by root key,
+    /// blob region, checksum.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a root-key collision between two entries or when the
+    /// blob region outgrows the u32 offset space.
+    pub fn finish(
+        mut self,
+        library: &str,
+        options_token: &str,
+        entry_points: [u64; 2],
+    ) -> Result<Vec<u8>, String> {
+        self.rows.sort_unstable_by_key(|r| r.0);
+        if self.rows.windows(2).any(|w| w[0].0 == w[1].0) {
+            return Err("root-key collision between entry-point signatures".to_owned());
+        }
+        let blob_total: usize = self.rows.iter().map(|r| r.1.len()).sum();
+        if blob_total > u32::MAX as usize {
+            return Err("blob region exceeds the u32 offset space".to_owned());
+        }
+
+        let mut out = Vec::with_capacity(4096 + blob_total + self.rows.len() * ROW_BYTES);
+        out.extend_from_slice(header_line().as_bytes());
+        codec::put_str(&mut out, library);
+        codec::put_str(&mut out, options_token);
+        out.push(u8::from(self.intra));
+        codec::put_u64(&mut out, entry_points[0]);
+        codec::put_u64(&mut out, entry_points[1]);
+
+        codec::put_u32(&mut out, self.strings.items.len() as u32);
+        for s in &self.strings.items {
+            codec::put_str(&mut out, s);
+        }
+        codec::put_u32(&mut out, self.sets.items.len() as u32);
+        for (must, may, disjuncts) in &self.sets.items {
+            codec::put_u32(&mut out, *must);
+            codec::put_u32(&mut out, *may);
+            codec::put_u32(&mut out, disjuncts.len() as u32);
+            for &d in disjuncts {
+                codec::put_u32(&mut out, d);
+            }
+        }
+
+        codec::put_u64(&mut out, self.rows.len() as u64);
+        let mut off = 0u32;
+        for (key, blob, cone_key) in &self.rows {
+            codec::put_u64(&mut out, *key);
+            codec::put_u32(&mut out, off);
+            codec::put_u32(&mut out, blob.len() as u32);
+            codec::put_u64(&mut out, *cone_key);
+            off += blob.len() as u32;
+        }
+        codec::put_u64(&mut out, blob_total as u64);
+        for (_, blob, _) in &self.rows {
+            out.extend_from_slice(blob);
+        }
+
+        let mut h = Fnv64::new();
+        h.write(&out);
+        codec::put_u64(&mut out, h.finish());
+        Ok(out)
+    }
+}
+
+/// Compiles a library's full and intraprocedural policies into an
+/// exported `spo-index/2` file.
 pub struct IndexBuilder<'a> {
     name: &'a str,
     options: &'a AnalysisOptions,
@@ -186,10 +357,10 @@ impl<'a> IndexBuilder<'a> {
         }
     }
 
-    /// Attaches per-signature dependency-cone fingerprints (from the
-    /// cache's [`spo_cache` keyer]); entries without one store 0. Advisory
-    /// metadata: consumers use it to cross-check freshness against a
-    /// cache, never for correctness.
+    /// Attaches per-signature cone keys (from the cache's `CacheKeyer`),
+    /// stored in each row's cone-key slot; entries without one store 0.
+    /// Advisory metadata: consumers use it to cross-check freshness
+    /// against a cache, never for correctness.
     pub fn fingerprints(mut self, map: &'a BTreeMap<String, u64>) -> Self {
         self.fingerprints = Some(map);
         self
@@ -220,158 +391,22 @@ impl<'a> IndexBuilder<'a> {
         {
             return Err("full and intra analyses disagree on the entry-point set".to_owned());
         }
-
-        let mut strings: Interner<String> = Interner::new();
-        let mut sets: Interner<(u32, u32, Vec<u32>)> = Interner::new();
-        // (root_key, blob, flags, fingerprint) per entry, then sorted.
-        let mut rows: Vec<(u64, Vec<u8>, u32, u64)> = Vec::with_capacity(self.full.entries.len());
-
-        let opt_flags = {
-            let mut f = 0;
-            if self.options.icp {
-                f |= flags::OPT_ICP;
-            }
-            if self.options.interprocedural {
-                f |= flags::OPT_INTERPROCEDURAL;
-            }
-            if matches!(self.options.events, spo_core::EventDef::Broad) {
-                f |= flags::OPT_BROAD;
-            }
-            f
-        };
-
-        for (sig, full_entry) in &self.full.entries {
-            let intra_entry = &self.intra.entries[sig];
-            let mut blob = Vec::with_capacity(64);
-            codec::put_u32(&mut blob, strings.intern(sig));
-            encode_policy(&mut blob, full_entry, &mut strings, &mut sets);
-            encode_policy(&mut blob, intra_entry, &mut strings, &mut sets);
-
-            let mut entry_flags = opt_flags;
-            if !full_entry.has_no_checks() {
-                entry_flags |= flags::HAS_CHECKS;
-            }
-            if full_entry.events.values().any(|p| p.may.is_empty()) {
-                entry_flags |= flags::UNGUARDED_EVENT;
-            }
-            if !intra_entry.has_no_checks() {
-                entry_flags |= flags::INTRA_HAS_CHECKS;
-            }
-            let fingerprint = self
+        let mut writer = IndexWriter::new(true);
+        for ((sig, full), intra) in self.full.entries.iter().zip(self.intra.entries.values()) {
+            let cone_key = self
                 .fingerprints
                 .and_then(|m| m.get(sig).copied())
                 .unwrap_or(0);
-            rows.push((root_key(sig), blob, entry_flags, fingerprint));
+            writer.entry(sig, cone_key, &[], full, Some(intra));
         }
-        rows.sort_by_key(|r| r.0);
-        if rows.windows(2).any(|w| w[0].0 == w[1].0) {
-            return Err("root-key collision between entry-point signatures".to_owned());
-        }
-
-        let mut out = Vec::with_capacity(4096);
-        out.extend_from_slice(header_line().as_bytes());
-        codec::put_str(&mut out, self.name);
-        codec::put_str(&mut out, &options_token(self.options));
-        codec::put_u64(&mut out, self.full.stats.entry_points as u64);
-        codec::put_u64(&mut out, self.intra.stats.entry_points as u64);
-
-        codec::put_u32(&mut out, strings.items.len() as u32);
-        for s in &strings.items {
-            codec::put_str(&mut out, s);
-        }
-        codec::put_u32(&mut out, sets.items.len() as u32);
-        for (must, may, disjuncts) in &sets.items {
-            codec::put_u32(&mut out, *must);
-            codec::put_u32(&mut out, *may);
-            codec::put_u32(&mut out, disjuncts.len() as u32);
-            for &d in disjuncts {
-                codec::put_u32(&mut out, d);
-            }
-        }
-
-        codec::put_u64(&mut out, rows.len() as u64);
-        let blob_total: usize = rows.iter().map(|r| r.1.len()).sum();
-        if blob_total > u32::MAX as usize {
-            return Err("blob region exceeds the u32 offset space".to_owned());
-        }
-        let mut off = 0u32;
-        for (key, blob, entry_flags, fingerprint) in &rows {
-            codec::put_u64(&mut out, *key);
-            codec::put_u32(&mut out, off);
-            codec::put_u32(&mut out, blob.len() as u32);
-            codec::put_u32(&mut out, *entry_flags);
-            let mut h = Fnv64::new();
-            h.write(blob);
-            codec::put_u64(&mut out, h.finish());
-            codec::put_u64(&mut out, *fingerprint);
-            off += blob.len() as u32;
-        }
-        codec::put_u64(&mut out, blob_total as u64);
-        for (_, blob, _, _) in &rows {
-            out.extend_from_slice(blob);
-        }
-
-        let mut h = Fnv64::new();
-        h.write(&out);
-        codec::put_u64(&mut out, h.finish());
-        Ok(out)
-    }
-}
-
-fn put_event_key_interned(buf: &mut Vec<u8>, key: &EventKey, strings: &mut Interner<String>) {
-    match key {
-        EventKey::ApiReturn => buf.push(0),
-        EventKey::Native(name) => {
-            buf.push(1);
-            codec::put_u32(buf, strings.intern(name));
-        }
-        EventKey::DataRead(name) => {
-            buf.push(2);
-            codec::put_u32(buf, strings.intern(name));
-        }
-        EventKey::DataWrite(name) => {
-            buf.push(3);
-            codec::put_u32(buf, strings.intern(name));
-        }
-    }
-}
-
-fn encode_policy(
-    buf: &mut Vec<u8>,
-    entry: &EntryPolicy,
-    strings: &mut Interner<String>,
-    sets: &mut Interner<(u32, u32, Vec<u32>)>,
-) {
-    codec::put_u32(buf, entry.events.len() as u32);
-    for (event, policy) in &entry.events {
-        put_event_key_interned(buf, event, strings);
-        let triple = (
-            policy.must.bits().bits(),
-            policy.may.bits().bits(),
-            policy
-                .may_paths
-                .disjuncts()
-                .iter()
-                .map(|d| d.bits())
-                .collect::<Vec<u32>>(),
-        );
-        codec::put_u32(buf, sets.intern(&triple));
-    }
-    codec::put_u32(buf, entry.event_origins.len() as u32);
-    for (event, origins) in &entry.event_origins {
-        put_event_key_interned(buf, event, strings);
-        codec::put_u32(buf, origins.len() as u32);
-        for origin in origins {
-            codec::put_u32(buf, strings.intern(origin));
-        }
-    }
-    codec::put_u32(buf, entry.check_origins.len() as u32);
-    for (&check, origins) in &entry.check_origins {
-        buf.push(check);
-        codec::put_u32(buf, origins.len() as u32);
-        for origin in origins {
-            codec::put_u32(buf, strings.intern(origin));
-        }
+        writer.finish(
+            self.name,
+            &options_token(self.options),
+            [
+                self.full.stats.entry_points as u64,
+                self.intra.stats.entry_points as u64,
+            ],
+        )
     }
 }
 
@@ -385,48 +420,41 @@ fn encode_policy(
 pub struct Record {
     /// FNV-64 of the entry's signature ([`root_key`]).
     pub root_key: u64,
-    /// Per-entry [`flags`] bits.
-    pub flags: u32,
-    /// FNV-64 of the entry's encoded blob — a structure/content hash that
-    /// changes whenever any part of either policy changes.
-    pub content_hash: u64,
-    /// The entry's dependency-cone fingerprint, or 0 if none was attached
-    /// at build time.
-    pub fingerprint: u64,
+    /// The key of the entry's dependency cone — what the summary cache
+    /// validates a stored entry against — or 0 if none was attached.
+    pub cone_key: u64,
     off: u32,
     len: u32,
 }
 
-/// Summary counters of a parsed index, for stats displays and benches.
-#[derive(Clone, Copy, Debug)]
-pub struct IndexStats {
-    /// Entry points indexed.
-    pub entries: usize,
-    /// Interned strings.
-    pub strings: usize,
-    /// Interned distinct check sets.
-    pub check_sets: usize,
-    /// Total file size in bytes (including checksum).
-    pub bytes: usize,
-}
-
-/// Zero-copy accessor over a parsed `spo-index/1` file.
+/// Accessor over a parsed `spo-index/2` file.
 ///
 /// Parsing decodes only the header and the two shared tables; the offset
-/// table and blob region stay borrowed from the input. [`Self::find`] is
-/// allocation-free; [`Self::decode`] allocates only the returned policies.
+/// table and blob region stay borrowed from the input (zero-copy), until
+/// [`Self::into_owned`] detaches them for a long-lived holder.
+/// [`Self::find`] is allocation-free; [`Self::decode`] allocates only the
+/// returned policies.
 #[derive(Debug)]
 pub struct PolicyIndex<'a> {
-    library: &'a str,
-    options_token: &'a str,
+    library: Cow<'a, str>,
+    options_token: Cow<'a, str>,
+    intra: bool,
     entry_points_full: u64,
     entry_points_intra: u64,
-    strings: Vec<&'a str>,
+    strings: Vec<Cow<'a, str>>,
     sets: Vec<EventPolicy>,
-    rows: &'a [u8],
+    rows: Cow<'a, [u8]>,
     count: usize,
-    blobs: &'a [u8],
-    file_bytes: usize,
+    // Row ranges by the top `dir_bits` bits of the root key: bucket `b`
+    // holds rows `dir[b]..dir[b + 1]`, about one row each.
+    dir: Vec<u32>,
+    dir_bits: u32,
+    blobs: Cow<'a, [u8]>,
+}
+
+/// The directory bucket of `key` under `bits` bits.
+fn bucket(key: u64, bits: u32) -> usize {
+    key.checked_shr(64 - bits).unwrap_or(0) as usize
 }
 
 impl<'a> PolicyIndex<'a> {
@@ -463,13 +491,18 @@ impl<'a> PolicyIndex<'a> {
         let mut c = Cursor::at(body, header_end + 1);
         let library = c.str_ref()?;
         let options_token = c.str_ref()?;
+        let intra = match c.u8()? {
+            0 => false,
+            1 => true,
+            f => return Err(format!("bad intra flag {f}")),
+        };
         let entry_points_full = c.u64()?;
         let entry_points_intra = c.u64()?;
 
         let n_strings = c.counted(4)?;
         let mut strings = Vec::with_capacity(n_strings as usize);
         for _ in 0..n_strings {
-            strings.push(c.str_ref()?);
+            strings.push(Cow::Borrowed(c.str_ref()?));
         }
         let n_sets = c.counted(12)?;
         let mut sets = Vec::with_capacity(n_sets as usize);
@@ -497,37 +530,74 @@ impl<'a> PolicyIndex<'a> {
             return Err("trailing bytes after index blob region".to_owned());
         }
 
-        let index = PolicyIndex {
-            library,
-            options_token,
+        let mut index = PolicyIndex {
+            library: Cow::Borrowed(library),
+            options_token: Cow::Borrowed(options_token),
+            intra,
             entry_points_full,
             entry_points_intra,
             strings,
             sets,
-            rows,
+            rows: Cow::Borrowed(rows),
             count,
-            blobs,
-            file_bytes: bytes.len(),
+            dir: Vec::new(),
+            dir_bits: count.next_power_of_two().trailing_zeros(),
+            blobs: Cow::Borrowed(blobs),
         };
-        // Sorted, duplicate-free keys are what make `find` sound.
-        for i in 1..index.count {
-            if index.row(i - 1).root_key >= index.row(i).root_key {
+        // Sorted, duplicate-free keys are what make `find` sound;
+        // in-bounds blobs are what let a writer copy any record verbatim.
+        let mut dir = Vec::with_capacity((1 << index.dir_bits) + 1);
+        for i in 0..index.count {
+            let rec = index.row(i);
+            index.blob_of(rec)?;
+            if i > 0 && index.row(i - 1).root_key >= rec.root_key {
                 return Err("index offset table is not sorted by root key".to_owned());
             }
+            dir.resize(bucket(rec.root_key, index.dir_bits) + 1, i as u32);
         }
+        dir.resize((1 << index.dir_bits) + 1, count as u32);
+        index.dir = dir;
         Ok(index)
     }
 
-    /// The library name the index was compiled from.
-    pub fn library(&self) -> &'a str {
-        self.library
+    /// Detaches the index from the bytes it was parsed from.
+    pub fn into_owned(self) -> PolicyIndex<'static> {
+        PolicyIndex {
+            library: Cow::Owned(self.library.into_owned()),
+            options_token: Cow::Owned(self.options_token.into_owned()),
+            intra: self.intra,
+            entry_points_full: self.entry_points_full,
+            entry_points_intra: self.entry_points_intra,
+            strings: self
+                .strings
+                .into_iter()
+                .map(|s| Cow::Owned(s.into_owned()))
+                .collect(),
+            sets: self.sets,
+            rows: Cow::Owned(self.rows.into_owned()),
+            count: self.count,
+            dir: self.dir,
+            dir_bits: self.dir_bits,
+            blobs: Cow::Owned(self.blobs.into_owned()),
+        }
     }
 
-    /// The cache-compatible options token the index was compiled under.
-    /// Consumers must match it against their requested options before
-    /// serving answers from the index.
-    pub fn options_token(&self) -> &'a str {
-        self.options_token
+    /// The library name the index was compiled from.
+    pub fn library(&self) -> &str {
+        &self.library
+    }
+
+    /// The options token the index was compiled under. Consumers must
+    /// match it against their requested options before serving answers
+    /// from the index.
+    pub fn options_token(&self) -> &str {
+        &self.options_token
+    }
+
+    /// Whether every entry carries an intraprocedural policy (exports do;
+    /// summary-cache files do not).
+    pub fn has_intra(&self) -> bool {
+        self.intra
     }
 
     /// Number of indexed entry points.
@@ -538,16 +608,6 @@ impl<'a> PolicyIndex<'a> {
     /// `true` if the index holds no entry points.
     pub fn is_empty(&self) -> bool {
         self.count == 0
-    }
-
-    /// Summary counters.
-    pub fn stats(&self) -> IndexStats {
-        IndexStats {
-            entries: self.count,
-            strings: self.strings.len(),
-            check_sets: self.sets.len(),
-            bytes: self.file_bytes,
-        }
     }
 
     fn row(&self, i: usize) -> Record {
@@ -562,26 +622,17 @@ impl<'a> PolicyIndex<'a> {
             root_key: u64_at(0),
             off: u32_at(8),
             len: u32_at(12),
-            flags: u32_at(16),
-            content_hash: u64_at(20),
-            fingerprint: u64_at(28),
+            cone_key: u64_at(16),
         }
     }
 
-    /// Binary search over the offset table by root key. Allocation-free.
+    /// Finds a record by root key: one directory bucket, then a scan of
+    /// its (about one) rows. Allocation-free.
     pub fn find(&self, key: u64) -> Option<Record> {
-        let mut lo = 0usize;
-        let mut hi = self.count;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let rec = self.row(mid);
-            match rec.root_key.cmp(&key) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Some(rec),
-            }
-        }
-        None
+        let b = bucket(key, self.dir_bits);
+        (self.dir[b] as usize..self.dir[b + 1] as usize)
+            .map(|i| self.row(i))
+            .find(|rec| rec.root_key == key)
     }
 
     /// Iterates every record in root-key order.
@@ -589,7 +640,7 @@ impl<'a> PolicyIndex<'a> {
         (0..self.count).map(|i| self.row(i))
     }
 
-    fn blob_of(&self, rec: Record) -> Result<&'a [u8], String> {
+    fn blob_of(&self, rec: Record) -> Result<&[u8], String> {
         let start = rec.off as usize;
         let end = start
             .checked_add(rec.len as usize)
@@ -598,14 +649,14 @@ impl<'a> PolicyIndex<'a> {
         Ok(&self.blobs[start..end])
     }
 
-    fn string(&self, id: u32) -> Result<&'a str, String> {
+    fn string(&self, id: u32) -> Result<&str, String> {
         self.strings
             .get(id as usize)
-            .copied()
+            .map(|s| s.as_ref())
             .ok_or_else(|| format!("string id {id} out of range"))
     }
 
-    fn event_key(&self, c: &mut Cursor<'a>) -> Result<EventKey, String> {
+    fn event_key(&self, c: &mut Cursor<'_>) -> Result<EventKey, String> {
         match c.u8()? {
             0 => Ok(EventKey::ApiReturn),
             1 => Ok(EventKey::Native(self.string(c.u32()?)?.to_owned())),
@@ -617,12 +668,20 @@ impl<'a> PolicyIndex<'a> {
 
     /// The signature a record indexes, read from the first field of its
     /// blob without decoding the policies.
-    pub fn signature_of(&self, rec: Record) -> Result<&'a str, String> {
+    pub fn signature_of(&self, rec: Record) -> Result<&str, String> {
         let mut c = Cursor::new(self.blob_of(rec)?);
         self.string(c.u32()?)
     }
 
-    fn decode_policy(&self, sig: &str, c: &mut Cursor<'a>) -> Result<EntryPolicy, String> {
+    /// The sorted cone identity list a record carries (empty in exports),
+    /// read without decoding the policies.
+    pub fn cone(&self, rec: Record) -> Result<Vec<u64>, String> {
+        let mut c = Cursor::new(self.blob_of(rec)?);
+        c.u32()?;
+        (0..c.counted(8)?).map(|_| c.u64()).collect()
+    }
+
+    fn decode_policy(&self, sig: &str, c: &mut Cursor<'_>) -> Result<EntryPolicy, String> {
         let mut entry = EntryPolicy::new(sig.to_owned());
         for _ in 0..c.counted(5)? {
             let event = self.event_key(c)?;
@@ -650,17 +709,24 @@ impl<'a> PolicyIndex<'a> {
         Ok(entry)
     }
 
-    /// Decodes a record into `(signature, full policy, intra policy)`.
-    pub fn decode(&self, rec: Record) -> Result<(String, EntryPolicy, EntryPolicy), String> {
+    /// Decodes a record into its full policy and its intra policy
+    /// (`None` in a file without the intra flag).
+    pub fn decode(&self, rec: Record) -> Result<(EntryPolicy, Option<EntryPolicy>), String> {
         let blob = self.blob_of(rec)?;
         let mut c = Cursor::new(blob);
-        let sig = self.string(c.u32()?)?.to_owned();
-        let full = self.decode_policy(&sig, &mut c)?;
-        let intra = self.decode_policy(&sig, &mut c)?;
+        let sig = self.string(c.u32()?)?;
+        let cone_len = c.counted(8)?;
+        c.take(cone_len as usize * 8)?;
+        let full = self.decode_policy(sig, &mut c)?;
+        let intra = if self.intra {
+            Some(self.decode_policy(sig, &mut c)?)
+        } else {
+            None
+        };
         if c.pos() != blob.len() {
             return Err("trailing bytes in entry blob".to_owned());
         }
-        Ok((sig, full, intra))
+        Ok((full, intra))
     }
 
     /// Looks a signature up and renders its policy block exactly as `spo
@@ -674,8 +740,8 @@ impl<'a> PolicyIndex<'a> {
         if self.signature_of(rec)? != signature {
             return Ok(None);
         }
-        let (sig, full, _) = self.decode(rec)?;
-        Ok(Some(render_entry(&sig, &full)))
+        let (full, _) = self.decode(rec)?;
+        Ok(Some(render_entry(signature, &full)))
     }
 
     /// Renders the full library listing exactly as `spo analyze` does
@@ -693,29 +759,32 @@ impl<'a> PolicyIndex<'a> {
     /// was compiled from — what diffing and the daemon's warm path need.
     /// Degraded maps are empty by construction (degraded analyses are
     /// rejected at build time).
+    ///
+    /// # Errors
+    ///
+    /// Propagates blob decode failures, and fails on a file without
+    /// intraprocedural policies (a summary-cache file).
     pub fn to_libraries(&self) -> Result<(LibraryPolicies, LibraryPolicies), String> {
-        let mut full = LibraryPolicies {
-            name: self.library.to_owned(),
+        if !self.intra {
+            return Err("index carries no intraprocedural policies".to_owned());
+        }
+        let library = |entry_points: u64| LibraryPolicies {
+            name: self.library.to_string(),
             entries: BTreeMap::new(),
             stats: AnalysisStats {
-                entry_points: self.entry_points_full as usize,
+                entry_points: entry_points as usize,
                 ..AnalysisStats::default()
             },
             degraded: BTreeMap::new(),
         };
-        let mut intra = LibraryPolicies {
-            name: self.library.to_owned(),
-            entries: BTreeMap::new(),
-            stats: AnalysisStats {
-                entry_points: self.entry_points_intra as usize,
-                ..AnalysisStats::default()
-            },
-            degraded: BTreeMap::new(),
-        };
+        let mut full = library(self.entry_points_full);
+        let mut intra = library(self.entry_points_intra);
         for rec in self.records() {
-            let (sig, f, i) = self.decode(rec)?;
-            full.entries.insert(sig.clone(), f);
-            intra.entries.insert(sig, i);
+            let (f, i) = self.decode(rec)?;
+            intra
+                .entries
+                .insert(f.signature.clone(), i.expect("intra flag set"));
+            full.entries.insert(f.signature.clone(), f);
         }
         Ok((full, intra))
     }
@@ -760,13 +829,117 @@ pub fn read_index_file(path: &Path) -> std::io::Result<Vec<u8>> {
 /// # Errors
 ///
 /// Propagates the underlying IO error.
-pub fn read_index_file_with(path: &Path, plan: &spo_chaos::FaultPlan) -> std::io::Result<Vec<u8>> {
+pub fn read_index_file_with(path: &Path, plan: &FaultPlan) -> std::io::Result<Vec<u8>> {
     let mut bytes = std::fs::read(path)?;
     if !bytes.is_empty() && plan.should_fire(spo_chaos::sites::INDEX_READ_BITFLIP) {
         let pos = plan.amount(spo_chaos::sites::INDEX_READ_BITFLIP, bytes.len() as u64) as usize;
         bytes[pos] ^= 0x01;
     }
     Ok(bytes)
+}
+
+/// Write attempts before a persistently failing [`write_index_file`]
+/// gives up (the first attempt plus bounded retries of transient errors).
+pub const WRITE_ATTEMPTS: u32 = 3;
+
+/// What a [`write_index_file`] call went through.
+#[derive(Debug)]
+pub struct DurableWrite {
+    /// The transient errors retried, in order.
+    pub retried: Vec<std::io::Error>,
+    /// The final outcome: `Ok` once the file landed, else the error that
+    /// ended the attempts (the previous file is then untouched).
+    pub result: std::io::Result<()>,
+}
+
+/// Writes `bytes` to `path` atomically and durably: temp file +
+/// `sync_all`, atomic `rename` over `path`, then a best-effort
+/// `sync_all` on the directory so the rename itself survives a crash.
+/// Transient errors — interrupted syscalls and timeout-shaped kinds, the
+/// shape `spo-chaos` gives its injected faults — are retried up to
+/// [`WRITE_ATTEMPTS`] times with a short backoff. Whatever
+/// happens, the file at `path` is either the previous one, untouched, or
+/// the complete new one — never a truncation of either.
+pub fn write_index_file(path: &Path, bytes: &[u8], plan: &FaultPlan) -> DurableWrite {
+    // pid + per-process sequence: two writers of one resident daemon
+    // targeting the same file concurrently must not share a temp file
+    // (the rename itself is atomic either way).
+    static WRITE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(
+        ".tmp-{}-{}",
+        std::process::id(),
+        WRITE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    ));
+    let tmp = std::path::PathBuf::from(tmp);
+    let mut retried = Vec::new();
+    use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+    let result = loop {
+        match write_once(plan, &tmp, path, bytes) {
+            Err(e)
+                if retried.len() as u32 + 1 < WRITE_ATTEMPTS
+                    && matches!(e.kind(), Interrupted | WouldBlock | TimedOut) =>
+            {
+                // Tiny exponential backoff: 1ms, 2ms. Real transient
+                // errors (EINTR under signal storms) clear quickly;
+                // anything slower is persistent and hits the cap.
+                std::thread::sleep(std::time::Duration::from_millis(1 << retried.len()));
+                retried.push(e);
+            }
+            result => break result,
+        }
+    };
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    } else if !retried.is_empty() {
+        plan.note_recovered(&path.display().to_string());
+    }
+    DurableWrite { retried, result }
+}
+
+/// One durable write attempt: create + write + `sync_all` the temp file,
+/// `rename` it over `path`, `sync_all` the directory. Chaos fault sites
+/// are compiled into each step; the bit-flip site corrupts the payload
+/// but lets the write *succeed* (silent corruption for the next reader's
+/// checksum to catch).
+fn write_once(plan: &FaultPlan, tmp: &Path, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    use spo_chaos::sites;
+    use std::io::Write as _;
+    let flipped: Vec<u8>;
+    let payload: &[u8] = if !bytes.is_empty() && plan.should_fire(sites::CACHE_BITFLIP) {
+        let pos = plan.amount(sites::CACHE_BITFLIP, bytes.len() as u64) as usize;
+        let mut copy = bytes.to_vec();
+        copy[pos] ^= 0x01;
+        flipped = copy;
+        &flipped
+    } else {
+        bytes
+    };
+    {
+        let mut f = std::fs::File::create(tmp)?;
+        if plan.should_fire(sites::CACHE_WRITE_SHORT) {
+            f.write_all(&payload[..payload.len() / 2])?;
+            let _ = f.sync_all();
+            return Err(spo_chaos::injected_io_error(sites::CACHE_WRITE_SHORT));
+        }
+        f.write_all(payload)?;
+        if plan.should_fire(sites::CACHE_FSYNC_FAIL) {
+            return Err(spo_chaos::injected_io_error(sites::CACHE_FSYNC_FAIL));
+        }
+        f.sync_all()?;
+    }
+    if plan.should_fire(sites::CACHE_RENAME_FAIL) {
+        return Err(spo_chaos::injected_io_error(sites::CACHE_RENAME_FAIL));
+    }
+    std::fs::rename(tmp, path)?;
+    // The rename is durable only once the directory entry is synced; a
+    // failure here is not worth failing the write over (the data file
+    // itself is already synced).
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    if let Ok(dir) = std::fs::File::open(dir.unwrap_or(Path::new("."))) {
+        let _ = dir.sync_all();
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -868,27 +1041,79 @@ mod tests {
         let (full, intra) = fixture();
         let bytes = build(&full, &intra);
         let index = PolicyIndex::parse(&bytes).unwrap();
-        let stats = index.stats();
         // Two identical checked entries share one checked set; plus the
         // empty set and the intra set: far fewer than one per event.
-        assert!(stats.check_sets <= 3, "check sets: {}", stats.check_sets);
+        assert!(index.sets.len() <= 3, "check sets: {}", index.sets.len());
         // "Net.impl" appears in two entries' origins but is stored once.
-        let occurrences = index.strings.iter().filter(|s| **s == "Net.impl").count();
+        let occurrences = index.strings.iter().filter(|s| *s == "Net.impl").count();
         assert_eq!(occurrences, 1);
     }
 
     #[test]
-    fn flags_reflect_policies_without_decoding() {
-        let (full, intra) = fixture();
-        let bytes = build(&full, &intra);
+    fn extending_copies_kept_blobs_and_keeps_ids_valid() {
+        let (full, _) = fixture();
+        let token = options_token(&AnalysisOptions::default());
+        let mut writer = IndexWriter::new(false);
+        for (i, (sig, entry)) in full.entries.iter().enumerate() {
+            writer.entry(sig, 100 + i as u64, &[7, 9 + i as u64], entry, None);
+        }
+        let base_bytes = writer.finish("jdk", &token, [3, 0]).unwrap();
+        let base = PolicyIndex::parse(&base_bytes).unwrap();
+        assert_eq!(
+            base.to_libraries().unwrap_err(),
+            "index carries no intraprocedural policies"
+        );
+
+        // Replace one entry with a policy that needs a new string and a
+        // new check set; the other two are copied verbatim.
+        let replaced = "Net.accept()";
+        let mut fresh = EntryPolicy::new(replaced.into());
+        fresh.events.insert(
+            EventKey::DataWrite("fresh.field".into()),
+            policy(&[Check::Accept], &[&[Check::Accept, Check::Connect]]),
+        );
+        let mut writer = IndexWriter::extending(&base, |k| k != root_key(replaced)).unwrap();
+        writer.entry(replaced, 42, &[1], &fresh, None);
+        let bytes = writer.finish("jdk", &token, [3, 0]).unwrap();
         let index = PolicyIndex::parse(&bytes).unwrap();
-        let rec = index.find(root_key("Net.connect(Addr)")).unwrap();
-        assert!(rec.flags & flags::HAS_CHECKS != 0);
-        assert!(rec.flags & flags::UNGUARDED_EVENT != 0); // bare ApiReturn
-        assert!(rec.flags & flags::INTRA_HAS_CHECKS != 0);
-        assert!(rec.flags & flags::OPT_ICP != 0);
-        let unchecked = index.find(root_key("Util.length()")).unwrap();
-        assert!(unchecked.flags & flags::HAS_CHECKS == 0);
+        assert_eq!(index.strings[..base.strings.len()], base.strings[..]);
+        assert_eq!(index.sets[..base.sets.len()], base.sets[..]);
+        for rec in index.records() {
+            let (entry, intra) = index.decode(rec).unwrap();
+            assert_eq!(intra, None);
+            let sig = entry.signature.clone();
+            if sig == replaced {
+                assert_eq!((entry, rec.cone_key), (fresh.clone(), 42));
+                assert_eq!(index.cone(rec).unwrap(), [1]);
+            } else {
+                let old = base.find(rec.root_key).unwrap();
+                assert_eq!(index.blob_of(rec).unwrap(), base.blob_of(old).unwrap());
+                assert_eq!(entry, full.entries[&sig]);
+                assert_eq!(rec.cone_key, old.cone_key);
+                assert_eq!(index.cone(rec).unwrap(), base.cone(old).unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn failed_write_leaves_the_previous_file_intact() {
+        let dir = std::env::temp_dir().join(format!("spo-index-write-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(INDEX_FILE);
+        let plan = spo_chaos::FaultPlan::disabled();
+        assert!(write_index_file(&path, b"old", &plan).result.is_ok());
+        let failing =
+            spo_chaos::FaultPlan::seeded(5).site(spo_chaos::sites::CACHE_RENAME_FAIL, 1.0);
+        let write = write_index_file(&path, b"new bytes", &failing);
+        assert!(write.result.is_err());
+        assert_eq!(write.retried.len() as u32, WRITE_ATTEMPTS - 1);
+        assert_eq!(std::fs::read(&path).unwrap(), b"old");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, [INDEX_FILE], "no temp file is left behind");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

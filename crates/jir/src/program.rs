@@ -302,13 +302,23 @@ impl Program {
     /// This is the key used to match API entry points across independent
     /// implementations of the same library.
     pub fn method_signature(&self, id: MethodId) -> String {
+        use std::fmt::Write as _;
         let m = self.method(id);
-        let params: Vec<String> = m
-            .params
-            .iter()
-            .map(|t| t.display(&self.interner).to_string())
-            .collect();
-        format!("{}({})", self.method_name(id), params.join(","))
+        // One buffer, no per-parameter strings: warm cached runs format
+        // every entry point's signature to look it up.
+        let mut sig = String::with_capacity(64);
+        sig.push_str(self.str(self.class(id.class).name));
+        sig.push('.');
+        sig.push_str(self.str(m.name));
+        sig.push('(');
+        for (i, t) in m.params.iter().enumerate() {
+            if i > 0 {
+                sig.push(',');
+            }
+            let _ = write!(sig, "{}", t.display(&self.interner));
+        }
+        sig.push(')');
+        sig
     }
 
     /// A [`MethodRef`] naming `id` as a call target.

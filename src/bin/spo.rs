@@ -154,10 +154,10 @@ exponential backoff (`--retries`, `--retry-base-ms`); `spo serve
 stall past it.
 
 `spo cache export-index` compiles a library's full analysis (plus its
-intraprocedural ablation) into a single-file index (`spo-index/1`,
+intraprocedural ablation) into a single-file index (`spo-index/2`,
 conventionally `policies.spi`): an interned, checksummed, offset-table
-pack answering `query`/`diff` in sub-millisecond time without rerunning
-the engine. `spo index query` binary-searches one entry point (or lists
+file answering `query`/`diff` in sub-millisecond time without rerunning
+the engine. `spo index query` looks up one entry point (or lists
 the whole library); `spo index diff` runs the oracle over two indexes.
 Both print bytes identical to the `analyze`/`diff` path. A corrupt,
 truncated, or version-skewed index is a fatal typed error (exit 3) —
@@ -171,8 +171,10 @@ cache at PATH (created on first use): roots whose call-graph cone is
 unchanged since the cached run skip analysis, and results are always
 byte-identical to a cold run. A corrupt or stale entry only means that
 root runs cold plus a stderr warning — never a changed report or exit
-code. `--no-cache` ignores the cache for one run. `spo cache stats`
-prints the store's entry count and size; `spo cache clear` empties it.
+code. `--no-cache` ignores the cache for one run. The cache holds one
+`spo-index` file (`*.spc`) per library and option set. `spo cache stats`
+prints the store's entry count and size; `spo cache clear` deletes its
+`*.spc` files.
 
 EXIT CODES:
   0  clean
@@ -917,7 +919,7 @@ fn cmd_cache(args: &[String]) -> Result<ExitCode, String> {
 
 /// `spo cache export-index <file.jir>... --out PATH.spi`: run the full
 /// analysis plus its intraprocedural ablation and compile both into one
-/// `spo-index/1` file. Compiling a degraded analysis is refused — an
+/// `spo-index/2` file. Compiling a degraded analysis is refused — an
 /// index is durable, so baking in a lower-bound answer would let it
 /// masquerade as the complete one forever after.
 fn cmd_cache_export_index(args: &[String]) -> Result<ExitCode, String> {
@@ -980,7 +982,11 @@ fn cmd_cache_export_index(args: &[String]) -> Result<ExitCode, String> {
         .fingerprints(&fingerprints)
         .build()
         .map_err(|e| format!("cache export-index: {e}"))?;
-    std::fs::write(&out, &bytes).map_err(|e| format!("{out}: {e}"))?;
+    // The cache's durable writer: a failed write leaves the previous
+    // index at `out` untouched.
+    spo_index::write_index_file(std::path::Path::new(&out), &bytes, &spo_chaos::current())
+        .result
+        .map_err(|e| format!("{out}: {e}"))?;
     eprintln!(
         "spo cache export-index: wrote {out}: {} entry points, {} bytes",
         stats.entry_points,
@@ -1508,7 +1514,7 @@ fn cmd_diff_policies(args: &[String]) -> Result<ExitCode, String> {
 /// Embedded soak fixture: a six-class library over a tiny
 /// `SecurityManager` prelude, giving the engine multiple independent
 /// roots (so keyed fault injection can perturb a strict subset) and the
-/// cache several cones to pack.
+/// cache several cones to store.
 const CHAOS_FIXTURE_A: &str = r#"
 class java.lang.SecurityManager {
   method public native void checkRead(java.lang.String file);
@@ -1580,7 +1586,7 @@ class chaos.F {
 /// Layered variant: two extra classes over the same prelude, one of them
 /// an unguarded twin of `chaos.A.read` (a deliberate policy hole).
 /// Layering it onto [`CHAOS_FIXTURE_A`] grows the root set without
-/// disturbing existing cones — a pack-extending cache write.
+/// disturbing existing cones — a file-extending cache write.
 const CHAOS_FIXTURE_B: &str = r#"
 class chaos.X {
   method public void read() {
@@ -1836,10 +1842,10 @@ fn parse_chaos_summary(stderr: &[u8]) -> (u64, u64) {
 }
 
 /// Cache-mode schedule: two chaos-armed cached runs (cold then
-/// pack-extending), then a disarmed run over the same directory. All
+/// file-extending), then a disarmed run over the same directory. All
 /// three must exit clean with byte-identical stdout — injected cache
 /// faults may cost recomputation and stderr warnings, never report bytes
-/// or exit codes — and the disarmed flush must leave a healed pack.
+/// or exit codes — and the disarmed flush must leave a healed cache file.
 fn soak_cache_schedule(env: &SoakEnv, k: u64, seed: u64) -> Result<(u64, u64), SoakViolation> {
     let spec = format!(
         "seed={seed},rate={:.2},sites={}+{}+{}+{}",
@@ -1865,7 +1871,7 @@ fn soak_cache_schedule(env: &SoakEnv, k: u64, seed: u64) -> Result<(u64, u64), S
             Some(spec.as_str()),
         ),
         // Disarmed: the cache must come back from whatever the faults
-        // left on disk and the flush must land a pack.
+        // left on disk and the flush must land a cache file.
         (&[&env.fixture_a, &env.fixture_ab], &env.clean_ab, None),
     ];
     for (step, (inputs, want, chaos)) in runs.iter().enumerate() {
@@ -1903,9 +1909,14 @@ fn soak_cache_schedule(env: &SoakEnv, k: u64, seed: u64) -> Result<(u64, u64), S
         totals.0 += i;
         totals.1 += r;
     }
-    if !dir.join(spo_cache::PACK_FILE).is_file() {
+    let landed = std::fs::read_dir(&dir).is_ok_and(|entries| {
+        entries
+            .flatten()
+            .any(|e| e.path().extension().is_some_and(|x| x == "spc"))
+    });
+    if !landed {
         return Err(SoakViolation {
-            why: "pack did not self-heal: no pack file after a disarmed flush".to_owned(),
+            why: "cache did not self-heal: no .spc file after a disarmed flush".to_owned(),
             replay,
         });
     }

@@ -803,3 +803,41 @@ class pipe.C{i} {{
         "no panic on the broken pipe: {stderr}"
     );
 }
+
+#[test]
+fn failed_export_index_keeps_the_previous_index() {
+    let rt = write_temp("export-rt.jir", RUNTIME);
+    let a = write_temp("export-a.jir", CHECKED);
+    let dir = std::env::temp_dir().join(format!("spo-cli-export-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = dir.join("policies.spi");
+    let export = |chaos: Option<&str>| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_spo"));
+        cmd.args(["cache", "export-index"])
+            .arg(&rt)
+            .arg(&a)
+            .arg("--out")
+            .arg(&out);
+        match chaos {
+            Some(spec) => cmd.env("SPO_CHAOS", spec),
+            None => cmd.env_remove("SPO_CHAOS"),
+        };
+        cmd.output().expect("spo binary runs")
+    };
+    let first = export(None);
+    assert!(first.status.success(), "{first:?}");
+    let good = std::fs::read(&out).unwrap();
+
+    // Every rename attempt fails: the export is an error, and the index
+    // already at the path is left byte-identical (no truncation, no temp
+    // file left behind).
+    let failed = export(Some("seed=1,sites=cache.rename.fail:1.0"));
+    assert_eq!(failed.status.code(), Some(3), "{failed:?}");
+    assert_eq!(std::fs::read(&out).unwrap(), good);
+    let names: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(names, ["policies.spi"]);
+    std::fs::remove_dir_all(&dir).ok();
+}

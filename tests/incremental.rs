@@ -209,9 +209,9 @@ fn corrupt_cache_degrades_to_cold_run_without_changing_results() {
     assert!(cold.status.success(), "{cold:?}");
     let pack = pack_file(&cache_dir).expect("populated cache has a pack file");
     let good = std::fs::read(&pack).unwrap();
-    assert!(good.starts_with(b"spo-cache "), "unexpected pack header");
+    assert!(good.starts_with(b"spo-index "), "unexpected pack header");
     let mut bumped = good.clone();
-    bumped[b"spo-cache ".len()] = b'9'; // version digit
+    bumped[b"spo-index ".len()] = b'9'; // version digit
 
     // Mangle the pack every way it can break: garbage, truncation
     // mid-entry, a format-version bump, and an empty file.
@@ -257,8 +257,16 @@ fn corrupt_cache_preserves_findings_exit_code_in_diff() {
     let run = || spo(&["diff", &fixture, "--vs", &edited, "--cache-dir", cache]);
     let cold = run();
     assert_eq!(cold.status.code(), Some(1));
-    let pack = pack_file(&cache_dir).expect("populated cache has a pack file");
-    std::fs::write(pack, "garbage").unwrap();
+    // A diff writes one file per library and options set: corrupt them all.
+    let files: Vec<PathBuf> = std::fs::read_dir(&cache_dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "spc"))
+        .collect();
+    assert_eq!(files.len(), 4, "{files:?}");
+    for file in files {
+        std::fs::write(file, "garbage").unwrap();
+    }
     let mangled = run();
     // Findings exit (1), not degraded (2): the report is still exact.
     assert_eq!(mangled.status.code(), Some(1), "{mangled:?}");
