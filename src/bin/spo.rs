@@ -1,15 +1,21 @@
 //! `spo` — the security policy oracle command-line interface.
 //!
 //! ```text
-//! spo check <file.jir>...                        parse & validate, print stats
-//! spo analyze <file.jir>... [--broad]            print per-entry security policies
-//! spo export <file.jir>... [--name N]            emit the policy exchange format
-//! spo diff <left.jir>... --vs <right.jir>...     run the oracle over two implementations
-//!          [--no-icp] [--broad] [--intra-only]
-//! spo diff-policies <left.txt> <right.txt>       diff two exported policy files
-//! spo serve --socket PATH [--load NAME=FILE]...  resident oracle daemon (spo-rpc/1)
-//! spo rpc --socket PATH '<request-json>'...      send requests to a running daemon
+//! spo check <file.jir>...                       parse & validate, print stats
+//! spo analyze <file.jir>...                     print per-entry security policies
+//! spo export <file.jir>...                      emit the policy exchange format
+//! spo diff <left.jir>... --vs <right.jir>...    run the oracle over two implementations
+//! spo diff-policies <left.txt> <right.txt>      diff two exported policy files
+//! spo throws <left.jir>... --vs <right.jir>...  diff exception behaviour
+//! spo stats-validate <snapshot.json>            check a stats or trace snapshot
+//! spo cache (stats|clear|export-index) ...      inspect the cache, compile an index
+//! spo index (query|diff) ...                    answer from compiled `.spi` indexes
+//! spo (serve|rpc|trace) ...                     resident oracle daemon and its clients
+//! spo chaos soak                                randomized fault-injection soak
 //! ```
+//!
+//! Each command's operands and flags are one row of [`COMMANDS`]; the
+//! parser and the `spo --help` synopsis both read that table.
 //!
 //! Multiple `.jir` files per side are layered into one program (e.g. a
 //! shared runtime prelude plus the implementation).
@@ -48,24 +54,11 @@ fn main() -> ExitCode {
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("check") => cmd_check(&args[1..]),
-        Some("analyze") => cmd_analyze(&args[1..]),
-        Some("export") => cmd_export(&args[1..]),
-        Some("diff") => cmd_diff(&args[1..]),
-        Some("diff-policies") => cmd_diff_policies(&args[1..]),
-        Some("throws") => cmd_throws(&args[1..]),
-        Some("stats-validate") => cmd_stats_validate(&args[1..]),
-        Some("cache") => cmd_cache(&args[1..]),
-        Some("index") => cmd_index(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("rpc") => cmd_rpc(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("chaos") => cmd_chaos(&args[1..]),
         Some("--help" | "-h" | "help") | None => {
-            eprint!("{USAGE}");
+            eprint!("{}", usage());
             return ExitCode::SUCCESS;
         }
-        Some(other) => Err(format!("unknown command `{other}`\n{USAGE}")),
+        Some(_) => dispatch(&args),
     };
     let code = match result {
         Ok(code) => code,
@@ -88,25 +81,481 @@ fn main() -> ExitCode {
     code
 }
 
-const USAGE: &str = "\
-spo — security policy oracle (PLDI 2011 reproduction)
+/// One row of the flag table: the flag's name, the metavar of its value
+/// (`None` for a switch), and whether it is a test hook kept out of
+/// `--help`.
+struct Flag {
+    name: &'static str,
+    value: Option<&'static str>,
+    hidden: bool,
+}
 
-USAGE:
-  spo check <file.jir>... [--lint] [--jobs N] [--trace-out PATH] [--stats] [--stats-json PATH]
-  spo analyze <file.jir>... [--broad] [--jobs N] [--budget-steps N] [--budget-frames N] [--deadline SECS] [--cache-dir PATH] [--no-cache] [--trace-out PATH] [--stats] [--stats-json PATH]
-  spo export <file.jir>... [--name NAME] [--jobs N] [--cache-dir PATH] [--no-cache] [--trace-out PATH] [--stats] [--stats-json PATH]
-  spo diff <left.jir>... --vs <right.jir>... [--no-icp] [--broad] [--intra-only] [--html] [--jobs N] [--cache-dir PATH] [--no-cache] [--trace-out PATH] [--stats] [--stats-json PATH]
-  spo diff-policies <left-policies.txt> <right-policies.txt>
-  spo throws <left.jir>... --vs <right.jir>...
-  spo stats-validate [--schema spo-stats/1|spo-trace/1] <snapshot.json>
-  spo cache (stats|clear) --cache-dir PATH
-  spo cache export-index <file.jir>... --out PATH.spi [--name NAME] [--no-icp] [--broad] [--jobs N]
-  spo index query [ENTRY-SIG] --index PATH.spi
-  spo index diff <left.spi> <right.spi>
-  spo serve --socket PATH [--tcp ADDR] [--workers N] [--jobs N] [--load NAME=FILE[,FILE...]]... [--index NAME=PATH.spi]... [--cache-dir PATH] [--no-cache] [--default-timeout-ms N] [--write-timeout-ms N] [--max-line-bytes N] [--drain-grace SECS] [--stats] [--stats-json PATH]
-  spo rpc --socket PATH | --tcp ADDR [--stats-json PATH] [--retries N] [--retry-base-ms N] <request-json>...
-  spo trace --socket PATH | --tcp ADDR [--trace-id ID] [--out PATH]
-  spo chaos soak [--seed N] [--schedules N] [--rate P] [--keep-going]
+const fn switch(name: &'static str) -> Flag {
+    Flag {
+        name,
+        value: None,
+        hidden: false,
+    }
+}
+
+const fn valued(name: &'static str, metavar: &'static str) -> Flag {
+    Flag {
+        name,
+        value: Some(metavar),
+        hidden: false,
+    }
+}
+
+const fn hook(name: &'static str, metavar: &'static str) -> Flag {
+    Flag {
+        name,
+        value: Some(metavar),
+        hidden: true,
+    }
+}
+
+const LINT: Flag = switch("--lint");
+const NAME: Flag = valued("--name", "NAME");
+const NO_ICP: Flag = switch("--no-icp");
+const BROAD: Flag = switch("--broad");
+const INTRA_ONLY: Flag = switch("--intra-only");
+const HTML: Flag = switch("--html");
+const JOBS: Flag = valued("--jobs", "N");
+const BUDGET_STEPS: Flag = valued("--budget-steps", "N");
+const BUDGET_FRAMES: Flag = valued("--budget-frames", "N");
+const DEADLINE: Flag = valued("--deadline", "SECS");
+const TIMEOUT_MS: Flag = valued("--timeout-ms", "N");
+const INJECT_PANIC: Flag = hook("--inject-panic", "SUBSTR");
+const INJECT_SLEEP_MS: Flag = hook("--inject-sleep-ms", "N");
+const CACHE_DIR: Flag = valued("--cache-dir", "PATH");
+const NO_CACHE: Flag = switch("--no-cache");
+const STATS: Flag = switch("--stats");
+const STATS_JSON: Flag = valued("--stats-json", "PATH");
+const TRACE_OUT: Flag = valued("--trace-out", "PATH");
+const SCHEMA: Flag = valued("--schema", "spo-stats/1|spo-trace/1");
+const OUT_SPI: Flag = valued("--out", "PATH.spi");
+const INDEX: Flag = valued("--index", "PATH.spi");
+const SOCKET: Flag = valued("--socket", "PATH");
+const TCP: Flag = valued("--tcp", "ADDR");
+const WORKERS: Flag = valued("--workers", "N");
+const LOAD: Flag = valued("--load", "NAME=FILE[,FILE...]");
+const SERVE_INDEX: Flag = valued("--index", "NAME=PATH.spi");
+const DEFAULT_TIMEOUT_MS: Flag = valued("--default-timeout-ms", "N");
+const WRITE_TIMEOUT_MS: Flag = valued("--write-timeout-ms", "N");
+const MAX_LINE_BYTES: Flag = valued("--max-line-bytes", "N");
+const DRAIN_GRACE: Flag = valued("--drain-grace", "SECS");
+const RETRIES: Flag = valued("--retries", "N");
+const RETRY_BASE_MS: Flag = valued("--retry-base-ms", "N");
+const TRACE_ID: Flag = valued("--trace-id", "ID");
+const OUT: Flag = valued("--out", "PATH");
+const SEED: Flag = valued("--seed", "N");
+const SCHEDULES: Flag = valued("--schedules", "N");
+const RATE: Flag = valued("--rate", "P");
+const KEEP_GOING: Flag = switch("--keep-going");
+
+/// The analysis options every policy-analysis command takes.
+const OPTIONS: &[Flag] = &[NO_ICP, BROAD, INTRA_ONLY];
+/// The degraded-mode limits, plus the fault-injection test hooks. A
+/// command that runs no analysis gives these a pointed rejection.
+const GUARD: &[Flag] = &[
+    BUDGET_STEPS,
+    BUDGET_FRAMES,
+    DEADLINE,
+    TIMEOUT_MS,
+    INJECT_PANIC,
+    INJECT_SLEEP_MS,
+];
+const CACHE: &[Flag] = &[CACHE_DIR, NO_CACHE];
+const OBSERVE: &[Flag] = &[STATS, STATS_JSON, TRACE_OUT];
+
+/// One command's row: its name (an action carries its group's name, as
+/// in `cache stats`), its operand synopsis, the flag groups it accepts,
+/// and the function that runs it. A flag named in the operand synopsis is
+/// required and shown bare rather than bracketed; a `--vs` there separates
+/// the two implementations and is passed through as an operand. A command
+/// with no operand synopsis takes no operands.
+struct Command {
+    name: &'static str,
+    operands: &'static str,
+    flags: &'static [&'static [Flag]],
+    run: fn(&Parsed) -> Result<ExitCode, String>,
+}
+
+/// Every command, in `--help` order.
+static COMMANDS: [Command; 16] = [
+    Command {
+        name: "check",
+        operands: "<file.jir>...",
+        flags: &[&[LINT, JOBS], OBSERVE],
+        run: cmd_check,
+    },
+    Command {
+        name: "analyze",
+        operands: "<file.jir>...",
+        flags: &[OPTIONS, &[JOBS], GUARD, CACHE, OBSERVE],
+        run: cmd_analyze,
+    },
+    Command {
+        name: "export",
+        operands: "<file.jir>...",
+        flags: &[&[NAME], OPTIONS, &[JOBS], GUARD, CACHE, OBSERVE],
+        run: cmd_export,
+    },
+    Command {
+        name: "diff",
+        operands: "<left.jir>... --vs <right.jir>...",
+        flags: &[OPTIONS, &[HTML, JOBS], GUARD, CACHE, OBSERVE],
+        run: cmd_diff,
+    },
+    Command {
+        name: "diff-policies",
+        operands: "<left-policies.txt> <right-policies.txt>",
+        flags: &[],
+        run: cmd_diff_policies,
+    },
+    Command {
+        name: "throws",
+        operands: "<left.jir>... --vs <right.jir>...",
+        flags: &[],
+        run: cmd_throws,
+    },
+    Command {
+        name: "stats-validate",
+        operands: "<snapshot.json>",
+        flags: &[&[SCHEMA]],
+        run: cmd_stats_validate,
+    },
+    Command {
+        name: "cache stats",
+        operands: "--cache-dir PATH",
+        flags: &[CACHE],
+        run: cmd_cache_stats,
+    },
+    Command {
+        name: "cache clear",
+        operands: "--cache-dir PATH",
+        flags: &[CACHE],
+        run: cmd_cache_clear,
+    },
+    Command {
+        name: "cache export-index",
+        operands: "<file.jir>... --out PATH.spi",
+        flags: &[&[OUT_SPI, NAME], OPTIONS, &[JOBS], GUARD],
+        run: cmd_cache_export_index,
+    },
+    Command {
+        name: "index query",
+        operands: "[ENTRY-SIG] --index PATH.spi",
+        flags: &[&[INDEX]],
+        run: cmd_index_query,
+    },
+    Command {
+        name: "index diff",
+        operands: "<left.spi> <right.spi>",
+        flags: &[],
+        run: cmd_index_diff,
+    },
+    Command {
+        name: "serve",
+        operands: "",
+        flags: &[
+            &[SOCKET, TCP, WORKERS, JOBS, LOAD, SERVE_INDEX],
+            CACHE,
+            &[
+                DEFAULT_TIMEOUT_MS,
+                WRITE_TIMEOUT_MS,
+                MAX_LINE_BYTES,
+                DRAIN_GRACE,
+            ],
+            GUARD,
+            &[STATS, STATS_JSON],
+        ],
+        run: cmd_serve,
+    },
+    Command {
+        name: "rpc",
+        operands: "<request-json>...",
+        flags: &[&[SOCKET, TCP, STATS_JSON, RETRIES, RETRY_BASE_MS]],
+        run: cmd_rpc,
+    },
+    Command {
+        name: "trace",
+        operands: "",
+        flags: &[&[SOCKET, TCP, TRACE_ID, OUT]],
+        run: cmd_trace,
+    },
+    Command {
+        name: "chaos soak",
+        operands: "",
+        flags: &[&[SEED, SCHEDULES, RATE, KEEP_GOING]],
+        run: chaos_soak,
+    },
+];
+
+/// Finds the row `args` names and runs it on the rest of `args`.
+fn dispatch(args: &[String]) -> Result<ExitCode, String> {
+    for command in &COMMANDS {
+        let words = command.name.split(' ').count();
+        let names = |head: &[String]| command.name.split(' ').eq(head.iter().map(String::as_str));
+        if args.get(..words).is_some_and(names) {
+            return (command.run)(&command.parse(&args[words..])?);
+        }
+    }
+    let group = args[0].as_str();
+    let actions: Vec<&str> = COMMANDS
+        .iter()
+        .filter_map(|c| c.name.strip_prefix(group)?.strip_prefix(' '))
+        .collect();
+    match (actions.is_empty(), args.get(1)) {
+        (true, _) => Err(format!("unknown command `{group}`\n{}", usage())),
+        (false, Some(action)) => Err(format!(
+            "{group}: unknown action `{action}` (use {})",
+            actions.join(", ")
+        )),
+        (false, None) => Err(format!("{group} needs an action: {}", actions.join(", "))),
+    }
+}
+
+/// One command line, parsed against its command's row.
+#[derive(Debug)]
+struct Parsed {
+    command: &'static str,
+    operands: Vec<String>,
+    /// Every flag given, in order, with its value (empty for a switch).
+    flags: Vec<(&'static str, String)>,
+}
+
+impl Command {
+    fn accepted(&self) -> impl Iterator<Item = &'static Flag> {
+        self.flags.iter().flat_map(|group| group.iter())
+    }
+
+    /// The one parse pass: splits `args` into operands and flag values,
+    /// rejecting flags this command does not take, a switch given a value
+    /// and a value flag missing one.
+    fn parse(&self, args: &[String]) -> Result<Parsed, String> {
+        let separates = self.operands.contains(" --vs ");
+        let mut parsed = Parsed {
+            command: self.name,
+            operands: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if !arg.starts_with("--") || (separates && arg == "--vs") {
+                if self.operands.is_empty() {
+                    return Err(format!("unexpected argument `{arg}` for `{}`", self.name));
+                }
+                parsed.operands.push(arg.clone());
+                continue;
+            }
+            let (name, inline) = match arg.split_once('=') {
+                Some((name, value)) => (name, Some(value)),
+                None => (arg.as_str(), None),
+            };
+            let flag = self
+                .accepted()
+                .find(|f| f.name == name)
+                .ok_or_else(|| self.reject(name))?;
+            let value = match (flag.value, inline) {
+                (None, None) => String::new(),
+                (None, Some(_)) => return Err(format!("{name} takes no value")),
+                (Some(_), Some(value)) => value.to_owned(),
+                (Some(_), None) => args
+                    .next()
+                    .ok_or_else(|| format!("{name} needs a value"))?
+                    .clone(),
+            };
+            parsed.flags.push((flag.name, value));
+        }
+        Ok(parsed)
+    }
+
+    /// Names a flag this command does not take. Guard flags get an
+    /// explicit "wrong command" message instead of `unknown flag` so the
+    /// user learns the flag exists but does not apply here.
+    fn reject(&self, name: &str) -> String {
+        if GUARD.iter().any(|f| f.name == name) {
+            format!(
+                "{name}: `{}` runs no policy analysis, so degraded-mode limits do not \
+                 apply (use analyze, export, or diff)",
+                self.name
+            )
+        } else {
+            format!("unknown flag `{name}` for `{}`", self.name)
+        }
+    }
+
+    /// This command's `--help` line: operands, then every flag that is
+    /// not a hidden test hook or already named among the operands.
+    fn synopsis(&self) -> String {
+        let mut line = format!("spo {} {}", self.name, self.operands);
+        line.truncate(line.trim_end().len());
+        let named = |f: &&Flag| self.operands.split_whitespace().any(|w| w == f.name);
+        for flag in self.accepted().filter(|f| !f.hidden).filter(|f| !named(f)) {
+            let value = flag.value.map(|metavar| format!(" {metavar}"));
+            line.push_str(&format!(" [{}{}]", flag.name, value.unwrap_or_default()));
+        }
+        line
+    }
+}
+
+impl Parsed {
+    fn given(&self, flag: &Flag) -> bool {
+        self.flags.iter().any(|(name, _)| *name == flag.name)
+    }
+
+    /// Every value given to a repeatable flag, in order.
+    fn values<'a>(&'a self, flag: &Flag) -> impl Iterator<Item = &'a str> {
+        let wanted = flag.name;
+        self.flags
+            .iter()
+            .filter(move |(name, _)| *name == wanted)
+            .map(|(_, value)| value.as_str())
+    }
+
+    /// The value of a single-valued flag: the last one given wins.
+    fn value(&self, flag: &Flag) -> Option<&str> {
+        self.values(flag).last()
+    }
+
+    /// The flag's value read as a `T`.
+    fn read<T: std::str::FromStr>(&self, flag: &Flag, what: &str) -> Result<Option<T>, String> {
+        self.value(flag)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("{}: invalid {what} `{v}`", flag.name))
+            })
+            .transpose()
+    }
+
+    /// A positive count. Zero is refused rather than passed on: inner
+    /// layers read 0 as "unlimited" or "the default", which would silently
+    /// drop the limit the user asked for.
+    fn count<T: std::str::FromStr + Default + PartialEq>(
+        &self,
+        flag: &Flag,
+        what: &str,
+        omitted: &str,
+    ) -> Result<Option<T>, String> {
+        match self.read(flag, what)? {
+            Some(n) if n == T::default() => Err(format!(
+                "{}: {what} must be at least 1 (omit the flag {omitted})",
+                flag.name
+            )),
+            n => Ok(n),
+        }
+    }
+
+    /// A non-negative, finite number of seconds.
+    fn seconds(&self, flag: &Flag) -> Result<Option<Duration>, String> {
+        self.read(flag, "seconds")?
+            .map(|secs| {
+                Duration::try_from_secs_f64(secs)
+                    .map_err(|_| format!("{}: invalid seconds `{secs}`", flag.name))
+            })
+            .transpose()
+    }
+
+    /// Every `NAME=VALUE` given to a repeatable flag, both halves
+    /// non-empty.
+    fn pairs(&self, flag: &Flag) -> Result<Vec<(String, String)>, String> {
+        self.values(flag)
+            .map(|v| match v.split_once('=') {
+                Some((name, value)) if !name.is_empty() && !value.is_empty() => {
+                    Ok((name.to_owned(), value.to_owned()))
+                }
+                _ => Err(format!(
+                    "{}: expected {}, got `{v}`",
+                    flag.name,
+                    flag.value.unwrap_or_default()
+                )),
+            })
+            .collect()
+    }
+
+    /// The two implementations on either side of `--vs`.
+    fn sides(&self) -> Result<(&[String], &[String]), String> {
+        match self.operands.iter().position(|a| a == "--vs") {
+            Some(vs) => Ok((&self.operands[..vs], &self.operands[vs + 1..])),
+            None => Err(format!(
+                "{} needs `--vs` separating the two implementations",
+                self.command
+            )),
+        }
+    }
+}
+
+/// `--jobs N`: the analysis worker count (0 = one per CPU, the
+/// flag-absent default).
+fn jobs(p: &Parsed) -> Result<usize, String> {
+    Ok(p.count(&JOBS, "worker count", "to use all CPUs")?
+        .unwrap_or(0))
+}
+
+/// The degraded-mode limits and test hooks of [`GUARD`], wired to the
+/// process-wide Ctrl-C token.
+fn guard(p: &Parsed) -> Result<GuardConfig, String> {
+    let mut guard = GuardConfig::default();
+    if let Some(n) = p.count(&BUDGET_STEPS, "step budget", "for unlimited")? {
+        guard.budget = guard.budget.steps(n);
+    }
+    if let Some(n) = p.count(&BUDGET_FRAMES, "frame budget", "for unlimited")? {
+        guard.budget = guard.budget.frames(n);
+    }
+    if let Some(d) = p.seconds(&DEADLINE)? {
+        guard.budget = guard.budget.deadline_in(d);
+    }
+    // Alias for `--deadline` in milliseconds, matching the serve
+    // protocol's per-request `timeout_ms` field.
+    if let Some(n) = p.count(&TIMEOUT_MS, "timeout", "for unlimited")? {
+        guard.budget = guard.budget.deadline_in(Duration::from_millis(n));
+    }
+    guard.inject_panics = p.values(&INJECT_PANIC).map(str::to_owned).collect();
+    if let Some(ms) = p.read(&INJECT_SLEEP_MS, "milliseconds")? {
+        guard.inject_sleep_ms = ms;
+    }
+    guard.cancel = cancel_token();
+    Ok(guard)
+}
+
+/// `--cache-dir PATH`, unless `--no-cache` disables it for this run.
+fn cache_dir(p: &Parsed) -> Option<&str> {
+    if p.given(&NO_CACHE) {
+        None
+    } else {
+        p.value(&CACHE_DIR)
+    }
+}
+
+fn options(p: &Parsed) -> AnalysisOptions {
+    let mut options = AnalysisOptions::default();
+    if p.given(&NO_ICP) {
+        options.icp = false;
+    }
+    if p.given(&BROAD) {
+        options.events = EventDef::Broad;
+    }
+    if p.given(&INTRA_ONLY) {
+        options.interprocedural = false;
+    }
+    options
+}
+
+fn usage() -> String {
+    let mut text =
+        String::from("spo — security policy oracle (PLDI 2011 reproduction)\n\nUSAGE:\n");
+    for command in &COMMANDS {
+        text.push_str(&format!("  {}\n", command.synopsis()));
+    }
+    text + USAGE_NOTES
+}
+
+const USAGE_NOTES: &str = "
+Every value flag takes `--flag VALUE` or `--flag=VALUE`; a switch takes
+no value. `--load`, `--index` (on `serve`) may repeat; for any other
+flag the last one given wins. `serve` needs `--socket PATH` or
+`--tcp ADDR`; `rpc` and `trace` need exactly one of them.
 
 `--jobs N` sets the analysis worker count (default: all CPUs; results are
 identical for any N). `--stats` prints a metrics summary to stderr;
@@ -127,8 +576,9 @@ loaded, analyses stay warm in memory, and repeat queries skip the engine
 entirely. Responses embed byte-identical `analyze`/`diff` output. Each
 request may carry `timeout_ms` for per-request admission control; an
 over-budget request returns a typed degraded response without disturbing
-other sessions. `spo rpc` sends request lines to a running daemon and
-prints the responses (exit: 0 ok, 2 any degraded, 3 any error).
+other sessions. The daemon takes the step and frame budgets but refuses
+`--deadline`/`--timeout-ms`. `spo rpc` sends request lines to a running
+daemon and prints the responses (exit: 0 ok, 2 any degraded, 3 any error).
 
 `--trace-out PATH` writes a flight-recorder timeline of the run as
 Chrome-trace JSON (`spo-trace/1`): one lane per engine worker, per-root
@@ -184,123 +634,6 @@ EXIT CODES:
   3  fatal error (bad usage, unreadable input)
 ";
 
-/// Extracts `--jobs N` / `--jobs=N` from an argument list, returning the
-/// worker count (0 = one per CPU, the flag-absent default) and the
-/// remaining arguments.
-fn extract_jobs(args: &[String]) -> Result<(usize, Vec<String>), String> {
-    let mut jobs = 0usize;
-    let mut rest = Vec::new();
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        let value = if a == "--jobs" {
-            Some(iter.next().ok_or("--jobs needs a value")?.as_str())
-        } else {
-            a.strip_prefix("--jobs=")
-        };
-        match value {
-            Some(v) => {
-                jobs = v.parse().map_err(|_| {
-                    format!("--jobs: invalid worker count `{v}` (expected a positive integer)")
-                })?;
-                if jobs == 0 {
-                    return Err(
-                        "--jobs: worker count must be at least 1 (omit the flag to use all CPUs)"
-                            .to_owned(),
-                    );
-                }
-            }
-            None => rest.push(a.clone()),
-        }
-    }
-    Ok((jobs, rest))
-}
-
-/// Pulls `name VALUE` / `name=VALUE` off the argument stream.
-fn flag_value(
-    a: &str,
-    name: &str,
-    iter: &mut std::slice::Iter<'_, String>,
-) -> Result<Option<String>, String> {
-    if a == name {
-        Ok(Some(
-            iter.next().ok_or(format!("{name} needs a value"))?.clone(),
-        ))
-    } else if let Some(v) = a.strip_prefix(name).and_then(|v| v.strip_prefix('=')) {
-        Ok(Some(v.to_owned()))
-    } else {
-        Ok(None)
-    }
-}
-
-/// Extracts the degraded-mode flags — `--budget-steps N`,
-/// `--budget-frames N`, `--deadline SECS`, plus the undocumented
-/// fault-injection test hooks `--inject-panic SUBSTR` (repeatable) and
-/// `--inject-sleep-ms N` — returning the [`GuardConfig`] (wired to the
-/// process-wide Ctrl-C token) and the remaining arguments.
-fn extract_guard(args: &[String]) -> Result<(GuardConfig, Vec<String>), String> {
-    let mut guard = GuardConfig::default();
-    let mut rest = Vec::new();
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        if let Some(v) = flag_value(a, "--budget-steps", &mut iter)? {
-            let n: u64 = v
-                .parse()
-                .map_err(|_| format!("--budget-steps: invalid step count `{v}`"))?;
-            // 0 is the Budget-internal "unlimited" sentinel; accepting it
-            // here would silently disable the limit the user asked for.
-            if n == 0 {
-                return Err(
-                    "--budget-steps: step budget must be at least 1 (omit the flag for unlimited)"
-                        .to_owned(),
-                );
-            }
-            guard.budget = guard.budget.steps(n);
-        } else if let Some(v) = flag_value(a, "--budget-frames", &mut iter)? {
-            let n: u64 = v
-                .parse()
-                .map_err(|_| format!("--budget-frames: invalid frame count `{v}`"))?;
-            if n == 0 {
-                return Err(
-                    "--budget-frames: frame budget must be at least 1 (omit the flag for unlimited)"
-                        .to_owned(),
-                );
-            }
-            guard.budget = guard.budget.frames(n);
-        } else if let Some(v) = flag_value(a, "--deadline", &mut iter)? {
-            let secs: f64 = v
-                .parse()
-                .map_err(|_| format!("--deadline: invalid seconds `{v}`"))?;
-            if !secs.is_finite() || secs < 0.0 {
-                return Err(format!("--deadline: invalid seconds `{v}`"));
-            }
-            guard.budget = guard.budget.deadline_in(Duration::from_secs_f64(secs));
-        } else if let Some(v) = flag_value(a, "--timeout-ms", &mut iter)? {
-            // Alias for `--deadline` in milliseconds, matching the serve
-            // protocol's per-request `timeout_ms` field.
-            let n: u64 = v
-                .parse()
-                .map_err(|_| format!("--timeout-ms: invalid milliseconds `{v}`"))?;
-            if n == 0 {
-                return Err(
-                    "--timeout-ms: timeout must be at least 1 (omit the flag for unlimited)"
-                        .to_owned(),
-                );
-            }
-            guard.budget = guard.budget.deadline_in(Duration::from_millis(n));
-        } else if let Some(v) = flag_value(a, "--inject-panic", &mut iter)? {
-            guard.inject_panics.push(v);
-        } else if let Some(v) = flag_value(a, "--inject-sleep-ms", &mut iter)? {
-            guard.inject_sleep_ms = v
-                .parse()
-                .map_err(|_| format!("--inject-sleep-ms: invalid milliseconds `{v}`"))?;
-        } else {
-            rest.push(a.clone());
-        }
-    }
-    guard.cancel = cancel_token();
-    Ok((guard, rest))
-}
-
 /// The process-wide cancellation token. On unix the first call installs
 /// SIGINT and SIGTERM handlers that flip it, so both Ctrl-C and a service
 /// manager's `kill` drain the analysis workers while the command still
@@ -351,16 +684,26 @@ mod signals {
     }
 }
 
-/// Observability flags shared by the analysis commands.
+/// The outputs a command's observability flags ask for.
 #[derive(Debug)]
-struct StatsOpts {
+struct Outputs {
     /// `--stats`: render the human-readable summary to stderr.
     human: bool,
     /// `--stats-json PATH`: write the `spo-stats/1` snapshot (`-` = stdout).
     json_path: Option<String>,
+    /// `--trace-out PATH`: write the run's flight-recorder capture.
+    trace_path: Option<String>,
 }
 
-impl StatsOpts {
+impl Outputs {
+    fn new(p: &Parsed) -> Outputs {
+        Outputs {
+            human: p.given(&STATS),
+            json_path: p.value(&STATS_JSON).map(str::to_owned),
+            trace_path: p.value(&TRACE_OUT).map(str::to_owned),
+        }
+    }
+
     fn enabled(&self) -> bool {
         self.human || self.json_path.is_some()
     }
@@ -375,8 +718,28 @@ impl StatsOpts {
         }
     }
 
-    /// Emits the requested outputs from the recorder's final snapshot.
-    fn emit(&self, rec: &Recorder) -> Result<(), String> {
+    /// An enabled tracer when a capture was requested, else the
+    /// never-reads-the-clock disabled tracer.
+    fn tracer(&self) -> Tracer {
+        if self.trace_path.is_some() {
+            Tracer::new()
+        } else {
+            Tracer::disabled()
+        }
+    }
+
+    /// Writes the finished capture, then the stats outputs from the
+    /// recorder's final snapshot. Called strictly after the report has
+    /// been printed, so even a write failure cannot perturb stdout.
+    fn emit(&self, rec: &Recorder, tracer: &Tracer) -> Result<(), String> {
+        if let Some(path) = &self.trace_path {
+            std::fs::write(path, tracer.to_chrome_json()).map_err(|e| format!("{path}: {e}"))?;
+            eprintln!(
+                "# trace: {} event(s) ({} dropped) -> {path}",
+                tracer.event_count(),
+                tracer.dropped()
+            );
+        }
         if !self.enabled() {
             return Ok(());
         }
@@ -397,183 +760,83 @@ impl StatsOpts {
     }
 }
 
-/// Extracts `--stats` and `--stats-json PATH` / `--stats-json=PATH`,
-/// returning the options and the remaining arguments.
-fn extract_stats(args: &[String]) -> Result<(StatsOpts, Vec<String>), String> {
-    let mut opts = StatsOpts {
-        human: false,
-        json_path: None,
-    };
-    let mut rest = Vec::new();
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        if a == "--stats" {
-            opts.human = true;
-            continue;
-        }
-        let value = if a == "--stats-json" {
-            Some(iter.next().ok_or("--stats-json needs a file path")?.clone())
-        } else {
-            a.strip_prefix("--stats-json=").map(str::to_owned)
-        };
-        match value {
-            Some(p) => opts.json_path = Some(p),
-            None => rest.push(a.clone()),
-        }
-    }
-    Ok((opts, rest))
-}
-
-/// `--trace-out PATH`: the flight-recorder capture for one run.
-#[derive(Debug)]
-struct TraceOpts {
-    out: Option<String>,
-}
-
-impl TraceOpts {
-    /// An enabled tracer when a capture was requested, else the
-    /// never-reads-the-clock disabled tracer.
-    fn tracer(&self) -> Tracer {
-        if self.out.is_some() {
-            Tracer::new()
-        } else {
-            Tracer::disabled()
-        }
-    }
-
-    /// Writes the finished capture. Called strictly after the report has
-    /// been printed, so even a write failure cannot perturb stdout.
-    fn write(&self, tracer: &Tracer) -> Result<(), String> {
-        let Some(path) = &self.out else {
-            return Ok(());
-        };
-        std::fs::write(path, tracer.to_chrome_json()).map_err(|e| format!("{path}: {e}"))?;
-        eprintln!(
-            "# trace: {} event(s) ({} dropped) -> {path}",
-            tracer.event_count(),
-            tracer.dropped()
-        );
-        Ok(())
-    }
-}
-
-/// Extracts `--trace-out PATH` / `--trace-out=PATH`, returning the trace
-/// options and the remaining arguments.
-fn extract_trace(args: &[String]) -> Result<(TraceOpts, Vec<String>), String> {
-    let mut opts = TraceOpts { out: None };
-    let mut rest = Vec::new();
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        match flag_value(a, "--trace-out", &mut iter)? {
-            Some(p) => opts.out = Some(p),
-            None => rest.push(a.clone()),
-        }
-    }
-    Ok((opts, rest))
-}
-
-/// Extracts `--cache-dir PATH` / `--cache-dir=PATH` and `--no-cache`,
-/// returning the cache directory (`None` when absent or disabled by
-/// `--no-cache`) and the remaining arguments.
-fn extract_cache(args: &[String]) -> Result<(Option<String>, Vec<String>), String> {
-    let mut dir: Option<String> = None;
-    let mut no_cache = false;
-    let mut rest = Vec::new();
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        if a == "--no-cache" {
-            no_cache = true;
-        } else if let Some(v) = flag_value(a, "--cache-dir", &mut iter)? {
-            dir = Some(v);
-        } else {
-            rest.push(a.clone());
-        }
-    }
-    Ok((if no_cache { None } else { dir }, rest))
-}
-
-/// Opens the persistent summary cache at `dir` (when set) and attaches it
-/// to the engine. Only failing to create/open the directory itself is
-/// fatal; unusable *entries* degrade to cold roots at lookup time.
-fn attach_cache(
+/// One policy-analysis run as its flags set it up: the engine (jobs,
+/// guard, cache, recorder, tracer), the outputs its ending writes, and
+/// the diagnostics it collects on the way.
+struct Run {
     engine: AnalysisEngine,
-    dir: &Option<String>,
-) -> Result<(AnalysisEngine, Option<Arc<PolicyCache>>), String> {
-    match dir {
-        None => Ok((engine, None)),
-        Some(d) => {
-            let cache = Arc::new(
-                PolicyCache::open(d.as_str()).map_err(|e| format!("--cache-dir {d}: {e}"))?,
-            );
-            Ok((engine.with_cache(Arc::clone(&cache)), Some(cache)))
-        }
-    }
+    cache: Option<Arc<PolicyCache>>,
+    rec: Recorder,
+    tracer: Tracer,
+    outputs: Outputs,
+    diags: Vec<Diagnostic>,
 }
 
-/// Prints the cache's accumulated warnings to stderr. Deliberately kept
-/// out of [`finish`]'s exit-code fold: an unusable cache entry only means
-/// the root ran cold — the report is complete and exact, so the run must
-/// not claim the degraded exit state.
-fn report_cache_diags(cache: &Option<Arc<PolicyCache>>) {
-    if let Some(cache) = cache {
-        let mut diags = cache.take_diagnostics();
-        diags.sort();
-        for d in &diags {
-            eprintln!("{d}");
-        }
+impl Run {
+    /// Only failing to create/open the cache directory itself is fatal;
+    /// unusable cache *entries* degrade to cold roots at lookup time.
+    fn new(p: &Parsed) -> Result<Run, String> {
+        let outputs = Outputs::new(p);
+        let rec = outputs.recorder();
+        let tracer = outputs.tracer();
+        let mut engine = AnalysisEngine::new(jobs(p)?)
+            .with_recorder(rec.clone())
+            .with_guard(guard(p)?)
+            .with_tracer(tracer.clone());
+        let cache = match cache_dir(p) {
+            None => None,
+            Some(dir) => {
+                let cache = Arc::new(
+                    PolicyCache::open(dir).map_err(|e| format!("--cache-dir {dir}: {e}"))?,
+                );
+                engine = engine.with_cache(Arc::clone(&cache));
+                Some(cache)
+            }
+        };
+        Ok(Run {
+            engine,
+            cache,
+            rec,
+            tracer,
+            outputs,
+            diags: Vec::new(),
+        })
     }
-}
 
-/// The degraded-mode flags understood by `analyze`/`export`/`diff`, used
-/// to give commands that run no analysis a pointed rejection.
-const GUARD_FLAG_NAMES: [&str; 6] = [
-    "--budget-steps",
-    "--budget-frames",
-    "--deadline",
-    "--timeout-ms",
-    "--inject-panic",
-    "--inject-sleep-ms",
-];
-
-/// Rejects every flag not in `allowed`, naming the offender. Guard flags
-/// get an explicit "wrong command" message instead of `unknown flag` so
-/// the user learns the flag exists but does not apply here.
-fn reject_unknown_flags(command: &str, flags: &[&str], allowed: &[&str]) -> Result<(), String> {
-    for f in flags {
-        let name = f.split('=').next().unwrap_or(f);
-        if allowed.contains(&name) {
-            continue;
-        }
-        if GUARD_FLAG_NAMES.contains(&name) {
-            return Err(format!(
-                "{name}: `{command}` runs no policy analysis, so degraded-mode limits do not \
-                 apply (use analyze, export, or diff)"
-            ));
-        }
-        return Err(format!("unknown flag `{name}` for `{command}`"));
+    fn load(&mut self, paths: &[String]) -> Result<Program, String> {
+        load_program(paths, &self.rec, &mut self.diags)
     }
-    Ok(())
-}
 
-/// Parses a flag set out of an argument list, returning remaining
-/// positional arguments.
-fn split_flags<'a>(args: &'a [String], flags: &mut Vec<&'a str>) -> Vec<&'a String> {
-    let mut positional = Vec::new();
-    for a in args {
-        if a.starts_with("--") {
-            flags.push(a.as_str());
-        } else {
-            positional.push(a);
+    /// The shared ending, after the report is printed: cache warnings,
+    /// the trace capture, the stats outputs, then the exit-code fold over
+    /// every diagnostic plus the analysis' `degraded` roots.
+    ///
+    /// Cache warnings stay out of the fold: an unusable cache entry only
+    /// means the root ran cold — the report is complete and exact, so the
+    /// run must not claim the degraded exit state.
+    fn finish<'a>(
+        mut self,
+        degraded: impl IntoIterator<Item = &'a Diagnostic>,
+        findings: bool,
+    ) -> Result<ExitCode, String> {
+        if let Some(cache) = &self.cache {
+            let mut diags = cache.take_diagnostics();
+            diags.sort();
+            for d in &diags {
+                eprintln!("{d}");
+            }
         }
+        self.diags.extend(degraded.into_iter().cloned());
+        self.outputs.emit(&self.rec, &self.tracer)?;
+        Ok(finish(&self.diags, findings))
     }
-    positional
 }
 
 /// Loads and layers the given `.jir` files with parse recovery: a
 /// malformed member or class is dropped and reported as a diagnostic
 /// instead of failing the load. Only I/O errors are fatal.
 fn load_program(
-    paths: &[&String],
+    paths: &[String],
     rec: &Recorder,
     diags: &mut Vec<Diagnostic>,
 ) -> Result<Program, String> {
@@ -635,32 +898,13 @@ fn print_report(s: &str) -> Result<(), String> {
     }
 }
 
-fn options_from(flags: &[&str]) -> Result<AnalysisOptions, String> {
-    let mut options = AnalysisOptions::default();
-    for f in flags {
-        match *f {
-            "--no-icp" => options.icp = false,
-            "--broad" => options.events = EventDef::Broad,
-            "--intra-only" => options.interprocedural = false,
-            other if other.starts_with("--name") => {}
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    Ok(options)
-}
-
-fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
-    // `check` runs no policy analysis; `--jobs` is accepted for interface
-    // uniformity with `analyze`/`diff`.
-    let (_jobs, args) = extract_jobs(args)?;
-    let (stats_opts, args) = extract_stats(&args)?;
-    let (trace_opts, args) = extract_trace(&args)?;
-    let rec = stats_opts.recorder();
-    let tracer = trace_opts.tracer();
-    let mut flags = Vec::new();
-    let paths = split_flags(&args, &mut flags);
-    reject_unknown_flags("check", &flags, &["--lint"])?;
-    let lint = flags.contains(&"--lint");
+fn cmd_check(p: &Parsed) -> Result<ExitCode, String> {
+    // `check` runs no policy analysis; `--jobs` is accepted (and checked)
+    // for interface uniformity with `analyze`/`diff`.
+    jobs(p)?;
+    let outputs = Outputs::new(p);
+    let rec = outputs.recorder();
+    let tracer = outputs.tracer();
     let mut diags = Vec::new();
     // `check` runs no engine, so the timeline is a single CLI lane with
     // load and call-graph phases.
@@ -671,7 +915,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     };
     let program = {
         let _span = lane.span("load", "cli");
-        load_program(&paths, &rec, &mut diags)?
+        load_program(&p.operands, &rec, &mut diags)?
     };
     let cg_span = lane.span("call-graph", "cli");
     let entries = spo_resolve::entry_points(&program);
@@ -694,7 +938,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
         stats.resolved_fraction() * 100.0,
     );
     let mut findings = false;
-    if lint {
+    if p.given(&LINT) {
         let lints = spo_resolve::lint_program(&program);
         for l in &lints {
             println!("lint: {} (stmt {}): {}", l.location, l.stmt, l.kind);
@@ -702,133 +946,56 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
         println!("{} lint finding(s)", lints.len());
         findings = !lints.is_empty();
     }
-    trace_opts.write(&tracer)?;
-    stats_opts.emit(&rec)?;
+    outputs.emit(&rec, &tracer)?;
     Ok(finish(&diags, findings))
 }
 
-fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
-    let (jobs, args) = extract_jobs(args)?;
-    let (stats_opts, args) = extract_stats(&args)?;
-    let (guard, args) = extract_guard(&args)?;
-    let (cache_dir, args) = extract_cache(&args)?;
-    let (trace_opts, args) = extract_trace(&args)?;
-    let rec = stats_opts.recorder();
-    let tracer = trace_opts.tracer();
-    let mut flags = Vec::new();
-    let paths = split_flags(&args, &mut flags);
-    let options = options_from(&flags)?;
-    let mut diags = Vec::new();
-    let program = load_program(&paths, &rec, &mut diags)?;
-    let engine = AnalysisEngine::new(jobs)
-        .with_recorder(rec.clone())
-        .with_guard(guard)
-        .with_tracer(tracer.clone());
-    let (engine, cache) = attach_cache(engine, &cache_dir)?;
-    let (lib, _stats) = engine.analyze_library(&program, "input", options);
-    report_cache_diags(&cache);
+fn cmd_analyze(p: &Parsed) -> Result<ExitCode, String> {
+    let mut run = Run::new(p)?;
+    let program = run.load(&p.operands)?;
+    let (lib, _stats) = run.engine.analyze_library(&program, "input", options(p));
     // The daemon's `analyze`/`query` responses embed this same string, so
     // resident and one-shot reports stay byte-identical by construction.
     print_report(&spo_core::render_analysis(&lib))?;
-    diags.extend(lib.degraded.values().cloned());
-    trace_opts.write(&tracer)?;
-    stats_opts.emit(&rec)?;
-    Ok(finish(&diags, false))
+    run.finish(lib.degraded.values(), false)
 }
 
-fn cmd_export(args: &[String]) -> Result<ExitCode, String> {
-    let (jobs, args) = extract_jobs(args)?;
-    let (stats_opts, args) = extract_stats(&args)?;
-    let (guard, args) = extract_guard(&args)?;
-    let (cache_dir, args) = extract_cache(&args)?;
-    let (trace_opts, args) = extract_trace(&args)?;
-    let rec = stats_opts.recorder();
-    let tracer = trace_opts.tracer();
-    let mut flags = Vec::new();
-    let mut name = "library".to_owned();
-    let mut positional: Vec<&String> = Vec::new();
-    let mut iter = args.iter().peekable();
-    while let Some(a) = iter.next() {
-        if a == "--name" {
-            name = iter.next().ok_or("--name needs a value")?.clone();
-        } else if a.starts_with("--") {
-            flags.push(a.as_str());
-        } else {
-            positional.push(a);
-        }
-    }
-    let options = options_from(&flags)?;
-    let mut diags = Vec::new();
-    let program = load_program(&positional, &rec, &mut diags)?;
-    let engine = AnalysisEngine::new(jobs)
-        .with_recorder(rec.clone())
-        .with_guard(guard)
-        .with_tracer(tracer.clone());
-    let (engine, cache) = attach_cache(engine, &cache_dir)?;
-    let (lib, _stats) = engine.analyze_library(&program, &name, options);
-    report_cache_diags(&cache);
+fn cmd_export(p: &Parsed) -> Result<ExitCode, String> {
+    let mut run = Run::new(p)?;
+    let program = run.load(&p.operands)?;
+    let name = p.value(&NAME).unwrap_or("library");
+    let (lib, _stats) = run.engine.analyze_library(&program, name, options(p));
     print_report(&export_policies(&lib))?;
-    diags.extend(lib.degraded.values().cloned());
-    trace_opts.write(&tracer)?;
-    stats_opts.emit(&rec)?;
-    Ok(finish(&diags, false))
+    run.finish(lib.degraded.values(), false)
 }
 
-fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
-    let (jobs, args) = extract_jobs(args)?;
-    let (stats_opts, args) = extract_stats(&args)?;
-    let (guard, args) = extract_guard(&args)?;
-    let (cache_dir, args) = extract_cache(&args)?;
-    let (trace_opts, args) = extract_trace(&args)?;
-    let rec = stats_opts.recorder();
-    let tracer = trace_opts.tracer();
-    let vs = args
-        .iter()
-        .position(|a| a == "--vs")
-        .ok_or("diff needs `--vs` separating the two implementations")?;
-    let mut flags = Vec::new();
-    let left_paths = split_flags(&args[..vs], &mut flags);
-    let right_paths = split_flags(&args[vs + 1..], &mut flags);
-    let html = flags.contains(&"--html");
-    let flags: Vec<&str> = flags.into_iter().filter(|f| *f != "--html").collect();
-    let options = options_from(&flags)?;
-    let mut diags = Vec::new();
-    let left = load_program(&left_paths, &rec, &mut diags)?;
-    let right = load_program(&right_paths, &rec, &mut diags)?;
-    let engine = AnalysisEngine::new(jobs)
-        .with_recorder(rec.clone())
-        .with_guard(guard)
-        .with_tracer(tracer.clone());
-    let (engine, cache) = attach_cache(engine, &cache_dir)?;
-    let report = compare_implementations_with(&left, "left", &right, "right", options, &engine);
-    report_cache_diags(&cache);
-    if html {
+fn cmd_diff(p: &Parsed) -> Result<ExitCode, String> {
+    let (left_paths, right_paths) = p.sides()?;
+    let mut run = Run::new(p)?;
+    let left = run.load(left_paths)?;
+    let right = run.load(right_paths)?;
+    let report =
+        compare_implementations_with(&left, "left", &right, "right", options(p), &run.engine);
+    if p.given(&HTML) {
         print_report(&spo_core::render_html(&report.diff, &report.groups))?;
     } else {
         print_report(&report.render())?;
     }
     // A degraded root on either side is excluded from that side's entries,
     // so the diff silently skips it; surface the exclusion instead.
-    diags.extend(report.left.degraded.values().cloned());
-    diags.extend(report.right.degraded.values().cloned());
-    trace_opts.write(&tracer)?;
-    stats_opts.emit(&rec)?;
-    Ok(finish(&diags, !report.groups.is_empty()))
+    let degraded = report.left.degraded.values();
+    run.finish(
+        degraded.chain(report.right.degraded.values()),
+        !report.groups.is_empty(),
+    )
 }
 
-fn cmd_throws(args: &[String]) -> Result<ExitCode, String> {
-    let vs = args
-        .iter()
-        .position(|a| a == "--vs")
-        .ok_or("throws needs `--vs` separating the two implementations")?;
-    let mut flags = Vec::new();
-    let left_paths = split_flags(&args[..vs], &mut flags);
-    let right_paths = split_flags(&args[vs + 1..], &mut flags);
-    reject_unknown_flags("throws", &flags, &[])?;
+fn cmd_throws(p: &Parsed) -> Result<ExitCode, String> {
+    let (left_paths, right_paths) = p.sides()?;
     let off = Recorder::disabled();
     let mut diags = Vec::new();
-    let left = load_program(&left_paths, &off, &mut diags)?;
-    let right = load_program(&right_paths, &off, &mut diags)?;
+    let left = load_program(left_paths, &off, &mut diags)?;
+    let right = load_program(right_paths, &off, &mut diags)?;
     let lt = spo_core::ThrowsAnalyzer::new(&left).analyze_library("left");
     let rt = spo_core::ThrowsAnalyzer::new(&right).analyze_library("right");
     let diffs = spo_core::diff_throws(&lt, &rt);
@@ -845,24 +1012,13 @@ fn cmd_throws(args: &[String]) -> Result<ExitCode, String> {
     Ok(finish(&diags, !diffs.is_empty()))
 }
 
-fn cmd_stats_validate(args: &[String]) -> Result<ExitCode, String> {
-    let mut schema = obs::SCHEMA.to_owned();
-    let mut paths: Vec<&String> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        if let Some(v) = flag_value(a, "--schema", &mut iter)? {
-            schema = v;
-        } else if a.starts_with("--") {
-            return Err(format!("unknown flag `{a}` for `stats-validate`"));
-        } else {
-            paths.push(a);
-        }
-    }
-    let [path] = paths[..] else {
+fn cmd_stats_validate(p: &Parsed) -> Result<ExitCode, String> {
+    let schema = p.value(&SCHEMA).unwrap_or(obs::SCHEMA);
+    let [path] = &p.operands[..] else {
         return Err("stats-validate needs exactly one snapshot JSON file".to_owned());
     };
     let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let validate = match schema.as_str() {
+    let validate = match schema {
         obs::SCHEMA => obs::json::validate_stats,
         obs::trace::TRACE_SCHEMA => obs::json::validate_trace,
         other => {
@@ -878,42 +1034,32 @@ fn cmd_stats_validate(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `spo cache (stats|clear) --cache-dir PATH`: inspect or empty the
-/// persistent summary cache without running an analysis.
-/// `spo cache export-index` compiles an analysis into a `.spi` index.
-fn cmd_cache(args: &[String]) -> Result<ExitCode, String> {
-    let action = args
-        .first()
-        .map(String::as_str)
-        .ok_or("cache needs an action: `stats`, `clear`, or `export-index`")?;
-    if action == "export-index" {
-        return cmd_cache_export_index(&args[1..]);
-    }
-    let (cache_dir, rest) = extract_cache(&args[1..])?;
-    if let Some(extra) = rest.first() {
+/// `spo cache (stats|clear) --cache-dir PATH`: opens the persistent
+/// summary cache to inspect or empty it without running an analysis.
+fn open_cache(p: &Parsed) -> Result<(PolicyCache, &str), String> {
+    if let Some(extra) = p.operands.first() {
         return Err(format!("cache: unexpected argument `{extra}`"));
     }
-    let dir = cache_dir.ok_or("cache: `--cache-dir PATH` is required")?;
-    let cache = PolicyCache::open(dir.as_str()).map_err(|e| format!("--cache-dir {dir}: {e}"))?;
-    match action {
-        "stats" => {
-            let (files, bytes) = cache
-                .disk_usage()
-                .map_err(|e| format!("--cache-dir {dir}: {e}"))?;
-            println!("{}: {files} entries, {bytes} bytes", cache.dir().display());
-        }
-        "clear" => {
-            let removed = cache
-                .clear()
-                .map_err(|e| format!("--cache-dir {dir}: {e}"))?;
-            println!("{}: removed {removed} entries", cache.dir().display());
-        }
-        other => {
-            return Err(format!(
-                "cache: unknown action `{other}` (use stats, clear, or export-index)"
-            ))
-        }
-    }
+    let dir = cache_dir(p).ok_or("cache: `--cache-dir PATH` is required")?;
+    let cache = PolicyCache::open(dir).map_err(|e| format!("--cache-dir {dir}: {e}"))?;
+    Ok((cache, dir))
+}
+
+fn cmd_cache_stats(p: &Parsed) -> Result<ExitCode, String> {
+    let (cache, dir) = open_cache(p)?;
+    let (files, bytes) = cache
+        .disk_usage()
+        .map_err(|e| format!("--cache-dir {dir}: {e}"))?;
+    println!("{}: {files} entries, {bytes} bytes", cache.dir().display());
+    Ok(ExitCode::SUCCESS)
+}
+
+fn cmd_cache_clear(p: &Parsed) -> Result<ExitCode, String> {
+    let (cache, dir) = open_cache(p)?;
+    let removed = cache
+        .clear()
+        .map_err(|e| format!("--cache-dir {dir}: {e}"))?;
+    println!("{}: removed {removed} entries", cache.dir().display());
     Ok(ExitCode::SUCCESS)
 }
 
@@ -922,27 +1068,12 @@ fn cmd_cache(args: &[String]) -> Result<ExitCode, String> {
 /// `spo-index/2` file. Compiling a degraded analysis is refused — an
 /// index is durable, so baking in a lower-bound answer would let it
 /// masquerade as the complete one forever after.
-fn cmd_cache_export_index(args: &[String]) -> Result<ExitCode, String> {
-    let (jobs, args) = extract_jobs(args)?;
-    let (guard, args) = extract_guard(&args)?;
-    let mut flags = Vec::new();
-    let mut name = "library".to_owned();
-    let mut out: Option<String> = None;
-    let mut positional: Vec<&String> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        if let Some(v) = flag_value(a, "--name", &mut iter)? {
-            name = v;
-        } else if let Some(v) = flag_value(a, "--out", &mut iter)? {
-            out = Some(v);
-        } else if a.starts_with("--") {
-            flags.push(a.as_str());
-        } else {
-            positional.push(a);
-        }
-    }
-    let out = out.ok_or("cache export-index: `--out PATH` is required")?;
-    let options = options_from(&flags)?;
+fn cmd_cache_export_index(p: &Parsed) -> Result<ExitCode, String> {
+    let out = p
+        .value(&OUT_SPI)
+        .ok_or("cache export-index: `--out PATH` is required")?;
+    let name = p.value(&NAME).unwrap_or("library");
+    let options = options(p);
     if !options.interprocedural {
         return Err(
             "cache export-index: drop `--intra-only` — the index always stores both the \
@@ -950,24 +1081,22 @@ fn cmd_cache_export_index(args: &[String]) -> Result<ExitCode, String> {
                 .to_owned(),
         );
     }
-    let rec = Recorder::disabled();
-    let mut diags = Vec::new();
-    let program = load_program(&positional, &rec, &mut diags)?;
-    if !diags.is_empty() {
-        for d in &diags {
+    let mut run = Run::new(p)?;
+    let program = run.load(&p.operands)?;
+    if !run.diags.is_empty() {
+        for d in &run.diags {
             eprintln!("{d}");
         }
         return Err(
             "cache export-index: refusing to compile an index from a degraded parse".to_owned(),
         );
     }
-    let engine = AnalysisEngine::new(jobs).with_guard(guard);
-    let (full, stats) = engine.analyze_library(&program, &name, options);
+    let (full, stats) = run.engine.analyze_library(&program, name, options);
     let intra_options = AnalysisOptions {
         interprocedural: false,
         ..options
     };
-    let (intra, _) = engine.analyze_library(&program, &name, intra_options);
+    let (intra, _) = run.engine.analyze_library(&program, name, intra_options);
     // Cone fingerprints let a later run detect staleness without
     // reanalysis; they use the same keyer as the summary cache.
     let roots = spo_resolve::entry_points(&program);
@@ -978,13 +1107,13 @@ fn cmd_cache_export_index(args: &[String]) -> Result<ExitCode, String> {
             fingerprints.insert(program.method_signature(root), key);
         }
     }
-    let bytes = spo_index::IndexBuilder::new(&name, &options, &full, &intra)
+    let bytes = spo_index::IndexBuilder::new(name, &options, &full, &intra)
         .fingerprints(&fingerprints)
         .build()
         .map_err(|e| format!("cache export-index: {e}"))?;
     // The cache's durable writer: a failed write leaves the previous
     // index at `out` untouched.
-    spo_index::write_index_file(std::path::Path::new(&out), &bytes, &spo_chaos::current())
+    spo_index::write_index_file(std::path::Path::new(out), &bytes, &spo_chaos::current())
         .result
         .map_err(|e| format!("{out}: {e}"))?;
     eprintln!(
@@ -993,20 +1122,6 @@ fn cmd_cache_export_index(args: &[String]) -> Result<ExitCode, String> {
         bytes.len(),
     );
     Ok(ExitCode::SUCCESS)
-}
-
-/// `spo index (query|diff)`: answer from a compiled `.spi` index without
-/// running the engine. Any parse/decode failure is fatal (exit 3) with a
-/// diagnostic naming the file — degraded, never wrong.
-fn cmd_index(args: &[String]) -> Result<ExitCode, String> {
-    match args.first().map(String::as_str) {
-        Some("query") => cmd_index_query(&args[1..]),
-        Some("diff") => cmd_index_diff(&args[1..]),
-        Some(other) => Err(format!(
-            "index: unknown action `{other}` (use query or diff)"
-        )),
-        None => Err("index needs an action: `query` or `diff`".to_owned()),
-    }
 }
 
 /// Reads and parses one index file, mapping every failure to a fatal
@@ -1019,39 +1134,30 @@ fn index_parse_err(path: &str, e: &str) -> String {
     format!("{path}: {e}; the index is unusable — re-export it or fall back to `spo analyze`/`spo diff`")
 }
 
-fn cmd_index_query(args: &[String]) -> Result<ExitCode, String> {
-    let mut index_path: Option<String> = None;
-    let mut roots: Vec<&String> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        if let Some(v) = flag_value(a, "--index", &mut iter)? {
-            index_path = Some(v);
-        } else if a.starts_with("--") {
-            return Err(format!("unknown argument `{a}` for `index query`"));
-        } else {
-            roots.push(a);
-        }
-    }
-    let path = index_path.ok_or("index query: `--index PATH` is required")?;
-    if roots.len() > 1 {
+/// `spo index (query|diff)`: answer from a compiled `.spi` index without
+/// running the engine. Any parse/decode failure is fatal (exit 3) with a
+/// diagnostic naming the file — degraded, never wrong.
+fn cmd_index_query(p: &Parsed) -> Result<ExitCode, String> {
+    let path = p
+        .value(&INDEX)
+        .ok_or("index query: `--index PATH` is required")?;
+    if p.operands.len() > 1 {
         return Err(format!(
             "index query takes at most one entry-point signature (got {})",
-            roots.len()
+            p.operands.len()
         ));
     }
-    let bytes = load_index_bytes(&path)?;
-    let index = spo_index::PolicyIndex::parse(&bytes).map_err(|e| index_parse_err(&path, &e))?;
-    match roots.first() {
+    let bytes = load_index_bytes(path)?;
+    let index = spo_index::PolicyIndex::parse(&bytes).map_err(|e| index_parse_err(path, &e))?;
+    match p.operands.first() {
         None => {
-            let report = index
-                .render_full()
-                .map_err(|e| index_parse_err(&path, &e))?;
+            let report = index.render_full().map_err(|e| index_parse_err(path, &e))?;
             print_report(&report)?;
         }
         Some(sig) => {
             let report = index
                 .query(sig)
-                .map_err(|e| index_parse_err(&path, &e))?
+                .map_err(|e| index_parse_err(path, &e))?
                 .ok_or_else(|| format!("no entry point \"{sig}\" in \"{}\"", index.library()))?;
             print_report(&report)?;
         }
@@ -1059,18 +1165,11 @@ fn cmd_index_query(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_index_diff(args: &[String]) -> Result<ExitCode, String> {
-    let mut paths: Vec<&String> = Vec::new();
-    for a in args {
-        if a.starts_with("--") {
-            return Err(format!("unknown argument `{a}` for `index diff`"));
-        }
-        paths.push(a);
-    }
-    let [left_path, right_path] = paths[..] else {
+fn cmd_index_diff(p: &Parsed) -> Result<ExitCode, String> {
+    let [left_path, right_path] = &p.operands[..] else {
         return Err(format!(
             "index diff needs exactly two .spi files (got {})",
-            paths.len()
+            p.operands.len()
         ));
     };
     let left_bytes = load_index_bytes(left_path)?;
@@ -1107,10 +1206,8 @@ fn cmd_index_diff(args: &[String]) -> Result<ExitCode, String> {
 
 /// `spo serve`: run the resident oracle daemon until a `shutdown` request
 /// or SIGINT/SIGTERM, then drain gracefully.
-fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
-    let (jobs, rest) = extract_jobs(args)?;
-    let (stats, rest) = extract_stats(&rest)?;
-    let (guard, rest) = extract_guard(&rest)?;
+fn cmd_serve(p: &Parsed) -> Result<ExitCode, String> {
+    let guard = guard(p)?;
     if guard.budget.deadline.is_some() {
         return Err(
             "--deadline/--timeout-ms: the daemon serves indefinitely; per-request deadlines \
@@ -1119,89 +1216,41 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
         );
     }
     let mut config = spo_serve::ServeConfig {
-        jobs,
+        jobs: jobs(p)?,
         guard,
         recorder: Recorder::new(),
+        socket: p.value(&SOCKET).map(Into::into),
+        tcp: p.value(&TCP).map(str::to_owned),
+        cache_dir: p.value(&CACHE_DIR).map(Into::into),
+        no_cache: p.given(&NO_CACHE),
+        default_timeout: p
+            .count(&DEFAULT_TIMEOUT_MS, "timeout", "for unlimited")?
+            .map(Duration::from_millis),
+        preload: p
+            .pairs(&LOAD)?
+            .into_iter()
+            .map(|(name, paths)| (name, paths.split(',').map(str::to_owned).collect()))
+            .collect(),
+        preload_index: p
+            .pairs(&SERVE_INDEX)?
+            .into_iter()
+            .map(|(name, path)| (name, path.into()))
+            .collect(),
+        workers: p
+            .count(&WORKERS, "worker count", "for the default")?
+            .unwrap_or_default(),
+        max_line_bytes: p
+            .count(&MAX_LINE_BYTES, "cap", "for the default")?
+            .unwrap_or_default(),
         ..spo_serve::ServeConfig::default()
     };
-    let mut iter = rest.iter();
-    while let Some(a) = iter.next() {
-        if let Some(v) = flag_value(a, "--socket", &mut iter)? {
-            config.socket = Some(v.into());
-        } else if let Some(v) = flag_value(a, "--tcp", &mut iter)? {
-            config.tcp = Some(v);
-        } else if let Some(v) = flag_value(a, "--workers", &mut iter)? {
-            config.workers = v
-                .parse()
-                .map_err(|_| format!("--workers: invalid worker count `{v}`"))?;
-            if config.workers == 0 {
-                return Err(
-                    "--workers: worker count must be at least 1 (omit the flag for the default)"
-                        .to_owned(),
-                );
-            }
-        } else if let Some(v) = flag_value(a, "--cache-dir", &mut iter)? {
-            config.cache_dir = Some(v.into());
-        } else if a == "--no-cache" {
-            config.no_cache = true;
-        } else if let Some(v) = flag_value(a, "--max-line-bytes", &mut iter)? {
-            config.max_line_bytes = v
-                .parse()
-                .map_err(|_| format!("--max-line-bytes: invalid byte count `{v}`"))?;
-            if config.max_line_bytes == 0 {
-                return Err(
-                    "--max-line-bytes: cap must be at least 1 (omit the flag for the default)"
-                        .to_owned(),
-                );
-            }
-        } else if let Some(v) = flag_value(a, "--drain-grace", &mut iter)? {
-            let secs: f64 = v
-                .parse()
-                .map_err(|_| format!("--drain-grace: invalid seconds `{v}`"))?;
-            if !secs.is_finite() || secs < 0.0 {
-                return Err(format!("--drain-grace: invalid seconds `{v}`"));
-            }
-            config.drain_grace = Duration::from_secs_f64(secs);
-        } else if let Some(v) = flag_value(a, "--default-timeout-ms", &mut iter)? {
-            let n: u64 = v
-                .parse()
-                .map_err(|_| format!("--default-timeout-ms: invalid milliseconds `{v}`"))?;
-            if n == 0 {
-                return Err(
-                    "--default-timeout-ms: timeout must be at least 1 (omit the flag for unlimited)"
-                        .to_owned(),
-                );
-            }
-            config.default_timeout = Some(Duration::from_millis(n));
-        } else if let Some(v) = flag_value(a, "--write-timeout-ms", &mut iter)? {
-            let n: u64 = v
-                .parse()
-                .map_err(|_| format!("--write-timeout-ms: invalid milliseconds `{v}`"))?;
-            // 0 disables the per-session write deadline (a stalled client
-            // can then hold a response writer forever — test use only).
-            config.write_timeout = (n > 0).then(|| Duration::from_millis(n));
-        } else if let Some(v) = flag_value(a, "--load", &mut iter)? {
-            let (name, paths) = v
-                .split_once('=')
-                .ok_or_else(|| format!("--load: expected NAME=FILE[,FILE...], got `{v}`"))?;
-            if name.is_empty() || paths.is_empty() {
-                return Err(format!("--load: expected NAME=FILE[,FILE...], got `{v}`"));
-            }
-            config.preload.push((
-                name.to_owned(),
-                paths.split(',').map(str::to_owned).collect(),
-            ));
-        } else if let Some(v) = flag_value(a, "--index", &mut iter)? {
-            let (name, path) = v
-                .split_once('=')
-                .ok_or_else(|| format!("--index: expected NAME=PATH.spi, got `{v}`"))?;
-            if name.is_empty() || path.is_empty() {
-                return Err(format!("--index: expected NAME=PATH.spi, got `{v}`"));
-            }
-            config.preload_index.push((name.to_owned(), path.into()));
-        } else {
-            return Err(format!("unknown argument `{a}` for `serve`"));
-        }
+    if let Some(grace) = p.seconds(&DRAIN_GRACE)? {
+        config.drain_grace = grace;
+    }
+    if let Some(ms) = p.read::<u64>(&WRITE_TIMEOUT_MS, "milliseconds")? {
+        // 0 disables the per-session write deadline (a stalled client
+        // can then hold a response writer forever — test use only).
+        config.write_timeout = (ms > 0).then(|| Duration::from_millis(ms));
     }
     let recorder = config.recorder.clone();
     let report = spo_serve::run(config)?;
@@ -1212,7 +1261,7 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
         report.drained_in,
         if report.graceful { "" } else { " (forced)" }
     );
-    stats.emit(&recorder)?;
+    Outputs::new(p).emit(&recorder, &Tracer::disabled())?;
     Ok(if report.graceful {
         ExitCode::SUCCESS
     } else {
@@ -1235,6 +1284,35 @@ struct RpcConn {
     reader: std::io::BufReader<Box<dyn std::io::Read>>,
 }
 
+/// Connects to the daemon named by exactly one of `--socket PATH` or
+/// `--tcp ADDR`.
+fn connect(p: &Parsed) -> Result<RpcConn, String> {
+    let (writer, reader): (Box<dyn std::io::Write>, Box<dyn std::io::Read>) =
+        match (p.value(&SOCKET), p.value(&TCP)) {
+            (Some(path), None) => {
+                let s = std::os::unix::net::UnixStream::connect(path)
+                    .map_err(|e| format!("{path}: {e}"))?;
+                let r = s.try_clone().map_err(|e| format!("{path}: {e}"))?;
+                (Box::new(s), Box::new(r))
+            }
+            (None, Some(addr)) => {
+                let s = std::net::TcpStream::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
+                let r = s.try_clone().map_err(|e| format!("{addr}: {e}"))?;
+                (Box::new(s), Box::new(r))
+            }
+            _ => {
+                return Err(format!(
+                    "{} needs exactly one of --socket PATH or --tcp ADDR",
+                    p.command
+                ))
+            }
+        };
+    Ok(RpcConn {
+        writer,
+        reader: std::io::BufReader::new(reader),
+    })
+}
+
 /// `spo rpc`: send request lines to a running daemon in lock-step and
 /// print each response. Exit code folds the response statuses: any
 /// `error` -> 3, else any `degraded` -> 2, else 0.
@@ -1244,62 +1322,15 @@ struct RpcConn {
 /// [`RPC_IDEMPOTENT`] methods, and only until `--retries` attempts are
 /// spent. Reconnects are surfaced on stderr, never stdout: a retried
 /// run's stdout stays byte-identical to an undisturbed one.
-fn cmd_rpc(args: &[String]) -> Result<ExitCode, String> {
-    let mut socket: Option<String> = None;
-    let mut tcp: Option<String> = None;
-    let mut stats_json: Option<String> = None;
-    let mut retries: u32 = 5;
-    let mut retry_base = Duration::from_millis(50);
-    let mut requests: Vec<String> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        if let Some(v) = flag_value(a, "--socket", &mut iter)? {
-            socket = Some(v);
-        } else if let Some(v) = flag_value(a, "--tcp", &mut iter)? {
-            tcp = Some(v);
-        } else if let Some(v) = flag_value(a, "--stats-json", &mut iter)? {
-            stats_json = Some(v);
-        } else if let Some(v) = flag_value(a, "--retries", &mut iter)? {
-            retries = v
-                .parse()
-                .map_err(|_| format!("--retries: invalid retry count `{v}` (0 disables)"))?;
-        } else if let Some(v) = flag_value(a, "--retry-base-ms", &mut iter)? {
-            let n: u64 = v
-                .parse()
-                .map_err(|_| format!("--retry-base-ms: invalid milliseconds `{v}`"))?;
-            retry_base = Duration::from_millis(n);
-        } else if a.starts_with("--") {
-            return Err(format!("unknown flag `{a}` for `rpc`"));
-        } else {
-            requests.push(a.clone());
-        }
-    }
+fn cmd_rpc(p: &Parsed) -> Result<ExitCode, String> {
+    let stats_json = p.value(&STATS_JSON);
+    let retries: u32 = p.read(&RETRIES, "retry count")?.unwrap_or(5);
+    let retry_base = Duration::from_millis(p.read(&RETRY_BASE_MS, "milliseconds")?.unwrap_or(50));
+    let requests = &p.operands;
     if requests.is_empty() {
         return Err("rpc needs at least one request line".to_owned());
     }
     use std::io::{BufRead, Write};
-    let connect = || -> Result<RpcConn, String> {
-        match (&socket, &tcp) {
-            (Some(path), None) => {
-                let s = std::os::unix::net::UnixStream::connect(path)
-                    .map_err(|e| format!("{path}: {e}"))?;
-                let r = s.try_clone().map_err(|e| format!("{path}: {e}"))?;
-                Ok(RpcConn {
-                    writer: Box::new(s),
-                    reader: std::io::BufReader::new(Box::new(r) as Box<dyn std::io::Read>),
-                })
-            }
-            (None, Some(addr)) => {
-                let s = std::net::TcpStream::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
-                let r = s.try_clone().map_err(|e| format!("{addr}: {e}"))?;
-                Ok(RpcConn {
-                    writer: Box::new(s),
-                    reader: std::io::BufReader::new(Box::new(r) as Box<dyn std::io::Read>),
-                })
-            }
-            _ => Err("rpc needs exactly one of --socket PATH or --tcp ADDR".to_owned()),
-        }
-    };
     // Jitter decorrelates concurrent clients hammering a restarting
     // daemon; correctness never depends on the values drawn.
     let mut rng = spo_rng::SmallRng::seed_from_u64(
@@ -1309,10 +1340,10 @@ fn cmd_rpc(args: &[String]) -> Result<ExitCode, String> {
                 .map(|d| d.subsec_nanos() as u64)
                 .unwrap_or(0),
     );
-    let mut conn: Option<RpcConn> = Some(connect()?);
+    let mut conn: Option<RpcConn> = Some(connect(p)?);
     let mut reconnects: u64 = 0;
     let mut exit = 0u8;
-    for request in &requests {
+    for request in requests {
         let method = obs::json::parse(request)
             .ok()
             .and_then(|doc| {
@@ -1325,11 +1356,10 @@ fn cmd_rpc(args: &[String]) -> Result<ExitCode, String> {
         let mut attempt: u32 = 0;
         let response = loop {
             let step = (|| -> std::io::Result<String> {
-                if conn.is_none() {
-                    let fresh = connect().map_err(std::io::Error::other)?;
-                    conn = Some(fresh);
-                }
-                let c = conn.as_mut().expect("connection established above");
+                let c = match conn.take() {
+                    Some(c) => conn.insert(c),
+                    None => conn.insert(connect(p).map_err(std::io::Error::other)?),
+                };
                 writeln!(c.writer, "{request}")?;
                 c.writer.flush()?;
                 let mut response = String::new();
@@ -1392,7 +1422,7 @@ fn cmd_rpc(args: &[String]) -> Result<ExitCode, String> {
             _ => exit = exit.max(EXIT_FATAL),
         }
         if let (Some(path), Some(stats)) =
-            (&stats_json, doc.get("result").and_then(|r| r.get("stats")))
+            (stats_json, doc.get("result").and_then(|r| r.get("stats")))
         {
             let mut payload = stats.to_compact();
             payload.push('\n');
@@ -1409,51 +1439,21 @@ fn cmd_rpc(args: &[String]) -> Result<ExitCode, String> {
 /// running daemon (the request must have carried a `trace_id`). Prints
 /// the `spo-trace/1` document to stdout, or writes it to `--out PATH` —
 /// ready to load in Perfetto or chrome://tracing.
-fn cmd_trace(args: &[String]) -> Result<ExitCode, String> {
-    let mut socket: Option<String> = None;
-    let mut tcp: Option<String> = None;
-    let mut trace_id: Option<String> = None;
-    let mut out_path: Option<String> = None;
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        if let Some(v) = flag_value(a, "--socket", &mut iter)? {
-            socket = Some(v);
-        } else if let Some(v) = flag_value(a, "--tcp", &mut iter)? {
-            tcp = Some(v);
-        } else if let Some(v) = flag_value(a, "--trace-id", &mut iter)? {
-            trace_id = Some(v);
-        } else if let Some(v) = flag_value(a, "--out", &mut iter)? {
-            out_path = Some(v);
-        } else {
-            return Err(format!("unknown argument `{a}` for `trace`"));
-        }
-    }
-    use std::io::{BufRead, BufReader, Read, Write};
-    let (mut writer, reader): (Box<dyn Write>, Box<dyn Read>) = match (&socket, &tcp) {
-        (Some(path), None) => {
-            let s = std::os::unix::net::UnixStream::connect(path)
-                .map_err(|e| format!("{path}: {e}"))?;
-            let r = s.try_clone().map_err(|e| format!("{path}: {e}"))?;
-            (Box::new(s), Box::new(r))
-        }
-        (None, Some(addr)) => {
-            let s = std::net::TcpStream::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
-            let r = s.try_clone().map_err(|e| format!("{addr}: {e}"))?;
-            (Box::new(s), Box::new(r))
-        }
-        _ => return Err("trace needs exactly one of --socket PATH or --tcp ADDR".to_owned()),
-    };
-    let request = match &trace_id {
+fn cmd_trace(p: &Parsed) -> Result<ExitCode, String> {
+    use std::io::{BufRead, Write};
+    let mut conn = connect(p)?;
+    let request = match p.value(&TRACE_ID) {
         Some(id) => format!(
             r#"{{"spo-rpc":1,"id":0,"method":"trace","params":{{"trace_id":"{}"}}}}"#,
             obs::json::escape(id)
         ),
         None => r#"{"spo-rpc":1,"id":0,"method":"trace"}"#.to_owned(),
     };
-    writeln!(writer, "{request}").map_err(|e| format!("send: {e}"))?;
-    writer.flush().map_err(|e| format!("send: {e}"))?;
+    writeln!(conn.writer, "{request}").map_err(|e| format!("send: {e}"))?;
+    conn.writer.flush().map_err(|e| format!("send: {e}"))?;
     let mut response = String::new();
-    let n = BufReader::new(reader)
+    let n = conn
+        .reader
         .read_line(&mut response)
         .map_err(|e| format!("receive: {e}"))?;
     if n == 0 {
@@ -1478,7 +1478,7 @@ fn cmd_trace(args: &[String]) -> Result<ExitCode, String> {
         .get("trace_id")
         .and_then(obs::json::Value::as_str)
         .unwrap_or("?");
-    match &out_path {
+    match p.value(&OUT) {
         Some(path) => {
             let mut payload = capture;
             payload.push('\n');
@@ -1494,8 +1494,8 @@ fn cmd_trace(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_diff_policies(args: &[String]) -> Result<ExitCode, String> {
-    let [left_path, right_path] = args else {
+fn cmd_diff_policies(p: &Parsed) -> Result<ExitCode, String> {
+    let [left_path, right_path] = &p.operands[..] else {
         return Err("diff-policies needs exactly two policy files".to_owned());
     };
     let read = |p: &String| std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"));
@@ -1607,16 +1607,6 @@ class chaos.Y {
 }
 "#;
 
-/// `spo chaos <action>`: fault-injection tooling. `soak` is the only
-/// action today.
-fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
-    match args.first().map(String::as_str) {
-        Some("soak") => chaos_soak(&args[1..]),
-        Some(other) => Err(format!("chaos: unknown action `{other}` (use soak)")),
-        None => Err("chaos needs an action: `soak`".to_owned()),
-    }
-}
-
 /// One soak schedule's invariant violation.
 struct SoakViolation {
     why: String,
@@ -1653,34 +1643,14 @@ const SOAK_RPC_REQUESTS: [&str; 2] = [
 /// no panic escapes, exit codes keep their contract, surviving output is
 /// byte-identical to a clean run, and the cache self-heals. Every
 /// schedule derives from `--seed`, so a red run replays exactly.
-fn chaos_soak(args: &[String]) -> Result<ExitCode, String> {
-    let mut seed: u64 = 1;
-    let mut schedules: u64 = 200;
-    let mut rate: f64 = 0.3;
-    let mut keep_going = false;
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        if let Some(v) = flag_value(a, "--seed", &mut iter)? {
-            seed = v
-                .parse()
-                .map_err(|_| format!("--seed: invalid seed `{v}`"))?;
-        } else if let Some(v) = flag_value(a, "--schedules", &mut iter)? {
-            schedules = v
-                .parse()
-                .map_err(|_| format!("--schedules: invalid count `{v}`"))?;
-        } else if let Some(v) = flag_value(a, "--rate", &mut iter)? {
-            rate = v
-                .parse()
-                .map_err(|_| format!("--rate: invalid probability `{v}`"))?;
-            if !(0.0..=1.0).contains(&rate) {
-                return Err(format!("--rate: probability `{v}` out of [0, 1]"));
-            }
-        } else if a == "--keep-going" {
-            keep_going = true;
-        } else {
-            return Err(format!("unknown argument `{a}` for `chaos soak`"));
-        }
+fn chaos_soak(p: &Parsed) -> Result<ExitCode, String> {
+    let seed: u64 = p.read(&SEED, "seed")?.unwrap_or(1);
+    let schedules: u64 = p.read(&SCHEDULES, "count")?.unwrap_or(200);
+    let rate: f64 = p.read(&RATE, "probability")?.unwrap_or(0.3);
+    if !(0.0..=1.0).contains(&rate) {
+        return Err(format!("--rate: probability `{rate}` out of [0, 1]"));
     }
+    let keep_going = p.given(&KEEP_GOING);
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let work = std::env::temp_dir().join(format!("spo-chaos-soak-{}", std::process::id()));
     std::fs::create_dir_all(&work).map_err(|e| format!("{}: {e}", work.display()))?;
@@ -2234,37 +2204,51 @@ mod tests {
         args.iter().map(|s| (*s).to_owned()).collect()
     }
 
+    fn command(name: &str) -> &'static Command {
+        COMMANDS
+            .iter()
+            .find(|c| c.name == name)
+            .expect("a command row")
+    }
+
     #[test]
     fn extract_jobs_space_form() {
-        let (jobs, rest) = extract_jobs(&argv(&["a.jir", "--jobs", "4", "--lint"])).unwrap();
-        assert_eq!(jobs, 4);
-        assert_eq!(rest, argv(&["a.jir", "--lint"]));
+        let p = command("check")
+            .parse(&argv(&["a.jir", "--jobs", "4", "--lint"]))
+            .unwrap();
+        assert_eq!(jobs(&p).unwrap(), 4);
+        assert_eq!(p.operands, argv(&["a.jir"]));
+        assert!(p.given(&LINT));
     }
 
     #[test]
     fn extract_jobs_equals_form() {
-        let (jobs, rest) = extract_jobs(&argv(&["--jobs=2", "a.jir"])).unwrap();
-        assert_eq!(jobs, 2);
-        assert_eq!(rest, argv(&["a.jir"]));
+        let p = command("check")
+            .parse(&argv(&["--jobs=2", "a.jir"]))
+            .unwrap();
+        assert_eq!(jobs(&p).unwrap(), 2);
+        assert_eq!(p.operands, argv(&["a.jir"]));
     }
 
     #[test]
     fn extract_jobs_absent_defaults_to_all_cpus() {
-        let (jobs, rest) = extract_jobs(&argv(&["a.jir"])).unwrap();
-        assert_eq!(jobs, 0);
-        assert_eq!(rest, argv(&["a.jir"]));
+        let p = command("check").parse(&argv(&["a.jir"])).unwrap();
+        assert_eq!(jobs(&p).unwrap(), 0);
+        assert_eq!(p.operands, argv(&["a.jir"]));
     }
 
     #[test]
     fn extract_jobs_missing_value_is_an_error() {
-        let err = extract_jobs(&argv(&["a.jir", "--jobs"])).unwrap_err();
+        let err = command("check")
+            .parse(&argv(&["a.jir", "--jobs"]))
+            .unwrap_err();
         assert!(err.contains("--jobs needs a value"), "{err}");
     }
 
     #[test]
     fn extract_jobs_rejects_zero() {
         for form in [&["--jobs", "0"][..], &["--jobs=0"][..]] {
-            let err = extract_jobs(&argv(form)).unwrap_err();
+            let err = jobs(&command("check").parse(&argv(form)).unwrap()).unwrap_err();
             assert!(err.contains("at least 1"), "{err}");
         }
     }
@@ -2272,38 +2256,47 @@ mod tests {
     #[test]
     fn extract_jobs_rejects_non_numeric() {
         for bad in ["many", "-3", "2.5", ""] {
-            let err = extract_jobs(&argv(&["--jobs", bad])).unwrap_err();
+            let err = jobs(&command("check").parse(&argv(&["--jobs", bad])).unwrap()).unwrap_err();
             assert!(err.contains("invalid worker count"), "{bad}: {err}");
         }
     }
 
     #[test]
     fn extract_stats_both_forms() {
-        let (opts, rest) =
-            extract_stats(&argv(&["a.jir", "--stats", "--stats-json", "out.json"])).unwrap();
+        let p = command("check")
+            .parse(&argv(&["a.jir", "--stats", "--stats-json", "out.json"]))
+            .unwrap();
+        let opts = Outputs::new(&p);
         assert!(opts.human);
         assert_eq!(opts.json_path.as_deref(), Some("out.json"));
         assert!(opts.enabled());
-        assert_eq!(rest, argv(&["a.jir"]));
+        assert_eq!(p.operands, argv(&["a.jir"]));
 
-        let (opts, rest) = extract_stats(&argv(&["--stats-json=x.json", "a.jir"])).unwrap();
+        let p = command("check")
+            .parse(&argv(&["--stats-json=x.json", "a.jir"]))
+            .unwrap();
+        let opts = Outputs::new(&p);
         assert!(!opts.human);
         assert_eq!(opts.json_path.as_deref(), Some("x.json"));
-        assert_eq!(rest, argv(&["a.jir"]));
+        assert_eq!(p.operands, argv(&["a.jir"]));
     }
 
     #[test]
     fn extract_stats_absent_is_disabled() {
-        let (opts, rest) = extract_stats(&argv(&["a.jir", "--lint"])).unwrap();
+        let p = command("check").parse(&argv(&["a.jir", "--lint"])).unwrap();
+        let opts = Outputs::new(&p);
         assert!(!opts.enabled());
         assert!(!opts.recorder().is_enabled());
-        assert_eq!(rest, argv(&["a.jir", "--lint"]));
+        assert_eq!(p.operands, argv(&["a.jir"]));
+        assert!(p.given(&LINT));
     }
 
     #[test]
     fn extract_stats_missing_path_is_an_error() {
-        let err = extract_stats(&argv(&["--stats-json"])).unwrap_err();
-        assert!(err.contains("needs a file path"), "{err}");
+        let err = command("check")
+            .parse(&argv(&["--stats-json"]))
+            .unwrap_err();
+        assert!(err.contains("--stats-json needs a value"), "{err}");
     }
 
     #[test]
@@ -2318,7 +2311,7 @@ mod tests {
             &["--timeout-ms", "0"][..],
             &["--timeout-ms=0"][..],
         ] {
-            let err = extract_guard(&argv(form)).unwrap_err();
+            let err = guard(&command("analyze").parse(&argv(form)).unwrap()).unwrap_err();
             assert!(err.contains("at least 1"), "{form:?}: {err}");
             assert!(
                 err.contains("omit the flag for unlimited"),
@@ -2329,67 +2322,191 @@ mod tests {
 
     #[test]
     fn extract_guard_accepts_positive_budgets() {
-        let (guard, rest) = extract_guard(&argv(&[
-            "a.jir",
-            "--budget-steps",
-            "5",
-            "--budget-frames=7",
-        ]))
-        .unwrap();
+        let p = command("analyze")
+            .parse(&argv(&[
+                "a.jir",
+                "--budget-steps",
+                "5",
+                "--budget-frames=7",
+            ]))
+            .unwrap();
+        let guard = guard(&p).unwrap();
         assert_eq!(guard.budget.max_steps, 5);
         assert_eq!(guard.budget.max_frames, 7);
-        assert_eq!(rest, argv(&["a.jir"]));
+        assert_eq!(p.operands, argv(&["a.jir"]));
     }
 
     #[test]
     fn extract_guard_timeout_ms_sets_a_deadline() {
-        let (guard, rest) = extract_guard(&argv(&["a.jir", "--timeout-ms", "250"])).unwrap();
-        let deadline = guard.budget.deadline.expect("deadline set");
+        let p = command("analyze")
+            .parse(&argv(&["a.jir", "--timeout-ms", "250"]))
+            .unwrap();
+        let deadline = guard(&p).unwrap().budget.deadline.expect("deadline set");
         assert!(deadline <= std::time::Instant::now() + Duration::from_millis(250));
-        assert_eq!(rest, argv(&["a.jir"]));
+        assert_eq!(p.operands, argv(&["a.jir"]));
     }
 
     #[test]
     fn extract_cache_both_forms() {
-        let (dir, rest) = extract_cache(&argv(&["a.jir", "--cache-dir", "/tmp/c"])).unwrap();
-        assert_eq!(dir.as_deref(), Some("/tmp/c"));
-        assert_eq!(rest, argv(&["a.jir"]));
+        let p = command("analyze")
+            .parse(&argv(&["a.jir", "--cache-dir", "/tmp/c"]))
+            .unwrap();
+        assert_eq!(cache_dir(&p), Some("/tmp/c"));
+        assert_eq!(p.operands, argv(&["a.jir"]));
 
-        let (dir, rest) = extract_cache(&argv(&["--cache-dir=/tmp/c", "a.jir"])).unwrap();
-        assert_eq!(dir.as_deref(), Some("/tmp/c"));
-        assert_eq!(rest, argv(&["a.jir"]));
+        let p = command("analyze")
+            .parse(&argv(&["--cache-dir=/tmp/c", "a.jir"]))
+            .unwrap();
+        assert_eq!(cache_dir(&p), Some("/tmp/c"));
+        assert_eq!(p.operands, argv(&["a.jir"]));
     }
 
     #[test]
     fn extract_cache_no_cache_wins() {
-        let (dir, rest) =
-            extract_cache(&argv(&["--cache-dir", "/tmp/c", "--no-cache", "a.jir"])).unwrap();
-        assert_eq!(dir, None);
-        assert_eq!(rest, argv(&["a.jir"]));
+        let p = command("analyze")
+            .parse(&argv(&["--cache-dir", "/tmp/c", "--no-cache", "a.jir"]))
+            .unwrap();
+        assert_eq!(cache_dir(&p), None);
+        assert_eq!(p.operands, argv(&["a.jir"]));
     }
 
     #[test]
     fn extract_cache_missing_value_is_an_error() {
-        let err = extract_cache(&argv(&["--cache-dir"])).unwrap_err();
+        let err = command("analyze")
+            .parse(&argv(&["--cache-dir"]))
+            .unwrap_err();
         assert!(err.contains("--cache-dir needs a value"), "{err}");
     }
 
     #[test]
     fn unknown_flags_are_named_in_the_error() {
-        let err = reject_unknown_flags("check", &["--lint", "--wat"], &["--lint"]).unwrap_err();
+        let err = command("check")
+            .parse(&argv(&["--lint", "--wat"]))
+            .unwrap_err();
         assert!(err.contains("--wat"), "{err}");
         assert!(err.contains("check"), "{err}");
         // `=value` forms report the bare flag name.
-        let err = reject_unknown_flags("throws", &["--frob=3"], &[]).unwrap_err();
+        let err = command("throws").parse(&argv(&["--frob=3"])).unwrap_err();
         assert!(err.contains("unknown flag `--frob`"), "{err}");
     }
 
     #[test]
     fn guard_flags_get_a_pointed_rejection_from_check() {
-        for f in GUARD_FLAG_NAMES {
-            let err = reject_unknown_flags("check", &[f], &["--lint"]).unwrap_err();
-            assert!(err.contains(f), "{err}");
+        for f in GUARD {
+            let err = command("check").parse(&argv(&[f.name])).unwrap_err();
+            assert!(err.contains(f.name), "{err}");
             assert!(err.contains("no policy analysis"), "{err}");
         }
+    }
+
+    /// The `--help` synopsis and the parser read the same rows: every
+    /// flag a command takes (test hooks aside) is on its line, and every
+    /// flag on its line parses for it.
+    #[test]
+    fn usage_lines_match_the_parser() {
+        let usage = usage();
+        for command in &COMMANDS {
+            let line = command.synopsis();
+            assert!(usage.contains(&format!("  {line}\n")), "{line}");
+            let words: Vec<&str> = line.split_whitespace().collect();
+            for flag in command.accepted().filter(|f| !f.hidden) {
+                assert!(
+                    words
+                        .iter()
+                        .any(|w| w.trim_matches(['[', ']']) == flag.name),
+                    "`{}` missing from: {line}",
+                    flag.name
+                );
+            }
+            for (i, word) in words.iter().enumerate() {
+                let name = word.trim_start_matches('[');
+                if !name.starts_with("--") {
+                    continue;
+                }
+                let name = name.trim_end_matches(']');
+                let takes_value = !word.ends_with(']')
+                    && words
+                        .get(i + 1)
+                        .is_some_and(|next| !next.starts_with(['[', '<', '-']));
+                let args = if takes_value {
+                    argv(&[name, "1"])
+                } else {
+                    argv(&[name])
+                };
+                let p = command
+                    .parse(&args)
+                    .unwrap_or_else(|e| panic!("{line}: {args:?}: {e}"));
+                if name == "--vs" {
+                    assert_eq!(p.operands, args, "{line}");
+                } else {
+                    assert_eq!(p.flags, [(name, args[1..].concat())], "{line}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn values_take_both_forms_and_switches_take_none() {
+        for command in &COMMANDS {
+            for flag in command.accepted() {
+                let name = flag.name;
+                let equals = command.parse(&argv(&[&format!("{name}=v")]));
+                if flag.value.is_some() {
+                    let spaced = command.parse(&argv(&[name, "v"])).unwrap();
+                    assert_eq!(equals.unwrap().flags, spaced.flags, "{name}");
+                } else {
+                    let err = equals.unwrap_err();
+                    assert!(err.contains(&format!("{name} takes no value")), "{err}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn repeatable_flags_collect_and_others_keep_the_last() {
+        let p = command("analyze")
+            .parse(&argv(&[
+                "--inject-panic",
+                "a",
+                "--jobs=2",
+                "--inject-panic=b",
+                "--jobs",
+                "3",
+            ]))
+            .unwrap();
+        assert_eq!(guard(&p).unwrap().inject_panics, argv(&["a", "b"]));
+        assert_eq!(jobs(&p).unwrap(), 3);
+
+        let p = command("serve")
+            .parse(&argv(&["--load", "x=a.jir,b.jir", "--load=y=c.jir"]))
+            .unwrap();
+        assert_eq!(
+            p.pairs(&LOAD).unwrap(),
+            [("x", "a.jir,b.jir"), ("y", "c.jir")].map(|(k, v)| (k.to_owned(), v.to_owned()))
+        );
+        let p = command("serve")
+            .parse(&argv(&["--index", "=lib.spi"]))
+            .unwrap();
+        let err = p.pairs(&SERVE_INDEX).unwrap_err();
+        assert!(err.contains("expected NAME=PATH.spi"), "{err}");
+    }
+
+    #[test]
+    fn flags_sit_on_either_side_of_vs() {
+        let p = command("diff")
+            .parse(&argv(&["a.jir", "--jobs", "2", "--vs", "--html", "b.jir"]))
+            .unwrap();
+        let (left, right) = p.sides().unwrap();
+        assert_eq!(
+            (left, right),
+            (&argv(&["a.jir"])[..], &argv(&["b.jir"])[..])
+        );
+        assert!(p.given(&HTML));
+        // Only commands whose operands are two implementations split at
+        // `--vs`; elsewhere it is an unknown flag.
+        let err = command("analyze")
+            .parse(&argv(&["a.jir", "--vs", "b.jir"]))
+            .unwrap_err();
+        assert!(err.contains("unknown flag `--vs` for `analyze`"), "{err}");
     }
 }

@@ -744,6 +744,61 @@ fn unknown_flags_are_rejected_not_swallowed() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("lint finding"));
 }
 
+/// `--name=NAME` used to be swallowed by `export` (the report said
+/// `library library`); both forms now name the exported library.
+#[test]
+fn export_name_equals_form_matches_space_form() {
+    let f = write_temp("export-name.jir", CHECKED);
+    let path = f.to_str().unwrap();
+    let spaced = spo(&["export", path, "--name", "vendor-a"]);
+    let equals = spo(&["export", path, "--name=vendor-a"]);
+    assert!(spaced.status.success(), "{spaced:?}");
+    assert!(equals.status.success(), "{equals:?}");
+    assert!(String::from_utf8_lossy(&spaced.stdout).contains("library vendor-a\n"));
+    assert_eq!(equals.stdout, spaced.stdout);
+}
+
+/// `analyze` and `diff` take no `--name`: any `--name*` flag used to be
+/// ignored (or, in the space form, read its value as an input file).
+#[test]
+fn analyze_and_diff_reject_flags_they_do_not_take() {
+    let f = write_temp("name-flags.jir", CHECKED);
+    let path = f.to_str().unwrap();
+    for (command, args) in [
+        ("analyze", vec!["analyze", path, "--namespace"]),
+        ("analyze", vec!["analyze", path, "--name", "foo"]),
+        ("diff", vec!["diff", path, "--vs", path, "--name=x"]),
+    ] {
+        let out = spo(&args);
+        assert_eq!(out.status.code(), Some(3), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown flag `--name"), "{stderr}");
+        assert!(stderr.contains(&format!("for `{command}`")), "{stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}
+
+/// A switch given `=VALUE` is a usage error; it used to run silently
+/// without the switch, or report it as an unknown flag.
+#[test]
+fn switches_reject_values() {
+    let f = write_temp("switch-values.jir", CHECKED);
+    let path = f.to_str().unwrap();
+    for (flag, args) in [
+        ("--lint", vec!["check", path, "--lint=1"]),
+        ("--stats", vec!["check", path, "--stats=1"]),
+        ("--html", vec!["diff", path, "--vs", path, "--html=1"]),
+    ] {
+        let out = spo(&args);
+        assert_eq!(out.status.code(), Some(3), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{flag} takes no value")),
+            "{stderr}"
+        );
+    }
+}
+
 /// `spo analyze ... | head -1`: when the reader hangs up after one line,
 /// the analysis must exit with its verdict, not die on SIGPIPE or panic
 /// on the failed stdout write. The child writes a report much larger than
