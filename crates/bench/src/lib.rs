@@ -80,11 +80,11 @@ pub struct DerivedCosts {
     pub memo_hits: u64,
     /// Summary-memo misses (`ispa.memo.misses`).
     pub memo_misses: u64,
-    /// Shared-store lookup hits, MAY + MUST (`store.*.hits`).
+    /// Shared-store lookup hits (`store.hits`).
     pub store_hits: u64,
-    /// Shared-store lookup misses, MAY + MUST (`store.*.misses`).
+    /// Shared-store lookup misses (`store.misses`).
     pub store_misses: u64,
-    /// Shared-store contended shard acquisitions (`store.*.contended`).
+    /// Shared-store contended shard acquisitions (`store.contended`).
     pub store_contended: u64,
     /// Committed frames (`fixpoint.transfers` observation count).
     pub frames: u64,
@@ -103,9 +103,9 @@ impl DerivedCosts {
         DerivedCosts {
             memo_hits: work("ispa.memo.hits"),
             memo_misses: work("ispa.memo.misses"),
-            store_hits: work("store.may.hits") + work("store.must.hits"),
-            store_misses: work("store.may.misses") + work("store.must.misses"),
-            store_contended: work("store.may.contended") + work("store.must.contended"),
+            store_hits: work("store.hits"),
+            store_misses: work("store.misses"),
+            store_contended: work("store.contended"),
             frames: transfers.count,
             fixpoint_transfers: transfers.sum,
             fixpoint_repasses: hist("fixpoint.repasses").sum,

@@ -2,7 +2,8 @@
 //!
 //! For each API entry point the analyzer computes, per security-sensitive
 //! event, the checks that **may** (∪-joined, disjunctive [`Dnf`]) and
-//! **must** (∩-joined [`MustSet`]) precede it. The analysis is flow- and
+//! **must** (∩-joined [`MustSet`]) precede it, both sides carried through
+//! one worklist per method frame. The analysis is flow- and
 //! context-sensitive, propagates constants inter-procedurally through
 //! parameter binding, ignores checks inside privileged regions, skips call
 //! sites that do not resolve to a unique target, cuts recursion, and
@@ -13,15 +14,14 @@ use crate::events::{EventDef, EventKey};
 use crate::policy::{AnalysisStats, EntryPolicy, EventPolicy, LibraryPolicies};
 use crate::store::{EventRec, LocalStore, MemoKey, Summary, SummaryStore};
 use spo_dataflow::{
-    run_forward, AbsVal, ConstEnv, Dnf, FixpointStats, Flow, ForwardAnalysis, JoinLattice, MustSet,
+    dnf_widenings, run_forward, AbsVal, BitSet32, ConstEnv, Dnf, FixpointStats, Flow,
+    ForwardAnalysis, JoinLattice, MustSet,
 };
 use spo_guard::Governor;
 use spo_jir::{Expr, FieldFlags, FieldRef, FieldTarget, LocalId, MethodId, Program, Stmt};
 use spo_obs::{Counter, Histogram, Recorder};
 use spo_resolve::{entry_points, Hierarchy, Resolution, Resolver};
 use std::collections::HashMap;
-use std::fmt::Debug;
-use std::hash::Hash;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -66,53 +66,56 @@ impl Default for AnalysisOptions {
     }
 }
 
-/// The dataflow value carried by one of the two passes: the MAY pass uses
-/// [`Dnf`], the MUST pass uses [`MustSet`]. Sealed: these are the only two
-/// policy domains.
-pub trait PolicyDomain: JoinLattice + Clone + Eq + Hash + Debug + private::Sealed {
-    /// The value on entry to an API entry point (no checks yet, one path).
-    fn entry_value() -> Self;
+/// The policy value of the analysis: the checks that MAY (∪-joined,
+/// disjunctive [`Dnf`]) and MUST (∩-joined [`MustSet`]) precede a program
+/// point, carried together through one worklist.
+///
+/// Fusing the two sides is exact: the constant environment and privilege
+/// depth never depend on the policy, so reachability, call targets,
+/// recursion cuts and event keys are the same as two separate passes
+/// would see, and on acyclic bodies each side sees the same join sequence
+/// as it would alone. Only a loop whose [`Dnf`] widens could see a
+/// different visit order; `tests/reference_oracle.rs` pins that case.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub(crate) struct FlowPolicy {
+    pub(crate) may: Dnf,
+    pub(crate) must: MustSet,
+}
+
+impl FlowPolicy {
+    /// The value on entry to an API entry point: one path, no checks.
+    pub(crate) fn entry() -> Self {
+        FlowPolicy {
+            may: Dnf::empty_path(),
+            must: MustSet::Set(BitSet32::empty()),
+        }
+    }
 
     /// The gen operation at a security-check statement.
-    fn gen_check(&mut self, check: Check);
-}
-
-mod private {
-    pub trait Sealed {}
-    impl Sealed for spo_dataflow::Dnf {}
-    impl Sealed for spo_dataflow::MustSet {}
-}
-
-impl PolicyDomain for Dnf {
-    fn entry_value() -> Self {
-        Dnf::empty_path()
-    }
-
     fn gen_check(&mut self, check: Check) {
-        self.gen(check.index());
+        self.may.gen(check.index());
+        self.must.insert(check.index());
     }
 }
 
-impl PolicyDomain for MustSet {
-    fn entry_value() -> Self {
-        MustSet::Set(spo_dataflow::BitSet32::empty())
-    }
-
-    fn gen_check(&mut self, check: Check) {
-        self.insert(check.index());
+impl JoinLattice for FlowPolicy {
+    fn join(&mut self, other: &Self) -> bool {
+        let may = self.may.join(&other.may);
+        let must = self.must.join(&other.must);
+        may || must
     }
 }
 
 /// Combined per-statement dataflow state: policy ⊗ constants ⊗ privilege
 /// depth.
 #[derive(Clone, PartialEq, Debug)]
-struct SpState<P> {
-    policy: P,
+struct SpState {
+    policy: FlowPolicy,
     env: ConstEnv,
     priv_depth: u32,
 }
 
-impl<P: PolicyDomain> JoinLattice for SpState<P> {
+impl JoinLattice for SpState {
     fn join(&mut self, other: &Self) -> bool {
         let a = self.policy.join(&other.policy);
         let b = self.env.join(&other.env);
@@ -212,8 +215,8 @@ impl<'p> Analyzer<'p> {
         self.options
     }
 
-    /// Analyzes every API entry point of the program with both the MAY and
-    /// MUST passes and returns the merged per-entry policies.
+    /// Analyzes every API entry point of the program and returns the
+    /// per-entry MAY and MUST policies.
     pub fn analyze_library(&self, name: &str) -> LibraryPolicies {
         let roots = entry_points(self.program);
         self.analyze_entries(name, &roots)
@@ -230,37 +233,36 @@ impl<'p> Analyzer<'p> {
         let root = entry_points(self.program)
             .into_iter()
             .find(|&m| self.program.method_signature(m) == signature)?;
-        let (_, entry) = self.analyze_root(
+        Some(self.analyze_root(
             root,
-            &LocalStore::default(),
+            signature,
             &LocalStore::default(),
             &mut AnalysisStats::default(),
             &self.recorder,
             &Governor::unlimited(),
-        );
-        Some(entry)
+        ))
     }
 
-    /// Analyzes a chosen set of entry points (both passes), one root at a
-    /// time through [`Analyzer::analyze_root`]. This serial loop is the
-    /// reference the parallel engine is tested against.
+    /// Analyzes a chosen set of entry points, one root at a time through
+    /// [`Analyzer::analyze_root`]. This serial loop is the reference the
+    /// parallel engine is tested against.
     pub fn analyze_entries(&self, name: &str, roots: &[MethodId]) -> LibraryPolicies {
-        // Global memo shares one store pair across all roots; the other
-        // scopes get a fresh pair per root, as the engine's workers do.
-        let global = (LocalStore::default(), LocalStore::default());
+        // Global memo shares one store across all roots; the other scopes
+        // get a fresh store per root, as the engine's workers do.
+        let global = LocalStore::default();
         let governor = Governor::unlimited();
         let mut stats = AnalysisStats::default();
         let mut entries = std::collections::BTreeMap::new();
         for &root in roots {
             let fresh;
-            let (may, must) = if self.options.memo == MemoScope::Global {
-                (&global.0, &global.1)
+            let store = if self.options.memo == MemoScope::Global {
+                &global
             } else {
-                fresh = (LocalStore::default(), LocalStore::default());
-                (&fresh.0, &fresh.1)
+                fresh = LocalStore::default();
+                &fresh
             };
-            let (sig, entry) =
-                self.analyze_root(root, may, must, &mut stats, &self.recorder, &governor);
+            let sig = self.program.method_signature(root);
+            let entry = self.analyze_root(root, &sig, store, &mut stats, &self.recorder, &governor);
             // Protected methods can collide with public overrides on the
             // signature key across class boundaries; keep the first
             // (deterministic: roots come in program order).
@@ -275,14 +277,14 @@ impl<'p> Analyzer<'p> {
         }
     }
 
-    /// Analyzes a single entry point (both passes) against the given
-    /// summary stores, returning its signature key and policy.
+    /// Analyzes a single entry point, whose signature key is `sig`, against
+    /// the given summary store and returns its policy.
     ///
     /// This is the unit of work of both library drivers: the serial
     /// [`Analyzer::analyze_entries`] loop and the parallel engine, whose
     /// workers each pass a private recorder (merged in worker-id order
-    /// afterwards) and merge the `(signature, policy)` pairs back in root
-    /// order, reproducing the serial first-root-wins fold exactly.
+    /// afterwards) and merge the policies back in root order, reproducing
+    /// the serial first-root-wins fold exactly.
     ///
     /// Every method-frame entry and worklist transfer is checked against
     /// the `governor`'s budget and cancel token. Exhaustion raises an
@@ -292,40 +294,31 @@ impl<'p> Analyzer<'p> {
     pub fn analyze_root(
         &self,
         root: MethodId,
-        may_store: &dyn SummaryStore<Dnf>,
-        must_store: &dyn SummaryStore<MustSet>,
+        sig: &str,
+        store: &dyn SummaryStore,
         stats: &mut AnalysisStats,
         rec: &Recorder,
         governor: &Governor,
-    ) -> (String, EntryPolicy) {
+    ) -> EntryPolicy {
         stats.entry_points += 1;
-
         let t0 = Instant::now();
-        let raw_may = self.root_pass::<Dnf>(root, stats, may_store, rec, governor);
-        let may_nanos = t0.elapsed().as_nanos();
-        stats.may_nanos += may_nanos;
-        rec.duration("ispa.root.may").record(may_nanos as u64);
-
-        let t1 = Instant::now();
-        let raw_must = self.root_pass::<MustSet>(root, stats, must_store, rec, governor);
-        let must_nanos = t1.elapsed().as_nanos();
-        stats.must_nanos += must_nanos;
-        rec.duration("ispa.root.must").record(must_nanos as u64);
-
-        let sig = self.program.method_signature(root);
-        let entry = combine_raw(sig.clone(), raw_may, &raw_must);
-        (sig, entry)
+        let raw = self.root_pass(root, stats, store, rec, governor);
+        // The fused pass's time is booked as MAY time; `must_nanos` stays 0.
+        let nanos = t0.elapsed().as_nanos();
+        stats.may_nanos += nanos;
+        rec.duration("ispa.root").record(nanos as u64);
+        combine_raw(sig.to_owned(), raw)
     }
 
-    /// Runs one pass (MAY or MUST) over a single root.
-    fn root_pass<P: PolicyDomain>(
+    /// Runs the analysis pass over a single root.
+    fn root_pass(
         &self,
         root: MethodId,
         stats: &mut AnalysisStats,
-        store: &dyn SummaryStore<P>,
+        store: &dyn SummaryStore,
         rec: &Recorder,
         governor: &Governor,
-    ) -> RawEntry<P> {
+    ) -> RawEntry {
         let resolver = Resolver::new(&self.hierarchy);
         let mut pass = Pass {
             program: self.program,
@@ -338,38 +331,39 @@ impl<'p> Analyzer<'p> {
             obs: PassObs::new(rec),
             governor,
         };
-        pass.analyze_entry(root)
+        let widened = dnf_widenings();
+        let raw = pass.analyze_entry(root);
+        pass.obs.widened.add(dnf_widenings() - widened);
+        raw
     }
 }
 
-/// Zips the per-root results of the two passes into an [`EntryPolicy`].
-fn combine_raw(sig: String, raw_may: RawEntry<Dnf>, raw_must: &RawEntry<MustSet>) -> EntryPolicy {
+/// Splits the per-root result of the pass into an [`EntryPolicy`]: the
+/// MAY side gives `may` and `may_paths`, the MUST side gives `must`.
+fn combine_raw(sig: String, raw: RawEntry) -> EntryPolicy {
     let mut entry = EntryPolicy::new(sig);
-    for (key, dnf) in raw_may.events {
-        let mut ep = EventPolicy {
-            may: crate::checks::CheckSet::from_bits(dnf.flat_union()),
-            may_paths: dnf,
-            ..Default::default()
+    for (key, FlowPolicy { may, must }) in raw.events {
+        let ep = EventPolicy {
+            must: crate::checks::CheckSet::from_bits(must.unwrap_or_empty()),
+            may: crate::checks::CheckSet::from_bits(may.flat_union()),
+            may_paths: may,
         };
-        if let Some(ms) = raw_must.events.get(&key) {
-            ep.must = crate::checks::CheckSet::from_bits(ms.unwrap_or_empty());
-        }
         entry.events.insert(key, ep);
     }
-    entry.event_origins = raw_may.event_origins;
-    entry.check_origins = raw_may.check_origins;
+    entry.event_origins = raw.event_origins;
+    entry.check_origins = raw.check_origins;
     entry
 }
 
-/// Per-entry raw result of one pass.
-struct RawEntry<P> {
-    events: std::collections::BTreeMap<EventKey, P>,
+/// Per-entry raw result of the pass.
+struct RawEntry {
+    events: std::collections::BTreeMap<EventKey, FlowPolicy>,
     event_origins: std::collections::BTreeMap<EventKey, crate::policy::Origins>,
     check_origins: std::collections::BTreeMap<u8, crate::policy::Origins>,
 }
 
-/// Pre-resolved metric handles for one pass, so per-frame recording is a
-/// handful of atomic adds (or no-ops when the recorder is disabled).
+/// Pre-resolved metric handles for one root's pass, so per-frame recording
+/// is a handful of atomic adds (or no-ops when the recorder is disabled).
 ///
 /// Frame metrics are split by *commit status* to keep the deterministic
 /// sections independent of worker count and schedule:
@@ -396,6 +390,8 @@ struct PassObs {
     spec_transfers: Counter,
     tainted_frames: Counter,
     tainted_transfers: Counter,
+    /// [`Dnf`] widenings to the flat union during the root's pass.
+    widened: Counter,
 }
 
 impl PassObs {
@@ -413,6 +409,7 @@ impl PassObs {
             spec_transfers: rec.work_counter("ispa.speculative.transfers"),
             tainted_frames: rec.work_counter("ispa.tainted.frames"),
             tainted_transfers: rec.work_counter("ispa.tainted.transfers"),
+            widened: rec.work_counter("dataflow.dnf.widened"),
         }
     }
 
@@ -448,12 +445,12 @@ struct FrameObs {
     unresolved: u64,
 }
 
-/// Mutable state of one pass (MAY or MUST) over one root.
-struct Pass<'a, 'p, P: PolicyDomain> {
+/// Mutable state of the pass over one root.
+struct Pass<'a, 'p> {
     program: &'p Program,
     resolver: Resolver<'a>,
     options: AnalysisOptions,
-    store: &'a dyn SummaryStore<P>,
+    store: &'a dyn SummaryStore,
     stack: Vec<MethodId>,
     /// Minimum stack position targeted by a recursion cut in the current
     /// subtree; frames deeper than this position must not be memoized
@@ -466,8 +463,8 @@ struct Pass<'a, 'p, P: PolicyDomain> {
     governor: &'a Governor,
 }
 
-impl<'a, 'p, P: PolicyDomain> Pass<'a, 'p, P> {
-    fn analyze_entry(&mut self, root: MethodId) -> RawEntry<P> {
+impl Pass<'_, '_> {
+    fn analyze_entry(&mut self, root: MethodId) -> RawEntry {
         let n_params = self
             .program
             .method(root)
@@ -476,7 +473,7 @@ impl<'a, 'p, P: PolicyDomain> Pass<'a, 'p, P> {
             .map(|b| b.n_params)
             .unwrap_or_default();
         let consts = vec![AbsVal::Bottom; n_params];
-        let mut summary = self.analyze_method(root, &P::entry_value(), consts, false, true);
+        let mut summary = self.analyze_method(root, &FlowPolicy::entry(), consts, false, true);
         // A native entry point is itself a JNI event reached with no checks.
         let root_method = self.program.method(root);
         if root_method.is_native() {
@@ -487,12 +484,12 @@ impl<'a, 'p, P: PolicyDomain> Pass<'a, 'p, P> {
             };
             with_event.events.push(EventRec {
                 key: EventKey::Native(self.program.str(root_method.name).to_owned()),
-                policy: P::entry_value(),
+                policy: FlowPolicy::entry(),
                 origin: root,
             });
             summary = Arc::new(with_event);
         }
-        let mut events: std::collections::BTreeMap<EventKey, P> = Default::default();
+        let mut events: std::collections::BTreeMap<EventKey, FlowPolicy> = Default::default();
         let mut event_origins: std::collections::BTreeMap<EventKey, crate::policy::Origins> =
             Default::default();
         let mut check_origins: std::collections::BTreeMap<u8, crate::policy::Origins> =
@@ -542,11 +539,11 @@ impl<'a, 'p, P: PolicyDomain> Pass<'a, 'p, P> {
     fn analyze_method(
         &mut self,
         method: MethodId,
-        in_policy: &P,
+        in_policy: &FlowPolicy,
         consts: Vec<AbsVal>,
         privileged: bool,
         top: bool,
-    ) -> Arc<Summary<P>> {
+    ) -> Arc<Summary> {
         // Frame budget: counted before the memo lookup so the count is a
         // pure function of the root's call tree, independent of which
         // worker populated the shared store first.
@@ -616,8 +613,8 @@ impl<'a, 'p, P: PolicyDomain> Pass<'a, 'p, P> {
         };
 
         // Post-pass: exit value, events, and check origins at the fixpoint.
-        let mut exit: Option<P> = None;
-        let mut events: Vec<EventRec<P>> = Vec::new();
+        let mut exit: Option<FlowPolicy> = None;
+        let mut events: Vec<EventRec> = Vec::new();
         let mut checks: Vec<(Check, MethodId)> = Vec::new();
         for (idx, stmt) in body.stmts.iter().enumerate() {
             let Some(st) = results.input(idx) else {
@@ -800,25 +797,25 @@ fn call_arg_vals(call: &spo_jir::Call, env: &ConstEnv, icp: bool) -> Vec<AbsVal>
     out
 }
 
-/// The intraprocedural transfer functions (Algorithm 1), parameterized over
-/// the policy domain and recursing into [`Pass::analyze_method`] at resolved
-/// call sites (Algorithm 2's mutual recursion).
-struct Spda<'s, 'a, 'p, P: PolicyDomain> {
-    pass: &'s mut Pass<'a, 'p, P>,
-    boundary: SpState<P>,
+/// The intraprocedural transfer functions (Algorithm 1), recursing into
+/// [`Pass::analyze_method`] at resolved call sites (Algorithm 2's mutual
+/// recursion).
+struct Spda<'s, 'a, 'p> {
+    pass: &'s mut Pass<'a, 'p>,
+    boundary: SpState,
     /// Last summary computed per call-site statement; reused by the
     /// post-pass (the final transfer of a statement sees its fixpoint IN).
-    call_cache: HashMap<usize, Arc<Summary<P>>>,
+    call_cache: HashMap<usize, Arc<Summary>>,
 }
 
-impl<P: PolicyDomain> ForwardAnalysis for Spda<'_, '_, '_, P> {
-    type State = SpState<P>;
+impl ForwardAnalysis for Spda<'_, '_, '_> {
+    type State = SpState;
 
-    fn boundary(&mut self) -> SpState<P> {
+    fn boundary(&mut self) -> SpState {
         self.boundary.clone()
     }
 
-    fn transfer(&mut self, idx: usize, stmt: &Stmt, input: &SpState<P>) -> Flow<SpState<P>> {
+    fn transfer(&mut self, idx: usize, stmt: &Stmt, input: &SpState) -> Flow<SpState> {
         let mut out = input.clone();
         match stmt {
             Stmt::Assign { .. } => out.env.transfer(stmt),
@@ -1492,8 +1489,8 @@ class t.O {
             (lib, rec.snapshot())
         };
         let (lib, snap) = run();
-        // Both passes commit each distinct frame once: committed frames are
-        // bounded by computed frames (bodyless native roots never commit).
+        // Each distinct frame commits once: committed frames are bounded by
+        // computed frames (bodyless native roots never commit).
         assert!(snap.counters["ispa.frames"] > 0);
         assert!(snap.counters["ispa.frames"] <= lib.stats.frames_analyzed as u64);
         assert!(snap.counters["dataflow.transfers"] > 0);
@@ -1509,10 +1506,9 @@ class t.O {
             snap.work["ispa.frames_analyzed"],
             lib.stats.frames_analyzed as u64
         );
-        // Per-root pass durations were recorded, one per entry point.
+        // One pass duration was recorded per entry point.
         let roots = lib.stats.entry_points as u64;
-        assert_eq!(snap.durations["ispa.root.may"].count, roots);
-        assert_eq!(snap.durations["ispa.root.must"].count, roots);
+        assert_eq!(snap.durations["ispa.root"].count, roots);
         // Deterministic sections are stable across reruns.
         let (_, snap2) = run();
         assert_eq!(snap.deterministic_json(), snap2.deterministic_json());

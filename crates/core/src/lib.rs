@@ -40,7 +40,7 @@ pub use diff::{
 pub use events::{EventDef, EventKey};
 pub use exchange::{export_policies, import_policies, ExchangeError};
 pub use html::render_html;
-pub use ispa::{AnalysisOptions, Analyzer, MemoScope, PolicyDomain};
+pub use ispa::{AnalysisOptions, Analyzer, MemoScope};
 pub use policy::{render_dnf, AnalysisStats, EntryPolicy, EventPolicy, LibraryPolicies, Origins};
 pub use report::{
     group_differences, render_analysis, render_entry, render_reports, root_keys, ReportGroup,

@@ -15,7 +15,7 @@
 //! how many threads) produced them.
 
 use crate::events::EventKey;
-use crate::ispa::PolicyDomain;
+use crate::ispa::FlowPolicy;
 use spo_dataflow::AbsVal;
 use spo_jir::MethodId;
 use spo_obs::{trace, Counter, HistSnapshot, Histogram, Recorder};
@@ -33,29 +33,30 @@ use std::time::Instant;
 pub const DEFAULT_SHARDS: usize = 16;
 
 /// The memoization key of a context-sensitive method summary: the paper's
-/// `(method, in-policy, const-params, privileged)` context.
+/// `(method, in-policy, const-params, privileged)` context, where the
+/// in-policy carries both the MAY and the MUST side.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct MemoKey<P> {
+pub struct MemoKey {
     pub(crate) method: MethodId,
-    pub(crate) policy: P,
+    pub(crate) policy: FlowPolicy,
     pub(crate) consts: Vec<AbsVal>,
     pub(crate) privileged: bool,
 }
 
 /// One recorded security-sensitive event inside a summary.
 #[derive(Clone, Debug)]
-pub(crate) struct EventRec<P> {
+pub(crate) struct EventRec {
     pub(crate) key: EventKey,
-    pub(crate) policy: P,
+    pub(crate) policy: FlowPolicy,
     pub(crate) origin: MethodId,
 }
 
 /// A context-sensitive method summary: the exit policy plus everything the
 /// subtree recorded.
 #[derive(Debug)]
-pub struct Summary<P> {
-    pub(crate) exit: P,
-    pub(crate) events: Vec<EventRec<P>>,
+pub struct Summary {
+    pub(crate) exit: FlowPolicy,
+    pub(crate) events: Vec<EventRec>,
     pub(crate) checks: Vec<(crate::checks::Check, MethodId)>,
 }
 
@@ -88,9 +89,9 @@ pub struct FrameCost {
 /// Implementations use interior mutability so a store can be shared by
 /// reference between the analysis frames of one root (and, for a
 /// [`LocalStore`] under global memo, between roots).
-pub trait SummaryStore<P: PolicyDomain> {
+pub trait SummaryStore {
     /// Looks up the summary for `key`, if one was recorded.
-    fn get(&self, key: &MemoKey<P>) -> Option<Arc<Summary<P>>>;
+    fn get(&self, key: &MemoKey) -> Option<Arc<Summary>>;
 
     /// Records the summary computed for `key`, carrying the frame's
     /// deterministic metrics so a buffering store can defer the insert —
@@ -105,12 +106,7 @@ pub trait SummaryStore<P: PolicyDomain> {
     /// `None` when the insert was deferred: the store now owns `cost` and
     /// must flush it under the same commit protocol once the batched
     /// insert resolves.
-    fn insert_costed(
-        &self,
-        key: MemoKey<P>,
-        summary: Arc<Summary<P>>,
-        cost: FrameCost,
-    ) -> Option<bool>;
+    fn insert_costed(&self, key: MemoKey, summary: Arc<Summary>, cost: FrameCost) -> Option<bool>;
 
     /// Number of summaries currently stored.
     fn len(&self) -> usize;
@@ -122,31 +118,18 @@ pub trait SummaryStore<P: PolicyDomain> {
 }
 
 /// The serial store: one thread, no locking.
-#[derive(Debug)]
-pub struct LocalStore<P> {
-    map: std::cell::RefCell<HashMap<MemoKey<P>, Arc<Summary<P>>>>,
+#[derive(Debug, Default)]
+pub struct LocalStore {
+    map: RefCell<HashMap<MemoKey, Arc<Summary>>>,
 }
 
-impl<P> Default for LocalStore<P> {
-    fn default() -> Self {
-        LocalStore {
-            map: std::cell::RefCell::new(HashMap::new()),
-        }
-    }
-}
-
-impl<P: PolicyDomain> SummaryStore<P> for LocalStore<P> {
-    fn get(&self, key: &MemoKey<P>) -> Option<Arc<Summary<P>>> {
+impl SummaryStore for LocalStore {
+    fn get(&self, key: &MemoKey) -> Option<Arc<Summary>> {
         self.map.borrow().get(key).map(Arc::clone)
     }
 
     /// Never defers: the frame's metrics are settled by the caller.
-    fn insert_costed(
-        &self,
-        key: MemoKey<P>,
-        summary: Arc<Summary<P>>,
-        _cost: FrameCost,
-    ) -> Option<bool> {
+    fn insert_costed(&self, key: MemoKey, summary: Arc<Summary>, _cost: FrameCost) -> Option<bool> {
         Some(self.map.borrow_mut().insert(key, summary).is_none())
     }
 
@@ -155,8 +138,8 @@ impl<P: PolicyDomain> SummaryStore<P> for LocalStore<P> {
     }
 }
 
-struct Shard<P> {
-    map: RwLock<HashMap<MemoKey<P>, Arc<Summary<P>>>>,
+struct Shard {
+    map: RwLock<HashMap<MemoKey, Arc<Summary>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     contended: AtomicU64,
@@ -166,7 +149,7 @@ struct Shard<P> {
     wait: Histogram,
 }
 
-impl<P> Default for Shard<P> {
+impl Default for Shard {
     fn default() -> Self {
         Shard {
             map: RwLock::new(HashMap::new()),
@@ -207,18 +190,18 @@ pub struct ShardStats {
 }
 
 /// One publishable store entry: a memo key and its summary.
-pub type StoreEntry<P> = (MemoKey<P>, Arc<Summary<P>>);
+pub type StoreEntry = (MemoKey, Arc<Summary>);
 
 /// The concurrent store: lock-striped shards shared between worker threads.
 ///
 /// Keys are distributed over shards by hash so concurrent workers mostly
 /// touch different locks; each shard counts its hits, misses, and contended
 /// acquisitions for the engine's per-run statistics.
-pub struct SharedStore<P> {
-    shards: Vec<Shard<P>>,
+pub struct SharedStore {
+    shards: Vec<Shard>,
 }
 
-impl<P: PolicyDomain> SharedStore<P> {
+impl SharedStore {
     /// Creates a store with `shards` lock stripes (rounded up to 1).
     pub fn new(shards: usize) -> Self {
         SharedStore {
@@ -226,13 +209,13 @@ impl<P: PolicyDomain> SharedStore<P> {
         }
     }
 
-    fn shard_index(&self, key: &MemoKey<P>) -> usize {
+    fn shard_index(&self, key: &MemoKey) -> usize {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
         (h.finish() as usize) % self.shards.len()
     }
 
-    fn shard(&self, key: &MemoKey<P>) -> &Shard<P> {
+    fn shard(&self, key: &MemoKey) -> &Shard {
         &self.shards[self.shard_index(key)]
     }
 
@@ -242,7 +225,7 @@ impl<P: PolicyDomain> SharedStore<P> {
     }
 
     /// Looks up the summary for `key`, counting the shard's hit or miss.
-    pub fn get(&self, key: &MemoKey<P>) -> Option<Arc<Summary<P>>> {
+    pub fn get(&self, key: &MemoKey) -> Option<Arc<Summary>> {
         let shard = self.shard(key);
         let map = match shard.map.try_read() {
             Ok(guard) => guard,
@@ -283,11 +266,11 @@ impl<P: PolicyDomain> SharedStore<P> {
     /// N summaries pays `distinct shards` write acquisitions instead of
     /// N, and exactly one `true` is still returned globally per unique
     /// key no matter how many workers flush copies of it.
-    pub fn insert_batch(&self, entries: Vec<StoreEntry<P>>) -> Vec<bool> {
+    pub fn insert_batch(&self, entries: Vec<StoreEntry>) -> Vec<bool> {
         let mut newness = vec![false; entries.len()];
         // Group entry positions by shard so each stripe is locked once.
         let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        let mut entries: Vec<Option<StoreEntry<P>>> = entries.into_iter().map(Some).collect();
+        let mut entries: Vec<Option<StoreEntry>> = entries.into_iter().map(Some).collect();
         for (pos, entry) in entries.iter().enumerate() {
             if let Some((key, _)) = entry {
                 by_shard[self.shard_index(key)].push(pos);
@@ -336,7 +319,7 @@ impl<P: PolicyDomain> SharedStore<P> {
     }
 }
 
-impl<P: PolicyDomain> Default for SharedStore<P> {
+impl Default for SharedStore {
     /// [`DEFAULT_SHARDS`] stripes: enough that 8–16 workers rarely
     /// collide.
     fn default() -> Self {
@@ -432,10 +415,10 @@ pub struct WriteBehindStats {
 /// [`flush`]) when the worker retires.
 ///
 /// [`flush`]: WriteBehind::flush
-pub struct WriteBehind<'s, P: PolicyDomain> {
-    shared: &'s SharedStore<P>,
-    local: RefCell<HashMap<MemoKey<P>, Arc<Summary<P>>>>,
-    pending: RefCell<Vec<(StoreEntry<P>, FrameCost)>>,
+pub struct WriteBehind<'s> {
+    shared: &'s SharedStore,
+    local: RefCell<HashMap<MemoKey, Arc<Summary>>>,
+    pending: RefCell<Vec<(StoreEntry, FrameCost)>>,
     /// Pending entries beyond this overflow into an inline flush, bounding
     /// the buffer between the engine's batch-boundary flushes.
     capacity: usize,
@@ -445,13 +428,13 @@ pub struct WriteBehind<'s, P: PolicyDomain> {
     published: Cell<u64>,
 }
 
-impl<'s, P: PolicyDomain> WriteBehind<'s, P> {
+impl<'s> WriteBehind<'s> {
     /// Buffered summaries beyond this many trigger an inline flush.
     pub const DEFAULT_CAPACITY: usize = 128;
 
     /// Wraps `shared` for one worker, flushing deferred frame metrics
     /// into `rec` (the worker's private child recorder, in the engine).
-    pub fn new(shared: &'s SharedStore<P>, rec: &Recorder) -> Self {
+    pub fn new(shared: &'s SharedStore, rec: &Recorder) -> Self {
         WriteBehind {
             shared,
             local: RefCell::new(HashMap::new()),
@@ -503,8 +486,8 @@ impl<'s, P: PolicyDomain> WriteBehind<'s, P> {
     }
 }
 
-impl<'s, P: PolicyDomain> SummaryStore<P> for WriteBehind<'s, P> {
-    fn get(&self, key: &MemoKey<P>) -> Option<Arc<Summary<P>>> {
+impl SummaryStore for WriteBehind<'_> {
+    fn get(&self, key: &MemoKey) -> Option<Arc<Summary>> {
         if let Some(hit) = self.local.borrow().get(key) {
             self.deferred_hits.set(self.deferred_hits.get() + 1);
             self.obs.deferred_hits.incr();
@@ -517,12 +500,7 @@ impl<'s, P: PolicyDomain> SummaryStore<P> for WriteBehind<'s, P> {
         Some(hit)
     }
 
-    fn insert_costed(
-        &self,
-        key: MemoKey<P>,
-        summary: Arc<Summary<P>>,
-        cost: FrameCost,
-    ) -> Option<bool> {
+    fn insert_costed(&self, key: MemoKey, summary: Arc<Summary>, cost: FrameCost) -> Option<bool> {
         match self.local.borrow_mut().entry(key.clone()) {
             std::collections::hash_map::Entry::Occupied(_) => return Some(false),
             std::collections::hash_map::Entry::Vacant(v) => {
@@ -547,23 +525,22 @@ impl<'s, P: PolicyDomain> SummaryStore<P> for WriteBehind<'s, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spo_dataflow::Dnf;
 
-    fn key(i: u32) -> MemoKey<Dnf> {
+    fn key(i: u32) -> MemoKey {
         MemoKey {
             method: MethodId {
                 class: spo_jir::ClassId(0),
                 index: i,
             },
-            policy: Dnf::empty_path(),
+            policy: FlowPolicy::entry(),
             consts: Vec::new(),
             privileged: false,
         }
     }
 
-    fn summary() -> Arc<Summary<Dnf>> {
+    fn summary() -> Arc<Summary> {
         Arc::new(Summary {
-            exit: Dnf::empty_path(),
+            exit: FlowPolicy::entry(),
             events: Vec::new(),
             checks: Vec::new(),
         })
@@ -581,7 +558,7 @@ mod tests {
 
     #[test]
     fn shared_store_roundtrip_and_stats() {
-        let store: SharedStore<Dnf> = SharedStore::new(4);
+        let store = SharedStore::new(4);
         store.insert_batch((0..64).map(|i| (key(i), summary())).collect());
         assert_eq!(store.len(), 64);
         for i in 0..64 {
@@ -614,7 +591,7 @@ mod tests {
         // Scheduling is non-deterministic, so retry a few rounds rather
         // than assert on a single racy window.
         for round in 0..20 {
-            let store: SharedStore<Dnf> = SharedStore::new(1);
+            let store = SharedStore::new(1);
             std::thread::scope(|s| {
                 s.spawn(|| {
                     for i in 0..2000 {
@@ -642,7 +619,7 @@ mod tests {
 
     #[test]
     fn insert_batch_locks_once_per_shard_and_reports_newness_in_order() {
-        let store: SharedStore<Dnf> = SharedStore::new(4);
+        let store = SharedStore::new(4);
         store.insert_batch(vec![(key(2), summary())]);
         let newness = store.insert_batch(vec![
             (key(1), summary()),
@@ -653,7 +630,7 @@ mod tests {
         assert_eq!(newness, vec![true, false, true, false]);
         assert_eq!(store.len(), 3);
         // A batch into a single-shard store acquires its one lock once.
-        let one: SharedStore<Dnf> = SharedStore::new(1);
+        let one = SharedStore::new(1);
         let newness = one.insert_batch((0..100).map(|i| (key(i), summary())).collect());
         assert!(newness.iter().all(|&n| n));
         assert_eq!(one.len(), 100);
@@ -662,7 +639,7 @@ mod tests {
     #[test]
     fn write_behind_defers_publication_until_flush() {
         let rec = spo_obs::Recorder::new();
-        let shared: SharedStore<Dnf> = SharedStore::new(4);
+        let shared = SharedStore::new(4);
         let wb = WriteBehind::new(&shared, &rec);
         let cost = FrameCost {
             transfers: 7,
@@ -699,7 +676,7 @@ mod tests {
     fn write_behind_race_loser_flushes_speculative() {
         let rec_a = spo_obs::Recorder::new();
         let rec_b = spo_obs::Recorder::new();
-        let shared: SharedStore<Dnf> = SharedStore::new(4);
+        let shared = SharedStore::new(4);
         let a = WriteBehind::new(&shared, &rec_a);
         let b = WriteBehind::new(&shared, &rec_b);
         let cost = FrameCost {
@@ -725,7 +702,7 @@ mod tests {
     #[test]
     fn write_behind_read_through_caches_shared_hits() {
         let rec = spo_obs::Recorder::new();
-        let shared: SharedStore<Dnf> = SharedStore::new(4);
+        let shared = SharedStore::new(4);
         shared.insert_batch(vec![(key(1), summary())]);
         let wb = WriteBehind::new(&shared, &rec);
         assert!(wb.get(&key(1)).is_some());
@@ -740,18 +717,18 @@ mod tests {
     #[test]
     fn write_behind_overflows_into_inline_flush() {
         let rec = spo_obs::Recorder::new();
-        let shared: SharedStore<Dnf> = SharedStore::new(4);
+        let shared = SharedStore::new(4);
         let wb = WriteBehind::new(&shared, &rec);
-        for i in 0..WriteBehind::<Dnf>::DEFAULT_CAPACITY as u32 {
+        for i in 0..WriteBehind::DEFAULT_CAPACITY as u32 {
             wb.insert_costed(key(i), summary(), FrameCost::default());
         }
         assert_eq!(wb.stats().flushes, 1, "capacity overflow flushes inline");
-        assert_eq!(shared.len(), WriteBehind::<Dnf>::DEFAULT_CAPACITY);
+        assert_eq!(shared.len(), WriteBehind::DEFAULT_CAPACITY);
     }
 
     #[test]
     fn shared_store_is_usable_across_threads() {
-        let store: SharedStore<Dnf> = SharedStore::default();
+        let store = SharedStore::default();
         std::thread::scope(|s| {
             for t in 0..4u32 {
                 let store = &store;

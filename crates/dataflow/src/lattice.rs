@@ -7,6 +7,7 @@
 //! that reproduces Figure 2's `{{checkMulticast},{checkConnect,
 //! checkAccept}}` policies.
 
+use std::cell::Cell;
 use std::fmt;
 
 /// A join-semilattice value: `join` merges another value in, returning
@@ -209,6 +210,18 @@ impl JoinLattice for MustSet {
 /// Maximum number of disjuncts a [`Dnf`] holds before widening.
 pub const DNF_WIDTH: usize = 64;
 
+thread_local! {
+    static WIDENINGS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many times a [`Dnf`] on the calling thread has widened to its flat
+/// union so far. Callers record the difference across a unit of work; the
+/// policy analysis records it per root as the `dataflow.dnf.widened` work
+/// counter.
+pub fn dnf_widenings() -> u64 {
+    WIDENINGS.with(Cell::get)
+}
+
 /// A disjunction of check sets: the MAY-policy value.
 ///
 /// Where a flat union records *which* checks may precede an event, a `Dnf`
@@ -289,20 +302,42 @@ impl Dnf {
         self.disjuncts.sort_unstable();
         self.disjuncts.dedup();
         if self.disjuncts.len() > DNF_WIDTH {
-            let flat = self.flat_union();
-            self.disjuncts = vec![flat];
+            self.widen();
         }
+    }
+
+    /// Collapses to the flat union. Out of line: rare, and it keeps the
+    /// thread-local counter off `normalize`'s hot path.
+    #[cold]
+    #[inline(never)]
+    fn widen(&mut self) {
+        let flat = self.flat_union();
+        self.disjuncts = vec![flat];
+        WIDENINGS.with(|w| w.set(w.get() + 1));
     }
 }
 
 impl JoinLattice for Dnf {
     /// Join for the MAY direction: union of path sets.
     fn join(&mut self, other: &Self) -> bool {
-        let before_len = self.disjuncts.len();
-        let before_last = self.disjuncts.clone();
+        // Both sides are sorted, so one merge walk finds whether `other`
+        // brings any disjunct `self` lacks; a subset joins as a no-op.
+        let mut i = 0;
+        let subset = other.disjuncts.iter().all(|d| {
+            while self.disjuncts.get(i).is_some_and(|s| s < d) {
+                i += 1;
+            }
+            self.disjuncts.get(i) == Some(d)
+        });
+        if subset {
+            return false;
+        }
+        let single = (self.disjuncts.len() == 1).then(|| self.disjuncts[0]);
         self.disjuncts.extend_from_slice(&other.disjuncts);
         self.normalize();
-        self.disjuncts.len() != before_len || self.disjuncts != before_last
+        // Unwidened, the value gained a disjunct. Widened, it is one flat
+        // union, which changed unless `self` already was exactly that.
+        self.disjuncts.len() > 1 || single != Some(self.disjuncts[0])
     }
 }
 
@@ -422,6 +457,58 @@ mod tests {
         let d: Dnf = disjuncts.into_iter().collect();
         assert_eq!(d.disjuncts().len(), 1);
         assert_eq!(d.disjuncts()[0], bs(&(0..=17).collect::<Vec<_>>()));
+    }
+
+    #[test]
+    fn dnf_join_of_subset_is_unchanged_without_allocating() {
+        let mut a: Dnf = [bs(&[0]), bs(&[1]), bs(&[1, 2]), bs(&[4])]
+            .into_iter()
+            .collect();
+        let before = a.clone();
+        let (ptr, cap) = (a.disjuncts.as_ptr(), a.disjuncts.capacity());
+        let sub: Dnf = [bs(&[1]), bs(&[4])].into_iter().collect();
+        assert!(!a.join(&sub));
+        assert!(!a.join(&before.clone()));
+        assert!(!a.join(&Dnf::bottom()));
+        assert_eq!(a, before);
+        assert_eq!((a.disjuncts.as_ptr(), a.disjuncts.capacity()), (ptr, cap));
+        // One missing disjunct is a change.
+        assert!(a.join(&Dnf::of(bs(&[3]))));
+        assert_eq!(a.disjuncts().len(), 5);
+    }
+
+    #[test]
+    fn dnf_join_reports_change_exactly_at_the_widening_edge() {
+        // 65 distinct pairs over checks 0..=17, sorted as the invariant
+        // requires, widen to their flat union.
+        let mut pairs: Vec<BitSet32> = (0..=12u8)
+            .flat_map(|a| (13..=17u8).map(move |b| bs(&[a, b])))
+            .collect();
+        pairs.sort_unstable();
+        assert_eq!(pairs.len(), DNF_WIDTH + 1);
+        let many = Dnf {
+            disjuncts: pairs.clone(),
+        };
+        let flat = bs(&(0..=17).collect::<Vec<_>>());
+        let widenings = dnf_widenings();
+        // Joining into the already-widened union widens again but leaves
+        // the value unchanged.
+        let mut wide = Dnf::of(flat);
+        assert!(!wide.join(&many));
+        assert_eq!(wide.disjuncts(), &[flat]);
+        // Joining into a narrower single disjunct widens to a new value.
+        let mut narrow = Dnf::of(bs(&[0]));
+        assert!(narrow.join(&many));
+        assert_eq!(narrow.disjuncts(), &[flat]);
+        // Exactly 64 disjuncts stay unwidened; one more widens.
+        let mut edge = Dnf {
+            disjuncts: pairs[..DNF_WIDTH - 1].to_vec(),
+        };
+        assert!(edge.join(&Dnf::of(pairs[DNF_WIDTH - 1])));
+        assert_eq!(edge.disjuncts().len(), DNF_WIDTH);
+        assert!(edge.join(&Dnf::of(pairs[DNF_WIDTH])));
+        assert_eq!(edge.disjuncts().len(), 1);
+        assert_eq!(dnf_widenings() - widenings, 3);
     }
 
     #[test]

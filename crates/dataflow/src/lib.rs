@@ -33,14 +33,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod alias;
 mod constprop;
 mod engine;
 mod lattice;
-mod taint;
 
-pub use alias::{is_aliasable, AliasClasses};
 pub use constprop::{AbsVal, ConstEnv};
 pub use engine::{run_forward, DataflowResults, FixpointStats, Flow, ForwardAnalysis};
-pub use lattice::{BitSet32, Dnf, JoinLattice, MustSet, DNF_WIDTH};
-pub use taint::{data_dependence, tainted_statements, TaintSet};
+pub use lattice::{dnf_widenings, BitSet32, Dnf, JoinLattice, MustSet, DNF_WIDTH};

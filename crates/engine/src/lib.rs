@@ -1,9 +1,9 @@
 //! # spo-engine — the parallel analysis driver
 //!
 //! The policy analysis is embarrassingly parallel across API entry points:
-//! each root's MAY/MUST passes only read the program and the shared memo
-//! table. This crate drives one library's entry points across N
-//! work-stealing workers backed by a sharded concurrent
+//! each root's pass only reads the program and the shared memo table. This
+//! crate drives one library's entry points across N work-stealing workers
+//! backed by a sharded concurrent
 //! [`SharedStore`], then merges the per-root policies **in root order** so
 //! the result is byte-identical to the serial analyzer no matter the
 //! thread count.
@@ -49,9 +49,8 @@ use spo_cache::{CacheKeyer, ContentTable, PolicyCache};
 use spo_core::{
     diff_libraries, group_differences, root_keys, AnalysisOptions, AnalysisStats, Analyzer,
     DiffResult, EntryPolicy, LibraryPolicies, LocalStore, MemoScope, ReportGroup, ShardStats,
-    SharedStore, WriteBehind, DEFAULT_SHARDS,
+    SharedStore, SummaryStore, WriteBehind, DEFAULT_SHARDS,
 };
-use spo_dataflow::{Dnf, MustSet};
 use spo_guard::{quarantine, Diagnostic, Fault, GuardConfig};
 use spo_jir::{MethodId, Program};
 use spo_obs::trace::{self, TraceLane, Tracer};
@@ -86,11 +85,9 @@ pub struct EngineStats {
     /// Lookups served from a worker-local write-behind buffer without
     /// touching a shard lock.
     pub writeback_deferred_hits: u64,
-    /// Per-shard counters of the MAY-pass summary store (empty unless the
-    /// memo scope was [`MemoScope::Global`]).
-    pub may_shards: Vec<ShardStats>,
-    /// Per-shard counters of the MUST-pass summary store.
-    pub must_shards: Vec<ShardStats>,
+    /// Per-shard counters of the summary store (empty unless the memo
+    /// scope was [`MemoScope::Global`]).
+    pub shards: Vec<ShardStats>,
     /// Wall-clock time of the whole run, in nanoseconds.
     pub wall_nanos: u128,
     /// Roots quarantined by the guard layer (panic, budget exhaustion, or
@@ -105,21 +102,17 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Total contended lock acquisitions across both stores' shards.
+    /// Total contended lock acquisitions across the store's shards.
     pub fn contended(&self) -> u64 {
-        self.may_shards
-            .iter()
-            .chain(&self.must_shards)
-            .map(|s| s.contended)
-            .sum()
+        self.shards.iter().map(|s| s.contended).sum()
     }
 
-    /// All shard lock-wait observations of both stores merged into one
-    /// histogram (nanoseconds blocked per contended acquisition) — the
-    /// bench tables' contention-summary source.
+    /// All shard lock-wait observations merged into one histogram
+    /// (nanoseconds blocked per contended acquisition) — the bench tables'
+    /// contention-summary source.
     pub fn lock_wait(&self) -> HistSnapshot {
         let mut merged = HistSnapshot::default();
-        for s in self.may_shards.iter().chain(&self.must_shards) {
+        for s in &self.shards {
             merged.merge(&s.lock_wait);
         }
         merged
@@ -140,8 +133,7 @@ impl EngineStats {
         self.roots_degraded += other.roots_degraded;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
-        absorb_shards(&mut self.may_shards, &other.may_shards);
-        absorb_shards(&mut self.must_shards, &other.must_shards);
+        absorb_shards(&mut self.shards, &other.shards);
     }
 }
 
@@ -221,7 +213,7 @@ pub struct AnalysisEngine {
 
 /// The error [`AnalysisEngine::with_shards`] returns when the requested
 /// shard count disagrees with an attached [`ResidentStore`]'s: the
-/// resident pair was already built with its own stripe count, so silently
+/// resident store was already built with its own stripe count, so silently
 /// keeping either value would make the engine's stats and the store's
 /// layout lie about each other.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -245,10 +237,9 @@ impl std::fmt::Display for ShardMismatch {
 
 impl std::error::Error for ShardMismatch {}
 
-/// A MAY/MUST summary-store pair that outlives a single engine run, so a
-/// resident process (the `spo serve` daemon) can re-enter the analysis
-/// with its memo tables already warm instead of building a fresh pair per
-/// run.
+/// A summary store that outlives a single engine run, so a resident
+/// process (the `spo serve` daemon) can re-enter the analysis with its memo
+/// table already warm instead of building a fresh store per run.
 ///
 /// Reuse is sound because only *clean* summaries are memoized and a clean
 /// summary is a pure function of its memo key — but that key names methods
@@ -258,8 +249,7 @@ impl std::error::Error for ShardMismatch {}
 /// program is reloaded; the serving layer enforces this by keying stores
 /// on both.
 pub struct ResidentStore {
-    may: SharedStore<Dnf>,
-    must: SharedStore<MustSet>,
+    store: SharedStore,
 }
 
 impl std::fmt::Debug for ResidentStore {
@@ -271,23 +261,21 @@ impl std::fmt::Debug for ResidentStore {
 }
 
 impl ResidentStore {
-    /// A fresh, empty resident pair with `shards` shards per store.
+    /// A fresh, empty resident store with `shards` shards.
     pub fn new(shards: usize) -> ResidentStore {
-        let shards = shards.max(1);
         ResidentStore {
-            may: SharedStore::new(shards),
-            must: SharedStore::new(shards),
+            store: SharedStore::new(shards),
         }
     }
 
-    /// Number of memoized summaries currently held (both passes).
+    /// Number of memoized summaries currently held.
     pub fn summaries(&self) -> usize {
-        self.may.len() + self.must.len()
+        self.store.len()
     }
 
-    /// Lock stripes per store.
+    /// Lock stripes of the store.
     pub fn shard_count(&self) -> usize {
-        self.may.shard_count()
+        self.store.shard_count()
     }
 }
 
@@ -334,13 +322,13 @@ impl AnalysisEngine {
     }
 
     /// Attaches a [`ResidentStore`]: runs with [`MemoScope::Global`]
-    /// borrow it instead of building a store pair per run, so repeat
+    /// borrow it instead of building a store per run, so repeat
     /// analyses in a long-lived process start with every previously proven
     /// clean summary already memoized. The caller owns the keying
     /// discipline documented on [`ResidentStore`] — one store per
     /// (program, options) pairing. Other memo scopes ignore it.
     pub fn with_resident(mut self, resident: Arc<ResidentStore>) -> Self {
-        // The resident pair's layout is fixed at its construction; the
+        // The resident store's layout is fixed at its construction; the
         // engine adopts it so the two can never drift apart. A later
         // `with_shards` with a different count is a validated error.
         self.shards = resident.shard_count();
@@ -509,23 +497,22 @@ impl AnalysisEngine {
         };
         let workers = self.jobs().min(work.len()).max(1);
 
-        // Global scope shares one sharded store pair across all workers;
-        // other scopes get per-root local stores inside the worker, which
+        // Global scope shares one sharded store across all workers; other
+        // scopes get per-root local stores inside the worker, which
         // reproduces PerEntry's clear-between-roots semantics. With a
         // resident store attached the run borrows it instead of building
-        // its own pair, so clean summaries survive into the next run —
-        // sound because they are pure functions of their memo key (see
+        // its own, so clean summaries survive into the next run — sound
+        // because they are pure functions of their memo key (see
         // [`ResidentStore`] for the keying discipline this relies on).
-        let owned: Option<(SharedStore<Dnf>, SharedStore<MustSet>)> =
-            (options.memo == MemoScope::Global && self.resident.is_none())
-                .then(|| (SharedStore::new(self.shards), SharedStore::new(self.shards)));
-        let shared: Option<(&SharedStore<Dnf>, &SharedStore<MustSet>)> = match &self.resident {
-            Some(r) if options.memo == MemoScope::Global => Some((&r.may, &r.must)),
-            _ => owned.as_ref().map(|(may, must)| (may, must)),
+        let owned = (options.memo == MemoScope::Global && self.resident.is_none())
+            .then(|| SharedStore::new(self.shards));
+        let shared: Option<&SharedStore> = match &self.resident {
+            Some(r) if options.memo == MemoScope::Global => Some(&r.store),
+            _ => owned.as_ref(),
         };
         // A resident store's counters accumulate across runs; snapshot them
         // so this run's stats report only its own traffic.
-        let shards_before = shared.map(|(may, must)| (may.shard_stats(), must.shard_stats()));
+        let shards_before = shared.map(SharedStore::shard_stats);
 
         // Cone-batched scheduling: roots sharing callees are grouped into
         // batches owned by one worker (their memo hits stay in that
@@ -579,12 +566,10 @@ impl AnalysisEngine {
                     let worker_roots = rec.work_counter(&format!("engine.worker{w:02}.roots"));
                     let mut local: Vec<(usize, String, EntryPolicy, AnalysisStats)> = Vec::new();
                     let mut local_faults: Vec<(usize, String, Fault)> = Vec::new();
-                    // Write-behind façades over the shared pair: reads go
+                    // Write-behind façade over the shared store: reads go
                     // through this worker's buffer first, writes publish
                     // in shard-grouped flushes at batch boundaries.
-                    let wb = shared.map(|(may, must)| {
-                        (WriteBehind::new(may, rec), WriteBehind::new(must, rec))
-                    });
+                    let wb = shared.map(|store| WriteBehind::new(store, rec));
                     let run_root =
                         |idx: usize,
                          local: &mut Vec<(usize, String, EntryPolicy, AnalysisStats)>,
@@ -622,18 +607,17 @@ impl AnalysisEngine {
                                     panic!("chaos: injected fault at engine.root.panic for {sig}");
                                 }
                                 governor.check_point();
-                                match &wb {
-                                    Some((may, must)) => analyzer.analyze_root(
-                                        roots[idx], may, must, &mut stats, rec, &governor,
-                                    ),
+                                let fresh;
+                                let store: &dyn SummaryStore = match &wb {
+                                    Some(wb) => wb,
                                     None => {
-                                        let may = LocalStore::default();
-                                        let must = LocalStore::default();
-                                        analyzer.analyze_root(
-                                            roots[idx], &may, &must, &mut stats, rec, &governor,
-                                        )
+                                        fresh = LocalStore::default();
+                                        &fresh
                                     }
-                                }
+                                };
+                                analyzer.analyze_root(
+                                    roots[idx], &sig, store, &mut stats, rec, &governor,
+                                )
                             });
                             match outcome {
                                 // The quarantined root's partial stats are
@@ -642,7 +626,7 @@ impl AnalysisEngine {
                                 // summaries its subtree completed stay
                                 // buffered: they are pure functions of their
                                 // keys, so publishing them is still sound.
-                                Ok((sig, entry)) => local.push((idx, sig, entry, stats)),
+                                Ok(entry) => local.push((idx, sig, entry, stats)),
                                 Err(fault) => local_faults.push((idx, sig, fault)),
                             }
                         };
@@ -654,18 +638,15 @@ impl AnalysisEngine {
                         }
                         // Batch boundary: publish everything the batch
                         // buffered so other workers' cones can hit it.
-                        if let Some((may, must)) = &wb {
-                            may.flush();
-                            must.flush();
+                        if let Some(wb) = &wb {
+                            wb.flush();
                         }
                     }
-                    if let Some((may, must)) = &wb {
-                        may.flush();
-                        must.flush();
-                        let (a, b) = (may.stats(), must.stats());
-                        wb_flushes.fetch_add(a.flushes + b.flushes, Ordering::Relaxed);
-                        wb_deferred_hits
-                            .fetch_add(a.deferred_hits + b.deferred_hits, Ordering::Relaxed);
+                    if let Some(wb) = &wb {
+                        wb.flush();
+                        let stats = wb.stats();
+                        wb_flushes.fetch_add(stats.flushes, Ordering::Relaxed);
+                        wb_deferred_hits.fetch_add(stats.deferred_hits, Ordering::Relaxed);
                     }
                     // Batch commit, itself quarantined, with poisoned-lock
                     // recovery: a panic that unwinds while a sibling held a
@@ -773,13 +754,9 @@ impl AnalysisEngine {
             batches_formed,
             writeback_flushes: wb_flushes.into_inner(),
             writeback_deferred_hits: wb_deferred_hits.into_inner(),
-            may_shards: shared
+            shards: shared
                 .zip(shards_before.as_ref())
-                .map(|((m, _), (before, _))| shard_delta(m.shard_stats(), before))
-                .unwrap_or_default(),
-            must_shards: shared
-                .zip(shards_before.as_ref())
-                .map(|((_, m), (_, before))| shard_delta(m.shard_stats(), before))
+                .map(|(store, before)| shard_delta(store.shard_stats(), before))
                 .unwrap_or_default(),
             wall_nanos: t0.elapsed().as_nanos(),
             roots_degraded: degraded.len() as u64,
@@ -840,20 +817,15 @@ impl AnalysisEngine {
         rec.work_counter("batch.formed").add(stats.batches_formed);
         rec.work_counter("guard.roots_degraded")
             .add(stats.roots_degraded);
-        for (prefix, shards) in [
-            ("store.may", &stats.may_shards),
-            ("store.must", &stats.must_shards),
-        ] {
-            if shards.is_empty() {
-                continue;
-            }
-            rec.work_counter(&format!("{prefix}.hits"))
+        let shards = &stats.shards;
+        if !shards.is_empty() {
+            rec.work_counter("store.hits")
                 .add(shards.iter().map(|s| s.hits).sum());
-            rec.work_counter(&format!("{prefix}.misses"))
+            rec.work_counter("store.misses")
                 .add(shards.iter().map(|s| s.misses).sum());
-            rec.work_counter(&format!("{prefix}.contended"))
+            rec.work_counter("store.contended")
                 .add(shards.iter().map(|s| s.contended).sum());
-            rec.work_counter(&format!("{prefix}.entries"))
+            rec.work_counter("store.entries")
                 .add(shards.iter().map(|s| s.entries as u64).sum());
             // Per-shard lock-wait histograms (nanoseconds blocked per
             // contended acquisition) — the contention heatmap behind the
@@ -862,7 +834,7 @@ impl AnalysisEngine {
             for (i, s) in shards.iter().enumerate() {
                 if s.lock_wait.count > 0 {
                     rec.record_duration_snapshot(
-                        &format!("{prefix}.shard{i:02}.lock_wait"),
+                        &format!("store.shard{i:02}.lock_wait"),
                         &s.lock_wait,
                     );
                 }
@@ -1030,13 +1002,7 @@ class t.A {
         assert_eq!(first.entries, cold.entries);
         let warmed = resident.summaries();
         assert!(warmed > 0, "first run populates the resident store");
-        let miss = |s: &EngineStats| {
-            s.may_shards
-                .iter()
-                .chain(&s.must_shards)
-                .map(|sh| sh.misses)
-                .sum::<u64>()
-        };
+        let miss = |s: &EngineStats| s.shards.iter().map(|sh| sh.misses).sum::<u64>();
         assert!(miss(&s1) > 0, "an empty store starts with misses");
 
         let (second, s2) = engine.analyze_library(&program, "t", options);
@@ -1061,7 +1027,7 @@ class t.A {
         let serial = Analyzer::new(&program, per_entry).analyze_library("t");
         let (lib, stats) = engine.analyze_library(&program, "t", per_entry);
         assert_eq!(lib.entries, serial.entries);
-        assert!(stats.may_shards.is_empty());
+        assert!(stats.shards.is_empty());
         assert_eq!(resident.summaries(), warmed);
     }
 
@@ -1137,7 +1103,7 @@ class t.A {
         assert!(stats.writeback_deferred_hits > 0, "{stats}");
         assert!(stats.writeback_flushes > 0, "{stats}");
         // The buffered summaries still reach the shared store at flush.
-        let entries: usize = stats.may_shards.iter().map(|s| s.entries).sum();
+        let entries: usize = stats.shards.iter().map(|s| s.entries).sum();
         assert!(entries > 0, "{stats}");
     }
 
@@ -1183,7 +1149,7 @@ class t.A {
         let (lib1, snap1) = run(1);
         let baseline = snap1.deterministic_json();
         assert!(snap1.counters["ispa.frames"] > 0);
-        assert!(snap1.work["store.may.entries"] > 0);
+        assert!(snap1.work["store.entries"] > 0);
         assert_eq!(snap1.work["engine.workers"], 1);
         assert_eq!(
             snap1.work["ispa.frames_analyzed"],

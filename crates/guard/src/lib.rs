@@ -169,9 +169,10 @@ impl Budget {
         self
     }
 
-    /// Sets the deadline `timeout` from now.
+    /// Sets the deadline `timeout` from now. A timeout too far out for the
+    /// clock to represent sets no deadline: it could never expire anyway.
     pub fn deadline_in(mut self, timeout: Duration) -> Self {
-        self.deadline = Some(Instant::now() + timeout);
+        self.deadline = Instant::now().checked_add(timeout);
         self
     }
 }
@@ -623,6 +624,17 @@ mod tests {
         let fault = quarantine(|| gov.check_point()).unwrap_err();
         assert_eq!(fault.cause, Cause::Cancelled);
         assert!(token.is_cancelled());
+    }
+
+    #[test]
+    fn unrepresentable_deadline_is_no_deadline() {
+        let budget = Budget::default().deadline_in(Duration::MAX);
+        assert_eq!(budget.deadline, None);
+        assert!(budget.is_unlimited());
+        assert!(Budget::default()
+            .deadline_in(Duration::from_secs(1))
+            .deadline
+            .is_some());
     }
 
     #[test]

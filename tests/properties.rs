@@ -20,7 +20,7 @@ fn small_corpus(seed: u64) -> spo_corpus::Corpus {
 }
 
 /// `must ⊆ may` for every event policy of every entry point — the
-/// fundamental relation between the two passes.
+/// fundamental relation between the MAY and MUST sides.
 #[test]
 fn must_is_subset_of_may() {
     for seed in SEEDS {
