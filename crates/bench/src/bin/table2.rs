@@ -28,8 +28,7 @@ use spo_bench::{
 use spo_cache::PolicyCache;
 use spo_core::{AnalysisOptions, MemoScope};
 use spo_corpus::Lib;
-use spo_engine::{AnalysisEngine, EngineStats};
-use spo_guard::GuardConfig;
+use spo_engine::{AnalysisEngine, EngineStats, Instruments};
 use spo_obs::Snapshot;
 use spo_serve::{OptionsSpec, Registry};
 use std::sync::Arc;
@@ -248,16 +247,17 @@ fn measure_serve(corpus: &spo_corpus::Corpus) -> ServeLatency {
     let path = std::env::temp_dir().join(format!("spo-table2-serve-{}.jir", std::process::id()));
     std::fs::write(&path, spo_jir::print_program(corpus.program(Lib::Jdk)))
         .expect("write serve corpus");
-    let registry = Registry::new(1, None, spo_obs::Recorder::disabled());
+    let registry = Registry::new(1, None);
+    let instruments = Instruments::default();
     registry
-        .load("jdk", &[path.to_string_lossy().into_owned()])
+        .load("jdk", &[path.to_string_lossy().into_owned()], &instruments)
         .expect("load serve corpus");
     let _ = std::fs::remove_file(&path);
     let entry = registry.get("jdk").expect("loaded program");
-    let (guard, spec) = (GuardConfig::default(), OptionsSpec::default());
+    let spec = OptionsSpec::default();
 
     let cold = Instant::now();
-    let (a, warm) = registry.analysis(&entry, spec, &guard);
+    let (a, warm) = registry.analysis(&entry, spec, &instruments);
     assert!(!warm, "first serve request must be cold");
     let _ = spo_core::render_analysis(&a.lib);
     let cold_ms = cold.elapsed().as_secs_f64() * 1e3;
@@ -274,7 +274,7 @@ fn measure_serve(corpus: &spo_corpus::Corpus) -> ServeLatency {
     let mut lat: Vec<f64> = (0..QUERIES)
         .map(|_| {
             let t = Instant::now();
-            let (a, warm) = registry.analysis(&entry, spec, &guard);
+            let (a, warm) = registry.analysis(&entry, spec, &instruments);
             let report = spo_core::render_entry(&sig, &a.lib.entries[&sig]);
             let elapsed = t.elapsed().as_secs_f64() * 1e3;
             assert!(warm && !report.is_empty(), "queries must serve warm");
@@ -369,7 +369,10 @@ fn measure_rpc_retries(corpus: &spo_corpus::Corpus) -> u64 {
         socket: Some(sock.clone()),
         jobs: 1,
         preload: vec![("jdk".to_owned(), vec![jir.to_string_lossy().into_owned()])],
-        recorder: spo_obs::Recorder::new(),
+        instruments: Instruments {
+            recorder: spo_obs::Recorder::new(),
+            ..Instruments::default()
+        },
         ..Default::default()
     };
     let daemon = std::thread::spawn(move || spo_serve::run(config));

@@ -74,8 +74,14 @@ pub mod sites {
     /// degraded root; keyed by root signature).
     pub const ENGINE_ROOT_PANIC: &str = "engine.root.panic";
     /// Engine worker sleeps while analyzing a root (keyed by root
-    /// signature; exercises deadlines and drain grace).
+    /// signature; exercises deadlines and drain grace). The plan's
+    /// `delay_ms` field fixes the sleep; without it the sleep is a seeded
+    /// 1–20 ms.
     pub const ENGINE_ROOT_DELAY: &str = "engine.root.delay";
+    /// Engine worker panics while committing a finished batch, after it
+    /// took the shared results lock — poisoning that lock (keyed by each
+    /// root signature in the batch; the whole batch degrades).
+    pub const ENGINE_COMMIT_PANIC: &str = "engine.commit.panic";
     /// One byte of a compiled policy index flips between the `read()`
     /// and the checksum verify (must surface as a typed parse failure,
     /// never a wrong answer).
@@ -93,22 +99,27 @@ pub mod sites {
         SERVE_FRAME_SPLIT,
         ENGINE_ROOT_PANIC,
         ENGINE_ROOT_DELAY,
+        ENGINE_COMMIT_PANIC,
         INDEX_READ_BITFLIP,
     ];
 }
 
-/// A site's arming rule: fire with a probability, or exactly once (the
-/// site's first probe), which pins single-fault scenarios in tests.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// A site's arming rule: fire with a probability, exactly once (the
+/// site's first probe), or on every keyed probe whose key contains a
+/// needle. The last two pin single-fault scenarios in tests.
+#[derive(Clone, Debug, PartialEq)]
 enum Rate {
     Probability(f64),
     Once,
+    Needle(String),
 }
 
 #[derive(Debug)]
 struct Shared {
     seed: u64,
     rates: BTreeMap<&'static str, Rate>,
+    // Fixed sleep for `engine.root.delay` when it fires.
+    delay_ms: Option<u64>,
     // Per-site probe counters for the sequence-keyed mode.
     counters: Mutex<BTreeMap<&'static str, u64>>,
     injected: AtomicU64,
@@ -149,6 +160,7 @@ impl FaultPlan {
         FaultPlan(Some(Arc::new(Shared {
             seed,
             rates: BTreeMap::new(),
+            delay_ms: None,
             counters: Mutex::new(BTreeMap::new()),
             injected: AtomicU64::new(0),
             recovered: AtomicU64::new(0),
@@ -176,6 +188,17 @@ impl FaultPlan {
     #[must_use]
     pub fn site_once(self, site: &str) -> FaultPlan {
         self.arm(site, Rate::Once)
+    }
+
+    /// Arms `site` to fire on every keyed probe whose key contains
+    /// `needle` (and on no sequence probe, which has no key).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown site name or a disabled plan.
+    #[must_use]
+    pub fn site_matching(self, site: &str, needle: &str) -> FaultPlan {
+        self.arm(site, Rate::Needle(needle.to_owned()))
     }
 
     /// Arms every site in `names` at `rate`.
@@ -213,6 +236,11 @@ impl FaultPlan {
         self.0.as_ref().map(|s| s.seed)
     }
 
+    /// The fixed `engine.root.delay` sleep, if the plan sets one.
+    pub fn delay_ms(&self) -> Option<u64> {
+        self.0.as_ref().and_then(|s| s.delay_ms)
+    }
+
     /// Sequence-keyed probe: does `site` fire on this, its n-th, probe?
     /// Deterministic when the site is probed in a deterministic order.
     pub fn should_fire(&self, site: &str) -> bool {
@@ -220,6 +248,9 @@ impl FaultPlan {
         let Some((canon, rate)) = shared.rate_of(site) else {
             return false;
         };
+        if let Rate::Needle(_) = rate {
+            return false;
+        }
         let n = {
             let mut counters = shared
                 .counters
@@ -241,6 +272,13 @@ impl FaultPlan {
         let Some((canon, rate)) = shared.rate_of(site) else {
             return false;
         };
+        if let Rate::Needle(needle) = rate {
+            let fire = key.contains(needle.as_str());
+            if fire {
+                shared.note_injected(canon);
+            }
+            return fire;
+        }
         shared.decide(canon, rate, fnv(key), 0)
     }
 
@@ -305,12 +343,14 @@ impl FaultPlan {
     /// Parses a plan spec, the `SPO_CHAOS` wire format:
     ///
     /// ```text
-    /// seed=N,rate=R,sites=SITE[:RATE|:once][+SITE...]
+    /// seed=N,rate=R,delay_ms=N,sites=SITE[:RATE|:once|~NEEDLE][+SITE...]
     /// ```
     ///
-    /// `rate` is the default probability for sites without a `:RATE`
-    /// suffix (default 0.1); `sites=all` arms every known site. An empty
-    /// spec is the disabled plan.
+    /// `rate` is the default probability for sites without a suffix
+    /// (default 0.1); `sites=all` arms every known site. `SITE~NEEDLE`
+    /// fires on exactly the keyed probes whose key contains NEEDLE.
+    /// `delay_ms` (at least 1) fixes the `engine.root.delay` sleep. An
+    /// empty spec is the disabled plan.
     ///
     /// # Errors
     ///
@@ -322,6 +362,7 @@ impl FaultPlan {
         }
         let mut seed: Option<u64> = None;
         let mut default_rate = 0.1f64;
+        let mut delay_ms: Option<u64> = None;
         let mut site_list: Vec<(String, Option<Rate>)> = Vec::new();
         for field in spec.split(',') {
             let (key, value) = field
@@ -339,6 +380,10 @@ impl FaultPlan {
                 "rate" => {
                     default_rate = parse_rate(value)?;
                 }
+                "delay_ms" => match value.trim().parse::<u64>() {
+                    Ok(ms) if ms >= 1 => delay_ms = Some(ms),
+                    _ => return Err(format!("delay_ms \"{value}\": expected an integer >= 1")),
+                },
                 "sites" => {
                     for part in value.split('+') {
                         let part = part.trim();
@@ -349,6 +394,14 @@ impl FaultPlan {
                             for s in sites::ALL {
                                 site_list.push(((*s).to_owned(), None));
                             }
+                            continue;
+                        }
+                        if let Some((name, needle)) = part.split_once('~') {
+                            if needle.is_empty() {
+                                return Err(format!("site \"{name}\": empty needle after `~`"));
+                            }
+                            site_list
+                                .push((name.to_owned(), Some(Rate::Needle(needle.to_owned()))));
                             continue;
                         }
                         match part.split_once(':') {
@@ -374,6 +427,9 @@ impl FaultPlan {
             }
             plan = plan.arm(&name, rate.unwrap_or(Rate::Probability(default_rate)));
         }
+        if let Some(shared) = plan.0.as_mut().and_then(Arc::get_mut) {
+            shared.delay_ms = delay_ms;
+        }
         Ok(plan)
     }
 
@@ -385,6 +441,9 @@ impl FaultPlan {
             return String::new();
         };
         let mut out = format!("seed={}", shared.seed);
+        if let Some(ms) = shared.delay_ms {
+            out.push_str(&format!(",delay_ms={ms}"));
+        }
         if !shared.rates.is_empty() {
             out.push_str(",sites=");
             let rendered: Vec<String> = shared
@@ -393,6 +452,7 @@ impl FaultPlan {
                 .map(|(site, rate)| match rate {
                     Rate::Once => format!("{site}:once"),
                     Rate::Probability(p) => format!("{site}:{p}"),
+                    Rate::Needle(needle) => format!("{site}~{needle}"),
                 })
                 .collect();
             out.push_str(&rendered.join("+"));
@@ -402,34 +462,39 @@ impl FaultPlan {
 }
 
 impl Shared {
-    fn rate_of(&self, site: &str) -> Option<(&'static str, Rate)> {
+    fn rate_of(&self, site: &str) -> Option<(&'static str, &Rate)> {
         // Armed sites are canonical; an unarmed (or unknown) site never
         // fires, so the probe stays cheap for plans arming other layers.
-        self.rates.get_key_value(site).map(|(k, v)| (*k, *v))
+        self.rates.get_key_value(site).map(|(k, v)| (*k, v))
     }
 
     /// One fire/no-fire decision from the `(seed, site, draw)` stream;
     /// `once_index` is the probe ordinal "once" compares against.
-    fn decide(&self, canon: &'static str, rate: Rate, draw: u64, once_index: u64) -> bool {
+    fn decide(&self, canon: &'static str, rate: &Rate, draw: u64, once_index: u64) -> bool {
         let fire = match rate {
             Rate::Once => once_index == 0,
             Rate::Probability(p) => {
                 let mut rng = SmallRng::seed_from_u64(
                     self.seed ^ fnv(canon) ^ draw.wrapping_mul(0x2545_f491_4f6c_dd1d),
                 );
-                rng.gen_bool(p)
+                rng.gen_bool(*p)
             }
+            Rate::Needle(_) => false,
         };
         if fire {
-            self.injected.fetch_add(1, Ordering::Relaxed);
-            *self
-                .per_site
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .entry(canon)
-                .or_insert(0) += 1;
+            self.note_injected(canon);
         }
         fire
+    }
+
+    fn note_injected(&self, canon: &'static str) {
+        self.injected.fetch_add(1, Ordering::Relaxed);
+        *self
+            .per_site
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .entry(canon)
+            .or_insert(0) += 1;
     }
 }
 
@@ -558,6 +623,18 @@ mod tests {
             .collect();
         reversed.reverse();
         assert_eq!(forward, reversed);
+
+        // A needle fires on exactly the keys containing it, in any order,
+        // and never on a sequence probe (which has no key).
+        let needle = FaultPlan::seeded(3).site_matching(sites::ENGINE_ROOT_PANIC, "B.n");
+        let fired: Vec<bool> = keys
+            .iter()
+            .rev()
+            .map(|k| needle.should_fire_keyed(sites::ENGINE_ROOT_PANIC, k))
+            .collect();
+        assert_eq!(fired, [false, false, true, false]);
+        assert!(!needle.should_fire(sites::ENGINE_ROOT_PANIC));
+        assert_eq!(needle.injected(), 1);
     }
 
     #[test]
@@ -582,11 +659,23 @@ mod tests {
     fn spec_round_trips_through_parse() {
         let plan = FaultPlan::seeded(42)
             .site(sites::CACHE_BITFLIP, 0.25)
-            .site_once(sites::SERVE_CONN_DROP);
+            .site_once(sites::SERVE_CONN_DROP)
+            .site_matching(sites::ENGINE_ROOT_PANIC, "A.read");
         let spec = plan.spec();
+        assert!(spec.contains("engine.root.panic~A.read"), "{spec}");
         let reparsed = FaultPlan::parse(&spec).unwrap();
         assert_eq!(reparsed.spec(), spec);
         assert_eq!(reparsed.seed(), Some(42));
+
+        let delayed = "seed=7,delay_ms=250,sites=engine.root.delay:1";
+        let plan = FaultPlan::parse(delayed).unwrap();
+        assert_eq!(plan.delay_ms(), Some(250));
+        assert_eq!(plan.spec(), delayed);
+        assert_eq!(
+            FaultPlan::parse(&plan.spec()).unwrap().delay_ms(),
+            Some(250)
+        );
+        assert_eq!(FaultPlan::seeded(7).delay_ms(), None);
     }
 
     #[test]
@@ -601,6 +690,20 @@ mod tests {
         assert!(FaultPlan::parse("seed=1,sites=no.such.site").is_err());
         assert!(FaultPlan::parse("seed=1,rate=7").is_err());
         assert!(FaultPlan::parse("garbage").is_err());
+        let needle =
+            FaultPlan::parse("seed=1,sites=engine.root.panic~DatagramSocket.connect").unwrap();
+        assert!(needle.should_fire_keyed(
+            sites::ENGINE_ROOT_PANIC,
+            "java.net.DatagramSocket.connect(java.net.InetAddress,int)"
+        ));
+        assert!(!needle.should_fire_keyed(sites::ENGINE_ROOT_PANIC, "java.net.Socket.connect()"));
+        assert!(
+            FaultPlan::parse("seed=1,sites=engine.root.panic~").is_err(),
+            "empty needle"
+        );
+        assert!(FaultPlan::parse("seed=1,sites=no.such.site~x").is_err());
+        assert!(FaultPlan::parse("seed=1,delay_ms=0").is_err());
+        assert!(FaultPlan::parse("seed=1,delay_ms=soon").is_err());
     }
 
     #[test]

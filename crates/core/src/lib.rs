@@ -43,8 +43,8 @@ pub use html::render_html;
 pub use ispa::{AnalysisOptions, Analyzer, MemoScope};
 pub use policy::{render_dnf, AnalysisStats, EntryPolicy, EventPolicy, LibraryPolicies, Origins};
 pub use report::{
-    group_differences, render_analysis, render_entry, render_reports, root_keys, ReportGroup,
-    ReportTally, RootCause,
+    diff_pair, group_differences, render_analysis, render_entry, render_reports, root_keys,
+    ReportGroup, ReportTally, RootCause,
 };
 pub use store::{
     FrameCost, LocalStore, MemoKey, ShardStats, SharedStore, Summary, SummaryStore, WriteBehind,

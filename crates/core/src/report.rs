@@ -6,7 +6,7 @@
 //! multiple API entry points. The number of entry points (manifestations)
 //! that can exploit the error is shown in parentheses."
 
-use crate::diff::{DiffResult, DifferenceKind, PolicyDifference};
+use crate::diff::{diff_libraries, DiffResult, DifferenceKind, PolicyDifference};
 use crate::policy::{render_dnf, EntryPolicy, LibraryPolicies};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -89,6 +89,21 @@ pub fn group_differences(result: &DiffResult, intra_keys: &BTreeSet<String>) -> 
             });
     }
     groups.into_values().collect()
+}
+
+/// The oracle's one pairwise comparison: differences over the two full
+/// analyses, grouped by root cause against the keys the intraprocedural
+/// ablation of the same pair finds. Each side is `(full, intra)`. The
+/// engine's `compare_all`, the daemon's diff and the index diff all call
+/// this, so they agree by construction.
+pub fn diff_pair(
+    left: (&LibraryPolicies, &LibraryPolicies),
+    right: (&LibraryPolicies, &LibraryPolicies),
+) -> (DiffResult, Vec<ReportGroup>) {
+    let diff = diff_libraries(left.0, right.0);
+    let intra_keys = root_keys(&diff_libraries(left.1, right.1));
+    let groups = group_differences(&diff, &intra_keys);
+    (diff, groups)
 }
 
 /// The root keys of a diff result, for feeding the intraprocedural ablation

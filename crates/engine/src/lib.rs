@@ -46,10 +46,11 @@
 mod schedule;
 
 use spo_cache::{CacheKeyer, ContentTable, PolicyCache};
+use spo_chaos::{sites, FaultPlan};
 use spo_core::{
-    diff_libraries, group_differences, root_keys, AnalysisOptions, AnalysisStats, Analyzer,
-    DiffResult, EntryPolicy, LibraryPolicies, LocalStore, MemoScope, ReportGroup, ShardStats,
-    SharedStore, SummaryStore, WriteBehind, DEFAULT_SHARDS,
+    diff_pair, AnalysisOptions, AnalysisStats, Analyzer, DiffResult, EntryPolicy, LibraryPolicies,
+    LocalStore, MemoScope, ReportGroup, ShardStats, SharedStore, SummaryStore, WriteBehind,
+    DEFAULT_SHARDS,
 };
 use spo_guard::{quarantine, Diagnostic, Fault, GuardConfig};
 use spo_jir::{MethodId, Program};
@@ -194,6 +195,50 @@ pub struct ComparisonSet {
     pub stats: EngineStats,
 }
 
+/// Everything a run carries that is not analysis input: the stats
+/// recorder, the flight-recorder tracer, the fault plan and the guard.
+/// The CLI, the engine, the serve registry and the daemon pass this one
+/// value instead of threading each handle separately. None of it can
+/// change a surviving root's report bytes.
+#[derive(Clone, Debug)]
+pub struct Instruments {
+    /// Stats recorder. Each engine worker records into a private child;
+    /// the engine absorbs them in worker-id order after the pool joins,
+    /// so the merged deterministic sections do not depend on thread
+    /// interleaving.
+    pub recorder: Recorder,
+    /// Flight-recorder tracer. Each run opens a main lane plus one lane
+    /// per worker ("`<name>/worker00`" …) with per-root spans, fixpoint
+    /// spans, cache hit/miss instants and shard `lock_wait` events.
+    /// Wall-clock telemetry only: results and the deterministic stats
+    /// sections are identical with tracing on or off.
+    pub tracer: Tracer,
+    /// Fault plan. The worker-loop sites (`engine.root.*`,
+    /// `engine.commit.panic`) are keyed by root signature, so which roots
+    /// fail does not depend on work-stealing order.
+    pub faults: FaultPlan,
+    /// Per-root budgets and the shared cancel token. A root that exhausts
+    /// the budget, observes cancellation, or panics is quarantined into
+    /// [`LibraryPolicies::degraded`]; the surviving entries are
+    /// byte-identical to a clean run restricted to them.
+    pub guard: GuardConfig,
+}
+
+impl Default for Instruments {
+    /// A disabled recorder and tracer, the default guard, and the
+    /// process-wide `spo-chaos` plan — captured once, so every worker
+    /// probe draws from the same plan even if the global is swapped
+    /// mid-run.
+    fn default() -> Instruments {
+        Instruments {
+            recorder: Recorder::disabled(),
+            tracer: Tracer::disabled(),
+            faults: spo_chaos::current(),
+            guard: GuardConfig::default(),
+        }
+    }
+}
+
 /// The parallel per-entry-point analysis driver.
 ///
 /// See the crate-level documentation for the determinism argument; the
@@ -203,12 +248,9 @@ pub struct ComparisonSet {
 pub struct AnalysisEngine {
     jobs: usize,
     shards: usize,
-    recorder: Recorder,
-    tracer: Tracer,
-    guard: GuardConfig,
+    instruments: Instruments,
     cache: Option<Arc<PolicyCache>>,
     resident: Option<Arc<ResidentStore>>,
-    chaos: spo_chaos::FaultPlan,
 }
 
 /// The error [`AnalysisEngine::with_shards`] returns when the requested
@@ -301,23 +343,16 @@ impl AnalysisEngine {
         AnalysisEngine {
             jobs,
             shards: DEFAULT_SHARDS,
-            recorder: Recorder::disabled(),
-            tracer: Tracer::disabled(),
-            guard: GuardConfig::default(),
+            instruments: Instruments::default(),
             cache: None,
             resident: None,
-            // Captured once at construction: worker probes must all draw
-            // from the same plan even if the global is swapped mid-run.
-            chaos: spo_chaos::current(),
         }
     }
 
-    /// Replaces the fault plan captured from the process-wide `spo-chaos`
-    /// plan at construction (tests arm a plan without touching the
-    /// global). Worker-loop fault sites are keyed by root signature, so
-    /// which roots fail is independent of work-stealing order.
-    pub fn with_fault_plan(mut self, plan: spo_chaos::FaultPlan) -> Self {
-        self.chaos = plan;
+    /// Replaces the run's [`Instruments`] (recorder, tracer, fault plan
+    /// and guard) captured at construction.
+    pub fn with_instruments(mut self, instruments: Instruments) -> Self {
+        self.instruments = instruments;
         self
     }
 
@@ -357,22 +392,6 @@ impl AnalysisEngine {
         self.cache.as_ref()
     }
 
-    /// Attaches a guard configuration: per-root budgets, the shared cancel
-    /// token, and (in tests) the fault-injection plan. Roots that exhaust
-    /// the budget, observe cancellation, or panic are quarantined into
-    /// [`LibraryPolicies::degraded`] diagnostics instead of killing the
-    /// run; the surviving entries are byte-identical to a clean run
-    /// restricted to them.
-    pub fn with_guard(mut self, guard: GuardConfig) -> Self {
-        self.guard = guard;
-        self
-    }
-
-    /// The attached guard configuration (inert unless set).
-    pub fn guard(&self) -> &GuardConfig {
-        &self.guard
-    }
-
     /// Overrides the number of summary-store shards (default
     /// [`DEFAULT_SHARDS`]). With a [`ResidentStore`] attached the store
     /// layout is already fixed, so any *different* count is a
@@ -392,34 +411,10 @@ impl AnalysisEngine {
         Ok(self)
     }
 
-    /// Attaches an observability recorder. Each worker records into a
-    /// private child recorder; the engine absorbs them in worker-id order
-    /// after the pool joins, so the merged deterministic sections do not
-    /// depend on thread interleaving.
+    /// Replaces only the [`Instruments::recorder`].
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
+        self.instruments.recorder = recorder;
         self
-    }
-
-    /// The attached recorder (disabled unless set).
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
-    }
-
-    /// Attaches a flight-recorder tracer. Each run opens a main lane plus
-    /// one lane per worker ("`<name>/worker00`" …) and emits per-root
-    /// spans, fixpoint spans, cache hit/miss instants, and shard
-    /// `lock_wait` events into them. Tracing is wall-clock telemetry only:
-    /// analysis results, report bytes, and the deterministic stats
-    /// sections are byte-identical with tracing on or off.
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
-    /// The attached tracer (disabled unless set).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// The resolved worker count.
@@ -457,9 +452,15 @@ impl AnalysisEngine {
         // write-back, merge) plus one per worker below. Binding the lane
         // makes it visible to the cache and store layers through the
         // thread-local trace context, with no signature changes there.
-        let tracing = self.tracer.is_enabled();
+        let Instruments {
+            recorder,
+            tracer,
+            faults: chaos,
+            guard,
+        } = &self.instruments;
+        let tracing = tracer.is_enabled();
         let main_lane = if tracing {
-            self.tracer.lane(&format!("{name}/main"))
+            tracer.lane(&format!("{name}/main"))
         } else {
             TraceLane::disabled()
         };
@@ -535,13 +536,13 @@ impl AnalysisEngine {
         // Each worker records into a private child recorder; absorbing them
         // in worker-id order below keeps the merged output independent of
         // thread interleaving.
-        let worker_recs: Vec<Recorder> = (0..workers).map(|_| self.recorder.child()).collect();
+        let worker_recs: Vec<Recorder> = (0..workers).map(|_| recorder.child()).collect();
         // One timeline lane per worker, in worker-id order so the trace's
         // `tid`s are stable for a given worker count.
         let worker_lanes: Vec<TraceLane> = (0..workers)
             .map(|w| {
                 if tracing {
-                    self.tracer.lane(&format!("{name}/worker{w:02}"))
+                    tracer.lane(&format!("{name}/worker{w:02}"))
                 } else {
                     TraceLane::disabled()
                 }
@@ -555,8 +556,6 @@ impl AnalysisEngine {
                 let steals = &steals;
                 let results = &results;
                 let faults = &faults;
-                let guard = &self.guard;
-                let chaos = &self.chaos;
                 let lanes = &worker_lanes;
                 let batches_stolen = &batches_stolen;
                 let wb_flushes = &wb_flushes;
@@ -587,23 +586,19 @@ impl AnalysisEngine {
                             // first check point, so the pool joins promptly.
                             let governor = guard.governor();
                             let outcome = quarantine(|| {
-                                guard.maybe_inject(&sig);
                                 // Chaos fault sites, keyed by root signature so
                                 // the set of perturbed roots is a pure function
-                                // of the plan seed under any work-stealing
+                                // of the plan under any work-stealing
                                 // interleaving. The panic is quarantined like
                                 // any real one: this root degrades, the rest
                                 // are byte-identical to a clean run.
-                                if chaos
-                                    .should_fire_keyed(spo_chaos::sites::ENGINE_ROOT_DELAY, &sig)
-                                {
-                                    std::thread::sleep(std::time::Duration::from_millis(
-                                        1 + chaos.amount(spo_chaos::sites::ENGINE_ROOT_DELAY, 20),
-                                    ));
+                                if chaos.should_fire_keyed(sites::ENGINE_ROOT_DELAY, &sig) {
+                                    let ms = chaos.delay_ms().unwrap_or_else(|| {
+                                        1 + chaos.amount(sites::ENGINE_ROOT_DELAY, 20)
+                                    });
+                                    std::thread::sleep(std::time::Duration::from_millis(ms));
                                 }
-                                if chaos
-                                    .should_fire_keyed(spo_chaos::sites::ENGINE_ROOT_PANIC, &sig)
-                                {
+                                if chaos.should_fire_keyed(sites::ENGINE_ROOT_PANIC, &sig) {
                                     panic!("chaos: injected fault at engine.root.panic for {sig}");
                                 }
                                 governor.check_point();
@@ -656,7 +651,16 @@ impl AnalysisEngine {
                     // poison flag carries no information here.
                     let commit = quarantine(|| {
                         let mut shared_results = results.lock().unwrap_or_else(|e| e.into_inner());
-                        guard.maybe_inject_append(local.iter().map(|(_, sig, ..)| sig.as_str()));
+                        // Fires while the lock is held, so the panic poisons
+                        // it: the lock-poison recovery's regression site.
+                        for (_, sig, ..) in &local {
+                            if chaos.should_fire_keyed(sites::ENGINE_COMMIT_PANIC, sig) {
+                                panic!(
+                                    "chaos: injected append fault at engine.commit.panic \
+                                     for batch containing {sig}"
+                                );
+                            }
+                        }
                         shared_results.append(&mut local);
                         drop(shared_results);
                         faults
@@ -682,7 +686,7 @@ impl AnalysisEngine {
         });
 
         for wrec in &worker_recs {
-            self.recorder.absorb(wrec);
+            recorder.absorb(wrec);
         }
 
         let mut results = results.into_inner().unwrap_or_else(|e| e.into_inner());
@@ -763,12 +767,12 @@ impl AnalysisEngine {
         };
         self.record_stats(&stats);
         if let Some((cache, _, before)) = &cache_state {
-            if self.recorder.is_enabled() {
+            if recorder.is_enabled() {
                 // Filesystem-dependent, so `work` counters (the
                 // deterministic `counters` section must not vary with the
                 // cache's disk state).
                 let after = cache.stats();
-                let rec = &self.recorder;
+                let rec = recorder;
                 rec.work_counter("cache.hits").add(after.hits - before.hits);
                 rec.work_counter("cache.misses")
                     .add(after.misses - before.misses);
@@ -778,9 +782,9 @@ impl AnalysisEngine {
                     .add(after.bytes - before.bytes);
             }
         }
-        if self.recorder.is_enabled() {
+        if recorder.is_enabled() {
             for diag in degraded.values() {
-                self.recorder.diagnostic(
+                recorder.diagnostic(
                     &diag.severity.to_string(),
                     &diag.phase.to_string(),
                     &diag.root,
@@ -803,7 +807,7 @@ impl AnalysisEngine {
     /// All of it is scheduling-dependent, so everything lands in `work`
     /// counters (or `durations`).
     fn record_stats(&self, stats: &EngineStats) {
-        let rec = &self.recorder;
+        let rec = &self.instruments.recorder;
         if !rec.is_enabled() {
             return;
         }
@@ -871,9 +875,8 @@ impl AnalysisEngine {
         let mut comparisons = Vec::new();
         for i in 0..implementations.len() {
             for j in i + 1..implementations.len() {
-                let diff = diff_libraries(&libraries[i], &libraries[j]);
-                let intra_keys = root_keys(&diff_libraries(&intra[i], &intra[j]));
-                let groups = group_differences(&diff, &intra_keys);
+                let (diff, groups) =
+                    diff_pair((&libraries[i], &intra[i]), (&libraries[j], &intra[j]));
                 comparisons.push(Comparison {
                     pair: (i, j),
                     diff,
@@ -1172,9 +1175,11 @@ class t.A {
         let options = AnalysisOptions::default();
         let run = |tracer: Tracer, jobs: usize| {
             let rec = Recorder::new();
-            let engine = AnalysisEngine::new(jobs)
-                .with_recorder(rec.clone())
-                .with_tracer(tracer);
+            let engine = AnalysisEngine::new(jobs).with_instruments(Instruments {
+                recorder: rec.clone(),
+                tracer,
+                ..Instruments::default()
+            });
             let (lib, _) = engine.analyze_library(&program, "t", options);
             (lib, rec.snapshot().deterministic_json())
         };
@@ -1203,12 +1208,12 @@ class t.A {
         let options = AnalysisOptions::default();
         let clean = Analyzer::new(&program, options).analyze_library("t");
         for jobs in [1, 2, 8] {
-            let guard = GuardConfig {
-                inject_panics: vec!["t.A.read".to_owned()],
-                ..Default::default()
-            };
+            let faults = FaultPlan::seeded(1).site_matching(sites::ENGINE_ROOT_PANIC, "t.A.read");
             let (lib, stats) = AnalysisEngine::new(jobs)
-                .with_guard(guard)
+                .with_instruments(Instruments {
+                    faults,
+                    ..Instruments::default()
+                })
                 .analyze_library(&program, "t", options);
             assert_eq!(stats.roots_degraded, 1, "jobs {jobs}");
             assert_eq!(lib.degraded.len(), 1);
@@ -1227,7 +1232,6 @@ class t.A {
 
     #[test]
     fn chaos_root_panics_are_keyed_quarantined_and_replayable() {
-        use spo_chaos::{sites, FaultPlan};
         use spo_guard::Cause;
         let program = sample_program();
         let options = AnalysisOptions::default();
@@ -1248,7 +1252,10 @@ class t.A {
         for jobs in [1, 2, 8] {
             let plan = FaultPlan::seeded(seed).site(sites::ENGINE_ROOT_PANIC, 0.5);
             let (lib, stats) = AnalysisEngine::new(jobs)
-                .with_fault_plan(plan)
+                .with_instruments(Instruments {
+                    faults: plan,
+                    ..Instruments::default()
+                })
                 .analyze_library(&program, "t", options);
             assert!(stats.roots_degraded > 0, "jobs {jobs}");
             for (sig, diag) in &lib.degraded {
@@ -1306,7 +1313,10 @@ class t.B {
                 ..Default::default()
             };
             AnalysisEngine::new(jobs)
-                .with_guard(guard)
+                .with_instruments(Instruments {
+                    guard,
+                    ..Instruments::default()
+                })
                 .analyze_library(&program, "t", options)
         };
         let (lib1, stats1) = run(1);
@@ -1332,11 +1342,12 @@ class t.B {
             cancel,
             ..Default::default()
         };
-        let (lib, stats) = AnalysisEngine::new(2).with_guard(guard).analyze_library(
-            &program,
-            "t",
-            AnalysisOptions::default(),
-        );
+        let (lib, stats) = AnalysisEngine::new(2)
+            .with_instruments(Instruments {
+                guard,
+                ..Instruments::default()
+            })
+            .analyze_library(&program, "t", AnalysisOptions::default());
         assert!(lib.entries.is_empty());
         assert!(stats.roots_degraded > 0);
         for diag in lib.degraded.values() {
@@ -1348,13 +1359,11 @@ class t.B {
     fn degraded_roots_reported_in_stats_snapshot() {
         let program = sample_program();
         let rec = Recorder::new();
-        let guard = GuardConfig {
-            inject_panics: vec!["t.A.write".to_owned()],
-            ..Default::default()
-        };
-        let engine = AnalysisEngine::new(2)
-            .with_recorder(rec.clone())
-            .with_guard(guard);
+        let engine = AnalysisEngine::new(2).with_instruments(Instruments {
+            recorder: rec.clone(),
+            faults: FaultPlan::seeded(1).site_matching(sites::ENGINE_ROOT_PANIC, "t.A.write"),
+            ..Instruments::default()
+        });
         let (_, stats) = engine.analyze_library(&program, "t", AnalysisOptions::default());
         assert_eq!(stats.roots_degraded, 1);
         let snap = rec.snapshot();
@@ -1379,12 +1388,12 @@ class t.B {
             // this turned one quarantined fault into a whole-run abort:
             // every sibling's `lock().unwrap()` re-panicked inside
             // `thread::scope`, which re-raises at join.
-            let guard = GuardConfig {
-                inject_append_panics: vec!["t.A.read".to_owned()],
-                ..Default::default()
-            };
+            let faults = FaultPlan::seeded(1).site_matching(sites::ENGINE_COMMIT_PANIC, "t.A.read");
             let (lib, stats) = AnalysisEngine::new(jobs)
-                .with_guard(guard)
+                .with_instruments(Instruments {
+                    faults,
+                    ..Instruments::default()
+                })
                 .analyze_library(&program, "t", options);
             // The run completes and the lost batch resurfaces as
             // per-root faults, so no root silently disappears.

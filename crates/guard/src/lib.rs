@@ -482,36 +482,16 @@ impl fmt::Display for Diagnostic {
 }
 
 /// The run-level guard configuration handed to the engine and the CLI: the
-/// budget applied to every root, the shared cancel token, and the
-/// test-only fault-injection plan.
+/// budget applied to every root and the shared cancel token.
 #[derive(Clone, Debug, Default)]
 pub struct GuardConfig {
     /// Budget applied to each root (frame counts reset per root).
     pub budget: Budget,
     /// Shared cancellation flag (e.g. flipped by the CLI's Ctrl-C handler).
     pub cancel: CancelToken,
-    /// Test-only: roots whose signature contains one of these substrings
-    /// panic before analysis, exercising the quarantine path end to end.
-    pub inject_panics: Vec<String>,
-    /// Test-only: a worker whose finished batch contains a root matching
-    /// one of these substrings panics *while holding the shared result
-    /// lock*, poisoning it — the regression scenario for lock-poison
-    /// recovery in the engine's result-append path.
-    pub inject_append_panics: Vec<String>,
-    /// Test-only: per-root sleep (milliseconds) before analysis, used to
-    /// make cancellation races deterministic in tests.
-    pub inject_sleep_ms: u64,
 }
 
 impl GuardConfig {
-    /// Returns `true` if this configuration can never degrade anything.
-    pub fn is_inert(&self) -> bool {
-        self.budget.is_unlimited()
-            && self.cancel.0.is_none()
-            && self.inject_panics.is_empty()
-            && self.inject_append_panics.is_empty()
-    }
-
     /// A fresh per-root [`Governor`] over this configuration.
     pub fn governor(&self) -> Governor {
         Governor::new(self.budget, self.cancel.clone())
@@ -538,40 +518,6 @@ impl GuardConfig {
             });
         }
         derived
-    }
-
-    /// Test-only fault injection: panics if `signature` matches the plan.
-    /// Also applies the injected per-root sleep.
-    pub fn maybe_inject(&self, signature: &str) {
-        if self.inject_sleep_ms > 0 {
-            std::thread::sleep(Duration::from_millis(self.inject_sleep_ms));
-        }
-        if self
-            .inject_panics
-            .iter()
-            .any(|needle| signature.contains(needle.as_str()))
-        {
-            panic!("injected fault for root {signature}");
-        }
-    }
-
-    /// Test-only fault injection for the engine's result-append path:
-    /// panics if any of the batch's `signatures` matches the plan. The
-    /// engine calls this *after* acquiring the shared result lock, so the
-    /// injected panic poisons it.
-    pub fn maybe_inject_append<'a>(&self, signatures: impl Iterator<Item = &'a str>) {
-        if self.inject_append_panics.is_empty() {
-            return;
-        }
-        for sig in signatures {
-            if self
-                .inject_append_panics
-                .iter()
-                .any(|needle| sig.contains(needle.as_str()))
-            {
-                panic!("injected append fault for batch containing {sig}");
-            }
-        }
     }
 }
 
@@ -674,19 +620,6 @@ mod tests {
     }
 
     #[test]
-    fn guard_config_injection_matches_substrings() {
-        let cfg = GuardConfig {
-            inject_panics: vec!["A.read".to_owned()],
-            ..GuardConfig::default()
-        };
-        assert!(!cfg.is_inert());
-        cfg.maybe_inject("t.B.write()"); // no match, no panic
-        let fault = quarantine(|| cfg.maybe_inject("t.A.read()")).unwrap_err();
-        assert_eq!(fault.cause, Cause::Panic);
-        assert!(fault.message.contains("t.A.read()"));
-    }
-
-    #[test]
     fn child_tokens_observe_parent_but_not_siblings() {
         let parent = CancelToken::new();
         let a = parent.child();
@@ -709,7 +642,6 @@ mod tests {
         let base = GuardConfig {
             budget: Budget::default().deadline_in(Duration::from_secs(3600)),
             cancel: CancelToken::new(),
-            ..GuardConfig::default()
         };
         // A shorter request timeout wins over the (looser) base deadline.
         let req = base.for_request(Some(Duration::from_millis(1)));

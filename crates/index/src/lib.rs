@@ -790,25 +790,18 @@ impl<'a> PolicyIndex<'a> {
     }
 }
 
-/// Composes the analysis-path pairwise diff from two reconstructed
-/// `(full, intra)` pairs: differences over the full policies, root-cause
-/// classification against the intra ablation's keys, grouped and rendered
-/// via [`spo_core::render_reports`]. Returns the report and whether any
-/// difference was found — the same composition (and therefore the same
-/// bytes and findings bit) as the engine's `compare_all` and the daemon's
-/// diff path.
+/// The analysis-path pairwise diff of two reconstructed `(full, intra)`
+/// pairs through [`spo_core::diff_pair`], rendered via
+/// [`spo_core::render_reports`]. Returns the report and whether any
+/// difference was found.
 pub fn diff_rendered(
     left_full: &LibraryPolicies,
     left_intra: &LibraryPolicies,
     right_full: &LibraryPolicies,
     right_intra: &LibraryPolicies,
 ) -> (String, bool) {
-    let diff = spo_core::diff_libraries(left_full, right_full);
-    let intra_keys = spo_core::root_keys(&spo_core::diff_libraries(left_intra, right_intra));
-    let groups = spo_core::group_differences(&diff, &intra_keys);
-    let report = spo_core::render_reports(&diff, &groups);
-    let findings = !groups.is_empty();
-    (report, findings)
+    let (diff, groups) = spo_core::diff_pair((left_full, left_intra), (right_full, right_intra));
+    (spo_core::render_reports(&diff, &groups), !groups.is_empty())
 }
 
 /// Reads an index file in one `read()`, with the `index.read.bitflip`

@@ -35,10 +35,8 @@ mod callgraph;
 mod hierarchy;
 mod lint;
 mod resolver;
-mod rta;
 
 pub use callgraph::{entry_points, CallGraph};
 pub use hierarchy::Hierarchy;
 pub use lint::{lint_program, Lint, LintKind};
 pub use resolver::{Resolution, ResolutionStats, Resolver};
-pub use rta::Rta;

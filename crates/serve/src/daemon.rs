@@ -15,11 +15,13 @@
 //!
 //! # Admission control
 //!
-//! Every request gets [`GuardConfig::for_request`]: a cancel token linked
-//! to the daemon's shutdown token plus the request's `timeout_ms` folded
-//! into the budget deadline (tightening, never loosening, the operator's
-//! base budget). An over-budget request degrades — typed response, partial
-//! result — without touching any other session.
+//! Every request derives its own [`Instruments`] from the daemon's base
+//! value. Its guard comes from [`spo_guard::GuardConfig::for_request`]: a
+//! cancel token linked to the daemon's shutdown token plus the request's
+//! `timeout_ms` folded into the budget deadline (tightening, never
+//! loosening, the operator's base budget). An over-budget request
+//! degrades — typed response, partial result — without touching any
+//! other session.
 //!
 //! # Drain
 //!
@@ -32,8 +34,9 @@
 use crate::proto::{self, ErrorKind, JsonObj, Method, Request, RequestError, RequestId};
 use crate::registry::Registry;
 use spo_cache::PolicyCache;
-use spo_chaos::{sites, FaultPlan};
-use spo_guard::{Diagnostic, GuardConfig};
+use spo_chaos::sites;
+use spo_engine::Instruments;
+use spo_guard::Diagnostic;
 use spo_obs::json;
 use spo_obs::trace::{self, TraceLane, Tracer};
 use spo_obs::{Histogram, Recorder};
@@ -72,13 +75,15 @@ pub struct ServeConfig {
     pub write_timeout: Option<Duration>,
     /// Deadline applied to requests that carry no `timeout_ms`.
     pub default_timeout: Option<Duration>,
-    /// Base admission config. Its cancel token becomes the parent of the
-    /// daemon's shutdown token, so the CLI's signal token drains the
-    /// daemon; its budgets are per-request floors every request inherits.
-    pub guard: GuardConfig,
-    /// Stats recorder. A disabled recorder is upgraded to a live one —
-    /// the `stats` method needs somewhere to read from.
-    pub recorder: Recorder,
+    /// Base instruments every request derives its own from. The guard's
+    /// cancel token becomes the parent of the daemon's shutdown token, so
+    /// the CLI's signal token drains the daemon; its budgets are
+    /// per-request floors every request inherits. A disabled recorder is
+    /// upgraded to a live one — the `stats` method needs somewhere to
+    /// read from. The fault plan drives the session IO sites as well as
+    /// the engine's. The tracer is ignored: each request that carries a
+    /// `trace_id` gets a fresh one.
+    pub instruments: Instruments,
     /// Programs to load before accepting connections.
     pub preload: Vec<(String, Vec<String>)>,
     /// Compiled policy indexes (`.spi`) to warm-load before accepting
@@ -102,8 +107,7 @@ impl Default for ServeConfig {
             drain_grace: Duration::from_secs(10),
             write_timeout: Some(Duration::from_secs(30)),
             default_timeout: None,
-            guard: GuardConfig::default(),
-            recorder: Recorder::disabled(),
+            instruments: Instruments::default(),
             preload: Vec::new(),
             preload_index: Vec::new(),
         }
@@ -311,10 +315,12 @@ struct Shared {
     registry: Registry,
     /// Warm indexes by program name; immutable after startup.
     indexes: BTreeMap<String, WarmIndex>,
-    guard: GuardConfig,
+    /// The daemon's base instruments: its live recorder, its fault plan
+    /// (session IO sites draw from it too; disabled costs one branch per
+    /// probe), and the guard whose cancel token is the shutdown token.
+    base: Instruments,
     default_timeout: Option<Duration>,
     queue: JobQueue,
-    recorder: Recorder,
     drain: AtomicBool,
     max_line: usize,
     requests: AtomicU64,
@@ -324,9 +330,6 @@ struct Shared {
     started: Instant,
     methods: Mutex<BTreeMap<String, MethodStat>>,
     traces: Mutex<VecDeque<(String, String)>>,
-    /// Captured from the process-wide spo-chaos plan at startup; session
-    /// IO fault sites draw from it. Disabled costs one branch per probe.
-    chaos: FaultPlan,
 }
 
 /// Writes one framed response line under the session's writer lock.
@@ -335,11 +338,12 @@ struct Shared {
 /// tearing the stream down rather than parking the worker.
 fn write_line(shared: &Shared, out: &SessionWriter, line: &str) -> bool {
     let mut o = unpoison(out.lock());
-    if shared.chaos.should_fire(sites::SERVE_CONN_DROP) {
+    if shared.base.faults.should_fire(sites::SERVE_CONN_DROP) {
         // Half the frame, then a hard shutdown: the client observes a
         // mid-response EOF, exactly what a crashed daemon looks like.
-        shared.recorder.work_counter("chaos.injected").incr();
+        shared.base.recorder.work_counter("chaos.injected").incr();
         shared
+            .base
             .recorder
             .work_counter(&format!("chaos.{}", sites::SERVE_CONN_DROP))
             .incr();
@@ -348,16 +352,16 @@ fn write_line(shared: &Shared, out: &SessionWriter, line: &str) -> bool {
         (o.close)();
         return false;
     }
-    if shared.chaos.should_fire(sites::SERVE_WRITE_STALL) {
-        shared.recorder.work_counter("chaos.injected").incr();
+    if shared.base.faults.should_fire(sites::SERVE_WRITE_STALL) {
+        shared.base.recorder.work_counter("chaos.injected").incr();
         std::thread::sleep(Duration::from_millis(
-            1 + shared.chaos.amount(sites::SERVE_WRITE_STALL, 25),
+            1 + shared.base.faults.amount(sites::SERVE_WRITE_STALL, 25),
         ));
     }
-    let result = if shared.chaos.should_fire(sites::SERVE_FRAME_SPLIT) && line.len() >= 2 {
+    let result = if shared.base.faults.should_fire(sites::SERVE_FRAME_SPLIT) && line.len() >= 2 {
         // Two separately flushed chunks: readers must assemble on the
         // newline, never on the read boundary.
-        shared.recorder.work_counter("chaos.injected").incr();
+        shared.base.recorder.work_counter("chaos.injected").incr();
         let cut = line.len() / 2;
         o.w.write_all(&line.as_bytes()[..cut])
             .and_then(|()| o.w.flush())
@@ -378,7 +382,7 @@ fn write_line(shared: &Shared, out: &SessionWriter, line: &str) -> bool {
             ) {
                 // The peer stopped reading past the write deadline: shed
                 // the session so the worker pool stays available.
-                shared.recorder.work_counter("serve.shed").incr();
+                shared.base.recorder.work_counter("serve.shed").incr();
                 (o.close)();
             }
             false
@@ -455,7 +459,7 @@ fn session_reader(shared: Arc<Shared>, stream: Box<dyn Read + Send>, out: Sessio
         match read_line_capped(&mut reader, shared.max_line) {
             Err(_) | Ok(LineRead::Eof) => break,
             Ok(LineRead::Oversized) => {
-                shared.recorder.work_counter("serve.errors").incr();
+                shared.base.recorder.work_counter("serve.errors").incr();
                 let err = RequestError::new(
                     ErrorKind::Oversized,
                     format!("request line exceeds {} bytes", shared.max_line),
@@ -472,10 +476,10 @@ fn session_reader(shared: Arc<Shared>, stream: Box<dyn Read + Send>, out: Sessio
                 if line.trim().is_empty() {
                     continue;
                 }
-                if shared.chaos.should_fire(sites::SERVE_READ_STALL) {
-                    shared.recorder.work_counter("chaos.injected").incr();
+                if shared.base.faults.should_fire(sites::SERVE_READ_STALL) {
+                    shared.base.recorder.work_counter("chaos.injected").incr();
                     std::thread::sleep(Duration::from_millis(
-                        1 + shared.chaos.amount(sites::SERVE_READ_STALL, 25),
+                        1 + shared.base.faults.amount(sites::SERVE_READ_STALL, 25),
                     ));
                 }
                 let job = Job {
@@ -504,8 +508,9 @@ fn worker(shared: Arc<Shared>) {
         let (response, label, is_shutdown) = route(&shared, &job.line, job.queued_at);
         write_line(&shared, &job.out, &response);
         let nanos = t0.elapsed().as_nanos() as u64;
-        shared.recorder.duration("serve.request").record(nanos);
+        shared.base.recorder.duration("serve.request").record(nanos);
         shared
+            .base
             .recorder
             .duration(&format!("serve.request.{label}"))
             .record(nanos);
@@ -521,8 +526,9 @@ fn worker(shared: Arc<Shared>) {
             stat.latency.record(nanos);
         }
         shared.requests.fetch_add(1, Ordering::Relaxed);
-        shared.recorder.work_counter("serve.requests").incr();
+        shared.base.recorder.work_counter("serve.requests").incr();
         shared
+            .base
             .recorder
             .work_counter(&format!("serve.requests.{label}"))
             .incr();
@@ -542,15 +548,12 @@ fn route(shared: &Shared, line: &str, queued_at: Instant) -> (String, &'static s
     let req = match proto::parse_request(line) {
         Ok(r) => r,
         Err((id, e)) => {
-            shared.recorder.work_counter("serve.errors").incr();
+            shared.base.recorder.work_counter("serve.errors").incr();
             return (proto::render_error(&id, &e), "invalid", false);
         }
     };
     let label = req.method.label();
     let is_shutdown = matches!(req.method, Method::Shutdown);
-    let guard = shared
-        .guard
-        .for_request(req.timeout.or(shared.default_timeout));
     let id = req.id.clone();
     let trace_id = req.trace_id.clone();
     // A client-supplied trace_id turns the flight recorder on for exactly
@@ -561,6 +564,15 @@ fn route(shared: &Shared, line: &str, queued_at: Instant) -> (String, &'static s
     } else {
         Tracer::disabled()
     };
+    let instruments = Instruments {
+        guard: shared
+            .base
+            .guard
+            .for_request(req.timeout.or(shared.default_timeout)),
+        tracer,
+        ..shared.base.clone()
+    };
+    let tracer = &instruments.tracer;
     let outcome = {
         let lane = if tracer.is_enabled() {
             tracer.lane("rpc/request")
@@ -571,7 +583,7 @@ fn route(shared: &Shared, line: &str, queued_at: Instant) -> (String, &'static s
         lane.complete_since(queued_at, "queue.wait", "serve");
         lane.counter("queue.depth", "serve", shared.queue.depth() as u64);
         let _span = lane.span(label, "rpc");
-        dispatch(shared, req, &guard, &tracer)
+        dispatch(shared, req, &instruments)
     };
     if let Some(tid) = &trace_id {
         // The file-oriented rendering is one event per line; collapse it
@@ -591,7 +603,7 @@ fn route(shared: &Shared, line: &str, queued_at: Instant) -> (String, &'static s
             proto::render_degraded(&id, trace_id.as_deref(), &result, &diags)
         }
         Err(e) => {
-            shared.recorder.work_counter("serve.errors").incr();
+            shared.base.recorder.work_counter("serve.errors").incr();
             proto::render_error(&id, &e)
         }
     };
@@ -601,19 +613,18 @@ fn route(shared: &Shared, line: &str, queued_at: Instant) -> (String, &'static s
 fn note_warm(shared: &Shared, warm: bool) {
     if warm {
         shared.warm_hits.fetch_add(1, Ordering::Relaxed);
-        shared.recorder.work_counter("serve.warm_hits").incr();
+        shared.base.recorder.work_counter("serve.warm_hits").incr();
     }
 }
 
 fn dispatch(
     shared: &Shared,
     req: Request,
-    guard: &GuardConfig,
-    tracer: &Tracer,
+    instruments: &Instruments,
 ) -> Result<Rendered, RequestError> {
     match req.method {
         Method::Load { name, paths } => {
-            let summary = shared.registry.load(&name, &paths)?;
+            let summary = shared.registry.load(&name, &paths, instruments)?;
             let result = JsonObj::new()
                 .str("name", &name)
                 .u64("classes", summary.classes as u64)
@@ -629,9 +640,7 @@ fn dispatch(
         }
         Method::Analyze { name, options } => {
             let entry = shared.registry.get(&name)?;
-            let (a, warm) = shared
-                .registry
-                .analysis_traced(&entry, options, guard, tracer);
+            let (a, warm) = shared.registry.analysis(&entry, options, instruments);
             note_warm(shared, warm);
             let result = JsonObj::new()
                 .str("name", &name)
@@ -687,12 +696,10 @@ fn dispatch(
                 }
                 // Options the index wasn't compiled under: fall through
                 // to full analysis (correct, just not warm).
-                shared.recorder.work_counter("index.fallback").incr();
+                shared.base.recorder.work_counter("index.fallback").incr();
             }
             let prog = shared.registry.get(&name)?;
-            let (a, warm) = shared
-                .registry
-                .analysis_traced(&prog, options, guard, tracer);
+            let (a, warm) = shared.registry.analysis(&prog, options, instruments);
             note_warm(shared, warm);
             let report = match &entry {
                 None => a.report.clone(),
@@ -745,11 +752,11 @@ fn dispatch(
                         .finish();
                     return Ok(Rendered::Ok(result));
                 }
-                shared.recorder.work_counter("index.fallback").incr();
+                shared.base.recorder.work_counter("index.fallback").incr();
             }
             let l = shared.registry.get(&left)?;
             let r = shared.registry.get(&right)?;
-            let (d, warm) = shared.registry.diff_traced(&l, &r, options, guard, tracer);
+            let (d, warm) = shared.registry.diff(&l, &r, options, instruments);
             note_warm(shared, warm);
             let result = JsonObj::new()
                 .str("left", &left)
@@ -765,7 +772,7 @@ fn dispatch(
             })
         }
         Method::Stats => {
-            let snapshot = shared.recorder.snapshot().to_json();
+            let snapshot = shared.base.recorder.snapshot().to_json();
             let compact = json::parse(&snapshot)
                 .map(|v| v.to_compact())
                 .unwrap_or_else(|_| "null".to_owned());
@@ -827,7 +834,7 @@ fn dispatch(
             Ok(Rendered::Ok(result))
         }
         Method::Reload { name } => {
-            let summary = shared.registry.reload(&name, guard)?;
+            let summary = shared.registry.reload(&name, instruments)?;
             let mut rows = String::from("[");
             for (i, (key, hits, misses)) in summary.reanalyzed.iter().enumerate() {
                 if i > 0 {
@@ -867,18 +874,16 @@ pub fn run(config: ServeConfig) -> Result<DrainReport, String> {
     if config.socket.is_none() && config.tcp.is_none() {
         return Err("serve: need a Unix socket path or a TCP address to listen on".to_owned());
     }
-    let recorder = if config.recorder.is_enabled() {
-        config.recorder.clone()
-    } else {
-        Recorder::new()
-    };
+    let mut base = config.instruments.clone();
+    if !base.recorder.is_enabled() {
+        base.recorder = Recorder::new();
+    }
     let (cache, temp_cache_dir) = open_cache(&config)?;
     // The daemon's shutdown token: a child of the caller's token so the
     // process signal token still drains us, while our own forced-drain
     // cancel never leaks back to the caller.
-    let shutdown = config.guard.cancel.child();
-    let mut base_guard = config.guard.clone();
-    base_guard.cancel = shutdown.clone();
+    let shutdown = base.guard.cancel.child();
+    base.guard.cancel = shutdown.clone();
     let workers_n = if config.workers == 0 {
         2
     } else {
@@ -903,17 +908,15 @@ pub fn run(config: ServeConfig) -> Result<DrainReport, String> {
                 eprintln!(
                     "spo serve: --index {name}: {e}; falling back to full analysis for \"{name}\""
                 );
-                recorder.work_counter("index.load_failed").incr();
+                base.recorder.work_counter("index.load_failed").incr();
             }
         }
     }
     let shared = Arc::new(Shared {
-        registry: Registry::new(config.jobs, cache, recorder.clone()),
+        registry: Registry::new(config.jobs, cache),
         indexes,
-        guard: base_guard,
         default_timeout: config.default_timeout,
         queue: JobQueue::new(workers_n * 4),
-        recorder: recorder.clone(),
         drain: AtomicBool::new(false),
         max_line: if config.max_line_bytes == 0 {
             1 << 20
@@ -927,12 +930,12 @@ pub fn run(config: ServeConfig) -> Result<DrainReport, String> {
         started: Instant::now(),
         methods: Mutex::new(BTreeMap::new()),
         traces: Mutex::new(VecDeque::new()),
-        chaos: spo_chaos::current(),
+        base,
     });
     for (name, paths) in &config.preload {
         shared
             .registry
-            .load(name, paths)
+            .load(name, paths, &shared.base)
             .map_err(|e| format!("--load {name}: {}", e.message))?;
     }
     let unix = match &config.socket {
@@ -1106,7 +1109,7 @@ fn start_session(
 ) {
     shared.sessions_total.fetch_add(1, Ordering::Relaxed);
     shared.sessions_open.fetch_add(1, Ordering::Relaxed);
-    shared.recorder.work_counter("serve.sessions").incr();
+    shared.base.recorder.work_counter("serve.sessions").incr();
     closers.push(Arc::clone(&closer));
     let out: SessionWriter = Arc::new(Mutex::new(SessionOut {
         w: writer,

@@ -21,14 +21,10 @@
 
 use crate::proto::{ErrorKind, OptionsSpec, RequestError};
 use spo_cache::PolicyCache;
-use spo_core::{
-    diff_libraries, group_differences, render_analysis, render_reports, root_keys, LibraryPolicies,
-};
-use spo_engine::{AnalysisEngine, ResidentStore};
-use spo_guard::{Cause, Diagnostic, GuardConfig, Phase, Severity};
+use spo_core::{diff_pair, render_analysis, render_reports, LibraryPolicies};
+use spo_engine::{AnalysisEngine, Instruments, ResidentStore};
+use spo_guard::{Cause, Diagnostic, Phase, Severity};
 use spo_jir::Program;
-use spo_obs::trace::Tracer;
-use spo_obs::Recorder;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -118,19 +114,20 @@ pub struct Registry {
     programs: RwLock<BTreeMap<String, Arc<ProgramEntry>>>,
     jobs: usize,
     cache: Option<Arc<PolicyCache>>,
-    recorder: Recorder,
 }
 
 impl Registry {
     /// Creates an empty registry. `jobs` is the engine worker count per
     /// analysis (0 = all CPUs); `cache` is the shared persistent summary
-    /// cache warm-starting analyses and reloads.
-    pub fn new(jobs: usize, cache: Option<Arc<PolicyCache>>, recorder: Recorder) -> Registry {
+    /// cache warm-starting analyses and reloads. Every operation takes the
+    /// request's [`Instruments`]: its recorder sees parse and analysis
+    /// metrics, its tracer gets the engine's lanes, its fault plan and
+    /// guard govern the run.
+    pub fn new(jobs: usize, cache: Option<Arc<PolicyCache>>) -> Registry {
         Registry {
             programs: RwLock::new(BTreeMap::new()),
             jobs,
             cache,
-            recorder,
         }
     }
 
@@ -167,14 +164,19 @@ impl Registry {
     /// Parses `paths` into a fresh entry (mirroring the CLI's recovering
     /// loader: malformed members are dropped and reported as warnings,
     /// only I/O errors are fatal).
-    fn build_entry(&self, name: &str, paths: &[String]) -> Result<Arc<ProgramEntry>, RequestError> {
+    fn build_entry(
+        &self,
+        name: &str,
+        paths: &[String],
+        instruments: &Instruments,
+    ) -> Result<Arc<ProgramEntry>, RequestError> {
         let mut program = Program::new();
         let mut warnings: Vec<Diagnostic> = Vec::new();
         for path in paths {
             let src = std::fs::read_to_string(path)
                 .map_err(|e| RequestError::new(ErrorKind::Io, format!("{path}: {e}")))?;
             let recovery =
-                spo_jir::parse_into_recovering_traced(&src, &mut program, &self.recorder);
+                spo_jir::parse_into_recovering_traced(&src, &mut program, &instruments.recorder);
             for d in recovery.diagnostics {
                 warnings.push(Diagnostic {
                     severity: Severity::Warning,
@@ -201,8 +203,13 @@ impl Registry {
     }
 
     /// Loads (or replaces) a program under `name`.
-    pub fn load(&self, name: &str, paths: &[String]) -> Result<LoadSummary, RequestError> {
-        let entry = self.build_entry(name, paths)?;
+    pub fn load(
+        &self,
+        name: &str,
+        paths: &[String],
+        instruments: &Instruments,
+    ) -> Result<LoadSummary, RequestError> {
+        let entry = self.build_entry(name, paths, instruments)?;
         let summary = LoadSummary {
             classes: entry.classes,
             entry_points: entry.entry_points,
@@ -227,27 +234,15 @@ impl Registry {
     /// Concurrent cold requests for the same key may race the
     /// computation; both produce identical bytes (the engine's root-order
     /// merge is deterministic) and the first insert wins, so every caller
-    /// hands back the same resident `Arc` afterwards.
+    /// hands back the same resident `Arc` afterwards. Warm hits never
+    /// touch the engine, so a warm request's trace shows only its
+    /// request-level span — which is itself the telemetry (the request
+    /// cost nothing).
     pub fn analysis(
         &self,
         entry: &ProgramEntry,
         spec: OptionsSpec,
-        guard: &GuardConfig,
-    ) -> (Arc<Analysis>, bool) {
-        self.analysis_traced(entry, spec, guard, &Tracer::disabled())
-    }
-
-    /// [`Registry::analysis`] with a flight recorder attached: when
-    /// `tracer` is enabled the engine opens per-worker lanes in it for
-    /// this request's computation. Warm hits never touch the engine, so a
-    /// warm trace shows only the request-level span — which is itself the
-    /// telemetry (the request cost nothing).
-    pub fn analysis_traced(
-        &self,
-        entry: &ProgramEntry,
-        spec: OptionsSpec,
-        guard: &GuardConfig,
-        tracer: &Tracer,
+        instruments: &Instruments,
     ) -> (Arc<Analysis>, bool) {
         if let Some(a) = entry
             .analyses
@@ -266,9 +261,7 @@ impl Registry {
                 .or_insert_with(|| Arc::new(ResidentStore::default())),
         );
         let mut engine = AnalysisEngine::new(self.jobs)
-            .with_recorder(self.recorder.clone())
-            .with_guard(guard.clone())
-            .with_tracer(tracer.clone())
+            .with_instruments(instruments.clone())
             .with_resident(resident);
         if let Some(cache) = &self.cache {
             engine = engine.with_cache(Arc::clone(cache));
@@ -281,7 +274,7 @@ impl Registry {
             let mut ds = cache.take_diagnostics();
             ds.sort();
             for d in &ds {
-                self.recorder.diagnostic(
+                instruments.recorder.diagnostic(
                     &d.severity.to_string(),
                     &d.phase.to_string(),
                     &d.root,
@@ -318,37 +311,25 @@ impl Registry {
         (winner, false)
     }
 
-    /// Differences two loaded programs under `spec`, replicating the
-    /// engine's `compare_all` composition: full-options diff, grouped by
-    /// root cause against the intraprocedural ablation's key set. The
-    /// boolean is `true` when all four constituent analyses were warm.
+    /// Differences two loaded programs under `spec` through the engine's
+    /// `compare_all` composition ([`diff_pair`]). The boolean is `true`
+    /// when all four constituent analyses were warm; they all share the
+    /// request's instruments.
     pub fn diff(
         &self,
         left: &ProgramEntry,
         right: &ProgramEntry,
         spec: OptionsSpec,
-        guard: &GuardConfig,
+        instruments: &Instruments,
     ) -> (DiffOutcome, bool) {
-        self.diff_traced(left, right, spec, guard, &Tracer::disabled())
-    }
-
-    /// [`Registry::diff`] with a flight recorder attached; all four
-    /// constituent analyses share the request's tracer.
-    pub fn diff_traced(
-        &self,
-        left: &ProgramEntry,
-        right: &ProgramEntry,
-        spec: OptionsSpec,
-        guard: &GuardConfig,
-        tracer: &Tracer,
-    ) -> (DiffOutcome, bool) {
-        let (left_full, w1) = self.analysis_traced(left, spec, guard, tracer);
-        let (right_full, w2) = self.analysis_traced(right, spec, guard, tracer);
-        let (left_intra, w3) = self.analysis_traced(left, spec.intra(), guard, tracer);
-        let (right_intra, w4) = self.analysis_traced(right, spec.intra(), guard, tracer);
-        let diff = diff_libraries(&left_full.lib, &right_full.lib);
-        let intra_keys = root_keys(&diff_libraries(&left_intra.lib, &right_intra.lib));
-        let groups = group_differences(&diff, &intra_keys);
+        let (left_full, w1) = self.analysis(left, spec, instruments);
+        let (right_full, w2) = self.analysis(right, spec, instruments);
+        let (left_intra, w3) = self.analysis(left, spec.intra(), instruments);
+        let (right_intra, w4) = self.analysis(right, spec.intra(), instruments);
+        let (diff, groups) = diff_pair(
+            (&left_full.lib, &left_intra.lib),
+            (&right_full.lib, &right_intra.lib),
+        );
         let report = render_reports(&diff, &groups);
         let mut diagnostics: Vec<Diagnostic> = left
             .parse_warnings
@@ -379,9 +360,13 @@ impl Registry {
     /// cache attached, only roots whose dependence cone was invalidated
     /// by the edit recompute — the per-set hit/miss split in the summary
     /// shows exactly how much.
-    pub fn reload(&self, name: &str, guard: &GuardConfig) -> Result<ReloadSummary, RequestError> {
+    pub fn reload(
+        &self,
+        name: &str,
+        instruments: &Instruments,
+    ) -> Result<ReloadSummary, RequestError> {
         let old = self.get(name)?;
-        let fresh = self.build_entry(name, &old.paths)?;
+        let fresh = self.build_entry(name, &old.paths, instruments)?;
         let warm_specs: Vec<OptionsSpec> = old
             .analyses
             .lock()
@@ -401,7 +386,7 @@ impl Registry {
             .insert(name.to_owned(), Arc::clone(&fresh));
         let mut reanalyzed = Vec::new();
         for spec in warm_specs {
-            let (a, _) = self.analysis(&fresh, spec, guard);
+            let (a, _) = self.analysis(&fresh, spec, instruments);
             reanalyzed.push((spec.key(), a.cache_hits, a.cache_misses));
         }
         Ok(ReloadSummary { load, reanalyzed })
@@ -466,16 +451,16 @@ class t.A {
 
     #[test]
     fn warm_analysis_is_shared_and_byte_stable() {
-        let registry = Registry::new(2, None, Recorder::disabled());
+        let registry = Registry::new(2, None);
         let path = write_temp("warm", LEFT);
-        let summary = registry.load("lib", &[path]).unwrap();
+        let inst = Instruments::default();
+        let summary = registry.load("lib", &[path], &inst).unwrap();
         assert!(summary.entry_points >= 1);
         assert!(!summary.replaced);
         let entry = registry.get("lib").unwrap();
-        let guard = GuardConfig::default();
-        let (cold, warm_hit) = registry.analysis(&entry, OptionsSpec::default(), &guard);
+        let (cold, warm_hit) = registry.analysis(&entry, OptionsSpec::default(), &inst);
         assert!(!warm_hit);
-        let (warm, warm_hit) = registry.analysis(&entry, OptionsSpec::default(), &guard);
+        let (warm, warm_hit) = registry.analysis(&entry, OptionsSpec::default(), &inst);
         assert!(warm_hit);
         assert!(
             Arc::ptr_eq(&cold, &warm),
@@ -487,18 +472,22 @@ class t.A {
 
     #[test]
     fn diff_reports_missing_check_and_unknown_names_fail_typed() {
-        let registry = Registry::new(2, None, Recorder::disabled());
-        registry.load("left", &[write_temp("dl", LEFT)]).unwrap();
-        registry.load("right", &[write_temp("dr", RIGHT)]).unwrap();
-        let guard = GuardConfig::default();
+        let registry = Registry::new(2, None);
+        let inst = Instruments::default();
+        registry
+            .load("left", &[write_temp("dl", LEFT)], &inst)
+            .unwrap();
+        registry
+            .load("right", &[write_temp("dr", RIGHT)], &inst)
+            .unwrap();
         let left = registry.get("left").unwrap();
         let right = registry.get("right").unwrap();
-        let (diff, warm) = registry.diff(&left, &right, OptionsSpec::default(), &guard);
+        let (diff, warm) = registry.diff(&left, &right, OptionsSpec::default(), &inst);
         assert!(!warm);
         assert!(diff.findings);
         assert_eq!(diff.exit_code, 1);
         assert!(diff.report.contains("checkRead"), "{}", diff.report);
-        let (again, warm) = registry.diff(&left, &right, OptionsSpec::default(), &guard);
+        let (again, warm) = registry.diff(&left, &right, OptionsSpec::default(), &inst);
         assert!(warm, "all four constituent analyses are resident now");
         assert_eq!(again.report, diff.report, "diff bytes are reproducible");
         let err = registry.get("middle").unwrap_err();
@@ -507,19 +496,21 @@ class t.A {
 
     #[test]
     fn reload_reanalyzes_warm_specs_from_fresh_sources() {
-        let registry = Registry::new(2, None, Recorder::disabled());
+        let registry = Registry::new(2, None);
         let path = write_temp("reload", LEFT);
-        registry.load("lib", std::slice::from_ref(&path)).unwrap();
-        let guard = GuardConfig::default();
+        let inst = Instruments::default();
+        registry
+            .load("lib", std::slice::from_ref(&path), &inst)
+            .unwrap();
         let entry = registry.get("lib").unwrap();
-        let (before, _) = registry.analysis(&entry, OptionsSpec::default(), &guard);
+        let (before, _) = registry.analysis(&entry, OptionsSpec::default(), &inst);
         assert!(before.report.contains("checkRead"));
         std::fs::write(&path, RIGHT).unwrap();
-        let summary = registry.reload("lib", &guard).unwrap();
+        let summary = registry.reload("lib", &inst).unwrap();
         assert!(summary.load.replaced);
         assert_eq!(summary.reanalyzed.len(), 1, "one warm option set re-ran");
         let entry = registry.get("lib").unwrap();
-        let (after, warm) = registry.analysis(&entry, OptionsSpec::default(), &guard);
+        let (after, warm) = registry.analysis(&entry, OptionsSpec::default(), &inst);
         assert!(warm, "reload left the fresh analysis resident");
         assert!(!after.report.contains("checkRead"), "{}", after.report);
     }

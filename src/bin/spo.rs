@@ -29,7 +29,7 @@ use spo_core::{
     diff_libraries, export_policies, group_differences, import_policies, render_reports,
     AnalysisOptions, EventDef,
 };
-use spo_engine::AnalysisEngine;
+use spo_engine::{AnalysisEngine, Instruments};
 use spo_jir::Program;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -81,36 +81,21 @@ fn main() -> ExitCode {
     code
 }
 
-/// One row of the flag table: the flag's name, the metavar of its value
-/// (`None` for a switch), and whether it is a test hook kept out of
-/// `--help`.
+/// One row of the flag table: the flag's name and the metavar of its
+/// value (`None` for a switch).
 struct Flag {
     name: &'static str,
     value: Option<&'static str>,
-    hidden: bool,
 }
 
 const fn switch(name: &'static str) -> Flag {
-    Flag {
-        name,
-        value: None,
-        hidden: false,
-    }
+    Flag { name, value: None }
 }
 
 const fn valued(name: &'static str, metavar: &'static str) -> Flag {
     Flag {
         name,
         value: Some(metavar),
-        hidden: false,
-    }
-}
-
-const fn hook(name: &'static str, metavar: &'static str) -> Flag {
-    Flag {
-        name,
-        value: Some(metavar),
-        hidden: true,
     }
 }
 
@@ -125,8 +110,6 @@ const BUDGET_STEPS: Flag = valued("--budget-steps", "N");
 const BUDGET_FRAMES: Flag = valued("--budget-frames", "N");
 const DEADLINE: Flag = valued("--deadline", "SECS");
 const TIMEOUT_MS: Flag = valued("--timeout-ms", "N");
-const INJECT_PANIC: Flag = hook("--inject-panic", "SUBSTR");
-const INJECT_SLEEP_MS: Flag = hook("--inject-sleep-ms", "N");
 const CACHE_DIR: Flag = valued("--cache-dir", "PATH");
 const NO_CACHE: Flag = switch("--no-cache");
 const STATS: Flag = switch("--stats");
@@ -155,16 +138,9 @@ const KEEP_GOING: Flag = switch("--keep-going");
 
 /// The analysis options every policy-analysis command takes.
 const OPTIONS: &[Flag] = &[NO_ICP, BROAD, INTRA_ONLY];
-/// The degraded-mode limits, plus the fault-injection test hooks. A
-/// command that runs no analysis gives these a pointed rejection.
-const GUARD: &[Flag] = &[
-    BUDGET_STEPS,
-    BUDGET_FRAMES,
-    DEADLINE,
-    TIMEOUT_MS,
-    INJECT_PANIC,
-    INJECT_SLEEP_MS,
-];
+/// The degraded-mode limits. A command that runs no analysis gives these
+/// a pointed rejection.
+const GUARD: &[Flag] = &[BUDGET_STEPS, BUDGET_FRAMES, DEADLINE, TIMEOUT_MS];
 const CACHE: &[Flag] = &[CACHE_DIR, NO_CACHE];
 const OBSERVE: &[Flag] = &[STATS, STATS_JSON, TRACE_OUT];
 
@@ -386,13 +362,13 @@ impl Command {
         }
     }
 
-    /// This command's `--help` line: operands, then every flag that is
-    /// not a hidden test hook or already named among the operands.
+    /// This command's `--help` line: operands, then every flag not
+    /// already named among the operands.
     fn synopsis(&self) -> String {
         let mut line = format!("spo {} {}", self.name, self.operands);
         line.truncate(line.trim_end().len());
         let named = |f: &&Flag| self.operands.split_whitespace().any(|w| w == f.name);
-        for flag in self.accepted().filter(|f| !f.hidden).filter(|f| !named(f)) {
+        for flag in self.accepted().filter(|f| !named(f)) {
             let value = flag.value.map(|metavar| format!(" {metavar}"));
             line.push_str(&format!(" [{}{}]", flag.name, value.unwrap_or_default()));
         }
@@ -493,8 +469,8 @@ fn jobs(p: &Parsed) -> Result<usize, String> {
         .unwrap_or(0))
 }
 
-/// The degraded-mode limits and test hooks of [`GUARD`], wired to the
-/// process-wide Ctrl-C token.
+/// The degraded-mode limits of [`GUARD`], wired to the process-wide
+/// Ctrl-C token.
 fn guard(p: &Parsed) -> Result<GuardConfig, String> {
     let mut guard = GuardConfig::default();
     if let Some(n) = p.count(&BUDGET_STEPS, "step budget", "for unlimited")? {
@@ -510,10 +486,6 @@ fn guard(p: &Parsed) -> Result<GuardConfig, String> {
     // protocol's per-request `timeout_ms` field.
     if let Some(n) = p.count(&TIMEOUT_MS, "timeout", "for unlimited")? {
         guard.budget = guard.budget.deadline_in(Duration::from_millis(n));
-    }
-    guard.inject_panics = p.values(&INJECT_PANIC).map(str::to_owned).collect();
-    if let Some(ms) = p.read(&INJECT_SLEEP_MS, "milliseconds")? {
-        guard.inject_sleep_ms = ms;
     }
     guard.cancel = cancel_token();
     Ok(guard)
@@ -590,11 +562,15 @@ a daemon, put a `trace_id` field in any `spo rpc` request to capture
 that request's timeline, then fetch it with `spo trace`.
 
 Every command honours the `SPO_CHAOS` environment variable
-(`seed=N[,rate=P][,sites=SITE[:RATE|:once][+SITE...]]`, `sites=all` arms
-everything): a deterministic fault-injection plan that fires at named
-sites in the cache, the engine, and the daemon. The same seed replays
-the same fault schedule; a chaos-armed process prints a one-line
-`# chaos:` summary to stderr at exit. `spo chaos soak` drives randomized
+(`seed=N[,rate=P][,delay_ms=N][,sites=SITE[:RATE|:once|~NEEDLE][+SITE...]]`,
+`sites=all` arms everything): a deterministic fault-injection plan that
+fires at named sites in the cache, the engine, and the daemon. The same
+seed replays the same fault schedule. `SITE~NEEDLE` fires exactly where
+the key (for engine sites, the entry-point signature) contains NEEDLE,
+e.g. `sites=engine.root.panic~DatagramSocket.connect` quarantines that
+root; `delay_ms=N` makes every `engine.root.delay` sleep N ms. A
+chaos-armed process prints a one-line `# chaos:` summary to stderr at
+exit. `spo chaos soak` drives randomized
 schedules against all three layers and checks the standing invariants
 (no panics, stable exit codes, byte-identical surviving output,
 self-healing cache), printing the minimized failing seed on violation.
@@ -761,13 +737,12 @@ impl Outputs {
 }
 
 /// One policy-analysis run as its flags set it up: the engine (jobs,
-/// guard, cache, recorder, tracer), the outputs its ending writes, and
-/// the diagnostics it collects on the way.
+/// instruments, cache), the outputs its ending writes, and the
+/// diagnostics it collects on the way.
 struct Run {
     engine: AnalysisEngine,
     cache: Option<Arc<PolicyCache>>,
-    rec: Recorder,
-    tracer: Tracer,
+    instruments: Instruments,
     outputs: Outputs,
     diags: Vec<Diagnostic>,
 }
@@ -777,12 +752,13 @@ impl Run {
     /// unusable cache *entries* degrade to cold roots at lookup time.
     fn new(p: &Parsed) -> Result<Run, String> {
         let outputs = Outputs::new(p);
-        let rec = outputs.recorder();
-        let tracer = outputs.tracer();
-        let mut engine = AnalysisEngine::new(jobs(p)?)
-            .with_recorder(rec.clone())
-            .with_guard(guard(p)?)
-            .with_tracer(tracer.clone());
+        let instruments = Instruments {
+            recorder: outputs.recorder(),
+            tracer: outputs.tracer(),
+            guard: guard(p)?,
+            ..Instruments::default()
+        };
+        let mut engine = AnalysisEngine::new(jobs(p)?).with_instruments(instruments.clone());
         let cache = match cache_dir(p) {
             None => None,
             Some(dir) => {
@@ -796,15 +772,14 @@ impl Run {
         Ok(Run {
             engine,
             cache,
-            rec,
-            tracer,
+            instruments,
             outputs,
             diags: Vec::new(),
         })
     }
 
     fn load(&mut self, paths: &[String]) -> Result<Program, String> {
-        load_program(paths, &self.rec, &mut self.diags)
+        load_program(paths, &self.instruments.recorder, &mut self.diags)
     }
 
     /// The shared ending, after the report is printed: cache warnings,
@@ -827,7 +802,8 @@ impl Run {
             }
         }
         self.diags.extend(degraded.into_iter().cloned());
-        self.outputs.emit(&self.rec, &self.tracer)?;
+        self.outputs
+            .emit(&self.instruments.recorder, &self.instruments.tracer)?;
         Ok(finish(&self.diags, findings))
     }
 }
@@ -1215,10 +1191,14 @@ fn cmd_serve(p: &Parsed) -> Result<ExitCode, String> {
                 .to_owned(),
         );
     }
+    let instruments = Instruments {
+        recorder: Recorder::new(),
+        guard,
+        ..Instruments::default()
+    };
     let mut config = spo_serve::ServeConfig {
         jobs: jobs(p)?,
-        guard,
-        recorder: Recorder::new(),
+        instruments: instruments.clone(),
         socket: p.value(&SOCKET).map(Into::into),
         tcp: p.value(&TCP).map(str::to_owned),
         cache_dir: p.value(&CACHE_DIR).map(Into::into),
@@ -1252,7 +1232,6 @@ fn cmd_serve(p: &Parsed) -> Result<ExitCode, String> {
         // can then hold a response writer forever — test use only).
         config.write_timeout = (ms > 0).then(|| Duration::from_millis(ms));
     }
-    let recorder = config.recorder.clone();
     let report = spo_serve::run(config)?;
     eprintln!(
         "spo serve: drained {} request(s) over {} session(s) in {:.1?}{}",
@@ -1261,7 +1240,7 @@ fn cmd_serve(p: &Parsed) -> Result<ExitCode, String> {
         report.drained_in,
         if report.graceful { "" } else { " (forced)" }
     );
-    Outputs::new(p).emit(&recorder, &Tracer::disabled())?;
+    Outputs::new(p).emit(&instruments.recorder, &instruments.tracer)?;
     Ok(if report.graceful {
         ExitCode::SUCCESS
     } else {
@@ -2400,8 +2379,8 @@ mod tests {
     }
 
     /// The `--help` synopsis and the parser read the same rows: every
-    /// flag a command takes (test hooks aside) is on its line, and every
-    /// flag on its line parses for it.
+    /// flag a command takes is on its line, and every flag on its line
+    /// parses for it.
     #[test]
     fn usage_lines_match_the_parser() {
         let usage = usage();
@@ -2409,7 +2388,7 @@ mod tests {
             let line = command.synopsis();
             assert!(usage.contains(&format!("  {line}\n")), "{line}");
             let words: Vec<&str> = line.split_whitespace().collect();
-            for flag in command.accepted().filter(|f| !f.hidden) {
+            for flag in command.accepted() {
                 assert!(
                     words
                         .iter()
@@ -2465,16 +2444,8 @@ mod tests {
     #[test]
     fn repeatable_flags_collect_and_others_keep_the_last() {
         let p = command("analyze")
-            .parse(&argv(&[
-                "--inject-panic",
-                "a",
-                "--jobs=2",
-                "--inject-panic=b",
-                "--jobs",
-                "3",
-            ]))
+            .parse(&argv(&["--jobs=2", "--jobs", "3"]))
             .unwrap();
-        assert_eq!(guard(&p).unwrap().inject_panics, argv(&["a", "b"]));
         assert_eq!(jobs(&p).unwrap(), 3);
 
         let p = command("serve")

@@ -11,6 +11,23 @@ fn spo(args: &[&str]) -> Output {
         .expect("spo binary runs")
 }
 
+/// `spo` under the `SPO_CHAOS` fault plan `spec`.
+fn spo_chaos(spec: &str, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_spo"))
+        .args(args)
+        .env("SPO_CHAOS", spec)
+        .output()
+        .expect("spo binary runs")
+}
+
+/// Panics every `deg.W.panicky*` root.
+const PANIC_PANICKY: &str = "seed=1,sites=engine.root.panic~deg.W.panicky";
+
+/// Sleeps `ms` before every root.
+fn delay_every_root(ms: u64) -> String {
+    format!("seed=1,delay_ms={ms},sites=engine.root.delay:1")
+}
+
 fn write_temp(name: &str, content: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("spo-cli-tests");
     std::fs::create_dir_all(&dir).unwrap();
@@ -516,16 +533,10 @@ fn degraded_analyze_exits_2_restricted_report_deterministic() {
     assert_eq!(clean_blocks.len(), 7, "{clean_blocks:?}");
 
     let run = |jobs: &str| {
-        spo(&[
-            "analyze",
-            path,
-            "--jobs",
-            jobs,
-            "--inject-panic",
-            "deg.W.panicky",
-            "--budget-steps",
-            "8",
-        ])
+        spo_chaos(
+            PANIC_PANICKY,
+            &["analyze", path, "--jobs", jobs, "--budget-steps", "8"],
+        )
     };
     let base = run("1");
     assert_eq!(base.status.code(), Some(2), "degraded run exits 2");
@@ -561,14 +572,15 @@ fn degraded_analyze_exits_2_restricted_report_deterministic() {
 fn degraded_stats_json_validates() {
     let f = write_temp("degraded-stats.jir", &degraded_fixture());
     let json_path = std::env::temp_dir().join("spo-cli-tests/degraded-stats.json");
-    let out = spo(&[
-        "analyze",
-        f.to_str().unwrap(),
-        "--inject-panic",
-        "deg.W.panicky",
-        "--stats-json",
-        json_path.to_str().unwrap(),
-    ]);
+    let out = spo_chaos(
+        PANIC_PANICKY,
+        &[
+            "analyze",
+            f.to_str().unwrap(),
+            "--stats-json",
+            json_path.to_str().unwrap(),
+        ],
+    );
     assert_eq!(out.status.code(), Some(2));
     let json = std::fs::read_to_string(&json_path).unwrap();
     assert!(json.contains("\"diagnostics\""), "{json}");
@@ -616,11 +628,10 @@ fn sigint_yields_partial_report_and_valid_stats() {
             f.to_str().unwrap(),
             "--jobs",
             "1",
-            "--inject-sleep-ms",
-            "300",
             "--stats-json",
             json_path.to_str().unwrap(),
         ])
+        .env("SPO_CHAOS", delay_every_root(300))
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -651,14 +662,8 @@ fn sigterm_drains_like_sigint() {
     use std::process::Stdio;
     let f = write_temp("sigterm.jir", &degraded_fixture());
     let child = Command::new(env!("CARGO_BIN_EXE_spo"))
-        .args([
-            "analyze",
-            f.to_str().unwrap(),
-            "--jobs",
-            "1",
-            "--inject-sleep-ms",
-            "300",
-        ])
+        .args(["analyze", f.to_str().unwrap(), "--jobs", "1"])
+        .env("SPO_CHAOS", delay_every_root(300))
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -716,16 +721,17 @@ fn unrepresentable_deadline_means_no_deadline() {
 #[test]
 fn timeout_ms_aliases_the_deadline_budget() {
     let f = write_temp("timeout-alias.jir", &degraded_fixture());
-    let out = spo(&[
-        "analyze",
-        f.to_str().unwrap(),
-        "--jobs",
-        "1",
-        "--inject-sleep-ms",
-        "100",
-        "--timeout-ms",
-        "1",
-    ]);
+    let out = spo_chaos(
+        &delay_every_root(100),
+        &[
+            "analyze",
+            f.to_str().unwrap(),
+            "--jobs",
+            "1",
+            "--timeout-ms",
+            "1",
+        ],
+    );
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("deadline"), "{stderr}");

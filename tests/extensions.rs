@@ -1,5 +1,5 @@
 //! Integration tests for the extension features layered on the paper's
-//! core: the disjunctive diff mode, RTA resolution, resolution-rate
+//! core: the disjunctive diff mode, resolution-rate
 //! statistics, and exception differencing over the corpus.
 
 use spo_core::{
@@ -7,7 +7,7 @@ use spo_core::{
     PolicyDifference, ThrowsAnalyzer,
 };
 use spo_corpus::{generate, CorpusConfig, Lib};
-use spo_resolve::{entry_points, CallGraph, Hierarchy, Rta};
+use spo_resolve::{CallGraph, Hierarchy};
 use std::collections::BTreeSet;
 
 fn corpus() -> spo_corpus::Corpus {
@@ -56,21 +56,6 @@ fn corpus_resolution_rate_matches_papers_97_percent_regime() {
             stats.resolved_fraction() * 100.0
         );
     }
-}
-
-#[test]
-fn rta_is_at_least_as_precise_as_cha_on_the_corpus() {
-    let c = corpus();
-    let p = c.program(Lib::Classpath);
-    let h = Hierarchy::new(p);
-    let roots = entry_points(p);
-    let rta = Rta::build(&h, &roots);
-    let (cha, rtas) = rta.compare_with_cha();
-    assert_eq!(cha.total(), rtas.total());
-    assert!(rtas.unique >= cha.unique);
-    // RTA reaches no more methods than the CHA call graph does.
-    let cg = CallGraph::build(&h, roots);
-    assert!(rta.reachable().len() <= cg.reachable_count() + rta.reachable().len() / 10);
 }
 
 #[test]

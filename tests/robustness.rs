@@ -4,8 +4,9 @@
 //! root's exported report bytes unchanged.
 
 use security_policy_oracle::core::{export_policies, AnalysisOptions};
-use security_policy_oracle::engine::AnalysisEngine;
+use security_policy_oracle::engine::{AnalysisEngine, Instruments};
 use security_policy_oracle::guard::{Budget, Cause, GuardConfig};
+use spo_chaos::{sites, FaultPlan};
 use spo_jir::{parse_into_recovering, Program};
 use spo_rng::SmallRng;
 
@@ -84,7 +85,10 @@ fn mutated_fixtures_never_panic_and_terminate_under_budget() {
                 budget: Budget::default().steps(5_000).frames(500),
                 ..Default::default()
             };
-            let engine = AnalysisEngine::new(2).with_guard(guard);
+            let engine = AnalysisEngine::new(2).with_instruments(Instruments {
+                guard,
+                ..Instruments::default()
+            });
             let (lib, stats) = engine.analyze_library(&program, name, AnalysisOptions::default());
             // Reaching here at all means no panic escaped and the run
             // terminated; every degradation must carry a usable diagnostic.
@@ -112,13 +116,14 @@ fn injected_panic_leaves_other_roots_report_bytes_unchanged() {
     let options = AnalysisOptions::default();
     let (clean, _) = AnalysisEngine::new(2).analyze_library(&program, "jdk", options);
 
-    let guard = GuardConfig {
-        inject_panics: vec!["DatagramSocket.connect".to_owned()],
-        ..Default::default()
-    };
     for jobs in [1, 2, 8] {
+        let faults =
+            FaultPlan::seeded(1).site_matching(sites::ENGINE_ROOT_PANIC, "DatagramSocket.connect");
         let (degraded, stats) = AnalysisEngine::new(jobs)
-            .with_guard(guard.clone())
+            .with_instruments(Instruments {
+                faults,
+                ..Instruments::default()
+            })
             .analyze_library(&program, "jdk", options);
         assert!(stats.roots_degraded >= 1, "jobs {jobs}");
         for diag in degraded.degraded.values() {

@@ -306,9 +306,10 @@ fn over_budget_requests_degrade_without_disturbing_other_sessions() {
     // Every governed root sleeps 200 ms, so a 1 ms admission deadline
     // reliably trips on cold analyses; warm lookups never run the engine
     // and cannot trip.
-    let daemon = Daemon::start(
+    let daemon = Daemon::start_env(
         "timeout",
-        &["--no-cache", "--inject-sleep-ms", "200", "--workers", "2"],
+        &["--no-cache", "--workers", "2"],
+        &[("SPO_CHAOS", "seed=1,delay_ms=200,sites=engine.root.delay:1")],
     );
     let mut warm = daemon.connect();
     assert_eq!(status(&warm.rpc(&load_line(1, "left", &jdk))), "ok");
