@@ -12,7 +12,7 @@
 use crate::checks::CheckSet;
 use crate::events::EventKey;
 use crate::policy::{EntryPolicy, EventPolicy, LibraryPolicies};
-use spo_dataflow::Dnf;
+use spo_dataflow::{Dnf, JoinLattice};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -227,6 +227,7 @@ pub fn diff_entry_with(
             };
             for p in e.events.values() {
                 ev.must = ev.must.union(p.must);
+                ev.may_paths.join(&p.may_paths);
             }
             ev
         };
@@ -399,6 +400,39 @@ mod tests {
         ));
         assert_eq!(diffs[0].delta, CheckSet::of(Check::Connect));
         assert!(!diffs[0].origins.is_empty());
+    }
+
+    #[test]
+    fn case_2_evidence_carries_each_side_s_paths() {
+        // The checked side's evidence line must show the paths its checks
+        // lie on, joined over its events, not an empty disjunction.
+        let mut jdk = entry(
+            "Socket.connect()",
+            &[(EventKey::ApiReturn, &[Check::Connect], &[Check::Connect])],
+        );
+        jdk.events.insert(
+            native("connect0"),
+            EventPolicy {
+                must: CheckSet::empty(),
+                may: CheckSet::of(Check::Accept),
+                may_paths: [CheckSet::empty().bits(), CheckSet::of(Check::Accept).bits()]
+                    .into_iter()
+                    .collect(),
+            },
+        );
+        let classpath = entry("Socket.connect()", &[(EventKey::ApiReturn, &[], &[])]);
+        let d = &diff_entry(&jdk, &classpath)[0];
+        let connect = CheckSet::of(Check::Connect).bits();
+        let accept = CheckSet::of(Check::Accept).bits();
+        let want: Dnf = [CheckSet::empty().bits(), accept, connect]
+            .into_iter()
+            .collect();
+        assert_eq!(d.left.may_paths, want);
+        assert_eq!(d.right.may_paths, Dnf::of(CheckSet::empty().bits()));
+        assert_eq!(
+            crate::policy::render_dnf(&d.left.may_paths),
+            "{{},{checkAccept},{checkConnect}}"
+        );
     }
 
     #[test]
