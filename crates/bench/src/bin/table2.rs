@@ -427,7 +427,7 @@ fn measure_rpc_retries(corpus: &spo_corpus::Corpus) -> u64 {
     retries
 }
 
-/// Compiled-index latency (`spo cache export-index` / `spo index`,
+/// Compiled-index latency (`spo export` / `spo index`,
 /// DESIGN.md §16) at one corpus scale: build both libraries' indexes,
 /// then time single-entry-point queries against the parsed jdk index and
 /// one full jdk-vs-harmony diff answered purely from the two indexes.

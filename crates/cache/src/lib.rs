@@ -51,8 +51,8 @@
 //! ## Storage layout
 //!
 //! One `spo-index` file per library and options token,
-//! `<fnv64(library, options token):016x>.spc`: the format `spo cache
-//! export-index` writes, without intra policies, each entry carrying its
+//! `<fnv64(library, options token):016x>.spc`: the format `spo export`
+//! writes, without intra policies, each entry carrying its
 //! cone identity list and cone key. One file per library, because entries
 //! are addressed by signature and implementations share signatures; one
 //! per options token, so a run's full and intraprocedural analyses never

@@ -46,7 +46,7 @@ pub const ENV_VAR: &str = "SPO_CHAOS";
 /// Canonical fault-site names. Sites are compiled into production code
 /// paths; a plan only arms the subset it names.
 pub mod sites {
-    /// A durable index write (cache flush or `export-index`) writes only
+    /// A durable index write (cache flush or `spo export`) writes only
     /// a prefix of the temp file, then fails with a transient error (a
     /// torn write).
     pub const CACHE_WRITE_SHORT: &str = "cache.write.short";

@@ -20,7 +20,6 @@ mod baseline;
 mod checks;
 mod diff;
 mod events;
-mod exchange;
 mod html;
 mod ispa;
 mod policy;
@@ -38,7 +37,6 @@ pub use diff::{
     DifferenceKind, PolicyDifference, Side, SideEvidence,
 };
 pub use events::{EventDef, EventKey};
-pub use exchange::{export_policies, import_policies, ExchangeError};
 pub use html::render_html;
 pub use ispa::{AnalysisOptions, Analyzer, MemoScope};
 pub use policy::{render_dnf, AnalysisStats, EntryPolicy, EventPolicy, LibraryPolicies, Origins};

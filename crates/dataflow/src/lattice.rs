@@ -267,11 +267,6 @@ impl Dnf {
         &self.disjuncts
     }
 
-    /// Returns `true` if no path has been recorded (⊥).
-    pub fn is_bottom(&self) -> bool {
-        self.disjuncts.is_empty()
-    }
-
     /// Union of all disjuncts: the flat MAY set.
     pub fn flat_union(&self) -> BitSet32 {
         self.disjuncts

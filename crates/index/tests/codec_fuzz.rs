@@ -1,0 +1,274 @@
+//! Round-trip and robustness properties of the `spo-index/2` codec.
+//!
+//! Randomized over fixed seeds via the in-tree `spo-rng` PRNG: arbitrary
+//! libraries survive build → parse → reconstruct exactly, and arbitrary
+//! edits to a valid file — with the checksum recomputed so they reach the
+//! decoder — never panic the reader.
+
+use spo_core::{
+    AnalysisOptions, CheckSet, EntryPolicy, EventKey, EventPolicy, LibraryPolicies, ALL_CHECKS,
+};
+use spo_dataflow::{BitSet32, Dnf};
+use spo_index::{IndexBuilder, IndexWriter, PolicyIndex};
+use spo_jir::Fnv64;
+use spo_rng::SmallRng;
+
+/// An arbitrary check set, empty about one time in six.
+fn any_checkset(rng: &mut SmallRng) -> CheckSet {
+    let n = rng.gen_range(0..6usize);
+    (0..n)
+        .map(|_| ALL_CHECKS[rng.gen_range(0..31usize)])
+        .collect()
+}
+
+fn lower_ident(rng: &mut SmallRng) -> String {
+    const FIRST: &[char] = &['a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 'w', 'z'];
+    const REST: &[char] = &[
+        'a', 'b', 'c', 'd', 'e', 'x', 'y', 'z', '0', '1', '2', '9', '_',
+    ];
+    let mut s = String::new();
+    s.push(*rng.choose(FIRST).unwrap());
+    let extra = rng.gen_range(0..11usize);
+    for _ in 0..extra {
+        s.push(*rng.choose(REST).unwrap());
+    }
+    s
+}
+
+fn any_event(rng: &mut SmallRng) -> EventKey {
+    match rng.gen_range(0..4u32) {
+        0 => EventKey::ApiReturn,
+        1 => EventKey::Native(lower_ident(rng)),
+        2 => EventKey::DataRead(lower_ident(rng)),
+        _ => EventKey::DataWrite(lower_ident(rng)),
+    }
+}
+
+/// An event policy whose path view is ⊥ (no paths) one time in four.
+fn any_policy(rng: &mut SmallRng) -> EventPolicy {
+    let extra_must = any_checkset(rng);
+    let npaths = rng.gen_range(0..4usize);
+    let paths: Vec<CheckSet> = (0..npaths).map(|_| any_checkset(rng)).collect();
+    let may_paths: Dnf = paths.iter().map(|c| c.bits()).collect();
+    let flat = CheckSet::from_bits(may_paths.flat_union());
+    // must ⊆ may to mirror real analysis output.
+    let must = extra_must
+        .intersect(flat)
+        .intersect(CheckSet::from_bits(may_paths.must_view()));
+    EventPolicy {
+        must,
+        may: flat,
+        may_paths,
+    }
+}
+
+fn signature(rng: &mut SmallRng) -> String {
+    const FIRST: &[char] = &['A', 'B', 'C', 'a', 'b', 'z'];
+    const REST: &[char] = &['A', 'b', 'C', 'd', '0', '7', '.', 'x'];
+    let mut s = String::new();
+    s.push(*rng.choose(FIRST).unwrap());
+    let extra = rng.gen_range(0..17usize);
+    for _ in 0..extra {
+        s.push(*rng.choose(REST).unwrap());
+    }
+    s.push_str("()");
+    s
+}
+
+/// One entry's policy: random events, plus event and check origins.
+fn any_entry(rng: &mut SmallRng, sig: &str) -> EntryPolicy {
+    let mut e = EntryPolicy::new(sig.to_owned());
+    for _ in 0..rng.gen_range(0..4usize) {
+        e.events.insert(any_event(rng), any_policy(rng));
+    }
+    for _ in 0..rng.gen_range(0..3usize) {
+        let origin = format!("{sig}#{}", lower_ident(rng));
+        e.event_origins
+            .entry(any_event(rng))
+            .or_default()
+            .insert(origin);
+    }
+    for _ in 0..rng.gen_range(0..3usize) {
+        let check = ALL_CHECKS[rng.gen_range(0..31usize)];
+        e.check_origins
+            .entry(check.index())
+            .or_default()
+            .insert(format!("{sig}#{check}"));
+    }
+    e
+}
+
+/// A full analysis and its intraprocedural ablation over one random
+/// entry-point set, as `IndexBuilder` takes them.
+fn any_libraries(rng: &mut SmallRng) -> (LibraryPolicies, LibraryPolicies) {
+    let library = || LibraryPolicies {
+        name: "fuzz".into(),
+        ..Default::default()
+    };
+    let (mut full, mut intra) = (library(), library());
+    for _ in 0..rng.gen_range(0..6usize) {
+        let sig = signature(rng);
+        full.entries.insert(sig.clone(), any_entry(rng, &sig));
+        intra.entries.insert(sig.clone(), any_entry(rng, &sig));
+    }
+    full.stats.entry_points = full.entries.len();
+    intra.stats.entry_points = intra.entries.len();
+    (full, intra)
+}
+
+fn build(full: &LibraryPolicies, intra: &LibraryPolicies) -> Vec<u8> {
+    IndexBuilder::new("fuzz", &AnalysisOptions::default(), full, intra)
+        .build()
+        .unwrap()
+}
+
+/// What the generated libraries exercised, so the round trip is known to
+/// cover every event kind, both the ⊥ path view and the distinct single
+/// empty path `{∅}`, empty check sets and origins.
+#[derive(Default)]
+struct Coverage {
+    kinds: [bool; 4],
+    bottom: bool,
+    empty_path: bool,
+    empty_set: bool,
+    event_origins: bool,
+    check_origins: bool,
+}
+
+impl Coverage {
+    fn record(&mut self, lib: &LibraryPolicies) {
+        for entry in lib.entries.values() {
+            for (key, policy) in &entry.events {
+                let kind = match key {
+                    EventKey::ApiReturn => 0,
+                    EventKey::Native(_) => 1,
+                    EventKey::DataRead(_) => 2,
+                    EventKey::DataWrite(_) => 3,
+                };
+                self.kinds[kind] = true;
+                self.bottom |= policy.may_paths.disjuncts().is_empty();
+                self.empty_path |= policy.may_paths.disjuncts() == [BitSet32::empty()];
+                self.empty_set |= policy.may.is_empty();
+            }
+            self.event_origins |= !entry.event_origins.is_empty();
+            self.check_origins |= !entry.check_origins.is_empty();
+        }
+    }
+}
+
+/// Arbitrary libraries round-trip exactly, full and intra.
+#[test]
+fn roundtrip_arbitrary_policies() {
+    let mut seen = Coverage::default();
+    for seed in 0..128u64 {
+        let mut rng = SmallRng::seed_from_u64(0xf022_0000 + seed);
+        let (full, intra) = any_libraries(&mut rng);
+        seen.record(&full);
+        let bytes = build(&full, &intra);
+        let index = PolicyIndex::parse(&bytes).unwrap();
+        let (back_full, back_intra) = index.to_libraries().unwrap();
+        assert_eq!(back_full.entries, full.entries, "seed {seed}");
+        assert_eq!(back_intra.entries, intra.entries, "seed {seed}");
+    }
+    assert_eq!(seen.kinds, [true; 4], "every event kind generated");
+    assert!(
+        seen.bottom && seen.empty_path && seen.empty_set,
+        "⊥, {{∅}} and empty sets generated"
+    );
+    assert!(
+        seen.event_origins && seen.check_origins,
+        "origins generated"
+    );
+}
+
+/// Replaces the trailing FNV-64 checksum with the one `body` needs, so an
+/// edit gets past the checksum into the decoder.
+fn reseal(mut body: Vec<u8>) -> Vec<u8> {
+    let mut h = Fnv64::new();
+    h.write(&body);
+    body.extend_from_slice(&h.finish().to_le_bytes());
+    body
+}
+
+/// One random edit to an unsealed index body: flips, overwrites with
+/// boundary integers (counts, offsets and ids are u32/u64 fields),
+/// insertions, deletions and truncation. Edits land past the version
+/// header, which any change to would stop the parse at its first line.
+fn mutate(rng: &mut SmallRng, body: &mut Vec<u8>, header: usize) {
+    if body.len() <= header {
+        return;
+    }
+    let pos = rng.gen_range(header..body.len());
+    match rng.gen_range(0..6u32) {
+        0 => body[pos] ^= 1 << rng.gen_range(0..8u32),
+        1 => body[pos] = rng.gen_range(0..256u32) as u8,
+        2 => {
+            const EDGES: [u32; 6] = [0, 1, 2, 0x7f, 0xffff, u32::MAX];
+            let value = EDGES[rng.gen_range(0..EDGES.len())].to_le_bytes();
+            for (i, b) in value.iter().enumerate() {
+                if let Some(slot) = body.get_mut(pos + i) {
+                    *slot = *b;
+                }
+            }
+        }
+        3 => {
+            for _ in 0..rng.gen_range(1..9usize) {
+                body.insert(pos, rng.gen_range(0..256u32) as u8);
+            }
+        }
+        4 => {
+            let end = (pos + rng.gen_range(1..9usize)).min(body.len());
+            body.drain(pos..end);
+        }
+        _ => body.truncate(pos),
+    }
+}
+
+/// Every reader entry point over one (possibly damaged) file, returning
+/// whether it parsed. Errors are the expected outcome of most edits; only
+/// a panic fails the test.
+fn read_everything(bytes: &[u8]) -> bool {
+    let Ok(index) = PolicyIndex::parse(bytes) else {
+        return false;
+    };
+    let _ = index.to_libraries();
+    for rec in index.records() {
+        let _ = index.decode(rec);
+        if let Ok(sig) = index.signature_of(rec) {
+            let _ = index.query(sig);
+        }
+    }
+    let _ = index.query("a.B.c()");
+    if let Ok(writer) = IndexWriter::extending(&index, |key| key % 2 == 0) {
+        let _ = writer.finish("fuzz", index.options_token(), [0, 0]);
+    }
+    true
+}
+
+/// Random edits with a recomputed checksum never panic `parse`, `decode`,
+/// `to_libraries`, `query` or `IndexWriter::extending`.
+#[test]
+fn resealed_edits_never_panic_the_reader() {
+    let (mut edits, mut parsed) = (0, 0);
+    for seed in 0..24u64 {
+        let mut rng = SmallRng::seed_from_u64(0x5b1d_0000 + seed);
+        let (full, intra) = any_libraries(&mut rng);
+        let clean = build(&full, &intra);
+        let header = clean.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let body = &clean[..clean.len() - 8];
+        for _ in 0..400 {
+            let mut damaged = body.to_vec();
+            for _ in 0..rng.gen_range(1..4usize) {
+                mutate(&mut rng, &mut damaged, header);
+            }
+            edits += 1;
+            parsed += usize::from(read_everything(&reseal(damaged)));
+        }
+    }
+    // A share of the edits must get past `parse`, or the decoder paths
+    // went untested.
+    assert!(
+        parsed * 20 > edits,
+        "{parsed} of {edits} edited files parsed"
+    );
+}

@@ -3,13 +3,12 @@
 //! ```text
 //! spo check <file.jir>...                       parse & validate, print stats
 //! spo analyze <file.jir>...                     print per-entry security policies
-//! spo export <file.jir>...                      emit the policy exchange format
+//! spo export <file.jir>... --out PATH.spi       compile the policies into an index
 //! spo diff <left.jir>... --vs <right.jir>...    run the oracle over two implementations
-//! spo diff-policies <left.txt> <right.txt>      diff two exported policy files
 //! spo throws <left.jir>... --vs <right.jir>...  diff exception behaviour
 //! spo stats-validate <snapshot.json>            check a stats or trace snapshot
-//! spo cache (stats|clear|export-index) ...      inspect the cache, compile an index
-//! spo index (query|diff) ...                    answer from compiled `.spi` indexes
+//! spo cache (stats|clear) --cache-dir PATH      inspect or empty the summary cache
+//! spo index (query|diff) ...                    answer from exported `.spi` indexes
 //! spo (serve|rpc|trace) ...                     resident oracle daemon and its clients
 //! spo chaos soak                                randomized fault-injection soak
 //! ```
@@ -25,10 +24,7 @@ use security_policy_oracle::guard::{CancelToken, Cause, Diagnostic, GuardConfig,
 use security_policy_oracle::obs::trace::{TraceLane, Tracer};
 use security_policy_oracle::obs::{self, Recorder};
 use spo_cache::PolicyCache;
-use spo_core::{
-    diff_libraries, export_policies, group_differences, import_policies, render_reports,
-    AnalysisOptions, EventDef,
-};
+use spo_core::{AnalysisOptions, EventDef};
 use spo_engine::{AnalysisEngine, Instruments};
 use spo_jir::Program;
 use std::process::ExitCode;
@@ -158,7 +154,7 @@ struct Command {
 }
 
 /// Every command, in `--help` order.
-static COMMANDS: [Command; 16] = [
+static COMMANDS: [Command; 14] = [
     Command {
         name: "check",
         operands: "<file.jir>...",
@@ -173,8 +169,8 @@ static COMMANDS: [Command; 16] = [
     },
     Command {
         name: "export",
-        operands: "<file.jir>...",
-        flags: &[&[NAME], OPTIONS, &[JOBS], GUARD, CACHE, OBSERVE],
+        operands: "<file.jir>... --out PATH.spi",
+        flags: &[&[OUT_SPI, NAME], OPTIONS, &[JOBS], GUARD, CACHE, OBSERVE],
         run: cmd_export,
     },
     Command {
@@ -182,12 +178,6 @@ static COMMANDS: [Command; 16] = [
         operands: "<left.jir>... --vs <right.jir>...",
         flags: &[OPTIONS, &[HTML, JOBS], GUARD, CACHE, OBSERVE],
         run: cmd_diff,
-    },
-    Command {
-        name: "diff-policies",
-        operands: "<left-policies.txt> <right-policies.txt>",
-        flags: &[],
-        run: cmd_diff_policies,
     },
     Command {
         name: "throws",
@@ -212,12 +202,6 @@ static COMMANDS: [Command; 16] = [
         operands: "--cache-dir PATH",
         flags: &[CACHE],
         run: cmd_cache_clear,
-    },
-    Command {
-        name: "cache export-index",
-        operands: "<file.jir>... --out PATH.spi",
-        flags: &[&[OUT_SPI, NAME], OPTIONS, &[JOBS], GUARD],
-        run: cmd_cache_export_index,
     },
     Command {
         name: "index query",
@@ -579,18 +563,19 @@ exponential backoff (`--retries`, `--retry-base-ms`); `spo serve
 --write-timeout-ms N` bounds each response write, shedding clients that
 stall past it.
 
-`spo cache export-index` compiles a library's full analysis (plus its
+`spo export` compiles a library's full analysis (plus its
 intraprocedural ablation) into a single-file index (`spo-index/2`,
 conventionally `policies.spi`): an interned, checksummed, offset-table
 file answering `query`/`diff` in sub-millisecond time without rerunning
-the engine. `spo index query` looks up one entry point (or lists
-the whole library); `spo index diff` runs the oracle over two indexes.
-Both print bytes identical to the `analyze`/`diff` path. A corrupt,
-truncated, or version-skewed index is a fatal typed error (exit 3) —
-re-export it or fall back to full analysis; it never yields a wrong
-answer. `spo serve --index NAME=PATH.spi` preloads an index so the
-daemon answers `query`/`diff` for NAME from the warm index (falling
-back to full analysis, with a stderr diagnostic, if it fails to load).
+the engine or seeing the source. `spo index query` looks up one entry
+point (or lists the whole library); `spo index diff` runs the oracle
+over two indexes. Both print bytes identical to the `analyze`/`diff`
+path. A corrupt, truncated, or version-skewed index is a fatal typed
+error (exit 3) — re-export it or fall back to full analysis; it never
+yields a wrong answer. `spo serve --index NAME=PATH.spi` preloads an
+index so the daemon answers `query`/`diff` for NAME from the warm index
+(falling back to full analysis, with a stderr diagnostic, if it fails
+to load).
 
 `--cache-dir PATH` warm-starts the analysis from a persistent summary
 cache at PATH (created on first use): roots whose call-graph cone is
@@ -936,13 +921,63 @@ fn cmd_analyze(p: &Parsed) -> Result<ExitCode, String> {
     run.finish(lib.degraded.values(), false)
 }
 
+/// `spo export <file.jir>... --out PATH.spi`: run the full analysis plus
+/// its intraprocedural ablation and compile both into one `spo-index/2`
+/// file. Compiling a degraded analysis is refused — an index is durable,
+/// so baking in a lower-bound answer would let it masquerade as the
+/// complete one forever after.
 fn cmd_export(p: &Parsed) -> Result<ExitCode, String> {
+    let out = p
+        .value(&OUT_SPI)
+        .ok_or("export: `--out PATH` is required")?;
+    let name = p.value(&NAME).unwrap_or("library");
+    let options = options(p);
+    if !options.interprocedural {
+        return Err(
+            "export: drop `--intra-only` — the index always stores both the \
+             full and the intraprocedural analysis"
+                .to_owned(),
+        );
+    }
     let mut run = Run::new(p)?;
     let program = run.load(&p.operands)?;
-    let name = p.value(&NAME).unwrap_or("library");
-    let (lib, _stats) = run.engine.analyze_library(&program, name, options(p));
-    print_report(&export_policies(&lib))?;
-    run.finish(lib.degraded.values(), false)
+    if !run.diags.is_empty() {
+        for d in &run.diags {
+            eprintln!("{d}");
+        }
+        return Err("export: refusing to compile an index from a degraded parse".to_owned());
+    }
+    let (full, stats) = run.engine.analyze_library(&program, name, options);
+    let intra_options = AnalysisOptions {
+        interprocedural: false,
+        ..options
+    };
+    let (intra, _) = run.engine.analyze_library(&program, name, intra_options);
+    // Cone fingerprints let a later run detect staleness without
+    // reanalysis; they use the same keyer as the summary cache.
+    let roots = spo_resolve::entry_points(&program);
+    let keyer = spo_cache::CacheKeyer::new(&program, &roots, &options);
+    let mut fingerprints = std::collections::BTreeMap::new();
+    for &root in &roots {
+        if let Some(key) = keyer.key(root) {
+            fingerprints.insert(program.method_signature(root), key);
+        }
+    }
+    let bytes = spo_index::IndexBuilder::new(name, &options, &full, &intra)
+        .fingerprints(&fingerprints)
+        .build()
+        .map_err(|e| format!("export: {e}"))?;
+    // The cache's durable writer: a failed write leaves the previous
+    // index at `out` untouched.
+    spo_index::write_index_file(std::path::Path::new(out), &bytes, &spo_chaos::current())
+        .result
+        .map_err(|e| format!("{out}: {e}"))?;
+    eprintln!(
+        "spo export: wrote {out}: {} entry points, {} bytes",
+        stats.entry_points,
+        bytes.len(),
+    );
+    run.finish([], false)
 }
 
 fn cmd_diff(p: &Parsed) -> Result<ExitCode, String> {
@@ -1036,67 +1071,6 @@ fn cmd_cache_clear(p: &Parsed) -> Result<ExitCode, String> {
         .clear()
         .map_err(|e| format!("--cache-dir {dir}: {e}"))?;
     println!("{}: removed {removed} entries", cache.dir().display());
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `spo cache export-index <file.jir>... --out PATH.spi`: run the full
-/// analysis plus its intraprocedural ablation and compile both into one
-/// `spo-index/2` file. Compiling a degraded analysis is refused — an
-/// index is durable, so baking in a lower-bound answer would let it
-/// masquerade as the complete one forever after.
-fn cmd_cache_export_index(p: &Parsed) -> Result<ExitCode, String> {
-    let out = p
-        .value(&OUT_SPI)
-        .ok_or("cache export-index: `--out PATH` is required")?;
-    let name = p.value(&NAME).unwrap_or("library");
-    let options = options(p);
-    if !options.interprocedural {
-        return Err(
-            "cache export-index: drop `--intra-only` — the index always stores both the \
-             full and the intraprocedural analysis"
-                .to_owned(),
-        );
-    }
-    let mut run = Run::new(p)?;
-    let program = run.load(&p.operands)?;
-    if !run.diags.is_empty() {
-        for d in &run.diags {
-            eprintln!("{d}");
-        }
-        return Err(
-            "cache export-index: refusing to compile an index from a degraded parse".to_owned(),
-        );
-    }
-    let (full, stats) = run.engine.analyze_library(&program, name, options);
-    let intra_options = AnalysisOptions {
-        interprocedural: false,
-        ..options
-    };
-    let (intra, _) = run.engine.analyze_library(&program, name, intra_options);
-    // Cone fingerprints let a later run detect staleness without
-    // reanalysis; they use the same keyer as the summary cache.
-    let roots = spo_resolve::entry_points(&program);
-    let keyer = spo_cache::CacheKeyer::new(&program, &roots, &options);
-    let mut fingerprints = std::collections::BTreeMap::new();
-    for &root in &roots {
-        if let Some(key) = keyer.key(root) {
-            fingerprints.insert(program.method_signature(root), key);
-        }
-    }
-    let bytes = spo_index::IndexBuilder::new(name, &options, &full, &intra)
-        .fingerprints(&fingerprints)
-        .build()
-        .map_err(|e| format!("cache export-index: {e}"))?;
-    // The cache's durable writer: a failed write leaves the previous
-    // index at `out` untouched.
-    spo_index::write_index_file(std::path::Path::new(out), &bytes, &spo_chaos::current())
-        .result
-        .map_err(|e| format!("{out}: {e}"))?;
-    eprintln!(
-        "spo cache export-index: wrote {out}: {} entry points, {} bytes",
-        stats.entry_points,
-        bytes.len(),
-    );
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1473,23 +1447,6 @@ fn cmd_trace(p: &Parsed) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_diff_policies(p: &Parsed) -> Result<ExitCode, String> {
-    let [left_path, right_path] = &p.operands[..] else {
-        return Err("diff-policies needs exactly two policy files".to_owned());
-    };
-    let read = |p: &String| std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"));
-    let left = import_policies(&read(left_path)?).map_err(|e| format!("{left_path}: {e}"))?;
-    let right = import_policies(&read(right_path)?).map_err(|e| format!("{right_path}: {e}"))?;
-    let diff = diff_libraries(&left, &right);
-    let groups = group_differences(&diff, &Default::default());
-    print_report(&render_reports(&diff, &groups))?;
-    Ok(if groups.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
-}
-
 /// Embedded soak fixture: a six-class library over a tiny
 /// `SecurityManager` prelude, giving the engine multiple independent
 /// roots (so keyed fault injection can perturb a strict subset) and the
@@ -1602,7 +1559,7 @@ struct SoakEnv {
     clean_a: Vec<u8>,
     clean_ab: Vec<u8>,
     serve_baseline: Vec<u8>,
-    /// A disarmed `spo cache export-index` of fixture A, built once.
+    /// A disarmed `spo export` of fixture A, built once.
     index_a: std::path::PathBuf,
     /// Fault-free `spo index query --index index_a` stdout.
     index_baseline: Vec<u8>,
@@ -1648,8 +1605,7 @@ fn chaos_soak(p: &Parsed) -> Result<ExitCode, String> {
     // Disarmed index export + query: the anchor for index-mode schedules.
     let index_a = work.join("a.spi");
     let export = std::process::Command::new(&exe)
-        .arg("cache")
-        .arg("export-index")
+        .arg("export")
         .arg(&fixture_a)
         .arg("--out")
         .arg(&index_a)

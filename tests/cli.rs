@@ -151,35 +151,83 @@ fn diff_of_identical_implementations_is_clean() {
 
 #[test]
 fn export_then_diff_policies_matches_direct_diff() {
-    // The §8 workflow: each vendor exports policies; anyone can difference
-    // the policy files without any source code.
+    // The §8 workflow: each vendor exports its policies to an index; anyone
+    // can difference the two indexes without any source code, and gets
+    // the report the source-level diff prints.
     let rt = write_temp("rt5.jir", RUNTIME);
     let a = write_temp("a5.jir", CHECKED);
     let b = write_temp("b5.jir", UNCHECKED);
     let export = |name: &str, file: &PathBuf| {
+        let spi = std::env::temp_dir()
+            .join("spo-cli-tests")
+            .join(format!("exchange-{name}.spi"));
         let out = spo(&[
             "export",
             rt.to_str().unwrap(),
             file.to_str().unwrap(),
             "--name",
             name,
+            "--out",
+            spi.to_str().unwrap(),
         ]);
         assert!(
             out.status.success(),
             "{}",
             String::from_utf8_lossy(&out.stderr)
         );
-        write_temp(
-            &format!("{name}.policies"),
-            &String::from_utf8_lossy(&out.stdout),
-        )
+        spi
     };
-    let pa = export("vendor-a", &a);
-    let pb = export("vendor-b", &b);
-    let out = spo(&["diff-policies", pa.to_str().unwrap(), pb.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(1));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("checkWrite"), "{stdout}");
+    let left = export("left", &a);
+    let right = export("right", &b);
+    let indexed = spo(&[
+        "index",
+        "diff",
+        left.to_str().unwrap(),
+        right.to_str().unwrap(),
+    ]);
+    let direct = spo(&[
+        "diff",
+        rt.to_str().unwrap(),
+        a.to_str().unwrap(),
+        "--vs",
+        rt.to_str().unwrap(),
+        b.to_str().unwrap(),
+    ]);
+    assert_eq!(direct.status.code(), Some(1));
+    assert_eq!(indexed.status.code(), direct.status.code());
+    assert_eq!(indexed.stdout, direct.stdout);
+    // The check sits in the entry method itself, so the intraprocedural
+    // ablation finds it too: the index carries that ablation.
+    let stdout = String::from_utf8_lossy(&indexed.stdout);
+    assert!(stdout.contains("intraprocedural cause"), "{stdout}");
+}
+
+/// `spo export` needs an output path and refuses `--intra-only` (an index
+/// always holds both analyses); both are usage errors naming the flag.
+#[test]
+fn export_requires_out_and_refuses_intra_only() {
+    let f = write_temp("export-flags.jir", CHECKED);
+    let path = f.to_str().unwrap();
+    let spi = std::env::temp_dir().join("spo-cli-tests/export-flags.spi");
+    for (flag, args) in [
+        ("--out", vec!["export", path]),
+        (
+            "--intra-only",
+            vec![
+                "export",
+                path,
+                "--out",
+                spi.to_str().unwrap(),
+                "--intra-only",
+            ],
+        ),
+    ] {
+        let out = spo(&args);
+        assert_eq!(out.status.code(), Some(3), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "{stderr}");
+    }
+    assert!(!spi.exists(), "a refused export writes no index");
 }
 
 #[test]
@@ -773,12 +821,39 @@ fn unknown_flags_are_rejected_not_swallowed() {
 fn export_name_equals_form_matches_space_form() {
     let f = write_temp("export-name.jir", CHECKED);
     let path = f.to_str().unwrap();
-    let spaced = spo(&["export", path, "--name", "vendor-a"]);
-    let equals = spo(&["export", path, "--name=vendor-a"]);
-    assert!(spaced.status.success(), "{spaced:?}");
-    assert!(equals.status.success(), "{equals:?}");
-    assert!(String::from_utf8_lossy(&spaced.stdout).contains("library vendor-a\n"));
-    assert_eq!(equals.stdout, spaced.stdout);
+    let dir = std::env::temp_dir().join("spo-cli-tests");
+    let spaced = dir.join("export-name-spaced.spi");
+    let equals = dir.join("export-name-equals.spi");
+    let run = spo(&[
+        "export",
+        path,
+        "--name",
+        "vendor-a",
+        "--out",
+        spaced.to_str().unwrap(),
+    ]);
+    assert!(run.status.success(), "{run:?}");
+    let run = spo(&[
+        "export",
+        path,
+        "--name=vendor-a",
+        "--out",
+        equals.to_str().unwrap(),
+    ]);
+    assert!(run.status.success(), "{run:?}");
+    assert_eq!(
+        std::fs::read(&equals).unwrap(),
+        std::fs::read(&spaced).unwrap()
+    );
+    let out = spo(&[
+        "index",
+        "diff",
+        spaced.to_str().unwrap(),
+        equals.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("vendor-a vs vendor-a:"), "{stdout}");
 }
 
 /// `analyze` and `diff` take no `--name`: any `--name*` flag used to be
@@ -891,11 +966,7 @@ fn failed_export_index_keeps_the_previous_index() {
     let out = dir.join("policies.spi");
     let export = |chaos: Option<&str>| {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_spo"));
-        cmd.args(["cache", "export-index"])
-            .arg(&rt)
-            .arg(&a)
-            .arg("--out")
-            .arg(&out);
+        cmd.arg("export").arg(&rt).arg(&a).arg("--out").arg(&out);
         match chaos {
             Some(spec) => cmd.env("SPO_CHAOS", spec),
             None => cmd.env_remove("SPO_CHAOS"),

@@ -158,26 +158,52 @@ fn warm_export_is_byte_identical_and_edit_changes_only_its_root() {
     let edited = write(&dir, "api-edited.jir", FIXTURE_EDITED);
     let cache = dir.join("cache");
     let cache = cache.to_str().unwrap();
+    // Exports `jir` to `<tag>.spi`, through the cache unless it is `None`,
+    // and returns the index bytes.
+    let export = |jir: &str, tag: &str, cache: Option<&str>| {
+        let out = dir.join(format!("{tag}.spi"));
+        let mut args = vec![
+            "export",
+            jir,
+            "--name",
+            "api",
+            "--out",
+            out.to_str().unwrap(),
+        ];
+        args.extend(cache.iter().flat_map(|c| ["--cache-dir", c]));
+        let run = spo(&args);
+        assert!(run.status.success(), "{tag}: {run:?}");
+        (
+            out.to_str().unwrap().to_owned(),
+            std::fs::read(&out).unwrap(),
+        )
+    };
 
-    let cold = spo(&["export", &fixture, "--name", "api", "--cache-dir", cache]);
-    assert!(cold.status.success(), "{cold:?}");
-    let warm = spo(&["export", &fixture, "--name", "api", "--cache-dir", cache]);
-    assert_eq!(warm.stdout, cold.stdout);
+    let (cold_spi, cold) = export(&fixture, "cold", Some(cache));
+    let (_, warm) = export(&fixture, "warm", Some(cache));
+    assert_eq!(warm, cold, "warm index diverged from cold");
+    let (_, uncached) = export(&fixture, "uncached", None);
+    assert_eq!(uncached, cold, "cached index diverged from an uncached one");
 
     // A warm run over the edited program equals its own cold run: the
     // cache never leaks a stale policy into the edited root's entry.
-    let edited_cold = spo(&["export", &edited, "--name", "api"]);
-    let edited_warm = spo(&["export", &edited, "--name", "api", "--cache-dir", cache]);
-    assert_eq!(edited_warm.stdout, edited_cold.stdout);
-    let cold_text = String::from_utf8_lossy(&cold.stdout).to_string();
-    let edited_text = String::from_utf8_lossy(&edited_warm.stdout).to_string();
-    assert_ne!(cold_text, edited_text, "the edit must change the report");
-    // The untouched roots' exported lines are identical across versions.
-    for line in cold_text.lines() {
-        if line.contains("api.Files") {
-            assert!(edited_text.contains(line), "missing unchanged line {line}");
-        }
+    let (_, edited_cold) = export(&edited, "edited-cold", None);
+    let (edited_spi, edited_warm) = export(&edited, "edited-warm", Some(cache));
+    assert_eq!(edited_warm, edited_cold);
+    assert_ne!(edited_warm, cold, "the edit must change the index");
+
+    // Only the edited root's policy block changes across versions.
+    let query = |spi: &str, sig: &str| spo(&["index", "query", sig, "--index", spi]).stdout;
+    for sig in [
+        "api.Files.read(java.lang.String)",
+        "api.Files.write(java.lang.String)",
+    ] {
+        let block = query(&cold_spi, sig);
+        assert!(!block.is_empty(), "{sig} has checks");
+        assert_eq!(block, query(&edited_spi, sig), "{sig}");
     }
+    let connect = "api.Net.connect(java.lang.String)";
+    assert_ne!(query(&cold_spi, connect), query(&edited_spi, connect));
 }
 
 #[test]

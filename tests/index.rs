@@ -1,5 +1,5 @@
-//! End-to-end tests of the compiled policy index (`spo cache
-//! export-index` / `spo index`, DESIGN.md §16). The standing contract:
+//! End-to-end tests of the exported policy index (`spo export` /
+//! `spo index`, DESIGN.md §16). The standing contract:
 //! query and diff output is byte-identical to the full-analysis path for
 //! every entry point, and every corruption mode degrades to a typed
 //! fatal error (exit 3, empty stdout) — never a wrong answer.
@@ -42,12 +42,11 @@ impl Drop for Workdir {
     }
 }
 
-/// `spo cache export-index` over one fixture, returning the `.spi` path.
+/// `spo export` over one fixture, returning the `.spi` path.
 fn export(dir: &Workdir, name: &str, jir: &Path) -> PathBuf {
     let out = dir.path(&format!("{name}.spi"));
     let run = spo(&[
-        "cache",
-        "export-index",
+        "export",
         jir.to_str().unwrap(),
         "--name",
         name,
@@ -57,7 +56,7 @@ fn export(dir: &Workdir, name: &str, jir: &Path) -> PathBuf {
     assert_eq!(
         run.status.code(),
         Some(0),
-        "export-index succeeds: {}",
+        "export succeeds: {}",
         String::from_utf8_lossy(&run.stderr)
     );
     out
@@ -173,8 +172,7 @@ fn cli_diff_rejects_mismatched_options() {
     let narrow = export(&dir, "lib", &jdk);
     let broad = dir.path("broad.spi");
     let run = spo(&[
-        "cache",
-        "export-index",
+        "export",
         jdk.to_str().unwrap(),
         "--name",
         "lib",
@@ -237,7 +235,7 @@ fn corrupted_index_degrades_not_wrong() {
     }
 }
 
-/// `export-index` refuses to bake a degraded analysis into a durable
+/// `export` refuses to bake a degraded analysis into a durable
 /// file: a budget-tripped root would silently read as "no checks"
 /// forever after.
 #[test]
@@ -245,8 +243,7 @@ fn export_refuses_degraded_analysis() {
     let dir = Workdir::new("degraded");
     let out = dir.path("lib.spi");
     let run = spo(&[
-        "cache",
-        "export-index",
+        "export",
         fixture("figure1_jdk.jir").to_str().unwrap(),
         "--name",
         "lib",

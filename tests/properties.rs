@@ -5,8 +5,8 @@
 
 use security_policy_oracle::compare_implementations;
 use spo_core::{
-    diff_libraries, export_policies, group_differences, import_policies, render_reports, root_keys,
-    AnalysisOptions, Analyzer, MemoScope,
+    diff_libraries, diff_pair, group_differences, render_reports, root_keys, AnalysisOptions,
+    Analyzer, MemoScope,
 };
 use spo_corpus::{generate, CorpusConfig, Lib};
 use spo_engine::AnalysisEngine;
@@ -168,21 +168,46 @@ fn differencing_is_symmetric() {
     }
 }
 
-/// The exchange format is lossless for analysis results: export →
-/// import → diff behaves identically to diffing the originals.
+/// The `.spi` index is lossless for analysis results: building an index
+/// from the full and intraprocedural analyses and reading both back
+/// yields the same entries, and `diff_pair` over the read-back pair
+/// equals `diff_pair` over the originals.
 #[test]
 fn exchange_roundtrip_preserves_diffs() {
+    let options = AnalysisOptions::default();
+    let intra_options = AnalysisOptions {
+        interprocedural: false,
+        ..options
+    };
+    let analyze = |corpus: &spo_corpus::Corpus, lib: Lib| {
+        let program = corpus.program(lib);
+        (
+            Analyzer::new(program, options).analyze_library(lib.name()),
+            Analyzer::new(program, intra_options).analyze_library(lib.name()),
+        )
+    };
     for seed in SEEDS {
         let corpus = small_corpus(seed);
-        let jdk = Analyzer::new(corpus.program(Lib::Jdk), AnalysisOptions::default())
-            .analyze_library("jdk");
-        let classpath = Analyzer::new(corpus.program(Lib::Classpath), AnalysisOptions::default())
-            .analyze_library("classpath");
-        let imported = import_policies(&export_policies(&classpath)).unwrap();
-        assert_eq!(&imported.entries, &classpath.entries);
-        let direct = diff_libraries(&jdk, &classpath);
-        let via = diff_libraries(&jdk, &imported);
-        assert_eq!(direct.differences, via.differences);
+        let jdk = analyze(&corpus, Lib::Jdk);
+        let classpath = analyze(&corpus, Lib::Classpath);
+        let bytes = spo_index::IndexBuilder::new("classpath", &options, &classpath.0, &classpath.1)
+            .build()
+            .unwrap();
+        let (full, intra) = spo_index::PolicyIndex::parse(&bytes)
+            .unwrap()
+            .to_libraries()
+            .unwrap();
+        assert_eq!(full.entries, classpath.0.entries, "seed {seed}");
+        assert_eq!(intra.entries, classpath.1.entries, "seed {seed}");
+        let (direct, direct_groups) = diff_pair((&jdk.0, &jdk.1), (&classpath.0, &classpath.1));
+        let (via, via_groups) = diff_pair((&jdk.0, &jdk.1), (&full, &intra));
+        assert_eq!(direct.differences, via.differences, "seed {seed}");
+        assert_eq!(direct.matching_apis, via.matching_apis, "seed {seed}");
+        assert_eq!(
+            render_reports(&direct, &direct_groups),
+            render_reports(&via, &via_groups),
+            "seed {seed}"
+        );
     }
 }
 

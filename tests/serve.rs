@@ -594,8 +594,7 @@ fn rpc_retries_recover_from_injected_connection_drop() {
 /// Compiles `jir` into a `.spi` index at `out` via the CLI.
 fn export_index(name: &str, jir: &Path, out: &Path) {
     let run = spo(&[
-        "cache",
-        "export-index",
+        "export",
         jir.to_str().unwrap(),
         "--name",
         name,
@@ -605,7 +604,7 @@ fn export_index(name: &str, jir: &Path, out: &Path) {
     assert_eq!(
         run.status.code(),
         Some(0),
-        "export-index succeeds: {}",
+        "export succeeds: {}",
         String::from_utf8_lossy(&run.stderr)
     );
 }
