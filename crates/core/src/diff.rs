@@ -158,17 +158,6 @@ pub struct DiffResult {
     pub differences: Vec<PolicyDifference>,
 }
 
-impl DiffResult {
-    /// Entry points with at least one difference.
-    pub fn differing_entry_count(&self) -> usize {
-        self.differences
-            .iter()
-            .map(|d| d.signature.as_str())
-            .collect::<BTreeSet<_>>()
-            .len()
-    }
-}
-
 /// Collects the methods implicated in a set of delta checks: where each
 /// delta check is performed, per side; falls back to the event origins when
 /// the delta is empty.
@@ -513,7 +502,6 @@ mod tests {
         let d = diff_libraries(&l, &r);
         assert_eq!(d.matching_apis, 1);
         assert_eq!(d.differences.len(), 1);
-        assert_eq!(d.differing_entry_count(), 1);
         assert_eq!(d.left_name, "L");
     }
 

@@ -94,16 +94,6 @@ impl EntryPolicy {
             .fold(CheckSet::empty(), |acc, p| acc.union(p.may))
     }
 
-    /// Number of events with a non-empty may policy.
-    pub fn nonempty_may_count(&self) -> usize {
-        self.events.values().filter(|p| !p.may.is_empty()).count()
-    }
-
-    /// Number of events with a non-empty must policy.
-    pub fn nonempty_must_count(&self) -> usize {
-        self.events.values().filter(|p| !p.must.is_empty()).count()
-    }
-
     /// The sound top element of the policy lattice for a degraded entry:
     /// every check *may* precede the API return (so no check can ever be
     /// reported missing from this side), none *must* (so nothing is
@@ -167,22 +157,6 @@ impl LibraryPolicies {
     /// event) pair.
     pub fn must_policy_count(&self) -> usize {
         self.event_policy_count()
-    }
-
-    /// Count of (entry, event) pairs whose may set is non-empty.
-    pub fn nonempty_may_policy_count(&self) -> usize {
-        self.entries
-            .values()
-            .map(EntryPolicy::nonempty_may_count)
-            .sum()
-    }
-
-    /// Count of (entry, event) pairs whose must set is non-empty.
-    pub fn nonempty_must_policy_count(&self) -> usize {
-        self.entries
-            .values()
-            .map(EntryPolicy::nonempty_must_count)
-            .sum()
     }
 
     /// Total number of (entry, event) policy pairs, empty or not.
@@ -332,8 +306,6 @@ mod tests {
         lib.entries.insert(e1.signature.clone(), e1);
         lib.entries.insert(e2.signature.clone(), e2);
         assert_eq!(lib.entries_with_checks(), 1);
-        assert_eq!(lib.nonempty_may_policy_count(), 2);
-        assert_eq!(lib.nonempty_must_policy_count(), 1);
         assert_eq!(lib.event_policy_count(), 3);
         // One disjunct per event here, so may count == event count; must
         // counts every event.

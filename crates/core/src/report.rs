@@ -147,11 +147,6 @@ impl ReportTally {
     pub fn total_distinct(&self) -> usize {
         self.intraprocedural.0 + self.interprocedural.0 + self.must_may.0
     }
-
-    /// Total manifestations.
-    pub fn total_manifestations(&self) -> usize {
-        self.intraprocedural.1 + self.interprocedural.1 + self.must_may.1
-    }
 }
 
 /// Renders one entry point's policy block as the `analyze` listing shows
@@ -329,7 +324,6 @@ mod tests {
         assert_eq!(tally.interprocedural, (1, 1));
         assert_eq!(tally.must_may, (1, 1));
         assert_eq!(tally.total_distinct(), 3);
-        assert_eq!(tally.total_manifestations(), 3);
     }
 
     #[test]

@@ -219,11 +219,6 @@ impl SharedStore {
         &self.shards[self.shard_index(key)]
     }
 
-    /// Number of lock stripes.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Looks up the summary for `key`, counting the shard's hit or miss.
     pub fn get(&self, key: &MemoKey) -> Option<Arc<Summary>> {
         let shard = self.shard(key);

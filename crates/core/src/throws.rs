@@ -11,7 +11,7 @@
 //! shows up here as an exception-set difference even before its
 //! security-policy shadow (`checkExit`) is considered.
 
-use spo_jir::{ClassId, Expr, MethodId, Operand, Program, Stmt, Symbol, Type};
+use spo_jir::{Expr, MethodId, Operand, Program, Stmt, Symbol, Type};
 use spo_resolve::{entry_points, CallGraph, Hierarchy};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -153,12 +153,6 @@ impl<'p> ThrowsAnalyzer<'p> {
             }
         }
         out
-    }
-
-    /// The class id of an exception name, if declared (unused classes from
-    /// external code still participate by name).
-    pub fn class_of(&self, name: &str) -> Option<ClassId> {
-        self.program.class_by_str(name)
     }
 }
 

@@ -340,60 +340,44 @@ class t.M2 {
 }
 
 #[test]
-fn builder_constructed_programs_analyze_like_parsed_ones() {
-    // The fluent builder and the textual frontend are two routes to the
-    // same IR; the analysis must agree on both.
-    use spo_jir::{MethodFlags, ProgramBuilder, Type};
-    let mut pb = ProgramBuilder::new();
-    {
-        let mut cb = pb.class("java.lang.SecurityManager");
-        cb.native_method(
-            "checkExit",
-            MethodFlags::PUBLIC,
-            vec![Type::Int],
-            Type::Void,
-        );
-        cb.finish().unwrap();
-    }
-    let sm_ty = pb.intern("java.lang.SecurityManager");
-    {
-        let mut cb = pb.class("java.lang.System");
-        cb.field("security", Type::Ref(sm_ty), spo_jir::FieldFlags::STATIC);
-        let mut mb = cb.method(
-            "getSecurityManager",
-            MethodFlags::PUBLIC | MethodFlags::STATIC,
-            Type::Ref(sm_ty),
-        );
-        let sm = mb.local("sm", Type::Ref(sm_ty));
-        mb.load_static(sm, "java.lang.System", "security");
-        mb.ret_val(sm);
-        mb.finish();
-        cb.finish().unwrap();
-    }
-    {
-        let mut cb = pb.class("b.Built");
-        cb.native_method(
-            "op0",
-            MethodFlags::PRIVATE | MethodFlags::STATIC,
-            vec![],
-            Type::Void,
-        );
-        let mut mb = cb.method("m", MethodFlags::PUBLIC, Type::Void);
-        mb.security_check("checkExit", vec![spo_jir::Const::Int(0).into()]);
-        mb.invoke_static(None, "b.Built", "op0", vec![]);
-        mb.ret();
-        mb.finish();
-        cb.finish().unwrap();
-    }
-    let built = pb.finish();
-    let lib = Analyzer::new(&built, AnalysisOptions::default()).analyze_library("built");
+fn printed_programs_analyze_like_parsed_ones() {
+    // The printer's output is a second route into the parser; the
+    // analysis must agree on both.
+    let src = r#"
+class java.lang.SecurityManager {
+  method public native void checkExit(int p0);
+}
+class java.lang.System {
+  field static java.lang.SecurityManager security;
+  method public static java.lang.SecurityManager getSecurityManager() {
+    local java.lang.SecurityManager sm;
+    sm = java.lang.System.security;
+    return sm;
+  }
+}
+class b.Built {
+  method private static native void op0();
+  method public void m() {
+    local java.lang.SecurityManager sm;
+    sm = staticinvoke java.lang.System.getSecurityManager();
+    if sm == null goto skip;
+    virtualinvoke sm.checkExit(0);
+  skip:
+    nop;
+    staticinvoke b.Built.op0();
+    return;
+  }
+}
+"#;
+    let parsed = spo_jir::parse_program(src).unwrap();
+    let lib = Analyzer::new(&parsed, AnalysisOptions::default()).analyze_library("built");
     let ev = &lib.entries["b.Built.m()"].events[&EventKey::Native("op0".into())];
-    // security_check emits the guarded idiom: a may (not must) policy.
+    // The guarded idiom yields a may (not must) policy.
     assert_eq!(ev.may, CheckSet::of(Check::Exit));
     assert!(ev.must.is_empty());
 
     // And the printed form re-analyzes identically.
-    let printed = spo_jir::print_program(&built);
+    let printed = spo_jir::print_program(&parsed);
     let reparsed = spo_jir::parse_program(&printed).unwrap();
     let lib2 = Analyzer::new(&reparsed, AnalysisOptions::default()).analyze_library("built");
     assert_eq!(

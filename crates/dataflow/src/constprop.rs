@@ -27,14 +27,6 @@ pub enum AbsVal {
 }
 
 impl AbsVal {
-    /// Whether the value is a known constant.
-    pub fn as_const(self) -> Option<Const> {
-        match self {
-            AbsVal::Val(c) => Some(c),
-            _ => None,
-        }
-    }
-
     /// Three-valued truthiness (for `if x` / `if !x`).
     pub fn truthiness(self) -> Option<bool> {
         match self {

@@ -247,37 +247,10 @@ impl Default for Instruments {
 #[derive(Clone, Debug)]
 pub struct AnalysisEngine {
     jobs: usize,
-    shards: usize,
     instruments: Instruments,
     cache: Option<Arc<PolicyCache>>,
     resident: Option<Arc<ResidentStore>>,
 }
-
-/// The error [`AnalysisEngine::with_shards`] returns when the requested
-/// shard count disagrees with an attached [`ResidentStore`]'s: the
-/// resident store was already built with its own stripe count, so silently
-/// keeping either value would make the engine's stats and the store's
-/// layout lie about each other.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ShardMismatch {
-    /// The shard count passed to `with_shards`.
-    pub requested: usize,
-    /// The attached resident store's shard count.
-    pub resident: usize,
-}
-
-impl std::fmt::Display for ShardMismatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "requested {} summary-store shards but the attached resident store has {}; \
-             drop the resident store or build it with the matching shard count",
-            self.requested, self.resident
-        )
-    }
-}
-
-impl std::error::Error for ShardMismatch {}
 
 /// A summary store that outlives a single engine run, so a resident
 /// process (the `spo serve` daemon) can re-enter the analysis with its memo
@@ -314,11 +287,6 @@ impl ResidentStore {
     pub fn summaries(&self) -> usize {
         self.store.len()
     }
-
-    /// Lock stripes of the store.
-    pub fn shard_count(&self) -> usize {
-        self.store.shard_count()
-    }
 }
 
 impl Default for ResidentStore {
@@ -342,7 +310,6 @@ impl AnalysisEngine {
     pub fn new(jobs: usize) -> Self {
         AnalysisEngine {
             jobs,
-            shards: DEFAULT_SHARDS,
             instruments: Instruments::default(),
             cache: None,
             resident: None,
@@ -361,19 +328,12 @@ impl AnalysisEngine {
     /// analyses in a long-lived process start with every previously proven
     /// clean summary already memoized. The caller owns the keying
     /// discipline documented on [`ResidentStore`] — one store per
-    /// (program, options) pairing. Other memo scopes ignore it.
+    /// (program, options) pairing. Other memo scopes ignore it. The store
+    /// keeps the shard layout it was built with; a run without one builds
+    /// a [`DEFAULT_SHARDS`]-way store of its own.
     pub fn with_resident(mut self, resident: Arc<ResidentStore>) -> Self {
-        // The resident store's layout is fixed at its construction; the
-        // engine adopts it so the two can never drift apart. A later
-        // `with_shards` with a different count is a validated error.
-        self.shards = resident.shard_count();
         self.resident = Some(resident);
         self
-    }
-
-    /// The attached resident store, if any.
-    pub fn resident(&self) -> Option<&Arc<ResidentStore>> {
-        self.resident.as_ref()
     }
 
     /// Attaches a persistent summary cache: roots whose cone key has a
@@ -390,25 +350,6 @@ impl AnalysisEngine {
     /// The attached persistent cache, if any.
     pub fn cache(&self) -> Option<&Arc<PolicyCache>> {
         self.cache.as_ref()
-    }
-
-    /// Overrides the number of summary-store shards (default
-    /// [`DEFAULT_SHARDS`]). With a [`ResidentStore`] attached the store
-    /// layout is already fixed, so any *different* count is a
-    /// [`ShardMismatch`] error instead of a silent disagreement between
-    /// the engine's bookkeeping and the store it actually uses.
-    pub fn with_shards(mut self, shards: usize) -> Result<Self, ShardMismatch> {
-        let shards = shards.max(1);
-        if let Some(resident) = &self.resident {
-            if resident.shard_count() != shards {
-                return Err(ShardMismatch {
-                    requested: shards,
-                    resident: resident.shard_count(),
-                });
-            }
-        }
-        self.shards = shards;
-        Ok(self)
     }
 
     /// Replaces only the [`Instruments::recorder`].
@@ -506,7 +447,7 @@ impl AnalysisEngine {
         // because they are pure functions of their memo key (see
         // [`ResidentStore`] for the keying discipline this relies on).
         let owned = (options.memo == MemoScope::Global && self.resident.is_none())
-            .then(|| SharedStore::new(self.shards));
+            .then(|| SharedStore::new(DEFAULT_SHARDS));
         let shared: Option<&SharedStore> = match &self.resident {
             Some(r) if options.memo == MemoScope::Global => Some(&r.store),
             _ => owned.as_ref(),
@@ -1108,23 +1049,6 @@ class t.A {
         // The buffered summaries still reach the shared store at flush.
         let entries: usize = stats.shards.iter().map(|s| s.entries).sum();
         assert!(entries > 0, "{stats}");
-    }
-
-    #[test]
-    fn with_shards_rejects_mismatch_against_attached_resident() {
-        let resident = Arc::new(ResidentStore::default());
-        let err = AnalysisEngine::new(2)
-            .with_resident(Arc::clone(&resident))
-            .with_shards(DEFAULT_SHARDS + 1)
-            .unwrap_err();
-        assert_eq!(err.requested, DEFAULT_SHARDS + 1);
-        assert_eq!(err.resident, DEFAULT_SHARDS);
-        // Matching counts (and detached engines) stay accepted.
-        AnalysisEngine::new(2)
-            .with_resident(resident)
-            .with_shards(DEFAULT_SHARDS)
-            .expect("matching shard count");
-        AnalysisEngine::new(2).with_shards(4).expect("no resident");
     }
 
     #[test]

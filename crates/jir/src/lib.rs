@@ -8,7 +8,6 @@
 //! * an interned, arena-based [`Program`] of classes, fields, and methods;
 //! * three-address [`Stmt`]s with index-based branch targets and per-body
 //!   [`Cfg`] construction;
-//! * a fluent [`ProgramBuilder`] for generating programs in code;
 //! * a textual format (`.jir`) with a [`parse_program`] frontend and a
 //!   round-tripping [`print_program`] pretty-printer.
 //!
@@ -44,7 +43,6 @@
 #![forbid(unsafe_code)]
 
 mod body;
-mod builder;
 mod dominators;
 mod flags;
 mod hash;
@@ -56,14 +54,13 @@ mod stmt;
 mod types;
 
 pub use body::{Body, Cfg, LocalDecl};
-pub use builder::{ClassBuilder, Label, MethodBuilder, ProgramBuilder};
 pub use dominators::Dominators;
 pub use flags::{ClassFlags, FieldFlags, MethodFlags};
 pub use hash::{method_content_hash, method_identity_hash, structure_hash, Fnv64};
 pub use intern::{Interner, Symbol};
 pub use parse::{
-    lex, parse_into, parse_into_recovering, parse_into_recovering_traced, parse_into_traced,
-    parse_program, LexError, ParseDiagnostic, ParseError, Recovery, Spanned, Tok,
+    lex, parse_into, parse_into_recovering, parse_into_recovering_traced, parse_program, LexError,
+    ParseDiagnostic, ParseError, Recovery, Spanned, Tok,
 };
 pub use printer::{print_class, print_method, print_program};
 pub use program::{Class, ClassId, Field, FieldId, Method, MethodId, Program, ProgramError};

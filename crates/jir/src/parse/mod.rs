@@ -5,6 +5,6 @@ mod parser;
 
 pub use lexer::{lex, LexError, Spanned, Tok};
 pub use parser::{
-    parse_into, parse_into_recovering, parse_into_recovering_traced, parse_into_traced,
-    parse_program, ParseDiagnostic, ParseError, Recovery,
+    parse_into, parse_into_recovering, parse_into_recovering_traced, parse_program,
+    ParseDiagnostic, ParseError, Recovery,
 };

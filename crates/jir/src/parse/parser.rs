@@ -104,33 +104,6 @@ pub fn parse_into(src: &str, program: &mut Program) -> Result<(), ParseError> {
     Ok(())
 }
 
-/// Like [`parse_into`], recording parse metrics into `rec`: a `jir.parse`
-/// span plus `jir.parse.bytes`/`.classes`/`.methods`/`.stmts` counters
-/// covering what this call added to `program`. Parsing is deterministic
-/// and serial, so these land in the deterministic `counters` section.
-///
-/// # Errors
-///
-/// See [`parse_program`].
-pub fn parse_into_traced(
-    src: &str,
-    program: &mut Program,
-    rec: &spo_obs::Recorder,
-) -> Result<(), ParseError> {
-    let size = |p: &Program| (p.class_count(), p.all_methods().count(), p.stmt_count());
-    let _span = rec.span("jir.parse");
-    let (classes0, methods0, stmts0) = size(program);
-    parse_into(src, program)?;
-    let (classes1, methods1, stmts1) = size(program);
-    rec.counter("jir.parse.bytes").add(src.len() as u64);
-    rec.counter("jir.parse.classes")
-        .add((classes1 - classes0) as u64);
-    rec.counter("jir.parse.methods")
-        .add((methods1 - methods0) as u64);
-    rec.counter("jir.parse.stmts").add((stmts1 - stmts0) as u64);
-    Ok(())
-}
-
 /// One recovered-from parse problem: what went wrong, where, and which
 /// syntactic unit was dropped to move past it.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -230,10 +203,12 @@ pub fn parse_into_recovering(src: &str, program: &mut Program) -> Recovery {
     recovery
 }
 
-/// Like [`parse_into_recovering`], recording the same parse metrics as
-/// [`parse_into_traced`] plus a `jir.parse.recovered` counter and one
-/// `diagnostics` record per dropped unit. Parsing is deterministic and
-/// serial, so the counters land in the deterministic section.
+/// Like [`parse_into_recovering`], recording parse metrics into `rec`: a
+/// `jir.parse` span, `jir.parse.bytes`/`.classes`/`.methods`/`.stmts`
+/// counters covering what this call added to `program`, a
+/// `jir.parse.recovered` counter and one `diagnostics` record per dropped
+/// unit. Parsing is deterministic and serial, so the counters land in the
+/// deterministic section.
 pub fn parse_into_recovering_traced(
     src: &str,
     program: &mut Program,

@@ -70,11 +70,6 @@ impl Method {
         self.flags.contains(MethodFlags::NATIVE)
     }
 
-    /// Returns `true` if the method has no receiver.
-    pub fn is_static(&self) -> bool {
-        self.flags.contains(MethodFlags::STATIC)
-    }
-
     /// Number of explicit parameters.
     pub fn argc(&self) -> u32 {
         self.params.len() as u32
@@ -167,8 +162,10 @@ impl std::error::Error for ProgramError {}
 /// A complete JIR program: an arena of classes with interned names and
 /// dense lookup tables.
 ///
-/// Construct programs with [`ProgramBuilder`](crate::ProgramBuilder) or by
-/// parsing the textual format with [`parse_program`](crate::parse_program).
+/// Programs are built by parsing the textual format with
+/// [`parse_program`](crate::parse_program) or
+/// [`parse_into`](crate::parse_into), which adds each class through
+/// [`Program::add_class`].
 #[derive(Clone, Debug, Default)]
 pub struct Program {
     pub(crate) interner: Interner,
@@ -185,11 +182,6 @@ impl Program {
     /// The string interner backing all names in this program.
     pub fn interner(&self) -> &Interner {
         &self.interner
-    }
-
-    /// Mutable access to the interner (used by builders and parsers).
-    pub fn interner_mut(&mut self) -> &mut Interner {
-        &mut self.interner
     }
 
     /// Interns a string.

@@ -3,11 +3,12 @@
 //! Randomized over a fixed set of seeds via the in-tree `spo-rng` PRNG so
 //! the suite is fully deterministic and needs no external crates.
 
-use spo_jir::{parse_program, print_program, Const, MethodFlags, Operand, ProgramBuilder, Type};
+use spo_jir::{parse_program, print_program};
 use spo_rng::SmallRng;
+use std::fmt::Write as _;
 
-/// A miniature statement language used to drive the builder randomly while
-/// guaranteeing structurally valid bodies.
+/// A miniature statement language rendered to `.jir` text, so random
+/// programs are structurally valid by construction.
 #[derive(Clone, Debug)]
 enum GenStmt {
     AssignInt(u8, i64),
@@ -107,129 +108,134 @@ fn gen_program(rng: &mut SmallRng) -> Vec<Vec<Vec<GenStmt>>> {
         .collect()
 }
 
+/// Escapes a string literal the way the printer does.
+fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            other => out.push(other),
+        }
+    }
+    out
+}
+
+/// Renders a spec as `.jir` source text. Each class has static int fields
+/// `f0..f2` and static methods `m0..`; each method declares int locals
+/// `x0..x3`, bool locals `b0..b3`, string locals `s0..s3`, plus one
+/// `SecurityManager` local per security check.
 fn build(spec: &[Vec<Vec<GenStmt>>]) -> String {
-    let mut pb = ProgramBuilder::new();
+    let mut out = String::new();
     for (ci, methods) in spec.iter().enumerate() {
-        let mut cb = pb.class(&format!("gen.C{ci}"));
-        // Static int fields f0..f2 so StoreStaticField always refers to
-        // something printable.
+        writeln!(out, "class gen.C{ci} {{").unwrap();
         for f in 0..3 {
-            cb.field(&format!("f{f}"), Type::Int, spo_jir::FieldFlags::STATIC);
+            writeln!(out, "  field static int f{f};").unwrap();
         }
         for (mi, stmts) in methods.iter().enumerate() {
-            let mut mb = cb.method(
-                &format!("m{mi}"),
-                MethodFlags::PUBLIC | MethodFlags::STATIC,
-                Type::Void,
-            );
-            let ints: Vec<_> = (0..4)
-                .map(|i| mb.local(&format!("x{i}"), Type::Int))
-                .collect();
-            let bools: Vec<_> = (0..4)
-                .map(|i| mb.local(&format!("b{i}"), Type::Bool))
-                .collect();
-            let strs: Vec<_> = {
-                let string_ty = mb.ref_ty("java.lang.String");
-                (0..4)
-                    .map(|i| mb.local(&format!("s{i}"), string_ty.clone()))
-                    .collect()
-            };
+            let mut body = String::new();
+            let mut labels = 0;
+            let mut sms = 0;
             for s in stmts {
                 match s {
-                    GenStmt::AssignInt(l, v) => {
-                        mb.assign_const(ints[*l as usize], Const::Int(*v));
-                    }
-                    GenStmt::AssignBool(l, v) => {
-                        mb.assign_const(bools[*l as usize], Const::Bool(*v));
-                    }
+                    GenStmt::AssignInt(l, v) => writeln!(body, "    x{l} = {v};").unwrap(),
+                    GenStmt::AssignBool(l, v) => writeln!(body, "    b{l} = {v};").unwrap(),
                     GenStmt::AssignStr(l, v) => {
-                        let sym = mb.intern(v);
-                        mb.assign_const(strs[*l as usize], Const::Str(sym));
+                        writeln!(body, "    s{l} = \"{}\";", escape(v)).unwrap()
                     }
-                    GenStmt::Add(d, s2, v) => {
-                        mb.assign(
-                            ints[*d as usize],
-                            spo_jir::Expr::Binary {
-                                op: spo_jir::BinOp::Add,
-                                lhs: ints[*s2 as usize].into(),
-                                rhs: Const::Int(*v).into(),
-                            },
-                        );
-                    }
-                    GenStmt::Copy(d, s2) => mb.copy(ints[*d as usize], ints[*s2 as usize]),
-                    GenStmt::Nop => mb.push(spo_jir::Stmt::Nop),
+                    GenStmt::Add(d, s2, v) => writeln!(body, "    x{d} = x{s2} + {v};").unwrap(),
+                    GenStmt::Copy(d, s2) => writeln!(body, "    x{d} = x{s2};").unwrap(),
+                    GenStmt::Nop => body.push_str("    nop;\n"),
                     GenStmt::CallStatic {
                         class,
                         method,
                         args,
                         capture,
                     } => {
-                        let argv: Vec<Operand> =
-                            args.iter().map(|v| Const::Int(*v).into()).collect();
-                        mb.invoke_static(
-                            capture.map(|c| ints[c as usize]),
-                            &format!("gen.C{}", *class as usize % spec.len()),
-                            &format!("m{method}"),
-                            argv,
-                        );
+                        let argv: Vec<String> = args.iter().map(i64::to_string).collect();
+                        let dst = capture.map(|c| format!("x{c} = ")).unwrap_or_default();
+                        writeln!(
+                            body,
+                            "    {dst}staticinvoke gen.C{}.m{method}({});",
+                            *class as usize % spec.len(),
+                            argv.join(", ")
+                        )
+                        .unwrap();
                     }
                     GenStmt::Diamond {
                         cond_local,
                         then_len,
                         else_len,
                     } => {
-                        let then_l = mb.fresh_label();
-                        let join = mb.fresh_label();
-                        mb.if_truthy(bools[*cond_local as usize], then_l);
+                        let (then_l, join) = (labels, labels + 1);
+                        labels += 2;
+                        writeln!(body, "    if b{cond_local} goto l{then_l};").unwrap();
                         for _ in 0..*else_len {
-                            mb.assign_const(ints[0], Const::Int(0));
+                            body.push_str("    x0 = 0;\n");
                         }
-                        mb.goto(join);
-                        mb.bind(then_l);
+                        writeln!(body, "    goto l{join};\n  l{then_l}:").unwrap();
                         for _ in 0..*then_len {
-                            mb.assign_const(ints[1], Const::Int(1));
+                            body.push_str("    x1 = 1;\n");
                         }
-                        mb.bind(join);
-                        mb.push(spo_jir::Stmt::Nop);
+                        writeln!(body, "  l{join}:\n    nop;").unwrap();
                     }
                     GenStmt::Privileged(l) => {
-                        let dst = ints[*l as usize];
-                        mb.privileged(|mb| {
-                            mb.assign_const(dst, Const::Int(7));
-                        });
+                        writeln!(body, "    enterpriv;\n    x{l} = 7;\n    exitpriv;").unwrap()
                     }
                     GenStmt::SecurityCheck(i) => {
-                        mb.security_check(CHECKS[*i as usize], vec![Const::Int(0).into()]);
+                        let (sm, skip) = (sms, labels);
+                        sms += 1;
+                        labels += 1;
+                        writeln!(
+                            body,
+                            "    sm{sm} = staticinvoke java.lang.System.getSecurityManager();\n    \
+                             if sm{sm} == null goto l{skip};\n    \
+                             virtualinvoke sm{sm}.{}(0);\n  l{skip}:\n    nop;",
+                            CHECKS[*i as usize]
+                        )
+                        .unwrap();
                     }
-                    GenStmt::StoreStaticField { class, field, src } => {
-                        mb.store_static(
-                            &format!("gen.C{}", *class as usize % spec.len()),
-                            &format!("f{field}"),
-                            ints[*src as usize],
-                        );
-                    }
+                    GenStmt::StoreStaticField { class, field, src } => writeln!(
+                        body,
+                        "    gen.C{}.f{field} = x{src};",
+                        *class as usize % spec.len()
+                    )
+                    .unwrap(),
                 }
             }
-            mb.ret();
-            mb.finish();
+            writeln!(out, "  method public static void m{mi}() {{").unwrap();
+            out.push_str("    local int x0, x1, x2, x3;\n");
+            out.push_str("    local bool b0, b1, b2, b3;\n");
+            out.push_str("    local java.lang.String s0, s1, s2, s3;\n");
+            for sm in 0..sms {
+                writeln!(out, "    local java.lang.SecurityManager sm{sm};").unwrap();
+            }
+            out.push_str(&body);
+            out.push_str("    return;\n  }\n");
         }
-        cb.finish().unwrap();
+        out.push_str("}\n");
     }
-    print_program(&pb.finish())
+    out
 }
 
 const CASES: u64 = 64;
 
-/// Printed programs must re-parse, and printing the re-parsed program
-/// must reproduce the exact same text (print∘parse fixpoint).
+/// Generated source parses, its printed form re-parses, and printing the
+/// re-parsed program reproduces the exact same text (print∘parse fixpoint).
 #[test]
 fn print_parse_print_fixpoint() {
     for seed in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0x5eed_0000 + seed);
         let spec = gen_program(&mut rng);
-        let text1 = build(&spec);
+        let source = build(&spec);
+        let program1 = parse_program(&source).unwrap_or_else(|e| {
+            panic!("parse failed (seed {seed}): {e}\n--- source ---\n{source}")
+        });
+        let text1 = print_program(&program1);
         let program2 = parse_program(&text1).unwrap_or_else(|e| {
-            panic!("reparse failed (seed {seed}): {e}\n--- source ---\n{text1}")
+            panic!("reparse failed (seed {seed}): {e}\n--- printed ---\n{text1}")
         });
         let text2 = print_program(&program2);
         assert_eq!(
@@ -239,7 +245,7 @@ fn print_parse_print_fixpoint() {
     }
 }
 
-/// Reparsed bodies keep the same statement counts and validate.
+/// Parsed bodies validate and every CFG reaches its exit.
 #[test]
 fn reparsed_bodies_validate() {
     for seed in 0..CASES {
