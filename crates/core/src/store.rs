@@ -520,6 +520,7 @@ impl SummaryStore for WriteBehind<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
 
     fn key(i: u32) -> MemoKey {
         MemoKey {
@@ -581,35 +582,34 @@ mod tests {
 
     #[test]
     fn shared_store_counts_contention_under_concurrent_access() {
-        // A single shard forces every key onto one lock; two threads
-        // hammering it must observe at least one contended acquisition.
-        // Scheduling is non-deterministic, so retry a few rounds rather
-        // than assert on a single racy window.
-        for round in 0..20 {
-            let store = SharedStore::new(1);
-            std::thread::scope(|s| {
-                s.spawn(|| {
-                    for i in 0..2000 {
-                        store.insert_batch(vec![(key(i), summary())]);
-                    }
-                });
-                s.spawn(|| {
-                    for i in 0..2000 {
-                        let _ = store.get(&key(i));
-                    }
-                });
+        // Force the collision: this thread holds the only shard's write
+        // lock while a reader `get`s, and lets go only once the reader has
+        // counted the contention it is about to block on.
+        let store = SharedStore::new(1);
+        let shard = &store.shards[0];
+        let barrier = Barrier::new(2);
+        std::thread::scope(|s| {
+            let writer = shard.map.write().unwrap();
+            s.spawn(|| {
+                barrier.wait();
+                let _ = store.get(&key(1));
             });
-            let stats = store.shard_stats();
-            let contended: u64 = stats.iter().map(|s| s.contended).sum();
-            if contended > 0 {
-                // Every contended acquisition records one wait observation.
-                let waits: u64 = stats.iter().map(|s| s.lock_wait.count).sum();
-                assert_eq!(waits, contended);
-                return;
+            barrier.wait();
+            let deadline = Instant::now() + std::time::Duration::from_secs(30);
+            while shard.contended.load(Ordering::Relaxed) == 0 {
+                assert!(
+                    Instant::now() < deadline,
+                    "the reader never saw the lock held"
+                );
+                std::thread::yield_now();
             }
-            eprintln!("round {round}: no contention observed, retrying");
-        }
-        panic!("no contention observed in 20 rounds of concurrent access");
+            drop(writer);
+        });
+        let stats = store.shard_stats();
+        assert_eq!(stats[0].contended, 1);
+        // The contended acquisition records one wait observation.
+        assert_eq!(stats[0].lock_wait.count, 1);
+        assert_eq!(stats[0].misses, 1);
     }
 
     #[test]

@@ -73,10 +73,15 @@ impl Body {
                 Stmt::If { target, .. } | Stmt::Goto { target } => check_target(*target)?,
                 _ => {}
             }
-            for l in s.read_locals().into_iter().chain(s.def_local()) {
-                if l.index() >= self.locals.len() {
-                    return Err(format!("stmt {i}: local {:?} out of range", l));
+            let out_of_range = |l: &LocalId| l.index() >= self.locals.len();
+            let mut bad = None;
+            s.for_each_read_local(|l| {
+                if bad.is_none() && out_of_range(&l) {
+                    bad = Some(l);
                 }
+            });
+            if let Some(l) = bad.or(s.def_local().filter(out_of_range)) {
+                return Err(format!("stmt {i}: local {:?} out of range", l));
             }
         }
         Ok(())

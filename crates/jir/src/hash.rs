@@ -25,12 +25,62 @@
 //! fully specified (no per-process seed, unlike `DefaultHasher`) and
 //! allocation-free.
 //!
+//! The in-memory name tables (the [`Interner`], the parser's scopes and
+//! [`Program`]'s class table) use a third hasher, the crate-private
+//! `FxHasher`: unkeyed like [`Fnv64`], but a word at a time, and not a
+//! stable format.
+//!
 //! [`Symbol`]: crate::Symbol
 
 use crate::intern::Interner;
 use crate::program::{MethodId, Program};
 use crate::stmt::{Call, Cond, Const, Expr, FieldTarget, Operand, Stmt};
 use crate::types::Type;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A `HashMap` hashed by [`FxHasher`].
+pub(crate) type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+/// An Fx-style hasher for in-memory tables keyed by program names: one
+/// rotate, xor and multiply per 8-byte word, no per-process key. It is
+/// not `HashDoS`-resistant, which a table of the input's own identifiers
+/// does not need, and its values are not a stable format (that is what
+/// [`Fnv64`] is for).
+#[derive(Clone, Copy, Default)]
+pub(crate) struct FxHasher(u64);
+
+const FX_MULTIPLIER: u64 = 0xf135_7aea_2e62_a9c5;
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(FX_MULTIPLIER);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    /// The multiply mixes upward, so the well-mixed middle bits are
+    /// rotated down to where the table takes its bucket index.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 /// A 64-bit FNV-1a hasher with a fully deterministic, seedless state.
 ///

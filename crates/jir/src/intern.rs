@@ -5,8 +5,9 @@
 //! compact [`Symbol`] so that the analysis layers can compare and hash names
 //! in O(1) and store them in dense tables.
 
-use std::collections::HashMap;
+use crate::hash::FxHashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// An interned string.
 ///
@@ -44,11 +45,12 @@ impl fmt::Debug for Symbol {
 /// A deduplicating string table mapping strings to [`Symbol`]s and back.
 ///
 /// Interning the same string twice returns the same symbol. Resolution is
-/// O(1). The interner never forgets a string.
+/// O(1). The interner never forgets a string, and stores each one once:
+/// the lookup table and the symbol-indexed list share it.
 #[derive(Clone, Default)]
 pub struct Interner {
-    map: HashMap<Box<str>, Symbol>,
-    strings: Vec<Box<str>>,
+    map: FxHashMap<Arc<str>, Symbol>,
+    strings: Vec<Arc<str>>,
 }
 
 impl Interner {
@@ -63,9 +65,9 @@ impl Interner {
             return sym;
         }
         let sym = Symbol(u32::try_from(self.strings.len()).expect("interner overflow"));
-        let boxed: Box<str> = s.into();
-        self.strings.push(boxed.clone());
-        self.map.insert(boxed, sym);
+        let shared: Arc<str> = s.into();
+        self.strings.push(Arc::clone(&shared));
+        self.map.insert(shared, sym);
         sym
     }
 

@@ -59,8 +59,8 @@ pub use flags::{ClassFlags, FieldFlags, MethodFlags};
 pub use hash::{method_content_hash, method_identity_hash, structure_hash, Fnv64};
 pub use intern::{Interner, Symbol};
 pub use parse::{
-    lex, parse_into, parse_into_recovering, parse_into_recovering_traced, parse_program, LexError,
-    ParseDiagnostic, ParseError, Recovery, Spanned, Tok,
+    parse_into, parse_into_recovering, parse_into_recovering_traced, parse_program,
+    ParseDiagnostic, ParseError, Recovery,
 };
 pub use printer::{print_class, print_method, print_program};
 pub use program::{Class, ClassId, Field, FieldId, Method, MethodId, Program, ProgramError};

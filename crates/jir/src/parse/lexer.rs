@@ -1,16 +1,21 @@
 //! Lexer for the `.jir` textual format.
+//!
+//! Tokens borrow the source text: an identifier is a slice of it, and a
+//! string literal is one too unless it contains an escape sequence, so a
+//! clean file lexes into one token vector and no other allocation.
 
+use std::borrow::Cow;
 use std::fmt;
 
-/// A lexical token kind.
+/// A lexical token kind, borrowing from the source text `'a`.
 #[derive(Clone, PartialEq, Debug)]
-pub enum Tok {
+pub(super) enum Tok<'a> {
     /// Identifier or keyword (keywords are recognized by the parser).
-    Ident(String),
+    Ident(&'a str),
     /// Integer literal.
     Int(i64),
-    /// String literal (unescaped).
-    Str(String),
+    /// String literal (unescaped); owned only when it had an escape.
+    Str(Cow<'a, str>),
     /// `{`
     LBrace,
     /// `}`
@@ -67,7 +72,7 @@ pub enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "`{s}`"),
@@ -106,242 +111,205 @@ impl fmt::Display for Tok {
 
 /// A token plus its source position.
 #[derive(Clone, Debug)]
-pub struct Spanned {
+pub(super) struct Spanned<'a> {
     /// The token.
-    pub tok: Tok,
+    pub(super) tok: Tok<'a>,
     /// 1-based line.
-    pub line: u32,
-    /// 1-based column.
-    pub col: u32,
+    pub(super) line: u32,
+    /// 1-based column, counted in bytes.
+    pub(super) col: u32,
 }
 
 /// A lexical error with position.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct LexError {
+pub(super) struct LexError {
     /// Description of the problem.
-    pub message: String,
+    pub(super) message: String,
     /// 1-based line.
-    pub line: u32,
-    /// 1-based column.
-    pub col: u32,
+    pub(super) line: u32,
+    /// 1-based column, counted in bytes.
+    pub(super) col: u32,
 }
-
-impl fmt::Display for LexError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}: {}", self.line, self.col, self.message)
-    }
-}
-
-impl std::error::Error for LexError {}
 
 /// Tokenizes a `.jir` source string.
 ///
 /// Supports `//` line comments and `/* ... */` block comments. The output
-/// always ends with a [`Tok::Eof`] token.
+/// always ends with a [`Tok::Eof`] token. Columns count bytes from the
+/// start of the line.
 ///
 /// # Errors
 ///
 /// Returns [`LexError`] on unterminated strings/comments, malformed escape
 /// sequences, integer overflow, or unexpected characters.
-pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
+pub(super) fn lex(src: &str) -> Result<Vec<Spanned<'_>>, LexError> {
     let bytes = src.as_bytes();
-    let mut out = Vec::new();
+    // Generated `.jir` averages over three bytes per token, so this
+    // capacity is rarely outgrown; pages never written cost no memory.
+    let mut out = Vec::with_capacity(src.len() / 3 + 1);
     let mut i = 0usize;
     let mut line = 1u32;
-    let mut col = 1u32;
+    // Byte offset where the current line starts: a column is the distance
+    // from it, so only newlines need tracking.
+    let mut line_start = 0usize;
+    let col = |i: usize, line_start: usize| (i - line_start + 1) as u32;
     macro_rules! err {
         ($l:expr, $c:expr, $($arg:tt)*) => {
             return Err(LexError { message: format!($($arg)*), line: $l, col: $c })
         };
     }
     while i < bytes.len() {
-        let (tl, tc) = (line, col);
         let b = bytes[i];
-        let advance = |i: &mut usize, line: &mut u32, col: &mut u32| {
-            if bytes[*i] == b'\n' {
-                *line += 1;
-                *col = 1;
-            } else {
-                *col += 1;
+        let (tl, tc) = (line, col(i, line_start));
+        let tok = match b {
+            b'\n' => {
+                i += 1;
+                line += 1;
+                line_start = i;
+                continue;
             }
-            *i += 1;
-        };
-        match b {
-            b' ' | b'\t' | b'\r' | b'\n' => advance(&mut i, &mut line, &mut col),
-            b'/' if i + 1 < bytes.len() && bytes[i + 1] == b'/' => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    advance(&mut i, &mut line, &mut col);
-                }
+            b' ' | b'\t' | b'\r' => {
+                i += bytes[i..]
+                    .iter()
+                    .take_while(|&&c| matches!(c, b' ' | b'\t' | b'\r'))
+                    .count();
+                continue;
             }
-            b'/' if i + 1 < bytes.len() && bytes[i + 1] == b'*' => {
-                advance(&mut i, &mut line, &mut col);
-                advance(&mut i, &mut line, &mut col);
-                let mut closed = false;
-                while i + 1 < bytes.len() {
-                    if bytes[i] == b'*' && bytes[i + 1] == b'/' {
-                        advance(&mut i, &mut line, &mut col);
-                        advance(&mut i, &mut line, &mut col);
-                        closed = true;
-                        break;
-                    }
-                    advance(&mut i, &mut line, &mut col);
-                }
-                if !closed {
+            b'/' if bytes.get(i + 1) == Some(&b'/') => {
+                // The newline itself is left for the arm above.
+                i += bytes[i..]
+                    .iter()
+                    .position(|&c| c == b'\n')
+                    .unwrap_or(bytes.len() - i);
+                continue;
+            }
+            b'/' if bytes.get(i + 1) == Some(&b'*') => {
+                let Some(len) = src[i + 2..].find("*/") else {
                     err!(tl, tc, "unterminated block comment");
+                };
+                let comment = &bytes[i..i + 2 + len + 2];
+                if let Some(last) = comment.iter().rposition(|&c| c == b'\n') {
+                    line += comment.iter().filter(|&&c| c == b'\n').count() as u32;
+                    line_start = i + last + 1;
                 }
+                i += comment.len();
+                continue;
             }
             b'"' => {
-                advance(&mut i, &mut line, &mut col);
-                let mut s = String::new();
-                let mut closed = false;
-                while i < bytes.len() {
-                    match bytes[i] {
-                        b'"' => {
-                            advance(&mut i, &mut line, &mut col);
-                            closed = true;
-                            break;
-                        }
-                        b'\\' => {
-                            advance(&mut i, &mut line, &mut col);
-                            if i >= bytes.len() {
-                                break;
-                            }
-                            match bytes[i] {
-                                b'n' => s.push('\n'),
-                                b't' => s.push('\t'),
-                                b'\\' => s.push('\\'),
-                                b'"' => s.push('"'),
-                                other => err!(line, col, "bad escape `\\{}`", other as char),
-                            }
-                            advance(&mut i, &mut line, &mut col);
-                        }
-                        b'\n' => err!(tl, tc, "unterminated string literal"),
-                        _ => {
-                            // Copy a full UTF-8 scalar.
-                            let ch_len = utf8_len(bytes[i]);
-                            s.push_str(std::str::from_utf8(&bytes[i..i + ch_len]).map_err(
-                                |_| LexError {
-                                    message: "invalid UTF-8 in string".into(),
+                // The unescaped text is built only once an escape shows up;
+                // `run` starts the source text not yet copied into it.
+                let mut unescaped: Option<String> = None;
+                let mut run = i + 1;
+                let mut j = run;
+                loop {
+                    match bytes.get(j) {
+                        None | Some(b'\n') => err!(tl, tc, "unterminated string literal"),
+                        Some(b'"') => break,
+                        Some(b'\\') => {
+                            let ch = match bytes.get(j + 1) {
+                                None => err!(tl, tc, "unterminated string literal"),
+                                Some(b'n') => '\n',
+                                Some(b't') => '\t',
+                                Some(b'\\') => '\\',
+                                Some(b'"') => '"',
+                                Some(&other) => err!(
                                     line,
-                                    col,
-                                },
-                            )?);
-                            for _ in 0..ch_len {
-                                advance(&mut i, &mut line, &mut col);
-                            }
+                                    col(j + 1, line_start),
+                                    "bad escape `\\{}`",
+                                    other as char
+                                ),
+                            };
+                            let buf = unescaped.get_or_insert_with(String::new);
+                            buf.push_str(&src[run..j]);
+                            buf.push(ch);
+                            j += 2;
+                            run = j;
                         }
+                        Some(_) => j += 1,
                     }
                 }
-                if !closed {
-                    err!(tl, tc, "unterminated string literal");
-                }
-                out.push(Spanned {
-                    tok: Tok::Str(s),
-                    line: tl,
-                    col: tc,
-                });
+                let text = match unescaped {
+                    None => Cow::Borrowed(&src[run..j]),
+                    Some(mut buf) => {
+                        buf.push_str(&src[run..j]);
+                        Cow::Owned(buf)
+                    }
+                };
+                i = j + 1;
+                Tok::Str(text)
             }
             b'0'..=b'9' => {
                 let start = i;
                 while i < bytes.len() && bytes[i].is_ascii_digit() {
-                    advance(&mut i, &mut line, &mut col);
+                    i += 1;
                 }
                 let text = &src[start..i];
-                let v: i64 = text.parse().map_err(|_| LexError {
-                    message: format!("integer `{text}` out of range"),
-                    line: tl,
-                    col: tc,
-                })?;
-                out.push(Spanned {
-                    tok: Tok::Int(v),
-                    line: tl,
-                    col: tc,
-                });
+                let Ok(v) = text.parse::<i64>() else {
+                    err!(tl, tc, "integer `{text}` out of range");
+                };
+                Tok::Int(v)
             }
             b'A'..=b'Z' | b'a'..=b'z' | b'_' | b'$' => {
                 let start = i;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_' || bytes[i] == b'$')
-                {
-                    advance(&mut i, &mut line, &mut col);
-                }
-                out.push(Spanned {
-                    tok: Tok::Ident(src[start..i].to_owned()),
-                    line: tl,
-                    col: tc,
-                });
+                i += bytes[i..]
+                    .iter()
+                    .take_while(|&&c| c.is_ascii_alphanumeric() || c == b'_' || c == b'$')
+                    .count();
+                Tok::Ident(&src[start..i])
             }
             _ => {
-                let two = |a: u8, b2: u8| i + 1 < bytes.len() && a == b && bytes[i + 1] == b2;
-                let (tok, len) = if two(b'=', b'=') {
-                    (Tok::EqEq, 2)
-                } else if two(b'!', b'=') {
-                    (Tok::NotEq, 2)
-                } else if two(b'<', b'=') {
-                    (Tok::Le, 2)
-                } else if two(b'>', b'=') {
-                    (Tok::Ge, 2)
-                } else {
-                    let t = match b {
-                        b'{' => Tok::LBrace,
-                        b'}' => Tok::RBrace,
-                        b'(' => Tok::LParen,
-                        b')' => Tok::RParen,
-                        b'[' => Tok::LBracket,
-                        b']' => Tok::RBracket,
-                        b';' => Tok::Semi,
-                        b':' => Tok::Colon,
-                        b',' => Tok::Comma,
-                        b'.' => Tok::Dot,
-                        b'=' => Tok::Assign,
-                        b'<' => Tok::Lt,
-                        b'>' => Tok::Gt,
-                        b'+' => Tok::Plus,
-                        b'-' => Tok::Minus,
-                        b'*' => Tok::Star,
-                        b'/' => Tok::Slash,
-                        b'%' => Tok::Percent,
-                        b'&' => Tok::Amp,
-                        b'|' => Tok::Pipe,
-                        b'^' => Tok::Caret,
-                        b'!' => Tok::Bang,
-                        other => err!(tl, tc, "unexpected character `{}`", other as char),
-                    };
-                    (t, 1)
+                let two = |b2: u8| bytes.get(i + 1) == Some(&b2);
+                let (tok, len) = match b {
+                    b'=' if two(b'=') => (Tok::EqEq, 2),
+                    b'!' if two(b'=') => (Tok::NotEq, 2),
+                    b'<' if two(b'=') => (Tok::Le, 2),
+                    b'>' if two(b'=') => (Tok::Ge, 2),
+                    b'{' => (Tok::LBrace, 1),
+                    b'}' => (Tok::RBrace, 1),
+                    b'(' => (Tok::LParen, 1),
+                    b')' => (Tok::RParen, 1),
+                    b'[' => (Tok::LBracket, 1),
+                    b']' => (Tok::RBracket, 1),
+                    b';' => (Tok::Semi, 1),
+                    b':' => (Tok::Colon, 1),
+                    b',' => (Tok::Comma, 1),
+                    b'.' => (Tok::Dot, 1),
+                    b'=' => (Tok::Assign, 1),
+                    b'<' => (Tok::Lt, 1),
+                    b'>' => (Tok::Gt, 1),
+                    b'+' => (Tok::Plus, 1),
+                    b'-' => (Tok::Minus, 1),
+                    b'*' => (Tok::Star, 1),
+                    b'/' => (Tok::Slash, 1),
+                    b'%' => (Tok::Percent, 1),
+                    b'&' => (Tok::Amp, 1),
+                    b'|' => (Tok::Pipe, 1),
+                    b'^' => (Tok::Caret, 1),
+                    b'!' => (Tok::Bang, 1),
+                    other => err!(tl, tc, "unexpected character `{}`", other as char),
                 };
-                for _ in 0..len {
-                    advance(&mut i, &mut line, &mut col);
-                }
-                out.push(Spanned {
-                    tok,
-                    line: tl,
-                    col: tc,
-                });
+                i += len;
+                tok
             }
-        }
+        };
+        out.push(Spanned {
+            tok,
+            line: tl,
+            col: tc,
+        });
     }
     out.push(Spanned {
         tok: Tok::Eof,
         line,
-        col,
+        col: col(i, line_start),
     });
     Ok(out)
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Tok> {
+    fn toks(src: &str) -> Vec<Tok<'_>> {
         lex(src).unwrap().into_iter().map(|s| s.tok).collect()
     }
 
@@ -350,8 +318,8 @@ mod tests {
         assert_eq!(
             toks("class Foo { }"),
             vec![
-                Tok::Ident("class".into()),
-                Tok::Ident("Foo".into()),
+                Tok::Ident("class"),
+                Tok::Ident("Foo"),
                 Tok::LBrace,
                 Tok::RBrace,
                 Tok::Eof
@@ -389,12 +357,7 @@ mod tests {
     fn comments_skipped() {
         assert_eq!(
             toks("a // line\n b /* block\n spanning */ c"),
-            vec![
-                Tok::Ident("a".into()),
-                Tok::Ident("b".into()),
-                Tok::Ident("c".into()),
-                Tok::Eof
-            ]
+            vec![Tok::Ident("a"), Tok::Ident("b"), Tok::Ident("c"), Tok::Eof]
         );
     }
 
@@ -407,15 +370,17 @@ mod tests {
     }
 
     #[test]
+    fn only_escaped_string_literals_are_copied() {
+        let ts = lex(r#""plain" "esc\tx""#).unwrap();
+        assert!(matches!(&ts[0].tok, Tok::Str(Cow::Borrowed("plain"))));
+        assert!(matches!(&ts[1].tok, Tok::Str(Cow::Owned(s)) if s == "esc\tx"));
+    }
+
+    #[test]
     fn numbers_and_idents_with_dollar() {
         assert_eq!(
             toks("x1 $tmp 42"),
-            vec![
-                Tok::Ident("x1".into()),
-                Tok::Ident("$tmp".into()),
-                Tok::Int(42),
-                Tok::Eof
-            ]
+            vec![Tok::Ident("x1"), Tok::Ident("$tmp"), Tok::Int(42), Tok::Eof]
         );
     }
 

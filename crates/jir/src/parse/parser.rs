@@ -3,17 +3,24 @@
 //! The grammar mirrors Jimple where practical. See the crate-level docs for
 //! a walkthrough and `printer.rs` for the exact concrete syntax (the printer
 //! and parser round-trip).
+//!
+//! The parser walks the lexer's borrowed tokens by reference: names reach
+//! the [`Program`] interner as slices of the source text, and the only
+//! strings it builds are dotted names and error messages.
 
 use super::lexer::{lex, LexError, Spanned, Tok};
 use crate::body::{Body, LocalDecl};
 use crate::flags::{ClassFlags, FieldFlags, MethodFlags};
+use crate::hash::FxHashMap;
 use crate::program::{Class, Field, Method, Program, ProgramError};
 use crate::stmt::{
     Call, CmpOp, Cond, Const, Expr, FieldRef, FieldTarget, InvokeKind, LocalId, MethodRef, Operand,
     Stmt,
 };
 use crate::types::Type;
-use std::collections::HashMap;
+use crate::Symbol;
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::fmt;
 
 /// A parse error with source position.
@@ -86,7 +93,7 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
 pub fn parse_into(src: &str, program: &mut Program) -> Result<(), ParseError> {
     let tokens = lex(src)?;
     let mut p = Parser {
-        tokens,
+        tokens: &tokens,
         pos: 0,
         program,
     };
@@ -170,7 +177,7 @@ pub fn parse_into_recovering(src: &str, program: &mut Program) -> Recovery {
         }
     };
     let mut p = Parser {
-        tokens,
+        tokens: &tokens,
         pos: 0,
         program,
     };
@@ -178,14 +185,14 @@ pub fn parse_into_recovering(src: &str, program: &mut Program) -> Recovery {
         let start = p.pos;
         match p.parse_class_with(Some(&mut recovery)) {
             Ok(class) => {
-                let cname = p.program.str(class.name).to_owned();
+                let name = class.name;
                 let (line, col) = p.here();
                 if let Err(e) = p.program.add_class(class) {
                     recovery.diagnostics.push(ParseDiagnostic {
                         message: e.to_string(),
                         line,
                         col,
-                        dropped: format!("class `{cname}`"),
+                        dropped: format!("class `{}`", p.program.str(name)),
                     });
                 }
             }
@@ -239,41 +246,46 @@ pub fn parse_into_recovering_traced(
     recovery
 }
 
-struct Parser<'p> {
-    tokens: Vec<Spanned>,
+/// Parser state over the tokens `'t` of source text `'a`. Tokens are read
+/// in place: [`Parser::peek`] hands out references that outlive the
+/// `&self` borrow, so a token's text can go straight into `program`.
+struct Parser<'t, 'a> {
+    tokens: &'t [Spanned<'a>],
     pos: usize,
-    program: &'p mut Program,
+    program: &'t mut Program,
 }
 
-struct LocalScope {
-    by_name: HashMap<String, (LocalId, Type)>,
+/// The parameters and locals of one method body, by source name.
+struct LocalScope<'a> {
+    by_name: FxHashMap<&'a str, LocalId>,
     decls: Vec<LocalDecl>,
 }
 
-impl LocalScope {
+impl<'a> LocalScope<'a> {
     fn new() -> Self {
         LocalScope {
-            by_name: HashMap::new(),
+            by_name: FxHashMap::default(),
             decls: Vec::new(),
         }
     }
 
-    fn add(&mut self, name: &str, sym: crate::Symbol, ty: Type) -> Option<LocalId> {
-        if self.by_name.contains_key(name) {
+    /// Declares `name`, or returns `None` if it is already declared.
+    fn add(&mut self, name: &'a str, sym: Symbol, ty: Type) -> Option<LocalId> {
+        let Entry::Vacant(slot) = self.by_name.entry(name) else {
             return None;
-        }
-        let id = LocalId(self.decls.len() as u32);
-        self.by_name.insert(name.to_owned(), (id, ty.clone()));
+        };
+        let id = *slot.insert(LocalId(self.decls.len() as u32));
         self.decls.push(LocalDecl { name: sym, ty });
         Some(id)
     }
 
-    fn get(&self, name: &str) -> Option<&(LocalId, Type)> {
-        self.by_name.get(name)
+    fn get(&self, name: &str) -> Option<(LocalId, &Type)> {
+        let &id = self.by_name.get(name)?;
+        Some((id, &self.decls[id.0 as usize].ty))
     }
 }
 
-impl<'p> Parser<'p> {
+impl<'t, 'a> Parser<'t, 'a> {
     fn here(&self) -> (u32, u32) {
         let s = &self.tokens[self.pos.min(self.tokens.len() - 1)];
         (s.line, s.col)
@@ -288,27 +300,28 @@ impl<'p> Parser<'p> {
         })
     }
 
-    fn peek(&self) -> &Tok {
-        &self.tokens[self.pos].tok
+    fn peek(&self) -> &'t Tok<'a> {
+        let tokens = self.tokens;
+        &tokens[self.pos].tok
     }
 
-    fn peek2(&self) -> &Tok {
-        &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].tok
+    fn peek2(&self) -> &'t Tok<'a> {
+        let tokens = self.tokens;
+        &tokens[(self.pos + 1).min(tokens.len() - 1)].tok
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.tokens[self.pos].tok.clone();
+    /// Steps past the current token; the final `Eof` is never passed.
+    fn bump(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
     }
 
     fn at_eof(&self) -> bool {
         matches!(self.peek(), Tok::Eof)
     }
 
-    fn expect(&mut self, tok: &Tok) -> Result<(), ParseError> {
+    fn expect(&mut self, tok: &Tok<'_>) -> Result<(), ParseError> {
         if self.peek() == tok {
             self.bump();
             Ok(())
@@ -319,7 +332,7 @@ impl<'p> Parser<'p> {
 
     fn expect_kw(&mut self, kw: &str) -> Result<(), ParseError> {
         match self.peek() {
-            Tok::Ident(s) if s == kw => {
+            Tok::Ident(s) if *s == kw => {
                 self.bump();
                 Ok(())
             }
@@ -328,12 +341,12 @@ impl<'p> Parser<'p> {
     }
 
     fn at_kw(&self, kw: &str) -> bool {
-        matches!(self.peek(), Tok::Ident(s) if s == kw)
+        matches!(self.peek(), Tok::Ident(s) if *s == kw)
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().clone() {
-            Tok::Ident(s) => {
+    fn ident(&mut self) -> Result<&'a str, ParseError> {
+        match self.peek() {
+            &Tok::Ident(s) => {
                 self.bump();
                 Ok(s)
             }
@@ -341,20 +354,37 @@ impl<'p> Parser<'p> {
         }
     }
 
-    /// Dotted qualified name: `ident (. ident)*`.
-    fn qname(&mut self) -> Result<String, ParseError> {
-        let mut name = self.ident()?;
+    /// Dotted qualified name: `ident (. ident)*`. Borrowed from the source
+    /// when it is a single identifier.
+    fn qname(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        let first = self.ident()?;
+        if !matches!(self.peek(), Tok::Dot) {
+            return Ok(Cow::Borrowed(first));
+        }
+        // Size the name from the tokens ahead so it is allocated once.
+        let mut len = first.len();
+        let mut ahead = self.tokens[self.pos..].chunks_exact(2);
+        while let Some(
+            [Spanned { tok: Tok::Dot, .. }, Spanned {
+                tok: Tok::Ident(s), ..
+            }],
+        ) = ahead.next()
+        {
+            len += 1 + s.len();
+        }
+        let mut name = String::with_capacity(len);
+        name.push_str(first);
         while matches!(self.peek(), Tok::Dot) {
             self.bump();
             name.push('.');
-            name.push_str(&self.ident()?);
+            name.push_str(self.ident()?);
         }
-        Ok(name)
+        Ok(Cow::Owned(name))
     }
 
     fn parse_type(&mut self) -> Result<Type, ParseError> {
-        let base = match self.peek().clone() {
-            Tok::Ident(s) => match s.as_str() {
+        let base = match self.peek() {
+            &Tok::Ident(s) => match s {
                 "void" => {
                     self.bump();
                     Type::Void
@@ -559,8 +589,8 @@ impl<'p> Parser<'p> {
                 match recovery.as_deref_mut() {
                     Some(rec) => {
                         let dropped = match self.tokens[member_start].tok {
-                            Tok::Ident(ref s) if s == "field" => "field",
-                            Tok::Ident(ref s) if s == "method" => "method",
+                            Tok::Ident("field") => "field",
+                            Tok::Ident("method") => "method",
                             _ => "member",
                         };
                         rec.diagnostics.push(ParseDiagnostic {
@@ -593,7 +623,7 @@ impl<'p> Parser<'p> {
         let mut flags = FieldFlags::empty();
         loop {
             match self.peek() {
-                Tok::Ident(s) => match s.as_str() {
+                &Tok::Ident(s) => match s {
                     "public" => flags |= FieldFlags::PUBLIC,
                     "protected" => flags |= FieldFlags::PROTECTED,
                     "private" => flags |= FieldFlags::PRIVATE,
@@ -607,18 +637,18 @@ impl<'p> Parser<'p> {
         }
         let ty = self.parse_type()?;
         let name = self.ident()?;
-        let name = self.program.intern(&name);
+        let name = self.program.intern(name);
         self.expect(&Tok::Semi)?;
         Ok(Field { name, ty, flags })
     }
 
     #[allow(clippy::while_let_loop)] // same shape as parse_field
-    fn parse_method(&mut self, class_name: crate::Symbol) -> Result<Method, ParseError> {
+    fn parse_method(&mut self, class_name: Symbol) -> Result<Method, ParseError> {
         self.expect_kw("method")?;
         let mut flags = MethodFlags::empty();
         loop {
             match self.peek() {
-                Tok::Ident(s) => match s.as_str() {
+                &Tok::Ident(s) => match s {
                     "public" => flags |= MethodFlags::PUBLIC,
                     "protected" => flags |= MethodFlags::PROTECTED,
                     "private" => flags |= MethodFlags::PRIVATE,
@@ -635,7 +665,7 @@ impl<'p> Parser<'p> {
         }
         let ret = self.parse_type()?;
         let name = self.ident()?;
-        let name = self.program.intern(&name);
+        let name = self.program.intern(name);
         self.expect(&Tok::LParen)?;
         let mut scope = LocalScope::new();
         if !flags.contains(MethodFlags::STATIC) {
@@ -647,9 +677,9 @@ impl<'p> Parser<'p> {
             loop {
                 let ty = self.parse_type()?;
                 let pname = self.ident()?;
-                let sym = self.program.intern(&pname);
+                let sym = self.program.intern(pname);
                 params.push(ty.clone());
-                if scope.add(&pname, sym, ty).is_none() {
+                if scope.add(pname, sym, ty).is_none() {
                     return self.err(format!("duplicate parameter `{pname}`"));
                 }
                 if matches!(self.peek(), Tok::Comma) {
@@ -684,7 +714,11 @@ impl<'p> Parser<'p> {
         })
     }
 
-    fn parse_body(&mut self, mut scope: LocalScope, n_params: usize) -> Result<Body, ParseError> {
+    fn parse_body(
+        &mut self,
+        mut scope: LocalScope<'a>,
+        n_params: usize,
+    ) -> Result<Body, ParseError> {
         self.expect(&Tok::LBrace)?;
         // Local declarations first.
         while self.at_kw("local") {
@@ -692,8 +726,8 @@ impl<'p> Parser<'p> {
             let ty = self.parse_type()?;
             loop {
                 let lname = self.ident()?;
-                let sym = self.program.intern(&lname);
-                if scope.add(&lname, sym, ty.clone()).is_none() {
+                let sym = self.program.intern(lname);
+                if scope.add(lname, sym, ty.clone()).is_none() {
                     return self.err(format!("duplicate local `{lname}`"));
                 }
                 if matches!(self.peek(), Tok::Comma) {
@@ -706,7 +740,7 @@ impl<'p> Parser<'p> {
         }
         let mut st = StmtParser {
             stmts: Vec::new(),
-            labels: HashMap::new(),
+            labels: FxHashMap::default(),
             fixups: Vec::new(),
         };
         while !matches!(self.peek(), Tok::RBrace) {
@@ -715,7 +749,7 @@ impl<'p> Parser<'p> {
         self.expect(&Tok::RBrace)?;
         // Resolve label fixups.
         for (idx, lname, line, col) in st.fixups {
-            let Some(&target) = st.labels.get(&lname) else {
+            let Some(&target) = st.labels.get(lname) else {
                 return Err(ParseError {
                     message: format!("undefined label `{lname}`"),
                     line,
@@ -742,12 +776,16 @@ impl<'p> Parser<'p> {
         })
     }
 
-    fn parse_stmt(&mut self, scope: &LocalScope, st: &mut StmtParser) -> Result<(), ParseError> {
+    fn parse_stmt(
+        &mut self,
+        scope: &LocalScope<'a>,
+        st: &mut StmtParser<'a>,
+    ) -> Result<(), ParseError> {
         // Label binding: IDENT ':'
         if matches!(self.peek(), Tok::Ident(_)) && matches!(self.peek2(), Tok::Colon) {
             let lname = self.ident()?;
             self.bump(); // colon
-            if st.labels.insert(lname.clone(), st.stmts.len()).is_some() {
+            if st.labels.insert(lname, st.stmts.len()).is_some() {
                 return self.err(format!("label `{lname}` bound twice"));
             }
             return Ok(());
@@ -836,7 +874,7 @@ impl<'p> Parser<'p> {
         let first = self.ident()?;
         if matches!(self.peek(), Tok::LBracket) {
             // array store
-            let Some(&(array, _)) = scope.get(&first) else {
+            let Some((array, _)) = scope.get(first) else {
                 return self.err(format!("unknown local `{first}`"));
             };
             self.bump();
@@ -854,7 +892,7 @@ impl<'p> Parser<'p> {
         }
         if matches!(self.peek(), Tok::Assign) {
             // simple assignment to local
-            let Some(&(dst, _)) = scope.get(&first) else {
+            let Some((dst, _)) = scope.get(first) else {
                 return self.err(format!("unknown local `{first}`"));
             };
             self.bump();
@@ -889,25 +927,25 @@ impl<'p> Parser<'p> {
     /// Builds a [`FieldTarget`] from a dotted segment chain.
     fn field_target(
         &mut self,
-        scope: &LocalScope,
-        segs: &[String],
+        scope: &LocalScope<'a>,
+        segs: &[&'a str],
     ) -> Result<FieldTarget, ParseError> {
         if segs.len() == 2 {
-            if let Some((recv, ty)) = scope.get(&segs[0]) {
+            if let Some((recv, ty)) = scope.get(segs[0]) {
                 let Some(class) = ty.class_name() else {
                     return self.err(format!(
                         "field access on local `{}` of non-class type",
                         segs[0]
                     ));
                 };
-                let name = self.program.intern(&segs[1]);
-                return Ok(FieldTarget::Instance(*recv, FieldRef { class, name }));
+                let name = self.program.intern(segs[1]);
+                return Ok(FieldTarget::Instance(recv, FieldRef { class, name }));
             }
         }
-        if segs.len() >= 2 && scope.get(&segs[0]).is_none() {
+        if segs.len() >= 2 && scope.get(segs[0]).is_none() {
             let class_str = segs[..segs.len() - 1].join(".");
             let class = self.program.intern(&class_str);
-            let name = self.program.intern(&segs[segs.len() - 1]);
+            let name = self.program.intern(segs[segs.len() - 1]);
             return Ok(FieldTarget::Static(FieldRef { class, name }));
         }
         self.err(format!("cannot resolve field access `{}`", segs.join(".")))
@@ -920,8 +958,8 @@ impl<'p> Parser<'p> {
             || self.at_kw("interfaceinvoke")
     }
 
-    fn parse_invoke(&mut self, scope: &LocalScope) -> Result<Call, ParseError> {
-        let kind = match self.ident()?.as_str() {
+    fn parse_invoke(&mut self, scope: &LocalScope<'a>) -> Result<Call, ParseError> {
+        let kind = match self.ident()? {
             "virtualinvoke" => InvokeKind::Virtual,
             "specialinvoke" => InvokeKind::Special,
             "staticinvoke" => InvokeKind::Static,
@@ -950,7 +988,7 @@ impl<'p> Parser<'p> {
         }
         // recv.name(args); callee class = receiver's declared type.
         let recv_name = self.ident()?;
-        let Some((recv, ty)) = scope.get(&recv_name).map(|(l, t)| (*l, t.clone())) else {
+        let Some((recv, ty)) = scope.get(recv_name) else {
             return self.err(format!("unknown receiver local `{recv_name}`"));
         };
         let Some(class) = ty.class_name() else {
@@ -958,7 +996,7 @@ impl<'p> Parser<'p> {
         };
         self.expect(&Tok::Dot)?;
         let mname = self.ident()?;
-        let name = self.program.intern(&mname);
+        let name = self.program.intern(mname);
         let args = self.parse_args(scope)?;
         Ok(Call {
             kind,
@@ -972,7 +1010,7 @@ impl<'p> Parser<'p> {
         })
     }
 
-    fn parse_args(&mut self, scope: &LocalScope) -> Result<Vec<Operand>, ParseError> {
+    fn parse_args(&mut self, scope: &LocalScope<'a>) -> Result<Vec<Operand>, ParseError> {
         self.expect(&Tok::LParen)?;
         let mut args = Vec::new();
         if !matches!(self.peek(), Tok::RParen) {
@@ -989,16 +1027,16 @@ impl<'p> Parser<'p> {
         Ok(args)
     }
 
-    fn parse_operand(&mut self, scope: &LocalScope) -> Result<Operand, ParseError> {
-        match self.peek().clone() {
-            Tok::Int(v) => {
+    fn parse_operand(&mut self, scope: &LocalScope<'a>) -> Result<Operand, ParseError> {
+        match self.peek() {
+            &Tok::Int(v) => {
                 self.bump();
                 Ok(Operand::Const(Const::Int(v)))
             }
             Tok::Minus => {
                 self.bump();
-                match self.peek().clone() {
-                    Tok::Int(v) => {
+                match self.peek() {
+                    &Tok::Int(v) => {
                         self.bump();
                         Ok(Operand::Const(Const::Int(-v)))
                     }
@@ -1007,10 +1045,10 @@ impl<'p> Parser<'p> {
             }
             Tok::Str(s) => {
                 self.bump();
-                let sym = self.program.intern(&s);
+                let sym = self.program.intern(s);
                 Ok(Operand::Const(Const::Str(sym)))
             }
-            Tok::Ident(s) => match s.as_str() {
+            &Tok::Ident(s) => match s {
                 "null" => {
                     self.bump();
                     Ok(Operand::Const(Const::Null))
@@ -1027,7 +1065,7 @@ impl<'p> Parser<'p> {
                     // Could be a local or a class literal `pkg.Class.class`.
                     // A local followed by a dot is still consumed as the
                     // local; the caller errors on the stray dot.
-                    if let Some(&(id, _)) = scope.get(&s) {
+                    if let Some((id, _)) = scope.get(s) {
                         self.bump();
                         return Ok(Operand::Local(id));
                     }
@@ -1044,7 +1082,7 @@ impl<'p> Parser<'p> {
         }
     }
 
-    fn parse_cond(&mut self, scope: &LocalScope) -> Result<Cond, ParseError> {
+    fn parse_cond(&mut self, scope: &LocalScope<'a>) -> Result<Cond, ParseError> {
         if matches!(self.peek(), Tok::Bang) {
             self.bump();
             let op = self.parse_operand(scope)?;
@@ -1070,7 +1108,7 @@ impl<'p> Parser<'p> {
         }
     }
 
-    fn parse_expr(&mut self, scope: &LocalScope) -> Result<ParsedExpr, ParseError> {
+    fn parse_expr(&mut self, scope: &LocalScope<'a>) -> Result<ParsedExpr, ParseError> {
         if self.at_invoke_kw() {
             return Ok(ParsedExpr::Invoke(self.parse_invoke(scope)?));
         }
@@ -1113,18 +1151,17 @@ impl<'p> Parser<'p> {
             }));
         }
         // Identifier chains: field load / array load / plain operand ± binop.
-        if let Tok::Ident(first) = self.peek().clone() {
-            let is_local = scope.get(&first).is_some();
+        if let &Tok::Ident(first) = self.peek() {
             let next_is_dot = matches!(self.peek2(), Tok::Dot);
-            let keyword_const = matches!(first.as_str(), "null" | "true" | "false");
-            if !keyword_const && next_is_dot && (is_local || scope.get(&first).is_none()) {
+            let keyword_const = matches!(first, "null" | "true" | "false");
+            if !keyword_const && next_is_dot {
                 // Dotted chain: instance or static field load, or class literal.
                 let mut segs = vec![self.ident()?];
                 while matches!(self.peek(), Tok::Dot) {
                     self.bump();
                     segs.push(self.ident()?);
                 }
-                if segs.last().map(String::as_str) == Some("class") {
+                if segs.last() == Some(&"class") {
                     let cls = segs[..segs.len() - 1].join(".");
                     let sym = self.program.intern(&cls);
                     return self
@@ -1134,7 +1171,7 @@ impl<'p> Parser<'p> {
                 return Ok(ParsedExpr::Plain(Expr::FieldLoad(target)));
             }
             if matches!(self.peek2(), Tok::LBracket) {
-                if let Some(&(array, _)) = scope.get(&first) {
+                if let Some((array, _)) = scope.get(first) {
                     self.bump(); // ident
                     self.bump(); // [
                     let index = self.parse_operand(scope)?;
@@ -1156,7 +1193,7 @@ impl<'p> Parser<'p> {
     /// and right operand.
     fn finish_binary(
         &mut self,
-        scope: &LocalScope,
+        scope: &LocalScope<'a>,
         lhs_expr: Expr,
     ) -> Result<ParsedExpr, ParseError> {
         let op = match self.peek() {
@@ -1187,8 +1224,10 @@ enum ParsedExpr {
     Invoke(Call),
 }
 
-struct StmtParser {
+/// The statements of one body under construction, with its label table
+/// and the forward branches waiting for their targets.
+struct StmtParser<'a> {
     stmts: Vec<Stmt>,
-    labels: HashMap<String, usize>,
-    fixups: Vec<(usize, String, u32, u32)>,
+    labels: FxHashMap<&'a str, usize>,
+    fixups: Vec<(usize, &'a str, u32, u32)>,
 }

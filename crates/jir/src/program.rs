@@ -2,10 +2,10 @@
 
 use crate::body::Body;
 use crate::flags::{ClassFlags, FieldFlags, MethodFlags};
+use crate::hash::FxHashMap;
 use crate::intern::{Interner, Symbol};
 use crate::stmt::{FieldRef, MethodRef};
 use crate::types::Type;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of a class within a [`Program`].
@@ -170,7 +170,7 @@ impl std::error::Error for ProgramError {}
 pub struct Program {
     pub(crate) interner: Interner,
     pub(crate) classes: Vec<Class>,
-    pub(crate) class_by_name: HashMap<Symbol, ClassId>,
+    pub(crate) class_by_name: FxHashMap<Symbol, ClassId>,
 }
 
 impl Program {
@@ -344,12 +344,12 @@ impl Program {
                 self.str(class.name).to_owned(),
             ));
         }
-        let cname = self.str(class.name).to_owned();
+        let cname = || self.str(class.name).to_owned();
         for (i, m) in class.methods.iter().enumerate() {
             for m2 in &class.methods[i + 1..] {
                 if m.name == m2.name && m.argc() == m2.argc() {
                     return Err(ProgramError::DuplicateMethod {
-                        class: cname,
+                        class: cname(),
                         method: self.str(m.name).to_owned(),
                         argc: m.argc(),
                     });
@@ -358,7 +358,7 @@ impl Program {
             if let Some(body) = &m.body {
                 body.validate()
                     .map_err(|detail| ProgramError::InvalidBody {
-                        class: cname.clone(),
+                        class: cname(),
                         method: self.str(m.name).to_owned(),
                         detail,
                     })?;
@@ -367,7 +367,7 @@ impl Program {
         for (i, fl) in class.fields.iter().enumerate() {
             if class.fields[i + 1..].iter().any(|f2| f2.name == fl.name) {
                 return Err(ProgramError::DuplicateField {
-                    class: cname,
+                    class: cname(),
                     field: self.str(fl.name).to_owned(),
                 });
             }

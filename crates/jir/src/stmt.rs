@@ -354,58 +354,82 @@ impl Stmt {
     /// All operands read by this statement (not including array/receiver
     /// locals, which are exposed separately by [`Stmt::read_locals`]).
     pub fn operands(&self) -> Vec<Operand> {
+        let mut out = Vec::new();
+        self.for_each_operand(|o| out.push(o));
+        out
+    }
+
+    /// Calls `f` on each of [`Stmt::operands`], in order, without
+    /// collecting them.
+    fn for_each_operand(&self, mut f: impl FnMut(Operand)) {
         match self {
             Stmt::Assign { value, .. } => match value {
-                Expr::Operand(o) => vec![*o],
-                Expr::Unary { operand, .. } => vec![*operand],
-                Expr::Binary { lhs, rhs, .. } => vec![*lhs, *rhs],
-                Expr::FieldLoad(_) | Expr::New(_) => vec![],
-                Expr::NewArray { len, .. } => vec![*len],
-                Expr::ArrayLoad { index, .. } => vec![*index],
-                Expr::Cast { operand, .. } | Expr::InstanceOf { operand, .. } => vec![*operand],
+                Expr::Operand(o)
+                | Expr::Unary { operand: o, .. }
+                | Expr::NewArray { len: o, .. }
+                | Expr::ArrayLoad { index: o, .. }
+                | Expr::Cast { operand: o, .. }
+                | Expr::InstanceOf { operand: o, .. } => f(*o),
+                Expr::Binary { lhs, rhs, .. } => {
+                    f(*lhs);
+                    f(*rhs);
+                }
+                Expr::FieldLoad(_) | Expr::New(_) => {}
             },
-            Stmt::FieldStore { value, .. } => vec![*value],
-            Stmt::ArrayStore { index, value, .. } => vec![*index, *value],
-            Stmt::Invoke { call, .. } => call.args.clone(),
+            Stmt::FieldStore { value, .. } | Stmt::Throw { value } => f(*value),
+            Stmt::ArrayStore { index, value, .. } => {
+                f(*index);
+                f(*value);
+            }
+            Stmt::Invoke { call, .. } => call.args.iter().copied().for_each(f),
             Stmt::If { cond, .. } => match cond {
-                Cond::Truthy(o) | Cond::Falsy(o) => vec![*o],
-                Cond::Cmp { lhs, rhs, .. } => vec![*lhs, *rhs],
+                Cond::Truthy(o) | Cond::Falsy(o) => f(*o),
+                Cond::Cmp { lhs, rhs, .. } => {
+                    f(*lhs);
+                    f(*rhs);
+                }
             },
-            Stmt::Return { value } => value.iter().copied().collect(),
-            Stmt::Throw { value } => vec![*value],
-            Stmt::Goto { .. } | Stmt::EnterPriv | Stmt::ExitPriv | Stmt::Nop => vec![],
+            Stmt::Return { value } => value.iter().copied().for_each(f),
+            Stmt::Goto { .. } | Stmt::EnterPriv | Stmt::ExitPriv | Stmt::Nop => {}
         }
     }
 
     /// All locals read by this statement, including receivers and arrays.
     pub fn read_locals(&self) -> Vec<LocalId> {
-        let mut out: Vec<LocalId> = self
-            .operands()
-            .iter()
-            .filter_map(|o| o.as_local())
-            .collect();
+        let mut out = Vec::new();
+        self.for_each_read_local(|l| out.push(l));
+        out
+    }
+
+    /// Calls `f` on each of [`Stmt::read_locals`], in order, without
+    /// collecting them.
+    pub(crate) fn for_each_read_local(&self, mut f: impl FnMut(LocalId)) {
+        self.for_each_operand(|o| {
+            if let Some(l) = o.as_local() {
+                f(l);
+            }
+        });
         match self {
             Stmt::Assign {
                 value: Expr::FieldLoad(FieldTarget::Instance(l, _)),
                 ..
-            } => out.push(*l),
-            Stmt::Assign {
-                value: Expr::ArrayLoad { array, .. },
+            }
+            | Stmt::Assign {
+                value: Expr::ArrayLoad { array: l, .. },
                 ..
-            } => out.push(*array),
-            Stmt::FieldStore {
+            }
+            | Stmt::FieldStore {
                 target: FieldTarget::Instance(l, _),
                 ..
-            } => out.push(*l),
-            Stmt::ArrayStore { array, .. } => out.push(*array),
+            }
+            | Stmt::ArrayStore { array: l, .. } => f(*l),
             Stmt::Invoke { call, .. } => {
                 if let Some(r) = call.receiver {
-                    out.push(r);
+                    f(r);
                 }
             }
             _ => {}
         }
-        out
     }
 
     /// The local written by this statement, if any.

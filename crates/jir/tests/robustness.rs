@@ -2,7 +2,7 @@
 //!
 //! Randomized over fixed seeds via the in-tree `spo-rng` PRNG.
 
-use spo_jir::{lex, parse_program};
+use spo_jir::parse_program;
 use spo_rng::SmallRng;
 
 /// Random printable-ish unicode strings, including multi-byte code points.
@@ -19,14 +19,13 @@ fn arbitrary_string(rng: &mut SmallRng, max_len: usize) -> String {
         .collect()
 }
 
-/// Arbitrary unicode strings: lexing and parsing return Ok or Err,
-/// never panic.
+/// Arbitrary unicode strings: parsing (which lexes first) returns Ok or
+/// Err, never panics.
 #[test]
 fn parser_total_on_arbitrary_strings() {
     for seed in 0..256u64 {
         let mut rng = SmallRng::seed_from_u64(0xab5e_0000 + seed);
         let s = arbitrary_string(&mut rng, 200);
-        let _ = lex(&s);
         let _ = parse_program(&s);
     }
 }
