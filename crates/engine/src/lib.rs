@@ -399,14 +399,8 @@ impl AnalysisEngine {
             faults: chaos,
             guard,
         } = &self.instruments;
-        let tracing = tracer.is_enabled();
-        let main_lane = if tracing {
-            tracer.lane(&format!("{name}/main"))
-        } else {
-            TraceLane::disabled()
-        };
-        let _main_bound = tracing.then(|| trace::bind(&main_lane));
-        let _run_span = main_lane.span(&format!("analyze {name}"), "engine");
+        let _main_bound = trace::bind(&tracer.lane(format_args!("{name}/main")));
+        let _run_span = trace::span_now(format_args!("analyze {name}"), "engine");
         let analyzer = Analyzer::new(program, options);
 
         // Warm start: with a cache attached, split the roots into cache
@@ -481,28 +475,21 @@ impl AnalysisEngine {
         // One timeline lane per worker, in worker-id order so the trace's
         // `tid`s are stable for a given worker count.
         let worker_lanes: Vec<TraceLane> = (0..workers)
-            .map(|w| {
-                if tracing {
-                    tracer.lane(&format!("{name}/worker{w:02}"))
-                } else {
-                    TraceLane::disabled()
-                }
-            })
+            .map(|w| tracer.lane(format_args!("{name}/worker{w:02}")))
             .collect();
 
         std::thread::scope(|s| {
-            for (w, rec) in worker_recs.iter().enumerate() {
+            for (w, (rec, lane)) in worker_recs.iter().zip(&worker_lanes).enumerate() {
                 let analyzer = &analyzer;
                 let deques = &deques;
                 let steals = &steals;
                 let results = &results;
                 let faults = &faults;
-                let lanes = &worker_lanes;
                 let batches_stolen = &batches_stolen;
                 let wb_flushes = &wb_flushes;
                 let wb_deferred_hits = &wb_deferred_hits;
                 s.spawn(move || {
-                    let _lane_bound = trace::bind(&lanes[w]);
+                    let _lane_bound = trace::bind(lane);
                     let worker_roots = rec.work_counter(&format!("engine.worker{w:02}.roots"));
                     let mut local: Vec<(usize, String, EntryPolicy, AnalysisStats)> = Vec::new();
                     let mut local_faults: Vec<(usize, String, Fault)> = Vec::new();
@@ -518,7 +505,7 @@ impl AnalysisEngine {
                             let sig = program.method_signature(roots[idx]);
                             // One complete event per root, named by its
                             // signature — the per-root cost timeline.
-                            let _root_span = lanes[w].span(&sig, "root");
+                            let _root_span = trace::span_now(&sig, "root");
                             let mut stats = AnalysisStats::default();
                             // Fault-isolation boundary: a panic, budget trip, or
                             // observed cancellation inside this root degrades
@@ -568,7 +555,7 @@ impl AnalysisEngine {
                         };
                     while let Some(batch) = next_batch(w, deques, steals, batches_stolen) {
                         let _batch_span =
-                            lanes[w].span(&format!("batch ({} roots)", batch.len()), "batch");
+                            trace::span_now(format_args!("batch ({} roots)", batch.len()), "batch");
                         for idx in batch {
                             run_root(idx, &mut local, &mut local_faults);
                         }

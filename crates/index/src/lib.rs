@@ -780,11 +780,11 @@ impl<'a> PolicyIndex<'a> {
         let mut full = library(self.entry_points_full);
         let mut intra = library(self.entry_points_intra);
         for rec in self.records() {
-            let (f, i) = self.decode(rec)?;
-            intra
-                .entries
-                .insert(f.signature.clone(), i.expect("intra flag set"));
-            full.entries.insert(f.signature.clone(), f);
+            // `self.intra` is set, so every record carries its intra policy.
+            if let (f, Some(i)) = self.decode(rec)? {
+                intra.entries.insert(f.signature.clone(), i);
+                full.entries.insert(f.signature.clone(), f);
+            }
         }
         Ok((full, intra))
     }

@@ -93,14 +93,11 @@ impl Body {
     }
 
     /// Builds the control-flow graph, recording construction metrics into
-    /// `rec`: the `jir.cfg` duration span plus `jir.cfg.built` /
-    /// `jir.cfg.edges` work counters (raw builds — an analysis may build
-    /// the same body's CFG more than once, so these are scheduling-
-    /// dependent work, not deterministic program size).
+    /// `rec`: the `jir.cfg` phase span (also on the bound trace lane) plus
+    /// `jir.cfg.built` / `jir.cfg.edges` work counters (raw builds — an
+    /// analysis may build the same body's CFG more than once, so these are
+    /// scheduling-dependent work, not deterministic program size).
     pub fn cfg_traced(&self, rec: &spo_obs::Recorder) -> Cfg {
-        if !rec.is_enabled() {
-            return Cfg::new(self);
-        }
         let _span = rec.span("jir.cfg");
         let cfg = Cfg::new(self);
         rec.work_counter("jir.cfg.built").incr();

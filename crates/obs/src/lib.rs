@@ -1,9 +1,12 @@
 //! # spo-obs — observability for the security policy oracle
 //!
-//! The analysis pipeline's measurement layer: hierarchical spans, atomic
+//! The analysis pipeline's measurement layer: phase spans, atomic
 //! counters, and log₂-bucketed histograms behind a cheap [`Recorder`]
 //! handle, snapshot into a stable, versioned, machine-readable JSON stats
-//! schema (see [`SCHEMA`]).
+//! schema (see [`SCHEMA`]), plus a flight-recorder timeline ([`trace`]).
+//! One span guard, [`Span`], serves both: a [`Recorder::span`] lands in
+//! `durations` and, when the thread has a trace lane bound, on the
+//! timeline under the same name.
 //!
 //! The crate is std-only (the workspace builds offline) and every hot-path
 //! operation on a **disabled** recorder is a single `Option` branch: the
@@ -40,7 +43,7 @@
 //! transfers.add(42);
 //! rec.histogram("fixpoint.transfers").record(42);
 //! {
-//!     let _guard = rec.span("ispa.may");
+//!     let _guard = rec.span("jir.parse");
 //!     // ... timed work ...
 //! }
 //! let snap = rec.snapshot();
@@ -54,6 +57,7 @@ pub mod json;
 pub mod trace;
 
 use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -235,26 +239,38 @@ impl Histogram {
     }
 }
 
-/// A hierarchical span guard: records its wall-clock lifetime into the
-/// `durations` section when dropped. Child spans nest by dotted name.
+/// The span guard. When it drops it records its wall-clock lifetime into
+/// up to two sinks: the `durations` section of its recorder, when opened
+/// by an enabled [`Recorder::span`], and one complete (`ph: "X"`) event on
+/// the lane bound to the opening thread ([`trace::bind`]), if any. Both
+/// sinks get the same name and the same duration. With neither sink the
+/// guard reads no clock and allocates nothing.
 #[derive(Debug)]
+#[must_use = "a span measures until it is dropped"]
 pub struct Span {
-    rec: Recorder,
+    duration: Histogram,
+    lane: Option<Arc<trace::LaneBuf>>,
+    /// The event name; empty (unallocated) when no lane is bound.
     name: String,
+    cat: &'static str,
     start: Option<Instant>,
 }
 
 impl Span {
-    /// Starts a child span named `parent.child`.
-    pub fn child(&self, name: &str) -> Span {
-        if self.start.is_some() {
-            self.rec.span(&format!("{}.{}", self.name, name))
+    fn open(duration: Histogram, name: impl Display, cat: &'static str) -> Span {
+        let lane = trace::bound();
+        let name = if lane.is_some() {
+            name.to_string()
         } else {
-            Span {
-                rec: Recorder::disabled(),
-                name: String::new(),
-                start: None,
-            }
+            String::new()
+        };
+        let timed = duration.0.is_some() || lane.is_some();
+        Span {
+            duration,
+            lane,
+            name,
+            cat,
+            start: timed.then(Instant::now),
         }
     }
 }
@@ -262,9 +278,11 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(start) = self.start {
-            self.rec
-                .duration(&self.name)
-                .record(start.elapsed().as_nanos() as u64);
+            let dur = start.elapsed();
+            self.duration.record(dur.as_nanos() as u64);
+            if let Some(lane) = &self.lane {
+                lane.complete(start, dur, std::mem::take(&mut self.name), self.cat);
+            }
         }
     }
 }
@@ -334,23 +352,13 @@ impl Recorder {
         Histogram(self.inner.as_ref().map(|r| hist_cell(&r.durations, name)))
     }
 
-    /// Starts a span: a guard that records its wall-clock lifetime into
-    /// `durations` under `name` when dropped. On a disabled recorder the
+    /// Starts a phase span: a guard that, when dropped, records its
+    /// wall-clock lifetime into `durations` under `name` and emits a
+    /// complete event of the same name (category `phase`) on the thread's
+    /// bound trace lane. Each sink is skipped when off; with both off the
     /// guard does not even read the clock.
     pub fn span(&self, name: &str) -> Span {
-        if self.is_enabled() {
-            Span {
-                rec: self.clone(),
-                name: name.to_owned(),
-                start: Some(Instant::now()),
-            }
-        } else {
-            Span {
-                rec: Recorder::disabled(),
-                name: String::new(),
-                start: None,
-            }
-        }
+        Span::open(self.duration(name), name, "phase")
     }
 
     /// Convenience: register-and-add a deterministic counter. Hot paths
@@ -867,15 +875,24 @@ mod tests {
     }
 
     #[test]
-    fn span_records_duration() {
+    fn span_lands_in_both_sinks_under_one_name() {
         let rec = Recorder::new();
+        let tracer = trace::Tracer::new();
+        drop(rec.span("unbound")); // no lane: durations only
         {
-            let root = rec.span("root");
-            let _child = root.child("leaf");
+            let _bound = trace::bind(&tracer.lane("main"));
+            let _phase = rec.span("jir.parse");
+            let _off = Recorder::disabled().span("resolve.callgraph"); // lane only
         }
         let snap = rec.snapshot();
-        assert_eq!(snap.durations["root"].count, 1);
-        assert_eq!(snap.durations["root.leaf"].count, 1);
+        assert_eq!(snap.durations["unbound"].count, 1);
+        assert_eq!(snap.durations["jir.parse"].count, 1);
+        assert!(!snap.durations.contains_key("resolve.callgraph"));
+        let doc = tracer.to_chrome_json();
+        assert_eq!(tracer.event_count(), 2);
+        assert!(doc.contains("\"name\":\"jir.parse\",\"cat\":\"phase\""));
+        assert!(doc.contains("\"name\":\"resolve.callgraph\""));
+        assert!(!doc.contains("unbound"));
     }
 
     #[test]

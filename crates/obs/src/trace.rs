@@ -20,35 +20,49 @@
 //! `counters`/`histograms` sections of `spo-stats/1`, and report bytes are
 //! byte-identical with tracing on or off, at any worker count.
 //!
-//! ## Thread-local lane binding
+//! ## Writing a lane: bind, then call the free functions
 //!
-//! Deep layers (the shared policy store, the dataflow fixpoint, the
-//! summary cache) emit events without threading a lane handle through
-//! every signature: a worker [`bind`]s its lane to the current thread and
-//! the free functions ([`instant_now`], [`span_now`], [`complete_since`])
-//! write to whatever lane is bound — or do nothing when none is.
+//! A lane is written one way only. A thread [`bind`]s it, and the free
+//! functions — [`span_now`], [`instant_now`], [`complete_since`],
+//! [`counter_now`] — write to whatever lane is bound, or do nothing when
+//! none is. Deep layers (the shared policy store, the dataflow fixpoint,
+//! the summary cache) thus emit events without a lane handle in any
+//! signature.
+//!
+//! There is one span guard, [`Span`]. A phase span from
+//! [`Recorder::span`](crate::Recorder::span) lands in both sinks: the
+//! recorder's `durations` section and, under the same name, a complete
+//! event on the bound lane. [`span_now`] lands on the lane only; it is for
+//! per-root, per-frame and per-batch events whose names are signatures or
+//! counts, which would not make stable `durations` keys.
 //!
 //! # Examples
 //!
 //! ```
 //! use spo_obs::trace::{self, Tracer};
+//! use spo_obs::Recorder;
 //!
+//! let rec = Recorder::new();
 //! let tracer = Tracer::new();
-//! let lane = tracer.lane("worker00");
 //! {
-//!     let _guard = trace::bind(&lane);
-//!     let _span = trace::span_now("root", "engine");
+//!     let _guard = trace::bind(&tracer.lane("worker00"));
+//!     let _phase = rec.span("jir.parse"); // durations + timeline
+//!     let _root = trace::span_now("api.F.read()", "root"); // timeline only
 //!     trace::instant_now("cache.miss", "cache");
 //! }
+//! assert_eq!(rec.snapshot().durations["jir.parse"].count, 1);
+//! assert_eq!(tracer.event_count(), 3);
 //! let doc = tracer.to_chrome_json();
 //! spo_obs::json::validate_trace(&doc).unwrap();
 //! ```
 
+use crate::{Histogram, Span};
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::fmt::Display;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The JSON trace schema version emitted by [`Tracer::to_chrome_json`]
 /// and required by [`crate::json::validate_trace`].
@@ -81,7 +95,7 @@ struct Event {
 
 /// One lane's shared state: a bounded event ring plus an eviction count.
 #[derive(Debug)]
-struct LaneBuf {
+pub(crate) struct LaneBuf {
     /// Chrome `tid` (1-based registration order).
     tid: u64,
     /// Human-readable lane name, exported as `thread_name` metadata.
@@ -101,6 +115,28 @@ impl LaneBuf {
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
         events.push_back(ev);
+    }
+
+    fn push_now(&self, name: &str, cat: &'static str, kind: EventKind) {
+        self.push(Event {
+            name: name.to_owned(),
+            cat,
+            ts_nanos: self.epoch.elapsed().as_nanos() as u64,
+            kind,
+        });
+    }
+
+    /// Records a complete (`ph: "X"`) event that began at `start` and
+    /// lasted `dur`.
+    pub(crate) fn complete(&self, start: Instant, dur: Duration, name: String, cat: &'static str) {
+        self.push(Event {
+            name,
+            cat,
+            ts_nanos: start.saturating_duration_since(self.epoch).as_nanos() as u64,
+            kind: EventKind::Complete {
+                dur_nanos: dur.as_nanos() as u64,
+            },
+        });
     }
 }
 
@@ -148,15 +184,16 @@ impl Tracer {
     }
 
     /// Registers a new lane (timeline row). Each call creates a fresh
-    /// lane; on a disabled tracer the returned handle is a no-op.
-    pub fn lane(&self, name: &str) -> TraceLane {
+    /// lane; on a disabled tracer the returned handle is a no-op and
+    /// `name` is never formatted.
+    pub fn lane(&self, name: impl Display) -> TraceLane {
         let Some(shared) = &self.inner else {
             return TraceLane::disabled();
         };
         let mut lanes = shared.lanes.lock().unwrap_or_else(|e| e.into_inner());
         let buf = Arc::new(LaneBuf {
             tid: lanes.len() as u64 + 1,
-            name: name.to_owned(),
+            name: name.to_string(),
             epoch: shared.epoch,
             capacity: shared.lane_capacity,
             events: Mutex::new(VecDeque::new()),
@@ -262,8 +299,8 @@ fn render_event(tid: u64, ev: &Event) -> String {
     }
 }
 
-/// A cheap per-thread handle onto one lane of a [`Tracer`]. The default
-/// handle (and every handle from a disabled tracer) is a no-op.
+/// A handle onto one lane of a [`Tracer`], to [`bind`] to a thread. The
+/// default handle (and every handle from a disabled tracer) is a no-op.
 #[derive(Clone, Debug, Default)]
 pub struct TraceLane {
     inner: Option<Arc<LaneBuf>>,
@@ -279,114 +316,19 @@ impl TraceLane {
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
     }
-
-    /// Starts a span: a guard that records one complete (`ph: "X"`) event
-    /// covering its lifetime when dropped. On a disabled lane the guard
-    /// never reads the clock.
-    pub fn span(&self, name: &str, cat: &'static str) -> TraceSpan {
-        match &self.inner {
-            Some(_) => TraceSpan {
-                lane: self.clone(),
-                name: name.to_owned(),
-                cat,
-                start: Some(Instant::now()),
-            },
-            None => TraceSpan::noop(),
-        }
-    }
-
-    /// Records a thread-scoped instant (`ph: "i"`) event.
-    pub fn instant(&self, name: &str, cat: &'static str) {
-        if let Some(buf) = &self.inner {
-            buf.push(Event {
-                name: name.to_owned(),
-                cat,
-                ts_nanos: buf.epoch.elapsed().as_nanos() as u64,
-                kind: EventKind::Instant,
-            });
-        }
-    }
-
-    /// Records a counter sample (`ph: "C"`) — a gauge value at one point
-    /// in time, rendered by viewers as a stacked area track.
-    pub fn counter(&self, name: &str, cat: &'static str, value: u64) {
-        if let Some(buf) = &self.inner {
-            buf.push(Event {
-                name: name.to_owned(),
-                cat,
-                ts_nanos: buf.epoch.elapsed().as_nanos() as u64,
-                kind: EventKind::Counter { value },
-            });
-        }
-    }
-
-    /// Records a complete (`ph: "X"`) event for an interval timed by the
-    /// caller: from `start` (captured before the work) to now. Used where
-    /// the interval is only interesting in hindsight, e.g. a shard lock
-    /// acquire that actually blocked.
-    pub fn complete_since(&self, start: Instant, name: &str, cat: &'static str) {
-        if let Some(buf) = &self.inner {
-            let ts_nanos = start.saturating_duration_since(buf.epoch).as_nanos() as u64;
-            buf.push(Event {
-                name: name.to_owned(),
-                cat,
-                ts_nanos,
-                kind: EventKind::Complete {
-                    dur_nanos: start.elapsed().as_nanos() as u64,
-                },
-            });
-        }
-    }
-}
-
-/// Span guard returned by [`TraceLane::span`] / [`span_now`]: emits one
-/// complete event covering its lifetime when dropped.
-#[derive(Debug)]
-pub struct TraceSpan {
-    lane: TraceLane,
-    name: String,
-    cat: &'static str,
-    start: Option<Instant>,
-}
-
-impl TraceSpan {
-    fn noop() -> TraceSpan {
-        TraceSpan {
-            lane: TraceLane::disabled(),
-            name: String::new(),
-            cat: "",
-            start: None,
-        }
-    }
-}
-
-impl Drop for TraceSpan {
-    fn drop(&mut self) {
-        if let (Some(start), Some(buf)) = (self.start, &self.lane.inner) {
-            let ts_nanos = start.saturating_duration_since(buf.epoch).as_nanos() as u64;
-            buf.push(Event {
-                name: std::mem::take(&mut self.name),
-                cat: self.cat,
-                ts_nanos,
-                kind: EventKind::Complete {
-                    dur_nanos: start.elapsed().as_nanos() as u64,
-                },
-            });
-        }
-    }
 }
 
 thread_local! {
     /// The lane bound to the current thread, if any. Deep layers emit
     /// through this so tracing needs no signature changes.
-    static CURRENT: RefCell<Option<TraceLane>> = const { RefCell::new(None) };
+    static CURRENT: RefCell<Option<Arc<LaneBuf>>> = const { RefCell::new(None) };
 }
 
 /// Guard returned by [`bind`]: restores the previously bound lane (or
 /// none) when dropped, so bindings nest.
 #[derive(Debug)]
 pub struct Bound {
-    prev: Option<TraceLane>,
+    prev: Option<Arc<LaneBuf>>,
 }
 
 impl Drop for Bound {
@@ -396,59 +338,62 @@ impl Drop for Bound {
 }
 
 /// Binds `lane` as the current thread's trace lane until the returned
-/// guard drops. Binding a disabled lane effectively unbinds (free
-/// functions become no-ops), which is what a tracing-off worker wants.
+/// guard drops. Binding a disabled lane unbinds (the free functions
+/// become no-ops), which is what a tracing-off worker wants.
 pub fn bind(lane: &TraceLane) -> Bound {
-    let prev = CURRENT.with(|c| {
-        c.borrow_mut()
-            .replace(lane.clone())
-            .filter(|l| l.is_enabled())
-    });
+    let prev = CURRENT.with(|c| c.replace(lane.inner.clone()));
     Bound { prev }
+}
+
+/// The lane bound to the current thread, if any — where a [`Span`]
+/// opened now will land its event.
+pub(crate) fn bound() -> Option<Arc<LaneBuf>> {
+    CURRENT.with(|c| c.borrow().clone())
+}
+
+fn with_bound(f: impl FnOnce(&LaneBuf)) {
+    CURRENT.with(|c| {
+        if let Some(buf) = c.borrow().as_deref() {
+            f(buf);
+        }
+    });
 }
 
 /// Returns `true` if the current thread has an enabled lane bound —
 /// lets manually-timed call sites skip reading the clock entirely.
 pub fn is_active() -> bool {
-    CURRENT.with(|c| c.borrow().as_ref().is_some_and(TraceLane::is_enabled))
+    CURRENT.with(|c| c.borrow().is_some())
 }
 
 /// Records an instant event on the current thread's lane, if any.
 pub fn instant_now(name: &str, cat: &'static str) {
-    CURRENT.with(|c| {
-        if let Some(lane) = c.borrow().as_ref() {
-            lane.instant(name, cat);
-        }
-    });
+    with_bound(|buf| buf.push_now(name, cat, EventKind::Instant));
 }
 
-/// Starts a span on the current thread's lane (a no-op guard when none
-/// is bound).
-pub fn span_now(name: &str, cat: &'static str) -> TraceSpan {
-    CURRENT.with(|c| match c.borrow().as_ref() {
-        Some(lane) => lane.span(name, cat),
-        None => TraceSpan::noop(),
-    })
+/// Starts a span on the current thread's lane only: when dropped it
+/// records one complete event, but nothing into any recorder. For
+/// per-root, per-frame and per-batch events whose names are signatures
+/// or counts; phases that also belong in `durations` open
+/// [`Recorder::span`](crate::Recorder::span) instead. `name` is
+/// formatted only when a lane is bound, so a `format_args!` name costs
+/// nothing on an untraced thread.
+pub fn span_now(name: impl Display, cat: &'static str) -> Span {
+    Span::open(Histogram::default(), name, cat)
 }
 
 /// Records a caller-timed complete event (`start` → now) on the current
 /// thread's lane, if any. Pair with [`is_active`] to avoid the clock
-/// read when tracing is off.
+/// read when tracing is off. Used where the interval is only
+/// interesting in hindsight, e.g. a shard lock acquire that blocked.
 pub fn complete_since(start: Instant, name: &str, cat: &'static str) {
-    CURRENT.with(|c| {
-        if let Some(lane) = c.borrow().as_ref() {
-            lane.complete_since(start, name, cat);
-        }
-    });
+    with_bound(|buf| buf.complete(start, start.elapsed(), name.to_owned(), cat));
 }
 
-/// Records a counter sample on the current thread's lane, if any.
+/// Records a counter sample (`ph: "C"`) on the current thread's lane, if
+/// any — a gauge value at one point in time, rendered by viewers as a
+/// stacked area track.
 pub fn counter_now(name: &str, cat: &'static str, value: u64) {
-    CURRENT.with(|c| {
-        if let Some(lane) = c.borrow().as_ref() {
-            lane.counter(name, cat, value);
-        }
-    });
+    with_bound(|buf| buf.push_now(name, cat, EventKind::Counter { value }));
 }
 
 #[cfg(test)]
@@ -462,10 +407,12 @@ mod tests {
         assert!(!tracer.is_enabled());
         let lane = tracer.lane("worker00");
         assert!(!lane.is_enabled());
-        let _span = lane.span("root", "engine");
-        lane.instant("x", "engine");
-        lane.counter("depth", "engine", 3);
-        lane.complete_since(Instant::now(), "wait", "store");
+        let _bound = bind(&lane);
+        assert!(!is_active());
+        let _span = span_now("root", "engine");
+        instant_now("x", "engine");
+        counter_now("depth", "engine", 3);
+        complete_since(Instant::now(), "wait", "store");
         assert_eq!(tracer.event_count(), 0);
         let doc = tracer.to_chrome_json();
         json::validate_trace(&doc).unwrap();
@@ -475,14 +422,13 @@ mod tests {
     #[test]
     fn events_round_trip_through_chrome_json() {
         let tracer = Tracer::new();
-        let lane = tracer.lane("worker00");
+        let _bound = bind(&tracer.lane("worker00"));
         {
-            let _span = lane.span("com.example.Main.run()", "root");
-            lane.instant("cache.miss", "cache");
+            let _span = span_now("com.example.Main.run()", "root");
+            instant_now("cache.miss", "cache");
         }
-        lane.counter("queue.depth", "serve", 2);
-        let start = Instant::now();
-        lane.complete_since(start, "lock_wait", "store");
+        counter_now("queue.depth", "serve", 2);
+        complete_since(Instant::now(), "lock_wait", "store");
         assert_eq!(tracer.event_count(), 4);
         let doc = tracer.to_chrome_json();
         json::validate_trace(&doc).unwrap();
@@ -497,9 +443,9 @@ mod tests {
     #[test]
     fn ring_drops_oldest_and_counts_evictions() {
         let tracer = Tracer::with_capacity(16);
-        let lane = tracer.lane("main");
+        let _bound = bind(&tracer.lane("main"));
         for i in 0..40 {
-            lane.instant(&format!("ev{i}"), "test");
+            instant_now(&format!("ev{i}"), "test");
         }
         assert_eq!(tracer.event_count(), 16);
         assert_eq!(tracer.dropped(), 24);
@@ -515,9 +461,11 @@ mod tests {
     fn lanes_get_distinct_tids_in_registration_order() {
         let tracer = Tracer::new();
         let a = tracer.lane("main");
-        let b = tracer.lane("worker00");
-        a.instant("a", "test");
-        b.instant("b", "test");
+        let b = tracer.lane(format_args!("worker{:02}", 0));
+        for (lane, name) in [(&a, "a"), (&b, "b")] {
+            let _bound = bind(lane);
+            instant_now(name, "test");
+        }
         let doc = tracer.to_chrome_json();
         let a_meta = doc.find("\"main\"").unwrap();
         let b_meta = doc.find("\"worker00\"").unwrap();
@@ -543,23 +491,27 @@ mod tests {
                 let _s = span_now("inner-span", "test");
             }
             instant_now("outer-again", "test");
+            // Binding a disabled lane unbinds until its guard drops.
+            {
+                let _off = bind(&TraceLane::disabled());
+                assert!(!is_active());
+                instant_now("ignored", "test");
+            }
+            assert!(is_active());
         }
         assert!(!is_active());
         let doc = tracer.to_chrome_json();
         json::validate_trace(&doc).unwrap();
         assert_eq!(tracer.event_count(), 4);
-        // Binding a disabled lane unbinds.
-        let _g = bind(&TraceLane::disabled());
-        assert!(!is_active());
     }
 
     #[test]
     fn complete_since_has_duration_and_nonnegative_ts() {
         let tracer = Tracer::new();
-        let lane = tracer.lane("main");
+        let _bound = bind(&tracer.lane("main"));
         let start = Instant::now();
         std::thread::sleep(std::time::Duration::from_millis(1));
-        lane.complete_since(start, "wait", "store");
+        complete_since(start, "wait", "store");
         let doc = tracer.to_chrome_json();
         json::validate_trace(&doc).unwrap();
         let v = json::parse(&doc).unwrap();

@@ -38,7 +38,7 @@ use spo_chaos::sites;
 use spo_engine::Instruments;
 use spo_guard::Diagnostic;
 use spo_obs::json;
-use spo_obs::trace::{self, TraceLane, Tracer};
+use spo_obs::trace::{self, Tracer};
 use spo_obs::{Histogram, Recorder};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -136,17 +136,6 @@ struct SessionOut {
     w: Box<dyn Write + Send>,
     /// Shuts down both stream halves; callable more than once.
     close: Arc<dyn Fn() + Send + Sync>,
-}
-
-impl SessionOut {
-    /// A writer with a no-op closer (tests and in-memory sinks).
-    #[cfg(test)]
-    fn sink(w: Box<dyn Write + Send>) -> SessionOut {
-        SessionOut {
-            w,
-            close: Arc::new(|| {}),
-        }
-    }
 }
 
 type SessionWriter = Arc<Mutex<SessionOut>>;
@@ -574,15 +563,10 @@ fn route(shared: &Shared, line: &str, queued_at: Instant) -> (String, &'static s
     };
     let tracer = &instruments.tracer;
     let outcome = {
-        let lane = if tracer.is_enabled() {
-            tracer.lane("rpc/request")
-        } else {
-            TraceLane::disabled()
-        };
-        let _bound = tracer.is_enabled().then(|| trace::bind(&lane));
-        lane.complete_since(queued_at, "queue.wait", "serve");
-        lane.counter("queue.depth", "serve", shared.queue.depth() as u64);
-        let _span = lane.span(label, "rpc");
+        let _bound = trace::bind(&tracer.lane("rpc/request"));
+        trace::complete_since(queued_at, "queue.wait", "serve");
+        trace::counter_now("queue.depth", "serve", shared.queue.depth() as u64);
+        let _span = trace::span_now(label, "rpc");
         dispatch(shared, req, &instruments)
     };
     if let Some(tid) = &trace_id {
@@ -1124,6 +1108,16 @@ mod tests {
     use super::*;
     use crate::proto::OptionsSpec;
     use spo_obs::json::Value;
+
+    impl SessionOut {
+        /// An in-memory writer with a no-op closer.
+        fn sink(w: Box<dyn Write + Send>) -> SessionOut {
+            SessionOut {
+                w,
+                close: Arc::new(|| {}),
+            }
+        }
+    }
 
     #[test]
     fn queue_applies_backpressure_and_drains_after_close() {

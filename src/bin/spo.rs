@@ -21,7 +21,7 @@
 
 use security_policy_oracle::compare_implementations_with;
 use security_policy_oracle::guard::{CancelToken, Cause, Diagnostic, GuardConfig, Phase, Severity};
-use security_policy_oracle::obs::trace::{TraceLane, Tracer};
+use security_policy_oracle::obs::trace::{self, Tracer};
 use security_policy_oracle::obs::{self, Recorder};
 use spo_cache::PolicyCache;
 use spo_core::{AnalysisOptions, EventDef};
@@ -645,7 +645,8 @@ mod signals {
     }
 }
 
-/// The outputs a command's observability flags ask for.
+/// The outputs a command's observability flags ask for, and the tracer
+/// that fills the capture.
 #[derive(Debug)]
 struct Outputs {
     /// `--stats`: render the human-readable summary to stderr.
@@ -654,14 +655,29 @@ struct Outputs {
     json_path: Option<String>,
     /// `--trace-out PATH`: write the run's flight-recorder capture.
     trace_path: Option<String>,
+    /// Enabled when a capture was requested, else the never-reads-the-clock
+    /// disabled tracer.
+    tracer: Tracer,
+    /// The `cli` lane, bound to this thread while the command runs: the
+    /// phase spans outside the engine (`jir.parse`, `resolve.callgraph`)
+    /// land on it, and the engine's lanes nest under its binding.
+    _cli: trace::Bound,
 }
 
 impl Outputs {
     fn new(p: &Parsed) -> Outputs {
+        let trace_path = p.value(&TRACE_OUT).map(str::to_owned);
+        let tracer = if trace_path.is_some() {
+            Tracer::new()
+        } else {
+            Tracer::disabled()
+        };
         Outputs {
             human: p.given(&STATS),
             json_path: p.value(&STATS_JSON).map(str::to_owned),
-            trace_path: p.value(&TRACE_OUT).map(str::to_owned),
+            trace_path,
+            _cli: trace::bind(&tracer.lane("cli")),
+            tracer,
         }
     }
 
@@ -679,21 +695,12 @@ impl Outputs {
         }
     }
 
-    /// An enabled tracer when a capture was requested, else the
-    /// never-reads-the-clock disabled tracer.
-    fn tracer(&self) -> Tracer {
-        if self.trace_path.is_some() {
-            Tracer::new()
-        } else {
-            Tracer::disabled()
-        }
-    }
-
     /// Writes the finished capture, then the stats outputs from the
     /// recorder's final snapshot. Called strictly after the report has
     /// been printed, so even a write failure cannot perturb stdout.
-    fn emit(&self, rec: &Recorder, tracer: &Tracer) -> Result<(), String> {
+    fn emit(&self, rec: &Recorder) -> Result<(), String> {
         if let Some(path) = &self.trace_path {
+            let tracer = &self.tracer;
             std::fs::write(path, tracer.to_chrome_json()).map_err(|e| format!("{path}: {e}"))?;
             eprintln!(
                 "# trace: {} event(s) ({} dropped) -> {path}",
@@ -739,7 +746,7 @@ impl Run {
         let outputs = Outputs::new(p);
         let instruments = Instruments {
             recorder: outputs.recorder(),
-            tracer: outputs.tracer(),
+            tracer: outputs.tracer.clone(),
             guard: guard(p)?,
             ..Instruments::default()
         };
@@ -787,8 +794,7 @@ impl Run {
             }
         }
         self.diags.extend(degraded.into_iter().cloned());
-        self.outputs
-            .emit(&self.instruments.recorder, &self.instruments.tracer)?;
+        self.outputs.emit(&self.instruments.recorder)?;
         Ok(finish(&self.diags, findings))
     }
 }
@@ -865,24 +871,11 @@ fn cmd_check(p: &Parsed) -> Result<ExitCode, String> {
     jobs(p)?;
     let outputs = Outputs::new(p);
     let rec = outputs.recorder();
-    let tracer = outputs.tracer();
     let mut diags = Vec::new();
-    // `check` runs no engine, so the timeline is a single CLI lane with
-    // load and call-graph phases.
-    let lane = if tracer.is_enabled() {
-        tracer.lane("cli")
-    } else {
-        TraceLane::disabled()
-    };
-    let program = {
-        let _span = lane.span("load", "cli");
-        load_program(&p.operands, &rec, &mut diags)?
-    };
-    let cg_span = lane.span("call-graph", "cli");
+    let program = load_program(&p.operands, &rec, &mut diags)?;
     let entries = spo_resolve::entry_points(&program);
     let hierarchy = spo_resolve::Hierarchy::new(&program);
     let cg = spo_resolve::CallGraph::from_entry_points_traced(&hierarchy, &rec);
-    drop(cg_span);
     let stats = cg.stats();
     println!(
         "{} classes, {} statements, {} entry points, {} reachable methods",
@@ -907,7 +900,7 @@ fn cmd_check(p: &Parsed) -> Result<ExitCode, String> {
         println!("{} lint finding(s)", lints.len());
         findings = !lints.is_empty();
     }
-    outputs.emit(&rec, &tracer)?;
+    outputs.emit(&rec)?;
     Ok(finish(&diags, findings))
 }
 
@@ -1214,7 +1207,7 @@ fn cmd_serve(p: &Parsed) -> Result<ExitCode, String> {
         report.drained_in,
         if report.graceful { "" } else { " (forced)" }
     );
-    Outputs::new(p).emit(&instruments.recorder, &instruments.tracer)?;
+    Outputs::new(p).emit(&instruments.recorder)?;
     Ok(if report.graceful {
         ExitCode::SUCCESS
     } else {

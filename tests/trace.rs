@@ -1,11 +1,14 @@
 //! End-to-end tests of the flight-recorder tracing surface: `--trace-out`
 //! on the one-shot commands, the determinism boundary (report bytes are
 //! byte-identical with tracing on or off, warm or cold, at any `--jobs`),
-//! `stats-validate --schema spo-trace/1`, and the daemon's per-request
-//! trace capture (`trace_id` round-trip, `spo trace` retrieval).
+//! `stats-validate --schema spo-trace/1`, phase spans that land under one
+//! name in both `--stats-json` and `--trace-out`, and the daemon's
+//! per-request trace capture (`trace_id` round-trip, `spo trace`
+//! retrieval).
 
+use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn spo(args: &[&str]) -> Output {
@@ -142,21 +145,74 @@ fn traced_diff_and_check_write_captures_without_touching_stdout() {
     assert!(doc.contains("left/"), "left analysis lanes");
     assert!(doc.contains("right/"), "right analysis lanes");
 
+    // Stats and trace read one span tree: every `durations` key of
+    // `check` is the name of a complete event in its capture.
+    let check_stats = temp_dir().join("check.stats.json");
     let check_trace = temp_dir().join("check.trace.json");
     let checked = spo(&[
         "check",
         rt.to_str().unwrap(),
         api.to_str().unwrap(),
+        "--stats-json",
+        check_stats.to_str().unwrap(),
         "--trace-out",
         check_trace.to_str().unwrap(),
     ]);
     assert!(checked.status.success(), "{checked:?}");
-    let doc = std::fs::read_to_string(&check_trace).unwrap();
-    spo_obs::json::validate_trace(&doc).unwrap();
+    let keys = duration_keys(&check_stats);
     assert!(
-        doc.contains("\"call-graph\""),
-        "check phases on the timeline"
+        keys.contains("jir.parse") && keys.contains("resolve.callgraph"),
+        "{keys:?}"
     );
+    let events = complete_event_names(&check_trace);
+    assert!(keys.is_subset(&events), "{keys:?} not all in {events:?}");
+}
+
+#[test]
+fn analyze_phase_spans_land_in_stats_and_trace() {
+    let rt = write_temp("rt4.jir", RUNTIME);
+    let api = write_temp("api4.jir", API);
+    let stats = temp_dir().join("analyze.stats.json");
+    let trace = temp_dir().join("analyze-phases.trace.json");
+    let analyzed = spo(&[
+        "analyze",
+        rt.to_str().unwrap(),
+        api.to_str().unwrap(),
+        "--stats-json",
+        stats.to_str().unwrap(),
+        "--trace-out",
+        trace.to_str().unwrap(),
+    ]);
+    assert!(analyzed.status.success(), "{analyzed:?}");
+    let keys = duration_keys(&stats);
+    let events = complete_event_names(&trace);
+    for phase in ["jir.parse", "jir.cfg"] {
+        assert!(keys.contains(phase), "{phase} missing from {keys:?}");
+        assert!(events.contains(phase), "{phase} missing from {events:?}");
+    }
+}
+
+/// The `durations` keys of a `spo-stats/1` snapshot file.
+fn duration_keys(path: &Path) -> BTreeSet<String> {
+    let doc = std::fs::read_to_string(path).unwrap();
+    spo_obs::json::validate_stats(&doc).unwrap();
+    let snap = spo_obs::json::parse(&doc).unwrap();
+    let durations = snap.get("durations").and_then(|d| d.as_object()).unwrap();
+    durations.keys().cloned().collect()
+}
+
+/// The names of the complete (`ph: "X"`) events in a `spo-trace/1` file.
+fn complete_event_names(path: &Path) -> BTreeSet<String> {
+    let doc = std::fs::read_to_string(path).unwrap();
+    spo_obs::json::validate_trace(&doc).unwrap();
+    let trace = spo_obs::json::parse(&doc).unwrap();
+    let events = trace.get("traceEvents").and_then(|e| e.as_array()).unwrap();
+    events
+        .iter()
+        .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X"))
+        .filter_map(|e| e.get("name").and_then(|n| n.as_str()))
+        .map(str::to_owned)
+        .collect()
 }
 
 #[test]
