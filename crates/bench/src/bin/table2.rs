@@ -28,9 +28,8 @@ use spo_bench::{
 use spo_cache::PolicyCache;
 use spo_core::{AnalysisOptions, MemoScope};
 use spo_corpus::Lib;
-use spo_engine::{AnalysisEngine, EngineStats, Instruments};
+use spo_engine::{AnalysisEngine, EngineStats};
 use spo_obs::Snapshot;
-use spo_serve::{OptionsSpec, Registry};
 use std::sync::Arc;
 
 /// Paper values in minutes, MAY + MUST pass summed: rows (no-memo,
@@ -213,218 +212,6 @@ fn measure_warm_cache(corpus: &spo_corpus::Corpus) -> (Vec<Measurement>, Vec<Mea
         let _ = std::fs::remove_dir_all(&dir);
     }
     (cold, warm)
-}
-
-/// Warm-query latency through the resident registry (`spo serve`,
-/// DESIGN.md §12).
-struct ServeLatency {
-    /// One cold request: full analysis of the library plus report
-    /// rendering — what a one-shot `spo analyze` pays after parsing.
-    cold_ms: f64,
-    /// Client-observed warm-query latency percentiles over `queries`
-    /// single-entry-point queries served from the resident policies.
-    p50_ms: f64,
-    p99_ms: f64,
-    queries: usize,
-}
-
-impl ServeLatency {
-    fn speedup(&self) -> f64 {
-        if self.p50_ms > 0.0 {
-            self.cold_ms / self.p50_ms
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Stands up an in-process `spo-serve` registry on the jdk library, pays
-/// one cold analyze, then times warm queries against the resident
-/// policies — the daemon's `query` path minus the socket hop.
-fn measure_serve(corpus: &spo_corpus::Corpus) -> ServeLatency {
-    use std::time::Instant;
-    const QUERIES: usize = 100;
-    let path = std::env::temp_dir().join(format!("spo-table2-serve-{}.jir", std::process::id()));
-    std::fs::write(&path, spo_jir::print_program(corpus.program(Lib::Jdk)))
-        .expect("write serve corpus");
-    let registry = Registry::new(1, None);
-    let instruments = Instruments::default();
-    registry
-        .load("jdk", &[path.to_string_lossy().into_owned()], &instruments)
-        .expect("load serve corpus");
-    let _ = std::fs::remove_file(&path);
-    let entry = registry.get("jdk").expect("loaded program");
-    let spec = OptionsSpec::default();
-
-    let cold = Instant::now();
-    let (a, warm) = registry.analysis(&entry, spec, &instruments);
-    assert!(!warm, "first serve request must be cold");
-    let _ = spo_core::render_analysis(&a.lib);
-    let cold_ms = cold.elapsed().as_secs_f64() * 1e3;
-
-    // Query an entry point that actually carries a policy (checkless
-    // entries render as the empty string, by the listing's contract).
-    let sig = a
-        .lib
-        .entries
-        .iter()
-        .find(|(_, e)| !e.has_no_checks())
-        .map(|(sig, _)| sig.clone())
-        .expect("an entry point with checks");
-    let mut lat: Vec<f64> = (0..QUERIES)
-        .map(|_| {
-            let t = Instant::now();
-            let (a, warm) = registry.analysis(&entry, spec, &instruments);
-            let report = spo_core::render_entry(&sig, &a.lib.entries[&sig]);
-            let elapsed = t.elapsed().as_secs_f64() * 1e3;
-            assert!(warm && !report.is_empty(), "queries must serve warm");
-            elapsed
-        })
-        .collect();
-    lat.sort_by(f64::total_cmp);
-    ServeLatency {
-        cold_ms,
-        p50_ms: lat[QUERIES / 2],
-        p99_ms: lat[QUERIES * 99 / 100],
-        queries: QUERIES,
-    }
-}
-
-/// Robustness headline numbers: fault counts from a seeded in-process
-/// chaos exercise of the cache flush path, plus the reconnect count a
-/// retrying rpc client needed against a drop-injecting daemon.
-struct ChaosRobustness {
-    soak_faults_injected: u64,
-    soak_recovered: u64,
-    rpc_retry_count: u64,
-}
-
-/// Drives the crash-safe cache and the daemon/client retry loop under
-/// seeded `spo-chaos` fault plans — the same plans `spo chaos soak`
-/// arms, scaled down to a deterministic in-process exercise. The
-/// interesting output is that the run *finishes with correct results*;
-/// the counters published here size how much fault traffic it absorbed.
-fn measure_chaos(corpus: &spo_corpus::Corpus) -> ChaosRobustness {
-    use spo_chaos::{sites, FaultPlan};
-    // Cache flush under injected short writes, rename failures, fsync
-    // errors, and bit flips: five cold analyze+flush cycles, each with
-    // its own seed.
-    let dir = std::env::temp_dir().join(format!("spo-table2-chaos-{}", std::process::id()));
-    let (mut injected, mut recovered) = (0u64, 0u64);
-    for seed in 0..5u64 {
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = Arc::new(PolicyCache::open(&dir).expect("open chaos cache"));
-        let plan = FaultPlan::seeded(0xC4A0 + seed).sites_at(
-            &[
-                sites::CACHE_WRITE_SHORT,
-                sites::CACHE_RENAME_FAIL,
-                sites::CACHE_FSYNC_FAIL,
-                sites::CACHE_BITFLIP,
-            ],
-            0.4,
-        );
-        cache.set_fault_plan(plan.clone());
-        let engine = AnalysisEngine::new(1).with_cache(Arc::clone(&cache));
-        let (lib, _) = engine.analyze_library(
-            corpus.program(Lib::Jdk),
-            "jdk",
-            AnalysisOptions {
-                memo: MemoScope::Global,
-                ..Default::default()
-            },
-        );
-        assert!(!lib.entries.is_empty(), "chaos run still analyzes");
-        injected += plan.injected();
-        recovered += plan.recovered();
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // Daemon/client retry: a real `spo-serve` daemon on a Unix socket
-    // with a one-shot connection drop armed; the client loop mirrors
-    // `spo rpc`'s retry discipline and reports how many reconnects the
-    // injected faults cost.
-    let rpc_retry_count = measure_rpc_retries(corpus);
-    ChaosRobustness {
-        soak_faults_injected: injected,
-        soak_recovered: recovered,
-        rpc_retry_count,
-    }
-}
-
-/// Stands up an in-process daemon with `serve.conn.drop:once` armed and
-/// replays an idempotent query until a complete response arrives,
-/// counting reconnects (expected: exactly one).
-fn measure_rpc_retries(corpus: &spo_corpus::Corpus) -> u64 {
-    use spo_chaos::{sites, FaultPlan};
-    use std::io::{BufRead, BufReader, Write};
-    let jir = std::env::temp_dir().join(format!("spo-table2-rpc-{}.jir", std::process::id()));
-    std::fs::write(&jir, spo_jir::print_program(corpus.program(Lib::Jdk)))
-        .expect("write rpc corpus");
-    let sock = std::env::temp_dir().join(format!("spo-table2-rpc-{}.sock", std::process::id()));
-    let _ = std::fs::remove_file(&sock);
-    // The daemon thread captures the *global* plan at startup; disarm it
-    // again before returning so nothing later in the process probes it.
-    spo_chaos::install(FaultPlan::seeded(0x57A11).site_once(sites::SERVE_CONN_DROP));
-    let config = spo_serve::ServeConfig {
-        socket: Some(sock.clone()),
-        jobs: 1,
-        preload: vec![("jdk".to_owned(), vec![jir.to_string_lossy().into_owned()])],
-        instruments: Instruments {
-            recorder: spo_obs::Recorder::new(),
-            ..Instruments::default()
-        },
-        ..Default::default()
-    };
-    let daemon = std::thread::spawn(move || spo_serve::run(config));
-    let t0 = std::time::Instant::now();
-    while !sock.exists() {
-        assert!(
-            t0.elapsed() < std::time::Duration::from_secs(30),
-            "daemon never bound"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    let query = r#"{"spo-rpc":1,"id":1,"method":"query","params":{"name":"jdk"}}"#;
-    let mut retries = 0u64;
-    loop {
-        let attempt = || -> std::io::Result<String> {
-            let mut s = std::os::unix::net::UnixStream::connect(&sock)?;
-            writeln!(s, "{query}")?;
-            s.flush()?;
-            let mut line = String::new();
-            let n = BufReader::new(s).read_line(&mut line)?;
-            if n == 0 || !line.ends_with('\n') {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "dropped mid-response",
-                ));
-            }
-            Ok(line)
-        };
-        match attempt() {
-            Ok(line) => {
-                assert!(line.contains("\"status\":\"ok\""), "query succeeds: {line}");
-                break;
-            }
-            Err(_) => {
-                retries += 1;
-                assert!(retries < 16, "retry loop must converge");
-            }
-        }
-    }
-    if let Ok(mut s) = std::os::unix::net::UnixStream::connect(&sock) {
-        let _ = writeln!(s, r#"{{"spo-rpc":1,"id":2,"method":"shutdown"}}"#);
-        let _ = s.flush();
-        let mut line = String::new();
-        let _ = BufReader::new(s).read_line(&mut line);
-    }
-    let _ = daemon
-        .join()
-        .expect("daemon thread")
-        .expect("daemon drains");
-    spo_chaos::install(FaultPlan::disabled());
-    let _ = std::fs::remove_file(&jir);
-    retries
 }
 
 /// Compiled-index latency (`spo export` / `spo index`,
@@ -689,9 +476,7 @@ fn write_json(
     scale: f64,
     runs: &[Vec<Measurement>],
     instrumented: &[Vec<Instrumented>],
-    serve: &ServeLatency,
     index: Option<&IndexLatency>,
-    chaos: &ChaosRobustness,
     cores: usize,
     sweep: &[SweepScale],
 ) -> std::io::Result<()> {
@@ -843,17 +628,18 @@ fn write_json(
     } else {
         total_wall(&runs[3])
     };
-    let _ = writeln!(out, "  \"serial_global_wall_ms\": {serial_global:.3},");
-    let _ = writeln!(out, "  \"parallel_global_wall_ms\": {parallel_global:.3},");
-    let _ = writeln!(
-        out,
-        "  \"parallel_oversubscribed\": {parallel_oversubscribed},"
-    );
-    let _ = writeln!(
-        out,
-        "  \"parallel_speedup\": {:.3},",
-        serial_global / parallel_global
-    );
+    // The headline keys close the object; each is one `"key": value`
+    // line, joined so the last carries no trailing comma whether or not
+    // the index block is present.
+    let mut headline = vec![
+        format!("\"serial_global_wall_ms\": {serial_global:.3}"),
+        format!("\"parallel_global_wall_ms\": {parallel_global:.3}"),
+        format!("\"parallel_oversubscribed\": {parallel_oversubscribed}"),
+        format!(
+            "\"parallel_speedup\": {:.3}",
+            serial_global / parallel_global
+        ),
+    ];
     // Incremental headline: cold vs warm re-analysis after a
     // single-method edit, total wall clock over the corpus.
     let by_config = |name: &str| {
@@ -863,48 +649,35 @@ fn write_json(
     };
     let cold_edit = by_config("Cold after edit (no cache)").unwrap_or(0.0);
     let warm_edit = by_config("Warm after edit (cached)").unwrap_or(0.0);
-    let _ = writeln!(out, "  \"cold_edit_wall_ms\": {cold_edit:.3},");
-    let _ = writeln!(out, "  \"warm_edit_wall_ms\": {warm_edit:.3},");
-    let _ = writeln!(
-        out,
-        "  \"warm_cache_speedup\": {:.3},",
-        if warm_edit > 0.0 {
-            cold_edit / warm_edit
-        } else {
-            0.0
-        }
-    );
-    // Serving headline: warm resident queries vs the cold analyze they
-    // replace (`spo serve`; acceptance floor 10x).
-    let _ = writeln!(out, "  \"serve_queries\": {},", serve.queries);
-    let _ = writeln!(out, "  \"serve_cold_analyze_ms\": {:.3},", serve.cold_ms);
-    let _ = writeln!(out, "  \"serve_query_p50_ms\": {:.4},", serve.p50_ms);
-    let _ = writeln!(out, "  \"serve_query_p99_ms\": {:.4},", serve.p99_ms);
-    let _ = writeln!(out, "  \"serve_warm_speedup\": {:.1},", serve.speedup());
+    let warm_speedup = if warm_edit > 0.0 {
+        cold_edit / warm_edit
+    } else {
+        0.0
+    };
+    headline.extend([
+        format!("\"cold_edit_wall_ms\": {cold_edit:.3}"),
+        format!("\"warm_edit_wall_ms\": {warm_edit:.3}"),
+        format!("\"warm_cache_speedup\": {warm_speedup:.3}"),
+    ]);
     // Compiled-index headline (`spo index`, measured at the largest sweep
     // scale): query latency is row lookup + blob decode + render on a
     // parsed index; the budget is sub-millisecond p99 at scale 10.
     if let Some(ix) = index {
-        let _ = writeln!(out, "  \"index_scale\": {},", ix.scale);
-        let _ = writeln!(out, "  \"index_entry_points\": {},", ix.entry_points);
-        let _ = writeln!(out, "  \"index_bytes\": {},", ix.bytes);
-        let _ = writeln!(out, "  \"index_build_ms\": {:.3},", ix.build_ms);
-        let _ = writeln!(out, "  \"index_parse_ms\": {:.3},", ix.parse_ms);
-        let _ = writeln!(out, "  \"index_queries\": {},", ix.queries);
-        let _ = writeln!(out, "  \"index_query_p50_us\": {:.2},", ix.query_p50_us);
-        let _ = writeln!(out, "  \"index_query_p99_us\": {:.2},", ix.query_p99_us);
-        let _ = writeln!(out, "  \"index_diff_ms\": {:.3},", ix.diff_ms);
+        headline.extend([
+            format!("\"index_scale\": {}", ix.scale),
+            format!("\"index_entry_points\": {}", ix.entry_points),
+            format!("\"index_bytes\": {}", ix.bytes),
+            format!("\"index_build_ms\": {:.3}", ix.build_ms),
+            format!("\"index_parse_ms\": {:.3}", ix.parse_ms),
+            format!("\"index_queries\": {}", ix.queries),
+            format!("\"index_query_p50_us\": {:.2}", ix.query_p50_us),
+            format!("\"index_query_p99_us\": {:.2}", ix.query_p99_us),
+            format!("\"index_diff_ms\": {:.3}", ix.diff_ms),
+        ]);
     }
-    // Robustness headline: seeded chaos exercise of the crash-safe cache
-    // and the rpc retry loop (results stay correct; these size the fault
-    // traffic absorbed along the way).
-    let _ = writeln!(
-        out,
-        "  \"soak_faults_injected\": {},",
-        chaos.soak_faults_injected
-    );
-    let _ = writeln!(out, "  \"soak_recovered\": {},", chaos.soak_recovered);
-    let _ = writeln!(out, "  \"rpc_retry_count\": {}", chaos.rpc_retry_count);
+    out.push_str("  ");
+    out.push_str(&headline.join(",\n  "));
+    out.push('\n');
     out.push_str("}\n");
     std::fs::write(path, out)
 }
@@ -1033,28 +806,6 @@ fn main() {
     runs.push(cold_edit);
     runs.push(warm_edit);
 
-    // Resident-daemon warm queries (spo serve): one cold analyze, then
-    // repeat queries answered from the warm policy map.
-    eprintln!("measuring resident (spo serve) warm-query latency ...");
-    let serve = measure_serve(&corpus);
-    let mut table = Table::new(vec![
-        "cold analyze ms",
-        "warm query p50 ms",
-        "warm query p99 ms",
-        "speedup",
-    ]);
-    table.row(vec![
-        format!("{:.1}", serve.cold_ms),
-        format!("{:.4}", serve.p50_ms),
-        format!("{:.4}", serve.p99_ms),
-        format!("{:.0}x", serve.speedup()),
-    ]);
-    println!(
-        "Resident warm queries, jdk, {} queries (spo serve)\n",
-        serve.queries
-    );
-    println!("{}", table.render());
-
     // Instrumented (recorder-enabled) global-memo runs — separate from the
     // timed runs so the recorder can't perturb the timings above.
     eprintln!("instrumenting global-memo runs (recorder enabled) ...");
@@ -1155,32 +906,12 @@ fn main() {
         println!("{}", table.render());
     }
 
-    // Chaos robustness: seeded fault plans against the cache flush path
-    // and the daemon/client loop; correctness is asserted inside, the
-    // counters are the published output.
-    eprintln!("measuring chaos robustness (seeded fault injection) ...");
-    let chaos = measure_chaos(&corpus);
-    let mut table = Table::new(vec![
-        "soak faults injected",
-        "soak recovered",
-        "rpc retries",
-    ]);
-    table.row(vec![
-        chaos.soak_faults_injected.to_string(),
-        chaos.soak_recovered.to_string(),
-        chaos.rpc_retry_count.to_string(),
-    ]);
-    println!("Chaos robustness (seeded fault injection)\n");
-    println!("{}", table.render());
-
     match write_json(
         "BENCH_table2.json",
         scale,
         &runs,
         &instrumented,
-        &serve,
         index.as_ref(),
-        &chaos,
         cores,
         &sweep,
     ) {

@@ -419,7 +419,8 @@ impl PolicyCache {
 
     /// Replaces the fault plan this handle draws injected faults from
     /// (tests arm a plan without touching the process-wide one).
-    pub fn set_fault_plan(&self, plan: FaultPlan) {
+    #[cfg(test)]
+    fn set_fault_plan(&self, plan: FaultPlan) {
         *self.chaos.lock().unwrap_or_else(|e| e.into_inner()) = plan;
     }
 

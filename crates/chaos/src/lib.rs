@@ -25,10 +25,11 @@
 //!   pools, where work-stealing makes probe order nondeterministic but
 //!   the set of work items (root signatures) is fixed.
 //!
-//! Processes spawned by `spo chaos soak` inherit the plan through the
-//! `SPO_CHAOS` environment variable (see [`init_from_env`] and
-//! [`FaultPlan::parse`]), which is how one soak seed reaches a daemon
-//! child, the one-shot CLI children, and every layer inside them.
+//! A `spo` process reads its plan from the `SPO_CHAOS` environment
+//! variable (see [`init_from_env`] and [`FaultPlan::parse`]). That is
+//! how the `spo-soak` binary, which lives outside the oracle and drives
+//! `spo` as a black box, hands each schedule's seed to a daemon child,
+//! the one-shot CLI children, and every layer inside them.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -434,8 +435,8 @@ impl FaultPlan {
     }
 
     /// Renders the plan back into the [`FaultPlan::parse`] wire format
-    /// (empty for a disabled plan) — what `spo chaos soak` exports to
-    /// child processes and prints as the minimized replay handle.
+    /// (empty for a disabled plan) — the `SPO_CHAOS` value that replays
+    /// this plan in a child process.
     pub fn spec(&self) -> String {
         let Some(shared) = &self.0 else {
             return String::new();
@@ -543,8 +544,9 @@ pub fn current() -> FaultPlan {
 }
 
 /// Installs the plan described by the `SPO_CHAOS` environment variable,
-/// if set — how `spo chaos soak`'s seed reaches the daemon and one-shot
-/// CLI children it spawns. A missing or empty variable is a no-op.
+/// if set — how a `spo-soak` schedule's seed reaches the daemon and
+/// one-shot CLI children it spawns. A missing or empty variable is a
+/// no-op.
 ///
 /// # Errors
 ///

@@ -457,6 +457,25 @@ impl Diagnostic {
         }
     }
 
+    /// A parse-phase warning for a construct the recovering parser dropped
+    /// at `path:line:col`; `dropped` names the unit given up (`method`,
+    /// `class`, ...).
+    pub fn parse_dropped(
+        path: &str,
+        line: u32,
+        col: u32,
+        message: &str,
+        dropped: &str,
+    ) -> Diagnostic {
+        Diagnostic {
+            severity: Severity::Warning,
+            phase: Phase::Parse,
+            root: format!("{path}:{line}:{col}"),
+            cause: Cause::Parse,
+            message: format!("{message} (dropped {dropped})"),
+        }
+    }
+
     /// A cache-phase warning for an unusable persistent-cache entry. Never
     /// affects results (the root re-analyzes cold), so consumers must not
     /// fold it into "degraded" exit states.

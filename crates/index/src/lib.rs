@@ -818,11 +818,7 @@ pub fn read_index_file(path: &Path) -> std::io::Result<Vec<u8>> {
 
 /// [`read_index_file`] with an explicit fault plan (tests inject without
 /// touching the process-wide plan).
-///
-/// # Errors
-///
-/// Propagates the underlying IO error.
-pub fn read_index_file_with(path: &Path, plan: &FaultPlan) -> std::io::Result<Vec<u8>> {
+fn read_index_file_with(path: &Path, plan: &FaultPlan) -> std::io::Result<Vec<u8>> {
     let mut bytes = std::fs::read(path)?;
     if !bytes.is_empty() && plan.should_fire(spo_chaos::sites::INDEX_READ_BITFLIP) {
         let pos = plan.amount(spo_chaos::sites::INDEX_READ_BITFLIP, bytes.len() as u64) as usize;

@@ -23,7 +23,7 @@ use crate::proto::{ErrorKind, OptionsSpec, RequestError};
 use spo_cache::PolicyCache;
 use spo_core::{diff_pair, render_analysis, render_reports, LibraryPolicies};
 use spo_engine::{AnalysisEngine, Instruments, ResidentStore};
-use spo_guard::{Cause, Diagnostic, Phase, Severity};
+use spo_guard::Diagnostic;
 use spo_jir::Program;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, RwLock};
@@ -177,15 +177,11 @@ impl Registry {
                 .map_err(|e| RequestError::new(ErrorKind::Io, format!("{path}: {e}")))?;
             let recovery =
                 spo_jir::parse_into_recovering_traced(&src, &mut program, &instruments.recorder);
-            for d in recovery.diagnostics {
-                warnings.push(Diagnostic {
-                    severity: Severity::Warning,
-                    phase: Phase::Parse,
-                    root: format!("{path}:{}:{}", d.line, d.col),
-                    cause: Cause::Parse,
-                    message: format!("{} (dropped {})", d.message, d.dropped),
-                });
-            }
+            warnings.extend(
+                recovery.diagnostics.iter().map(|d| {
+                    Diagnostic::parse_dropped(path, d.line, d.col, &d.message, &d.dropped)
+                }),
+            );
         }
         warnings.sort();
         let classes = program.class_count();

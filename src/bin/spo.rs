@@ -10,7 +10,6 @@
 //! spo cache (stats|clear) --cache-dir PATH      inspect or empty the summary cache
 //! spo index (query|diff) ...                    answer from exported `.spi` indexes
 //! spo (serve|rpc|trace) ...                     resident oracle daemon and its clients
-//! spo chaos soak                                randomized fault-injection soak
 //! ```
 //!
 //! Each command's operands and flags are one row of [`COMMANDS`]; the
@@ -20,7 +19,7 @@
 //! shared runtime prelude plus the implementation).
 
 use security_policy_oracle::compare_implementations_with;
-use security_policy_oracle::guard::{CancelToken, Cause, Diagnostic, GuardConfig, Phase, Severity};
+use security_policy_oracle::guard::{CancelToken, Diagnostic, GuardConfig};
 use security_policy_oracle::obs::trace::{self, Tracer};
 use security_policy_oracle::obs::{self, Recorder};
 use spo_cache::PolicyCache;
@@ -63,8 +62,8 @@ fn main() -> ExitCode {
             ExitCode::from(EXIT_FATAL)
         }
     };
-    // One machine-parseable summary line per chaos-armed process: `spo
-    // chaos soak` reads these from child stderr to attribute fault counts.
+    // One machine-parseable summary line per chaos-armed process:
+    // `spo-soak` reads these from child stderr to attribute fault counts.
     let chaos = spo_chaos::current();
     if chaos.is_enabled() {
         eprintln!(
@@ -127,10 +126,6 @@ const RETRIES: Flag = valued("--retries", "N");
 const RETRY_BASE_MS: Flag = valued("--retry-base-ms", "N");
 const TRACE_ID: Flag = valued("--trace-id", "ID");
 const OUT: Flag = valued("--out", "PATH");
-const SEED: Flag = valued("--seed", "N");
-const SCHEDULES: Flag = valued("--schedules", "N");
-const RATE: Flag = valued("--rate", "P");
-const KEEP_GOING: Flag = switch("--keep-going");
 
 /// The analysis options every policy-analysis command takes.
 const OPTIONS: &[Flag] = &[NO_ICP, BROAD, INTRA_ONLY];
@@ -154,7 +149,7 @@ struct Command {
 }
 
 /// Every command, in `--help` order.
-static COMMANDS: [Command; 14] = [
+static COMMANDS: [Command; 13] = [
     Command {
         name: "check",
         operands: "<file.jir>...",
@@ -243,12 +238,6 @@ static COMMANDS: [Command; 14] = [
         operands: "",
         flags: &[&[SOCKET, TCP, TRACE_ID, OUT]],
         run: cmd_trace,
-    },
-    Command {
-        name: "chaos soak",
-        operands: "",
-        flags: &[&[SEED, SCHEDULES, RATE, KEEP_GOING]],
-        run: chaos_soak,
     },
 ];
 
@@ -554,14 +543,11 @@ the key (for engine sites, the entry-point signature) contains NEEDLE,
 e.g. `sites=engine.root.panic~DatagramSocket.connect` quarantines that
 root; `delay_ms=N` makes every `engine.root.delay` sleep N ms. A
 chaos-armed process prints a one-line `# chaos:` summary to stderr at
-exit. `spo chaos soak` drives randomized
-schedules against all three layers and checks the standing invariants
-(no panics, stable exit codes, byte-identical surviving output,
-self-healing cache), printing the minimized failing seed on violation.
-`spo rpc` retries idempotent requests over a dropped connection with
-exponential backoff (`--retries`, `--retry-base-ms`); `spo serve
---write-timeout-ms N` bounds each response write, shedding clients that
-stall past it.
+exit; the separate `spo-soak` binary drives seeded fault schedules
+through it. `spo rpc` retries idempotent requests over a dropped
+connection with exponential backoff (`--retries`, `--retry-base-ms`);
+`spo serve --write-timeout-ms N` bounds each response write, shedding
+clients that stall past it.
 
 `spo export` compiles a library's full analysis (plus its
 intraprocedural ablation) into a single-file index (`spo-index/2`,
@@ -814,15 +800,12 @@ fn load_program(
     for path in paths {
         let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         let recovery = spo_jir::parse_into_recovering_traced(&src, &mut program, rec);
-        for d in recovery.diagnostics {
-            diags.push(Diagnostic {
-                severity: Severity::Warning,
-                phase: Phase::Parse,
-                root: format!("{path}:{}:{}", d.line, d.col),
-                cause: Cause::Parse,
-                message: format!("{} (dropped {})", d.message, d.dropped),
-            });
-        }
+        diags.extend(
+            recovery
+                .diagnostics
+                .iter()
+                .map(|d| Diagnostic::parse_dropped(path, d.line, d.col, &d.message, &d.dropped)),
+        );
     }
     Ok(program)
 }
@@ -1438,690 +1421,6 @@ fn cmd_trace(p: &Parsed) -> Result<ExitCode, String> {
         }
     }
     Ok(ExitCode::SUCCESS)
-}
-
-/// Embedded soak fixture: a six-class library over a tiny
-/// `SecurityManager` prelude, giving the engine multiple independent
-/// roots (so keyed fault injection can perturb a strict subset) and the
-/// cache several cones to store.
-const CHAOS_FIXTURE_A: &str = r#"
-class java.lang.SecurityManager {
-  method public native void checkRead(java.lang.String file);
-  method public native void checkWrite(java.lang.String file);
-}
-class java.lang.System {
-  field static java.lang.SecurityManager security;
-  method public static java.lang.SecurityManager getSecurityManager() {
-    local java.lang.SecurityManager sm;
-    sm = java.lang.System.security;
-    return sm;
-  }
-}
-class chaos.A {
-  method public void read() {
-    local java.lang.SecurityManager sm;
-    sm = staticinvoke java.lang.System.getSecurityManager();
-    virtualinvoke sm.checkRead("a");
-    staticinvoke chaos.A.op();
-    return;
-  }
-  method private static native void op();
-}
-class chaos.B {
-  method public void write() {
-    local java.lang.SecurityManager sm;
-    sm = staticinvoke java.lang.System.getSecurityManager();
-    virtualinvoke sm.checkWrite("b");
-    staticinvoke chaos.B.op();
-    return;
-  }
-  method private static native void op();
-}
-class chaos.C {
-  method public void readwrite() {
-    local java.lang.SecurityManager sm;
-    sm = staticinvoke java.lang.System.getSecurityManager();
-    virtualinvoke sm.checkRead("c");
-    virtualinvoke sm.checkWrite("c");
-    staticinvoke chaos.C.op();
-    return;
-  }
-  method private static native void op();
-}
-class chaos.D {
-  method public void unguarded() {
-    staticinvoke chaos.D.op();
-    return;
-  }
-  method private static native void op();
-}
-class chaos.E {
-  method public void delegated() {
-    local chaos.A a;
-    a = new chaos.A;
-    virtualinvoke a.read();
-    return;
-  }
-}
-class chaos.F {
-  method public void idle() {
-    local int i;
-    i = 0;
-    return;
-  }
-}
-"#;
-
-/// Layered variant: two extra classes over the same prelude, one of them
-/// an unguarded twin of `chaos.A.read` (a deliberate policy hole).
-/// Layering it onto [`CHAOS_FIXTURE_A`] grows the root set without
-/// disturbing existing cones — a file-extending cache write.
-const CHAOS_FIXTURE_B: &str = r#"
-class chaos.X {
-  method public void read() {
-    staticinvoke chaos.X.op();
-    return;
-  }
-  method private static native void op();
-}
-class chaos.Y {
-  method public void write() {
-    local java.lang.SecurityManager sm;
-    sm = staticinvoke java.lang.System.getSecurityManager();
-    virtualinvoke sm.checkWrite("y");
-    staticinvoke chaos.Y.op();
-    return;
-  }
-  method private static native void op();
-}
-"#;
-
-/// One soak schedule's invariant violation.
-struct SoakViolation {
-    why: String,
-    replay: String,
-}
-
-/// Everything a soak schedule needs from the surrounding run.
-struct SoakEnv {
-    exe: std::path::PathBuf,
-    work: std::path::PathBuf,
-    fixture_a: std::path::PathBuf,
-    fixture_ab: std::path::PathBuf,
-    rate: f64,
-    clean_a: Vec<u8>,
-    clean_ab: Vec<u8>,
-    serve_baseline: Vec<u8>,
-    /// A disarmed `spo export` of fixture A, built once.
-    index_a: std::path::PathBuf,
-    /// Fault-free `spo index query --index index_a` stdout.
-    index_baseline: Vec<u8>,
-}
-
-/// The two fixed rpc requests every serve-mode schedule (and the
-/// baseline) sends; responses are byte-deterministic, so a faulted run
-/// must reproduce the baseline exactly.
-const SOAK_RPC_REQUESTS: [&str; 2] = [
-    r#"{"spo-rpc":1,"id":1,"method":"analyze","params":{"name":"lib"}}"#,
-    r#"{"spo-rpc":1,"id":2,"method":"query","params":{"name":"lib"}}"#,
-];
-
-/// `spo chaos soak`: drive randomized fault schedules against the cache,
-/// the engine, a live daemon, and the compiled policy index, asserting
-/// the standing invariants —
-/// no panic escapes, exit codes keep their contract, surviving output is
-/// byte-identical to a clean run, and the cache self-heals. Every
-/// schedule derives from `--seed`, so a red run replays exactly.
-fn chaos_soak(p: &Parsed) -> Result<ExitCode, String> {
-    let seed: u64 = p.read(&SEED, "seed")?.unwrap_or(1);
-    let schedules: u64 = p.read(&SCHEDULES, "count")?.unwrap_or(200);
-    let rate: f64 = p.read(&RATE, "probability")?.unwrap_or(0.3);
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(format!("--rate: probability `{rate}` out of [0, 1]"));
-    }
-    let keep_going = p.given(&KEEP_GOING);
-    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let work = std::env::temp_dir().join(format!("spo-chaos-soak-{}", std::process::id()));
-    std::fs::create_dir_all(&work).map_err(|e| format!("{}: {e}", work.display()))?;
-    let fixture_a = work.join("a.jir");
-    let fixture_b = work.join("b.jir");
-    std::fs::write(&fixture_a, CHAOS_FIXTURE_A).map_err(|e| format!("a.jir: {e}"))?;
-    std::fs::write(&fixture_b, CHAOS_FIXTURE_B).map_err(|e| format!("b.jir: {e}"))?;
-
-    // Fault-free baselines. Every invariant below compares against these
-    // bytes, so a failed baseline is fatal, not a violation.
-    let clean_a = soak_clean_run(&exe, &[&fixture_a], &[])?;
-    let clean_ab = soak_clean_run(&exe, &[&fixture_a, &fixture_b], &[])?;
-    let serve_baseline = soak_serve_schedule(&exe, &work, "baseline", &fixture_a, None)
-        .map_err(|v| format!("chaos soak: clean serve baseline failed: {}", v.why))?
-        .0;
-    // Disarmed index export + query: the anchor for index-mode schedules.
-    let index_a = work.join("a.spi");
-    let export = std::process::Command::new(&exe)
-        .arg("export")
-        .arg(&fixture_a)
-        .arg("--out")
-        .arg(&index_a)
-        .args(["--name", "lib", "--jobs", "2"])
-        .env_remove(spo_chaos::ENV_VAR)
-        .output()
-        .map_err(|e| format!("spawn {}: {e}", exe.display()))?;
-    if !export.status.success() {
-        return Err(format!(
-            "chaos soak: clean index export failed: {}",
-            String::from_utf8_lossy(&export.stderr)
-        ));
-    }
-    let query = std::process::Command::new(&exe)
-        .arg("index")
-        .arg("query")
-        .arg("--index")
-        .arg(&index_a)
-        .env_remove(spo_chaos::ENV_VAR)
-        .output()
-        .map_err(|e| format!("spawn {}: {e}", exe.display()))?;
-    if !query.status.success() {
-        return Err(format!(
-            "chaos soak: clean index query baseline failed: {}",
-            String::from_utf8_lossy(&query.stderr)
-        ));
-    }
-    let index_baseline = query.stdout;
-
-    let env = SoakEnv {
-        exe,
-        work: work.clone(),
-        fixture_a,
-        fixture_ab: fixture_b,
-        rate,
-        clean_a,
-        clean_ab,
-        serve_baseline,
-        index_a,
-        index_baseline,
-    };
-    let mut srng = spo_rng::SmallRng::seed_from_u64(seed);
-    let (mut injected, mut recovered, mut violations) = (0u64, 0u64, 0u64);
-    for k in 0..schedules {
-        let schedule_seed = srng.next_u64();
-        let mode = srng.gen_range(0..4u32);
-        let (label, outcome) = match mode {
-            0 => ("cache", soak_cache_schedule(&env, k, schedule_seed)),
-            1 => ("engine", soak_engine_schedule(&env, schedule_seed)),
-            2 => ("serve", soak_serve_mode_schedule(&env, k, schedule_seed)),
-            _ => ("index", soak_index_schedule(&env, schedule_seed)),
-        };
-        match outcome {
-            Ok((i, r)) => {
-                injected += i;
-                recovered += r;
-                println!(
-                    "schedule {k}: mode={label} seed={schedule_seed} ok injected={i} recovered={r}"
-                );
-            }
-            Err(v) => {
-                violations += 1;
-                println!(
-                    "schedule {k}: mode={label} seed={schedule_seed} VIOLATION: {}",
-                    v.why
-                );
-                println!("  minimized seed: {schedule_seed}");
-                println!("  replay schedule: {}", v.replay);
-                println!(
-                    "  replay soak:     spo chaos soak --seed {seed} --schedules {}",
-                    k + 1
-                );
-                if !keep_going {
-                    let _ = std::fs::remove_dir_all(&work);
-                    println!("# soak: FAILED at schedule {k} of {schedules} (seed {seed})");
-                    return Ok(ExitCode::from(EXIT_FINDINGS));
-                }
-            }
-        }
-    }
-    let _ = std::fs::remove_dir_all(&work);
-    println!(
-        "# soak: {schedules} schedule(s), {violations} violation(s), injected={injected} recovered={recovered} (seed {seed})"
-    );
-    Ok(if violations == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(EXIT_FINDINGS)
-    })
-}
-
-/// Runs `spo analyze` with faults disarmed, returning stdout. Exit must
-/// be clean — these bytes anchor every later comparison.
-fn soak_clean_run(
-    exe: &std::path::Path,
-    inputs: &[&std::path::PathBuf],
-    extra: &[&str],
-) -> Result<Vec<u8>, String> {
-    let mut cmd = std::process::Command::new(exe);
-    cmd.arg("analyze");
-    for i in inputs {
-        cmd.arg(i);
-    }
-    cmd.args(extra)
-        .args(["--jobs", "2"])
-        .env_remove(spo_chaos::ENV_VAR);
-    let out = cmd
-        .output()
-        .map_err(|e| format!("spawn {}: {e}", exe.display()))?;
-    if !out.status.success() {
-        return Err(format!(
-            "chaos soak: clean baseline exited {:?}: {}",
-            out.status.code(),
-            String::from_utf8_lossy(&out.stderr)
-        ));
-    }
-    Ok(out.stdout)
-}
-
-/// Parses the `# chaos: injected=N recovered=M seed=S` summary a
-/// chaos-armed `spo` process prints on stderr at exit.
-fn parse_chaos_summary(stderr: &[u8]) -> (u64, u64) {
-    let text = String::from_utf8_lossy(stderr);
-    for line in text.lines() {
-        if let Some(rest) = line.strip_prefix("# chaos: ") {
-            let mut injected = 0;
-            let mut recovered = 0;
-            for field in rest.split_whitespace() {
-                if let Some(v) = field.strip_prefix("injected=") {
-                    injected = v.parse().unwrap_or(0);
-                } else if let Some(v) = field.strip_prefix("recovered=") {
-                    recovered = v.parse().unwrap_or(0);
-                }
-            }
-            return (injected, recovered);
-        }
-    }
-    (0, 0)
-}
-
-/// Cache-mode schedule: two chaos-armed cached runs (cold then
-/// file-extending), then a disarmed run over the same directory. All
-/// three must exit clean with byte-identical stdout — injected cache
-/// faults may cost recomputation and stderr warnings, never report bytes
-/// or exit codes — and the disarmed flush must leave a healed cache file.
-fn soak_cache_schedule(env: &SoakEnv, k: u64, seed: u64) -> Result<(u64, u64), SoakViolation> {
-    let spec = format!(
-        "seed={seed},rate={:.2},sites={}+{}+{}+{}",
-        env.rate,
-        spo_chaos::sites::CACHE_WRITE_SHORT,
-        spo_chaos::sites::CACHE_RENAME_FAIL,
-        spo_chaos::sites::CACHE_BITFLIP,
-        spo_chaos::sites::CACHE_FSYNC_FAIL,
-    );
-    let dir = env.work.join(format!("cache-{k}"));
-    let dir_s = dir.display().to_string();
-    let replay = format!(
-        "SPO_CHAOS='{spec}' {} analyze {} --cache-dir {dir_s} --jobs 2",
-        env.exe.display(),
-        env.fixture_a.display(),
-    );
-    let mut totals = (0u64, 0u64);
-    let runs: [(&[&std::path::PathBuf], &[u8], Option<&str>); 3] = [
-        (&[&env.fixture_a], &env.clean_a, Some(spec.as_str())),
-        (
-            &[&env.fixture_a, &env.fixture_ab],
-            &env.clean_ab,
-            Some(spec.as_str()),
-        ),
-        // Disarmed: the cache must come back from whatever the faults
-        // left on disk and the flush must land a cache file.
-        (&[&env.fixture_a, &env.fixture_ab], &env.clean_ab, None),
-    ];
-    for (step, (inputs, want, chaos)) in runs.iter().enumerate() {
-        let mut cmd = std::process::Command::new(&env.exe);
-        cmd.arg("analyze");
-        for i in *inputs {
-            cmd.arg(i);
-        }
-        cmd.args(["--cache-dir", &dir_s, "--jobs", "2"]);
-        match chaos {
-            Some(spec) => cmd.env(spo_chaos::ENV_VAR, spec),
-            None => cmd.env_remove(spo_chaos::ENV_VAR),
-        };
-        let out = cmd.output().map_err(|e| SoakViolation {
-            why: format!("spawn failed: {e}"),
-            replay: replay.clone(),
-        })?;
-        if out.status.code() != Some(0) {
-            return Err(SoakViolation {
-                why: format!(
-                    "cache run {step} exited {:?} (cache faults must never change the exit code): {}",
-                    out.status.code(),
-                    String::from_utf8_lossy(&out.stderr)
-                ),
-                replay,
-            });
-        }
-        if out.stdout != *want {
-            return Err(SoakViolation {
-                why: format!("cache run {step} stdout diverged from the fault-free report"),
-                replay,
-            });
-        }
-        let (i, r) = parse_chaos_summary(&out.stderr);
-        totals.0 += i;
-        totals.1 += r;
-    }
-    let landed = std::fs::read_dir(&dir).is_ok_and(|entries| {
-        entries
-            .flatten()
-            .any(|e| e.path().extension().is_some_and(|x| x == "spc"))
-    });
-    if !landed {
-        return Err(SoakViolation {
-            why: "cache did not self-heal: no .spc file after a disarmed flush".to_owned(),
-            replay,
-        });
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    Ok(totals)
-}
-
-/// Engine-mode schedule: keyed per-root panics and delays. The run may
-/// degrade (exit 2) but must not crash; surviving roots' report lines
-/// must be a subset of the clean report (the `#` summary footer counts
-/// change with the survivor set).
-fn soak_engine_schedule(env: &SoakEnv, seed: u64) -> Result<(u64, u64), SoakViolation> {
-    let spec = format!(
-        "seed={seed},sites={}:{:.2}+{}:{:.2}",
-        spo_chaos::sites::ENGINE_ROOT_PANIC,
-        env.rate * 0.5,
-        spo_chaos::sites::ENGINE_ROOT_DELAY,
-        env.rate,
-    );
-    let replay = format!(
-        "SPO_CHAOS='{spec}' {} analyze {} {} --jobs 2",
-        env.exe.display(),
-        env.fixture_a.display(),
-        env.fixture_ab.display(),
-    );
-    let out = std::process::Command::new(&env.exe)
-        .arg("analyze")
-        .arg(&env.fixture_a)
-        .arg(&env.fixture_ab)
-        .args(["--jobs", "2"])
-        .env(spo_chaos::ENV_VAR, &spec)
-        .output()
-        .map_err(|e| SoakViolation {
-            why: format!("spawn failed: {e}"),
-            replay: replay.clone(),
-        })?;
-    let code = out.status.code();
-    if code != Some(0) && code != Some(i32::from(EXIT_DEGRADED)) {
-        return Err(SoakViolation {
-            why: format!(
-                "engine run exited {code:?} (want 0 or 2): {}",
-                String::from_utf8_lossy(&out.stderr)
-            ),
-            replay,
-        });
-    }
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    if stderr.contains("panicked at") {
-        return Err(SoakViolation {
-            why: "an injected panic escaped the quarantine onto stderr".to_owned(),
-            replay,
-        });
-    }
-    let clean = String::from_utf8_lossy(&env.clean_ab);
-    let clean_lines: std::collections::BTreeSet<&str> = clean.lines().collect();
-    let got = String::from_utf8_lossy(&out.stdout);
-    for line in got.lines().filter(|l| !l.starts_with('#')) {
-        if !clean_lines.contains(line) {
-            return Err(SoakViolation {
-                why: format!("surviving-root output line not present in the clean report: {line}"),
-                replay,
-            });
-        }
-    }
-    Ok(parse_chaos_summary(&out.stderr))
-}
-
-/// Index-mode schedule: a chaos-armed `spo index query` over a known-good
-/// compiled index, with `index.read.bitflip` flipping one read byte. A
-/// schedule where the fault holds fire must reproduce the clean report
-/// byte-for-byte; a schedule where it fires must die with the typed
-/// "unusable index" diagnostic (exit 3, empty stdout) — degraded, never
-/// a wrong answer, never a panic.
-fn soak_index_schedule(env: &SoakEnv, seed: u64) -> Result<(u64, u64), SoakViolation> {
-    let spec = format!(
-        "seed={seed},sites={}:{:.2}",
-        spo_chaos::sites::INDEX_READ_BITFLIP,
-        env.rate,
-    );
-    let replay = format!(
-        "SPO_CHAOS='{spec}' {} index query --index {}",
-        env.exe.display(),
-        env.index_a.display(),
-    );
-    let out = std::process::Command::new(&env.exe)
-        .arg("index")
-        .arg("query")
-        .arg("--index")
-        .arg(&env.index_a)
-        .env(spo_chaos::ENV_VAR, &spec)
-        .output()
-        .map_err(|e| SoakViolation {
-            why: format!("spawn failed: {e}"),
-            replay: replay.clone(),
-        })?;
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    if stderr.contains("panicked at") {
-        return Err(SoakViolation {
-            why: "index query panicked under a read bitflip".to_owned(),
-            replay,
-        });
-    }
-    match out.status.code() {
-        Some(0) => {
-            if out.stdout != env.index_baseline {
-                return Err(SoakViolation {
-                    why: "index query exited clean but its report diverged from the \
-                          fault-free baseline (a flipped byte slipped past the checksum)"
-                        .to_owned(),
-                    replay,
-                });
-            }
-        }
-        Some(code) if code == i32::from(EXIT_FATAL) => {
-            if !out.stdout.is_empty() {
-                return Err(SoakViolation {
-                    why: "index query failed but still wrote a partial report to stdout".to_owned(),
-                    replay,
-                });
-            }
-            if !stderr.contains("the index is unusable") {
-                return Err(SoakViolation {
-                    why: format!(
-                        "index query exited 3 without the typed unusable-index diagnostic: {stderr}"
-                    ),
-                    replay,
-                });
-            }
-        }
-        code => {
-            return Err(SoakViolation {
-                why: format!("index query exited {code:?} (want 0 clean or 3 typed failure)"),
-                replay,
-            });
-        }
-    }
-    Ok(parse_chaos_summary(&out.stderr))
-}
-
-/// Serve-mode schedule: a chaos-armed daemon (connection drops, stalls,
-/// split frames) queried by a disarmed `spo rpc` client with retries.
-/// The client must exit clean with stdout byte-identical to the
-/// fault-free baseline — injected drops are the client's to absorb.
-fn soak_serve_mode_schedule(env: &SoakEnv, k: u64, seed: u64) -> Result<(u64, u64), SoakViolation> {
-    // Drops are capped well below the retry budget; stalls ride at the
-    // schedule rate and only cost latency.
-    let spec = format!(
-        "seed={seed},sites={}:{:.2}+{}:{:.2}+{}:{:.2}+{}:{:.2}",
-        spo_chaos::sites::SERVE_CONN_DROP,
-        (env.rate * 0.5).min(0.25),
-        spo_chaos::sites::SERVE_WRITE_STALL,
-        env.rate,
-        spo_chaos::sites::SERVE_FRAME_SPLIT,
-        env.rate,
-        spo_chaos::sites::SERVE_READ_STALL,
-        env.rate,
-    );
-    let tag = format!("s{k}");
-    let (stdout, counts) =
-        soak_serve_schedule(&env.exe, &env.work, &tag, &env.fixture_a, Some(&spec))?;
-    if stdout != env.serve_baseline {
-        return Err(SoakViolation {
-            why: "rpc responses diverged from the fault-free baseline".to_owned(),
-            replay: format!(
-                "SPO_CHAOS='{spec}' {} serve --socket <SOCK> --load lib={} --jobs 2  # then: {} rpc --socket <SOCK> --retries 8 --retry-base-ms 10 '...'",
-                env.exe.display(),
-                env.fixture_a.display(),
-                env.exe.display(),
-            ),
-        });
-    }
-    Ok(counts)
-}
-
-/// Starts one daemon (chaos-armed when `spec` is set), runs the fixed
-/// request sequence through a disarmed retrying client, shuts the daemon
-/// down, and returns the client's stdout plus the daemon's fault
-/// counters.
-fn soak_serve_schedule(
-    exe: &std::path::Path,
-    work: &std::path::Path,
-    tag: &str,
-    fixture: &std::path::Path,
-    spec: Option<&str>,
-) -> Result<(Vec<u8>, (u64, u64)), SoakViolation> {
-    let sock = work.join(format!("sock-{tag}"));
-    let _ = std::fs::remove_file(&sock);
-    let replay = match spec {
-        Some(s) => format!(
-            "SPO_CHAOS='{s}' {} serve --socket {} --load lib={} --jobs 2",
-            exe.display(),
-            sock.display(),
-            fixture.display(),
-        ),
-        None => format!(
-            "{} serve --socket {} --load lib={} --jobs 2",
-            exe.display(),
-            sock.display(),
-            fixture.display(),
-        ),
-    };
-    let fail = |why: String| SoakViolation {
-        why,
-        replay: replay.clone(),
-    };
-    let mut cmd = std::process::Command::new(exe);
-    cmd.arg("serve")
-        .arg("--socket")
-        .arg(&sock)
-        .arg("--load")
-        .arg(format!("lib={}", fixture.display()))
-        .args(["--jobs", "2", "--drain-grace", "5"])
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::piped());
-    match spec {
-        Some(s) => cmd.env(spo_chaos::ENV_VAR, s),
-        None => cmd.env_remove(spo_chaos::ENV_VAR),
-    };
-    let mut daemon = cmd
-        .spawn()
-        .map_err(|e| fail(format!("daemon spawn failed: {e}")))?;
-    // Wait for the socket to come up; a daemon that dies first is a
-    // violation in itself.
-    let t0 = std::time::Instant::now();
-    while !sock.exists() {
-        if let Ok(Some(status)) = daemon.try_wait() {
-            let mut err = String::new();
-            if let Some(mut pipe) = daemon.stderr.take() {
-                use std::io::Read;
-                let _ = pipe.read_to_string(&mut err);
-            }
-            return Err(fail(format!(
-                "daemon exited {status:?} before binding: {err}"
-            )));
-        }
-        if t0.elapsed() > Duration::from_secs(10) {
-            let _ = daemon.kill();
-            let _ = daemon.wait();
-            return Err(fail("daemon never bound its socket within 10s".to_owned()));
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let mut client = std::process::Command::new(exe);
-    client
-        .arg("rpc")
-        .arg("--socket")
-        .arg(&sock)
-        .args(["--retries", "8", "--retry-base-ms", "10"])
-        .args(SOAK_RPC_REQUESTS)
-        .env_remove(spo_chaos::ENV_VAR);
-    let out = client
-        .output()
-        .map_err(|e| fail(format!("client spawn failed: {e}")))?;
-    // Shut the daemon down; losing the shutdown *response* to an injected
-    // drop is fine (the daemon still exits), so the client verdict for
-    // this request is advisory.
-    let _ = std::process::Command::new(exe)
-        .arg("rpc")
-        .arg("--socket")
-        .arg(&sock)
-        .arg(r#"{"spo-rpc":1,"id":99,"method":"shutdown"}"#)
-        .env_remove(spo_chaos::ENV_VAR)
-        .output();
-    let t1 = std::time::Instant::now();
-    let status = loop {
-        match daemon.try_wait() {
-            Ok(Some(status)) => break status,
-            Ok(None) if t1.elapsed() > Duration::from_secs(10) => {
-                let _ = daemon.kill();
-                let _ = daemon.wait();
-                return Err(fail(
-                    "daemon did not exit within 10s of shutdown".to_owned(),
-                ));
-            }
-            Ok(None) => std::thread::sleep(Duration::from_millis(10)),
-            Err(e) => {
-                let _ = daemon.kill();
-                return Err(fail(format!("daemon wait failed: {e}")));
-            }
-        }
-    };
-    let mut daemon_err = String::new();
-    if let Some(mut pipe) = daemon.stderr.take() {
-        use std::io::Read;
-        let _ = pipe.read_to_string(&mut daemon_err);
-    }
-    if !status.success() {
-        return Err(fail(format!(
-            "daemon exited {:?} after drain: {daemon_err}",
-            status.code()
-        )));
-    }
-    if daemon_err.contains("panicked at") {
-        return Err(fail(
-            "a daemon thread panicked under injected faults".to_owned(),
-        ));
-    }
-    if out.status.code() != Some(0) {
-        return Err(fail(format!(
-            "rpc client exited {:?} (retries must absorb injected drops): {}",
-            out.status.code(),
-            String::from_utf8_lossy(&out.stderr)
-        )));
-    }
-    let counts = parse_chaos_summary(daemon_err.as_bytes());
-    let _ = std::fs::remove_file(&sock);
-    Ok((out.stdout, counts))
 }
 
 #[cfg(test)]

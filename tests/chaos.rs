@@ -1,4 +1,4 @@
-//! End-to-end tests of `spo chaos`: the deterministic fault-injection
+//! End-to-end tests of `spo-soak`: the deterministic fault-injection
 //! soak must be replayable — one seed, one fault schedule — and a full
 //! run over all four fault domains (cache IO, engine workers, daemon
 //! sessions, compiled-index reads) must hold the standing invariants.
@@ -7,28 +7,32 @@
 
 use std::process::{Command, Output};
 
-fn spo(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_spo"))
+fn run(exe: &str, args: &[&str]) -> Output {
+    Command::new(exe)
         .args(args)
         // The soak arms its children itself; an ambient plan from the
         // caller's environment must not leak in.
         .env_remove("SPO_CHAOS")
         .output()
-        .expect("spo binary runs")
+        .expect("binary runs")
+}
+
+fn soak(args: &[&str]) -> Output {
+    run(env!("CARGO_BIN_EXE_spo-soak"), args)
 }
 
 /// The same seed replays the same schedules: modes, per-schedule seeds,
 /// injected and recovered counts, byte for byte.
 #[test]
 fn soak_is_replayable_from_a_single_seed() {
-    let first = spo(&["chaos", "soak", "--seed", "5", "--schedules", "6"]);
+    let first = soak(&["--seed", "5", "--schedules", "6"]);
     assert_eq!(
         first.status.code(),
         Some(0),
         "soak holds its invariants: {}",
         String::from_utf8_lossy(&first.stderr)
     );
-    let second = spo(&["chaos", "soak", "--seed", "5", "--schedules", "6"]);
+    let second = soak(&["--seed", "5", "--schedules", "6"]);
     assert_eq!(second.status.code(), Some(0));
     assert_eq!(
         first.stdout, second.stdout,
@@ -48,8 +52,8 @@ fn soak_is_replayable_from_a_single_seed() {
 /// actually seeded, not fixed.
 #[test]
 fn soak_seed_changes_the_schedule_stream() {
-    let a = spo(&["chaos", "soak", "--seed", "11", "--schedules", "4"]);
-    let b = spo(&["chaos", "soak", "--seed", "12", "--schedules", "4"]);
+    let a = soak(&["--seed", "11", "--schedules", "4"]);
+    let b = soak(&["--seed", "12", "--schedules", "4"]);
     assert_eq!(
         a.status.code(),
         Some(0),
@@ -88,7 +92,7 @@ fn malformed_chaos_plan_is_fatal() {
 /// finishes with zero violations.
 #[test]
 fn soak_index_mode_holds_the_degraded_not_wrong_invariant() {
-    let out = spo(&["chaos", "soak", "--seed", "42", "--schedules", "4"]);
+    let out = soak(&["--seed", "42", "--schedules", "4"]);
     assert_eq!(
         out.status.code(),
         Some(0),
@@ -101,4 +105,30 @@ fn soak_index_mode_holds_the_degraded_not_wrong_invariant() {
         "seed 42 exercises the index mode: {stdout}"
     );
     assert!(stdout.contains("0 violation(s)"), "no violations: {stdout}");
+}
+
+/// The soak's own flags are validated before any schedule runs, and the
+/// soak is no longer a `spo` command: each is a usage error (exit 3)
+/// naming what was wrong.
+#[test]
+fn soak_usage_errors_exit_3() {
+    let cases: [(&str, &[&str], &str); 3] = [
+        (env!("CARGO_BIN_EXE_spo-soak"), &["--rate", "1.5"], "--rate"),
+        (env!("CARGO_BIN_EXE_spo-soak"), &["--bogus"], "--bogus"),
+        (
+            env!("CARGO_BIN_EXE_spo"),
+            &["chaos", "soak"],
+            "unknown command `chaos`",
+        ),
+    ];
+    for (exe, args, named) in cases {
+        let out = run(exe, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{exe} {args:?}: {stderr}");
+        assert!(
+            stderr.contains(named),
+            "{exe} {args:?} names {named}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{exe} {args:?} ran no schedule");
+    }
 }
