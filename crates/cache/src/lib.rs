@@ -368,7 +368,7 @@ pub struct PolicyCache {
     // Captured from the process-wide spo-chaos plan at open (and
     // overridable per handle for tests): fault sites in the flush path
     // draw from this plan. Disabled plans cost one branch per probe.
-    chaos: Mutex<FaultPlan>,
+    chaos: FaultPlan,
 }
 
 impl PolicyCache {
@@ -389,7 +389,7 @@ impl PolicyCache {
             files: RwLock::new(Vec::new()),
             stats: Mutex::new(CacheStats::default()),
             diagnostics: Mutex::new(Vec::new()),
-            chaos: Mutex::new(spo_chaos::current()),
+            chaos: spo_chaos::current(),
         })
     }
 
@@ -420,8 +420,8 @@ impl PolicyCache {
     /// Replaces the fault plan this handle draws injected faults from
     /// (tests arm a plan without touching the process-wide one).
     #[cfg(test)]
-    fn set_fault_plan(&self, plan: FaultPlan) {
-        *self.chaos.lock().unwrap_or_else(|e| e.into_inner()) = plan;
+    fn set_fault_plan(&mut self, plan: FaultPlan) {
+        self.chaos = plan;
     }
 
     /// The state of `library`'s file under `options` (memo scope already
@@ -587,11 +587,10 @@ impl PolicyCache {
     /// dirty, so the next flush retries.
     pub fn flush(&self) {
         let mut files = self.write_files();
-        let chaos = self.chaos.lock().unwrap_or_else(|e| e.into_inner()).clone();
         for file in files.iter_mut().filter(|f| f.dirty) {
             let _trace = trace::span_now("cache.flush", "cache");
             let written = file.render().and_then(|bytes| {
-                let write = spo_index::write_index_file(&file.path, &bytes, &chaos);
+                let write = spo_index::write_index_file(&file.path, &bytes, &self.chaos);
                 self.lock_stats().flush_retries += write.retried.len() as u64;
                 match write.result {
                     Ok(()) => Ok((bytes, write.retried)),
@@ -1212,7 +1211,7 @@ class t.A {
             let (program, root, entry) = analyzed_entry(SRC, "t.A.read");
             let (key, cone, table) = keyed(&program, root);
             let dir = temp_dir(&format!("retry-{}", site.replace('.', "-")));
-            let cache = PolicyCache::open(&dir).unwrap();
+            let mut cache = PolicyCache::open(&dir).unwrap();
             let plan = FaultPlan::seeded(1).site_once(site);
             cache.set_fault_plan(plan.clone());
             store(&cache, key, &cone, &entry);
@@ -1250,7 +1249,7 @@ class t.A {
         let (program, root, entry) = analyzed_entry(SRC, "t.A.read");
         let (key, cone, table) = keyed(&program, root);
         let dir = temp_dir("flush-fail");
-        let cache = PolicyCache::open(&dir).unwrap();
+        let mut cache = PolicyCache::open(&dir).unwrap();
         // Rate 1.0 fires on every attempt: all attempts fail.
         cache.set_fault_plan(FaultPlan::seeded(2).site(sites::CACHE_RENAME_FAIL, 1.0));
         store(&cache, key, &cone, &entry);
@@ -1281,7 +1280,7 @@ class t.A {
         let (key, cone, table) = keyed(&program, root);
         let dir = temp_dir("bitflip");
         {
-            let cache = PolicyCache::open(&dir).unwrap();
+            let mut cache = PolicyCache::open(&dir).unwrap();
             cache.set_fault_plan(FaultPlan::seeded(3).site_once(sites::CACHE_BITFLIP));
             store(&cache, key, &cone, &entry);
             cache.flush();

@@ -433,33 +433,6 @@ impl FaultPlan {
         }
         Ok(plan)
     }
-
-    /// Renders the plan back into the [`FaultPlan::parse`] wire format
-    /// (empty for a disabled plan) — the `SPO_CHAOS` value that replays
-    /// this plan in a child process.
-    pub fn spec(&self) -> String {
-        let Some(shared) = &self.0 else {
-            return String::new();
-        };
-        let mut out = format!("seed={}", shared.seed);
-        if let Some(ms) = shared.delay_ms {
-            out.push_str(&format!(",delay_ms={ms}"));
-        }
-        if !shared.rates.is_empty() {
-            out.push_str(",sites=");
-            let rendered: Vec<String> = shared
-                .rates
-                .iter()
-                .map(|(site, rate)| match rate {
-                    Rate::Once => format!("{site}:once"),
-                    Rate::Probability(p) => format!("{site}:{p}"),
-                    Rate::Needle(needle) => format!("{site}~{needle}"),
-                })
-                .collect();
-            out.push_str(&rendered.join("+"));
-        }
-        out
-    }
 }
 
 impl Shared {
@@ -583,6 +556,33 @@ pub fn is_injected(err: &std::io::Error) -> bool {
 mod tests {
     use super::*;
 
+    /// Renders a plan back into the [`FaultPlan::parse`] wire format
+    /// (empty for a disabled plan): the reference the parse round trips
+    /// are checked against.
+    fn render_spec(plan: &FaultPlan) -> String {
+        let Some(shared) = &plan.0 else {
+            return String::new();
+        };
+        let mut out = format!("seed={}", shared.seed);
+        if let Some(ms) = shared.delay_ms {
+            out.push_str(&format!(",delay_ms={ms}"));
+        }
+        if !shared.rates.is_empty() {
+            out.push_str(",sites=");
+            let rendered: Vec<String> = shared
+                .rates
+                .iter()
+                .map(|(site, rate)| match rate {
+                    Rate::Once => format!("{site}:once"),
+                    Rate::Probability(p) => format!("{site}:{p}"),
+                    Rate::Needle(needle) => format!("{site}~{needle}"),
+                })
+                .collect();
+            out.push_str(&rendered.join("+"));
+        }
+        out
+    }
+
     #[test]
     fn disabled_plan_never_fires_and_costs_nothing_to_probe() {
         let plan = FaultPlan::disabled();
@@ -593,7 +593,7 @@ mod tests {
         }
         assert_eq!(plan.amount(sites::CACHE_BITFLIP, 100), 0);
         assert_eq!(plan.injected(), 0);
-        assert_eq!(plan.spec(), "");
+        assert_eq!(render_spec(&plan), "");
     }
 
     #[test]
@@ -663,18 +663,18 @@ mod tests {
             .site(sites::CACHE_BITFLIP, 0.25)
             .site_once(sites::SERVE_CONN_DROP)
             .site_matching(sites::ENGINE_ROOT_PANIC, "A.read");
-        let spec = plan.spec();
+        let spec = render_spec(&plan);
         assert!(spec.contains("engine.root.panic~A.read"), "{spec}");
         let reparsed = FaultPlan::parse(&spec).unwrap();
-        assert_eq!(reparsed.spec(), spec);
+        assert_eq!(render_spec(&reparsed), spec);
         assert_eq!(reparsed.seed(), Some(42));
 
         let delayed = "seed=7,delay_ms=250,sites=engine.root.delay:1";
         let plan = FaultPlan::parse(delayed).unwrap();
         assert_eq!(plan.delay_ms(), Some(250));
-        assert_eq!(plan.spec(), delayed);
+        assert_eq!(render_spec(&plan), delayed);
         assert_eq!(
-            FaultPlan::parse(&plan.spec()).unwrap().delay_ms(),
+            FaultPlan::parse(&render_spec(&plan)).unwrap().delay_ms(),
             Some(250)
         );
         assert_eq!(FaultPlan::seeded(7).delay_ms(), None);
@@ -687,7 +687,7 @@ mod tests {
             FaultPlan::parse("seed=9,rate=0.3,sites=cache.bitflip+serve.conn.drop:once").unwrap();
         assert_eq!(plan.seed(), Some(9));
         let all = FaultPlan::parse("seed=1,sites=all").unwrap();
-        assert!(all.spec().contains(sites::ENGINE_ROOT_DELAY));
+        assert!(render_spec(&all).contains(sites::ENGINE_ROOT_DELAY));
         assert!(FaultPlan::parse("sites=all").is_err(), "seed is required");
         assert!(FaultPlan::parse("seed=1,sites=no.such.site").is_err());
         assert!(FaultPlan::parse("seed=1,rate=7").is_err());

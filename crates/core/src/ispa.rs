@@ -12,14 +12,14 @@
 use crate::checks::{check_of_call, Check};
 use crate::events::{EventDef, EventKey};
 use crate::policy::{AnalysisStats, EntryPolicy, EventPolicy, LibraryPolicies};
-use crate::store::{EventRec, LocalStore, MemoKey, Summary, SummaryStore};
+use crate::store::{CommitObs, EventRec, FrameCost, LocalStore, MemoKey, Summary, SummaryStore};
 use spo_dataflow::{
-    dnf_widenings, run_forward, AbsVal, BitSet32, ConstEnv, Dnf, FixpointStats, Flow,
-    ForwardAnalysis, JoinLattice, MustSet,
+    dnf_widenings, run_forward, AbsVal, BitSet32, ConstEnv, Dnf, Flow, ForwardAnalysis,
+    JoinLattice, MustSet,
 };
 use spo_guard::Governor;
 use spo_jir::{Expr, FieldFlags, FieldRef, FieldTarget, LocalId, MethodId, Program, Stmt};
-use spo_obs::{Counter, Histogram, Recorder};
+use spo_obs::Recorder;
 use spo_resolve::{entry_points, Hierarchy, Resolution, Resolver};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -236,7 +236,7 @@ impl<'p> Analyzer<'p> {
         Some(self.analyze_root(
             root,
             signature,
-            &LocalStore::default(),
+            &LocalStore::new(&self.recorder),
             &mut AnalysisStats::default(),
             &self.recorder,
             &Governor::unlimited(),
@@ -249,7 +249,7 @@ impl<'p> Analyzer<'p> {
     pub fn analyze_entries(&self, name: &str, roots: &[MethodId]) -> LibraryPolicies {
         // Global memo shares one store across all roots; the other scopes
         // get a fresh store per root, as the engine's workers do.
-        let global = LocalStore::default();
+        let global = LocalStore::new(&self.recorder);
         let governor = Governor::unlimited();
         let mut stats = AnalysisStats::default();
         let mut entries = std::collections::BTreeMap::new();
@@ -258,7 +258,7 @@ impl<'p> Analyzer<'p> {
             let store = if self.options.memo == MemoScope::Global {
                 &global
             } else {
-                fresh = LocalStore::default();
+                fresh = LocalStore::new(&self.recorder);
                 &fresh
             };
             let sig = self.program.method_signature(root);
@@ -285,6 +285,10 @@ impl<'p> Analyzer<'p> {
     /// workers each pass a private recorder (merged in worker-id order
     /// afterwards) and merge the policies back in root order, reproducing
     /// the serial first-root-wins fold exactly.
+    ///
+    /// Frames published to `store` are booked by the store, into the
+    /// recorder it was built with; the pass books every other frame into
+    /// `rec`. The drivers build both over the same recorder.
     ///
     /// Every method-frame entry and worklist transfer is checked against
     /// the `governor`'s budget and cancel token. Exhaustion raises an
@@ -328,12 +332,14 @@ impl<'p> Analyzer<'p> {
             stack: Vec::new(),
             taint_floor: usize::MAX,
             stats,
-            obs: PassObs::new(rec),
+            rec,
+            obs: CommitObs::new(rec),
             governor,
         };
         let widened = dnf_widenings();
         let raw = pass.analyze_entry(root);
-        pass.obs.widened.add(dnf_widenings() - widened);
+        rec.work_counter("dataflow.dnf.widened")
+            .add(dnf_widenings() - widened);
         raw
     }
 }
@@ -362,89 +368,6 @@ struct RawEntry {
     check_origins: std::collections::BTreeMap<u8, crate::policy::Origins>,
 }
 
-/// Pre-resolved metric handles for one root's pass, so per-frame recording
-/// is a handful of atomic adds (or no-ops when the recorder is disabled).
-///
-/// Frame metrics are split by *commit status* to keep the deterministic
-/// sections independent of worker count and schedule:
-///
-/// - **committed** frames — the top frame, any frame with memoization off,
-///   or the frame whose clean summary newly entered the store — flush to
-///   deterministic counters/histograms. The set of inserted memo keys is
-///   schedule-independent (a clean summary is a pure function of its key),
-///   so these totals are byte-identical for `--jobs 1` and `--jobs 8`.
-/// - **speculative** frames lost an insert race: a parallel worker
-///   recomputed work another worker committed first. Work counters only.
-/// - **tainted** frames were cut by recursion; how often they are recomputed
-///   depends on memo state and schedule. Work counters only.
-struct PassObs {
-    rec: Recorder,
-    frames: Counter,
-    transfers: Counter,
-    cfg_edges: Counter,
-    calls_resolved: Counter,
-    calls_unresolved: Counter,
-    hist_transfers: Histogram,
-    hist_repasses: Histogram,
-    spec_frames: Counter,
-    spec_transfers: Counter,
-    tainted_frames: Counter,
-    tainted_transfers: Counter,
-    /// [`Dnf`] widenings to the flat union during the root's pass.
-    widened: Counter,
-}
-
-impl PassObs {
-    fn new(rec: &Recorder) -> Self {
-        PassObs {
-            rec: rec.clone(),
-            frames: rec.counter("ispa.frames"),
-            transfers: rec.counter("dataflow.transfers"),
-            cfg_edges: rec.counter("ispa.cfg.edges"),
-            calls_resolved: rec.counter("ispa.calls.resolved"),
-            calls_unresolved: rec.counter("ispa.calls.unresolved"),
-            hist_transfers: rec.histogram("fixpoint.transfers"),
-            hist_repasses: rec.histogram("fixpoint.repasses"),
-            spec_frames: rec.work_counter("ispa.speculative.frames"),
-            spec_transfers: rec.work_counter("ispa.speculative.transfers"),
-            tainted_frames: rec.work_counter("ispa.tainted.frames"),
-            tainted_transfers: rec.work_counter("ispa.tainted.transfers"),
-            widened: rec.work_counter("dataflow.dnf.widened"),
-        }
-    }
-
-    fn flush_committed(&self, f: &FrameObs) {
-        self.frames.incr();
-        self.transfers.add(f.fx.transfers);
-        self.cfg_edges.add(f.cfg_edges);
-        self.calls_resolved.add(f.resolved);
-        self.calls_unresolved.add(f.unresolved);
-        self.hist_transfers.record(f.fx.transfers);
-        self.hist_repasses
-            .record(f.fx.transfers.saturating_sub(f.fx.visited));
-    }
-
-    fn flush_speculative(&self, f: &FrameObs) {
-        self.spec_frames.incr();
-        self.spec_transfers.add(f.fx.transfers);
-    }
-
-    fn flush_tainted(&self, f: &FrameObs) {
-        self.tainted_frames.incr();
-        self.tainted_transfers.add(f.fx.transfers);
-    }
-}
-
-/// Metrics one frame collects about itself, flushed at frame end through
-/// the [`PassObs`] commit protocol.
-#[derive(Default)]
-struct FrameObs {
-    fx: FixpointStats,
-    cfg_edges: u64,
-    resolved: u64,
-    unresolved: u64,
-}
-
 /// Mutable state of the pass over one root.
 struct Pass<'a, 'p> {
     program: &'p Program,
@@ -457,7 +380,10 @@ struct Pass<'a, 'p> {
     /// (their summaries depend on the outer stack).
     taint_floor: usize,
     stats: &'a mut AnalysisStats,
-    obs: PassObs,
+    rec: &'a Recorder,
+    /// Books the frames the pass never publishes: the top frame and
+    /// memo-off frames (committed) and recursion-tainted ones.
+    obs: CommitObs,
     /// Per-root budget and cancellation state; trips (unwinds) on
     /// exhaustion. Unlimited for ungoverned runs.
     governor: &'a Governor,
@@ -589,7 +515,7 @@ impl Pass<'_, '_> {
             );
         }
 
-        let cfg = body.cfg_traced(&self.obs.rec);
+        let cfg = body.cfg_traced(self.rec);
         let governor = self.governor;
         let mut spda = Spda {
             pass: self,
@@ -602,9 +528,10 @@ impl Pass<'_, '_> {
         };
         let (results, fx) = run_forward(body, &cfg, &mut spda, governor);
         let call_cache = spda.call_cache;
-        let mut fobs = FrameObs {
-            fx,
-            cfg_edges: if self.obs.rec.is_enabled() {
+        let mut cost = FrameCost {
+            transfers: fx.transfers,
+            visited: fx.visited,
+            cfg_edges: if self.rec.is_enabled() {
                 cfg.edge_count() as u64
             } else {
                 0
@@ -636,7 +563,7 @@ impl Pass<'_, '_> {
                     }
                     match self.resolver.resolve(call) {
                         Resolution::Unique(target) => {
-                            fobs.resolved += 1;
+                            cost.resolved += 1;
                             let tm = program.method(target);
                             if tm.is_native() {
                                 events.push(EventRec {
@@ -667,7 +594,7 @@ impl Pass<'_, '_> {
                         }
                         Resolution::Ambiguous(_) | Resolution::Unknown => {
                             self.stats.unresolved_calls += 1;
-                            fobs.unresolved += 1;
+                            cost.unresolved += 1;
                         }
                     }
                 }
@@ -733,33 +660,15 @@ impl Pass<'_, '_> {
         if clean {
             self.taint_floor = usize::MAX;
         }
-        // Commit protocol: only committed frames (top frame, memo off, or
-        // the insert that newly entered the store) flush to deterministic
-        // metrics; race losers and recursion-tainted frames flush to
-        // scheduling-dependent work counters. See [`PassObs`]. A
-        // write-behind store defers the insert — and with it the
-        // committed-vs-speculative decision — to its batched flush, which
-        // settles the same metrics from the [`FrameCost`] handed over
-        // here.
+        // Commit protocol (see `CommitObs`): a clean memoized frame is
+        // published and the store settles it, committed or speculative;
+        // the pass books only the frames it never publishes.
         if top || !memo_on {
-            self.obs.flush_committed(&fobs);
+            self.obs.committed(&cost);
         } else if clean {
-            let cost = crate::store::FrameCost {
-                transfers: fobs.fx.transfers,
-                visited: fobs.fx.visited,
-                cfg_edges: fobs.cfg_edges,
-                resolved: fobs.resolved,
-                unresolved: fobs.unresolved,
-            };
-            match self.store.insert_costed(key, Arc::clone(&summary), cost) {
-                Some(true) => self.obs.flush_committed(&fobs),
-                Some(false) => self.obs.flush_speculative(&fobs),
-                // Deferred: the store owns the cost and flushes it when
-                // the batched insert resolves.
-                None => {}
-            }
+            self.store.publish(key, Arc::clone(&summary), cost);
         } else {
-            self.obs.flush_tainted(&fobs);
+            self.obs.tainted(&cost);
         }
         summary
     }

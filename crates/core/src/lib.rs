@@ -46,6 +46,6 @@ pub use report::{
 };
 pub use store::{
     FrameCost, LocalStore, MemoKey, ShardStats, SharedStore, Summary, SummaryStore, WriteBehind,
-    WriteBehindStats, DEFAULT_SHARDS,
+    WriteBehindStats,
 };
 pub use throws::{diff_throws, LibraryThrows, ThrowSet, ThrowsAnalyzer, ThrowsDifference};

@@ -7,6 +7,10 @@
 //! [`LocalStore`]; under global memo each engine worker reads and writes a
 //! sharded, lock-striped [`SharedStore`] through its own [`WriteBehind`]
 //! buffer, so a summary computed by one worker is reused by all others.
+//! Either way the pass hands each clean frame to the store with
+//! [`SummaryStore::publish`], and the store settles the frame's counters
+//! itself: at once for a [`LocalStore`], at the next buffer flush for a
+//! [`WriteBehind`].
 //!
 //! Sharing is safe because only *clean* summaries — those whose subtree was
 //! not cut by recursion — are ever inserted, and a clean summary is a pure
@@ -26,11 +30,6 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
-
-/// Default number of lock stripes in a [`SharedStore`] — the single source
-/// of the engine's and [`SharedStore::default`]'s shard counts, so a store
-/// built by one layer always matches what the other expects.
-pub const DEFAULT_SHARDS: usize = 16;
 
 /// The memoization key of a context-sensitive method summary: the paper's
 /// `(method, in-policy, const-params, privileged)` context, where the
@@ -60,15 +59,15 @@ pub struct Summary {
     pub(crate) checks: Vec<(crate::checks::Check, MethodId)>,
 }
 
-/// The deterministic per-frame metrics a clean summary carries into a
-/// deferred (write-behind) publication, so the commit protocol's
-/// counters can be flushed when the insert outcome becomes known.
+/// The deterministic metrics of one analyzed frame, booked when the frame
+/// is settled: by the store it was published to, or by the pass for a
+/// frame that is never published.
 ///
-/// Every field is a pure function of the summary's [`MemoKey`] — the
+/// Every field is a pure function of the frame's [`MemoKey`] — the
 /// fixpoint over a method body in a fixed context performs the same
 /// transfers and resolves the same calls no matter which worker runs it —
-/// which is what lets a *different* worker's copy claim the committed
-/// flush without perturbing the deterministic totals.
+/// which is what lets whichever copy of a key commits first book the
+/// deterministic totals.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FrameCost {
     /// Worklist transfer-function applications of the frame's fixpoint.
@@ -84,6 +83,83 @@ pub struct FrameCost {
     pub unresolved: u64,
 }
 
+/// Pre-resolved metric handles for booking finished frames — the one
+/// place the frame counters are registered. Frames are split by *commit
+/// status* so the deterministic sections do not depend on worker count or
+/// schedule:
+///
+/// - **committed** frames — the top frame, any frame with memoization
+///   off, or the first publication of a memo key — book deterministic
+///   counters and histograms. The set of published memo keys is
+///   schedule-independent (a clean summary is a pure function of its
+///   key), so these totals are byte-identical for `--jobs 1` and
+///   `--jobs 8`.
+/// - **speculative** frames are later publications of a key already
+///   published: a parallel worker recomputed work another worker
+///   committed first. Work counters only.
+/// - **tainted** frames were cut by recursion and are never published;
+///   how often they are recomputed depends on memo state and schedule.
+///   Work counters only.
+#[derive(Debug)]
+pub(crate) struct CommitObs {
+    frames: Counter,
+    transfers: Counter,
+    cfg_edges: Counter,
+    calls_resolved: Counter,
+    calls_unresolved: Counter,
+    hist_transfers: Histogram,
+    hist_repasses: Histogram,
+    spec_frames: Counter,
+    spec_transfers: Counter,
+    tainted_frames: Counter,
+    tainted_transfers: Counter,
+}
+
+impl CommitObs {
+    pub(crate) fn new(rec: &Recorder) -> Self {
+        CommitObs {
+            frames: rec.counter("ispa.frames"),
+            transfers: rec.counter("dataflow.transfers"),
+            cfg_edges: rec.counter("ispa.cfg.edges"),
+            calls_resolved: rec.counter("ispa.calls.resolved"),
+            calls_unresolved: rec.counter("ispa.calls.unresolved"),
+            hist_transfers: rec.histogram("fixpoint.transfers"),
+            hist_repasses: rec.histogram("fixpoint.repasses"),
+            spec_frames: rec.work_counter("ispa.speculative.frames"),
+            spec_transfers: rec.work_counter("ispa.speculative.transfers"),
+            tainted_frames: rec.work_counter("ispa.tainted.frames"),
+            tainted_transfers: rec.work_counter("ispa.tainted.transfers"),
+        }
+    }
+
+    pub(crate) fn committed(&self, cost: &FrameCost) {
+        self.frames.incr();
+        self.transfers.add(cost.transfers);
+        self.cfg_edges.add(cost.cfg_edges);
+        self.calls_resolved.add(cost.resolved);
+        self.calls_unresolved.add(cost.unresolved);
+        self.hist_transfers.record(cost.transfers);
+        self.hist_repasses
+            .record(cost.transfers.saturating_sub(cost.visited));
+    }
+
+    pub(crate) fn tainted(&self, cost: &FrameCost) {
+        self.tainted_frames.incr();
+        self.tainted_transfers.add(cost.transfers);
+    }
+
+    /// Books a published frame: committed if its insert was the key's
+    /// first, speculative otherwise.
+    fn published(&self, new: bool, cost: &FrameCost) {
+        if new {
+            self.committed(cost);
+        } else {
+            self.spec_frames.incr();
+            self.spec_transfers.add(cost.transfers);
+        }
+    }
+}
+
 /// Storage backend for memoized method summaries.
 ///
 /// Implementations use interior mutability so a store can be shared by
@@ -93,34 +169,31 @@ pub trait SummaryStore {
     /// Looks up the summary for `key`, if one was recorded.
     fn get(&self, key: &MemoKey) -> Option<Arc<Summary>>;
 
-    /// Records the summary computed for `key`, carrying the frame's
-    /// deterministic metrics so a buffering store can defer the insert —
-    /// and with it the committed-vs-speculative decision — to a later
-    /// batched flush.
-    ///
-    /// Returns `Some(newness)` when the insert happened immediately:
-    /// `true` if the key was newly inserted, `false` if another
-    /// computation got there first — the signal the observability layer
-    /// uses to count each memoized frame exactly once regardless of
-    /// worker count; the caller flushes its own frame metrics. Returns
-    /// `None` when the insert was deferred: the store now owns `cost` and
-    /// must flush it under the same commit protocol once the batched
-    /// insert resolves.
-    fn insert_costed(&self, key: MemoKey, summary: Arc<Summary>, cost: FrameCost) -> Option<bool>;
-
-    /// Number of summaries currently stored.
-    fn len(&self) -> usize;
-
-    /// Returns `true` if the store holds no summaries.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+    /// Publishes the clean summary computed for `key`, and with it the
+    /// frame's `cost`. The store settles the frame itself, exactly once:
+    /// committed if this is the first publication of `key` its table
+    /// sees, speculative otherwise — so each memoized frame is counted
+    /// once regardless of worker count. A buffering store may settle
+    /// later, when the insert is actually made.
+    fn publish(&self, key: MemoKey, summary: Arc<Summary>, cost: FrameCost);
 }
 
-/// The serial store: one thread, no locking.
-#[derive(Debug, Default)]
+/// The serial store: one thread, no locking. Settles each frame as soon
+/// as it is published.
+#[derive(Debug)]
 pub struct LocalStore {
     map: RefCell<HashMap<MemoKey, Arc<Summary>>>,
+    obs: CommitObs,
+}
+
+impl LocalStore {
+    /// An empty store booking its frames into `rec`.
+    pub fn new(rec: &Recorder) -> Self {
+        LocalStore {
+            map: RefCell::default(),
+            obs: CommitObs::new(rec),
+        }
+    }
 }
 
 impl SummaryStore for LocalStore {
@@ -128,13 +201,9 @@ impl SummaryStore for LocalStore {
         self.map.borrow().get(key).map(Arc::clone)
     }
 
-    /// Never defers: the frame's metrics are settled by the caller.
-    fn insert_costed(&self, key: MemoKey, summary: Arc<Summary>, _cost: FrameCost) -> Option<bool> {
-        Some(self.map.borrow_mut().insert(key, summary).is_none())
-    }
-
-    fn len(&self) -> usize {
-        self.map.borrow().len()
+    fn publish(&self, key: MemoKey, summary: Arc<Summary>, cost: FrameCost) {
+        let new = self.map.borrow_mut().insert(key, summary).is_none();
+        self.obs.published(new, &cost);
     }
 }
 
@@ -240,19 +309,6 @@ impl SharedStore {
         hit
     }
 
-    /// Number of summaries currently stored.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.map.read().unwrap_or_else(|e| e.into_inner()).len())
-            .sum()
-    }
-
-    /// Returns `true` if the store holds no summaries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Inserts a batch of summaries with **one lock acquisition per
     /// touched shard**, returning each entry's newness in input order
     /// (`true` for the first writer of a key, `false` for later ones).
@@ -315,70 +371,15 @@ impl SharedStore {
 }
 
 impl Default for SharedStore {
-    /// [`DEFAULT_SHARDS`] stripes: enough that 8–16 workers rarely
-    /// collide.
+    /// 16 stripes: enough that 8–16 workers rarely collide.
     fn default() -> Self {
-        SharedStore::new(DEFAULT_SHARDS)
+        SharedStore::new(16)
     }
 }
 
-/// Pre-resolved metric handles for deferred frame publication. The
-/// deterministic names mirror the ISPA pass's frame-commit protocol
-/// exactly (`ispa.frames`, `dataflow.transfers`, …): a frame whose clean
-/// summary is deferred here flushes to the *same* counters an immediate
-/// insert would have, just later — so the deterministic sections stay
-/// byte-identical to the serial analyzer's.
-struct WriteBehindObs {
-    frames: Counter,
-    transfers: Counter,
-    cfg_edges: Counter,
-    calls_resolved: Counter,
-    calls_unresolved: Counter,
-    hist_transfers: Histogram,
-    hist_repasses: Histogram,
-    spec_frames: Counter,
-    spec_transfers: Counter,
-    flushes: Counter,
-    deferred_hits: Counter,
-}
-
-impl WriteBehindObs {
-    fn new(rec: &Recorder) -> Self {
-        WriteBehindObs {
-            frames: rec.counter("ispa.frames"),
-            transfers: rec.counter("dataflow.transfers"),
-            cfg_edges: rec.counter("ispa.cfg.edges"),
-            calls_resolved: rec.counter("ispa.calls.resolved"),
-            calls_unresolved: rec.counter("ispa.calls.unresolved"),
-            hist_transfers: rec.histogram("fixpoint.transfers"),
-            hist_repasses: rec.histogram("fixpoint.repasses"),
-            spec_frames: rec.work_counter("ispa.speculative.frames"),
-            spec_transfers: rec.work_counter("ispa.speculative.transfers"),
-            flushes: rec.work_counter("writeback.flushes"),
-            deferred_hits: rec.work_counter("writeback.deferred_hits"),
-        }
-    }
-
-    fn flush_committed(&self, cost: &FrameCost) {
-        self.frames.incr();
-        self.transfers.add(cost.transfers);
-        self.cfg_edges.add(cost.cfg_edges);
-        self.calls_resolved.add(cost.resolved);
-        self.calls_unresolved.add(cost.unresolved);
-        self.hist_transfers.record(cost.transfers);
-        self.hist_repasses
-            .record(cost.transfers.saturating_sub(cost.visited));
-    }
-
-    fn flush_speculative(&self, cost: &FrameCost) {
-        self.spec_frames.incr();
-        self.spec_transfers.add(cost.transfers);
-    }
-}
-
-/// Plain-cell tallies of one [`WriteBehind`]'s traffic, for the engine's
-/// per-run statistics (recorded even when the recorder is disabled, as in
-/// timed bench runs).
+/// Tallies of one [`WriteBehind`]'s traffic, for the engine's per-run
+/// statistics (kept even when the recorder is disabled, as in timed bench
+/// runs; the engine records the run's totals into its recorder).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WriteBehindStats {
     /// Shard-grouped batch publications performed.
@@ -386,9 +387,6 @@ pub struct WriteBehindStats {
     /// Lookups served from the worker-local buffer (pending writes plus
     /// the read-through cache) without touching a shard lock.
     pub deferred_hits: u64,
-    /// Buffered summaries that won their batched insert (entered the
-    /// shared store).
-    pub published: u64,
 }
 
 /// A per-worker write-behind façade over a [`SharedStore`].
@@ -399,11 +397,10 @@ pub struct WriteBehindStats {
 /// functions of their key, so a stale-looking local copy can never differ
 /// from the shared one. Writes accumulate in a local buffer and publish
 /// through [`SharedStore::insert_batch`] in shard-grouped flushes (one
-/// lock acquisition per touched shard per flush); the frame-commit
-/// decision for each buffered summary — committed vs speculative — is
-/// deferred with it and settled by the batched insert's newness, so
-/// exactly one committed flush still happens globally per unique memo key
-/// and the deterministic stats sections remain byte-identical to the
+/// lock acquisition per touched shard per flush). Each buffered frame is
+/// settled when its batch lands, by the batched insert's newness, so
+/// exactly one committed frame is still booked globally per unique memo
+/// key and the deterministic stats sections remain byte-identical to the
 /// serial analyzer's at any worker count.
 ///
 /// Not `Sync`: one instance per worker thread, dropped (after a final
@@ -417,34 +414,31 @@ pub struct WriteBehind<'s> {
     /// Pending entries beyond this overflow into an inline flush, bounding
     /// the buffer between the engine's batch-boundary flushes.
     capacity: usize,
-    obs: WriteBehindObs,
+    obs: CommitObs,
     flushes: Cell<u64>,
     deferred_hits: Cell<u64>,
-    published: Cell<u64>,
 }
 
 impl<'s> WriteBehind<'s> {
     /// Buffered summaries beyond this many trigger an inline flush.
     pub const DEFAULT_CAPACITY: usize = 128;
 
-    /// Wraps `shared` for one worker, flushing deferred frame metrics
-    /// into `rec` (the worker's private child recorder, in the engine).
+    /// Wraps `shared` for one worker, booking settled frames into `rec`
+    /// (the worker's private child recorder, in the engine).
     pub fn new(shared: &'s SharedStore, rec: &Recorder) -> Self {
         WriteBehind {
             shared,
             local: RefCell::new(HashMap::new()),
             pending: RefCell::new(Vec::new()),
             capacity: Self::DEFAULT_CAPACITY,
-            obs: WriteBehindObs::new(rec),
+            obs: CommitObs::new(rec),
             flushes: Cell::new(0),
             deferred_hits: Cell::new(0),
-            published: Cell::new(0),
         }
     }
 
     /// Publishes every pending summary in one shard-grouped batch and
-    /// settles each one's deferred commit decision. No-op when nothing is
-    /// pending.
+    /// settles each one's frame. No-op when nothing is pending.
     pub fn flush(&self) {
         let pending = std::mem::take(&mut *self.pending.borrow_mut());
         if pending.is_empty() {
@@ -456,18 +450,10 @@ impl<'s> WriteBehind<'s> {
             .map(|((key, summary), _)| (key.clone(), Arc::clone(summary)))
             .collect();
         let newness = self.shared.insert_batch(entries);
-        let mut published = 0u64;
         for ((_, cost), new) in pending.iter().zip(newness) {
-            if new {
-                published += 1;
-                self.obs.flush_committed(cost);
-            } else {
-                self.obs.flush_speculative(cost);
-            }
+            self.obs.published(new, cost);
         }
         self.flushes.set(self.flushes.get() + 1);
-        self.published.set(self.published.get() + published);
-        self.obs.flushes.incr();
         trace::counter_now("writeback.flush", "store", count as u64);
     }
 
@@ -476,7 +462,6 @@ impl<'s> WriteBehind<'s> {
         WriteBehindStats {
             flushes: self.flushes.get(),
             deferred_hits: self.deferred_hits.get(),
-            published: self.published.get(),
         }
     }
 }
@@ -485,7 +470,6 @@ impl SummaryStore for WriteBehind<'_> {
     fn get(&self, key: &MemoKey) -> Option<Arc<Summary>> {
         if let Some(hit) = self.local.borrow().get(key) {
             self.deferred_hits.set(self.deferred_hits.get() + 1);
-            self.obs.deferred_hits.incr();
             return Some(Arc::clone(hit));
         }
         let hit = self.shared.get(key)?;
@@ -495,9 +479,13 @@ impl SummaryStore for WriteBehind<'_> {
         Some(hit)
     }
 
-    fn insert_costed(&self, key: MemoKey, summary: Arc<Summary>, cost: FrameCost) -> Option<bool> {
+    /// A key this worker already holds settles at once as speculative;
+    /// anything else is buffered and settles at the next flush.
+    fn publish(&self, key: MemoKey, summary: Arc<Summary>, cost: FrameCost) {
         match self.local.borrow_mut().entry(key.clone()) {
-            std::collections::hash_map::Entry::Occupied(_) => return Some(false),
+            std::collections::hash_map::Entry::Occupied(_) => {
+                return self.obs.published(false, &cost);
+            }
             std::collections::hash_map::Entry::Vacant(v) => {
                 v.insert(Arc::clone(&summary));
             }
@@ -506,14 +494,6 @@ impl SummaryStore for WriteBehind<'_> {
         if self.pending.borrow().len() >= self.capacity {
             self.flush();
         }
-        None
-    }
-
-    fn len(&self) -> usize {
-        // Unflushed summaries are part of this store's view.
-        let shared = self.shared.len();
-        let unflushed = self.pending.borrow().len();
-        shared + unflushed
     }
 }
 
@@ -542,21 +522,23 @@ mod tests {
         })
     }
 
+    /// Summaries held across all of `store`'s shards.
+    fn entries(store: &SharedStore) -> usize {
+        store.shard_stats().iter().map(|s| s.entries).sum()
+    }
+
     #[test]
     fn local_store_roundtrip() {
-        let store = LocalStore::default();
+        let store = LocalStore::new(&Recorder::disabled());
         assert!(store.get(&key(1)).is_none());
-        assert!(store.is_empty());
-        store.insert_costed(key(1), summary(), FrameCost::default());
+        store.publish(key(1), summary(), FrameCost::default());
         assert!(store.get(&key(1)).is_some());
-        assert_eq!(store.len(), 1);
     }
 
     #[test]
     fn shared_store_roundtrip_and_stats() {
         let store = SharedStore::new(4);
         store.insert_batch((0..64).map(|i| (key(i), summary())).collect());
-        assert_eq!(store.len(), 64);
         for i in 0..64 {
             assert!(store.get(&key(i)).is_some(), "key {i}");
         }
@@ -568,16 +550,6 @@ mod tests {
         assert_eq!(stats.iter().map(|s| s.entries).sum::<usize>(), 64);
         // Keys spread over more than one stripe.
         assert!(stats.iter().filter(|s| s.entries > 0).count() > 1);
-    }
-
-    #[test]
-    fn insert_reports_newness() {
-        // A local store never defers: every insert settles immediately.
-        let local = LocalStore::default();
-        let insert = |i| local.insert_costed(key(i), summary(), FrameCost::default());
-        assert_eq!(insert(1), Some(true));
-        assert_eq!(insert(1), Some(false));
-        assert_eq!(insert(2), Some(true));
     }
 
     #[test]
@@ -623,17 +595,17 @@ mod tests {
             (key(3), summary()), // duplicate within the batch: first wins
         ]);
         assert_eq!(newness, vec![true, false, true, false]);
-        assert_eq!(store.len(), 3);
+        assert_eq!(entries(&store), 3);
         // A batch into a single-shard store acquires its one lock once.
         let one = SharedStore::new(1);
         let newness = one.insert_batch((0..100).map(|i| (key(i), summary())).collect());
         assert!(newness.iter().all(|&n| n));
-        assert_eq!(one.len(), 100);
+        assert_eq!(entries(&one), 100);
     }
 
     #[test]
     fn write_behind_defers_publication_until_flush() {
-        let rec = spo_obs::Recorder::new();
+        let rec = Recorder::new();
         let shared = SharedStore::new(4);
         let wb = WriteBehind::new(&shared, &rec);
         let cost = FrameCost {
@@ -643,24 +615,22 @@ mod tests {
             resolved: 2,
             unresolved: 1,
         };
-        assert_eq!(wb.insert_costed(key(1), summary(), cost), None);
-        assert_eq!(wb.insert_costed(key(2), summary(), cost), None);
-        // Deferred writes are visible to this worker, invisible to others.
+        wb.publish(key(1), summary(), cost);
+        wb.publish(key(2), summary(), cost);
+        // Deferred writes are visible to this worker, invisible to others,
+        // and not yet settled.
         assert!(wb.get(&key(1)).is_some());
-        assert_eq!(shared.len(), 0);
+        assert_eq!(entries(&shared), 0);
         assert_eq!(wb.stats().deferred_hits, 1);
+        assert_eq!(rec.snapshot().counters["ispa.frames"], 0);
 
         wb.flush();
-        assert_eq!(shared.len(), 2);
-        let stats = wb.stats();
-        assert_eq!(stats.flushes, 1);
-        assert_eq!(stats.published, 2);
+        assert_eq!(entries(&shared), 2);
+        assert_eq!(wb.stats().flushes, 1);
         // Both frames committed at flush under the ISPA counter names.
         let snap = rec.snapshot();
         assert_eq!(snap.counters["ispa.frames"], 2);
         assert_eq!(snap.counters["dataflow.transfers"], 14);
-        assert_eq!(snap.work["writeback.flushes"], 1);
-        assert_eq!(snap.work["writeback.deferred_hits"], 1);
 
         // A second flush with nothing pending is a no-op.
         wb.flush();
@@ -669,34 +639,57 @@ mod tests {
 
     #[test]
     fn write_behind_race_loser_flushes_speculative() {
-        let rec_a = spo_obs::Recorder::new();
-        let rec_b = spo_obs::Recorder::new();
-        let shared = SharedStore::new(4);
-        let a = WriteBehind::new(&shared, &rec_a);
-        let b = WriteBehind::new(&shared, &rec_b);
-        let cost = FrameCost {
+        // Two publications of one key book one committed and one
+        // speculative frame, whichever store settles them and whenever.
+        const COST: FrameCost = FrameCost {
             transfers: 5,
-            ..Default::default()
+            visited: 0,
+            cfg_edges: 0,
+            resolved: 0,
+            unresolved: 0,
         };
-        assert_eq!(a.insert_costed(key(1), summary(), cost), None);
-        assert_eq!(b.insert_costed(key(1), summary(), cost), None);
-        a.flush();
-        b.flush();
-        // Exactly one committed flush globally for the shared key …
-        let (sa, sb) = (rec_a.snapshot(), rec_b.snapshot());
-        assert_eq!(sa.counters["ispa.frames"], 1);
-        assert_eq!(sb.counters["ispa.frames"], 0);
-        // … and the loser's copy lands in the speculative work counters.
-        assert_eq!(sb.work["ispa.speculative.frames"], 1);
-        assert_eq!(sb.work["ispa.speculative.transfers"], 5);
-        assert_eq!(shared.len(), 1);
-        assert_eq!(a.stats().published, 1);
-        assert_eq!(b.stats().published, 0);
+        let local: fn(&Recorder) = |rec| {
+            let store = LocalStore::new(rec);
+            store.publish(key(1), summary(), COST);
+            store.publish(key(1), summary(), COST);
+        };
+        let two_workers: fn(&Recorder) = |rec| {
+            let shared = SharedStore::new(4);
+            let (a, b) = (
+                WriteBehind::new(&shared, rec),
+                WriteBehind::new(&shared, rec),
+            );
+            a.publish(key(1), summary(), COST);
+            b.publish(key(1), summary(), COST);
+            a.flush();
+            b.flush();
+            assert_eq!(entries(&shared), 1);
+        };
+        let one_worker: fn(&Recorder) = |rec| {
+            let shared = SharedStore::new(4);
+            let wb = WriteBehind::new(&shared, rec);
+            wb.publish(key(1), summary(), COST);
+            wb.publish(key(1), summary(), COST);
+            wb.flush();
+        };
+        for (name, publish_twice) in [
+            ("local", local),
+            ("write-behind, two workers", two_workers),
+            ("write-behind, one worker", one_worker),
+        ] {
+            let rec = Recorder::new();
+            publish_twice(&rec);
+            let snap = rec.snapshot();
+            assert_eq!(snap.counters["ispa.frames"], 1, "{name}");
+            assert_eq!(snap.counters["dataflow.transfers"], 5, "{name}");
+            assert_eq!(snap.work["ispa.speculative.frames"], 1, "{name}");
+            assert_eq!(snap.work["ispa.speculative.transfers"], 5, "{name}");
+        }
     }
 
     #[test]
     fn write_behind_read_through_caches_shared_hits() {
-        let rec = spo_obs::Recorder::new();
+        let rec = Recorder::new();
         let shared = SharedStore::new(4);
         shared.insert_batch(vec![(key(1), summary())]);
         let wb = WriteBehind::new(&shared, &rec);
@@ -711,14 +704,14 @@ mod tests {
 
     #[test]
     fn write_behind_overflows_into_inline_flush() {
-        let rec = spo_obs::Recorder::new();
+        let rec = Recorder::new();
         let shared = SharedStore::new(4);
         let wb = WriteBehind::new(&shared, &rec);
         for i in 0..WriteBehind::DEFAULT_CAPACITY as u32 {
-            wb.insert_costed(key(i), summary(), FrameCost::default());
+            wb.publish(key(i), summary(), FrameCost::default());
         }
         assert_eq!(wb.stats().flushes, 1, "capacity overflow flushes inline");
-        assert_eq!(shared.len(), WriteBehind::DEFAULT_CAPACITY);
+        assert_eq!(entries(&shared), WriteBehind::DEFAULT_CAPACITY);
     }
 
     #[test]
@@ -735,6 +728,6 @@ mod tests {
                 });
             }
         });
-        assert_eq!(store.len(), 128);
+        assert_eq!(entries(&store), 128);
     }
 }

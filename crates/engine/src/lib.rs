@@ -14,7 +14,7 @@
 //!   memoized, and a clean summary is a pure function of its memo key
 //!   `(method, in-policy, const-params, privileged)`. A memo hit therefore
 //!   returns exactly what recomputation would have produced, regardless of
-//!   which worker (or run) inserted it.
+//!   which worker inserted it.
 //! * Per-root analysis state (the call stack, the recursion taint floor)
 //!   lives in the worker, never in the shared store.
 //! * The serial analyzer resolves signature collisions between roots
@@ -50,7 +50,6 @@ use spo_chaos::{sites, FaultPlan};
 use spo_core::{
     diff_pair, AnalysisOptions, AnalysisStats, Analyzer, DiffResult, EntryPolicy, LibraryPolicies,
     LocalStore, MemoScope, ReportGroup, ShardStats, SharedStore, SummaryStore, WriteBehind,
-    DEFAULT_SHARDS,
 };
 use spo_guard::{quarantine, Diagnostic, Fault, GuardConfig};
 use spo_jir::{MethodId, Program};
@@ -249,52 +248,6 @@ pub struct AnalysisEngine {
     jobs: usize,
     instruments: Instruments,
     cache: Option<Arc<PolicyCache>>,
-    resident: Option<Arc<ResidentStore>>,
-}
-
-/// A summary store that outlives a single engine run, so a resident
-/// process (the `spo serve` daemon) can re-enter the analysis with its memo
-/// table already warm instead of building a fresh store per run.
-///
-/// Reuse is sound because only *clean* summaries are memoized and a clean
-/// summary is a pure function of its memo key — but that key names methods
-/// by program-local [`MethodId`] and the summaries depend on the
-/// [`AnalysisOptions`]. A resident store must therefore only ever be
-/// attached for **one (program, options) pairing** and dropped when the
-/// program is reloaded; the serving layer enforces this by keying stores
-/// on both.
-pub struct ResidentStore {
-    store: SharedStore,
-}
-
-impl std::fmt::Debug for ResidentStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ResidentStore")
-            .field("summaries", &self.summaries())
-            .finish()
-    }
-}
-
-impl ResidentStore {
-    /// A fresh, empty resident store with `shards` shards.
-    pub fn new(shards: usize) -> ResidentStore {
-        ResidentStore {
-            store: SharedStore::new(shards),
-        }
-    }
-
-    /// Number of memoized summaries currently held.
-    pub fn summaries(&self) -> usize {
-        self.store.len()
-    }
-}
-
-impl Default for ResidentStore {
-    /// Matches the engine's default shard count ([`DEFAULT_SHARDS`] —
-    /// one constant, shared with [`SharedStore::default`]).
-    fn default() -> ResidentStore {
-        ResidentStore::new(DEFAULT_SHARDS)
-    }
 }
 
 impl Default for AnalysisEngine {
@@ -312,7 +265,6 @@ impl AnalysisEngine {
             jobs,
             instruments: Instruments::default(),
             cache: None,
-            resident: None,
         }
     }
 
@@ -320,19 +272,6 @@ impl AnalysisEngine {
     /// and guard) captured at construction.
     pub fn with_instruments(mut self, instruments: Instruments) -> Self {
         self.instruments = instruments;
-        self
-    }
-
-    /// Attaches a [`ResidentStore`]: runs with [`MemoScope::Global`]
-    /// borrow it instead of building a store per run, so repeat
-    /// analyses in a long-lived process start with every previously proven
-    /// clean summary already memoized. The caller owns the keying
-    /// discipline documented on [`ResidentStore`] — one store per
-    /// (program, options) pairing. Other memo scopes ignore it. The store
-    /// keeps the shard layout it was built with; a run without one builds
-    /// a [`DEFAULT_SHARDS`]-way store of its own.
-    pub fn with_resident(mut self, resident: Arc<ResidentStore>) -> Self {
-        self.resident = Some(resident);
         self
     }
 
@@ -435,20 +374,10 @@ impl AnalysisEngine {
 
         // Global scope shares one sharded store across all workers; other
         // scopes get per-root local stores inside the worker, which
-        // reproduces PerEntry's clear-between-roots semantics. With a
-        // resident store attached the run borrows it instead of building
-        // its own, so clean summaries survive into the next run — sound
-        // because they are pure functions of their memo key (see
-        // [`ResidentStore`] for the keying discipline this relies on).
-        let owned = (options.memo == MemoScope::Global && self.resident.is_none())
-            .then(|| SharedStore::new(DEFAULT_SHARDS));
-        let shared: Option<&SharedStore> = match &self.resident {
-            Some(r) if options.memo == MemoScope::Global => Some(&r.store),
-            _ => owned.as_ref(),
-        };
-        // A resident store's counters accumulate across runs; snapshot them
-        // so this run's stats report only its own traffic.
-        let shards_before = shared.map(SharedStore::shard_stats);
+        // reproduces PerEntry's clear-between-roots semantics. The store
+        // lives for this run only, so its shard counters are the run's own.
+        let store = (options.memo == MemoScope::Global).then(SharedStore::default);
+        let shared = store.as_ref();
 
         // Cone-batched scheduling: roots sharing callees are grouped into
         // batches owned by one worker (their memo hits stay in that
@@ -534,7 +463,7 @@ impl AnalysisEngine {
                                 let store: &dyn SummaryStore = match &wb {
                                     Some(wb) => wb,
                                     None => {
-                                        fresh = LocalStore::default();
+                                        fresh = LocalStore::new(rec);
                                         &fresh
                                     }
                                 };
@@ -686,10 +615,7 @@ impl AnalysisEngine {
             batches_formed,
             writeback_flushes: wb_flushes.into_inner(),
             writeback_deferred_hits: wb_deferred_hits.into_inner(),
-            shards: shared
-                .zip(shards_before.as_ref())
-                .map(|(store, before)| shard_delta(store.shard_stats(), before))
-                .unwrap_or_default(),
+            shards: shared.map(SharedStore::shard_stats).unwrap_or_default(),
             wall_nanos: t0.elapsed().as_nanos(),
             roots_degraded: degraded.len() as u64,
         };
@@ -759,6 +685,10 @@ impl AnalysisEngine {
                 .add(shards.iter().map(|s| s.contended).sum());
             rec.work_counter("store.entries")
                 .add(shards.iter().map(|s| s.entries as u64).sum());
+            rec.work_counter("writeback.flushes")
+                .add(stats.writeback_flushes);
+            rec.work_counter("writeback.deferred_hits")
+                .add(stats.writeback_deferred_hits);
             // Per-shard lock-wait histograms (nanoseconds blocked per
             // contended acquisition) — the contention heatmap behind the
             // parallel-speedup diagnosis. Only shards that actually
@@ -819,23 +749,6 @@ impl AnalysisEngine {
             stats,
         }
     }
-}
-
-/// This run's share of a (possibly resident, hence accumulating) store's
-/// shard counters: traffic counters are deltas against the pre-run
-/// snapshot, while `entries` stays the absolute store population.
-fn shard_delta(after: Vec<ShardStats>, before: &[ShardStats]) -> Vec<ShardStats> {
-    after
-        .into_iter()
-        .zip(before)
-        .map(|(a, b)| ShardStats {
-            hits: a.hits - b.hits,
-            misses: a.misses - b.misses,
-            contended: a.contended.saturating_sub(b.contended),
-            entries: a.entries,
-            lock_wait: a.lock_wait.saturating_delta(&b.lock_wait),
-        })
-        .collect()
 }
 
 /// Pops the next batch for worker `w`: front of its own deque, else a
@@ -919,47 +832,6 @@ class t.A {
 "#,
         )
         .unwrap()
-    }
-
-    #[test]
-    fn resident_store_warms_repeat_runs_and_stays_byte_identical() {
-        let program = sample_program();
-        let options = AnalysisOptions::default();
-        let (cold, _) = AnalysisEngine::new(2).analyze_library(&program, "t", options);
-
-        let resident = Arc::new(ResidentStore::new(4));
-        let engine = AnalysisEngine::new(2).with_resident(Arc::clone(&resident));
-        let (first, s1) = engine.analyze_library(&program, "t", options);
-        assert_eq!(first.entries, cold.entries);
-        let warmed = resident.summaries();
-        assert!(warmed > 0, "first run populates the resident store");
-        let miss = |s: &EngineStats| s.shards.iter().map(|sh| sh.misses).sum::<u64>();
-        assert!(miss(&s1) > 0, "an empty store starts with misses");
-
-        let (second, s2) = engine.analyze_library(&program, "t", options);
-        assert_eq!(second.entries, cold.entries, "reuse is byte-identical");
-        assert_eq!(
-            resident.summaries(),
-            warmed,
-            "a repeat run re-derives nothing"
-        );
-        assert!(
-            miss(&s2) < miss(&s1),
-            "resident summaries absorb repeat lookups ({} vs {})",
-            miss(&s2),
-            miss(&s1)
-        );
-
-        // Non-global scopes ignore the resident store entirely.
-        let per_entry = AnalysisOptions {
-            memo: MemoScope::PerEntry,
-            ..options
-        };
-        let serial = Analyzer::new(&program, per_entry).analyze_library("t");
-        let (lib, stats) = engine.analyze_library(&program, "t", per_entry);
-        assert_eq!(lib.entries, serial.entries);
-        assert!(stats.shards.is_empty());
-        assert_eq!(resident.summaries(), warmed);
     }
 
     #[test]
@@ -1454,5 +1326,28 @@ class t.B {
         assert_eq!(set.comparisons.len(), 1);
         assert!(set.comparisons[0].groups.is_empty());
         assert!(set.stats.entry_points > 0);
+    }
+
+    #[test]
+    fn compare_all_pairs_every_implementation() {
+        // The paper's "compare each implementation to the other two", on
+        // Figure 1: Harmony's missing checkAccept shows against both
+        // correct sides, and JDK vs Classpath is clean.
+        use spo_corpus::{figures::FIGURE1, Lib};
+        let programs = [Lib::Jdk, Lib::Harmony, Lib::Classpath].map(|lib| FIGURE1.program(lib));
+        let set = AnalysisEngine::new(2).compare_all(
+            &[
+                ("jdk", &programs[0]),
+                ("harmony", &programs[1]),
+                ("classpath", &programs[2]),
+            ],
+            AnalysisOptions::default(),
+        );
+        let pairs: Vec<((usize, usize), bool)> = set
+            .comparisons
+            .iter()
+            .map(|c| (c.pair, c.groups.is_empty()))
+            .collect();
+        assert_eq!(pairs, [((0, 1), false), ((0, 2), true), ((1, 2), false)]);
     }
 }

@@ -527,25 +527,6 @@ impl HistSnapshot {
         self.sum += other.sum;
         self.buckets = map.into_iter().collect();
     }
-
-    /// Bucket-wise difference `self − before` (saturating), for deriving
-    /// one run's observations from a monotonically accumulating cell —
-    /// e.g. a resident store's lock-wait histogram across warm requests.
-    pub fn saturating_delta(&self, before: &HistSnapshot) -> HistSnapshot {
-        let prior: BTreeMap<u8, u64> = before.buckets.iter().copied().collect();
-        HistSnapshot {
-            count: self.count.saturating_sub(before.count),
-            sum: self.sum.saturating_sub(before.sum),
-            buckets: self
-                .buckets
-                .iter()
-                .filter_map(|&(i, n)| {
-                    let left = n.saturating_sub(prior.get(&i).copied().unwrap_or(0));
-                    (left > 0).then_some((i, left))
-                })
-                .collect(),
-        }
-    }
 }
 
 /// An immutable snapshot of a [`Recorder`]: the four schema sections.
@@ -830,30 +811,6 @@ mod tests {
             assert_eq!(hi + 1, lo_next, "gap after bucket {i}");
         }
         assert_eq!(bucket_range(HIST_BUCKETS - 1).1, u64::MAX);
-    }
-
-    #[test]
-    fn saturating_delta_subtracts_bucketwise() {
-        let before = HistSnapshot {
-            count: 3,
-            sum: 1 + 2 + 2,
-            buckets: vec![(1, 1), (2, 2)],
-        };
-        let after = HistSnapshot {
-            count: 6,
-            sum: 1 + 2 + 2 + 3 + 1024 + 1500,
-            buckets: vec![(1, 1), (2, 3), (11, 2)],
-        };
-        let delta = after.saturating_delta(&before);
-        assert_eq!(delta.count, 3);
-        assert_eq!(delta.sum, 3 + 1024 + 1500);
-        assert_eq!(delta.buckets, vec![(2, 1), (11, 2)]);
-        // Delta against itself is empty; against a larger snapshot it
-        // saturates instead of underflowing.
-        assert_eq!(after.saturating_delta(&after).count, 0);
-        let under = before.saturating_delta(&after);
-        assert_eq!(under.count, 0);
-        assert!(under.buckets.is_empty());
     }
 
     #[test]

@@ -1300,8 +1300,8 @@ class t.A {
     #[test]
     fn options_key_distinguishes_resident_state() {
         // Belt and braces for the (program, options) keying discipline:
-        // distinct specs map to distinct keys, so resident stores and
-        // analyses can never be shared across option sets.
+        // distinct specs map to distinct keys, so analyses can never be
+        // shared across option sets.
         let specs = [
             OptionsSpec::default(),
             OptionsSpec {

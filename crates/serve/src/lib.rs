@@ -2,11 +2,13 @@
 //!
 //! One-shot `spo analyze`/`spo diff` invocations pay program parsing,
 //! call-graph construction, and full interprocedural analysis on every
-//! run. This crate keeps all of that **resident**: a long-running daemon
-//! holds loaded programs, their [`spo_engine::ResidentStore`] summary
-//! stores, and finished policy analyses in memory, and serves repeat
-//! queries over a Unix socket (optionally TCP) in the line-delimited JSON
-//! protocol `spo-rpc/1` ([`proto`]).
+//! run. This crate keeps the results **resident**: a long-running daemon
+//! holds loaded programs and their finished policy analyses in memory, and
+//! serves repeat queries over a Unix socket (optionally TCP) in the
+//! line-delimited JSON protocol `spo-rpc/1` ([`proto`]). A cold analysis
+//! runs the engine with a summary store of its own, dropped with the run;
+//! only the persistent [`spo_cache::PolicyCache`], when attached, carries
+//! per-root results from one run to the next.
 //!
 //! The three load-bearing properties, in decreasing order of subtlety:
 //!

@@ -1,18 +1,17 @@
-//! The daemon's warm state: loaded programs and their resident analyses.
+//! The daemon's warm state: loaded programs and their finished analyses.
 //!
 //! A [`Registry`] maps program names to immutable [`ProgramEntry`]
 //! snapshots. Each entry keeps, per [`OptionsSpec`], the finished
-//! [`Analysis`] (report bytes, diagnostics, exit code) and the engine's
-//! [`ResidentStore`] of interprocedural summaries. Repeat requests are
-//! answered from the analysis map without touching the engine; `reload`
-//! swaps in a fresh snapshot and re-analyzes previously-warm option sets
-//! through the persistent [`PolicyCache`], so only roots whose dependence
-//! cone changed are recomputed.
+//! [`Analysis`] (report bytes, diagnostics, exit code). Repeat requests
+//! are answered from that map without touching the engine; a cold request
+//! runs the engine with a summary store of its own, dropped with the run.
+//! `reload` swaps in a fresh snapshot and re-analyzes previously-warm
+//! option sets through the persistent [`PolicyCache`], so only roots whose
+//! dependence cone changed are recomputed.
 //!
-//! Soundness discipline (see [`ResidentStore`]): resident summary stores
-//! and cached analyses are keyed per *(program entry, options)* and a
-//! reload always builds a fresh entry with empty maps — summaries never
-//! survive a program swap, and never leak across option sets.
+//! Analyses are keyed per *(program entry, options)* and a reload always
+//! builds a fresh entry with an empty map — a result never survives a
+//! program swap, and never leaks across option sets.
 //!
 //! Degraded analyses (budget/deadline/cancel-tripped) are returned to the
 //! requesting session but **not** inserted into the warm map: a partial
@@ -22,7 +21,7 @@
 use crate::proto::{ErrorKind, OptionsSpec, RequestError};
 use spo_cache::PolicyCache;
 use spo_core::{diff_pair, render_analysis, render_reports, LibraryPolicies};
-use spo_engine::{AnalysisEngine, Instruments, ResidentStore};
+use spo_engine::{AnalysisEngine, Instruments};
 use spo_guard::Diagnostic;
 use spo_jir::Program;
 use std::collections::BTreeMap;
@@ -65,7 +64,6 @@ pub struct ProgramEntry {
     /// Number of API entry points.
     pub entry_points: usize,
     analyses: Mutex<BTreeMap<OptionsSpec, Arc<Analysis>>>,
-    residents: Mutex<BTreeMap<OptionsSpec, Arc<ResidentStore>>>,
 }
 
 /// What `load` reports back.
@@ -194,7 +192,6 @@ impl Registry {
             classes,
             entry_points,
             analyses: Mutex::new(BTreeMap::new()),
-            residents: Mutex::new(BTreeMap::new()),
         }))
     }
 
@@ -248,17 +245,7 @@ impl Registry {
         {
             return (Arc::clone(a), true);
         }
-        let resident = Arc::clone(
-            entry
-                .residents
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .entry(spec)
-                .or_insert_with(|| Arc::new(ResidentStore::default())),
-        );
-        let mut engine = AnalysisEngine::new(self.jobs)
-            .with_instruments(instruments.clone())
-            .with_resident(resident);
+        let mut engine = AnalysisEngine::new(self.jobs).with_instruments(instruments.clone());
         if let Some(cache) = &self.cache {
             engine = engine.with_cache(Arc::clone(cache));
         }

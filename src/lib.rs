@@ -93,77 +93,6 @@ impl PairingReport {
     }
 }
 
-/// One pairing of a multi-implementation comparison.
-#[derive(Debug)]
-pub struct PairingEntry {
-    /// Names of the two implementations compared.
-    pub pair: (String, String),
-    /// The pairing's report.
-    pub report: PairingReport,
-}
-
-/// Compares every pair of implementations, as the paper does for its three
-/// Java Class Library subjects ("We compare each implementation to the
-/// other two"), returning one report per unordered pairing.
-///
-/// # Examples
-///
-/// ```
-/// use security_policy_oracle::{compare_all, corpus, core::AnalysisOptions};
-///
-/// let fig = corpus::figures::FIGURE1;
-/// let programs = [
-///     ("jdk", fig.program(corpus::Lib::Jdk)),
-///     ("harmony", fig.program(corpus::Lib::Harmony)),
-///     ("classpath", fig.program(corpus::Lib::Classpath)),
-/// ];
-/// let refs: Vec<(&str, &spo_jir::Program)> =
-///     programs.iter().map(|(n, p)| (*n, p)).collect();
-/// let pairings = compare_all(&refs, AnalysisOptions::default());
-/// assert_eq!(pairings.len(), 3);
-/// // Harmony's missing checkAccept shows up against both correct sides.
-/// let buggy = pairings
-///     .iter()
-///     .filter(|p| !p.report.groups.is_empty())
-///     .count();
-/// assert_eq!(buggy, 2);
-/// ```
-pub fn compare_all(
-    implementations: &[(&str, &Program)],
-    options: AnalysisOptions,
-) -> Vec<PairingEntry> {
-    compare_all_with(implementations, options, &AnalysisEngine::default())
-}
-
-/// [`compare_all`] against a caller-configured [`AnalysisEngine`]. Each
-/// implementation is analyzed once (full and intraprocedural-ablation) and
-/// reused across its pairings.
-pub fn compare_all_with(
-    implementations: &[(&str, &Program)],
-    options: AnalysisOptions,
-    engine: &AnalysisEngine,
-) -> Vec<PairingEntry> {
-    let set = engine.compare_all(implementations, options);
-    set.comparisons
-        .into_iter()
-        .map(|c| {
-            let (i, j) = c.pair;
-            PairingEntry {
-                pair: (
-                    implementations[i].0.to_owned(),
-                    implementations[j].0.to_owned(),
-                ),
-                report: PairingReport {
-                    left: set.libraries[i].clone(),
-                    right: set.libraries[j].clone(),
-                    diff: c.diff,
-                    groups: c.groups,
-                },
-            }
-        })
-        .collect()
-}
-
 /// Runs the full oracle pipeline over two implementations of the same API:
 /// policy extraction on each, policy differencing, an
 /// intraprocedural-only ablation for root-cause classification, and

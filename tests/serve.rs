@@ -345,6 +345,15 @@ fn over_budget_requests_degrade_without_disturbing_other_sessions() {
         "degraded maps to the CLI's exit code 2"
     );
 
+    // The degraded result never became the warm answer: the same request
+    // without a deadline runs the engine again, from a fresh summary
+    // store, and answers exactly what the one-shot CLI prints.
+    let retried = other.rpc(r#"{"spo-rpc":1,"id":6,"method":"analyze","params":{"name":"cold"}}"#);
+    assert_eq!(status(&retried), "ok", "{retried:?}");
+    let cli = spo(&["analyze", harmony.to_str().unwrap()]);
+    assert!(cli.status.success());
+    assert_eq!(report(&retried), String::from_utf8(cli.stdout).unwrap());
+
     // The other session's warm program is untouched by the trip.
     let q = warm.rpc(r#"{"spo-rpc":1,"id":5,"method":"query","params":{"name":"left"}}"#);
     assert_eq!(status(&q), "ok");
