@@ -41,8 +41,8 @@ pub use html::render_html;
 pub use ispa::{AnalysisOptions, Analyzer, MemoScope};
 pub use policy::{render_dnf, AnalysisStats, EntryPolicy, EventPolicy, LibraryPolicies, Origins};
 pub use report::{
-    diff_pair, group_differences, render_analysis, render_entry, render_reports, root_keys,
-    ReportGroup, ReportTally, RootCause,
+    ablation_demand, diff_pair, group_by_ablation, group_differences, render_analysis,
+    render_entry, render_reports, root_keys, ReportGroup, ReportTally, RootCause,
 };
 pub use store::{
     FrameCost, LocalStore, MemoKey, ShardStats, SharedStore, Summary, SummaryStore, WriteBehind,

@@ -92,18 +92,60 @@ pub fn group_differences(result: &DiffResult, intra_keys: &BTreeSet<String>) -> 
 }
 
 /// The oracle's one pairwise comparison: differences over the two full
-/// analyses, grouped by root cause against the keys the intraprocedural
-/// ablation of the same pair finds. Each side is `(full, intra)`. The
-/// engine's `compare_all`, the daemon's diff and the index diff all call
-/// this, so they agree by construction.
+/// analyses, grouped by [`group_by_ablation`]. Each side is `(full,
+/// intra)`. The daemon's diff and the index diff call this; the engine's
+/// `compare_all` calls its two halves with a demanded ablation in between
+/// ([`ablation_demand`]), so all three agree by construction.
 pub fn diff_pair(
     left: (&LibraryPolicies, &LibraryPolicies),
     right: (&LibraryPolicies, &LibraryPolicies),
 ) -> (DiffResult, Vec<ReportGroup>) {
     let diff = diff_libraries(left.0, right.0);
-    let intra_keys = root_keys(&diff_libraries(left.1, right.1));
-    let groups = group_differences(&diff, &intra_keys);
+    let groups = group_by_ablation(&diff, left.1, right.1);
     (diff, groups)
+}
+
+/// Groups a full diff by root cause against the keys the
+/// intraprocedural ablation of the same pair finds (`left_intra` vs
+/// `right_intra`) — the second half of [`diff_pair`].
+pub fn group_by_ablation(
+    diff: &DiffResult,
+    left_intra: &LibraryPolicies,
+    right_intra: &LibraryPolicies,
+) -> Vec<ReportGroup> {
+    group_differences(diff, &root_keys(&diff_libraries(left_intra, right_intra)))
+}
+
+/// The entry points the intraprocedural ablation must analyse for one
+/// library, given the full diffs of every pairing that includes it:
+/// `Some(names)` demands the roots whose `Class.method` is in `names`,
+/// and `None` demands the whole library.
+///
+/// The ablation only feeds [`group_differences`]' membership test, and an
+/// intraprocedural run follows no call, so every origin of an intra
+/// difference at root `R` is `R`'s own `Class.method`: its key is
+/// `delta|Class.method(R)` or `delta|`. A full key with two or more
+/// origins therefore matches no intra key, and one whose only origin is
+/// `n` can only match a key at a root named `n` (every overload of it).
+/// A full key with no origins (index-decoded or degraded input) could
+/// match `delta|` at any root, which is the one case that demands the
+/// whole library. Restricted to the demanded roots, the ablation yields
+/// every intra key that can match, so grouping is unchanged.
+pub fn ablation_demand<'a>(
+    diffs: impl IntoIterator<Item = &'a DiffResult>,
+) -> Option<BTreeSet<&'a str>> {
+    let mut names = BTreeSet::new();
+    for diff in diffs.into_iter().flat_map(|d| &d.differences) {
+        let mut origins = diff.origins.iter();
+        match (origins.next(), origins.next()) {
+            (None, _) => return None,
+            (Some(only), None) => {
+                names.insert(only.as_str());
+            }
+            (Some(_), Some(_)) => {}
+        }
+    }
+    Some(names)
 }
 
 /// The root keys of a diff result, for feeding the intraprocedural ablation
@@ -324,6 +366,34 @@ mod tests {
         assert_eq!(tally.interprocedural, (1, 1));
         assert_eq!(tally.must_may, (1, 1));
         assert_eq!(tally.total_distinct(), 3);
+    }
+
+    #[test]
+    fn ablation_demand_names_single_origins_only() {
+        let mut two = diff("C.m3()", "C.x", &[Check::Exit], mismatch());
+        two.origins.insert("C.y".into());
+        let left = DiffResult {
+            differences: vec![diff("C.m1()", "C.h", &[Check::Read], mismatch()), two],
+            ..Default::default()
+        };
+        let right = DiffResult {
+            differences: vec![diff("D.m()", "D.k", &[Check::Read], mismatch())],
+            ..Default::default()
+        };
+        let demand = ablation_demand([&left, &right]).expect("every key has origins");
+        assert_eq!(demand, ["C.h", "D.k"].into());
+        assert_eq!(ablation_demand([]), Some(BTreeSet::new()));
+    }
+
+    #[test]
+    fn an_origin_less_difference_demands_the_whole_library() {
+        let mut bare = diff("C.m2()", "C.h", &[Check::Read], mismatch());
+        bare.origins.clear();
+        let result = DiffResult {
+            differences: vec![diff("C.m1()", "C.h", &[Check::Read], mismatch()), bare],
+            ..Default::default()
+        };
+        assert_eq!(ablation_demand([&result]), None);
     }
 
     #[test]

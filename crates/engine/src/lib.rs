@@ -48,8 +48,9 @@ mod schedule;
 use spo_cache::{CacheKeyer, ContentTable, PolicyCache};
 use spo_chaos::{sites, FaultPlan};
 use spo_core::{
-    diff_pair, AnalysisOptions, AnalysisStats, Analyzer, DiffResult, EntryPolicy, LibraryPolicies,
-    LocalStore, MemoScope, ReportGroup, ShardStats, SharedStore, SummaryStore, WriteBehind,
+    ablation_demand, diff_libraries, group_by_ablation, AnalysisOptions, AnalysisStats, Analyzer,
+    DiffResult, EntryPolicy, LibraryPolicies, LocalStore, MemoScope, ReportGroup, ShardStats,
+    SharedStore, SummaryStore, WriteBehind,
 };
 use spo_guard::{quarantine, Diagnostic, Fault, GuardConfig};
 use spo_jir::{MethodId, Program};
@@ -185,7 +186,10 @@ pub struct ComparisonSet {
     /// Full analyses, in input order.
     pub libraries: Vec<LibraryPolicies>,
     /// Intraprocedural-ablation analyses (for root-cause classification),
-    /// in input order.
+    /// in input order. Each holds only the roots the ablation was demanded
+    /// for ([`spo_core::ablation_demand`] over the pairings that include
+    /// the library), or every root when a full difference had no origins;
+    /// its `stats.entry_points` counts the roots analysed.
     pub intra: Vec<LibraryPolicies>,
     /// All unordered pairings `(i, j)` with `i < j`, in lexicographic
     /// order.
@@ -706,9 +710,17 @@ impl AnalysisEngine {
             .record(stats.wall_nanos as u64);
     }
 
-    /// Analyzes every implementation (full and intraprocedural-ablation)
-    /// and differences every unordered pair — the paper's "compare each
-    /// implementation to the other two", driven by the worker pool.
+    /// Analyzes every implementation and differences every unordered pair
+    /// — the paper's "compare each implementation to the other two",
+    /// driven by the worker pool. The intraprocedural ablation that labels
+    /// each group's root cause runs after the full diffs, only on the roots
+    /// [`ablation_demand`] names for each library, so the groups equal
+    /// [`diff_pair`]'s over whole-library ablations. The deterministic
+    /// counters `engine.ablation.roots` (roots the ablation analysed) and
+    /// `engine.ablation.fallback` (libraries it analysed whole) show the
+    /// saving.
+    ///
+    /// [`diff_pair`]: spo_core::diff_pair
     pub fn compare_all(
         &self,
         implementations: &[(&str, &Program)],
@@ -716,32 +728,58 @@ impl AnalysisEngine {
     ) -> ComparisonSet {
         let mut stats = EngineStats::default();
         let mut libraries = Vec::with_capacity(implementations.len());
-        let mut intra = Vec::with_capacity(implementations.len());
-        let intra_options = AnalysisOptions {
-            interprocedural: false,
-            ..options
-        };
         for &(name, program) in implementations {
             let (lib, s) = self.analyze_library(program, name, options);
             stats.absorb(&s);
             libraries.push(lib);
-            let (lib, s) = self.analyze_library(program, name, intra_options);
+        }
+        let n = implementations.len();
+        let pairs: Vec<(usize, usize)> = (0..n)
+            .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+            .collect();
+        let diffs: Vec<DiffResult> = pairs
+            .iter()
+            .map(|&(i, j)| diff_libraries(&libraries[i], &libraries[j]))
+            .collect();
+
+        let intra_options = AnalysisOptions {
+            interprocedural: false,
+            ..options
+        };
+        let rec = &self.instruments.recorder;
+        let (ablated, fallbacks) = (
+            rec.counter("engine.ablation.roots"),
+            rec.counter("engine.ablation.fallback"),
+        );
+        let mut intra = Vec::with_capacity(n);
+        for (k, &(name, program)) in implementations.iter().enumerate() {
+            let demand = ablation_demand(
+                pairs
+                    .iter()
+                    .zip(&diffs)
+                    .filter(|((i, j), _)| *i == k || *j == k)
+                    .map(|(_, diff)| diff),
+            );
+            let mut roots = entry_points(program);
+            match demand {
+                Some(names) => roots.retain(|&r| names.contains(program.method_name(r).as_str())),
+                None => fallbacks.incr(),
+            }
+            ablated.add(roots.len() as u64);
+            let (lib, s) = self.analyze_entries(program, name, &roots, intra_options);
             stats.absorb(&s);
             intra.push(lib);
         }
 
-        let mut comparisons = Vec::new();
-        for i in 0..implementations.len() {
-            for j in i + 1..implementations.len() {
-                let (diff, groups) =
-                    diff_pair((&libraries[i], &intra[i]), (&libraries[j], &intra[j]));
-                comparisons.push(Comparison {
-                    pair: (i, j),
-                    diff,
-                    groups,
-                });
-            }
-        }
+        let comparisons = pairs
+            .into_iter()
+            .zip(diffs)
+            .map(|((i, j), diff)| Comparison {
+                pair: (i, j),
+                groups: group_by_ablation(&diff, &intra[i], &intra[j]),
+                diff,
+            })
+            .collect();
         ComparisonSet {
             libraries,
             intra,

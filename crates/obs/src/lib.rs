@@ -166,13 +166,14 @@ pub struct DiagRecord {
     pub message: String,
 }
 
-fn counter_cell(map: &Mutex<BTreeMap<String, Arc<AtomicU64>>>, name: &str) -> Arc<AtomicU64> {
+/// The cell registered under `name`, created on first use. The key is
+/// allocated only on that first insert: re-registering a handle (every
+/// root's pass does) allocates nothing.
+fn cell<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
     let mut map = map.lock().unwrap_or_else(|e| e.into_inner());
-    Arc::clone(map.entry(name.to_owned()).or_default())
-}
-
-fn hist_cell(map: &Mutex<BTreeMap<String, Arc<HistCell>>>, name: &str) -> Arc<HistCell> {
-    let mut map = map.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(cell) = map.get(name) {
+        return Arc::clone(cell);
+    }
     Arc::clone(map.entry(name.to_owned()).or_default())
 }
 
@@ -331,25 +332,25 @@ impl Recorder {
     /// a pure function of the analyzed input, independent of worker count
     /// and scheduling. Lands in the `counters` schema section.
     pub fn counter(&self, name: &str) -> Counter {
-        Counter(self.inner.as_ref().map(|r| counter_cell(&r.counters, name)))
+        Counter(self.inner.as_ref().map(|r| cell(&r.counters, name)))
     }
 
     /// Registers (or finds) a **scheduling-dependent** counter (cache hits,
     /// contention, steals…). Lands in the `work` schema section.
     pub fn work_counter(&self, name: &str) -> Counter {
-        Counter(self.inner.as_ref().map(|r| counter_cell(&r.work, name)))
+        Counter(self.inner.as_ref().map(|r| cell(&r.work, name)))
     }
 
     /// Registers (or finds) a **deterministic** log₂ histogram. Lands in
     /// the `histograms` schema section.
     pub fn histogram(&self, name: &str) -> Histogram {
-        Histogram(self.inner.as_ref().map(|r| hist_cell(&r.histograms, name)))
+        Histogram(self.inner.as_ref().map(|r| cell(&r.histograms, name)))
     }
 
     /// Registers (or finds) a duration histogram (nanoseconds). Lands in
     /// the `durations` schema section.
     pub fn duration(&self, name: &str) -> Histogram {
-        Histogram(self.inner.as_ref().map(|r| hist_cell(&r.durations, name)))
+        Histogram(self.inner.as_ref().map(|r| cell(&r.durations, name)))
     }
 
     /// Starts a phase span: a guard that, when dropped, records its
@@ -375,7 +376,7 @@ impl Recorder {
     /// inside the store. No-op on a disabled recorder.
     pub fn record_duration_snapshot(&self, name: &str, snap: &HistSnapshot) {
         if let Some(r) = &self.inner {
-            hist_cell(&r.durations, name).absorb(snap);
+            cell(&r.durations, name).absorb(snap);
         }
     }
 
@@ -409,16 +410,16 @@ impl Recorder {
         };
         let snap = other.snapshot();
         for (name, v) in &snap.counters {
-            counter_cell(&into.counters, name).fetch_add(*v, Ordering::Relaxed);
+            cell(&into.counters, name).fetch_add(*v, Ordering::Relaxed);
         }
         for (name, v) in &snap.work {
-            counter_cell(&into.work, name).fetch_add(*v, Ordering::Relaxed);
+            cell(&into.work, name).fetch_add(*v, Ordering::Relaxed);
         }
         for (name, h) in &snap.histograms {
-            hist_cell(&into.histograms, name).absorb(h);
+            cell(&into.histograms, name).absorb(h);
         }
         for (name, h) in &snap.durations {
-            hist_cell(&into.durations, name).absorb(h);
+            cell(&into.durations, name).absorb(h);
         }
         if !snap.diagnostics.is_empty() {
             into.diagnostics

@@ -143,7 +143,8 @@ impl OptionsSpec {
     }
 
     /// The intraprocedural ablation of this spec (used by `diff` for
-    /// root-cause classification, exactly as the engine's `compare_all`).
+    /// root-cause classification; the groups equal the engine's
+    /// `compare_all`).
     pub fn intra(self) -> OptionsSpec {
         OptionsSpec {
             intra_only: true,

@@ -294,10 +294,11 @@ impl Registry {
         (winner, false)
     }
 
-    /// Differences two loaded programs under `spec` through the engine's
-    /// `compare_all` composition ([`diff_pair`]). The boolean is `true`
-    /// when all four constituent analyses were warm; they all share the
-    /// request's instruments.
+    /// Differences two loaded programs under `spec` through [`diff_pair`]
+    /// over whole-library ablations, which stay warm across requests; the
+    /// groups equal the engine's demand-driven `compare_all`. The boolean
+    /// is `true` when all four constituent analyses were warm; they all
+    /// share the request's instruments.
     pub fn diff(
         &self,
         left: &ProgramEntry,

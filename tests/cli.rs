@@ -202,6 +202,62 @@ fn export_then_diff_policies_matches_direct_diff() {
     assert!(stdout.contains("intraprocedural cause"), "{stdout}");
 }
 
+/// The ablation's origin clause: the full diff differs at `api.C.a` only,
+/// under the key `checkRead|api.C.b`, and the intraprocedural ablation
+/// finds that key at `api.C.b`, a root that does not differ in the full
+/// diff. Analysing only the differing roots would label the group
+/// interprocedural; `spo diff` analyses `b` in both libraries (the two
+/// ablation roots in `--stats`) and agrees with `spo index diff`, whose
+/// indexes carry whole-library ablations.
+#[test]
+fn ablation_covers_roots_named_by_an_origin() {
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let jdk = fixtures.join("origin_clause_jdk.jir");
+    let harmony = fixtures.join("origin_clause_harmony.jir");
+    let (jdk, harmony) = (jdk.to_str().unwrap(), harmony.to_str().unwrap());
+    let direct = spo(&["diff", jdk, "--vs", harmony, "--stats"]);
+    assert_eq!(direct.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&direct.stdout);
+    assert!(
+        stdout.contains("(1 manifestations, intraprocedural cause)"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("implicated methods: api.C.b\n"), "{stdout}");
+    assert!(
+        stdout.contains("e.g. api.C.a(java.lang.String)\n"),
+        "{stdout}"
+    );
+    let stderr = String::from_utf8_lossy(&direct.stderr);
+    assert!(
+        stderr.contains("engine.ablation.roots       2\n"),
+        "{stderr}"
+    );
+
+    let dir = std::env::temp_dir().join("spo-cli-tests");
+    let export = |file: &str, name: &str| {
+        let spi = dir.join(format!("origin-clause-{name}.spi"));
+        let out = spo(&[
+            "export",
+            file,
+            "--name",
+            name,
+            "--out",
+            spi.to_str().unwrap(),
+        ]);
+        assert!(out.status.success(), "{out:?}");
+        spi
+    };
+    let (left, right) = (export(jdk, "left"), export(harmony, "right"));
+    let indexed = spo(&[
+        "index",
+        "diff",
+        left.to_str().unwrap(),
+        right.to_str().unwrap(),
+    ]);
+    assert_eq!(indexed.status.code(), Some(1));
+    assert_eq!(indexed.stdout, direct.stdout);
+}
+
 /// `spo export` needs an output path and refuses `--intra-only` (an index
 /// always holds both analyses); both are usage errors naming the flag.
 #[test]

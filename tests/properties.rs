@@ -6,7 +6,7 @@
 use security_policy_oracle::compare_implementations;
 use spo_core::{
     diff_libraries, diff_pair, group_differences, render_reports, root_keys, AnalysisOptions,
-    Analyzer, MemoScope,
+    Analyzer, DiffResult, EventDef, MemoScope, ReportGroup, RootCause,
 };
 use spo_corpus::{generate, CorpusConfig, Lib};
 use spo_engine::AnalysisEngine;
@@ -225,4 +225,84 @@ fn corpus_print_parse_fixpoint() {
         let reprinted = spo_jir::print_program(&reparsed);
         assert_eq!(printed, reprinted);
     }
+}
+
+/// The demand-driven ablation is exact: `compare_all`, which analyses
+/// intraprocedurally only the roots `ablation_demand` names, groups every
+/// pairing exactly as `diff_pair` over whole-library ablations does —
+/// same groups, same report bytes — with ICP on and off, narrow and broad
+/// events, at one and two workers.
+#[test]
+fn demanded_ablation_groups_like_the_whole_library_one() {
+    let verdict = |diff: &DiffResult, groups: &[ReportGroup]| {
+        (format!("{groups:?}"), render_reports(diff, groups))
+    };
+    let (mut intra_groups, mut demanded, mut whole) = (0, 0, 0);
+    for seed in [0, 417, 923] {
+        let corpus = generate(&CorpusConfig { seed, scale: 0.02 });
+        let implementations: Vec<(&str, &spo_jir::Program)> = Lib::ALL
+            .iter()
+            .map(|&lib| (lib.name(), corpus.program(lib)))
+            .collect();
+        for (icp, events) in [true, false]
+            .into_iter()
+            .flat_map(|icp| [EventDef::Narrow, EventDef::Broad].map(|e| (icp, e)))
+        {
+            let options = AnalysisOptions {
+                icp,
+                events,
+                ..Default::default()
+            };
+            let intra_options = AnalysisOptions {
+                interprocedural: false,
+                ..options
+            };
+            let engine = AnalysisEngine::new(1);
+            let analyses: Vec<_> = implementations
+                .iter()
+                .map(|&(name, program)| {
+                    let full = engine.analyze_library(program, name, options).0;
+                    let intra = engine.analyze_library(program, name, intra_options).0;
+                    whole += intra.stats.entry_points;
+                    (full, intra)
+                })
+                .collect();
+            let expected: Vec<_> = [(0, 1), (0, 2), (1, 2)]
+                .map(|(i, j)| {
+                    let (l, r): (&(_, _), &(_, _)) = (&analyses[i], &analyses[j]);
+                    let (diff, groups) = diff_pair((&l.0, &l.1), (&r.0, &r.1));
+                    verdict(&diff, &groups)
+                })
+                .to_vec();
+            for jobs in [1, 2] {
+                let set = AnalysisEngine::new(jobs).compare_all(&implementations, options);
+                let got: Vec<_> = set
+                    .comparisons
+                    .iter()
+                    .map(|c| verdict(&c.diff, &c.groups))
+                    .collect();
+                assert_eq!(
+                    got, expected,
+                    "seed {seed}, icp {icp}, {events:?}, jobs {jobs}"
+                );
+                if jobs == 1 {
+                    demanded += set
+                        .intra
+                        .iter()
+                        .map(|l| l.stats.entry_points)
+                        .sum::<usize>();
+                    intra_groups += set
+                        .comparisons
+                        .iter()
+                        .flat_map(|c| &c.groups)
+                        .filter(|g| g.cause == RootCause::Intraprocedural)
+                        .count();
+                }
+            }
+        }
+    }
+    // The comparison is not vacuous: some groups are intraprocedural, and
+    // the ablation ran on a strict subset of the roots.
+    assert!(intra_groups > 0, "no intraprocedural group to compare");
+    assert!(demanded < whole, "demanded {demanded} of {whole} roots");
 }
