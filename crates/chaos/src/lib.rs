@@ -156,7 +156,8 @@ impl FaultPlan {
     }
 
     /// A plan with `seed` and no armed sites; arm sites with
-    /// [`FaultPlan::site`] or [`FaultPlan::sites_at`].
+    /// [`FaultPlan::site`], [`FaultPlan::site_once`] or
+    /// [`FaultPlan::site_matching`].
     pub fn seeded(seed: u64) -> FaultPlan {
         FaultPlan(Some(Arc::new(Shared {
             seed,
@@ -200,19 +201,6 @@ impl FaultPlan {
     #[must_use]
     pub fn site_matching(self, site: &str, needle: &str) -> FaultPlan {
         self.arm(site, Rate::Needle(needle.to_owned()))
-    }
-
-    /// Arms every site in `names` at `rate`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown site name or a disabled plan.
-    #[must_use]
-    pub fn sites_at(mut self, names: &[&str], rate: f64) -> FaultPlan {
-        for name in names {
-            self = self.site(name, rate);
-        }
-        self
     }
 
     fn arm(self, site: &str, rate: Rate) -> FaultPlan {
@@ -307,7 +295,7 @@ impl FaultPlan {
 
     /// Records that a layer recovered from an injected fault (a retry
     /// succeeded, a reconnect went through).
-    pub fn note_recovered(&self, _site: &str) {
+    pub fn note_recovered(&self) {
         if let Some(shared) = &self.0 {
             shared.recovered.fetch_add(1, Ordering::Relaxed);
         }

@@ -881,7 +881,7 @@ pub fn write_index_file(path: &Path, bytes: &[u8], plan: &FaultPlan) -> DurableW
     if result.is_err() {
         let _ = std::fs::remove_file(&tmp);
     } else if !retried.is_empty() {
-        plan.note_recovered(&path.display().to_string());
+        plan.note_recovered();
     }
     DurableWrite { retried, result }
 }

@@ -4,7 +4,6 @@ use crate::body::Body;
 use crate::flags::{ClassFlags, FieldFlags, MethodFlags};
 use crate::hash::FxHashMap;
 use crate::intern::{Interner, Symbol};
-use crate::stmt::{FieldRef, MethodRef};
 use crate::types::Type;
 use std::fmt;
 
@@ -311,24 +310,6 @@ impl Program {
         }
         sig.push(')');
         sig
-    }
-
-    /// A [`MethodRef`] naming `id` as a call target.
-    pub fn method_ref(&self, id: MethodId) -> MethodRef {
-        let m = self.method(id);
-        MethodRef {
-            class: self.class(id.class).name,
-            name: m.name,
-            argc: m.argc(),
-        }
-    }
-
-    /// A [`FieldRef`] naming `id`.
-    pub fn field_ref(&self, id: FieldId) -> FieldRef {
-        FieldRef {
-            class: self.class(id.class).name,
-            name: self.field(id).name,
-        }
     }
 
     /// Adds a fully-formed class, validating name/member uniqueness and

@@ -44,7 +44,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -86,11 +86,14 @@ pub struct ServeConfig {
     pub instruments: Instruments,
     /// Programs to load before accepting connections.
     pub preload: Vec<(String, Vec<String>)>,
-    /// Compiled policy indexes (`.spi`) to warm-load before accepting
-    /// connections, as `(name, path)`. A loadable index answers `query`
-    /// and `diff` without analysis; one that fails to load logs a
-    /// diagnostic and the daemon falls back to full analysis for that
-    /// name — degraded, never silently wrong.
+    /// Compiled policy indexes (`.spi`) that seed the registry's warm
+    /// analyses after the `preload` programs are in, as `(name, path)`.
+    /// A seeded name answers the index's option set (and its
+    /// intraprocedural ablation) without analysis until a `load` or
+    /// `reload` of that name replaces it; without a preloaded program the
+    /// name is index-only and other option sets get `not-found`. An index
+    /// that fails to load logs a diagnostic and the name falls back to
+    /// full analysis — degraded, never silently wrong.
     pub preload_index: Vec<(String, PathBuf)>,
 }
 
@@ -263,47 +266,8 @@ struct MethodStat {
     latency: Histogram,
 }
 
-/// A compiled policy index warm-loaded at startup: the reconstructed
-/// libraries plus pre-rendered listings, so an index-served `query` is a
-/// map lookup + `render_entry` and a `diff` never re-analyzes. The
-/// options tokens gate serving: a request whose options don't match what
-/// the index was compiled under falls through to full analysis.
-struct WarmIndex {
-    /// Token of the options the index was built under (serves the full
-    /// interprocedural policies).
-    token_full: String,
-    /// Token of the intraprocedural ablation of those options (the index
-    /// carries the ablation too, so `--intra-only` queries are warm).
-    token_intra: String,
-    full: spo_core::LibraryPolicies,
-    intra: spo_core::LibraryPolicies,
-    report_full: String,
-    report_intra: String,
-}
-
-fn load_warm_index(name: &str, path: &Path) -> Result<WarmIndex, String> {
-    let bytes = spo_index::read_index_file(path).map_err(|e| e.to_string())?;
-    let index = spo_index::PolicyIndex::parse(&bytes)?;
-    let (mut full, mut intra) = index.to_libraries()?;
-    // Serve under the daemon's name for this library, whatever name the
-    // exporter used — report headers must match the analysis path's.
-    full.name = name.to_owned();
-    intra.name = name.to_owned();
-    let token_full = index.options_token().to_owned();
-    Ok(WarmIndex {
-        token_intra: token_full.replace("interprocedural=true", "interprocedural=false"),
-        token_full,
-        report_full: spo_core::render_analysis(&full),
-        report_intra: spo_core::render_analysis(&intra),
-        full,
-        intra,
-    })
-}
-
 struct Shared {
     registry: Registry,
-    /// Warm indexes by program name; immutable after startup.
-    indexes: BTreeMap<String, WarmIndex>,
     /// The daemon's base instruments: its live recorder, its fault plan
     /// (session IO sites draw from it too; disabled costs one branch per
     /// probe), and the guard whose cancel token is the shutdown token.
@@ -622,68 +586,18 @@ fn dispatch(
                 Rendered::Degraded(result, summary.warnings)
             })
         }
-        Method::Analyze { name, options } => {
-            let entry = shared.registry.get(&name)?;
-            let (a, warm) = shared.registry.analysis(&entry, options, instruments);
-            note_warm(shared, warm);
-            let result = JsonObj::new()
-                .str("name", &name)
-                .str("report", &a.report)
-                .u64("exit_code", u64::from(a.exit_code))
-                .finish();
-            Ok(if a.diagnostics.is_empty() {
-                Rendered::Ok(result)
-            } else {
-                Rendered::Degraded(result, a.diagnostics.clone())
-            })
+        Method::Analyze {
+            name,
+            entry,
+            options,
         }
-        Method::Query {
+        | Method::Query {
             name,
             entry,
             options,
         } => {
-            // Warm-index fast path: serve from the compiled index when
-            // one is loaded under this name and was built under exactly
-            // the requested options (or their intra ablation). Reports
-            // are byte-identical to the analysis path — both render via
-            // render_entry/render_analysis — and a missing entry point
-            // raises the same typed NotFound the analysis path does.
-            if let Some(w) = shared.indexes.get(&name) {
-                let want = spo_index::options_token(&options.to_options());
-                let served = if want == w.token_full {
-                    Some((&w.full, &w.report_full))
-                } else if want == w.token_intra {
-                    Some((&w.intra, &w.report_intra))
-                } else {
-                    None
-                };
-                if let Some((lib, listing)) = served {
-                    note_warm(shared, true);
-                    let report = match &entry {
-                        None => listing.clone(),
-                        Some(sig) => {
-                            let ep = lib.entries.get(sig).ok_or_else(|| {
-                                RequestError::new(
-                                    ErrorKind::NotFound,
-                                    format!("no entry point \"{sig}\" in \"{name}\""),
-                                )
-                            })?;
-                            spo_core::render_entry(sig, ep)
-                        }
-                    };
-                    let mut obj = JsonObj::new().str("name", &name);
-                    if let Some(sig) = &entry {
-                        obj = obj.str("entry", sig);
-                    }
-                    let result = obj.str("report", &report).u64("exit_code", 0).finish();
-                    return Ok(Rendered::Ok(result));
-                }
-                // Options the index wasn't compiled under: fall through
-                // to full analysis (correct, just not warm).
-                shared.base.recorder.work_counter("index.fallback").incr();
-            }
             let prog = shared.registry.get(&name)?;
-            let (a, warm) = shared.registry.analysis(&prog, options, instruments);
+            let (a, warm) = shared.registry.analysis(&prog, options, instruments)?;
             note_warm(shared, warm);
             let report = match &entry {
                 None => a.report.clone(),
@@ -716,31 +630,9 @@ fn dispatch(
             right,
             options,
         } => {
-            // Warm-index fast path: when both sides have indexes compiled
-            // under the requested options, compose the exact analysis-path
-            // diff (full diff + intra-ablation root-cause classification)
-            // from the reconstructed libraries — no analysis, same bytes,
-            // same findings bit and exit code.
-            if let (Some(lw), Some(rw)) = (shared.indexes.get(&left), shared.indexes.get(&right)) {
-                let want = spo_index::options_token(&options.to_options());
-                if want == lw.token_full && want == rw.token_full {
-                    note_warm(shared, true);
-                    let (report, findings) =
-                        spo_index::diff_rendered(&lw.full, &lw.intra, &rw.full, &rw.intra);
-                    let result = JsonObj::new()
-                        .str("left", &left)
-                        .str("right", &right)
-                        .str("report", &report)
-                        .bool("findings", findings)
-                        .u64("exit_code", u64::from(findings))
-                        .finish();
-                    return Ok(Rendered::Ok(result));
-                }
-                shared.base.recorder.work_counter("index.fallback").incr();
-            }
             let l = shared.registry.get(&left)?;
             let r = shared.registry.get(&right)?;
-            let (d, warm) = shared.registry.diff(&l, &r, options, instruments);
+            let (d, warm) = shared.registry.diff(&l, &r, options, instruments)?;
             note_warm(shared, warm);
             let result = JsonObj::new()
                 .str("left", &left)
@@ -873,32 +765,8 @@ pub fn run(config: ServeConfig) -> Result<DrainReport, String> {
     } else {
         config.workers
     };
-    // Warm indexes load before the listeners exist. A failed load is a
-    // stderr diagnostic plus analysis fallback for that name — a corrupt
-    // or stale index file must never take the daemon down or serve a
-    // wrong answer.
-    let mut indexes = BTreeMap::new();
-    for (name, path) in &config.preload_index {
-        match load_warm_index(name, path) {
-            Ok(w) => {
-                eprintln!(
-                    "spo serve: index \"{name}\" warm from {} ({} entry points)",
-                    path.display(),
-                    w.full.entries.len()
-                );
-                indexes.insert(name.clone(), w);
-            }
-            Err(e) => {
-                eprintln!(
-                    "spo serve: --index {name}: {e}; falling back to full analysis for \"{name}\""
-                );
-                base.recorder.work_counter("index.load_failed").incr();
-            }
-        }
-    }
     let shared = Arc::new(Shared {
         registry: Registry::new(config.jobs, cache),
-        indexes,
         default_timeout: config.default_timeout,
         queue: JobQueue::new(workers_n * 4),
         drain: AtomicBool::new(false),
@@ -921,6 +789,35 @@ pub fn run(config: ServeConfig) -> Result<DrainReport, String> {
             .registry
             .load(name, paths, &shared.base)
             .map_err(|e| format!("--load {name}: {}", e.message))?;
+    }
+    // Indexes seed the warm map before the listeners exist. A failed seed
+    // is a stderr diagnostic, and that name is answered by whatever the
+    // registry holds — a corrupt or stale index file must never take the
+    // daemon down or serve a wrong answer.
+    for (name, path) in &config.preload_index {
+        let seeded = spo_index::read_index_file(path)
+            .map_err(|e| e.to_string())
+            .and_then(|bytes| {
+                shared
+                    .registry
+                    .seed_index(name, &spo_index::PolicyIndex::parse(&bytes)?)
+            });
+        match seeded {
+            Ok(n) => eprintln!(
+                "spo serve: index \"{name}\" warm from {} ({n} entry points)",
+                path.display()
+            ),
+            Err(e) => {
+                eprintln!(
+                    "spo serve: --index {name}: {e}; falling back to full analysis for \"{name}\""
+                );
+                shared
+                    .base
+                    .recorder
+                    .work_counter("index.load_failed")
+                    .incr();
+            }
+        }
     }
     let unix = match &config.socket {
         None => None,

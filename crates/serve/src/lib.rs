@@ -26,7 +26,9 @@
 //! 3. **Warm invalidation.** `reload` re-parses a program's sources and
 //!    re-analyzes previously-warm option sets through the persistent
 //!    [`spo_cache::PolicyCache`], so only roots whose dependence cone the
-//!    edit invalidated are recomputed.
+//!    edit invalidated are recomputed. Answers seeded from a compiled
+//!    policy index live in the same warm map and go with the old
+//!    snapshot.
 //!
 //! The CLI front end is `spo serve` (daemon) and `spo rpc` (one-line
 //! client); see the repository README for usage.

@@ -173,10 +173,14 @@ pub enum Method {
         /// Source files, layered in order.
         paths: Vec<String>,
     },
-    /// Ensure the named program's policies are computed and resident.
+    /// Ensure the named program's policies are computed and resident,
+    /// answering with the full listing: `query` without an entry point.
     Analyze {
         /// Program name.
         name: String,
+        /// Always `None` off the wire (`analyze` takes no entry point);
+        /// present so `analyze` and `query` decode to the same shape.
+        entry: Option<String>,
         /// Analysis options.
         options: OptionsSpec,
     },
@@ -417,6 +421,7 @@ fn decode_method(name: &str, params: Option<&Value>) -> Result<Method, RequestEr
         }
         "analyze" => Ok(Method::Analyze {
             name: require_str(params, "name")?,
+            entry: None,
             options: options_spec(params)?,
         }),
         "query" => Ok(Method::Query {

@@ -9,9 +9,18 @@
 //! option sets through the persistent [`PolicyCache`], so only roots whose
 //! dependence cone changed are recomputed.
 //!
-//! Analyses are keyed per *(program entry, options)* and a reload always
-//! builds a fresh entry with an empty map — a result never survives a
-//! program swap, and never leaks across option sets.
+//! A compiled policy index (`.spi`) is one more way to fill the warm map:
+//! [`Registry::seed_index`] inserts the index's full analysis under the
+//! option set it was exported with, and its intraprocedural ablation under
+//! that set's `intra()`, into the named entry. A name that has no loaded
+//! program gets an *index-only* entry: it answers the seeded option sets
+//! and returns the typed `not-found` for everything else, `reload`
+//! included — it never analyzes an empty program.
+//!
+//! Analyses are keyed per *(program entry, options)* and a `load` or
+//! `reload` always builds a fresh entry with an empty map — a result,
+//! seeded or computed, never survives a program swap, and never leaks
+//! across option sets.
 //!
 //! Degraded analyses (budget/deadline/cancel-tripped) are returned to the
 //! requesting session but **not** inserted into the warm map: a partial
@@ -23,6 +32,7 @@ use spo_cache::PolicyCache;
 use spo_core::{diff_pair, render_analysis, render_reports, LibraryPolicies};
 use spo_engine::{AnalysisEngine, Instruments};
 use spo_guard::Diagnostic;
+use spo_index::PolicyIndex;
 use spo_jir::Program;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, RwLock};
@@ -48,15 +58,39 @@ pub struct Analysis {
     pub cache_misses: u64,
 }
 
+impl Analysis {
+    /// Finishes `lib` for `entry`: renders the report and folds the
+    /// entry's parse warnings and the run's degraded roots into the
+    /// sorted diagnostics and the exit code.
+    fn new(
+        lib: LibraryPolicies,
+        entry: &ProgramEntry,
+        cache_hits: u64,
+        cache_misses: u64,
+    ) -> Analysis {
+        let mut diagnostics = entry.parse_warnings.clone();
+        diagnostics.extend(lib.degraded.values().cloned());
+        diagnostics.sort();
+        Analysis {
+            report: render_analysis(&lib),
+            exit_code: if diagnostics.is_empty() { 0 } else { 2 },
+            lib,
+            diagnostics,
+            cache_hits,
+            cache_misses,
+        }
+    }
+}
+
 /// An immutable snapshot of one loaded program plus its warm state.
 #[derive(Debug)]
 pub struct ProgramEntry {
     /// The handle requests use.
     pub name: String,
-    /// Source files, kept for `reload`.
+    /// Source files, kept for `reload`; empty for an index-only entry.
     pub paths: Vec<String>,
-    /// The parsed program.
-    pub program: Program,
+    /// The parsed program; `None` for an entry seeded from an index alone.
+    pub program: Option<Program>,
     /// Sorted parse-recovery warnings from loading.
     pub parse_warnings: Vec<Diagnostic>,
     /// Number of classes parsed.
@@ -144,19 +178,14 @@ impl Registry {
             .collect()
     }
 
-    /// Looks up a loaded program.
+    /// Looks up a loaded (or index-seeded) program.
     pub fn get(&self, name: &str) -> Result<Arc<ProgramEntry>, RequestError> {
         self.programs
             .read()
             .unwrap_or_else(|e| e.into_inner())
             .get(name)
             .cloned()
-            .ok_or_else(|| {
-                RequestError::new(
-                    ErrorKind::NotFound,
-                    format!("no program loaded under \"{name}\""),
-                )
-            })
+            .ok_or_else(|| not_loaded(name))
     }
 
     /// Parses `paths` into a fresh entry (mirroring the CLI's recovering
@@ -187,7 +216,7 @@ impl Registry {
         Ok(Arc::new(ProgramEntry {
             name: name.to_owned(),
             paths: paths.to_vec(),
-            program,
+            program: Some(program),
             parse_warnings: warnings,
             classes,
             entry_points,
@@ -221,8 +250,61 @@ impl Registry {
         })
     }
 
+    /// Seeds `name`'s warm map from a compiled policy index: the full
+    /// analysis under the option set whose token the index carries, the
+    /// intraprocedural ablation under that set's `intra()`, both renamed
+    /// to `name`. Seeded answers take precedence over the loaded
+    /// program's for those option sets until the next `load`/`reload`.
+    /// Without a loaded program the entry is index-only. Returns the
+    /// number of seeded entry points.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the index does not decode or was exported under options
+    /// no request can name.
+    pub fn seed_index(&self, name: &str, index: &PolicyIndex<'_>) -> Result<usize, String> {
+        let token = index.options_token();
+        let spec = [false, true]
+            .into_iter()
+            .flat_map(|broad| {
+                [false, true].map(|no_icp| OptionsSpec {
+                    broad,
+                    no_icp,
+                    intra_only: false,
+                })
+            })
+            .find(|s| spo_index::options_token(&s.to_options()) == token)
+            .ok_or_else(|| format!("index options \"{token}\" match no request option set"))?;
+        let (mut full, mut intra) = index.to_libraries()?;
+        // Whatever name the exporter used, report headers must match what
+        // an analysis of the program loaded under `name` would print.
+        full.name = name.to_owned();
+        intra.name = name.to_owned();
+        let seeded = full.entries.len();
+        let mut programs = self.programs.write().unwrap_or_else(|e| e.into_inner());
+        let entry = programs.entry(name.to_owned()).or_insert_with(|| {
+            Arc::new(ProgramEntry {
+                name: name.to_owned(),
+                paths: Vec::new(),
+                program: None,
+                parse_warnings: Vec::new(),
+                classes: 0,
+                entry_points: seeded,
+                analyses: Mutex::new(BTreeMap::new()),
+            })
+        });
+        let full = Analysis::new(full, entry, 0, 0);
+        let intra = Analysis::new(intra, entry, 0, 0);
+        let mut analyses = entry.analyses.lock().unwrap_or_else(|e| e.into_inner());
+        analyses.insert(spec, Arc::new(full));
+        analyses.insert(spec.intra(), Arc::new(intra));
+        Ok(seeded)
+    }
+
     /// Returns the analysis of `entry` under `spec`, computing it if no
     /// warm copy exists. The boolean is `true` on a warm (resident) hit.
+    /// An index-only entry answers only its seeded option sets; any other
+    /// is the typed `not-found` a name with no program gets.
     ///
     /// Concurrent cold requests for the same key may race the
     /// computation; both produce identical bytes (the engine's root-order
@@ -236,20 +318,24 @@ impl Registry {
         entry: &ProgramEntry,
         spec: OptionsSpec,
         instruments: &Instruments,
-    ) -> (Arc<Analysis>, bool) {
+    ) -> Result<(Arc<Analysis>, bool), RequestError> {
         if let Some(a) = entry
             .analyses
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .get(&spec)
         {
-            return (Arc::clone(a), true);
+            return Ok((Arc::clone(a), true));
         }
+        let program = entry
+            .program
+            .as_ref()
+            .ok_or_else(|| not_loaded(&entry.name))?;
         let mut engine = AnalysisEngine::new(self.jobs).with_instruments(instruments.clone());
         if let Some(cache) = &self.cache {
             engine = engine.with_cache(Arc::clone(cache));
         }
-        let (lib, stats) = engine.analyze_library(&entry.program, &entry.name, spec.to_options());
+        let (lib, stats) = engine.analyze_library(program, &entry.name, spec.to_options());
         // Cache fallback warnings go to the daemon's stats stream — like
         // the CLI they never taint the response's degraded state, because
         // an unusable cache entry only means the root ran cold.
@@ -266,22 +352,16 @@ impl Registry {
                 );
             }
         }
-        let mut diagnostics = entry.parse_warnings.clone();
-        diagnostics.extend(lib.degraded.values().cloned());
-        diagnostics.sort();
-        let degraded_run = !lib.degraded.is_empty();
-        let analysis = Arc::new(Analysis {
-            report: render_analysis(&lib),
-            exit_code: if diagnostics.is_empty() { 0 } else { 2 },
+        let analysis = Arc::new(Analysis::new(
             lib,
-            diagnostics,
-            cache_hits: stats.cache_hits,
-            cache_misses: stats.cache_misses,
-        });
-        if degraded_run {
+            entry,
+            stats.cache_hits,
+            stats.cache_misses,
+        ));
+        if !analysis.lib.degraded.is_empty() {
             // A budget-clipped result answers only the session that asked
             // for it; the warm map keeps waiting for a clean run.
-            return (analysis, false);
+            return Ok((analysis, false));
         }
         let winner = Arc::clone(
             entry
@@ -291,7 +371,7 @@ impl Registry {
                 .entry(spec)
                 .or_insert(analysis),
         );
-        (winner, false)
+        Ok((winner, false))
     }
 
     /// Differences two loaded programs under `spec` through [`diff_pair`]
@@ -299,17 +379,22 @@ impl Registry {
     /// groups equal the engine's demand-driven `compare_all`. The boolean
     /// is `true` when all four constituent analyses were warm; they all
     /// share the request's instruments.
+    ///
+    /// # Errors
+    ///
+    /// The typed `not-found` of [`Registry::analysis`] for a side that is
+    /// index-only and was not seeded under `spec`.
     pub fn diff(
         &self,
         left: &ProgramEntry,
         right: &ProgramEntry,
         spec: OptionsSpec,
         instruments: &Instruments,
-    ) -> (DiffOutcome, bool) {
-        let (left_full, w1) = self.analysis(left, spec, instruments);
-        let (right_full, w2) = self.analysis(right, spec, instruments);
-        let (left_intra, w3) = self.analysis(left, spec.intra(), instruments);
-        let (right_intra, w4) = self.analysis(right, spec.intra(), instruments);
+    ) -> Result<(DiffOutcome, bool), RequestError> {
+        let (left_full, w1) = self.analysis(left, spec, instruments)?;
+        let (right_full, w2) = self.analysis(right, spec, instruments)?;
+        let (left_intra, w3) = self.analysis(left, spec.intra(), instruments)?;
+        let (right_intra, w4) = self.analysis(right, spec.intra(), instruments)?;
         let (diff, groups) = diff_pair(
             (&left_full.lib, &left_intra.lib),
             (&right_full.lib, &right_intra.lib),
@@ -336,20 +421,24 @@ impl Registry {
             findings,
             exit_code,
         };
-        (outcome, w1 && w2 && w3 && w4)
+        Ok((outcome, w1 && w2 && w3 && w4))
     }
 
     /// Re-reads a program's sources, swaps in a fresh snapshot, and
-    /// re-analyzes every previously-warm option set. With the persistent
-    /// cache attached, only roots whose dependence cone was invalidated
-    /// by the edit recompute — the per-set hit/miss split in the summary
-    /// shows exactly how much.
+    /// re-analyzes every previously-warm option set, index-seeded ones
+    /// included. With the persistent cache attached, only roots whose
+    /// dependence cone was invalidated by the edit recompute — the
+    /// per-set hit/miss split in the summary shows exactly how much. An
+    /// index-only name has no sources and gets the typed `not-found`.
     pub fn reload(
         &self,
         name: &str,
         instruments: &Instruments,
     ) -> Result<ReloadSummary, RequestError> {
         let old = self.get(name)?;
+        if old.program.is_none() {
+            return Err(not_loaded(name));
+        }
         let fresh = self.build_entry(name, &old.paths, instruments)?;
         let warm_specs: Vec<OptionsSpec> = old
             .analyses
@@ -370,11 +459,19 @@ impl Registry {
             .insert(name.to_owned(), Arc::clone(&fresh));
         let mut reanalyzed = Vec::new();
         for spec in warm_specs {
-            let (a, _) = self.analysis(&fresh, spec, instruments);
+            let (a, _) = self.analysis(&fresh, spec, instruments)?;
             reanalyzed.push((spec.key(), a.cache_hits, a.cache_misses));
         }
         Ok(ReloadSummary { load, reanalyzed })
     }
+}
+
+/// The typed error for a name with no loaded program.
+fn not_loaded(name: &str) -> RequestError {
+    RequestError::new(
+        ErrorKind::NotFound,
+        format!("no program loaded under \"{name}\""),
+    )
 }
 
 #[cfg(test)]
@@ -442,9 +539,13 @@ class t.A {
         assert!(summary.entry_points >= 1);
         assert!(!summary.replaced);
         let entry = registry.get("lib").unwrap();
-        let (cold, warm_hit) = registry.analysis(&entry, OptionsSpec::default(), &inst);
+        let (cold, warm_hit) = registry
+            .analysis(&entry, OptionsSpec::default(), &inst)
+            .unwrap();
         assert!(!warm_hit);
-        let (warm, warm_hit) = registry.analysis(&entry, OptionsSpec::default(), &inst);
+        let (warm, warm_hit) = registry
+            .analysis(&entry, OptionsSpec::default(), &inst)
+            .unwrap();
         assert!(warm_hit);
         assert!(
             Arc::ptr_eq(&cold, &warm),
@@ -466,12 +567,16 @@ class t.A {
             .unwrap();
         let left = registry.get("left").unwrap();
         let right = registry.get("right").unwrap();
-        let (diff, warm) = registry.diff(&left, &right, OptionsSpec::default(), &inst);
+        let (diff, warm) = registry
+            .diff(&left, &right, OptionsSpec::default(), &inst)
+            .unwrap();
         assert!(!warm);
         assert!(diff.findings);
         assert_eq!(diff.exit_code, 1);
         assert!(diff.report.contains("checkRead"), "{}", diff.report);
-        let (again, warm) = registry.diff(&left, &right, OptionsSpec::default(), &inst);
+        let (again, warm) = registry
+            .diff(&left, &right, OptionsSpec::default(), &inst)
+            .unwrap();
         assert!(warm, "all four constituent analyses are resident now");
         assert_eq!(again.report, diff.report, "diff bytes are reproducible");
         let err = registry.get("middle").unwrap_err();
@@ -487,15 +592,111 @@ class t.A {
             .load("lib", std::slice::from_ref(&path), &inst)
             .unwrap();
         let entry = registry.get("lib").unwrap();
-        let (before, _) = registry.analysis(&entry, OptionsSpec::default(), &inst);
+        let (before, _) = registry
+            .analysis(&entry, OptionsSpec::default(), &inst)
+            .unwrap();
         assert!(before.report.contains("checkRead"));
         std::fs::write(&path, RIGHT).unwrap();
         let summary = registry.reload("lib", &inst).unwrap();
         assert!(summary.load.replaced);
         assert_eq!(summary.reanalyzed.len(), 1, "one warm option set re-ran");
         let entry = registry.get("lib").unwrap();
-        let (after, warm) = registry.analysis(&entry, OptionsSpec::default(), &inst);
+        let (after, warm) = registry
+            .analysis(&entry, OptionsSpec::default(), &inst)
+            .unwrap();
         assert!(warm, "reload left the fresh analysis resident");
         assert!(!after.report.contains("checkRead"), "{}", after.report);
+    }
+
+    /// Analyzes `src` under `name` in a scratch registry and exports it
+    /// the way `spo export` does; returns the index bytes plus the full
+    /// and intra analyses it was compiled from.
+    fn export(name: &str, src: &str) -> (Vec<u8>, Arc<Analysis>, Arc<Analysis>) {
+        let registry = Registry::new(1, None);
+        let inst = Instruments::default();
+        registry
+            .load(name, &[write_temp(&format!("ix-{name}"), src)], &inst)
+            .unwrap();
+        let entry = registry.get(name).unwrap();
+        let spec = OptionsSpec::default();
+        let (full, _) = registry.analysis(&entry, spec, &inst).unwrap();
+        let (intra, _) = registry.analysis(&entry, spec.intra(), &inst).unwrap();
+        let bytes = spo_index::IndexBuilder::new(name, &spec.to_options(), &full.lib, &intra.lib)
+            .build()
+            .unwrap();
+        (bytes, full, intra)
+    }
+
+    #[test]
+    fn index_only_entry_answers_seeded_specs_warm_and_nothing_else() {
+        let (bytes, full, intra) = export("lib", LEFT);
+        let registry = Registry::new(1, None);
+        let inst = Instruments::default();
+        let seeded = registry
+            .seed_index("lib", &PolicyIndex::parse(&bytes).unwrap())
+            .unwrap();
+        assert_eq!(seeded, full.lib.entries.len());
+        assert_eq!(registry.names(), ["lib"], "an index-only name is listed");
+        let entry = registry.get("lib").unwrap();
+        assert!(entry.program.is_none());
+        let spec = OptionsSpec::default();
+        let (a, warm) = registry.analysis(&entry, spec, &inst).unwrap();
+        assert!(warm, "a seeded spec is warm on its first request");
+        assert_eq!(a.report, full.report);
+        assert_eq!(a.exit_code, 0);
+        let (a, warm) = registry.analysis(&entry, spec.intra(), &inst).unwrap();
+        assert!(warm, "the ablation is seeded too");
+        assert_eq!(a.report, intra.report);
+        let unseeded = OptionsSpec {
+            broad: true,
+            ..spec
+        };
+        let err = registry.analysis(&entry, unseeded, &inst).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::NotFound);
+        assert_eq!(err.message, "no program loaded under \"lib\"");
+        let err = registry.reload("lib", &inst).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::NotFound);
+        assert_eq!(err.message, "no program loaded under \"lib\"");
+        // A load replaces the index-only entry and drops its answers.
+        let summary = registry
+            .load("lib", &[write_temp("ix-replace", RIGHT)], &inst)
+            .unwrap();
+        assert!(summary.replaced);
+        let entry = registry.get("lib").unwrap();
+        let (a, warm) = registry.analysis(&entry, spec, &inst).unwrap();
+        assert!(!warm, "the loaded program is analyzed afresh");
+        assert!(!a.report.contains("checkRead"), "{}", a.report);
+    }
+
+    #[test]
+    fn diff_of_seeded_entries_is_warm_and_matches_diff_pair() {
+        let (left_bytes, left_full, left_intra) = export("left", LEFT);
+        let (right_bytes, right_full, right_intra) = export("right", RIGHT);
+        let registry = Registry::new(1, None);
+        let inst = Instruments::default();
+        for (name, bytes) in [("left", &left_bytes), ("right", &right_bytes)] {
+            registry
+                .seed_index(name, &PolicyIndex::parse(bytes).unwrap())
+                .unwrap();
+        }
+        let left = registry.get("left").unwrap();
+        let right = registry.get("right").unwrap();
+        let (diff, warm) = registry
+            .diff(&left, &right, OptionsSpec::default(), &inst)
+            .unwrap();
+        assert!(warm, "all four constituent analyses were seeded");
+        let (expected, groups) = diff_pair(
+            (&left_full.lib, &left_intra.lib),
+            (&right_full.lib, &right_intra.lib),
+        );
+        assert_eq!(diff.report, render_reports(&expected, &groups));
+        assert!(diff.findings);
+        assert_eq!(diff.exit_code, 1);
+        let broad = OptionsSpec {
+            broad: true,
+            ..OptionsSpec::default()
+        };
+        let err = registry.diff(&left, &right, broad, &inst).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::NotFound);
     }
 }

@@ -558,10 +558,11 @@ point (or lists the whole library); `spo index diff` runs the oracle
 over two indexes. Both print bytes identical to the `analyze`/`diff`
 path. A corrupt, truncated, or version-skewed index is a fatal typed
 error (exit 3) — re-export it or fall back to full analysis; it never
-yields a wrong answer. `spo serve --index NAME=PATH.spi` preloads an
-index so the daemon answers `query`/`diff` for NAME from the warm index
-(falling back to full analysis, with a stderr diagnostic, if it fails
-to load).
+yields a wrong answer. `spo serve --index NAME=PATH.spi` seeds NAME's
+warm answers from an index for the options it was exported under; a
+`load`/`reload` of NAME drops them, and a name with no `--load` is
+index-only (other options get `not-found`). An index that fails to load
+is a stderr diagnostic, and NAME falls back to full analysis.
 
 `--cache-dir PATH` warm-starts the analysis from a persistent summary
 cache at PATH (created on first use): roots whose call-graph cone is

@@ -698,6 +698,70 @@ fn warm_index_daemon_matches_analysis_daemon_and_errors_uniformly() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An index seeds a name's answers only until its program is swapped:
+/// after the sources are rewritten and the name is reloaded (or loaded
+/// again over RPC), `query` and `analyze` both answer the new program,
+/// byte-identical to a daemon that only ever loaded it — never the stale
+/// index.
+#[test]
+fn program_swap_drops_the_index_answers() {
+    let dir = std::env::temp_dir().join(format!("spo-serve-ixswap-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("workdir");
+    let lib = dir.join("lib.jir");
+    let spi = dir.join("lib.spi");
+    std::fs::copy(fixture("figure1_jdk.jir"), &lib).expect("write sources");
+    export_index("lib", &lib, &spi);
+    let query = r#"{"spo-rpc":1,"id":1,"method":"query","params":{"name":"lib"}}"#;
+    let analyze = r#"{"spo-rpc":1,"id":1,"method":"analyze","params":{"name":"lib"}}"#;
+    let answer = |sock: &str, line: &str| {
+        let out = spo(&["rpc", "--socket", sock, line]);
+        assert_eq!(out.status.code(), Some(0), "{line}");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+
+    let fresh = format!("lib={}", fixture("figure1_harmony.jir").display());
+    let plain = Daemon::start("ixswapbase", &["--no-cache", "--load", &fresh]);
+    let expected = answer(plain.socket.to_str().unwrap(), query);
+    assert_eq!(plain.shutdown(), 0);
+
+    let load = format!("lib={}", lib.display());
+    let ix = format!("lib={}", spi.display());
+    let swaps = [
+        r#"{"spo-rpc":1,"id":2,"method":"reload","params":{"name":"lib"}}"#.to_owned(),
+        format!(
+            r#"{{"spo-rpc":1,"id":2,"method":"load","params":{{"name":"lib","paths":["{}"]}}}}"#,
+            lib.display()
+        ),
+    ];
+    for (i, swap) in swaps.iter().enumerate() {
+        std::fs::copy(fixture("figure1_jdk.jir"), &lib).expect("write sources");
+        let daemon = Daemon::start(
+            &format!("ixswap{i}"),
+            &["--no-cache", "--load", &load, "--index", &ix],
+        );
+        let sock = daemon.socket.to_str().unwrap().to_owned();
+        assert_ne!(
+            answer(&sock, query),
+            expected,
+            "the fixtures differ, so a stale answer would show"
+        );
+        std::fs::copy(fixture("figure1_harmony.jir"), &lib).expect("rewrite sources");
+        answer(&sock, swap);
+        let queried = answer(&sock, query);
+        assert_eq!(
+            queried,
+            answer(&sock, analyze),
+            "query and analyze agree after {swap}"
+        );
+        assert_eq!(
+            queried, expected,
+            "the swapped program is answered, not the index, after {swap}"
+        );
+        assert_eq!(daemon.shutdown(), 0);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A damaged preloaded index must not take the daemon down or produce a
 /// wrong answer: startup logs the failure, and requests for that name
 /// fall back to whatever the registry holds — the full-analysis path
