@@ -892,7 +892,7 @@ class t.A {
         for (library, options) in [("jdk", OPTS), ("harmony", OPTS), ("jdk", intra)] {
             let keyer = CacheKeyer::new(&program, &[root], &options);
             let mut entry = entry.clone();
-            entry.check_origins.insert(0, [library.to_owned()].into());
+            entry.check_origins.insert(0, vec![library.into()].into());
             let cone = keyer.cone(root).unwrap();
             cache.store(
                 library,
@@ -989,7 +989,7 @@ class t.A {
         let mut changed = entry.clone();
         changed
             .check_origins
-            .insert(9, ["t.A.fresh()".to_owned()].into());
+            .insert(9, vec!["t.A.fresh()".into()].into());
         let root = roots
             .iter()
             .copied()

@@ -10,7 +10,7 @@
 //!    with may status on one side and must on the other.
 
 use crate::checks::CheckSet;
-use crate::events::EventKey;
+use crate::events::{EventKey, Name};
 use crate::policy::{EntryPolicy, EventPolicy, LibraryPolicies};
 use spo_dataflow::{Dnf, JoinLattice};
 use std::collections::BTreeSet;
@@ -129,7 +129,7 @@ pub struct PolicyDifference {
     /// performed (on the side that has them) and where the event lives.
     /// This is the "method containing the error" used to merge reports
     /// stemming from the same root cause.
-    pub origins: BTreeSet<String>,
+    pub origins: BTreeSet<Name>,
     /// The checks that differ between the sides.
     pub delta: CheckSet,
 }
@@ -139,7 +139,7 @@ impl PolicyDifference {
     /// the implicated methods. Entry points whose differences share this
     /// key are manifestations of one error.
     pub fn root_key(&self) -> String {
-        let origins: Vec<&str> = self.origins.iter().map(String::as_str).collect();
+        let origins: Vec<&str> = self.origins.iter().map(|o| &**o).collect();
         format!("{}|{}", self.delta, origins.join(","))
     }
 }
@@ -166,7 +166,7 @@ fn origins_for(
     right: &EntryPolicy,
     event: Option<&EventKey>,
     delta: CheckSet,
-) -> BTreeSet<String> {
+) -> BTreeSet<Name> {
     let mut out = BTreeSet::new();
     for check in delta.iter() {
         for side in [left, right] {
@@ -340,14 +340,11 @@ mod tests {
                     may_paths: Dnf::of(may.bits()),
                 },
             );
-            let mut o = Origins::new();
-            o.insert(format!("{sig}#impl"));
+            let o: Origins = [format!("{sig}#impl").into()].into_iter().collect();
             e.event_origins.insert(key.clone(), o);
             for c in may.iter() {
-                e.check_origins
-                    .entry(c.index())
-                    .or_default()
-                    .insert(format!("{sig}#check_{c}"));
+                let o: Origins = [format!("{sig}#check_{c}").into()].into_iter().collect();
+                e.check_origins.insert(c.index(), o);
             }
         }
         e
@@ -515,10 +512,10 @@ mod tests {
         let mut b2 = entry("C.m2()", &[(native("x"), &[], &[])]);
         for e in [&mut a1, &mut a2] {
             e.check_origins.clear();
-            e.check_origins
-                .entry(Check::Read.index())
-                .or_default()
-                .insert("C.sharedHelper".into());
+            e.check_origins.insert(
+                Check::Read.index(),
+                ["C.sharedHelper".into()].into_iter().collect(),
+            );
         }
         for e in [&mut b1, &mut b2] {
             e.check_origins.clear();

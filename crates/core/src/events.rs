@@ -11,6 +11,15 @@
 //! hypothetical Figure 3 bug.
 
 use std::fmt;
+use std::sync::Arc;
+
+/// A shared name: a native routine, a private datum or a `Class.method`.
+///
+/// Policies hold every name this way, so copying a policy, an event key or
+/// a summary record costs a reference count, not a string. Names compare,
+/// hash and sort by their text, so policies of two programs (two
+/// implementations, or an analysis and a decoded index) compare directly.
+pub type Name = Arc<str>;
 
 /// Which definition of security-sensitive events the analysis uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -38,11 +47,11 @@ pub enum EventKey {
     ApiReturn,
     /// A call to the named native (JNI) method; keyed by the method's
     /// simple name.
-    Native(String),
+    Native(Name),
     /// Broad only: a read of the named private variable or API parameter.
-    DataRead(String),
+    DataRead(Name),
     /// Broad only: a write of the named private variable or API parameter.
-    DataWrite(String),
+    DataWrite(Name),
 }
 
 impl EventKey {

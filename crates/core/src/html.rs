@@ -126,7 +126,7 @@ mod tests {
                 may_paths: spo_dataflow::Dnf::of(CheckSet::of(Check::Write).bits()),
             },
             right: SideEvidence::default(),
-            origins: ["api.C.helper".to_owned()].into(),
+            origins: ["api.C.helper".into()].into(),
             delta: CheckSet::of(Check::Write),
         };
         let result = DiffResult {

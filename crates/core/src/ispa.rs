@@ -10,8 +10,8 @@
 //! memoizes `(method, in-policy, const-params, privileged)` summaries.
 
 use crate::checks::{check_of_call, Check};
-use crate::events::{EventDef, EventKey};
-use crate::policy::{AnalysisStats, EntryPolicy, EventPolicy, LibraryPolicies};
+use crate::events::{EventDef, EventKey, Name};
+use crate::policy::{AnalysisStats, EntryPolicy, EventPolicy, LibraryPolicies, Origins, SortedMap};
 use crate::store::{CommitObs, EventRec, FrameCost, LocalStore, MemoKey, Summary, SummaryStore};
 use spo_dataflow::{
     dnf_widenings, run_forward, AbsVal, BitSet32, ConstEnv, Dnf, Flow, ForwardAnalysis,
@@ -22,7 +22,7 @@ use spo_jir::{Expr, FieldFlags, FieldRef, FieldTarget, LocalId, MethodId, Progra
 use spo_obs::Recorder;
 use spo_resolve::{entry_points, Hierarchy, Resolution, Resolver};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// How widely method summaries are reused (Table 2's three configurations).
@@ -177,6 +177,35 @@ pub struct Analyzer<'p> {
     hierarchy: Hierarchy<'p>,
     options: AnalysisOptions,
     recorder: Recorder,
+    names: MethodNames,
+}
+
+/// The `Class.method` name of each method of a program, built on first
+/// use and then shared by every origin that names it.
+struct MethodNames {
+    /// Position of each class's first method in `names`.
+    first: Vec<u32>,
+    names: Box<[OnceLock<Name>]>,
+}
+
+impl MethodNames {
+    fn new(program: &Program) -> Self {
+        let mut first = Vec::with_capacity(program.class_count());
+        let mut n = 0;
+        for (_, class) in program.classes() {
+            first.push(n);
+            n += class.methods.len() as u32;
+        }
+        MethodNames {
+            first,
+            names: (0..n).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    fn get(&self, program: &Program, id: MethodId) -> Name {
+        let slot = &self.names[(self.first[id.class.index()] + id.index) as usize];
+        Name::clone(slot.get_or_init(|| program.method_name(id).into()))
+    }
 }
 
 impl<'p> Analyzer<'p> {
@@ -189,6 +218,7 @@ impl<'p> Analyzer<'p> {
             hierarchy,
             options,
             recorder: Recorder::disabled(),
+            names: MethodNames::new(program),
         }
     }
 
@@ -326,6 +356,7 @@ impl<'p> Analyzer<'p> {
         let resolver = Resolver::new(&self.hierarchy);
         let mut pass = Pass {
             program: self.program,
+            names: &self.names,
             resolver,
             options: self.options,
             store,
@@ -347,30 +378,52 @@ impl<'p> Analyzer<'p> {
 /// Splits the per-root result of the pass into an [`EntryPolicy`]: the
 /// MAY side gives `may` and `may_paths`, the MUST side gives `must`.
 fn combine_raw(sig: String, raw: RawEntry) -> EntryPolicy {
-    let mut entry = EntryPolicy::new(sig);
-    for (key, FlowPolicy { may, must }) in raw.events {
-        let ep = EventPolicy {
-            must: crate::checks::CheckSet::from_bits(must.unwrap_or_empty()),
-            may: crate::checks::CheckSet::from_bits(may.flat_union()),
-            may_paths: may,
-        };
-        entry.events.insert(key, ep);
+    let events = raw
+        .events
+        .into_iter()
+        .map(|(key, FlowPolicy { may, must })| {
+            let ep = EventPolicy {
+                must: crate::checks::CheckSet::from_bits(must.unwrap_or_empty()),
+                may: crate::checks::CheckSet::from_bits(may.flat_union()),
+                may_paths: may,
+            };
+            (key, ep)
+        })
+        .collect();
+    EntryPolicy {
+        signature: sig,
+        events,
+        event_origins: raw.event_origins,
+        check_origins: raw.check_origins,
     }
-    entry.event_origins = raw.event_origins;
-    entry.check_origins = raw.check_origins;
-    entry
 }
 
 /// Per-entry raw result of the pass.
 struct RawEntry {
-    events: std::collections::BTreeMap<EventKey, FlowPolicy>,
-    event_origins: std::collections::BTreeMap<EventKey, crate::policy::Origins>,
-    check_origins: std::collections::BTreeMap<u8, crate::policy::Origins>,
+    events: SortedMap<EventKey, FlowPolicy>,
+    event_origins: SortedMap<EventKey, Origins>,
+    check_origins: SortedMap<u8, Origins>,
+}
+
+/// Groups `(key, method)` observations into each key's origin names.
+fn origins_by<K: Ord + Clone>(
+    mut seen: Vec<(K, MethodId)>,
+    name: impl Fn(MethodId) -> Name,
+) -> SortedMap<K, Origins> {
+    seen.sort_unstable();
+    seen.dedup();
+    seen.chunk_by(|a, b| a.0 == b.0)
+        .map(|run| {
+            let names: Vec<Name> = run.iter().map(|&(_, m)| name(m)).collect();
+            (run[0].0.clone(), Origins::from(names))
+        })
+        .collect()
 }
 
 /// Mutable state of the pass over one root.
 struct Pass<'a, 'p> {
     program: &'p Program,
+    names: &'a MethodNames,
     resolver: Resolver<'a>,
     options: AnalysisOptions,
     store: &'a dyn SummaryStore,
@@ -409,53 +462,46 @@ impl Pass<'_, '_> {
                 checks: summary.checks.clone(),
             };
             with_event.events.push(EventRec {
-                key: EventKey::Native(self.program.str(root_method.name).to_owned()),
+                key: EventKey::Native(self.program.shared_str(root_method.name)),
                 policy: FlowPolicy::entry(),
                 origin: root,
             });
             summary = Arc::new(with_event);
         }
-        let mut events: std::collections::BTreeMap<EventKey, FlowPolicy> = Default::default();
-        let mut event_origins: std::collections::BTreeMap<EventKey, crate::policy::Origins> =
-            Default::default();
-        let mut check_origins: std::collections::BTreeMap<u8, crate::policy::Origins> =
-            Default::default();
-        for rec in &summary.events {
-            match events.entry(rec.key.clone()) {
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    e.get_mut().join(&rec.policy);
-                }
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert(rec.policy.clone());
-                }
-            }
-            event_origins
-                .entry(rec.key.clone())
-                .or_default()
-                .insert(self.program.method_name(rec.origin));
-        }
         // The API return is itself a security-sensitive event; its policy is
         // the entry's exit value.
-        events
-            .entry(EventKey::ApiReturn)
-            .and_modify(|p| {
-                p.join(&summary.exit);
+        let api_return = EventRec {
+            key: EventKey::ApiReturn,
+            policy: summary.exit.clone(),
+            origin: root,
+        };
+        let mut recs: Vec<&EventRec> = summary.events.iter().chain([&api_return]).collect();
+        // Stable: each event's policies join in the order they arrived.
+        recs.sort_by(|a, b| a.key.cmp(&b.key));
+        let events: SortedMap<EventKey, FlowPolicy> = recs
+            .chunk_by(|a, b| a.key == b.key)
+            .map(|run| {
+                let mut policy = run[0].policy.clone();
+                for rec in &run[1..] {
+                    policy.join(&rec.policy);
+                }
+                (run[0].key.clone(), policy)
             })
-            .or_insert_with(|| summary.exit.clone());
-        event_origins
-            .entry(EventKey::ApiReturn)
-            .or_default()
-            .insert(self.program.method_name(root));
-        for (check, origin) in &summary.checks {
-            check_origins
-                .entry(check.index())
-                .or_default()
-                .insert(self.program.method_name(*origin));
-        }
+            .collect();
+        let event_origins = recs
+            .iter()
+            .map(|rec| (rec.key.clone(), rec.origin))
+            .collect();
+        let check_origins = summary
+            .checks
+            .iter()
+            .map(|&(check, origin)| (check.index(), origin))
+            .collect();
+        let name = |m| self.names.get(self.program, m);
         RawEntry {
             events,
-            event_origins,
-            check_origins,
+            event_origins: origins_by(event_origins, name),
+            check_origins: origins_by(check_origins, name),
         }
     }
 
@@ -567,7 +613,7 @@ impl Pass<'_, '_> {
                             let tm = program.method(target);
                             if tm.is_native() {
                                 events.push(EventRec {
-                                    key: EventKey::Native(program.str(tm.name).to_owned()),
+                                    key: EventKey::Native(program.shared_str(tm.name)),
                                     policy: st.policy.clone(),
                                     origin: method,
                                 });
@@ -627,7 +673,7 @@ impl Pass<'_, '_> {
                     if l.index() < body.n_params && l.index() > 0 {
                         events.push(EventRec {
                             key: EventKey::DataRead(
-                                program.str(body.locals[l.index()].name).to_owned(),
+                                program.shared_str(body.locals[l.index()].name),
                             ),
                             policy: st.policy.clone(),
                             origin: method,
@@ -638,7 +684,7 @@ impl Pass<'_, '_> {
                     if d.index() < body.n_params && d.index() > 0 {
                         events.push(EventRec {
                             key: EventKey::DataWrite(
-                                program.str(body.locals[d.index()].name).to_owned(),
+                                program.shared_str(body.locals[d.index()].name),
                             ),
                             policy: st.policy.clone(),
                             origin: method,
@@ -675,7 +721,7 @@ impl Pass<'_, '_> {
 
     /// The simple name of a private field, if `target` resolves to one
     /// (searching the superclass chain).
-    fn private_field_name(&self, target: &FieldTarget) -> Option<String> {
+    fn private_field_name(&self, target: &FieldTarget) -> Option<Name> {
         let fr: FieldRef = target.field();
         let mut class = self.program.class_by_name(fr.class)?;
         loop {
@@ -684,7 +730,7 @@ impl Pass<'_, '_> {
                 return f
                     .flags
                     .contains(FieldFlags::PRIVATE)
-                    .then(|| self.program.str(f.name).to_owned());
+                    .then(|| self.program.shared_str(f.name));
             }
             class = self.resolver.hierarchy().superclass(class)?;
         }

@@ -36,10 +36,12 @@ pub use diff::{
     diff_entry, diff_entry_with, diff_libraries, diff_libraries_with, DiffMode, DiffResult,
     DifferenceKind, PolicyDifference, Side, SideEvidence,
 };
-pub use events::{EventDef, EventKey};
+pub use events::{EventDef, EventKey, Name};
 pub use html::render_html;
 pub use ispa::{AnalysisOptions, Analyzer, MemoScope};
-pub use policy::{render_dnf, AnalysisStats, EntryPolicy, EventPolicy, LibraryPolicies, Origins};
+pub use policy::{
+    render_dnf, AnalysisStats, EntryPolicy, EventPolicy, LibraryPolicies, Origins, SortedMap,
+};
 pub use report::{
     ablation_demand, diff_pair, group_by_ablation, group_differences, render_analysis,
     render_entry, render_reports, root_keys, ReportGroup, ReportTally, RootCause,

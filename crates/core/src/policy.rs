@@ -1,9 +1,9 @@
 //! Security policies: the analysis output compared across implementations.
 
 use crate::checks::CheckSet;
-use crate::events::EventKey;
+use crate::events::{EventKey, Name};
 use spo_dataflow::{BitSet32, Dnf};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// The policy attached to one security-sensitive event of one entry point:
@@ -51,9 +51,218 @@ impl EventPolicy {
     }
 }
 
+/// A map held as a vector of `(key, value)` pairs sorted by key.
+///
+/// An entry point's per-event and per-check maps hold one to three items
+/// as a rule; a sorted vector stores them in one small allocation, where a
+/// B-tree pays for a whole leaf node. Lookup is a binary search, and
+/// iteration order is key order, exactly as a `BTreeMap`'s.
+#[derive(Clone, PartialEq, Eq)]
+pub struct SortedMap<K, V> {
+    items: Vec<(K, V)>,
+}
+
+impl<K, V> Default for SortedMap<K, V> {
+    fn default() -> Self {
+        SortedMap { items: Vec::new() }
+    }
+}
+
+impl<K: Ord, V> SortedMap<K, V> {
+    /// An empty map.
+    pub fn new() -> Self {
+        SortedMap::default()
+    }
+
+    /// An empty map with room for `n` items.
+    pub fn with_capacity(n: usize) -> Self {
+        SortedMap {
+            items: Vec::with_capacity(n),
+        }
+    }
+
+    fn search(&self, key: &K) -> Result<usize, usize> {
+        // Items usually arrive in key order: check the end first.
+        match self.items.last() {
+            Some((last, _)) if *last < *key => Err(self.items.len()),
+            _ => self.items.binary_search_by(|(k, _)| k.cmp(key)),
+        }
+    }
+
+    /// Inserts `value` under `key`, returning the value it replaces.
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        match self.search(&key) {
+            Ok(i) => Some(std::mem::replace(&mut self.items[i].1, value)),
+            Err(i) => {
+                self.items.insert(i, (key, value));
+                None
+            }
+        }
+    }
+
+    /// The value under `key`.
+    pub fn get(&self, key: &K) -> Option<&V> {
+        self.search(key).ok().map(|i| &self.items[i].1)
+    }
+
+    /// The value under `key`, mutably.
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.search(key).ok().map(|i| &mut self.items[i].1)
+    }
+
+    /// Whether `key` has a value.
+    pub fn contains_key(&self, key: &K) -> bool {
+        self.search(key).is_ok()
+    }
+}
+
+impl<K, V> SortedMap<K, V> {
+    /// Number of items.
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// `true` if the map holds no items.
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
+    /// Removes every item.
+    pub fn clear(&mut self) {
+        self.items.clear();
+    }
+
+    /// The items in key order.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (&K, &V)> + ExactSizeIterator {
+        self.items.iter().map(|(k, v)| (k, v))
+    }
+
+    /// The keys in order.
+    pub fn keys(&self) -> impl DoubleEndedIterator<Item = &K> + ExactSizeIterator {
+        self.items.iter().map(|(k, _)| k)
+    }
+
+    /// The values in key order.
+    pub fn values(&self) -> impl DoubleEndedIterator<Item = &V> + ExactSizeIterator {
+        self.items.iter().map(|(_, v)| v)
+    }
+}
+
+impl<K, V> IntoIterator for SortedMap<K, V> {
+    type Item = (K, V);
+    type IntoIter = std::vec::IntoIter<(K, V)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.items.into_iter()
+    }
+}
+
+impl<K: Ord, V> FromIterator<(K, V)> for SortedMap<K, V> {
+    /// Of two pairs with one key, the later wins, as with `insert` in
+    /// turn. Pairs in any order cost one sort, not a shift per pair.
+    fn from_iter<T: IntoIterator<Item = (K, V)>>(iter: T) -> Self {
+        let mut items: Vec<(K, V)> = iter.into_iter().collect();
+        if !items.is_sorted_by(|a, b| a.0 < b.0) {
+            // Stable: each key's pairs stay in arrival order, so moving the
+            // later pair into the kept slot keeps the last of each run.
+            items.sort_by(|a, b| a.0.cmp(&b.0));
+            items.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    std::mem::swap(later, kept);
+                }
+                same
+            });
+        }
+        SortedMap { items }
+    }
+}
+
+impl<'a, K, V> IntoIterator for &'a SortedMap<K, V> {
+    type Item = (&'a K, &'a V);
+    type IntoIter = std::iter::Map<std::slice::Iter<'a, (K, V)>, fn(&'a (K, V)) -> (&'a K, &'a V)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.items.iter().map(|(k, v)| (k, v))
+    }
+}
+
+impl<K: Ord, V> std::ops::Index<&K> for SortedMap<K, V> {
+    type Output = V;
+
+    /// # Panics
+    ///
+    /// Panics if `key` has no value, as `BTreeMap` indexing does.
+    fn index(&self, key: &K) -> &V {
+        self.get(key).expect("key present in SortedMap")
+    }
+}
+
+impl<K: fmt::Debug, V: fmt::Debug> fmt::Debug for SortedMap<K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
 /// Where the analysis observed things, for root-cause grouping: method
-/// names (`Class.method`) containing the event / performing a check.
-pub type Origins = BTreeSet<String>;
+/// names (`Class.method`) containing the event / performing a check, held
+/// as a sorted, duplicate-free boxed slice of shared names.
+#[derive(Clone, PartialEq, Eq, Default)]
+pub struct Origins(Box<[Name]>);
+
+impl Origins {
+    /// The names in order.
+    pub fn iter(&self) -> std::slice::Iter<'_, Name> {
+        self.0.iter()
+    }
+
+    /// Number of names.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// `true` if there are no names.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Whether `name` is among the names.
+    pub fn contains(&self, name: &str) -> bool {
+        self.0.binary_search_by(|n| (**n).cmp(name)).is_ok()
+    }
+}
+
+impl From<Vec<Name>> for Origins {
+    /// Sorts and deduplicates the names.
+    fn from(mut names: Vec<Name>) -> Self {
+        if !names.is_sorted_by(|a, b| a < b) {
+            names.sort_unstable();
+            names.dedup();
+        }
+        Origins(names.into_boxed_slice())
+    }
+}
+
+impl FromIterator<Name> for Origins {
+    fn from_iter<T: IntoIterator<Item = Name>>(iter: T) -> Self {
+        Origins::from(iter.into_iter().collect::<Vec<_>>())
+    }
+}
+
+impl<'a> IntoIterator for &'a Origins {
+    type Item = &'a Name;
+    type IntoIter = std::slice::Iter<'a, Name>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl fmt::Debug for Origins {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
 
 /// The full security policy of one API entry point.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -62,11 +271,11 @@ pub struct EntryPolicy {
     /// `Class.method(paramtypes)`.
     pub signature: String,
     /// Policies per security-sensitive event.
-    pub events: BTreeMap<EventKey, EventPolicy>,
+    pub events: SortedMap<EventKey, EventPolicy>,
     /// Methods containing each event.
-    pub event_origins: BTreeMap<EventKey, Origins>,
+    pub event_origins: SortedMap<EventKey, Origins>,
     /// Methods where each check (by dense index) is performed.
-    pub check_origins: BTreeMap<u8, Origins>,
+    pub check_origins: SortedMap<u8, Origins>,
 }
 
 impl EntryPolicy {
@@ -74,9 +283,9 @@ impl EntryPolicy {
     pub fn new(signature: String) -> Self {
         EntryPolicy {
             signature,
-            events: BTreeMap::new(),
-            event_origins: BTreeMap::new(),
-            check_origins: BTreeMap::new(),
+            events: SortedMap::new(),
+            event_origins: SortedMap::new(),
+            check_origins: SortedMap::new(),
         }
     }
 
@@ -258,6 +467,35 @@ mod tests {
             may,
             may_paths: Dnf::of(may.bits()),
         }
+    }
+
+    #[test]
+    fn sorted_map_and_origins_behave_like_the_btree_collections() {
+        let mut map = SortedMap::new();
+        let mut tree = BTreeMap::new();
+        for (k, v) in [(5u8, 'a'), (2, 'b'), (9, 'c'), (2, 'd'), (7, 'e'), (9, 'f')] {
+            assert_eq!(map.insert(k, v), tree.insert(k, v));
+        }
+        assert!(map.iter().eq(tree.iter()));
+        assert_eq!(map.get(&7), Some(&'e'));
+        assert_eq!(map.get(&3), None);
+        let collected: SortedMap<u8, char> = [(3, 'x'), (1, 'y'), (3, 'z')].into_iter().collect();
+        assert_eq!(format!("{collected:?}"), "{1: 'y', 3: 'z'}");
+        let pairs = [
+            (5u8, 'a'),
+            (2, 'b'),
+            (9, 'c'),
+            (2, 'd'),
+            (7, 'e'),
+            (9, 'f'),
+            (2, 'g'),
+        ];
+        let collected: SortedMap<u8, char> = pairs.into_iter().collect();
+        let tree: BTreeMap<u8, char> = pairs.into_iter().collect();
+        assert!(collected.iter().eq(tree.iter()), "{collected:?}");
+        let origins: Origins = ["b.m", "a.m", "b.m"].map(Name::from).into_iter().collect();
+        assert_eq!(format!("{origins:?}"), r#"{"a.m", "b.m"}"#);
+        assert!(origins.contains("b.m") && !origins.contains("c.m"));
     }
 
     #[test]

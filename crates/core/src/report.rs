@@ -6,7 +6,7 @@
 //! multiple API entry points. The number of entry points (manifestations)
 //! that can exploit the error is shown in parentheses."
 
-use crate::diff::{diff_libraries, DiffResult, DifferenceKind, PolicyDifference};
+use crate::diff::{diff_entry, diff_libraries, DiffResult, DifferenceKind, PolicyDifference};
 use crate::policy::{render_dnf, EntryPolicy, LibraryPolicies};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -108,12 +108,46 @@ pub fn diff_pair(
 /// Groups a full diff by root cause against the keys the
 /// intraprocedural ablation of the same pair finds (`left_intra` vs
 /// `right_intra`) — the second half of [`diff_pair`].
+///
+/// Only the ablation entries [`ablation_demand`] names for `diff` are
+/// diffed (all of them when it names the whole library): no other intra
+/// key can match a key of `diff`, so the groups are those of the
+/// whole-library ablation diff.
 pub fn group_by_ablation(
     diff: &DiffResult,
     left_intra: &LibraryPolicies,
     right_intra: &LibraryPolicies,
 ) -> Vec<ReportGroup> {
-    group_differences(diff, &root_keys(&diff_libraries(left_intra, right_intra)))
+    let intra_keys = match ablation_demand([diff]) {
+        None => root_keys(&diff_libraries(left_intra, right_intra)),
+        Some(names) => demanded_keys(left_intra, right_intra, &names),
+    };
+    group_differences(diff, &intra_keys)
+}
+
+/// The root keys of the differences between the entries of `left` and
+/// `right` whose `Class.method` is in `names`: each name's overloads are
+/// the signatures `Class.method(…)`, one contiguous range of the map.
+fn demanded_keys(
+    left: &LibraryPolicies,
+    right: &LibraryPolicies,
+    names: &BTreeSet<&str>,
+) -> BTreeSet<String> {
+    use std::ops::Bound;
+    let mut keys = BTreeSet::new();
+    for name in names {
+        let prefix = format!("{name}(");
+        let overloads = left
+            .entries
+            .range::<str, _>((Bound::Included(prefix.as_str()), Bound::Unbounded))
+            .take_while(|(sig, _)| sig.starts_with(&prefix));
+        for (sig, le) in overloads {
+            if let Some(re) = right.entries.get(sig) {
+                keys.extend(diff_entry(le, re).iter().map(PolicyDifference::root_key));
+            }
+        }
+    }
+    keys
 }
 
 /// The entry points the intraprocedural ablation must analyse for one
@@ -140,7 +174,7 @@ pub fn ablation_demand<'a>(
         match (origins.next(), origins.next()) {
             (None, _) => return None,
             (Some(only), None) => {
-                names.insert(only.as_str());
+                names.insert(&**only);
             }
             (Some(_), Some(_)) => {}
         }
@@ -280,7 +314,7 @@ pub fn render_reports(result: &DiffResult, groups: &[ReportGroup]) -> String {
         )
         .unwrap();
         if !d.origins.is_empty() {
-            let origins: Vec<&str> = d.origins.iter().map(String::as_str).collect();
+            let origins: Vec<&str> = d.origins.iter().map(|o| &**o).collect();
             writeln!(out, "    implicated methods: {}", origins.join(", ")).unwrap();
         }
         let sample: Vec<&str> = g
@@ -307,7 +341,7 @@ mod tests {
             kind,
             left: SideEvidence::default(),
             right: SideEvidence::default(),
-            origins: [origin.to_owned()].into(),
+            origins: [origin.into()].into(),
             delta: delta.iter().copied().collect(),
         }
     }

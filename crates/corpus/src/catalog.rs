@@ -125,7 +125,8 @@ impl BugCatalog {
     /// report (matching on the report's origin methods).
     pub fn classify(&self, group: &ReportGroup) -> Option<&BugRecord> {
         self.bugs.iter().find(|b| {
-            group.representative.origins.contains(&b.culprit) || group.root_key.contains(&b.culprit)
+            group.representative.origins.contains(b.culprit.as_str())
+                || group.root_key.contains(&b.culprit)
         })
     }
 

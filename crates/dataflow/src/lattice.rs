@@ -239,9 +239,27 @@ pub fn dnf_widenings() -> u64 {
 /// Invariant: disjuncts are sorted and deduplicated. When the disjunct count
 /// would exceed [`DNF_WIDTH`], the value widens to the singleton of its flat
 /// union — a deterministic, conservative collapse.
-#[derive(Clone, PartialEq, Eq, Hash, Default, Debug)]
+///
+/// Most program points see exactly one path's check set, so a single
+/// disjunct is held inline and only a second one allocates.
+#[derive(Clone, Default)]
 pub struct Dnf {
-    disjuncts: Vec<BitSet32>,
+    repr: Repr,
+}
+
+/// A [`Dnf`]'s storage. Canonical: exactly one disjunct is always `One`.
+#[derive(Clone)]
+enum Repr {
+    /// Exactly one disjunct, held inline.
+    One([BitSet32; 1]),
+    /// No disjunct (⊥) or two or more, sorted and deduplicated.
+    Many(Vec<BitSet32>),
+}
+
+impl Default for Repr {
+    fn default() -> Self {
+        Repr::Many(Vec::new())
+    }
 }
 
 impl Dnf {
@@ -253,7 +271,7 @@ impl Dnf {
     /// A single path carrying the given check set.
     pub fn of(set: BitSet32) -> Self {
         Dnf {
-            disjuncts: vec![set],
+            repr: Repr::One([set]),
         }
     }
 
@@ -264,12 +282,15 @@ impl Dnf {
 
     /// The disjuncts, sorted ascending.
     pub fn disjuncts(&self) -> &[BitSet32] {
-        &self.disjuncts
+        match &self.repr {
+            Repr::One(one) => one,
+            Repr::Many(many) => many,
+        }
     }
 
     /// Union of all disjuncts: the flat MAY set.
     pub fn flat_union(&self) -> BitSet32 {
-        self.disjuncts
+        self.disjuncts()
             .iter()
             .fold(BitSet32::empty(), |acc, &d| acc.union(d))
     }
@@ -277,7 +298,7 @@ impl Dnf {
     /// Intersection of all disjuncts: the MUST view implied by this MAY
     /// value (∅ for ⊥).
     pub fn must_view(&self) -> BitSet32 {
-        let mut it = self.disjuncts.iter();
+        let mut it = self.disjuncts().iter();
         match it.next() {
             None => BitSet32::empty(),
             Some(&first) => it.fold(first, |acc, &d| acc.intersect(d)),
@@ -287,17 +308,30 @@ impl Dnf {
     /// Adds check `i` to every path (the gen operation at a check
     /// statement).
     pub fn gen(&mut self, i: u8) {
-        for d in &mut self.disjuncts {
-            d.insert(i);
+        match &mut self.repr {
+            Repr::One([d]) => d.insert(i),
+            Repr::Many(many) => {
+                for d in many.iter_mut() {
+                    d.insert(i);
+                }
+                self.normalize();
+            }
         }
-        self.normalize();
     }
 
+    /// Restores the invariant after `Many` was extended or rewritten:
+    /// sorted, deduplicated, widened past [`DNF_WIDTH`], and a lone
+    /// disjunct moved inline.
     fn normalize(&mut self) {
-        self.disjuncts.sort_unstable();
-        self.disjuncts.dedup();
-        if self.disjuncts.len() > DNF_WIDTH {
+        let Repr::Many(many) = &mut self.repr else {
+            return;
+        };
+        many.sort_unstable();
+        many.dedup();
+        if many.len() > DNF_WIDTH {
             self.widen();
+        } else if let [one] = many[..] {
+            self.repr = Repr::One([one]);
         }
     }
 
@@ -306,40 +340,86 @@ impl Dnf {
     #[cold]
     #[inline(never)]
     fn widen(&mut self) {
-        let flat = self.flat_union();
-        self.disjuncts = vec![flat];
+        self.repr = Repr::One([self.flat_union()]);
         WIDENINGS.with(|w| w.set(w.get() + 1));
+    }
+}
+
+impl PartialEq for Dnf {
+    fn eq(&self, other: &Self) -> bool {
+        self.disjuncts() == other.disjuncts()
+    }
+}
+
+impl Eq for Dnf {}
+
+impl std::hash::Hash for Dnf {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.disjuncts().hash(state);
+    }
+}
+
+impl fmt::Debug for Dnf {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Dnf")
+            .field("disjuncts", &self.disjuncts())
+            .finish()
     }
 }
 
 impl JoinLattice for Dnf {
     /// Join for the MAY direction: union of path sets.
     fn join(&mut self, other: &Self) -> bool {
+        let (mine, theirs) = (self.disjuncts(), other.disjuncts());
         // Both sides are sorted, so one merge walk finds whether `other`
         // brings any disjunct `self` lacks; a subset joins as a no-op.
         let mut i = 0;
-        let subset = other.disjuncts.iter().all(|d| {
-            while self.disjuncts.get(i).is_some_and(|s| s < d) {
+        let subset = theirs.iter().all(|d| {
+            while mine.get(i).is_some_and(|s| s < d) {
                 i += 1;
             }
-            self.disjuncts.get(i) == Some(d)
+            mine.get(i) == Some(d)
         });
         if subset {
             return false;
         }
-        let single = (self.disjuncts.len() == 1).then(|| self.disjuncts[0]);
-        self.disjuncts.extend_from_slice(&other.disjuncts);
+        if mine.is_empty() {
+            // ⊥ joined with anything is that thing.
+            *self = other.clone();
+            return true;
+        }
+        let single = (mine.len() == 1).then(|| mine[0]);
+        let mut many = match std::mem::take(&mut self.repr) {
+            Repr::One([one]) => {
+                let mut many = Vec::with_capacity(1 + theirs.len());
+                many.push(one);
+                many
+            }
+            Repr::Many(many) => many,
+        };
+        many.extend_from_slice(theirs);
+        self.repr = Repr::Many(many);
         self.normalize();
         // Unwidened, the value gained a disjunct. Widened, it is one flat
         // union, which changed unless `self` already was exactly that.
-        self.disjuncts.len() > 1 || single != Some(self.disjuncts[0])
+        let joined = self.disjuncts();
+        joined.len() > 1 || single != Some(joined[0])
     }
 }
 
 impl FromIterator<BitSet32> for Dnf {
     fn from_iter<T: IntoIterator<Item = BitSet32>>(iter: T) -> Self {
+        let mut it = iter.into_iter();
+        let Some(first) = it.next() else {
+            return Dnf::bottom();
+        };
+        let Some(second) = it.next() else {
+            return Dnf::of(first);
+        };
+        let mut many = vec![first, second];
+        many.extend(it);
         let mut d = Dnf {
-            disjuncts: iter.into_iter().collect(),
+            repr: Repr::Many(many),
         };
         d.normalize();
         d
@@ -460,13 +540,19 @@ mod tests {
             .into_iter()
             .collect();
         let before = a.clone();
-        let (ptr, cap) = (a.disjuncts.as_ptr(), a.disjuncts.capacity());
+        let Repr::Many(v) = &a.repr else {
+            panic!("four disjuncts spill to a Vec")
+        };
+        let (ptr, cap) = (v.as_ptr(), v.capacity());
         let sub: Dnf = [bs(&[1]), bs(&[4])].into_iter().collect();
         assert!(!a.join(&sub));
         assert!(!a.join(&before.clone()));
         assert!(!a.join(&Dnf::bottom()));
         assert_eq!(a, before);
-        assert_eq!((a.disjuncts.as_ptr(), a.disjuncts.capacity()), (ptr, cap));
+        let Repr::Many(v) = &a.repr else {
+            panic!("a subset join keeps the spilled Vec")
+        };
+        assert_eq!((v.as_ptr(), v.capacity()), (ptr, cap));
         // One missing disjunct is a change.
         assert!(a.join(&Dnf::of(bs(&[3]))));
         assert_eq!(a.disjuncts().len(), 5);
@@ -482,7 +568,7 @@ mod tests {
         pairs.sort_unstable();
         assert_eq!(pairs.len(), DNF_WIDTH + 1);
         let many = Dnf {
-            disjuncts: pairs.clone(),
+            repr: Repr::Many(pairs.clone()),
         };
         let flat = bs(&(0..=17).collect::<Vec<_>>());
         let widenings = dnf_widenings();
@@ -497,13 +583,34 @@ mod tests {
         assert_eq!(narrow.disjuncts(), &[flat]);
         // Exactly 64 disjuncts stay unwidened; one more widens.
         let mut edge = Dnf {
-            disjuncts: pairs[..DNF_WIDTH - 1].to_vec(),
+            repr: Repr::Many(pairs[..DNF_WIDTH - 1].to_vec()),
         };
         assert!(edge.join(&Dnf::of(pairs[DNF_WIDTH - 1])));
         assert_eq!(edge.disjuncts().len(), DNF_WIDTH);
         assert!(edge.join(&Dnf::of(pairs[DNF_WIDTH])));
         assert_eq!(edge.disjuncts().len(), 1);
         assert_eq!(dnf_widenings() - widenings, 3);
+    }
+
+    #[test]
+    fn one_path_is_held_inline_in_the_space_of_a_vec() {
+        assert_eq!(
+            std::mem::size_of::<Dnf>(),
+            std::mem::size_of::<Vec<BitSet32>>()
+        );
+        let mut d = Dnf::empty_path();
+        d.gen(3);
+        assert!(matches!(d.repr, Repr::One(_)));
+        // A second path spills to the heap; collapsing back to one path
+        // (gen merging both) moves it inline again.
+        assert!(d.join(&Dnf::of(BitSet32::empty())));
+        assert!(matches!(d.repr, Repr::Many(_)));
+        d.gen(3);
+        assert!(matches!(d.repr, Repr::One(_)));
+        assert_eq!(d, Dnf::of(bs(&[3])));
+        let collected: Dnf = [bs(&[1]), bs(&[1])].into_iter().collect();
+        assert!(matches!(collected.repr, Repr::One(_)));
+        assert_eq!(collected.disjuncts(), &[bs(&[1])]);
     }
 
     #[test]

@@ -56,7 +56,7 @@
 use spo_chaos::FaultPlan;
 use spo_core::{
     render_analysis, render_entry, AnalysisOptions, AnalysisStats, EntryPolicy, EventKey,
-    EventPolicy, LibraryPolicies,
+    EventPolicy, LibraryPolicies, Name, Origins, SortedMap,
 };
 use spo_dataflow::{BitSet32, Dnf};
 use spo_jir::Fnv64;
@@ -64,6 +64,7 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::path::Path;
+use std::sync::OnceLock;
 
 pub mod codec;
 
@@ -236,7 +237,7 @@ impl<'s> IndexWriter<'s> {
             EventKey::DataWrite(name) => (3, name),
         };
         buf.push(tag);
-        codec::put_u32(buf, self.strings.intern(&name.as_str()));
+        codec::put_u32(buf, self.strings.intern(&&**name));
     }
 
     fn encode_policy(&mut self, buf: &mut Vec<u8>, entry: &'s EntryPolicy) {
@@ -250,7 +251,7 @@ impl<'s> IndexWriter<'s> {
             self.put_event_key(buf, event);
             codec::put_u32(buf, origins.len() as u32);
             for origin in origins {
-                codec::put_u32(buf, self.strings.intern(&origin.as_str()));
+                codec::put_u32(buf, self.strings.intern(&&**origin));
             }
         }
         codec::put_u32(buf, entry.check_origins.len() as u32);
@@ -258,7 +259,7 @@ impl<'s> IndexWriter<'s> {
             buf.push(check);
             codec::put_u32(buf, origins.len() as u32);
             for origin in origins {
-                codec::put_u32(buf, self.strings.intern(&origin.as_str()));
+                codec::put_u32(buf, self.strings.intern(&&**origin));
             }
         }
     }
@@ -442,6 +443,9 @@ pub struct PolicyIndex<'a> {
     entry_points_full: u64,
     entry_points_intra: u64,
     strings: Vec<Cow<'a, str>>,
+    // Each string as a shared name, made on first use by a decode; the
+    // table itself is allocated by the first decode, not by `parse`.
+    names: OnceLock<Box<[OnceLock<Name>]>>,
     sets: Vec<EventPolicy>,
     rows: Cow<'a, [u8]>,
     count: usize,
@@ -537,6 +541,7 @@ impl<'a> PolicyIndex<'a> {
             entry_points_full,
             entry_points_intra,
             strings,
+            names: OnceLock::new(),
             sets,
             rows: Cow::Borrowed(rows),
             count,
@@ -573,6 +578,7 @@ impl<'a> PolicyIndex<'a> {
                 .into_iter()
                 .map(|s| Cow::Owned(s.into_owned()))
                 .collect(),
+            names: self.names,
             sets: self.sets,
             rows: Cow::Owned(self.rows.into_owned()),
             count: self.count,
@@ -656,14 +662,37 @@ impl<'a> PolicyIndex<'a> {
             .ok_or_else(|| format!("string id {id} out of range"))
     }
 
+    /// The string `id` as a shared name: built at most once per index,
+    /// then cloned by reference count.
+    fn name(&self, id: u32) -> Result<Name, String> {
+        let names = self
+            .names
+            .get_or_init(|| self.strings.iter().map(|_| OnceLock::new()).collect());
+        let slot = names
+            .get(id as usize)
+            .ok_or_else(|| format!("string id {id} out of range"))?;
+        Ok(Name::clone(
+            slot.get_or_init(|| Name::from(&*self.strings[id as usize])),
+        ))
+    }
+
     fn event_key(&self, c: &mut Cursor<'_>) -> Result<EventKey, String> {
         match c.u8()? {
             0 => Ok(EventKey::ApiReturn),
-            1 => Ok(EventKey::Native(self.string(c.u32()?)?.to_owned())),
-            2 => Ok(EventKey::DataRead(self.string(c.u32()?)?.to_owned())),
-            3 => Ok(EventKey::DataWrite(self.string(c.u32()?)?.to_owned())),
+            1 => Ok(EventKey::Native(self.name(c.u32()?)?)),
+            2 => Ok(EventKey::DataRead(self.name(c.u32()?)?)),
+            3 => Ok(EventKey::DataWrite(self.name(c.u32()?)?)),
             t => Err(format!("unknown event tag {t}")),
         }
+    }
+
+    fn origins(&self, c: &mut Cursor<'_>) -> Result<Origins, String> {
+        let n = c.counted(4)? as usize;
+        let mut names = Vec::with_capacity(n);
+        for _ in 0..n {
+            names.push(self.name(c.u32()?)?);
+        }
+        Ok(Origins::from(names))
     }
 
     /// The signature a record indexes, read from the first field of its
@@ -682,31 +711,35 @@ impl<'a> PolicyIndex<'a> {
     }
 
     fn decode_policy(&self, sig: &str, c: &mut Cursor<'_>) -> Result<EntryPolicy, String> {
-        let mut entry = EntryPolicy::new(sig.to_owned());
-        for _ in 0..c.counted(5)? {
+        let n = c.counted(5)? as usize;
+        let mut events = SortedMap::with_capacity(n);
+        for _ in 0..n {
             let event = self.event_key(c)?;
             let set_id = c.u32()?;
             let policy = self
                 .sets
                 .get(set_id as usize)
                 .ok_or_else(|| format!("check-set id {set_id} out of range"))?;
-            entry.events.insert(event, policy.clone());
+            events.insert(event, policy.clone());
         }
-        for _ in 0..c.counted(5)? {
+        let n = c.counted(5)? as usize;
+        let mut event_origins = SortedMap::with_capacity(n);
+        for _ in 0..n {
             let event = self.event_key(c)?;
-            let origins = (0..c.counted(4)?)
-                .map(|_| Ok(self.string(c.u32()?)?.to_owned()))
-                .collect::<Result<_, String>>()?;
-            entry.event_origins.insert(event, origins);
+            event_origins.insert(event, self.origins(c)?);
         }
-        for _ in 0..c.counted(5)? {
+        let n = c.counted(5)? as usize;
+        let mut check_origins = SortedMap::with_capacity(n);
+        for _ in 0..n {
             let check = c.u8()?;
-            let origins = (0..c.counted(4)?)
-                .map(|_| Ok(self.string(c.u32()?)?.to_owned()))
-                .collect::<Result<_, String>>()?;
-            entry.check_origins.insert(check, origins);
+            check_origins.insert(check, self.origins(c)?);
         }
-        Ok(entry)
+        Ok(EntryPolicy {
+            signature: sig.to_owned(),
+            events,
+            event_origins,
+            check_origins,
+        })
     }
 
     /// Decodes a record into its full policy and its intra policy
@@ -779,13 +812,19 @@ impl<'a> PolicyIndex<'a> {
         };
         let mut full = library(self.entry_points_full);
         let mut intra = library(self.entry_points_intra);
+        // Records come in root-key order; collecting each side's entries
+        // first lets the map sort them once and build packed nodes.
+        let mut full_entries = Vec::with_capacity(self.count);
+        let mut intra_entries = Vec::with_capacity(self.count);
         for rec in self.records() {
             // `self.intra` is set, so every record carries its intra policy.
             if let (f, Some(i)) = self.decode(rec)? {
-                intra.entries.insert(f.signature.clone(), i);
-                full.entries.insert(f.signature.clone(), f);
+                intra_entries.push((f.signature.clone(), i));
+                full_entries.push((f.signature.clone(), f));
             }
         }
+        full.entries = full_entries.into_iter().collect();
+        intra.entries = intra_entries.into_iter().collect();
         Ok((full, intra))
     }
 }
@@ -973,11 +1012,11 @@ mod tests {
                 f.events.insert(EventKey::ApiReturn, EventPolicy::default());
                 f.event_origins.insert(
                     EventKey::Native("connect0".into()),
-                    ["Net.impl".to_owned()].into(),
+                    vec!["Net.impl".into()].into(),
                 );
                 f.check_origins.insert(
                     Check::Connect.index(),
-                    ["Net.guard".to_owned(), "Net.impl".to_owned()].into(),
+                    vec!["Net.guard".into(), "Net.impl".into()].into(),
                 );
                 i.events
                     .insert(EventKey::ApiReturn, policy(&[], &[&[Check::Connect]]));

@@ -6,7 +6,8 @@
 //! decoder — never panic the reader.
 
 use spo_core::{
-    AnalysisOptions, CheckSet, EntryPolicy, EventKey, EventPolicy, LibraryPolicies, ALL_CHECKS,
+    AnalysisOptions, CheckSet, EntryPolicy, EventKey, EventPolicy, LibraryPolicies, Name, Origins,
+    SortedMap, ALL_CHECKS,
 };
 use spo_dataflow::{BitSet32, Dnf};
 use spo_index::{IndexBuilder, IndexWriter, PolicyIndex};
@@ -38,9 +39,9 @@ fn lower_ident(rng: &mut SmallRng) -> String {
 fn any_event(rng: &mut SmallRng) -> EventKey {
     match rng.gen_range(0..4u32) {
         0 => EventKey::ApiReturn,
-        1 => EventKey::Native(lower_ident(rng)),
-        2 => EventKey::DataRead(lower_ident(rng)),
-        _ => EventKey::DataWrite(lower_ident(rng)),
+        1 => EventKey::Native(lower_ident(rng).into()),
+        2 => EventKey::DataRead(lower_ident(rng).into()),
+        _ => EventKey::DataWrite(lower_ident(rng).into()),
     }
 }
 
@@ -83,19 +84,27 @@ fn any_entry(rng: &mut SmallRng, sig: &str) -> EntryPolicy {
     }
     for _ in 0..rng.gen_range(0..3usize) {
         let origin = format!("{sig}#{}", lower_ident(rng));
-        e.event_origins
-            .entry(any_event(rng))
-            .or_default()
-            .insert(origin);
+        add_origin(&mut e.event_origins, any_event(rng), origin);
     }
     for _ in 0..rng.gen_range(0..3usize) {
         let check = ALL_CHECKS[rng.gen_range(0..31usize)];
-        e.check_origins
-            .entry(check.index())
-            .or_default()
-            .insert(format!("{sig}#{check}"));
+        add_origin(
+            &mut e.check_origins,
+            check.index(),
+            format!("{sig}#{check}"),
+        );
     }
     e
+}
+
+/// Adds one origin name under `key`.
+fn add_origin<K: Ord>(map: &mut SortedMap<K, Origins>, key: K, origin: String) {
+    let mut names: Vec<Name> = map
+        .get(&key)
+        .map(|o| o.iter().cloned().collect())
+        .unwrap_or_default();
+    names.push(origin.into());
+    map.insert(key, names.into());
 }
 
 /// A full analysis and its intraprocedural ablation over one random

@@ -86,6 +86,16 @@ impl Interner {
         &self.strings[sym.index()]
     }
 
+    /// Resolves a symbol to the shared string the interner holds, for
+    /// callers that keep the name: cloning it costs a reference count.
+    ///
+    /// # Panics
+    ///
+    /// As [`Interner::resolve`].
+    pub fn resolve_shared(&self, sym: Symbol) -> &Arc<str> {
+        &self.strings[sym.index()]
+    }
+
     /// Number of distinct strings interned so far.
     pub fn len(&self) -> usize {
         self.strings.len()

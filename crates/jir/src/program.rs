@@ -193,6 +193,12 @@ impl Program {
         self.interner.resolve(sym)
     }
 
+    /// Resolves a symbol to a handle on the interner's shared string (see
+    /// [`Interner::resolve_shared`]): a reference count, no copy.
+    pub fn shared_str(&self, sym: Symbol) -> std::sync::Arc<str> {
+        std::sync::Arc::clone(self.interner.resolve_shared(sym))
+    }
+
     /// All classes, in declaration order.
     pub fn classes(&self) -> impl Iterator<Item = (ClassId, &Class)> {
         self.classes

@@ -12,8 +12,11 @@
 //! A compiled policy index (`.spi`) is one more way to fill the warm map:
 //! [`Registry::seed_index`] inserts the index's full analysis under the
 //! option set it was exported with, and its intraprocedural ablation under
-//! that set's `intra()`, into the named entry. A name that has no loaded
-//! program gets an *index-only* entry: it answers the seeded option sets
+//! that set's `intra()`, into the named entry. A name with a loaded
+//! program takes only an index exported from that program (same entry
+//! points, same cone keys); any other is refused, and the name keeps
+//! answering from analysis. A name that has no loaded program gets an
+//! *index-only* entry: it answers the seeded option sets
 //! and returns the typed `not-found` for everything else, `reload`
 //! included — it never analyzes an empty program.
 //!
@@ -28,13 +31,13 @@
 //! requests.
 
 use crate::proto::{ErrorKind, OptionsSpec, RequestError};
-use spo_cache::PolicyCache;
-use spo_core::{diff_pair, render_analysis, render_reports, LibraryPolicies};
+use spo_cache::{CacheKeyer, PolicyCache};
+use spo_core::{diff_pair, render_analysis, render_reports, AnalysisOptions, LibraryPolicies};
 use spo_engine::{AnalysisEngine, Instruments};
 use spo_guard::Diagnostic;
 use spo_index::PolicyIndex;
 use spo_jir::Program;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// One finished analysis of a program under one option set. The `report`
@@ -253,15 +256,18 @@ impl Registry {
     /// Seeds `name`'s warm map from a compiled policy index: the full
     /// analysis under the option set whose token the index carries, the
     /// intraprocedural ablation under that set's `intra()`, both renamed
-    /// to `name`. Seeded answers take precedence over the loaded
-    /// program's for those option sets until the next `load`/`reload`.
-    /// Without a loaded program the entry is index-only. Returns the
-    /// number of seeded entry points.
+    /// to `name`. When `name` has a loaded program, the index must have
+    /// been exported from that program: the same entry points, each with
+    /// the cone key the program gives it; seeded answers then stand in for
+    /// the program's under those option sets until the next
+    /// `load`/`reload`. Without a loaded program the entry is index-only.
+    /// Returns the number of seeded entry points.
     ///
     /// # Errors
     ///
-    /// Fails if the index does not decode or was exported under options
-    /// no request can name.
+    /// Fails if the index does not decode, was exported under options no
+    /// request can name, or does not match the loaded program (naming the
+    /// first entry point that differs).
     pub fn seed_index(&self, name: &str, index: &PolicyIndex<'_>) -> Result<usize, String> {
         let token = index.options_token();
         let spec = [false, true]
@@ -275,13 +281,16 @@ impl Registry {
             })
             .find(|s| spo_index::options_token(&s.to_options()) == token)
             .ok_or_else(|| format!("index options \"{token}\" match no request option set"))?;
+        let mut programs = self.programs.write().unwrap_or_else(|e| e.into_inner());
+        if let Some(program) = programs.get(name).and_then(|e| e.program.as_ref()) {
+            check_exported_from(program, index, &spec.to_options())?;
+        }
         let (mut full, mut intra) = index.to_libraries()?;
         // Whatever name the exporter used, report headers must match what
         // an analysis of the program loaded under `name` would print.
         full.name = name.to_owned();
         intra.name = name.to_owned();
         let seeded = full.entries.len();
-        let mut programs = self.programs.write().unwrap_or_else(|e| e.into_inner());
         let entry = programs.entry(name.to_owned()).or_insert_with(|| {
             Arc::new(ProgramEntry {
                 name: name.to_owned(),
@@ -463,6 +472,46 @@ impl Registry {
             reanalyzed.push((spec.key(), a.cache_hits, a.cache_misses));
         }
         Ok(ReloadSummary { load, reanalyzed })
+    }
+}
+
+/// Checks that `index` was exported from `program` under `options`, as
+/// `spo export` writes it: one record per entry-point signature (the last
+/// root of a signature keys it), each carrying the cone key
+/// [`CacheKeyer`] gives that root. A zero cone key (an index exported
+/// without fingerprints) cannot be checked, so it counts as a mismatch.
+///
+/// # Errors
+///
+/// Names the first entry point, in signature order, that is missing from
+/// either side or whose cone key differs.
+fn check_exported_from(
+    program: &Program,
+    index: &PolicyIndex<'_>,
+    options: &AnalysisOptions,
+) -> Result<(), String> {
+    let roots = spo_resolve::entry_points(program);
+    let keyer = CacheKeyer::new(program, &roots, options);
+    let mut expected: BTreeMap<String, u64> = BTreeMap::new();
+    for &root in &roots {
+        expected.insert(program.method_signature(root), keyer.key(root).unwrap_or(0));
+    }
+    let mut mismatched = BTreeSet::new();
+    for rec in index.records() {
+        let sig = index.signature_of(rec)?;
+        match expected.remove(sig) {
+            Some(key) if key != 0 && key == rec.cone_key => {}
+            _ => {
+                mismatched.insert(sig.to_owned());
+            }
+        }
+    }
+    mismatched.extend(expected.into_keys());
+    match mismatched.first() {
+        None => Ok(()),
+        Some(sig) => Err(format!(
+            "index was not exported from the loaded program (first mismatch at entry point {sig})"
+        )),
     }
 }
 

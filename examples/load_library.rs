@@ -42,8 +42,7 @@ fn main() {
             .origins
             .iter()
             .next()
-            .map(String::as_str)
-            .unwrap_or("?"),
+            .map_or("?", |o| &**o),
         vuln.cause,
     );
 

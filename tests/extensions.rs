@@ -113,7 +113,7 @@ fn dominators_agree_with_must_policies_on_straight_line_checks() {
     let ev = entry
         .events
         .iter()
-        .find(|(k, _)| matches!(k, spo_core::EventKey::Native(n) if n == "connect0"))
+        .find(|(k, _)| matches!(k, spo_core::EventKey::Native(n) if &**n == "connect0"))
         .map(|(_, p)| p)
         .unwrap();
     assert!(ev.must.is_empty());

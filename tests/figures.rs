@@ -82,7 +82,7 @@ fn figure_3_needs_broad_events() {
             &d.kind,
             DifferenceKind::CheckSetMismatch { event: EventKey::DataRead(n) }
                 | DifferenceKind::MustMayMismatch { event: EventKey::DataRead(n), .. }
-            if n == "data1"
+            if &**n == "data1"
         ) && d.delta.contains(Check::Read)
     });
     assert!(found, "{}", broad.render());

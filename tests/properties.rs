@@ -228,9 +228,10 @@ fn corpus_print_parse_fixpoint() {
 }
 
 /// The demand-driven ablation is exact: `compare_all`, which analyses
-/// intraprocedurally only the roots `ablation_demand` names, groups every
-/// pairing exactly as `diff_pair` over whole-library ablations does —
-/// same groups, same report bytes — with ICP on and off, narrow and broad
+/// intraprocedurally only the roots `ablation_demand` names, and
+/// `diff_pair`, which diffs only those roots' ablation entries, group
+/// every pairing exactly as the whole-library ablation diff does — same
+/// groups, same report bytes — with ICP on and off, narrow and broad
 /// events, at one and two workers.
 #[test]
 fn demanded_ablation_groups_like_the_whole_library_one() {
@@ -270,8 +271,17 @@ fn demanded_ablation_groups_like_the_whole_library_one() {
             let expected: Vec<_> = [(0, 1), (0, 2), (1, 2)]
                 .map(|(i, j)| {
                     let (l, r): (&(_, _), &(_, _)) = (&analyses[i], &analyses[j]);
+                    let diff = diff_libraries(&l.0, &r.0);
+                    let whole = root_keys(&diff_libraries(&l.1, &r.1));
+                    let want = verdict(&diff, &group_differences(&diff, &whole));
+                    // `diff_pair` diffs only the demanded ablation entries.
                     let (diff, groups) = diff_pair((&l.0, &l.1), (&r.0, &r.1));
-                    verdict(&diff, &groups)
+                    assert_eq!(
+                        verdict(&diff, &groups),
+                        want,
+                        "diff_pair: seed {seed}, icp {icp}, {events:?}, pairing {i}-{j}"
+                    );
+                    want
                 })
                 .to_vec();
             for jobs in [1, 2] {

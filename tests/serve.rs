@@ -126,6 +126,18 @@ fn status(v: &Value) -> &str {
     v.get("status").and_then(Value::as_str).expect("status")
 }
 
+/// The daemon's count of requests answered from its warm map.
+fn warm_hits(daemon: &Daemon) -> u64 {
+    let stats = daemon
+        .connect()
+        .rpc(r#"{"spo-rpc":1,"id":1,"method":"stats"}"#);
+    stats
+        .get("result")
+        .and_then(|r| r.get("warm_hits"))
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("stats carries warm_hits: {stats:?}"))
+}
+
 fn report(v: &Value) -> String {
     v.get("result")
         .and_then(|r| r.get("report"))
@@ -745,6 +757,11 @@ fn program_swap_drops_the_index_answers() {
             expected,
             "the fixtures differ, so a stale answer would show"
         );
+        assert_eq!(
+            warm_hits(&daemon),
+            1,
+            "an index exported from the loaded sources is accepted and answers warm"
+        );
         std::fs::copy(fixture("figure1_harmony.jir"), &lib).expect("rewrite sources");
         answer(&sock, swap);
         let queried = answer(&sock, query);
@@ -796,6 +813,57 @@ fn corrupt_index_preload_falls_back_to_full_analysis() {
     assert_eq!(
         out.stdout, baseline.stdout,
         "fallback analysis serves the same bytes a clean daemon would"
+    );
+    assert_eq!(daemon.shutdown(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An index exported from other sources is not trusted over the program
+/// loaded under the same name: startup refuses it, and every option set
+/// answers the loaded program, byte-identical to a daemon that only
+/// loaded it.
+#[test]
+fn index_from_other_sources_is_refused_for_a_loaded_name() {
+    let dir = std::env::temp_dir().join(format!("spo-serve-ixother-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("workdir");
+    let spi = dir.join("lib.spi");
+    export_index("lib", &fixture("figure1_jdk.jir"), &spi);
+    let load = format!("lib={}", fixture("figure1_harmony.jir").display());
+    let queries: Vec<String> = [
+        "",
+        r#","no_icp":true"#,
+        r#","broad":true"#,
+        r#","no_icp":true,"broad":true"#,
+        r#","intra_only":true"#,
+        r#","no_icp":true,"intra_only":true"#,
+    ]
+    .iter()
+    .map(|opts| {
+        format!(r#"{{"spo-rpc":1,"id":1,"method":"query","params":{{"name":"lib"{opts}}}}}"#)
+    })
+    .collect();
+    let answers = |daemon: &Daemon| -> Vec<Vec<u8>> {
+        let sock = daemon.socket.to_str().unwrap();
+        queries
+            .iter()
+            .map(|q| {
+                let out = spo(&["rpc", "--socket", sock, q]);
+                assert_eq!(out.status.code(), Some(0), "{q}");
+                out.stdout
+            })
+            .collect()
+    };
+
+    let plain = Daemon::start("ixotherbase", &["--no-cache", "--load", &load]);
+    let expected = answers(&plain);
+    assert_eq!(plain.shutdown(), 0);
+
+    let ix = format!("lib={}", spi.display());
+    let daemon = Daemon::start("ixother", &["--no-cache", "--load", &load, "--index", &ix]);
+    assert_eq!(
+        answers(&daemon),
+        expected,
+        "every option set answers the loaded program, not the index"
     );
     assert_eq!(daemon.shutdown(), 0);
     let _ = std::fs::remove_dir_all(&dir);
