@@ -221,6 +221,19 @@ impl CacheKeyer {
     }
 }
 
+/// The cone key of every API entry point of `program` under `options`, by
+/// method signature (the last root of a signature keys it): the
+/// fingerprints `spo export` stores in an index, and the ones a daemon
+/// checks an index against before trusting it for a loaded program.
+pub fn entry_fingerprints(program: &Program, options: &AnalysisOptions) -> BTreeMap<String, u64> {
+    let roots = spo_resolve::entry_points(program);
+    let keyer = CacheKeyer::new(program, &roots, options);
+    roots
+        .iter()
+        .filter_map(|&root| Some((program.method_signature(root), keyer.key(root)?)))
+        .collect()
+}
+
 /// Running counters of one cache's activity in this process.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {

@@ -561,7 +561,15 @@ impl Pass<'_, '_> {
             );
         }
 
-        let cfg = body.cfg_traced(self.rec);
+        // `jir.cfg.*` are work counters: a body's CFG is rebuilt for each
+        // frame that analyzes it, so the counts follow scheduling.
+        let cfg = {
+            let _span = self.rec.span("jir.cfg");
+            body.cfg()
+        };
+        let cfg_edges = cfg.edge_count() as u64;
+        self.rec.work_counter("jir.cfg.built").incr();
+        self.rec.work_counter("jir.cfg.edges").add(cfg_edges);
         let governor = self.governor;
         let mut spda = Spda {
             pass: self,
@@ -577,11 +585,7 @@ impl Pass<'_, '_> {
         let mut cost = FrameCost {
             transfers: fx.transfers,
             visited: fx.visited,
-            cfg_edges: if self.rec.is_enabled() {
-                cfg.edge_count() as u64
-            } else {
-                0
-            },
+            cfg_edges,
             ..Default::default()
         };
 

@@ -242,6 +242,74 @@ impl Default for Instruments {
     }
 }
 
+/// Reads the `.jir` files at `paths` and layers them into one program,
+/// with parse recovery: a malformed member or class is dropped and pushed
+/// onto `diags` as a [`Diagnostic::parse_dropped`] warning instead of
+/// failing the load. Only I/O errors are fatal.
+///
+/// Each file is recorded into `rec`: a `jir.parse` span, the
+/// `jir.parse.bytes`/`.classes`/`.methods`/`.stmts` counters covering
+/// what it added, a `jir.parse.recovered` counter and one `diagnostics`
+/// record per dropped unit. Parsing is deterministic and serial, so the
+/// counters land in the deterministic section.
+///
+/// # Errors
+///
+/// `"{path}: {io error}"` for the first file that cannot be read.
+pub fn load_program(
+    paths: &[String],
+    rec: &Recorder,
+    diags: &mut Vec<Diagnostic>,
+) -> Result<Program, String> {
+    let size = |p: &Program| (p.class_count(), p.all_methods().count(), p.stmt_count());
+    let mut program = Program::new();
+    for path in paths {
+        let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        let span = rec.span("jir.parse");
+        let (classes0, methods0, stmts0) = size(&program);
+        let recovery = spo_jir::parse_into_recovering(&src, &mut program);
+        let (classes1, methods1, stmts1) = size(&program);
+        rec.counter("jir.parse.bytes").add(src.len() as u64);
+        rec.counter("jir.parse.classes")
+            .add((classes1 - classes0) as u64);
+        rec.counter("jir.parse.methods")
+            .add((methods1 - methods0) as u64);
+        rec.counter("jir.parse.stmts").add((stmts1 - stmts0) as u64);
+        rec.counter("jir.parse.recovered")
+            .add(recovery.diagnostics.len() as u64);
+        for d in &recovery.diagnostics {
+            rec.diagnostic(
+                "error",
+                "parse",
+                &format!("{}:{}", d.line, d.col),
+                "parse",
+                &format!("{} (dropped {})", d.message, d.dropped),
+            );
+        }
+        drop(span);
+        diags.extend(
+            recovery
+                .diagnostics
+                .iter()
+                .map(|d| Diagnostic::parse_dropped(path, d.line, d.col, &d.message, &d.dropped)),
+        );
+    }
+    Ok(program)
+}
+
+/// Records `diag` as one `diagnostics` entry of `rec`'s snapshot.
+pub fn record_diagnostic(rec: &Recorder, diag: &Diagnostic) {
+    if rec.is_enabled() {
+        rec.diagnostic(
+            &diag.severity.to_string(),
+            &diag.phase.to_string(),
+            &diag.root,
+            diag.cause.label(),
+            &diag.message,
+        );
+    }
+}
+
 /// The parallel per-entry-point analysis driver.
 ///
 /// See the crate-level documentation for the determinism argument; the
@@ -640,16 +708,8 @@ impl AnalysisEngine {
                     .add(after.bytes - before.bytes);
             }
         }
-        if recorder.is_enabled() {
-            for diag in degraded.values() {
-                recorder.diagnostic(
-                    &diag.severity.to_string(),
-                    &diag.phase.to_string(),
-                    &diag.root,
-                    diag.cause.label(),
-                    &diag.message,
-                );
-            }
+        for diag in degraded.values() {
+            record_diagnostic(recorder, diag);
         }
         let lib = LibraryPolicies {
             name: name.to_owned(),

@@ -91,20 +91,6 @@ impl Body {
     pub fn cfg(&self) -> Cfg {
         Cfg::new(self)
     }
-
-    /// Builds the control-flow graph, recording construction metrics into
-    /// `rec`: the `jir.cfg` phase span (also on the bound trace lane) plus
-    /// `jir.cfg.built` / `jir.cfg.edges` work counters (raw builds — an
-    /// analysis may build the same body's CFG more than once, so these are
-    /// scheduling-dependent work, not deterministic program size).
-    pub fn cfg_traced(&self, rec: &spo_obs::Recorder) -> Cfg {
-        let _span = rec.span("jir.cfg");
-        let cfg = Cfg::new(self);
-        rec.work_counter("jir.cfg.built").incr();
-        rec.work_counter("jir.cfg.edges")
-            .add(cfg.edge_count() as u64);
-        cfg
-    }
 }
 
 /// Per-statement successor/predecessor control-flow graph.

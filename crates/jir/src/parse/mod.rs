@@ -7,6 +7,5 @@ mod lexer;
 mod parser;
 
 pub use parser::{
-    parse_into, parse_into_recovering, parse_into_recovering_traced, parse_program,
-    ParseDiagnostic, ParseError, Recovery,
+    parse_into, parse_into_recovering, parse_program, ParseDiagnostic, ParseError, Recovery,
 };

@@ -8,11 +8,11 @@
 //! the [`Program`] interner as slices of the source text, and the only
 //! strings it builds are dotted names and error messages.
 
-use super::lexer::{lex, LexError, Spanned, Tok};
+use super::lexer::{lex, Spanned, Tok};
 use crate::body::{Body, LocalDecl};
 use crate::flags::{ClassFlags, FieldFlags, MethodFlags};
 use crate::hash::FxHashMap;
-use crate::program::{Class, Field, Method, Program, ProgramError};
+use crate::program::{Class, Field, Method, Program};
 use crate::stmt::{
     Call, CmpOp, Cond, Const, Expr, FieldRef, FieldTarget, InvokeKind, LocalId, MethodRef, Operand,
     Stmt,
@@ -42,23 +42,14 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-impl From<LexError> for ParseError {
-    fn from(e: LexError) -> Self {
-        ParseError {
-            message: e.message,
-            line: e.line,
-            col: e.col,
-        }
-    }
-}
-
 /// Parses `.jir` source text into a fresh [`Program`].
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] on lexical or syntactic problems and on semantic
-/// ones caught at assembly time (duplicate classes/members, malformed
-/// bodies), with the position of the offending construct where available.
+/// Returns the first problem [`parse_into_recovering`] reports, as a
+/// [`ParseError`]: a lexical or syntactic problem, or a semantic one caught
+/// at assembly time (duplicate classes/members, malformed bodies), with the
+/// position of the offending construct where available.
 ///
 /// # Examples
 ///
@@ -85,30 +76,26 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
 /// Parses `.jir` source text, adding its classes to an existing program.
 ///
 /// Used to layer a library implementation on top of a shared runtime
-/// prelude.
+/// prelude. This is [`parse_into_recovering`] made strict: the error is
+/// the first diagnostic, and on error `program` holds whatever the
+/// recovering parse added.
 ///
 /// # Errors
 ///
 /// See [`parse_program`].
 pub fn parse_into(src: &str, program: &mut Program) -> Result<(), ParseError> {
-    let tokens = lex(src)?;
-    let mut p = Parser {
-        tokens: &tokens,
-        pos: 0,
-        program,
-    };
-    while !p.at_eof() {
-        let class = p.parse_class()?;
-        let (line, col) = p.here();
-        p.program
-            .add_class(class)
-            .map_err(|e: ProgramError| ParseError {
-                message: e.to_string(),
-                line,
-                col,
-            })?;
+    match parse_into_recovering(src, program)
+        .diagnostics
+        .into_iter()
+        .next()
+    {
+        None => Ok(()),
+        Some(d) => Err(ParseError {
+            message: d.message,
+            line: d.line,
+            col: d.col,
+        }),
     }
-    Ok(())
 }
 
 /// One recovered-from parse problem: what went wrong, where, and which
@@ -183,7 +170,7 @@ pub fn parse_into_recovering(src: &str, program: &mut Program) -> Recovery {
     };
     while !p.at_eof() {
         let start = p.pos;
-        match p.parse_class_with(Some(&mut recovery)) {
+        match p.parse_class_with(&mut recovery) {
             Ok(class) => {
                 let name = class.name;
                 let (line, col) = p.here();
@@ -206,42 +193,6 @@ pub fn parse_into_recovering(src: &str, program: &mut Program) -> Recovery {
                 p.recover_to_class(start);
             }
         }
-    }
-    recovery
-}
-
-/// Like [`parse_into_recovering`], recording parse metrics into `rec`: a
-/// `jir.parse` span, `jir.parse.bytes`/`.classes`/`.methods`/`.stmts`
-/// counters covering what this call added to `program`, a
-/// `jir.parse.recovered` counter and one `diagnostics` record per dropped
-/// unit. Parsing is deterministic and serial, so the counters land in the
-/// deterministic section.
-pub fn parse_into_recovering_traced(
-    src: &str,
-    program: &mut Program,
-    rec: &spo_obs::Recorder,
-) -> Recovery {
-    let size = |p: &Program| (p.class_count(), p.all_methods().count(), p.stmt_count());
-    let _span = rec.span("jir.parse");
-    let (classes0, methods0, stmts0) = size(program);
-    let recovery = parse_into_recovering(src, program);
-    let (classes1, methods1, stmts1) = size(program);
-    rec.counter("jir.parse.bytes").add(src.len() as u64);
-    rec.counter("jir.parse.classes")
-        .add((classes1 - classes0) as u64);
-    rec.counter("jir.parse.methods")
-        .add((methods1 - methods0) as u64);
-    rec.counter("jir.parse.stmts").add((stmts1 - stmts0) as u64);
-    rec.counter("jir.parse.recovered")
-        .add(recovery.diagnostics.len() as u64);
-    for d in &recovery.diagnostics {
-        rec.diagnostic(
-            "error",
-            "parse",
-            &format!("{}:{}", d.line, d.col),
-            "parse",
-            &format!("{} (dropped {})", d.message, d.dropped),
-        );
     }
     recovery
 }
@@ -425,10 +376,6 @@ impl<'t, 'a> Parser<'t, 'a> {
         Ok(ty)
     }
 
-    fn parse_class(&mut self) -> Result<Class, ParseError> {
-        self.parse_class_with(None)
-    }
-
     /// Skips past a malformed class member, leaving the class's own closing
     /// `}` unconsumed. The member ends at a `;` at brace depth 0 (field or
     /// abstract method), or at the `}` that closes the member's first brace
@@ -497,14 +444,11 @@ impl<'t, 'a> Parser<'t, 'a> {
         }
     }
 
-    /// Parses one class. With `recovery` set, a malformed member records a
-    /// diagnostic and drops only that member (resynchronizing on `;` /
-    /// balanced braces); header and class-assembly errors still propagate
-    /// so the caller can drop the whole class.
-    fn parse_class_with(
-        &mut self,
-        mut recovery: Option<&mut Recovery>,
-    ) -> Result<Class, ParseError> {
+    /// Parses one class. A malformed member records a diagnostic in
+    /// `recovery` and drops only that member (resynchronizing on `;` /
+    /// balanced braces); header and class-assembly errors propagate so the
+    /// caller can drop the whole class.
+    fn parse_class_with(&mut self, recovery: &mut Recovery) -> Result<Class, ParseError> {
         let is_interface = if self.at_kw("class") {
             self.bump();
             false
@@ -586,24 +530,19 @@ impl<'t, 'a> Parser<'t, 'a> {
                 ))
             };
             if let Err(e) = outcome {
-                match recovery.as_deref_mut() {
-                    Some(rec) => {
-                        let dropped = match self.tokens[member_start].tok {
-                            Tok::Ident("field") => "field",
-                            Tok::Ident("method") => "method",
-                            _ => "member",
-                        };
-                        rec.diagnostics.push(ParseDiagnostic {
-                            message: e.message,
-                            line: e.line,
-                            col: e.col,
-                            dropped: dropped.to_owned(),
-                        });
-                        self.pos = member_start;
-                        self.skip_member();
-                    }
-                    None => return Err(e),
-                }
+                let dropped = match self.tokens[member_start].tok {
+                    Tok::Ident("field") => "field",
+                    Tok::Ident("method") => "method",
+                    _ => "member",
+                };
+                recovery.diagnostics.push(ParseDiagnostic {
+                    message: e.message,
+                    line: e.line,
+                    col: e.col,
+                    dropped: dropped.to_owned(),
+                });
+                self.pos = member_start;
+                self.skip_member();
             }
         }
         self.expect(&Tok::RBrace)?;

@@ -175,7 +175,8 @@ class demo.A {
 }
 
 /// Mutated real fixtures: the recovering parser terminates and never
-/// panics, whatever we throw at it, and any class it keeps is well-formed.
+/// panics, whatever we throw at it, any class it keeps is well-formed, and
+/// the strict parse agrees with its first diagnostic.
 #[test]
 fn recovery_total_on_mutated_fixture() {
     for seed in 0..128u64 {
@@ -197,7 +198,17 @@ fn recovery_total_on_mutated_fixture() {
         }
         let src = String::from_utf8_lossy(&bytes).into_owned();
         let mut p = Program::new();
-        let _ = parse_into_recovering(&src, &mut p);
+        let recovery = parse_into_recovering(&src, &mut p);
+        // The strict parse is `Ok` exactly when the recovery is clean, and
+        // otherwise fails with its first diagnostic.
+        let strict = parse_program(&src)
+            .err()
+            .map(|e| (e.line, e.col, e.message));
+        let first = recovery
+            .diagnostics
+            .first()
+            .map(|d| (d.line, d.col, d.message.clone()));
+        assert_eq!(strict, first, "seed {seed}");
         for (_, m) in p.all_methods() {
             if let Some(body) = &m.body {
                 assert!(body.validate().is_ok());

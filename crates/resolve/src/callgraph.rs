@@ -70,40 +70,24 @@ impl CallGraph {
         Self::build(hierarchy, roots)
     }
 
-    /// Like [`CallGraph::build`], recording construction metrics into
-    /// `rec`: a `resolve.callgraph` span plus deterministic counters for
-    /// graph size (`resolve.callgraph.roots`/`.methods`/`.edges`) and
-    /// resolution precision (`resolve.calls.unique`/`.ambiguous`/
-    /// `.unknown`). Construction is a serial BFS over ordered maps, so
-    /// every count is schedule-independent.
-    pub fn build_traced(
-        hierarchy: &Hierarchy<'_>,
-        roots: Vec<MethodId>,
-        rec: &spo_obs::Recorder,
-    ) -> Self {
-        let span = rec.span("resolve.callgraph");
-        let cg = Self::build(hierarchy, roots);
-        drop(span);
+    /// Records this graph's size (`resolve.callgraph.roots`/`.methods`/
+    /// `.edges`) and its resolution precision (`resolve.calls.unique`/
+    /// `.ambiguous`/`.unknown`) as counters in `rec`. Construction is a
+    /// serial BFS over ordered maps, so every count is
+    /// schedule-independent.
+    pub fn record_into(&self, rec: &spo_obs::Recorder) {
         rec.counter("resolve.callgraph.roots")
-            .add(cg.roots.len() as u64);
+            .add(self.roots.len() as u64);
         rec.counter("resolve.callgraph.methods")
-            .add(cg.reachable_count() as u64);
+            .add(self.reachable_count() as u64);
         rec.counter("resolve.callgraph.edges")
-            .add(cg.edge_count() as u64);
+            .add(self.edge_count() as u64);
         rec.counter("resolve.calls.unique")
-            .add(cg.stats.unique as u64);
+            .add(self.stats.unique as u64);
         rec.counter("resolve.calls.ambiguous")
-            .add(cg.stats.ambiguous as u64);
+            .add(self.stats.ambiguous as u64);
         rec.counter("resolve.calls.unknown")
-            .add(cg.stats.unknown as u64);
-        cg
-    }
-
-    /// Like [`CallGraph::from_entry_points`], recording construction
-    /// metrics into `rec` (see [`CallGraph::build_traced`]).
-    pub fn from_entry_points_traced(hierarchy: &Hierarchy<'_>, rec: &spo_obs::Recorder) -> Self {
-        let roots = entry_points(hierarchy.program());
-        Self::build_traced(hierarchy, roots, rec)
+            .add(self.stats.unknown as u64);
     }
 
     /// The root methods.
@@ -254,11 +238,15 @@ class B {
     }
 
     #[test]
-    fn traced_build_records_graph_and_resolution_counters() {
+    fn recorded_graph_counters_match_the_graph() {
         let p = prog();
         let h = Hierarchy::new(&p);
         let rec = spo_obs::Recorder::new();
-        let cg = CallGraph::from_entry_points_traced(&h, &rec);
+        let cg = {
+            let _span = rec.span("resolve.callgraph");
+            CallGraph::from_entry_points(&h)
+        };
+        cg.record_into(&rec);
         let snap = rec.snapshot();
         assert_eq!(
             snap.counters["resolve.callgraph.roots"],
@@ -274,7 +262,7 @@ class B {
         );
         assert_eq!(snap.counters["resolve.calls.unknown"], 1);
         assert_eq!(snap.durations["resolve.callgraph"].count, 1);
-        // Traced and untraced construction agree.
+        // Recording leaves the graph as an unrecorded build makes it.
         let plain = CallGraph::from_entry_points(&h);
         assert_eq!(plain.reachable_count(), cg.reachable_count());
         assert_eq!(plain.edge_count(), cg.edge_count());

@@ -31,9 +31,9 @@
 //! requests.
 
 use crate::proto::{ErrorKind, OptionsSpec, RequestError};
-use spo_cache::{CacheKeyer, PolicyCache};
+use spo_cache::{entry_fingerprints, PolicyCache};
 use spo_core::{diff_pair, render_analysis, render_reports, AnalysisOptions, LibraryPolicies};
-use spo_engine::{AnalysisEngine, Instruments};
+use spo_engine::{load_program, record_diagnostic, AnalysisEngine, Instruments};
 use spo_guard::Diagnostic;
 use spo_index::PolicyIndex;
 use spo_jir::Program;
@@ -191,28 +191,18 @@ impl Registry {
             .ok_or_else(|| not_loaded(name))
     }
 
-    /// Parses `paths` into a fresh entry (mirroring the CLI's recovering
-    /// loader: malformed members are dropped and reported as warnings,
-    /// only I/O errors are fatal).
+    /// Parses `paths` into a fresh entry through [`load_program`], the
+    /// loader the CLI uses too: malformed members are dropped and reported
+    /// as warnings, only I/O errors are fatal.
     fn build_entry(
         &self,
         name: &str,
         paths: &[String],
         instruments: &Instruments,
     ) -> Result<Arc<ProgramEntry>, RequestError> {
-        let mut program = Program::new();
-        let mut warnings: Vec<Diagnostic> = Vec::new();
-        for path in paths {
-            let src = std::fs::read_to_string(path)
-                .map_err(|e| RequestError::new(ErrorKind::Io, format!("{path}: {e}")))?;
-            let recovery =
-                spo_jir::parse_into_recovering_traced(&src, &mut program, &instruments.recorder);
-            warnings.extend(
-                recovery.diagnostics.iter().map(|d| {
-                    Diagnostic::parse_dropped(path, d.line, d.col, &d.message, &d.dropped)
-                }),
-            );
-        }
+        let mut warnings = Vec::new();
+        let program = load_program(paths, &instruments.recorder, &mut warnings)
+            .map_err(|e| RequestError::new(ErrorKind::Io, e))?;
         warnings.sort();
         let classes = program.class_count();
         let entry_points = spo_resolve::entry_points(&program).len();
@@ -352,13 +342,7 @@ impl Registry {
             let mut ds = cache.take_diagnostics();
             ds.sort();
             for d in &ds {
-                instruments.recorder.diagnostic(
-                    &d.severity.to_string(),
-                    &d.phase.to_string(),
-                    &d.root,
-                    d.cause.label(),
-                    &d.message,
-                );
+                record_diagnostic(&instruments.recorder, d);
             }
         }
         let analysis = Arc::new(Analysis::new(
@@ -476,10 +460,10 @@ impl Registry {
 }
 
 /// Checks that `index` was exported from `program` under `options`, as
-/// `spo export` writes it: one record per entry-point signature (the last
-/// root of a signature keys it), each carrying the cone key
-/// [`CacheKeyer`] gives that root. A zero cone key (an index exported
-/// without fingerprints) cannot be checked, so it counts as a mismatch.
+/// `spo export` writes it: one record per entry-point signature, each
+/// carrying that signature's [`entry_fingerprints`] cone key. A zero cone
+/// key (an index exported without fingerprints) cannot be checked, so it
+/// counts as a mismatch.
 ///
 /// # Errors
 ///
@@ -490,12 +474,7 @@ fn check_exported_from(
     index: &PolicyIndex<'_>,
     options: &AnalysisOptions,
 ) -> Result<(), String> {
-    let roots = spo_resolve::entry_points(program);
-    let keyer = CacheKeyer::new(program, &roots, options);
-    let mut expected: BTreeMap<String, u64> = BTreeMap::new();
-    for &root in &roots {
-        expected.insert(program.method_signature(root), keyer.key(root).unwrap_or(0));
-    }
+    let mut expected = entry_fingerprints(program, options);
     let mut mismatched = BTreeSet::new();
     for rec in index.records() {
         let sig = index.signature_of(rec)?;

@@ -786,9 +786,8 @@ impl Run {
     }
 }
 
-/// Loads and layers the given `.jir` files with parse recovery: a
-/// malformed member or class is dropped and reported as a diagnostic
-/// instead of failing the load. Only I/O errors are fatal.
+/// Loads and layers the given `.jir` files through the engine's
+/// recovering loader ([`spo_engine::load_program`]).
 fn load_program(
     paths: &[String],
     rec: &Recorder,
@@ -797,18 +796,7 @@ fn load_program(
     if paths.is_empty() {
         return Err("no input files".to_owned());
     }
-    let mut program = Program::new();
-    for path in paths {
-        let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let recovery = spo_jir::parse_into_recovering_traced(&src, &mut program, rec);
-        diags.extend(
-            recovery
-                .diagnostics
-                .iter()
-                .map(|d| Diagnostic::parse_dropped(path, d.line, d.col, &d.message, &d.dropped)),
-        );
-    }
-    Ok(program)
+    spo_engine::load_program(paths, rec, diags)
 }
 
 /// Prints every diagnostic to stderr — stdout carries only the report, so
@@ -857,15 +845,18 @@ fn cmd_check(p: &Parsed) -> Result<ExitCode, String> {
     let rec = outputs.recorder();
     let mut diags = Vec::new();
     let program = load_program(&p.operands, &rec, &mut diags)?;
-    let entries = spo_resolve::entry_points(&program);
     let hierarchy = spo_resolve::Hierarchy::new(&program);
-    let cg = spo_resolve::CallGraph::from_entry_points_traced(&hierarchy, &rec);
+    let cg = {
+        let _span = rec.span("resolve.callgraph");
+        spo_resolve::CallGraph::from_entry_points(&hierarchy)
+    };
+    cg.record_into(&rec);
     let stats = cg.stats();
     println!(
         "{} classes, {} statements, {} entry points, {} reachable methods",
         program.class_count(),
         program.stmt_count(),
-        entries.len(),
+        cg.roots().len(),
         cg.reachable_count(),
     );
     println!(
@@ -932,14 +923,7 @@ fn cmd_export(p: &Parsed) -> Result<ExitCode, String> {
     let (intra, _) = run.engine.analyze_library(&program, name, intra_options);
     // Cone fingerprints let a later run detect staleness without
     // reanalysis; they use the same keyer as the summary cache.
-    let roots = spo_resolve::entry_points(&program);
-    let keyer = spo_cache::CacheKeyer::new(&program, &roots, &options);
-    let mut fingerprints = std::collections::BTreeMap::new();
-    for &root in &roots {
-        if let Some(key) = keyer.key(root) {
-            fingerprints.insert(program.method_signature(root), key);
-        }
-    }
+    let fingerprints = spo_cache::entry_fingerprints(&program, &options);
     let bytes = spo_index::IndexBuilder::new(name, &options, &full, &intra)
         .fingerprints(&fingerprints)
         .build()

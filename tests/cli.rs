@@ -103,6 +103,82 @@ fn check_reports_stats() {
     assert!(stdout.contains("% resolved"), "{stdout}");
 }
 
+/// A layer with one ambiguous interface call and two unknown static
+/// calls, so the call-site counts `spo check` prints are non-zero and
+/// pairwise distinct.
+const AMBIGUOUS: &str = r#"
+interface t.I {
+  method public abstract void run();
+}
+class t.A implements t.I {
+  method public void run() { return; }
+}
+class t.B implements t.I {
+  method public void run() { return; }
+}
+class t.U {
+  method public void go(t.I i) {
+    interfaceinvoke i.run();
+    staticinvoke ext.Sys.call();
+    staticinvoke ext.Sys.other();
+    return;
+  }
+}
+"#;
+
+/// `spo check --stats-json` records what `spo check` prints: the
+/// `resolve.*` counters equal the printed entry points, reachable methods
+/// and call-site counts, and `jir.parse.stmts` (summed over both files)
+/// the printed statement count.
+#[test]
+fn check_stats_json_counts_what_check_prints() {
+    let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let jdk = manifest.join("examples/jir/figure1_jdk.jir");
+    let extra = write_temp("ambiguous.jir", AMBIGUOUS);
+    let json_path = std::env::temp_dir().join("spo-cli-tests/check-stats.json");
+    let out = spo(&[
+        "check",
+        jdk.to_str().unwrap(),
+        extra.to_str().unwrap(),
+        "--stats-json",
+        json_path.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    // The number printed right before `label`.
+    let printed = |label: &str| -> u64 {
+        let (head, _) = stdout
+            .split_once(label)
+            .unwrap_or_else(|| panic!("no {label:?} in {stdout}"));
+        head.split_whitespace().last().unwrap().parse().unwrap()
+    };
+    let json = std::fs::read_to_string(&json_path).unwrap();
+    let snapshot = security_policy_oracle::obs::json::parse(&json).unwrap();
+    let counter = |name: &str| -> u64 {
+        snapshot
+            .get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(|v| v.as_u64())
+            .unwrap_or_else(|| panic!("no counter {name} in {json}"))
+    };
+    for (name, label) in [
+        ("resolve.callgraph.roots", " entry points"),
+        ("resolve.callgraph.methods", " reachable methods"),
+        ("resolve.calls.unique", " unique"),
+        ("resolve.calls.ambiguous", " ambiguous"),
+        ("resolve.calls.unknown", " unknown"),
+        ("jir.parse.stmts", " statements"),
+    ] {
+        assert_eq!(counter(name), printed(label), "{name} vs {label:?}");
+    }
+    assert_eq!(printed(" ambiguous"), 1, "{stdout}");
+    assert_eq!(printed(" unknown"), 2, "{stdout}");
+}
+
 #[test]
 fn analyze_prints_policies() {
     let rt = write_temp("rt2.jir", RUNTIME);

@@ -1,10 +1,11 @@
 //! Pins what the `.jir` front end builds and reports: generated corpus
 //! text round-trips through parse → print byte for byte, and a table of
 //! malformed inputs yields exactly the recorded `Recovery` diagnostics
-//! (line, byte column, message and dropped unit).
+//! (line, byte column, message and dropped unit), the first of which is
+//! the strict parse's error.
 
 use spo_corpus::{CorpusConfig, Lib};
-use spo_jir::{parse_into_recovering, print_program, Program};
+use spo_jir::{parse_into_recovering, parse_program, print_program, Program};
 
 /// Every implementation of the scale-1 corpus for `seed`: its printed
 /// `.jir` text parses clean and prints back to the same bytes.
@@ -136,5 +137,13 @@ fn malformed_inputs_report_the_recorded_diagnostics() {
             .map(|d| (d.line, d.col, d.message.as_str(), d.dropped.as_str()))
             .collect();
         assert_eq!(&got, expected, "{name}");
+        // The strict parse fails with the recovering parse's first
+        // diagnostic.
+        let strict = parse_program(src).err().map(|e| (e.line, e.col, e.message));
+        let first = recovery
+            .diagnostics
+            .first()
+            .map(|d| (d.line, d.col, d.message.clone()));
+        assert_eq!(strict, first, "{name}");
     }
 }
