@@ -44,9 +44,11 @@
 //! analysis stores the new cone). Only missed roots ever need the call
 //! graph — [`CacheKeyer`] is built over just those.
 //!
-//! All hashing is [`spo_jir::Fnv64`]: seedless, platform-independent, and
-//! stable across parses (it hashes resolved strings and structural tags,
-//! never interned ids).
+//! All key hashing is [`spo_jir::Fnv64`]: seedless, platform-independent,
+//! and stable across parses (it hashes resolved strings and structural
+//! tags, never interned ids). The whole-file checksum that guards each
+//! `spo-index/3` file is [`spo_index::checksum`], the word-wise FNV-1a
+//! form: it detects damage to the bytes and never keys an entry.
 //!
 //! ## Storage layout
 //!
@@ -321,7 +323,7 @@ impl File {
             if table.key_of_cone(&index.cone(rec)?) != Some(rec.cone_key) {
                 return Ok(Lookup::Stale);
             }
-            Ok(Lookup::Hit(index.decode(rec)?.0))
+            Ok(Lookup::Hit(index.decode_full(rec)?))
         };
         read().unwrap_or_else(Lookup::Invalid)
     }
@@ -777,7 +779,7 @@ class t.A {
             .find(|&m| program.method_signature(m).contains(sig_contains))
             .unwrap();
         let sig = program.method_signature(root);
-        let entry = lib.entries[&sig].clone();
+        let entry = EntryPolicy::clone(&lib.entries[&sig]);
         (program, root, entry)
     }
 
@@ -999,7 +1001,7 @@ class t.A {
             .iter()
             .find(|(_, e)| !e.events.is_empty())
             .unwrap();
-        let mut changed = entry.clone();
+        let mut changed = EntryPolicy::clone(entry);
         changed
             .check_origins
             .insert(9, vec!["t.A.fresh()".into()].into());
@@ -1008,7 +1010,10 @@ class t.A {
             .copied()
             .find(|&r| program.method_signature(r) == *sig)
             .unwrap();
-        assert_eq!(cache.lookup("t", &OPTS, sig, &table), Some(entry.clone()));
+        assert_eq!(
+            cache.lookup("t", &OPTS, sig, &table),
+            Some(EntryPolicy::clone(entry))
+        );
         cache.store(
             "t",
             &OPTS,
@@ -1025,11 +1030,11 @@ class t.A {
         );
         assert_eq!(old.len(), new.len());
         for rec in new.records() {
-            let (got, _) = new.decode(rec).unwrap();
+            let got = new.decode_full(rec).unwrap();
             if got.signature == *sig {
                 assert_eq!(got, changed);
             } else {
-                assert_eq!(got, lib.entries[&got.signature]);
+                assert_eq!(got, *lib.entries[&got.signature]);
                 assert_eq!(old.find(rec.root_key).unwrap().cone_key, rec.cone_key);
             }
         }
@@ -1121,7 +1126,7 @@ class t.A {
         let good = std::fs::read(&path).unwrap();
 
         let mut bumped = good.clone();
-        bumped.splice(..b"spo-index 2".len(), b"spo-index 9".iter().copied());
+        bumped.splice(..b"spo-index 3".len(), b"spo-index 9".iter().copied());
         // The same entries under another library's name.
         let foreign = {
             let mut w = IndexWriter::new(false);
@@ -1181,9 +1186,8 @@ class t.A {
             + cone_bytes.len();
         bytes[events_at..events_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let body = bytes.len() - 8;
-        let mut h = Fnv64::new();
-        h.write(&bytes[..body]);
-        bytes[body..].copy_from_slice(&h.finish().to_le_bytes());
+        let sum = spo_index::checksum(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
 
         let cache = PolicyCache::open(&dir).unwrap();

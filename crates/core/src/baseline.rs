@@ -188,7 +188,7 @@ mod tests {
             ..Default::default()
         };
         for e in entries {
-            l.entries.insert(e.signature.clone(), e);
+            l.entries.insert(e.signature.clone(), e.into());
         }
         l
     }

@@ -488,14 +488,16 @@ mod tests {
         };
         l.entries.insert(
             "C.m()".into(),
-            entry("C.m()", &[(native("x"), &[Check::Read], &[Check::Read])]),
+            entry("C.m()", &[(native("x"), &[Check::Read], &[Check::Read])]).into(),
         );
         l.entries
-            .insert("C.only_left()".into(), entry("C.only_left()", &[]));
+            .insert("C.only_left()".into(), entry("C.only_left()", &[]).into());
+        r.entries.insert(
+            "C.m()".into(),
+            entry("C.m()", &[(native("x"), &[], &[])]).into(),
+        );
         r.entries
-            .insert("C.m()".into(), entry("C.m()", &[(native("x"), &[], &[])]));
-        r.entries
-            .insert("C.only_right()".into(), entry("C.only_right()", &[]));
+            .insert("C.only_right()".into(), entry("C.only_right()", &[]).into());
         let d = diff_libraries(&l, &r);
         assert_eq!(d.matching_apis, 1);
         assert_eq!(d.differences.len(), 1);

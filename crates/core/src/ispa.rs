@@ -296,7 +296,7 @@ impl<'p> Analyzer<'p> {
             // Protected methods can collide with public overrides on the
             // signature key across class boundaries; keep the first
             // (deterministic: roots come in program order).
-            entries.entry(sig).or_insert(entry);
+            entries.entry(sig).or_insert_with(|| Arc::new(entry));
         }
         stats.record_into(&self.recorder);
         LibraryPolicies {

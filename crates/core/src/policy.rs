@@ -5,6 +5,7 @@ use crate::events::{EventKey, Name};
 use spo_dataflow::{BitSet32, Dnf};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// The policy attached to one security-sensitive event of one entry point:
 /// which checks **must** precede it on every path and which **may** precede
@@ -335,7 +336,10 @@ pub struct LibraryPolicies {
     /// byte-identical to a clean run restricted to them. Consumers that
     /// need a conservative stand-in for a degraded root should use
     /// [`EntryPolicy::top`].
-    pub entries: BTreeMap<String, EntryPolicy>,
+    ///
+    /// Each entry is shared: an index decode hands the same policy to a
+    /// library's full and intraprocedural maps when the two are equal.
+    pub entries: BTreeMap<String, Arc<EntryPolicy>>,
     /// Analysis statistics.
     pub stats: AnalysisStats,
     /// Roots whose analysis was quarantined (panic, budget, cancellation),
@@ -541,8 +545,8 @@ mod tests {
         let mut e2 = EntryPolicy::new("B.m()".into());
         e2.events
             .insert(EventKey::ApiReturn, EventPolicy::default());
-        lib.entries.insert(e1.signature.clone(), e1);
-        lib.entries.insert(e2.signature.clone(), e2);
+        lib.entries.insert(e1.signature.clone(), e1.into());
+        lib.entries.insert(e2.signature.clone(), e2.into());
         assert_eq!(lib.entries_with_checks(), 1);
         assert_eq!(lib.event_policy_count(), 3);
         // One disjunct per event here, so may count == event count; must

@@ -650,13 +650,14 @@ impl AnalysisEngine {
             results.push((idx, sig, entry, stats));
         }
         // Deterministic merge: ascending root index, first root wins on
-        // signature collisions — exactly the serial analyzer's fold.
+        // signature collisions — exactly the serial analyzer's fold. Each
+        // winning root is wrapped for sharing once, here.
         results.sort_by_key(|(idx, ..)| *idx);
         let mut analysis = AnalysisStats::default();
         let mut entries = std::collections::BTreeMap::new();
         for (_, sig, entry, stats) in results {
             analysis.absorb(&stats);
-            entries.entry(sig).or_insert(entry);
+            entries.entry(sig).or_insert_with(|| Arc::new(entry));
         }
 
         // Degraded roots merge in the same deterministic order; a root

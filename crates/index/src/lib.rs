@@ -1,7 +1,7 @@
 //! # spo-index — the one durable policy format
 //!
 //! Compiles finished per-entry policies into one small, versioned,
-//! checksummed file (`spo-index/2`) so "what checks guard entry point
+//! checksummed file (`spo-index/3`) so "what checks guard entry point
 //! X?" and "where do two implementations disagree?" become index reads
 //! instead of re-deriving [`LibraryPolicies`] from source. Two holders
 //! share the format: an **exported index** (`policies.spi`,
@@ -10,13 +10,13 @@
 //! one file per library and options token, whose entries carry their
 //! dependency cone.
 //!
-//! ## Layout (`spo-index/2`, all integers little-endian)
+//! ## Layout (`spo-index/3`, all integers little-endian)
 //!
 //! ```text
-//! "spo-index 2\n"                       text version header
+//! "spo-index 3\n"                       text version header
 //! str   library name                    (str = u32 length + UTF-8 bytes)
 //! str   options token                   (see options_token)
-//! u8    intra flag                      1: every blob holds an intra policy
+//! u8    intra flag                      1: every blob holds an intra tag
 //! u64   entry-point stat (full)         feeds render_analysis's footer
 //! u64   entry-point stat (intra)
 //! u32 S; S × str                        string table (interned)
@@ -24,14 +24,18 @@
 //! u64 N; N × 24-byte row                sorted by root key: u64 root_key |
 //!                                        u32 off | u32 len | u64 cone key
 //! u64 B; B bytes                        blob region (off/len index into it)
-//! u64   FNV-64 of everything above      whole-file checksum
+//! u64   checksum of everything above    word-wise FNV-1a (see checksum)
 //! ```
 //!
 //! A blob is the interned signature id, the cone identity list (u32
 //! count, one u64 [method identity hash](spo_jir::method_identity_hash)
-//! each; exports write 0), the full policy and, under the intra flag, the
-//! intra policy. A policy is its events (u8 tag + interned name id, u32
-//! check-set id), event origins and check origins (interned string ids).
+//! each; exports write 0), the full policy and, under the intra flag, a
+//! u8 intra tag: 0 when the intraprocedural policy equals the full one
+//! (nothing follows), 1 when the intraprocedural policy follows. Most
+//! entries' ablation equals their full policy, so most exported blobs end
+//! in tag 0 and a decode shares one policy between the two maps. A policy
+//! is its events (u8 tag + interned name id, u32 check-set id), event
+//! origins and check origins (interned string ids).
 //! Tables only grow: [`IndexWriter::extending`] seeds its interners from
 //! an existing file, so old ids stay valid and kept blobs are copied
 //! verbatim — a cache flush encodes only the entries it re-stored.
@@ -41,8 +45,9 @@
 //! [`PolicyIndex::parse`] validates the checksum and decodes only the two
 //! shared tables; rows and blobs stay borrowed (a long-lived holder takes
 //! [`PolicyIndex::into_owned`]). [`PolicyIndex::find`] locates a row by
-//! `root_key(signature)` without allocating, and [`PolicyIndex::decode`]
-//! materializes one entry; output funnels through
+//! `root_key(signature)` without allocating, [`PolicyIndex::decode_full`]
+//! materializes one entry's full policy (all a query needs) and
+//! [`PolicyIndex::decode`] both of its policies; output funnels through
 //! [`spo_core::render_entry`] / [`spo_core::render_analysis`], so it is
 //! byte-identical to the analysis path. Bounded, counted reads
 //! ([`codec::Cursor`]) turn a truncated, bit-flipped, or version-bumped
@@ -64,7 +69,7 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 pub mod codec;
 
@@ -73,7 +78,7 @@ use codec::Cursor;
 /// The on-disk format version; bumped whenever the layout or the policy
 /// semantics it captures change. Old files then read as version
 /// mismatches and consumers fall back to full analysis.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Conventional file name for an exported index.
 pub const INDEX_FILE: &str = "policies.spi";
@@ -103,6 +108,34 @@ pub fn root_key(signature: &str) -> u64 {
 fn header_line() -> String {
     format!("spo-index {FORMAT_VERSION}\n")
 }
+
+/// The whole-file checksum: FNV-1a absorbing one 8-byte little-endian
+/// word per step (XOR the word in, multiply by the FNV prime), then the
+/// last `len % 8` bytes one at a time. Each step is a bijection of the
+/// state for a given input and an injection of the input for a given
+/// state, so any single-bit flip changes the sum. Eight times fewer
+/// dependent multiplies than the byte-wise [`Fnv64`] the cache keys use.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = OFFSET;
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(word);
+        h = (h ^ u64::from_le_bytes(w)).wrapping_mul(PRIME);
+    }
+    for &b in words.remainder() {
+        h = (h ^ u64::from(b)).wrapping_mul(PRIME);
+    }
+    h
+}
+
+/// The intra tag of an exported blob whose intraprocedural policy equals
+/// its full policy: nothing follows it.
+const INTRA_SAME: u8 = 0;
+/// The intra tag of an exported blob whose intraprocedural policy follows.
+const INTRA_OWN: u8 = 1;
 
 // ---------------------------------------------------------------------------
 // Writer
@@ -152,7 +185,7 @@ fn set_bits(policy: &EventPolicy) -> SetBits {
     )
 }
 
-/// Assembles `spo-index/2` bytes from entries: encodes new entries
+/// Assembles `spo-index/3` bytes from entries: encodes new entries
 /// against interned string and check-set tables, and copies entries of an
 /// existing file verbatim.
 pub struct IndexWriter<'s> {
@@ -203,7 +236,8 @@ impl<'s> IndexWriter<'s> {
 
     /// Encodes one entry: its signature, cone key and cone identity list
     /// (empty for exports), and its policies. `intra` must be present
-    /// exactly when the writer carries intraprocedural policies.
+    /// exactly when the writer carries intraprocedural policies; one equal
+    /// to `full` is stored as a bare intra tag 0.
     pub fn entry(
         &mut self,
         signature: &'s str,
@@ -222,8 +256,13 @@ impl<'s> IndexWriter<'s> {
             codec::put_u64(&mut blob, identity);
         }
         self.encode_policy(&mut blob, full);
-        if let Some(intra) = intra {
-            self.encode_policy(&mut blob, intra);
+        match intra {
+            None => {}
+            Some(intra) if intra == full => blob.push(INTRA_SAME),
+            Some(intra) => {
+                blob.push(INTRA_OWN);
+                self.encode_policy(&mut blob, intra);
+            }
         }
         self.rows
             .push((root_key(signature), Cow::Owned(blob), cone_key));
@@ -322,15 +361,14 @@ impl<'s> IndexWriter<'s> {
             out.extend_from_slice(blob);
         }
 
-        let mut h = Fnv64::new();
-        h.write(&out);
-        codec::put_u64(&mut out, h.finish());
+        let sum = checksum(&out);
+        codec::put_u64(&mut out, sum);
         Ok(out)
     }
 }
 
 /// Compiles a library's full and intraprocedural policies into an
-/// exported `spo-index/2` file.
+/// exported `spo-index/3` file.
 pub struct IndexBuilder<'a> {
     name: &'a str,
     options: &'a AnalysisOptions,
@@ -398,7 +436,7 @@ impl<'a> IndexBuilder<'a> {
                 .fingerprints
                 .and_then(|m| m.get(sig).copied())
                 .unwrap_or(0);
-            writer.entry(sig, cone_key, &[], full, Some(intra));
+            writer.entry(sig, cone_key, &[], full, Some(&**intra));
         }
         writer.finish(
             self.name,
@@ -428,7 +466,7 @@ pub struct Record {
     len: u32,
 }
 
-/// Accessor over a parsed `spo-index/2` file.
+/// Accessor over a parsed `spo-index/3` file.
 ///
 /// Parsing decodes only the header and the two shared tables; the offset
 /// table and blob region stay borrowed from the input (zero-copy), until
@@ -485,10 +523,8 @@ impl<'a> PolicyIndex<'a> {
             return Err("truncated index (no checksum)".to_owned());
         }
         let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let mut h = Fnv64::new();
-        h.write(body);
         let want = u64::from_le_bytes(tail.try_into().map_err(|_| "truncated index")?);
-        if h.finish() != want {
+        if checksum(body) != want {
             return Err("index checksum mismatch (corrupt index)".to_owned());
         }
 
@@ -742,17 +778,49 @@ impl<'a> PolicyIndex<'a> {
         })
     }
 
-    /// Decodes a record into its full policy and its intra policy
-    /// (`None` in a file without the intra flag).
-    pub fn decode(&self, rec: Record) -> Result<(EntryPolicy, Option<EntryPolicy>), String> {
-        let blob = self.blob_of(rec)?;
-        let mut c = Cursor::new(blob);
+    /// Decodes a blob's signature and full policy, leaving `c` at the
+    /// intra tag (or at the end of a blob without one).
+    fn decode_head(&self, c: &mut Cursor<'_>) -> Result<(&str, EntryPolicy), String> {
         let sig = self.string(c.u32()?)?;
         let cone_len = c.counted(8)?;
         c.take(cone_len as usize * 8)?;
-        let full = self.decode_policy(sig, &mut c)?;
+        Ok((sig, self.decode_policy(sig, c)?))
+    }
+
+    /// Decodes a record's full policy only. In an exported index the
+    /// intra tail is left unread: [`Self::parse`]'s checksum already
+    /// vouched for its bytes, and [`Self::decode`] validates it.
+    pub fn decode_full(&self, rec: Record) -> Result<EntryPolicy, String> {
+        let blob = self.blob_of(rec)?;
+        let mut c = Cursor::new(blob);
+        let (_, full) = self.decode_head(&mut c)?;
+        if !self.intra && c.pos() != blob.len() {
+            return Err("trailing bytes in entry blob".to_owned());
+        }
+        Ok(full)
+    }
+
+    /// Decodes a record into its full policy and its intra policy (`None`
+    /// in a file without the intra flag). An intra policy stored as equal
+    /// to the full one is the same allocation: [`Arc::ptr_eq`] holds.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a damaged blob, including an intra tag other than 0 or 1.
+    pub fn decode(
+        &self,
+        rec: Record,
+    ) -> Result<(Arc<EntryPolicy>, Option<Arc<EntryPolicy>>), String> {
+        let blob = self.blob_of(rec)?;
+        let mut c = Cursor::new(blob);
+        let (sig, full) = self.decode_head(&mut c)?;
+        let full = Arc::new(full);
         let intra = if self.intra {
-            Some(self.decode_policy(sig, &mut c)?)
+            Some(match c.u8()? {
+                INTRA_SAME => Arc::clone(&full),
+                INTRA_OWN => Arc::new(self.decode_policy(sig, &mut c)?),
+                t => return Err(format!("bad intra tag {t}")),
+            })
         } else {
             None
         };
@@ -762,19 +830,26 @@ impl<'a> PolicyIndex<'a> {
         Ok((full, intra))
     }
 
-    /// Looks a signature up and renders its policy block exactly as `spo
-    /// analyze` and the daemon do (via [`spo_core::render_entry`]; an
-    /// entry with no checks renders as the empty string). `Ok(None)` means
+    /// Looks a signature up and decodes its full policy. `Ok(None)` means
     /// the entry point is not in the index.
-    pub fn query(&self, signature: &str) -> Result<Option<String>, String> {
+    pub fn lookup(&self, signature: &str) -> Result<Option<EntryPolicy>, String> {
         let Some(rec) = self.find(root_key(signature)) else {
             return Ok(None);
         };
         if self.signature_of(rec)? != signature {
             return Ok(None);
         }
-        let (full, _) = self.decode(rec)?;
-        Ok(Some(render_entry(signature, &full)))
+        self.decode_full(rec).map(Some)
+    }
+
+    /// Looks a signature up and renders its policy block exactly as `spo
+    /// analyze` and the daemon do (via [`spo_core::render_entry`]; an
+    /// entry with no checks renders as the empty string). `Ok(None)` means
+    /// the entry point is not in the index.
+    pub fn query(&self, signature: &str) -> Result<Option<String>, String> {
+        Ok(self
+            .lookup(signature)?
+            .map(|full| render_entry(signature, &full)))
     }
 
     /// Renders the full library listing exactly as `spo analyze` does
@@ -784,14 +859,46 @@ impl<'a> PolicyIndex<'a> {
     ///
     /// Propagates blob decode failures.
     pub fn render_full(&self) -> Result<String, String> {
-        let (full, _) = self.to_libraries()?;
-        Ok(render_analysis(&full))
+        Ok(render_analysis(&self.full_library()?))
+    }
+
+    /// An empty library under the index's name crediting `entry_points`.
+    fn empty_library(&self, entry_points: u64) -> LibraryPolicies {
+        LibraryPolicies {
+            name: self.library.to_string(),
+            entries: BTreeMap::new(),
+            stats: AnalysisStats {
+                entry_points: entry_points as usize,
+                ..AnalysisStats::default()
+            },
+            degraded: BTreeMap::new(),
+        }
+    }
+
+    /// Reconstructs the full-analysis [`LibraryPolicies`] alone, decoding
+    /// no intraprocedural policy — what a listing needs.
+    ///
+    /// # Errors
+    ///
+    /// Propagates blob decode failures.
+    pub fn full_library(&self) -> Result<LibraryPolicies, String> {
+        let mut full = self.empty_library(self.entry_points_full);
+        full.entries = self
+            .records()
+            .map(|rec| {
+                let entry = self.decode_full(rec)?;
+                Ok((entry.signature.clone(), Arc::new(entry)))
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(full)
     }
 
     /// Reconstructs the `(full, intra)` [`LibraryPolicies`] pair the index
     /// was compiled from — what diffing and the daemon's warm path need.
-    /// Degraded maps are empty by construction (degraded analyses are
-    /// rejected at build time).
+    /// Each record's full policy is decoded once; where the intra tag says
+    /// the two are equal, both maps hold the same [`Arc`]. Degraded maps
+    /// are empty by construction (degraded analyses are rejected at build
+    /// time).
     ///
     /// # Errors
     ///
@@ -801,30 +908,23 @@ impl<'a> PolicyIndex<'a> {
         if !self.intra {
             return Err("index carries no intraprocedural policies".to_owned());
         }
-        let library = |entry_points: u64| LibraryPolicies {
-            name: self.library.to_string(),
-            entries: BTreeMap::new(),
-            stats: AnalysisStats {
-                entry_points: entry_points as usize,
-                ..AnalysisStats::default()
-            },
-            degraded: BTreeMap::new(),
-        };
-        let mut full = library(self.entry_points_full);
-        let mut intra = library(self.entry_points_intra);
-        // Records come in root-key order; collecting each side's entries
-        // first lets the map sort them once and build packed nodes.
-        let mut full_entries = Vec::with_capacity(self.count);
-        let mut intra_entries = Vec::with_capacity(self.count);
+        let mut rows = Vec::with_capacity(self.count);
         for rec in self.records() {
             // `self.intra` is set, so every record carries its intra policy.
-            if let (f, Some(i)) = self.decode(rec)? {
-                intra_entries.push((f.signature.clone(), i));
-                full_entries.push((f.signature.clone(), f));
+            if let (full, Some(intra)) = self.decode(rec)? {
+                rows.push((full.signature.clone(), full, intra));
             }
         }
-        full.entries = full_entries.into_iter().collect();
-        intra.entries = intra_entries.into_iter().collect();
+        // Records come in root-key order. One sort by signature here
+        // leaves both maps' own sorts a single pass over a sorted run.
+        rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut full = self.empty_library(self.entry_points_full);
+        let mut intra = self.empty_library(self.entry_points_intra);
+        intra.entries = rows
+            .iter()
+            .map(|(sig, _, i)| (sig.clone(), Arc::clone(i)))
+            .collect();
+        full.entries = rows.into_iter().map(|(sig, f, _)| (sig, f)).collect();
         Ok((full, intra))
     }
 }
@@ -1024,8 +1124,8 @@ mod tests {
                 f.events.insert(EventKey::ApiReturn, EventPolicy::default());
                 i.events.insert(EventKey::ApiReturn, EventPolicy::default());
             }
-            full.entries.insert(sig.into(), f);
-            intra.entries.insert(sig.into(), i);
+            full.entries.insert(sig.into(), f.into());
+            intra.entries.insert(sig.into(), i.into());
         }
         full.stats.entry_points = full.entries.len();
         intra.stats.entry_points = intra.entries.len();
@@ -1111,7 +1211,7 @@ mod tests {
             assert_eq!(intra, None);
             let sig = entry.signature.clone();
             if sig == replaced {
-                assert_eq!((entry, rec.cone_key), (fresh.clone(), 42));
+                assert_eq!((&*entry, rec.cone_key), (&fresh, 42));
                 assert_eq!(index.cone(rec).unwrap(), [1]);
             } else {
                 let old = base.find(rec.root_key).unwrap();
@@ -1179,7 +1279,7 @@ mod tests {
         assert!(PolicyIndex::parse(&bytes[..10]).is_err());
         // Version bump: clean version error, no decode attempt.
         let mut bumped = bytes.clone();
-        bumped[10] = b'9'; // "spo-index 1\n" -> "spo-index 9\n"
+        bumped[10] = b'9'; // "spo-index 3\n" -> "spo-index 9\n"
         assert!(PolicyIndex::parse(&bumped).unwrap_err().contains("version"));
         // Garbage header.
         assert!(PolicyIndex::parse(b"not an index\n").is_err());
@@ -1210,10 +1310,7 @@ mod tests {
         let (mut full_b, intra_b) = fixture();
         full_b.name = "harmony".into();
         // Drop a check on one side to force a difference.
-        full_b
-            .entries
-            .get_mut("Net.accept()")
-            .unwrap()
+        Arc::make_mut(full_b.entries.get_mut("Net.accept()").unwrap())
             .events
             .insert(EventKey::Native("connect0".into()), EventPolicy::default());
         let (report, findings) = diff_rendered(&full_a, &intra_a, &full_b, &intra_b);

@@ -1,9 +1,11 @@
-//! Round-trip and robustness properties of the `spo-index/2` codec.
+//! Round-trip and robustness properties of the `spo-index/3` codec.
 //!
 //! Randomized over fixed seeds via the in-tree `spo-rng` PRNG: arbitrary
 //! libraries survive build → parse → reconstruct exactly, and arbitrary
 //! edits to a valid file — with the checksum recomputed so they reach the
-//! decoder — never panic the reader.
+//! decoder — never panic the reader. Exhaustively: every single-bit flip
+//! of a small index fails `parse`, and every unknown intra tag is a typed
+//! decode error.
 
 use spo_core::{
     AnalysisOptions, CheckSet, EntryPolicy, EventKey, EventPolicy, LibraryPolicies, Name, Origins,
@@ -11,8 +13,8 @@ use spo_core::{
 };
 use spo_dataflow::{BitSet32, Dnf};
 use spo_index::{IndexBuilder, IndexWriter, PolicyIndex};
-use spo_jir::Fnv64;
 use spo_rng::SmallRng;
+use std::sync::Arc;
 
 /// An arbitrary check set, empty about one time in six.
 fn any_checkset(rng: &mut SmallRng) -> CheckSet {
@@ -108,7 +110,9 @@ fn add_origin<K: Ord>(map: &mut SortedMap<K, Origins>, key: K, origin: String) {
 }
 
 /// A full analysis and its intraprocedural ablation over one random
-/// entry-point set, as `IndexBuilder` takes them.
+/// entry-point set, as `IndexBuilder` takes them. About half the intra
+/// policies are an equal copy of the full one (intra tag 0), the rest
+/// their own random policy (intra tag 1).
 fn any_libraries(rng: &mut SmallRng) -> (LibraryPolicies, LibraryPolicies) {
     let library = || LibraryPolicies {
         name: "fuzz".into(),
@@ -117,8 +121,14 @@ fn any_libraries(rng: &mut SmallRng) -> (LibraryPolicies, LibraryPolicies) {
     let (mut full, mut intra) = (library(), library());
     for _ in 0..rng.gen_range(0..6usize) {
         let sig = signature(rng);
-        full.entries.insert(sig.clone(), any_entry(rng, &sig));
-        intra.entries.insert(sig.clone(), any_entry(rng, &sig));
+        let entry = any_entry(rng, &sig);
+        let ablated = if rng.gen_bool(0.5) {
+            entry.clone()
+        } else {
+            any_entry(rng, &sig)
+        };
+        full.entries.insert(sig.clone(), entry.into());
+        intra.entries.insert(sig.clone(), ablated.into());
     }
     full.stats.entry_points = full.entries.len();
     intra.stats.entry_points = intra.entries.len();
@@ -165,10 +175,13 @@ impl Coverage {
     }
 }
 
-/// Arbitrary libraries round-trip exactly, full and intra.
+/// Arbitrary libraries round-trip exactly, full and intra, through both
+/// intra tags; an intra policy equal to its full one decodes as the same
+/// allocation.
 #[test]
 fn roundtrip_arbitrary_policies() {
     let mut seen = Coverage::default();
+    let (mut same, mut own) = (0, 0);
     for seed in 0..128u64 {
         let mut rng = SmallRng::seed_from_u64(0xf022_0000 + seed);
         let (full, intra) = any_libraries(&mut rng);
@@ -178,7 +191,21 @@ fn roundtrip_arbitrary_policies() {
         let (back_full, back_intra) = index.to_libraries().unwrap();
         assert_eq!(back_full.entries, full.entries, "seed {seed}");
         assert_eq!(back_intra.entries, intra.entries, "seed {seed}");
+        for (sig, f) in &back_full.entries {
+            let i = &back_intra.entries[sig];
+            assert_eq!(Arc::ptr_eq(f, i), f == i, "seed {seed} {sig}");
+            if f == i {
+                same += 1;
+            } else {
+                own += 1;
+            }
+        }
+        assert_eq!(
+            index.render_full().unwrap(),
+            spo_core::render_analysis(&full)
+        );
     }
+    assert!(same > 20 && own > 20, "intra tags: {same} equal, {own} own");
     assert_eq!(seen.kinds, [true; 4], "every event kind generated");
     assert!(
         seen.bottom && seen.empty_path && seen.empty_set,
@@ -190,12 +217,11 @@ fn roundtrip_arbitrary_policies() {
     );
 }
 
-/// Replaces the trailing FNV-64 checksum with the one `body` needs, so an
-/// edit gets past the checksum into the decoder.
+/// Replaces the trailing checksum with the one `body` needs, so an edit
+/// gets past the checksum into the decoder.
 fn reseal(mut body: Vec<u8>) -> Vec<u8> {
-    let mut h = Fnv64::new();
-    h.write(&body);
-    body.extend_from_slice(&h.finish().to_le_bytes());
+    let sum = spo_index::checksum(&body);
+    body.extend_from_slice(&sum.to_le_bytes());
     body
 }
 
@@ -241,8 +267,10 @@ fn read_everything(bytes: &[u8]) -> bool {
         return false;
     };
     let _ = index.to_libraries();
+    let _ = index.render_full();
     for rec in index.records() {
         let _ = index.decode(rec);
+        let _ = index.decode_full(rec);
         if let Ok(sig) = index.signature_of(rec) {
             let _ = index.query(sig);
         }
@@ -255,7 +283,8 @@ fn read_everything(bytes: &[u8]) -> bool {
 }
 
 /// Random edits with a recomputed checksum never panic `parse`, `decode`,
-/// `to_libraries`, `query` or `IndexWriter::extending`.
+/// `decode_full`, `to_libraries`, `render_full`, `query` or
+/// `IndexWriter::extending`.
 #[test]
 fn resealed_edits_never_panic_the_reader() {
     let (mut edits, mut parsed) = (0, 0);
@@ -280,4 +309,67 @@ fn resealed_edits_never_panic_the_reader() {
         parsed * 20 > edits,
         "{parsed} of {edits} edited files parsed"
     );
+}
+
+/// Every single-bit flip anywhere in a small index — header, tables, rows,
+/// blobs, checksum — fails `parse`. Library names of 1 to 8 bytes put the
+/// body length at every residue mod 8, so the checksum's byte-wise tail
+/// is flipped too, not only its 8-byte words.
+#[test]
+fn every_single_bit_flip_fails_parse() {
+    let mut rng = SmallRng::seed_from_u64(0xb17f_11b5);
+    let (mut full, mut intra) = any_libraries(&mut rng);
+    while full.entries.len() < 2 {
+        (full, intra) = any_libraries(&mut rng);
+    }
+    let mut residues = [false; 8];
+    for name_len in 1..=8 {
+        let name = "f".repeat(name_len);
+        let clean = IndexBuilder::new(&name, &AnalysisOptions::default(), &full, &intra)
+            .build()
+            .unwrap();
+        assert!(PolicyIndex::parse(&clean).is_ok());
+        residues[(clean.len() - 8) % 8] = true;
+        let mut bytes = clean.clone();
+        for pos in 0..bytes.len() {
+            for bit in 0..8 {
+                bytes[pos] ^= 1 << bit;
+                assert!(
+                    PolicyIndex::parse(&bytes).is_err(),
+                    "flip of bit {bit} at byte {pos} of {} parsed",
+                    bytes.len()
+                );
+                bytes[pos] ^= 1 << bit;
+            }
+        }
+    }
+    assert_eq!(residues, [true; 8], "body length at every residue mod 8");
+}
+
+/// An intra tag other than 0 or 1 is a typed decode error for `decode`
+/// and `to_libraries`; `query`, which reads only the full policy, still
+/// answers.
+#[test]
+fn unknown_intra_tags_are_typed_errors() {
+    let sig = "a.B.c()";
+    let entry = EntryPolicy::new(sig.to_owned());
+    let mut full = LibraryPolicies::default();
+    full.entries.insert(sig.to_owned(), Arc::new(entry));
+    full.stats.entry_points = 1;
+    let clean = build(&full, &full);
+    // One record whose intra equals its full policy: the blob, and so the
+    // body, ends in the tag.
+    let body = &clean[..clean.len() - 8];
+    assert_eq!(body.last(), Some(&0));
+    for tag in 2..=255u8 {
+        let mut damaged = body.to_vec();
+        *damaged.last_mut().unwrap() = tag;
+        let bytes = reseal(damaged);
+        let index = PolicyIndex::parse(&bytes).unwrap();
+        let want = format!("bad intra tag {tag}");
+        let rec = index.records().next().unwrap();
+        assert_eq!(index.decode(rec).unwrap_err(), want);
+        assert_eq!(index.to_libraries().unwrap_err(), want);
+        assert_eq!(index.query(sig).unwrap(), Some(String::new()));
+    }
 }

@@ -201,13 +201,13 @@ static COMMANDS: [Command; 13] = [
     Command {
         name: "index query",
         operands: "[ENTRY-SIG] --index PATH.spi",
-        flags: &[&[INDEX]],
+        flags: &[&[INDEX], OBSERVE],
         run: cmd_index_query,
     },
     Command {
         name: "index diff",
         operands: "<left.spi> <right.spi>",
-        flags: &[],
+        flags: &[OBSERVE],
         run: cmd_index_diff,
     },
     Command {
@@ -550,15 +550,17 @@ connection with exponential backoff (`--retries`, `--retry-base-ms`);
 clients that stall past it.
 
 `spo export` compiles a library's full analysis (plus its
-intraprocedural ablation) into a single-file index (`spo-index/2`,
+intraprocedural ablation) into a single-file index (`spo-index/3`,
 conventionally `policies.spi`): an interned, checksummed, offset-table
 file answering `query`/`diff` in sub-millisecond time without rerunning
 the engine or seeing the source. `spo index query` looks up one entry
 point (or lists the whole library); `spo index diff` runs the oracle
 over two indexes. Both print bytes identical to the `analyze`/`diff`
-path. A corrupt, truncated, or version-skewed index is a fatal typed
-error (exit 3) — re-export it or fall back to full analysis; it never
-yields a wrong answer. `spo serve --index NAME=PATH.spi` seeds NAME's
+path; with `--stats` or `--trace-out` they time their read, parse,
+decode and render (or diff) steps as `index.*` spans. A corrupt,
+truncated, or version-skewed index is a fatal typed error (exit 3) —
+re-export it or fall back to full analysis; it never yields a wrong
+answer. `spo serve --index NAME=PATH.spi` seeds NAME's
 warm answers from an index for the options it was exported under; a
 `load`/`reload` of NAME drops them, and a name with no `--load` is
 index-only (other options get `not-found`). An index that fails to load
@@ -890,7 +892,7 @@ fn cmd_analyze(p: &Parsed) -> Result<ExitCode, String> {
 }
 
 /// `spo export <file.jir>... --out PATH.spi`: run the full analysis plus
-/// its intraprocedural ablation and compile both into one `spo-index/2`
+/// its intraprocedural ablation and compile both into one `spo-index/3`
 /// file. Compiling a degraded analysis is refused — an index is durable,
 /// so baking in a lower-bound answer would let it masquerade as the
 /// complete one forever after.
@@ -1035,10 +1037,21 @@ fn cmd_cache_clear(p: &Parsed) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Reads and parses one index file, mapping every failure to a fatal
-/// diagnostic that names the file and suggests the fallback.
-fn load_index_bytes(path: &str) -> Result<Vec<u8>, String> {
+/// Reads one index file inside the `index.read` span, mapping an IO
+/// failure to a fatal diagnostic that names the file.
+fn load_index_bytes(rec: &Recorder, path: &str) -> Result<Vec<u8>, String> {
+    let _span = rec.span("index.read");
     spo_index::read_index_file(std::path::Path::new(path)).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Parses one index inside the `index.parse` span.
+fn parse_index<'a>(
+    rec: &Recorder,
+    path: &str,
+    bytes: &'a [u8],
+) -> Result<spo_index::PolicyIndex<'a>, String> {
+    let _span = rec.span("index.parse");
+    spo_index::PolicyIndex::parse(bytes).map_err(|e| index_parse_err(path, &e))
 }
 
 fn index_parse_err(path: &str, e: &str) -> String {
@@ -1047,7 +1060,9 @@ fn index_parse_err(path: &str, e: &str) -> String {
 
 /// `spo index (query|diff)`: answer from a compiled `.spi` index without
 /// running the engine. Any parse/decode failure is fatal (exit 3) with a
-/// diagnostic naming the file — degraded, never wrong.
+/// diagnostic naming the file — degraded, never wrong. `--stats` and
+/// `--trace-out` see one span per step: `index.read`, `index.parse`,
+/// `index.decode`, then `index.render` (query) or `index.diff` (diff).
 fn cmd_index_query(p: &Parsed) -> Result<ExitCode, String> {
     let path = p
         .value(&INDEX)
@@ -1058,21 +1073,34 @@ fn cmd_index_query(p: &Parsed) -> Result<ExitCode, String> {
             p.operands.len()
         ));
     }
-    let bytes = load_index_bytes(path)?;
-    let index = spo_index::PolicyIndex::parse(&bytes).map_err(|e| index_parse_err(path, &e))?;
-    match p.operands.first() {
+    let outputs = Outputs::new(p);
+    let rec = outputs.recorder();
+    let bytes = load_index_bytes(&rec, path)?;
+    let index = parse_index(&rec, path, &bytes)?;
+    let report = match p.operands.first() {
         None => {
-            let report = index.render_full().map_err(|e| index_parse_err(path, &e))?;
-            print_report(&report)?;
+            let lib = {
+                let _span = rec.span("index.decode");
+                index
+                    .full_library()
+                    .map_err(|e| index_parse_err(path, &e))?
+            };
+            let _span = rec.span("index.render");
+            spo_core::render_analysis(&lib)
         }
         Some(sig) => {
-            let report = index
-                .query(sig)
-                .map_err(|e| index_parse_err(path, &e))?
+            let entry = {
+                let _span = rec.span("index.decode");
+                index.lookup(sig).map_err(|e| index_parse_err(path, &e))?
+            };
+            let entry = entry
                 .ok_or_else(|| format!("no entry point \"{sig}\" in \"{}\"", index.library()))?;
-            print_report(&report)?;
+            let _span = rec.span("index.render");
+            spo_core::render_entry(sig, &entry)
         }
-    }
+    };
+    print_report(&report)?;
+    outputs.emit(&rec)?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1083,12 +1111,12 @@ fn cmd_index_diff(p: &Parsed) -> Result<ExitCode, String> {
             p.operands.len()
         ));
     };
-    let left_bytes = load_index_bytes(left_path)?;
-    let right_bytes = load_index_bytes(right_path)?;
-    let left =
-        spo_index::PolicyIndex::parse(&left_bytes).map_err(|e| index_parse_err(left_path, &e))?;
-    let right =
-        spo_index::PolicyIndex::parse(&right_bytes).map_err(|e| index_parse_err(right_path, &e))?;
+    let outputs = Outputs::new(p);
+    let rec = outputs.recorder();
+    let left_bytes = load_index_bytes(&rec, left_path)?;
+    let right_bytes = load_index_bytes(&rec, right_path)?;
+    let left = parse_index(&rec, left_path, &left_bytes)?;
+    let right = parse_index(&rec, right_path, &right_bytes)?;
     // Mixed analysis options would make every difference suspect, so the
     // tokens must match exactly — same rule as the summary cache.
     if left.options_token() != right.options_token() {
@@ -1099,15 +1127,22 @@ fn cmd_index_diff(p: &Parsed) -> Result<ExitCode, String> {
             right.options_token(),
         ));
     }
-    let (left_full, left_intra) = left
-        .to_libraries()
-        .map_err(|e| index_parse_err(left_path, &e))?;
-    let (right_full, right_intra) = right
-        .to_libraries()
-        .map_err(|e| index_parse_err(right_path, &e))?;
-    let (report, findings) =
-        spo_index::diff_rendered(&left_full, &left_intra, &right_full, &right_intra);
+    let ((left_full, left_intra), (right_full, right_intra)) = {
+        let _span = rec.span("index.decode");
+        let left = left
+            .to_libraries()
+            .map_err(|e| index_parse_err(left_path, &e))?;
+        let right = right
+            .to_libraries()
+            .map_err(|e| index_parse_err(right_path, &e))?;
+        (left, right)
+    };
+    let (report, findings) = {
+        let _span = rec.span("index.diff");
+        spo_index::diff_rendered(&left_full, &left_intra, &right_full, &right_intra)
+    };
     print_report(&report)?;
+    outputs.emit(&rec)?;
     Ok(if findings {
         ExitCode::from(EXIT_FINDINGS)
     } else {

@@ -217,7 +217,7 @@ fn corrupted_index_degrades_not_wrong() {
         ),
         ("format version bump", {
             let mut b = clean.clone();
-            // Header is `spo-index 1\n`; bump the version digit.
+            // Header is `spo-index 3\n`; bump the version digit.
             b[10] = b'9';
             b
         }),
@@ -327,5 +327,71 @@ fn roundtrip_strided_sample_at_scale_ten() {
             .expect("query decodes")
             .expect("entry point found");
         assert_eq!(got, render_entry(sig, entry), "round trip for {sig}");
+    }
+}
+
+/// `--stats`, `--stats-json` and `--trace-out` on `spo index query` and
+/// `spo index diff` leave stdout and the exit code byte-identical, and
+/// each observed run records one span per step: read, parse, decode, then
+/// render (query) or diff.
+#[test]
+fn cli_observe_flags_leave_index_answers_unchanged() {
+    let jdk = fixture("figure1_jdk.jir");
+    let dir = Workdir::new("cli-observe");
+    let left = export(&dir, "left", &jdk);
+    let right = export(&dir, "right", &fixture("figure1_harmony.jir"));
+    let (left, right) = (left.to_str().unwrap(), right.to_str().unwrap());
+    let stats = dir.path("stats.json");
+    let trace = dir.path("trace.json");
+    let observe = [
+        "--stats",
+        "--stats-json",
+        stats.to_str().unwrap(),
+        "--trace-out",
+        trace.to_str().unwrap(),
+    ];
+    let cases: [(&[&str], Option<i32>, &str); 4] = [
+        (&["index", "diff", left, right], Some(1), "index.diff"),
+        (
+            &["index", "query", "--index", left],
+            Some(0),
+            "index.render",
+        ),
+        (
+            &[
+                "index",
+                "query",
+                "java.net.DatagramSocket.connect(java.net.InetAddress,int)",
+                "--index",
+                left,
+            ],
+            Some(0),
+            "index.render",
+        ),
+        (
+            &["index", "query", "no.such.Class.method()", "--index", left],
+            Some(3),
+            "index.decode",
+        ),
+    ];
+    for (args, code, last_span) in cases {
+        let plain = spo(args);
+        assert_eq!(plain.status.code(), code, "{args:?}");
+        let observed = spo(&[args, &observe[..]].concat());
+        assert_eq!(observed.status.code(), code, "{args:?} observed");
+        assert_eq!(observed.stdout, plain.stdout, "{args:?}: stdout bytes");
+        if code == Some(3) {
+            continue;
+        }
+        assert!(!plain.stdout.is_empty(), "{args:?} answers");
+        let stats = std::fs::read_to_string(&stats).expect("stats snapshot written");
+        let trace = std::fs::read_to_string(&trace).expect("trace capture written");
+        for span in ["index.read", "index.parse", "index.decode", last_span] {
+            let quoted = format!("\"{span}\"");
+            assert!(stats.contains(&quoted), "{args:?}: {span} in --stats-json");
+            assert!(trace.contains(&quoted), "{args:?}: {span} in --trace-out");
+        }
+        let human = String::from_utf8_lossy(&observed.stderr);
+        assert!(human.contains("index.decode"), "{args:?}: --stats: {human}");
     }
 }
