@@ -724,7 +724,23 @@ mod tests {
     use spo_core::Analyzer;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    fn temp_dir(tag: &str) -> PathBuf {
+    /// A fresh test directory, removed with everything in it on drop.
+    struct TempDir(PathBuf);
+
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn temp_dir(tag: &str) -> TempDir {
         static SEQ: AtomicU64 = AtomicU64::new(0);
         let dir = std::env::temp_dir().join(format!(
             "spo-cache-test-{tag}-{}-{}",
@@ -732,7 +748,7 @@ mod tests {
             SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        dir
+        TempDir(dir)
     }
 
     const SRC: &str = r#"
@@ -825,7 +841,7 @@ class t.A {
         let (program, root, entry) = analyzed_entry(SRC, "t.A.read");
         let (key, cone, table) = keyed(&program, root);
         let dir = temp_dir("roundtrip");
-        let cache = PolicyCache::open(&dir).unwrap();
+        let cache = PolicyCache::open(&*dir).unwrap();
         assert_eq!(lookup(&cache, &entry, &table), None);
         store(&cache, key, &cone, &entry);
         assert_eq!(lookup(&cache, &entry, &table), Some(entry.clone()));
@@ -836,7 +852,7 @@ class t.A {
         assert!(cache.stats().bytes > 0);
 
         // A fresh open reads the flushed file.
-        let reopened = PolicyCache::open(&dir).unwrap();
+        let reopened = PolicyCache::open(&*dir).unwrap();
         assert_eq!(lookup(&reopened, &entry, &table), Some(entry));
         assert!(reopened.take_diagnostics().is_empty());
     }
@@ -847,11 +863,11 @@ class t.A {
         let (key, cone, table) = keyed(&program, root);
         let dir = temp_dir("drop-flush");
         {
-            let cache = PolicyCache::open(&dir).unwrap();
+            let cache = PolicyCache::open(&*dir).unwrap();
             store(&cache, key, &cone, &entry);
             // No explicit flush.
         }
-        let reopened = PolicyCache::open(&dir).unwrap();
+        let reopened = PolicyCache::open(&*dir).unwrap();
         assert_eq!(lookup(&reopened, &entry, &table), Some(entry));
     }
 
@@ -864,11 +880,11 @@ class t.A {
         assert_eq!(table.key_of_cone(&cone), Some(key));
 
         let dir = temp_dir("revalidate");
-        let cache = PolicyCache::open(&dir).unwrap();
+        let cache = PolicyCache::open(&*dir).unwrap();
         store(&cache, key, &cone, &entry);
         cache.flush();
         // Validation is the same for a stored entry and a loaded one.
-        for cache in [cache, PolicyCache::open(&dir).unwrap()] {
+        for cache in [cache, PolicyCache::open(&*dir).unwrap()] {
             // A body edit inside the cone re-keys it: stale entry, plain
             // miss, no diagnostic.
             let edited = SRC.replace("virtualinvoke sm.checkRead(\"f\");", "nop;");
@@ -898,7 +914,7 @@ class t.A {
     fn libraries_and_options_get_separate_files() {
         let (program, root, entry) = analyzed_entry(SRC, "t.A.read");
         let dir = temp_dir("separate");
-        let cache = PolicyCache::open(&dir).unwrap();
+        let cache = PolicyCache::open(&*dir).unwrap();
         let intra = AnalysisOptions {
             interprocedural: false,
             ..OPTS
@@ -926,7 +942,7 @@ class t.A {
             memo: MemoScope::None,
             ..OPTS
         };
-        let reopened = PolicyCache::open(&dir).unwrap();
+        let reopened = PolicyCache::open(&*dir).unwrap();
         for (library, options, entry) in stored {
             let table = ContentTable::new(&program, &options);
             let sig = &entry.signature;
@@ -950,7 +966,7 @@ class t.A {
         let roots = spo_resolve::entry_points(&program);
         let keyer = CacheKeyer::new(&program, &roots, &OPTS);
         let dir = temp_dir("index");
-        let cache = PolicyCache::open(&dir).unwrap();
+        let cache = PolicyCache::open(&*dir).unwrap();
         for &root in &roots {
             let sig = program.method_signature(root);
             let (key, cone) = (keyer.key(root).unwrap(), keyer.cone(root).unwrap());
@@ -982,7 +998,7 @@ class t.A {
         let keyer = CacheKeyer::new(&program, &roots, &OPTS);
         let table = ContentTable::new(&program, &OPTS);
         let dir = temp_dir("append");
-        let cache = PolicyCache::open(&dir).unwrap();
+        let cache = PolicyCache::open(&*dir).unwrap();
         for &root in &roots {
             let sig = program.method_signature(root);
             let (key, cone) = (keyer.key(root).unwrap(), keyer.cone(root).unwrap());
@@ -995,7 +1011,7 @@ class t.A {
         // Re-store one entry with a changed policy: the other blobs are
         // copied byte for byte, and the old tables are a prefix of the
         // new ones.
-        let cache = PolicyCache::open(&dir).unwrap();
+        let cache = PolicyCache::open(&*dir).unwrap();
         let (sig, entry) = lib
             .entries
             .iter()
@@ -1039,7 +1055,7 @@ class t.A {
             }
         }
         assert!(after.len() > before.len());
-        let reopened = PolicyCache::open(&dir).unwrap();
+        let reopened = PolicyCache::open(&*dir).unwrap();
         assert_eq!(reopened.lookup("t", &OPTS, sig, &table), Some(changed));
     }
 
@@ -1118,7 +1134,7 @@ class t.A {
         let (key, cone, table) = keyed(&program, root);
         let dir = temp_dir("corrupt");
         {
-            let cache = PolicyCache::open(&dir).unwrap();
+            let cache = PolicyCache::open(&*dir).unwrap();
             store(&cache, key, &cone, &entry);
             cache.flush();
         }
@@ -1144,7 +1160,7 @@ class t.A {
         ];
         for (i, bad) in mangled.iter().enumerate() {
             std::fs::write(&path, bad).unwrap();
-            let cache = PolicyCache::open(&dir).unwrap();
+            let cache = PolicyCache::open(&*dir).unwrap();
             assert_eq!(lookup(&cache, &entry, &table), None, "case {i}");
             let stats = cache.stats();
             assert_eq!((stats.invalidated, stats.misses), (1, 1), "case {i}");
@@ -1155,7 +1171,7 @@ class t.A {
             // A fresh store + flush heals the file in place.
             store(&cache, key, &cone, &entry);
             cache.flush();
-            let healed = PolicyCache::open(&dir).unwrap();
+            let healed = PolicyCache::open(&*dir).unwrap();
             assert_eq!(
                 lookup(&healed, &entry, &table),
                 Some(entry.clone()),
@@ -1171,7 +1187,7 @@ class t.A {
         let (key, cone, table) = keyed(&program, root);
         let dir = temp_dir("bad-entry");
         {
-            let cache = PolicyCache::open(&dir).unwrap();
+            let cache = PolicyCache::open(&*dir).unwrap();
             store(&cache, key, &cone, &entry);
         }
         // A well-framed, checksummed file whose one blob claims an
@@ -1190,7 +1206,7 @@ class t.A {
         bytes[body..].copy_from_slice(&sum.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
 
-        let cache = PolicyCache::open(&dir).unwrap();
+        let cache = PolicyCache::open(&*dir).unwrap();
         assert_eq!(lookup(&cache, &entry, &table), None);
         assert_eq!(cache.stats().invalidated, 1);
         assert_eq!(cache.take_diagnostics().len(), 1);
@@ -1207,7 +1223,8 @@ class t.A {
     fn clear_and_disk_usage() {
         let (program, root, entry) = analyzed_entry(SRC, "t.A.read");
         let (key, cone, _) = keyed(&program, root);
-        let cache = PolicyCache::open(temp_dir("clear")).unwrap();
+        let dir = temp_dir("clear");
+        let cache = PolicyCache::open(&*dir).unwrap();
         store(&cache, key, &cone, &entry);
         cache.flush();
         let (entries, bytes) = cache.disk_usage().unwrap();
@@ -1228,7 +1245,7 @@ class t.A {
             let (program, root, entry) = analyzed_entry(SRC, "t.A.read");
             let (key, cone, table) = keyed(&program, root);
             let dir = temp_dir(&format!("retry-{}", site.replace('.', "-")));
-            let mut cache = PolicyCache::open(&dir).unwrap();
+            let mut cache = PolicyCache::open(&*dir).unwrap();
             let plan = FaultPlan::seeded(1).site_once(site);
             cache.set_fault_plan(plan.clone());
             store(&cache, key, &cone, &entry);
@@ -1244,14 +1261,14 @@ class t.A {
             assert_eq!(diags[0].cause, spo_guard::Cause::Chaos);
             assert_eq!(diags[0].phase, spo_guard::Phase::Chaos);
             assert!(diags[0].message.contains("recovered after 1 retry"));
-            let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            let leftovers: Vec<_> = std::fs::read_dir(&*dir)
                 .unwrap()
                 .filter_map(Result::ok)
                 .filter(|e| e.file_name().to_string_lossy().contains(".tmp-"))
                 .collect();
             assert!(leftovers.is_empty(), "{site}: {leftovers:?}");
             drop(cache);
-            let reopened = PolicyCache::open(&dir).unwrap();
+            let reopened = PolicyCache::open(&*dir).unwrap();
             assert_eq!(
                 lookup(&reopened, &entry, &table),
                 Some(entry.clone()),
@@ -1266,7 +1283,7 @@ class t.A {
         let (program, root, entry) = analyzed_entry(SRC, "t.A.read");
         let (key, cone, table) = keyed(&program, root);
         let dir = temp_dir("flush-fail");
-        let mut cache = PolicyCache::open(&dir).unwrap();
+        let mut cache = PolicyCache::open(&*dir).unwrap();
         // Rate 1.0 fires on every attempt: all attempts fail.
         cache.set_fault_plan(FaultPlan::seeded(2).site(sites::CACHE_RENAME_FAIL, 1.0));
         store(&cache, key, &cone, &entry);
@@ -1286,7 +1303,7 @@ class t.A {
         cache.set_fault_plan(FaultPlan::disabled());
         cache.flush();
         drop(cache);
-        let reopened = PolicyCache::open(&dir).unwrap();
+        let reopened = PolicyCache::open(&*dir).unwrap();
         assert_eq!(lookup(&reopened, &entry, &table), Some(entry.clone()));
     }
 
@@ -1297,7 +1314,7 @@ class t.A {
         let (key, cone, table) = keyed(&program, root);
         let dir = temp_dir("bitflip");
         {
-            let mut cache = PolicyCache::open(&dir).unwrap();
+            let mut cache = PolicyCache::open(&*dir).unwrap();
             cache.set_fault_plan(FaultPlan::seeded(3).site_once(sites::CACHE_BITFLIP));
             store(&cache, key, &cone, &entry);
             cache.flush();
@@ -1310,13 +1327,13 @@ class t.A {
         // The corruption surfaces on the next load as a degrade-to-cold
         // (never a panic), and a fresh store + flush heals the file in
         // place.
-        let reopened = PolicyCache::open(&dir).unwrap();
+        let reopened = PolicyCache::open(&*dir).unwrap();
         assert_eq!(lookup(&reopened, &entry, &table), None);
         assert_eq!(reopened.take_diagnostics().len(), 1);
         store(&reopened, key, &cone, &entry);
         reopened.flush();
         drop(reopened);
-        let healed = PolicyCache::open(&dir).unwrap();
+        let healed = PolicyCache::open(&*dir).unwrap();
         assert_eq!(lookup(&healed, &entry, &table), Some(entry.clone()));
         assert!(healed.take_diagnostics().is_empty());
     }

@@ -78,7 +78,7 @@ pub struct EngineStats {
     /// Whole batches taken from another worker's deque — the steal
     /// granularity, alongside the per-root `steals`.
     pub batches_stolen: u64,
-    /// Cone-overlap batches formed by the scheduler for this run.
+    /// Root-order batches formed by the scheduler for this run.
     pub batches_formed: u64,
     /// Shard-grouped write-behind publications performed across all
     /// workers (0 under non-global memo scopes).
@@ -278,21 +278,11 @@ pub fn load_program(
         rec.counter("jir.parse.recovered")
             .add(recovery.diagnostics.len() as u64);
         for d in &recovery.diagnostics {
-            rec.diagnostic(
-                "error",
-                "parse",
-                &format!("{}:{}", d.line, d.col),
-                "parse",
-                &format!("{} (dropped {})", d.message, d.dropped),
-            );
+            let diag = Diagnostic::parse_dropped(path, d.line, d.col, &d.message, &d.dropped);
+            record_diagnostic(rec, &diag);
+            diags.push(diag);
         }
         drop(span);
-        diags.extend(
-            recovery
-                .diagnostics
-                .iter()
-                .map(|d| Diagnostic::parse_dropped(path, d.line, d.col, &d.message, &d.dropped)),
-        );
     }
     Ok(program)
 }
@@ -451,13 +441,11 @@ impl AnalysisEngine {
         let store = (options.memo == MemoScope::Global).then(SharedStore::default);
         let shared = store.as_ref();
 
-        // Cone-batched scheduling: roots sharing callees are grouped into
-        // batches owned by one worker (their memo hits stay in that
-        // worker's write-behind buffer), deepest cones dealt first so the
-        // call graph's bottom is flushed to the shared store before the
-        // shallow tail needs it. Stealing moves whole batches from the
-        // victim's back — the shallowest, least locality-valuable end.
-        let plan = schedule::plan(program, roots, &work, workers);
+        // Root-order chunking: the work list is cut into contiguous
+        // batches dealt round-robin to the workers. A batch is also the
+        // write-behind flush unit. Stealing moves whole batches from the
+        // victim's back.
+        let plan = schedule::plan(&work, workers);
         let batches_formed = plan.formed;
         let deques: Vec<Mutex<VecDeque<Vec<usize>>>> =
             plan.deques.into_iter().map(Mutex::new).collect();
@@ -852,7 +840,7 @@ impl AnalysisEngine {
 
 /// Pops the next batch for worker `w`: front of its own deque, else a
 /// whole batch stolen from the back of the first non-empty victim (the
-/// shallowest-cone end — the least locality-valuable work it holds).
+/// work its owner would reach last).
 ///
 /// Poisoned deques are recovered, not propagated: a panic that unwinds
 /// while a sibling held the lock (possible only between two complete
@@ -992,12 +980,12 @@ class t.A {
     }
 
     #[test]
-    fn cone_batching_keeps_shared_reuse_worker_local() {
+    fn batching_keeps_shared_reuse_worker_local() {
         let program = sample_program();
         let (_, stats) =
             AnalysisEngine::new(2).analyze_library(&program, "t", AnalysisOptions::default());
         // `t.A.shared` is reached from both entry points with the same
-        // context. Cone batching places both roots in one batch, so the
+        // context. Root-order chunking places both roots in one batch, so the
         // second analysis hits the first's write-behind buffer instead of
         // paying a shared-store lock.
         assert!(stats.analysis.memo_hits > 0, "{stats}");

@@ -1,42 +1,20 @@
-//! Cone-batched, SCC-aware root scheduling.
+//! Root-order chunked scheduling.
 //!
-//! Stealing single roots spreads a call-graph cone's memoizable interior
-//! across workers: two roots that share most of their callees end up on
-//! different threads, and the summaries they could have exchanged through
-//! a worker-local buffer instead cross the sharded store (or are
-//! recomputed when a write-behind buffer has not flushed yet). This module
-//! groups the work list into **batches of cone-overlapping roots** so
-//! those memo hits stay worker-local, and orders the batches **deepest
-//! cone first** so the bottom of the call graph is computed, flushed, and
-//! shared before the broad shallow tail arrives.
+//! Each entry point is analyzed on its own and shares only memoized
+//! method summaries, so a pool of roots needs a fair split of the work
+//! list, not a call-graph-aware plan. The plan cuts `work` in its given
+//! (program) order into contiguous batches and deals them round-robin to
+//! the per-worker deques. Neighbouring roots in program order tend to be
+//! methods of one class, so a batch still keeps much of its memo traffic
+//! inside one worker's write-behind buffer.
 //!
 //! The plan is a scheduling hint only: analysis results, report bytes, and
 //! the deterministic stats sections are independent of batch shape (see
-//! the crate-level determinism argument). The plan itself is nevertheless
-//! a pure function of `(program, work, workers)` — built from ordered
-//! maps, with explicit tie-breaks — so traces and work counters are
+//! the crate-level determinism argument). The plan is nevertheless a pure
+//! function of `(work, workers)`, so traces and work counters are
 //! reproducible run to run.
-//!
-//! Formation pipeline:
-//!
-//! 1. Build the unique-target call graph over the work roots (the same
-//!    [`CallGraph`] the cache keyer uses).
-//! 2. Union roots through shared **connector** callees — body-bearing
-//!    methods whose fan-in stays under a cap. The cap exists for hubs like
-//!    `System.getSecurityManager`, which almost every root calls: without
-//!    it every root collapses into one mega-cluster and the plan
-//!    degenerates to a single batch.
-//! 3. Split each cluster into batches of at most `work / (workers * 4)`
-//!    roots (floor 1, cap 64) so every worker has several batches to
-//!    steal.
-//! 4. Compute each root's cone depth on the SCC condensation of the call
-//!    graph (Tarjan; cycles collapse to one node so recursion does not
-//!    inflate depth), order batches deepest-first, and deal them to the
-//!    least-loaded worker in that order.
 
-use spo_jir::{MethodId, Program};
-use spo_resolve::{CallGraph, Hierarchy};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Per-worker batch deques plus formation metadata.
 pub(crate) struct SchedulePlan {
@@ -48,365 +26,109 @@ pub(crate) struct SchedulePlan {
     pub formed: u64,
 }
 
+/// Smallest batch the splitter forms on a multi-worker run: below it the
+/// deque traffic per root outweighs the balance gained.
+const MIN_BATCH: usize = 8;
+
 /// Largest batch the splitter will form, regardless of worker count: a
 /// batch is also the write-behind flush granularity, and an unbounded one
-/// would keep a giant cone's summaries invisible to other workers for the
-/// whole batch.
+/// would keep its summaries invisible to other workers for the whole
+/// batch.
 const MAX_BATCH: usize = 64;
 
-/// Builds the batch plan for `work` (indices into `roots`) over `workers`
-/// deques.
-pub(crate) fn plan(
-    program: &Program,
-    roots: &[MethodId],
-    work: &[usize],
-    workers: usize,
-) -> SchedulePlan {
-    if workers <= 1 || work.len() <= 1 {
-        // One worker (or one root): a single batch, no graph to build.
-        // The write-behind buffer still bounds flush latency through its
-        // own capacity.
-        let deques = vec![VecDeque::from(vec![work.to_vec()]); workers.max(1)];
-        let formed = deques[0].len() as u64;
-        return SchedulePlan { deques, formed };
+/// Builds the batch plan for `work` over `workers` deques.
+pub(crate) fn plan(work: &[usize], workers: usize) -> SchedulePlan {
+    if workers <= 1 {
+        // One worker: a single batch. The write-behind buffer still
+        // bounds flush latency through its own capacity.
+        return SchedulePlan {
+            deques: vec![VecDeque::from([work.to_vec()])],
+            formed: 1,
+        };
     }
-
-    let hierarchy = Hierarchy::new(program);
-    let work_roots: Vec<MethodId> = work.iter().map(|&idx| roots[idx]).collect();
-    let graph = CallGraph::build(&hierarchy, work_roots.clone());
-    let depths = scc_depths(&graph);
-
-    // Fan-in per callee over the whole graph, to identify connector
-    // methods. A connector may join at most a quarter of the work list
-    // into one cluster; anything broader is a hub whose sharing is global
-    // anyway (its one summary serves every worker after the first flush).
-    let mut fan_in: HashMap<MethodId, usize> = HashMap::new();
-    for m in graph.reachable() {
-        for &callee in graph.callees(m) {
-            *fan_in.entry(callee).or_default() += 1;
-        }
-    }
-    let fan_in_cap = (work.len() / 4).max(2);
-
-    // Union-find over work positions, joined through connector callees.
-    let mut uf = UnionFind::new(work.len());
-    let mut owner: HashMap<MethodId, usize> = HashMap::new();
-    for (pos, &root) in work_roots.iter().enumerate() {
-        for &callee in graph.callees(root) {
-            if program.method(callee).body.is_none() {
-                continue;
-            }
-            if fan_in.get(&callee).copied().unwrap_or(0) > fan_in_cap {
-                continue;
-            }
-            match owner.entry(callee) {
-                std::collections::hash_map::Entry::Occupied(first) => {
-                    uf.union(*first.get(), pos);
-                }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(pos);
-                }
-            }
-        }
-    }
-
-    // Collect clusters in ascending first-member order (positions are
-    // ascending root indices, so this is deterministic), then split into
-    // capped batches.
-    // Floor 8 keeps small clusters intact on small work lists (splitting
-    // a 4-root cone across 4 single-root batches would defeat the
-    // grouping); the cap bounds flush latency at scale.
-    let max_batch = (work.len() / (workers * 4)).clamp(8, MAX_BATCH);
-    let mut clusters: Vec<Vec<usize>> = Vec::new();
-    let mut cluster_of: HashMap<usize, usize> = HashMap::new();
-    for pos in 0..work.len() {
-        let class = uf.find(pos);
-        let slot = *cluster_of.entry(class).or_insert_with(|| {
-            clusters.push(Vec::new());
-            clusters.len() - 1
-        });
-        clusters[slot].push(pos);
-    }
-    let mut batches: Vec<(u32, Vec<usize>)> = Vec::new();
-    for cluster in clusters {
-        for chunk in cluster.chunks(max_batch) {
-            // Batch depth: the deepest cone among its members.
-            let depth = chunk
-                .iter()
-                .map(|&pos| depths.get(&work_roots[pos]).copied().unwrap_or(0))
-                .max()
-                .unwrap_or(0);
-            batches.push((depth, chunk.iter().map(|&pos| work[pos]).collect()));
-        }
-    }
-
-    // Deepest cones first (their flushed summaries seed the store bottom-
-    // up); ties broken by first root index so the order is total.
-    batches.sort_by(|(da, a), (db, b)| db.cmp(da).then(a.first().cmp(&b.first())));
-
-    // Coalesce under-filled chunks of equal depth. Library corpora are
-    // dominated by singleton cones (getters, native leaves), and leaving
-    // each as its own batch would put deque traffic back on the per-root
-    // path that batching exists to amortize. Merging only equal-depth
-    // neighbors in the sorted order keeps the plan deterministic and the
-    // deepest-first sweep intact.
-    let mut coalesced: Vec<(u32, Vec<usize>)> = Vec::new();
-    for (depth, batch) in batches {
-        match coalesced.last_mut() {
-            Some((d, roots)) if *d == depth && roots.len() + batch.len() <= max_batch => {
-                roots.extend(batch);
-            }
-            _ => coalesced.push((depth, batch)),
-        }
-    }
-    let batches = coalesced;
-
-    // Deal to the least-loaded worker (by root count; ties to the lowest
-    // worker id), appending to its deque so each worker sees its own
-    // batches deepest-first too.
-    let formed = batches.len() as u64;
+    // About four batches per worker, so stealing can even out the tail.
+    let size = (work.len() / (workers * 4)).clamp(MIN_BATCH, MAX_BATCH);
+    let chunks = work.chunks(size);
+    let formed = chunks.len() as u64;
     let mut deques: Vec<VecDeque<Vec<usize>>> = vec![VecDeque::new(); workers];
-    let mut load = vec![0usize; workers];
-    for (_, batch) in batches {
-        let w = (0..workers).min_by_key(|&w| (load[w], w)).unwrap_or(0);
-        load[w] += batch.len();
-        deques[w].push_back(batch);
+    for (i, chunk) in chunks.enumerate() {
+        deques[i % workers].push_back(chunk.to_vec());
     }
     SchedulePlan { deques, formed }
-}
-
-/// Cone depth per reachable method on the SCC condensation of the call
-/// graph: leaves (and body-less methods) have depth 1; a method's depth is
-/// one more than its deepest callee SCC; all members of a cycle share one
-/// depth.
-fn scc_depths(graph: &CallGraph) -> HashMap<MethodId, u32> {
-    // Index the reachable methods (BTreeMap order: deterministic).
-    let methods: Vec<MethodId> = graph.reachable().collect();
-    let index: HashMap<MethodId, usize> =
-        methods.iter().enumerate().map(|(i, &m)| (m, i)).collect();
-    let succs: Vec<Vec<usize>> = methods
-        .iter()
-        .map(|&m| {
-            graph
-                .callees(m)
-                .iter()
-                .filter_map(|c| index.get(c).copied())
-                .collect()
-        })
-        .collect();
-    let n = methods.len();
-
-    // Iterative Tarjan SCC.
-    let mut scc_of = vec![usize::MAX; n];
-    let mut low = vec![0u32; n];
-    let mut disc = vec![u32::MAX; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_disc = 0u32;
-    let mut scc_count = 0usize;
-    // Explicit DFS frames: (node, next-successor position).
-    let mut frames: Vec<(usize, usize)> = Vec::new();
-    for start in 0..n {
-        if disc[start] != u32::MAX {
-            continue;
-        }
-        frames.push((start, 0));
-        while let Some(&mut (v, ref mut next)) = frames.last_mut() {
-            if *next == 0 {
-                disc[v] = next_disc;
-                low[v] = next_disc;
-                next_disc += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            if let Some(&w) = succs[v].get(*next) {
-                *next += 1;
-                if disc[w] == u32::MAX {
-                    frames.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(disc[w]);
-                }
-                continue;
-            }
-            // All successors explored: close the frame.
-            frames.pop();
-            if let Some(&(parent, _)) = frames.last() {
-                low[parent] = low[parent].min(low[v]);
-            }
-            if low[v] == disc[v] {
-                while let Some(w) = stack.pop() {
-                    on_stack[w] = false;
-                    scc_of[w] = scc_count;
-                    if w == v {
-                        break;
-                    }
-                }
-                scc_count += 1;
-            }
-        }
-    }
-
-    // Condensation depth, bottom-up. Tarjan emits SCCs in reverse
-    // topological order (callees before callers), so a single ascending
-    // sweep over SCC ids sees every successor's depth first.
-    let mut scc_depth = vec![1u32; scc_count];
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); scc_count];
-    for (v, &s) in scc_of.iter().enumerate() {
-        members[s].push(v);
-    }
-    for s in 0..scc_count {
-        let mut depth = 1u32;
-        for &v in &members[s] {
-            for &w in &succs[v] {
-                let t = scc_of[w];
-                if t != s {
-                    depth = depth.max(scc_depth[t].saturating_add(1));
-                }
-            }
-        }
-        scc_depth[s] = depth;
-    }
-
-    methods
-        .iter()
-        .enumerate()
-        .map(|(i, &m)| (m, scc_depth[scc_of[i]]))
-        .collect()
-}
-
-/// Path-halving union-find over work positions.
-struct UnionFind {
-    parent: Vec<usize>,
-}
-
-impl UnionFind {
-    fn new(n: usize) -> Self {
-        UnionFind {
-            parent: (0..n).collect(),
-        }
-    }
-
-    fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
-        }
-        x
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            // Lower root wins so cluster identity follows the earliest
-            // member — deterministic regardless of union order.
-            let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-            self.parent[hi] = lo;
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn program() -> Program {
-        spo_jir::parse_program(
-            r#"
-class t.C {
-  method public void a() { staticinvoke t.C.u0(); return; }
-  method public void b() { staticinvoke t.C.u0(); return; }
-  method public void c() { staticinvoke t.C.v0(); return; }
-  method public void d() { return; }
-  method private static void u0() { staticinvoke t.C.u1(); return; }
-  method private static void u1() { staticinvoke t.C.u2(); return; }
-  method private static void u2() { return; }
-  method private static void v0() { staticinvoke t.C.v0(); return; }
-}
-"#,
-        )
-        .unwrap()
-    }
-
-    fn roots(p: &Program) -> Vec<MethodId> {
-        spo_resolve::entry_points(p)
+    fn batches(plan: &SchedulePlan) -> Vec<&Vec<usize>> {
+        plan.deques.iter().flatten().collect()
     }
 
     #[test]
-    fn single_worker_takes_one_batch_without_graph_work() {
-        let p = program();
-        let r = roots(&p);
-        let work: Vec<usize> = (0..r.len()).collect();
-        let plan = plan(&p, &r, &work, 1);
+    fn single_worker_takes_one_batch() {
+        let work: Vec<usize> = (0..500).collect();
+        let plan = plan(&work, 1);
         assert_eq!(plan.deques.len(), 1);
         assert_eq!(plan.formed, 1);
-        assert_eq!(plan.deques[0][0], work);
+        assert_eq!(plan.deques[0], [work]);
     }
 
     #[test]
-    fn cone_overlapping_roots_share_a_batch() {
-        let p = program();
-        let r = roots(&p);
-        let work: Vec<usize> = (0..r.len()).collect();
-        let plan = plan(&p, &r, &work, 2);
-        assert_eq!(
-            plan.formed as usize,
-            plan.deques.iter().map(VecDeque::len).sum::<usize>()
-        );
-        // `a` and `b` both call u0 (fan-in 2 ≤ cap): same batch.
-        let sig_of = |idx: usize| p.method_signature(r[idx]);
-        let batch_of = |idx: usize| {
-            plan.deques
-                .iter()
-                .flat_map(|d| d.iter())
-                .position(|b| b.contains(&idx))
-        };
-        let (a, b_) = (
-            (0..r.len()).find(|&i| sig_of(i) == "t.C.a()").unwrap(),
-            (0..r.len()).find(|&i| sig_of(i) == "t.C.b()").unwrap(),
-        );
-        assert_eq!(batch_of(a), batch_of(b_), "a and b share their cone");
-        // Every root lands in exactly one batch.
-        let mut seen: Vec<usize> = plan
-            .deques
-            .iter()
-            .flat_map(|d| d.iter())
-            .flatten()
-            .copied()
-            .collect();
-        seen.sort_unstable();
-        assert_eq!(seen, work);
+    fn every_root_lands_in_exactly_one_batch() {
+        let work: Vec<usize> = (0..1000).map(|i| i * 3 + 1).collect();
+        for workers in [2, 3, 8] {
+            let plan = plan(&work, workers);
+            assert_eq!(plan.deques.len(), workers);
+            assert_eq!(plan.formed as usize, batches(&plan).len());
+            let mut seen: Vec<usize> = batches(&plan).into_iter().flatten().copied().collect();
+            seen.sort_unstable();
+            assert_eq!(seen, work, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn batches_are_capped_contiguous_runs_in_order() {
+        for (len, workers) in [(5, 2), (100, 2), (1000, 3), (10_000, 8)] {
+            let work: Vec<usize> = (0..len).map(|i| i * 2).collect();
+            let plan = plan(&work, workers);
+            let cap = (len / (workers * 4)).clamp(MIN_BATCH, MAX_BATCH);
+            // Dealing order: batch k sits at position k / workers of
+            // deque k % workers.
+            let dealt: Vec<&Vec<usize>> = (0..plan.formed as usize)
+                .map(|k| &plan.deques[k % workers][k / workers])
+                .collect();
+            let flat: Vec<usize> = dealt.iter().copied().flatten().copied().collect();
+            assert_eq!(flat, work, "len={len} workers={workers}");
+            for batch in &dealt {
+                assert!(!batch.is_empty() && batch.len() <= cap);
+            }
+            // Only the last batch may fall short of the cap.
+            for batch in &dealt[..dealt.len() - 1] {
+                assert_eq!(batch.len(), cap);
+            }
+        }
+    }
+
+    #[test]
+    fn batches_are_dealt_round_robin() {
+        let work: Vec<usize> = (0..60).collect();
+        let plan = plan(&work, 3);
+        // 60 / 12 clamps up to 8 per batch: 8 batches over 3 workers.
+        assert_eq!(plan.formed, 8);
+        let lens: Vec<usize> = plan.deques.iter().map(VecDeque::len).collect();
+        assert_eq!(lens, [3, 3, 2]);
+        assert_eq!(plan.deques[1][2], (56..60).collect::<Vec<_>>());
+        assert_eq!(plan.deques[1][0], (8..16).collect::<Vec<_>>());
+        assert_eq!(plan.deques[0][1], (24..32).collect::<Vec<_>>());
     }
 
     #[test]
     fn plan_is_deterministic() {
-        let p = program();
-        let r = roots(&p);
-        let work: Vec<usize> = (0..r.len()).collect();
-        let a = plan(&p, &r, &work, 3);
-        let b = plan(&p, &r, &work, 3);
+        let work: Vec<usize> = (0..777).collect();
+        let a = plan(&work, 3);
+        let b = plan(&work, 3);
         assert_eq!(a.deques, b.deques);
         assert_eq!(a.formed, b.formed);
-    }
-
-    #[test]
-    fn scc_depths_collapse_cycles_and_order_chains() {
-        let p = program();
-        let r = roots(&p);
-        let hierarchy = Hierarchy::new(&p);
-        let graph = CallGraph::build(&hierarchy, r.clone());
-        let depths = scc_depths(&graph);
-        let d = |sig: &str| {
-            let (id, _) = p
-                .all_methods()
-                .find(|(id, _)| p.method_signature(*id) == sig)
-                .unwrap();
-            depths.get(&id).copied().unwrap()
-        };
-        // Chain: u2 (leaf) < u1 < u0 < a.
-        assert!(d("t.C.u2()") < d("t.C.u1()"));
-        assert!(d("t.C.u1()") < d("t.C.u0()"));
-        assert!(d("t.C.u0()") < d("t.C.a()"));
-        // Self-recursive v0 is one SCC: finite depth, caller one deeper.
-        assert_eq!(d("t.C.c()"), d("t.C.v0()") + 1);
     }
 }

@@ -500,6 +500,17 @@ impl fmt::Display for Diagnostic {
     }
 }
 
+/// The exit code of a finished run: degraded (2, any diagnostic in
+/// `diags`) beats findings (1) beats clean (0). A degraded run's findings
+/// are a lower bound, not the full answer.
+pub fn exit_code(diags: &[Diagnostic], findings: bool) -> u8 {
+    if diags.is_empty() {
+        u8::from(findings)
+    } else {
+        2
+    }
+}
+
 /// The run-level guard configuration handed to the engine and the CLI: the
 /// budget applied to every root and the shared cancel token.
 #[derive(Clone, Debug, Default)]
@@ -709,5 +720,14 @@ mod tests {
         ];
         v.sort();
         assert_eq!(v[0].phase, Phase::Parse);
+    }
+
+    #[test]
+    fn degraded_beats_findings_beats_clean() {
+        let d = Diagnostic::parse_dropped("a.jir", 3, 9, "bad", "method");
+        assert_eq!(exit_code(&[], false), 0);
+        assert_eq!(exit_code(&[], true), 1);
+        assert_eq!(exit_code(std::slice::from_ref(&d), false), 2);
+        assert_eq!(exit_code(&[d], true), 2);
     }
 }

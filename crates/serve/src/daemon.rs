@@ -864,49 +864,30 @@ pub fn run(config: ServeConfig) -> Result<DrainReport, String> {
     if let Some(path) = &config.socket {
         eprintln!("spo serve: listening on {}", path.display());
     }
-    if let (Some(listener), Some(addr)) = (&tcp, &config.tcp) {
-        let _ = listener;
+    if let Some(addr) = &config.tcp {
         eprintln!("spo serve: listening on tcp {addr}");
     }
 
+    let listeners: Vec<&dyn Listen> = [
+        unix.as_ref().map(|l| l as &dyn Listen),
+        tcp.as_ref().map(|l| l as &dyn Listen),
+    ]
+    .into_iter()
+    .flatten()
+    .collect();
     while !shutdown.is_cancelled() && !shared.drain.load(Ordering::SeqCst) {
         let mut accepted = false;
-        if let Some(listener) = &unix {
-            if let Ok((stream, _)) = listener.accept() {
+        for listener in &listeners {
+            if let Some((reader, writer, closer)) = listener.connection(config.write_timeout) {
                 accepted = true;
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_write_timeout(config.write_timeout);
-                if let (Ok(writer), Ok(closer)) = (stream.try_clone(), stream.try_clone()) {
-                    start_session(
-                        &shared,
-                        &mut reader_handles,
-                        &mut closers,
-                        Box::new(stream),
-                        Box::new(writer),
-                        Arc::new(move || {
-                            let _ = closer.shutdown(Shutdown::Both);
-                        }),
-                    );
-                }
-            }
-        }
-        if let Some(listener) = &tcp {
-            if let Ok((stream, _)) = listener.accept() {
-                accepted = true;
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_write_timeout(config.write_timeout);
-                if let (Ok(writer), Ok(closer)) = (stream.try_clone(), stream.try_clone()) {
-                    start_session(
-                        &shared,
-                        &mut reader_handles,
-                        &mut closers,
-                        Box::new(stream),
-                        Box::new(writer),
-                        Arc::new(move || {
-                            let _ = closer.shutdown(Shutdown::Both);
-                        }),
-                    );
-                }
+                start_session(
+                    &shared,
+                    &mut reader_handles,
+                    &mut closers,
+                    reader,
+                    writer,
+                    closer,
+                );
             }
         }
         if !accepted {
@@ -979,6 +960,42 @@ fn open_cache(config: &ServeConfig) -> Result<(Option<Arc<PolicyCache>>, Option<
         }
     }
 }
+
+/// An accepted connection split into what a session needs: the stream
+/// to read, a clone to write, and a closer that shuts the socket down.
+type Connection = (
+    Box<dyn Read + Send>,
+    Box<dyn Write + Send>,
+    Arc<dyn Fn() + Send + Sync>,
+);
+
+/// A listener the accept loop polls, Unix-socket or TCP.
+trait Listen {
+    /// Accepts one pending connection, back in blocking mode under
+    /// `write_timeout`; `None` when nothing is pending or the stream
+    /// cannot be cloned.
+    fn connection(&self, write_timeout: Option<Duration>) -> Option<Connection>;
+}
+
+// One body for both transports: their listeners and streams share these
+// inherent methods.
+macro_rules! impl_listen {
+    ($($listener:ty),*) => {$(
+        impl Listen for $listener {
+            fn connection(&self, write_timeout: Option<Duration>) -> Option<Connection> {
+                let (stream, _) = self.accept().ok()?;
+                let _ = stream.set_nonblocking(false);
+                let _ = stream.set_write_timeout(write_timeout);
+                let (writer, closer) = (stream.try_clone().ok()?, stream.try_clone().ok()?);
+                let close = move || {
+                    let _ = closer.shutdown(Shutdown::Both);
+                };
+                Some((Box::new(stream), Box::new(writer), Arc::new(close)))
+            }
+        }
+    )*};
+}
+impl_listen!(UnixListener, TcpListener);
 
 fn start_session(
     shared: &Arc<Shared>,

@@ -34,7 +34,7 @@ use crate::proto::{ErrorKind, OptionsSpec, RequestError};
 use spo_cache::{entry_fingerprints, PolicyCache};
 use spo_core::{diff_pair, render_analysis, render_reports, AnalysisOptions, LibraryPolicies};
 use spo_engine::{load_program, record_diagnostic, AnalysisEngine, Instruments};
-use spo_guard::Diagnostic;
+use spo_guard::{exit_code, Diagnostic};
 use spo_index::PolicyIndex;
 use spo_jir::Program;
 use std::collections::{BTreeMap, BTreeSet};
@@ -76,7 +76,7 @@ impl Analysis {
         diagnostics.sort();
         Analysis {
             report: render_analysis(&lib),
-            exit_code: if diagnostics.is_empty() { 0 } else { 2 },
+            exit_code: exit_code(&diagnostics, false),
             lib,
             diagnostics,
             cache_hits,
@@ -403,16 +403,11 @@ impl Registry {
         diagnostics.extend(right_full.lib.degraded.values().cloned());
         diagnostics.sort();
         let findings = !groups.is_empty();
-        let exit_code = if !diagnostics.is_empty() {
-            2
-        } else {
-            u8::from(findings)
-        };
         let outcome = DiffOutcome {
             report,
+            exit_code: exit_code(&diagnostics, findings),
             diagnostics,
             findings,
-            exit_code,
         };
         Ok((outcome, w1 && w2 && w3 && w4))
     }

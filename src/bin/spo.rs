@@ -19,7 +19,7 @@
 //! shared runtime prelude plus the implementation).
 
 use security_policy_oracle::compare_implementations_with;
-use security_policy_oracle::guard::{CancelToken, Diagnostic, GuardConfig};
+use security_policy_oracle::guard::{exit_code, CancelToken, Diagnostic, GuardConfig};
 use security_policy_oracle::obs::trace::{self, Tracer};
 use security_policy_oracle::obs::{self, Recorder};
 use spo_cache::PolicyCache;
@@ -816,12 +816,8 @@ fn finish(diags: &[Diagnostic], findings: bool) -> ExitCode {
             "# {} degradation(s); results are a lower bound",
             diags.len()
         );
-        ExitCode::from(EXIT_DEGRADED)
-    } else if findings {
-        ExitCode::from(EXIT_FINDINGS)
-    } else {
-        ExitCode::SUCCESS
     }
+    ExitCode::from(exit_code(diags, findings))
 }
 
 /// Writes a rendered report to stdout, treating a broken pipe as a quiet

@@ -794,6 +794,37 @@ fn parse_recovery_degrades_instead_of_failing() {
     assert!(stdout.contains("deg.W.ok2"), "{stdout}");
 }
 
+/// With two input files, the snapshot's parse diagnostic is the stderr
+/// line's diagnostic: same severity, and a root that names the file.
+#[test]
+fn parse_diagnostic_in_stats_json_names_the_file() {
+    let good = write_temp("two-files-good.jir", &format!("{RUNTIME}{CHECKED}"));
+    let bad = write_temp(
+        "two-files-bad.jir",
+        "class deg.X {\n  method public void broken(java.lang.String p) {\n    p = = nonsense;\n  }\n}\n",
+    );
+    let json_path = std::env::temp_dir().join("spo-cli-tests/two-files-stats.json");
+    let out = spo(&[
+        "analyze",
+        good.to_str().unwrap(),
+        bad.to_str().unwrap(),
+        "--stats-json",
+        json_path.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let root = format!("{}:3:9", bad.display());
+    let line =
+        format!("warning [parse] {root}: parse: expected operand, found `=` (dropped method)");
+    assert!(stderr.lines().any(|l| l == line), "{stderr}");
+    let json = std::fs::read_to_string(&json_path).unwrap();
+    let record = format!(
+        "{{ \"severity\": \"warning\", \"phase\": \"parse\", \"root\": \"{root}\", \"cause\": \"parse\", \"message\": \"expected operand, found `=` (dropped method)\" }}"
+    );
+    assert!(json.contains(&record), "{json}");
+    assert_eq!(json.matches("\"phase\": \"parse\"").count(), 1, "{json}");
+}
+
 /// Ctrl-C mid-run: the workers drain, the partial report and a
 /// schema-valid stats snapshot are still written, exit code 2.
 #[cfg(unix)]

@@ -1,13 +1,13 @@
-//! Property: cone-batched scheduling and write-behind publication (the
-//! engine defaults) keep the analysis schedule-independent at scale.
+//! Property: root-order batch scheduling and write-behind publication
+//! (the engine defaults) keep the analysis schedule-independent at scale.
 //!
 //! Report bytes and the deterministic `spo-stats/1` sections must be
 //! identical across `--jobs 1/2/8`, with a cold cache and with a warm
 //! one, on the scale-10 corpus (depth-21 utility chains, ~59k jdk entry
-//! points). Tier-1 runs a strided sample of the roots — enough cones to
-//! exercise batching, stealing, and batched flushes, small enough for the
-//! debug-build test budget; `tests/full_scale.rs` covers the full corpus
-//! at scale 1.
+//! points). Tier-1 runs a strided sample of the roots — enough batches
+//! to exercise dealing, stealing, and batched flushes, small enough for
+//! the debug-build test budget; `tests/full_scale.rs` covers the full
+//! corpus at scale 1.
 
 use spo_cache::PolicyCache;
 use spo_core::{render_analysis, AnalysisOptions};
