@@ -722,33 +722,11 @@ impl Drop for PolicyCache {
 mod tests {
     use super::*;
     use spo_core::Analyzer;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use spo_guard::TempDir;
 
     /// A fresh test directory, removed with everything in it on drop.
-    struct TempDir(PathBuf);
-
-    impl std::ops::Deref for TempDir {
-        type Target = Path;
-        fn deref(&self) -> &Path {
-            &self.0
-        }
-    }
-
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
-
     fn temp_dir(tag: &str) -> TempDir {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "spo-cache-test-{tag}-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        TempDir(dir)
+        TempDir::new(&format!("spo-cache-test-{tag}")).unwrap()
     }
 
     const SRC: &str = r#"

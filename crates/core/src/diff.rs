@@ -311,8 +311,12 @@ pub fn diff_libraries_with(
         right_name: right.name.clone(),
         ..Default::default()
     };
+    // Both maps iterate in signature order: one merge-join over the two
+    // walks finds the shared entry points, with no lookup per entry.
+    let mut right = right.entries.iter().peekable();
     for (sig, le) in &left.entries {
-        let Some(re) = right.entries.get(sig) else {
+        while right.next_if(|(rs, _)| *rs < sig).is_some() {}
+        let Some((_, re)) = right.next_if(|(rs, _)| *rs == sig) else {
             continue;
         };
         result.matching_apis += 1;
@@ -502,6 +506,47 @@ mod tests {
         assert_eq!(d.matching_apis, 1);
         assert_eq!(d.differences.len(), 1);
         assert_eq!(d.left_name, "L");
+    }
+
+    #[test]
+    fn merge_join_matches_per_entry_lookup() {
+        // Left-only, right-only and shared signatures interleave, with
+        // prefix pairs (`A.m()` / `A.m(I)`) split across the two sides.
+        let (mut l, mut r) = (LibraryPolicies::default(), LibraryPolicies::default());
+        let sigs = [
+            "A.m()", "A.m(I)", "A.m(I,J)", "A.mm()", "B.a()", "B.b()", "B.c()", "C.x()", "C.x(I)",
+            "D.y()", "E.z()", "E.z(I)", "a.A.m()",
+        ];
+        for (k, sig) in sigs.iter().enumerate() {
+            let checked = entry(sig, &[(native("x"), &[Check::Read], &[Check::Read])]);
+            let unchecked = entry(sig, &[(native("x"), &[], &[])]);
+            // k % 4: 0 shared and different, 1 left only, 2 right only,
+            // 3 shared and equal.
+            if k % 4 != 2 {
+                l.entries.insert(sig.to_string(), checked.clone().into());
+            }
+            match k % 4 {
+                0 => r.entries.insert(sig.to_string(), unchecked.into()),
+                2 | 3 => r.entries.insert(sig.to_string(), checked.into()),
+                _ => None,
+            };
+        }
+        for mode in [DiffMode::Paper, DiffMode::Disjunctive] {
+            for (a, b) in [(&l, &r), (&r, &l)] {
+                let (mut matching, mut differences) = (0, Vec::new());
+                for (sig, ae) in &a.entries {
+                    if let Some(be) = b.entries.get(sig) {
+                        matching += 1;
+                        differences.extend(diff_entry_with(ae, be, mode));
+                    }
+                }
+                let got = diff_libraries_with(a, b, mode);
+                assert_eq!(got.matching_apis, matching);
+                assert_eq!(got.differences, differences);
+            }
+        }
+        assert_eq!(diff_libraries(&l, &r).matching_apis, 7);
+        assert_eq!(diff_libraries(&l, &r).differences.len(), 4);
     }
 
     #[test]

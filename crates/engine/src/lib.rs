@@ -1289,23 +1289,17 @@ class t.B {
         }
     }
 
-    fn cache_dir(tag: &str) -> std::path::PathBuf {
-        use std::sync::atomic::AtomicU64;
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "spo-engine-cache-test-{tag}-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    /// A fresh cache directory, removed with everything in it on drop.
+    fn cache_dir(tag: &str) -> spo_guard::TempDir {
+        spo_guard::TempDir::new(&format!("spo-engine-cache-test-{tag}")).unwrap()
     }
 
     #[test]
     fn warm_cache_run_is_identical_to_cold_run() {
         let program = sample_program();
         let options = AnalysisOptions::default();
-        let cache = Arc::new(PolicyCache::open(cache_dir("warm")).unwrap());
+        let dir = cache_dir("warm");
+        let cache = Arc::new(PolicyCache::open(dir.to_path_buf()).unwrap());
         let cold_engine = AnalysisEngine::new(2).with_cache(Arc::clone(&cache));
         let (cold, cold_stats) = cold_engine.analyze_library(&program, "t", options);
         assert_eq!(cold_stats.cache_hits, 0);
@@ -1332,7 +1326,8 @@ class t.B {
             ("jdk", corpus.program(Lib::Jdk)),
             ("harmony", corpus.program(Lib::Harmony)),
         ];
-        let cache = Arc::new(PolicyCache::open(cache_dir("thrash")).unwrap());
+        let dir = cache_dir("thrash");
+        let cache = Arc::new(PolicyCache::open(dir.to_path_buf()).unwrap());
         let engine = AnalysisEngine::new(2).with_cache(Arc::clone(&cache));
         let render = |set: &ComparisonSet| {
             set.comparisons
@@ -1358,7 +1353,8 @@ class t.B {
     fn single_method_edit_invalidates_only_affected_cones() {
         let program = sample_program();
         let options = AnalysisOptions::default();
-        let cache = Arc::new(PolicyCache::open(cache_dir("edit")).unwrap());
+        let dir = cache_dir("edit");
+        let cache = Arc::new(PolicyCache::open(dir.to_path_buf()).unwrap());
         let engine = AnalysisEngine::new(2).with_cache(Arc::clone(&cache));
         let (_, cold) = engine.analyze_library(&program, "t", options);
         let roots = cold.entry_points as u64;
@@ -1384,7 +1380,8 @@ class t.B {
     fn cache_counters_surface_in_work_section_only() {
         let program = sample_program();
         let options = AnalysisOptions::default();
-        let cache = Arc::new(PolicyCache::open(cache_dir("counters")).unwrap());
+        let dir = cache_dir("counters");
+        let cache = Arc::new(PolicyCache::open(dir.to_path_buf()).unwrap());
         let rec = Recorder::new();
         let engine = AnalysisEngine::new(2)
             .with_cache(Arc::clone(&cache))

@@ -19,6 +19,8 @@
 //!   root's failure degrades that root alone.
 //! * [`Diagnostic`] is the uniform degradation record (severity, phase,
 //!   root, cause) surfaced by reports, `spo diff`, and the stats snapshot.
+//! * [`TempDir`] is a scratch directory removed on drop, for the soak
+//!   and the tests.
 //!
 //! Degradation is **sound by construction**: a quarantined root's policy
 //! is replaced by the top element of the policy lattice (may = all checks,
@@ -47,6 +49,7 @@
 use std::cell::Cell;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
@@ -551,9 +554,64 @@ impl GuardConfig {
     }
 }
 
+/// A fresh scratch directory under the system temp dir, removed with
+/// everything in it when the guard drops — so a run, a soak or a test
+/// leaves nothing behind, even when it fails early.
+#[derive(Debug)]
+pub struct TempDir(PathBuf);
+
+impl TempDir {
+    /// Creates `<temp dir>/<prefix>-<pid>-<n>`, where `n` counts the
+    /// guards this process has made: no two live guards share a path. A
+    /// leftover at that path (from an earlier process with the same pid)
+    /// is cleared first.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the directory's creation failure.
+    pub fn new(prefix: &str) -> std::io::Result<TempDir> {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "{prefix}-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir)?;
+        Ok(TempDir(dir))
+    }
+}
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn temp_dir_is_fresh_and_removed_on_drop() {
+        let (a, b) = (
+            TempDir::new("spo-guard-test").unwrap(),
+            TempDir::new("spo-guard-test").unwrap(),
+        );
+        assert_ne!(&*a, &*b);
+        std::fs::write(a.join("f"), b"x").unwrap();
+        let path = a.to_path_buf();
+        drop(a);
+        assert!(!path.exists());
+        assert!(b.is_dir());
+    }
 
     #[test]
     fn unlimited_governor_never_trips() {

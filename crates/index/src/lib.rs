@@ -875,8 +875,23 @@ impl<'a> PolicyIndex<'a> {
         }
     }
 
+    /// Every record's signature and row, sorted by signature, each with a
+    /// `T` slot for the caller. Offset-table order is root-key (hash)
+    /// order; decoding in signature order instead lays the entries'
+    /// allocations out in the order the maps, the diff, the renderers and
+    /// the final drop walk them. Reads only each record's interned
+    /// signature and allocates nothing per record.
+    fn by_signature<T: Default>(&self) -> Result<Vec<(&str, u32, T)>, String> {
+        let mut order = (0..self.count)
+            .map(|i| Ok((self.signature_of(self.row(i))?, i as u32, T::default())))
+            .collect::<Result<Vec<_>, String>>()?;
+        order.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        Ok(order)
+    }
+
     /// Reconstructs the full-analysis [`LibraryPolicies`] alone, decoding
-    /// no intraprocedural policy — what a listing needs.
+    /// no intraprocedural policy — what a listing needs. Records are
+    /// decoded in signature order.
     ///
     /// # Errors
     ///
@@ -884,10 +899,11 @@ impl<'a> PolicyIndex<'a> {
     pub fn full_library(&self) -> Result<LibraryPolicies, String> {
         let mut full = self.empty_library(self.entry_points_full);
         full.entries = self
-            .records()
-            .map(|rec| {
-                let entry = self.decode_full(rec)?;
-                Ok((entry.signature.clone(), Arc::new(entry)))
+            .by_signature::<()>()?
+            .into_iter()
+            .map(|(sig, i, ())| {
+                let entry = self.decode_full(self.row(i as usize))?;
+                Ok((sig.to_owned(), Arc::new(entry)))
             })
             .collect::<Result<_, String>>()?;
         Ok(full)
@@ -908,23 +924,26 @@ impl<'a> PolicyIndex<'a> {
         if !self.intra {
             return Err("index carries no intraprocedural policies".to_owned());
         }
-        let mut rows = Vec::with_capacity(self.count);
-        for rec in self.records() {
-            // `self.intra` is set, so every record carries its intra policy.
-            if let (full, Some(intra)) = self.decode(rec)? {
-                rows.push((full.signature.clone(), full, intra));
-            }
-        }
-        // Records come in root-key order. One sort by signature here
-        // leaves both maps' own sorts a single pass over a sorted run.
-        rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        // Records are decoded in signature order, so each map is built
+        // from an already sorted stream. The full map is built during the
+        // decode; each record's slot holds its intra policy until the
+        // intra map is built from the same table.
+        let mut order = self.by_signature::<Option<Arc<EntryPolicy>>>()?;
         let mut full = self.empty_library(self.entry_points_full);
+        full.entries = order
+            .iter_mut()
+            .map(|(sig, i, slot)| {
+                let (f, intra) = self.decode(self.row(*i as usize))?;
+                *slot = intra;
+                Ok((sig.to_string(), f))
+            })
+            .collect::<Result<_, String>>()?;
         let mut intra = self.empty_library(self.entry_points_intra);
-        intra.entries = rows
-            .iter()
-            .map(|(sig, _, i)| (sig.clone(), Arc::clone(i)))
+        intra.entries = order
+            .into_iter()
+            // `self.intra` is set, so every record carries its intra policy.
+            .filter_map(|(sig, _, slot)| Some((sig.to_owned(), slot?)))
             .collect();
-        full.entries = rows.into_iter().map(|(sig, f, _)| (sig, f)).collect();
         Ok((full, intra))
     }
 }
@@ -1150,6 +1169,112 @@ mod tests {
         assert_eq!(rintra.entries, intra.entries);
         assert_eq!(rfull.stats.entry_points, 3);
         assert_eq!(render_analysis(&rfull), render_analysis(&full));
+    }
+
+    /// A library of `n` entries over interleaved classes, with prefix
+    /// pairs such as `A.m()` / `A.m(I)`; `salt` varies the policies so two
+    /// libraries differ on some shared entries.
+    fn shuffled_library(name: &str, n: usize, salt: usize) -> (LibraryPolicies, LibraryPolicies) {
+        let mut full = LibraryPolicies {
+            name: name.into(),
+            ..Default::default()
+        };
+        let mut intra = full.clone();
+        for k in 0..n {
+            let sig = match k % 3 {
+                0 => format!("C{}.m()", k % 7),
+                1 => format!("C{}.m(I{k})", k % 7),
+                _ => format!("D{k}.n(J)"),
+            };
+            let mut f = EntryPolicy::new(sig.clone());
+            let checks: &[Check] = if (k + salt).is_multiple_of(4) {
+                &[Check::Read]
+            } else {
+                &[Check::Connect]
+            };
+            f.events.insert(
+                EventKey::Native(format!("n{k}").into()),
+                policy(checks, &[checks]),
+            );
+            f.event_origins.insert(
+                EventKey::Native(format!("n{k}").into()),
+                vec![format!("{sig}#impl").into()].into(),
+            );
+            let i = if k.is_multiple_of(2) {
+                f.clone()
+            } else {
+                let mut i = EntryPolicy::new(sig.clone());
+                i.events.insert(EventKey::ApiReturn, policy(&[], &[&[]]));
+                i
+            };
+            full.entries.insert(sig.clone(), f.into());
+            intra.entries.insert(sig, i.into());
+        }
+        full.stats.entry_points = full.entries.len();
+        intra.stats.entry_points = intra.entries.len();
+        (full, intra)
+    }
+
+    /// Compiles `(full, intra)` feeding the writer in reverse signature
+    /// order, so string ids, offset-table rows and blobs all disagree with
+    /// signature order.
+    fn build_reversed(full: &LibraryPolicies, intra: &LibraryPolicies) -> Vec<u8> {
+        let mut writer = IndexWriter::new(true);
+        for (sig, f) in full.entries.iter().rev() {
+            writer.entry(sig, 0, &[], f, Some(&*intra.entries[sig]));
+        }
+        let n = full.entries.len() as u64;
+        writer
+            .finish(
+                &full.name,
+                &options_token(&AnalysisOptions::default()),
+                [n, n],
+            )
+            .unwrap()
+    }
+
+    #[test]
+    fn decode_order_does_not_depend_on_blob_order() {
+        let (lfull, lintra) = shuffled_library("jdk", 60, 0);
+        let (rfull, rintra) = shuffled_library("harmony", 45, 1);
+        let (lbytes, rbytes) = (
+            build_reversed(&lfull, &lintra),
+            build_reversed(&rfull, &rintra),
+        );
+        let (left, right) = (
+            PolicyIndex::parse(&lbytes).unwrap(),
+            PolicyIndex::parse(&rbytes).unwrap(),
+        );
+        let table: Vec<&str> = left
+            .records()
+            .map(|rec| left.signature_of(rec).unwrap())
+            .collect();
+        assert!(
+            table.windows(2).any(|w| w[0] > w[1]),
+            "the offset table must not already be in signature order"
+        );
+
+        let (dlf, dli) = left.to_libraries().unwrap();
+        let (drf, dri) = right.to_libraries().unwrap();
+        assert_eq!(
+            (&dlf.entries, &dli.entries),
+            (&lfull.entries, &lintra.entries)
+        );
+        assert_eq!(
+            (&drf.entries, &dri.entries),
+            (&rfull.entries, &rintra.entries)
+        );
+        for (sig, f) in &dlf.entries {
+            let same = lfull.entries[sig] == lintra.entries[sig];
+            assert_eq!(Arc::ptr_eq(f, &dli.entries[sig]), same, "{sig}");
+        }
+        assert_eq!(left.full_library().unwrap().entries, lfull.entries);
+        assert_eq!(left.render_full().unwrap(), render_analysis(&lfull));
+        assert_eq!(render_analysis(&dri), render_analysis(&rintra));
+
+        let decoded = diff_rendered(&dlf, &dli, &drf, &dri);
+        assert_eq!(decoded, diff_rendered(&lfull, &lintra, &rfull, &rintra));
+        assert!(decoded.1, "the fixture's libraries differ");
     }
 
     #[test]

@@ -44,7 +44,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -830,12 +830,11 @@ pub fn run(config: ServeConfig) -> Result<DrainReport, String> {
                     ));
                 }
                 // Nobody answers: a previous daemon died without
-                // unlinking its socket. Take the address over.
+                // unlinking its socket. Take the address over: the rename
+                // in `bind_ready` replaces the file.
                 eprintln!("spo serve: taking over stale socket {}", path.display());
-                let _ = std::fs::remove_file(path);
             }
-            let listener =
-                UnixListener::bind(path).map_err(|e| format!("{}: {e}", path.display()))?;
+            let listener = bind_ready(path).map_err(|e| format!("{}: {e}", path.display()))?;
             listener
                 .set_nonblocking(true)
                 .map_err(|e| format!("{}: {e}", path.display()))?;
@@ -968,6 +967,30 @@ type Connection = (
     Box<dyn Write + Send>,
     Arc<dyn Fn() + Send + Sync>,
 );
+
+/// Binds a listening Unix socket that appears at `path` only once it
+/// accepts connections. `bind(2)` creates the socket file before
+/// `listen(2)` runs, and a client that connects in between is refused; so
+/// the socket is bound and listening under a temporary name in the same
+/// directory, then renamed onto `path`. A client that sees the file can
+/// connect.
+fn bind_ready(path: &Path) -> io::Result<UnixListener> {
+    // pid + per-process sequence: daemons started side by side (in one
+    // process or several) never share a temporary name. Kept short, as a
+    // socket path is limited to about 100 bytes.
+    static BIND_SEQ: AtomicU64 = AtomicU64::new(0);
+    let tmp = path.with_file_name(format!(
+        ".spo{}-{}",
+        std::process::id(),
+        BIND_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_file(&tmp);
+    let listener = UnixListener::bind(&tmp)?;
+    std::fs::rename(&tmp, path).inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })?;
+    Ok(listener)
+}
 
 /// A listener the accept loop polls, Unix-socket or TCP.
 trait Listen {
@@ -1105,16 +1128,12 @@ class t.A {
 }
 "#;
 
-    fn temp_path(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("spo-serve-daemon-{}-{tag}", std::process::id()))
-    }
-
     #[test]
     fn daemon_serves_load_query_stats_and_drains_on_shutdown() {
-        let jir = temp_path("fixture.jir");
+        let dir = spo_guard::TempDir::new("spo-serve-daemon").unwrap();
+        let jir = dir.join("fixture.jir");
         std::fs::write(&jir, FIXTURE).unwrap();
-        let socket = temp_path("sock");
-        let _ = std::fs::remove_file(&socket);
+        let socket = dir.join("sock");
         let config = ServeConfig {
             socket: Some(socket.clone()),
             no_cache: true,
@@ -1208,7 +1227,19 @@ class t.A {
         assert_eq!(drained.sessions, 1);
         assert!(drained.requests >= 6);
         assert!(!socket.exists(), "socket file removed on drain");
-        let _ = std::fs::remove_file(&jir);
+    }
+
+    #[test]
+    fn socket_path_appears_listening_and_alone() {
+        let dir = spo_guard::TempDir::new("spo-serve-bind").unwrap();
+        let path = dir.join("s.sock");
+        let _listener = bind_ready(&path).unwrap();
+        UnixStream::connect(&path).expect("the path accepts once it exists");
+        let names: Vec<_> = std::fs::read_dir(&*dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["s.sock"], "no temporary name is left behind");
     }
 
     #[test]

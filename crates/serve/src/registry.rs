@@ -500,6 +500,7 @@ fn not_loaded(name: &str) -> RequestError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spo_guard::TempDir;
 
     const LEFT: &str = r#"
 class java.lang.SecurityManager {
@@ -544,19 +545,22 @@ class t.A {
 }
 "#;
 
-    fn write_temp(name: &str, contents: &str) -> String {
-        let path = std::env::temp_dir().join(format!(
-            "spo-serve-registry-{}-{name}.jir",
-            std::process::id()
-        ));
+    /// Writes `contents` to `<dir>/<name>.jir` and returns the path.
+    fn write_temp(dir: &TempDir, name: &str, contents: &str) -> String {
+        let path = dir.join(format!("{name}.jir"));
         std::fs::write(&path, contents).unwrap();
         path.to_string_lossy().into_owned()
+    }
+
+    fn scratch() -> TempDir {
+        TempDir::new("spo-serve-registry").unwrap()
     }
 
     #[test]
     fn warm_analysis_is_shared_and_byte_stable() {
         let registry = Registry::new(2, None);
-        let path = write_temp("warm", LEFT);
+        let dir = scratch();
+        let path = write_temp(&dir, "warm", LEFT);
         let inst = Instruments::default();
         let summary = registry.load("lib", &[path], &inst).unwrap();
         assert!(summary.entry_points >= 1);
@@ -581,12 +585,13 @@ class t.A {
     #[test]
     fn diff_reports_missing_check_and_unknown_names_fail_typed() {
         let registry = Registry::new(2, None);
+        let dir = scratch();
         let inst = Instruments::default();
         registry
-            .load("left", &[write_temp("dl", LEFT)], &inst)
+            .load("left", &[write_temp(&dir, "dl", LEFT)], &inst)
             .unwrap();
         registry
-            .load("right", &[write_temp("dr", RIGHT)], &inst)
+            .load("right", &[write_temp(&dir, "dr", RIGHT)], &inst)
             .unwrap();
         let left = registry.get("left").unwrap();
         let right = registry.get("right").unwrap();
@@ -609,7 +614,8 @@ class t.A {
     #[test]
     fn reload_reanalyzes_warm_specs_from_fresh_sources() {
         let registry = Registry::new(2, None);
-        let path = write_temp("reload", LEFT);
+        let dir = scratch();
+        let path = write_temp(&dir, "reload", LEFT);
         let inst = Instruments::default();
         registry
             .load("lib", std::slice::from_ref(&path), &inst)
@@ -637,8 +643,9 @@ class t.A {
     fn export(name: &str, src: &str) -> (Vec<u8>, Arc<Analysis>, Arc<Analysis>) {
         let registry = Registry::new(1, None);
         let inst = Instruments::default();
+        let dir = scratch();
         registry
-            .load(name, &[write_temp(&format!("ix-{name}"), src)], &inst)
+            .load(name, &[write_temp(&dir, name, src)], &inst)
             .unwrap();
         let entry = registry.get(name).unwrap();
         let spec = OptionsSpec::default();
@@ -681,8 +688,9 @@ class t.A {
         assert_eq!(err.kind, ErrorKind::NotFound);
         assert_eq!(err.message, "no program loaded under \"lib\"");
         // A load replaces the index-only entry and drops its answers.
+        let dir = scratch();
         let summary = registry
-            .load("lib", &[write_temp("ix-replace", RIGHT)], &inst)
+            .load("lib", &[write_temp(&dir, "replace", RIGHT)], &inst)
             .unwrap();
         assert!(summary.replaced);
         let entry = registry.get("lib").unwrap();

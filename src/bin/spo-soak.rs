@@ -248,15 +248,6 @@ fn spo(exe: &Path, spec: Option<&str>) -> Command {
     cmd
 }
 
-/// The soak's scratch directory, removed on every exit path.
-struct WorkDir(PathBuf);
-
-impl Drop for WorkDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
 /// A spawned daemon, killed and reaped on drop: [`Child`] alone neither
 /// kills nor waits, so an early return would leak the process.
 struct Daemon(Child);
@@ -296,10 +287,10 @@ fn soak(options: &Options) -> Result<ExitCode, String> {
             spo_exe.display()
         ));
     }
-    let work = WorkDir(std::env::temp_dir().join(format!("spo-chaos-soak-{}", std::process::id())));
-    std::fs::create_dir_all(&work.0).map_err(|e| format!("{}: {e}", work.0.display()))?;
-    let fixture_a = work.0.join("a.jir");
-    let fixture_b = work.0.join("b.jir");
+    // The soak's scratch directory, removed on every exit path.
+    let work = spo_guard::TempDir::new("spo-chaos-soak").map_err(|e| format!("work dir: {e}"))?;
+    let fixture_a = work.join("a.jir");
+    let fixture_b = work.join("b.jir");
     std::fs::write(&fixture_a, FIXTURE_A).map_err(|e| format!("a.jir: {e}"))?;
     std::fs::write(&fixture_b, FIXTURE_B).map_err(|e| format!("b.jir: {e}"))?;
 
@@ -319,11 +310,11 @@ fn soak(options: &Options) -> Result<ExitCode, String> {
             .args(["--jobs", "2"]),
         "baseline",
     )?;
-    let serve_baseline = serve_schedule(&spo_exe, &work.0, "baseline", &fixture_a, None)
+    let serve_baseline = serve_schedule(&spo_exe, &work, "baseline", &fixture_a, None)
         .map_err(|v| format!("clean serve baseline failed: {}", v.why))?
         .0;
     // Disarmed index export + query: the anchor for index-mode schedules.
-    let index_a = work.0.join("a.spi");
+    let index_a = work.join("a.spi");
     clean_stdout(
         spo(&spo_exe, None)
             .arg("export")
@@ -342,7 +333,7 @@ fn soak(options: &Options) -> Result<ExitCode, String> {
 
     let env = SoakEnv {
         spo: spo_exe,
-        work: work.0.clone(),
+        work: work.to_path_buf(),
         fixture_a,
         fixture_b,
         rate,

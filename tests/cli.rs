@@ -1,7 +1,8 @@
 //! End-to-end tests of the `spo` command-line interface, exercising the
 //! "share policies without sharing code" workflow of §8.
 
-use std::path::PathBuf;
+use spo_guard::TempDir;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn spo(args: &[&str]) -> Output {
@@ -28,9 +29,12 @@ fn delay_every_root(ms: u64) -> String {
     format!("seed=1,delay_ms={ms},sites=engine.root.delay:1")
 }
 
-fn write_temp(name: &str, content: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("spo-cli-tests");
-    std::fs::create_dir_all(&dir).unwrap();
+/// A fresh scratch directory per test, removed when the test ends.
+fn scratch() -> TempDir {
+    TempDir::new("spo-cli-tests").unwrap()
+}
+
+fn write_temp(dir: &Path, name: &str, content: &str) -> PathBuf {
     let path = dir.join(name);
     std::fs::write(&path, content).unwrap();
     path
@@ -90,8 +94,9 @@ fn unknown_command_fails() {
 
 #[test]
 fn check_reports_stats() {
-    let rt = write_temp("rt.jir", RUNTIME);
-    let a = write_temp("a.jir", CHECKED);
+    let dir = scratch();
+    let rt = write_temp(&dir, "rt.jir", RUNTIME);
+    let a = write_temp(&dir, "a.jir", CHECKED);
     let out = spo(&["check", rt.to_str().unwrap(), a.to_str().unwrap()]);
     assert!(
         out.status.success(),
@@ -132,10 +137,11 @@ class t.U {
 /// the printed statement count.
 #[test]
 fn check_stats_json_counts_what_check_prints() {
+    let dir = scratch();
     let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let jdk = manifest.join("examples/jir/figure1_jdk.jir");
-    let extra = write_temp("ambiguous.jir", AMBIGUOUS);
-    let json_path = std::env::temp_dir().join("spo-cli-tests/check-stats.json");
+    let extra = write_temp(&dir, "ambiguous.jir", AMBIGUOUS);
+    let json_path = dir.join("check-stats.json");
     let out = spo(&[
         "check",
         jdk.to_str().unwrap(),
@@ -181,8 +187,9 @@ fn check_stats_json_counts_what_check_prints() {
 
 #[test]
 fn analyze_prints_policies() {
-    let rt = write_temp("rt2.jir", RUNTIME);
-    let a = write_temp("a2.jir", CHECKED);
+    let dir = scratch();
+    let rt = write_temp(&dir, "rt2.jir", RUNTIME);
+    let a = write_temp(&dir, "a2.jir", CHECKED);
     let out = spo(&["analyze", rt.to_str().unwrap(), a.to_str().unwrap()]);
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -192,9 +199,10 @@ fn analyze_prints_policies() {
 
 #[test]
 fn diff_detects_missing_check_and_sets_exit_code() {
-    let rt = write_temp("rt3.jir", RUNTIME);
-    let a = write_temp("a3.jir", CHECKED);
-    let b = write_temp("b3.jir", UNCHECKED);
+    let dir = scratch();
+    let rt = write_temp(&dir, "rt3.jir", RUNTIME);
+    let a = write_temp(&dir, "a3.jir", CHECKED);
+    let b = write_temp(&dir, "b3.jir", UNCHECKED);
     let out = spo(&[
         "diff",
         rt.to_str().unwrap(),
@@ -212,8 +220,9 @@ fn diff_detects_missing_check_and_sets_exit_code() {
 
 #[test]
 fn diff_of_identical_implementations_is_clean() {
-    let rt = write_temp("rt4.jir", RUNTIME);
-    let a = write_temp("a4.jir", CHECKED);
+    let dir = scratch();
+    let rt = write_temp(&dir, "rt4.jir", RUNTIME);
+    let a = write_temp(&dir, "a4.jir", CHECKED);
     let out = spo(&[
         "diff",
         rt.to_str().unwrap(),
@@ -227,16 +236,15 @@ fn diff_of_identical_implementations_is_clean() {
 
 #[test]
 fn export_then_diff_policies_matches_direct_diff() {
+    let dir = scratch();
     // The §8 workflow: each vendor exports its policies to an index; anyone
     // can difference the two indexes without any source code, and gets
     // the report the source-level diff prints.
-    let rt = write_temp("rt5.jir", RUNTIME);
-    let a = write_temp("a5.jir", CHECKED);
-    let b = write_temp("b5.jir", UNCHECKED);
+    let rt = write_temp(&dir, "rt5.jir", RUNTIME);
+    let a = write_temp(&dir, "a5.jir", CHECKED);
+    let b = write_temp(&dir, "b5.jir", UNCHECKED);
     let export = |name: &str, file: &PathBuf| {
-        let spi = std::env::temp_dir()
-            .join("spo-cli-tests")
-            .join(format!("exchange-{name}.spi"));
+        let spi = dir.join(format!("exchange-{name}.spi"));
         let out = spo(&[
             "export",
             rt.to_str().unwrap(),
@@ -287,6 +295,7 @@ fn export_then_diff_policies_matches_direct_diff() {
 /// indexes carry whole-library ablations.
 #[test]
 fn ablation_covers_roots_named_by_an_origin() {
+    let dir = scratch();
     let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     let jdk = fixtures.join("origin_clause_jdk.jir");
     let harmony = fixtures.join("origin_clause_harmony.jir");
@@ -309,7 +318,6 @@ fn ablation_covers_roots_named_by_an_origin() {
         "{stderr}"
     );
 
-    let dir = std::env::temp_dir().join("spo-cli-tests");
     let export = |file: &str, name: &str| {
         let spi = dir.join(format!("origin-clause-{name}.spi"));
         let out = spo(&[
@@ -338,9 +346,10 @@ fn ablation_covers_roots_named_by_an_origin() {
 /// always holds both analyses); both are usage errors naming the flag.
 #[test]
 fn export_requires_out_and_refuses_intra_only() {
-    let f = write_temp("export-flags.jir", CHECKED);
+    let dir = scratch();
+    let f = write_temp(&dir, "export-flags.jir", CHECKED);
     let path = f.to_str().unwrap();
-    let spi = std::env::temp_dir().join("spo-cli-tests/export-flags.spi");
+    let spi = dir.join("export-flags.spi");
     for (flag, args) in [
         ("--out", vec!["export", path]),
         (
@@ -364,8 +373,9 @@ fn export_requires_out_and_refuses_intra_only() {
 
 #[test]
 fn jobs_flag_does_not_change_output() {
-    let rt = write_temp("rt7.jir", RUNTIME);
-    let a = write_temp("a7.jir", CHECKED);
+    let dir = scratch();
+    let rt = write_temp(&dir, "rt7.jir", RUNTIME);
+    let a = write_temp(&dir, "a7.jir", CHECKED);
     let base = spo(&["analyze", rt.to_str().unwrap(), a.to_str().unwrap()]);
     assert!(base.status.success());
     for jobs in [&["--jobs", "1"][..], &["--jobs", "3"], &["--jobs=2"]] {
@@ -383,9 +393,10 @@ fn jobs_flag_does_not_change_output() {
 
 #[test]
 fn jobs_flag_on_diff_and_bad_values() {
-    let rt = write_temp("rt8.jir", RUNTIME);
-    let a = write_temp("a8.jir", CHECKED);
-    let b = write_temp("b8.jir", UNCHECKED);
+    let dir = scratch();
+    let rt = write_temp(&dir, "rt8.jir", RUNTIME);
+    let a = write_temp(&dir, "a8.jir", CHECKED);
+    let b = write_temp(&dir, "b8.jir", UNCHECKED);
     let out = spo(&[
         "diff",
         "--jobs",
@@ -415,7 +426,9 @@ fn missing_file_is_a_clean_error() {
 
 #[test]
 fn check_lint_flags_dangling_references() {
+    let dir = scratch();
     let bad = write_temp(
+        &dir,
         "bad.jir",
         "class A { method public void m() { staticinvoke gone.Class.f(); return; } }",
     );
@@ -424,7 +437,11 @@ fn check_lint_flags_dangling_references() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("undeclared class"), "{stdout}");
 
-    let good = write_temp("good.jir", "class A { method public void m() { return; } }");
+    let good = write_temp(
+        &dir,
+        "good.jir",
+        "class A { method public void m() { return; } }",
+    );
     let out = spo(&["check", good.to_str().unwrap(), "--lint"]);
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("0 lint finding(s)"));
@@ -432,7 +449,9 @@ fn check_lint_flags_dangling_references() {
 
 #[test]
 fn throws_subcommand_reports_exception_differences() {
+    let dir = scratch();
     let thrower = write_temp(
+        &dir,
         "thrower.jir",
         r#"
 class err.Boom { }
@@ -449,6 +468,7 @@ class api.S {
 "#,
     );
     let silent = write_temp(
+        &dir,
         "silent.jir",
         r#"
 class api.S {
@@ -479,9 +499,10 @@ class api.S {
 
 #[test]
 fn diff_html_emits_escaped_document() {
-    let rt = write_temp("rt6.jir", RUNTIME);
-    let a = write_temp("a6.jir", CHECKED);
-    let b = write_temp("b6.jir", UNCHECKED);
+    let dir = scratch();
+    let rt = write_temp(&dir, "rt6.jir", RUNTIME);
+    let a = write_temp(&dir, "a6.jir", CHECKED);
+    let b = write_temp(&dir, "b6.jir", UNCHECKED);
     let out = spo(&[
         "diff",
         rt.to_str().unwrap(),
@@ -499,8 +520,9 @@ fn diff_html_emits_escaped_document() {
 
 #[test]
 fn stats_flag_prints_summary_without_changing_stdout() {
-    let rt = write_temp("rt9.jir", RUNTIME);
-    let a = write_temp("a9.jir", CHECKED);
+    let dir = scratch();
+    let rt = write_temp(&dir, "rt9.jir", RUNTIME);
+    let a = write_temp(&dir, "a9.jir", CHECKED);
     let base = spo(&["analyze", rt.to_str().unwrap(), a.to_str().unwrap()]);
     assert!(base.status.success());
     let out = spo(&[
@@ -520,9 +542,10 @@ fn stats_flag_prints_summary_without_changing_stdout() {
 
 #[test]
 fn stats_json_is_schema_valid_and_validates_via_subcommand() {
-    let rt = write_temp("rt10.jir", RUNTIME);
-    let a = write_temp("a10.jir", CHECKED);
-    let json_path = std::env::temp_dir().join("spo-cli-tests/analyze-stats.json");
+    let dir = scratch();
+    let rt = write_temp(&dir, "rt10.jir", RUNTIME);
+    let a = write_temp(&dir, "a10.jir", CHECKED);
+    let json_path = dir.join("analyze-stats.json");
     let out = spo(&[
         "analyze",
         rt.to_str().unwrap(),
@@ -545,7 +568,8 @@ fn stats_json_is_schema_valid_and_validates_via_subcommand() {
 
 #[test]
 fn stats_validate_rejects_invalid_input() {
-    let bad = write_temp("bad-stats.json", "{\"schema\": \"nope/9\"}");
+    let dir = scratch();
+    let bad = write_temp(&dir, "bad-stats.json", "{\"schema\": \"nope/9\"}");
     let out = spo(&["stats-validate", bad.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(3));
     assert!(String::from_utf8_lossy(&out.stderr).contains("schema"));
@@ -557,11 +581,12 @@ fn stats_validate_rejects_invalid_input() {
 /// `--jobs 8`.
 #[test]
 fn diff_stats_json_deterministic_sections_match_across_jobs() {
+    let dir = scratch();
     let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let jdk = manifest.join("examples/jir/figure1_jdk.jir");
     let harmony = manifest.join("examples/jir/figure1_harmony.jir");
     let run = |jobs: &str| {
-        let json_path = std::env::temp_dir().join(format!("spo-cli-tests/diff-stats-{jobs}.json"));
+        let json_path = dir.join(format!("diff-stats-{jobs}.json"));
         let out = spo(&[
             "diff",
             jdk.to_str().unwrap(),
@@ -701,7 +726,8 @@ fn entry_blocks(stdout: &str) -> std::collections::BTreeMap<String, String> {
 /// `--jobs 1/2/8`.
 #[test]
 fn degraded_analyze_exits_2_restricted_report_deterministic() {
-    let f = write_temp("degraded.jir", &degraded_fixture());
+    let dir = scratch();
+    let f = write_temp(&dir, "degraded.jir", &degraded_fixture());
     let path = f.to_str().unwrap();
     let clean = spo(&["analyze", path]);
     assert!(
@@ -750,8 +776,9 @@ fn degraded_analyze_exits_2_restricted_report_deterministic() {
 /// section and still passes `spo stats-validate`.
 #[test]
 fn degraded_stats_json_validates() {
-    let f = write_temp("degraded-stats.jir", &degraded_fixture());
-    let json_path = std::env::temp_dir().join("spo-cli-tests/degraded-stats.json");
+    let dir = scratch();
+    let f = write_temp(&dir, "degraded-stats.jir", &degraded_fixture());
+    let json_path = dir.join("degraded-stats.json");
     let out = spo_chaos(
         PANIC_PANICKY,
         &[
@@ -778,12 +805,13 @@ fn degraded_stats_json_validates() {
 /// with a parse diagnostic, everything else is reported, exit code 2.
 #[test]
 fn parse_recovery_degrades_instead_of_failing() {
+    let dir = scratch();
     let src = format!(
         "{RUNTIME}\nclass deg.W {{{}\n  method public void broken(java.lang.String p) {{\n    p = = nonsense;\n  }}{}\n  method private static native void write0(java.lang.String p);\n}}\n",
         checked_method("ok1"),
         checked_method("ok2"),
     );
-    let f = write_temp("recovered.jir", &src);
+    let f = write_temp(&dir, "recovered.jir", &src);
     let out = spo(&["analyze", f.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -798,12 +826,14 @@ fn parse_recovery_degrades_instead_of_failing() {
 /// line's diagnostic: same severity, and a root that names the file.
 #[test]
 fn parse_diagnostic_in_stats_json_names_the_file() {
-    let good = write_temp("two-files-good.jir", &format!("{RUNTIME}{CHECKED}"));
+    let dir = scratch();
+    let good = write_temp(&dir, "two-files-good.jir", &format!("{RUNTIME}{CHECKED}"));
     let bad = write_temp(
+        &dir,
         "two-files-bad.jir",
         "class deg.X {\n  method public void broken(java.lang.String p) {\n    p = = nonsense;\n  }\n}\n",
     );
-    let json_path = std::env::temp_dir().join("spo-cli-tests/two-files-stats.json");
+    let json_path = dir.join("two-files-stats.json");
     let out = spo(&[
         "analyze",
         good.to_str().unwrap(),
@@ -830,9 +860,10 @@ fn parse_diagnostic_in_stats_json_names_the_file() {
 #[cfg(unix)]
 #[test]
 fn sigint_yields_partial_report_and_valid_stats() {
+    let dir = scratch();
     use std::process::Stdio;
-    let f = write_temp("sigint.jir", &degraded_fixture());
-    let json_path = std::env::temp_dir().join("spo-cli-tests/sigint-stats.json");
+    let f = write_temp(&dir, "sigint.jir", &degraded_fixture());
+    let json_path = dir.join("sigint-stats.json");
     let child = Command::new(env!("CARGO_BIN_EXE_spo"))
         .args([
             "analyze",
@@ -870,8 +901,9 @@ fn sigint_yields_partial_report_and_valid_stats() {
 #[cfg(unix)]
 #[test]
 fn sigterm_drains_like_sigint() {
+    let dir = scratch();
     use std::process::Stdio;
-    let f = write_temp("sigterm.jir", &degraded_fixture());
+    let f = write_temp(&dir, "sigterm.jir", &degraded_fixture());
     let child = Command::new(env!("CARGO_BIN_EXE_spo"))
         .args(["analyze", f.to_str().unwrap(), "--jobs", "1"])
         .env("SPO_CHAOS", delay_every_root(300))
@@ -899,7 +931,8 @@ fn sigterm_drains_like_sigint() {
 /// serve protocol's `timeout_ms` field) gets the same rejection.
 #[test]
 fn zero_budgets_are_rejected() {
-    let f = write_temp("zero-budget.jir", CHECKED);
+    let dir = scratch();
+    let f = write_temp(&dir, "zero-budget.jir", CHECKED);
     for flag in ["--budget-steps", "--budget-frames", "--timeout-ms"] {
         let out = spo(&["analyze", f.to_str().unwrap(), flag, "0"]);
         assert_eq!(out.status.code(), Some(3), "{flag}");
@@ -914,7 +947,8 @@ fn zero_budgets_are_rejected() {
 /// report matches a run without the flag.
 #[test]
 fn unrepresentable_deadline_means_no_deadline() {
-    let f = write_temp("far-deadline.jir", CHECKED);
+    let dir = scratch();
+    let f = write_temp(&dir, "far-deadline.jir", CHECKED);
     let base = spo(&["analyze", f.to_str().unwrap()]);
     assert!(base.status.success());
     let out = spo(&["analyze", f.to_str().unwrap(), "--deadline", "1e19"]);
@@ -931,7 +965,8 @@ fn unrepresentable_deadline_means_no_deadline() {
 /// over a slow (sleep-injected) run degrades with a deadline diagnostic.
 #[test]
 fn timeout_ms_aliases_the_deadline_budget() {
-    let f = write_temp("timeout-alias.jir", &degraded_fixture());
+    let dir = scratch();
+    let f = write_temp(&dir, "timeout-alias.jir", &degraded_fixture());
     let out = spo_chaos(
         &delay_every_root(100),
         &[
@@ -953,7 +988,8 @@ fn timeout_ms_aliases_the_deadline_budget() {
 /// commands that actually run an analysis.
 #[test]
 fn unknown_flags_are_rejected_not_swallowed() {
-    let f = write_temp("unknown-flag.jir", CHECKED);
+    let dir = scratch();
+    let f = write_temp(&dir, "unknown-flag.jir", CHECKED);
     let path = f.to_str().unwrap();
 
     let out = spo(&["check", path, "--frobnicate"]);
@@ -982,9 +1018,9 @@ fn unknown_flags_are_rejected_not_swallowed() {
 /// `library library`); both forms now name the exported library.
 #[test]
 fn export_name_equals_form_matches_space_form() {
-    let f = write_temp("export-name.jir", CHECKED);
+    let dir = scratch();
+    let f = write_temp(&dir, "export-name.jir", CHECKED);
     let path = f.to_str().unwrap();
-    let dir = std::env::temp_dir().join("spo-cli-tests");
     let spaced = dir.join("export-name-spaced.spi");
     let equals = dir.join("export-name-equals.spi");
     let run = spo(&[
@@ -1023,7 +1059,8 @@ fn export_name_equals_form_matches_space_form() {
 /// ignored (or, in the space form, read its value as an input file).
 #[test]
 fn analyze_and_diff_reject_flags_they_do_not_take() {
-    let f = write_temp("name-flags.jir", CHECKED);
+    let dir = scratch();
+    let f = write_temp(&dir, "name-flags.jir", CHECKED);
     let path = f.to_str().unwrap();
     for (command, args) in [
         ("analyze", vec!["analyze", path, "--namespace"]),
@@ -1043,7 +1080,8 @@ fn analyze_and_diff_reject_flags_they_do_not_take() {
 /// without the switch, or report it as an unknown flag.
 #[test]
 fn switches_reject_values() {
-    let f = write_temp("switch-values.jir", CHECKED);
+    let dir = scratch();
+    let f = write_temp(&dir, "switch-values.jir", CHECKED);
     let path = f.to_str().unwrap();
     for (flag, args) in [
         ("--lint", vec!["check", path, "--lint=1"]),
@@ -1067,6 +1105,7 @@ fn switches_reject_values() {
 #[test]
 #[cfg(unix)]
 fn broken_stdout_pipe_exits_quietly() {
+    let dir = scratch();
     use std::io::Read;
     // A program wide enough that its report overflows a pipe the reader
     // abandoned: many classes, each an entry point with a policy.
@@ -1087,7 +1126,7 @@ class pipe.C{i} {{
 "#
         ));
     }
-    let big = write_temp("broken_pipe_big.jir", &src);
+    let big = write_temp(&dir, "broken_pipe_big.jir", &src);
     let mut child = Command::new(env!("CARGO_BIN_EXE_spo"))
         .arg("analyze")
         .arg(&big)
@@ -1122,11 +1161,12 @@ class pipe.C{i} {{
 
 #[test]
 fn failed_export_index_keeps_the_previous_index() {
-    let rt = write_temp("export-rt.jir", RUNTIME);
-    let a = write_temp("export-a.jir", CHECKED);
-    let dir = std::env::temp_dir().join(format!("spo-cli-export-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let out = dir.join("policies.spi");
+    let dir = scratch();
+    let rt = write_temp(&dir, "export-rt.jir", RUNTIME);
+    let a = write_temp(&dir, "export-a.jir", CHECKED);
+    let out_dir = dir.join("out");
+    std::fs::create_dir_all(&out_dir).unwrap();
+    let out = out_dir.join("policies.spi");
     let export = |chaos: Option<&str>| {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_spo"));
         cmd.arg("export").arg(&rt).arg(&a).arg("--out").arg(&out);
@@ -1146,10 +1186,9 @@ fn failed_export_index_keeps_the_previous_index() {
     let failed = export(Some("seed=1,sites=cache.rename.fail:1.0"));
     assert_eq!(failed.status.code(), Some(3), "{failed:?}");
     assert_eq!(std::fs::read(&out).unwrap(), good);
-    let names: Vec<_> = std::fs::read_dir(&dir)
+    let names: Vec<_> = std::fs::read_dir(&out_dir)
         .unwrap()
         .map(|e| e.unwrap().file_name())
         .collect();
     assert_eq!(names, ["policies.spi"]);
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -4,6 +4,7 @@
 //! degrades to a cold run with a warning — never a changed report or
 //! exit code.
 
+use spo_guard::TempDir;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -15,12 +16,9 @@ fn spo(args: &[&str]) -> Output {
 }
 
 /// A fresh scratch directory per test so parallel tests never share a
-/// cache or fixture.
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("spo-incremental-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+/// cache or fixture; removed when the test ends.
+fn scratch(tag: &str) -> TempDir {
+    TempDir::new(&format!("spo-incremental-{tag}")).unwrap()
 }
 
 fn write(dir: &Path, name: &str, content: &str) -> String {

@@ -6,6 +6,7 @@
 #![cfg(unix)]
 
 use security_policy_oracle::obs::json::{parse, Value};
+use spo_guard::TempDir;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -95,6 +96,8 @@ impl Drop for Daemon {
         if let Some(mut child) = self.child.take() {
             let _ = child.kill();
             let _ = child.wait();
+            // A killed daemon cannot unlink its socket.
+            let _ = std::fs::remove_file(&self.socket);
         }
     }
 }
@@ -378,9 +381,7 @@ fn over_budget_requests_degrade_without_disturbing_other_sessions() {
 /// answer.
 #[test]
 fn reload_reanalyzes_edits_through_the_cache() {
-    let dir = std::env::temp_dir().join(format!("spo-serve-test-{}-reload", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("spo-serve-test-reload").unwrap();
     let source = dir.join("lib.jir");
     std::fs::copy(fixture("figure1_jdk.jir"), &source).unwrap();
     let daemon = Daemon::start(
@@ -420,7 +421,6 @@ fn reload_reanalyzes_edits_through_the_cache() {
     assert!(before.contains("checkAccept"), "{before}");
     assert!(!after.contains("checkAccept"), "{after}");
     assert_eq!(daemon.shutdown(), 0);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `spo rpc` drives a daemon end to end and folds response statuses into
@@ -639,8 +639,7 @@ fn export_index(name: &str, jir: &Path, out: &Path) {
 fn warm_index_daemon_matches_analysis_daemon_and_errors_uniformly() {
     let jdk = fixture("figure1_jdk.jir");
     let harmony = fixture("figure1_harmony.jir");
-    let dir = std::env::temp_dir().join(format!("spo-serve-index-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("workdir");
+    let dir = TempDir::new("spo-serve-index").expect("workdir");
     let left_spi = dir.join("left.spi");
     let right_spi = dir.join("right.spi");
     export_index("left", &jdk, &left_spi);
@@ -707,7 +706,6 @@ fn warm_index_daemon_matches_analysis_daemon_and_errors_uniformly() {
         "index-served diff bytes match the analysis daemon"
     );
     assert_eq!(indexed.shutdown(), 0);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// An index seeds a name's answers only until its program is swapped:
@@ -717,8 +715,7 @@ fn warm_index_daemon_matches_analysis_daemon_and_errors_uniformly() {
 /// index.
 #[test]
 fn program_swap_drops_the_index_answers() {
-    let dir = std::env::temp_dir().join(format!("spo-serve-ixswap-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("workdir");
+    let dir = TempDir::new("spo-serve-ixswap").expect("workdir");
     let lib = dir.join("lib.jir");
     let spi = dir.join("lib.spi");
     std::fs::copy(fixture("figure1_jdk.jir"), &lib).expect("write sources");
@@ -776,7 +773,6 @@ fn program_swap_drops_the_index_answers() {
         );
         assert_eq!(daemon.shutdown(), 0);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A damaged preloaded index must not take the daemon down or produce a
@@ -786,8 +782,7 @@ fn program_swap_drops_the_index_answers() {
 #[test]
 fn corrupt_index_preload_falls_back_to_full_analysis() {
     let jdk = fixture("figure1_jdk.jir");
-    let dir = std::env::temp_dir().join(format!("spo-serve-badix-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("workdir");
+    let dir = TempDir::new("spo-serve-badix").expect("workdir");
     let spi = dir.join("lib.spi");
     export_index("lib", &jdk, &spi);
     let mut bytes = std::fs::read(&spi).expect("read index");
@@ -815,7 +810,6 @@ fn corrupt_index_preload_falls_back_to_full_analysis() {
         "fallback analysis serves the same bytes a clean daemon would"
     );
     assert_eq!(daemon.shutdown(), 0);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// An index exported from other sources is not trusted over the program
@@ -824,8 +818,7 @@ fn corrupt_index_preload_falls_back_to_full_analysis() {
 /// loaded it.
 #[test]
 fn index_from_other_sources_is_refused_for_a_loaded_name() {
-    let dir = std::env::temp_dir().join(format!("spo-serve-ixother-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("workdir");
+    let dir = TempDir::new("spo-serve-ixother").expect("workdir");
     let spi = dir.join("lib.spi");
     export_index("lib", &fixture("figure1_jdk.jir"), &spi);
     let load = format!("lib={}", fixture("figure1_harmony.jir").display());
@@ -866,5 +859,4 @@ fn index_from_other_sources_is_refused_for_a_loaded_name() {
         "every option set answers the loaded program, not the index"
     );
     assert_eq!(daemon.shutdown(), 0);
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,6 +6,7 @@
 //! per-request trace capture (`trace_id` round-trip, `spo trace`
 //! retrieval).
 
+use spo_guard::TempDir;
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
@@ -18,16 +19,26 @@ fn spo(args: &[&str]) -> Output {
         .expect("spo binary runs")
 }
 
-fn temp_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("spo-trace-tests-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+/// A fresh scratch directory per test, removed when the test ends.
+fn scratch() -> TempDir {
+    TempDir::new("spo-trace-tests").unwrap()
 }
 
-fn write_temp(name: &str, content: &str) -> PathBuf {
-    let path = temp_dir().join(name);
+fn write_temp(dir: &Path, name: &str, content: &str) -> PathBuf {
+    let path = dir.join(name);
     std::fs::write(&path, content).unwrap();
     path
+}
+
+/// A spawned daemon, killed and reaped on drop, so a failing test never
+/// leaves it running.
+struct Daemon(std::process::Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
 }
 
 const RUNTIME: &str = r#"
@@ -72,9 +83,10 @@ class api.F {
 
 #[test]
 fn traced_analyze_emits_valid_trace_and_identical_report() {
-    let rt = write_temp("rt.jir", RUNTIME);
-    let api = write_temp("api.jir", API);
-    let trace_path = temp_dir().join("analyze.trace.json");
+    let dir = scratch();
+    let rt = write_temp(&dir, "rt.jir", RUNTIME);
+    let api = write_temp(&dir, "api.jir", API);
+    let trace_path = dir.join("analyze.trace.json");
     let traced = spo(&[
         "analyze",
         rt.to_str().unwrap(),
@@ -117,9 +129,10 @@ fn traced_analyze_emits_valid_trace_and_identical_report() {
 
 #[test]
 fn traced_diff_and_check_write_captures_without_touching_stdout() {
-    let rt = write_temp("rt2.jir", RUNTIME);
-    let api = write_temp("api2.jir", API);
-    let diff_trace = temp_dir().join("diff.trace.json");
+    let dir = scratch();
+    let rt = write_temp(&dir, "rt2.jir", RUNTIME);
+    let api = write_temp(&dir, "api2.jir", API);
+    let diff_trace = dir.join("diff.trace.json");
     let traced = spo(&[
         "diff",
         rt.to_str().unwrap(),
@@ -147,8 +160,8 @@ fn traced_diff_and_check_write_captures_without_touching_stdout() {
 
     // Stats and trace read one span tree: every `durations` key of
     // `check` is the name of a complete event in its capture.
-    let check_stats = temp_dir().join("check.stats.json");
-    let check_trace = temp_dir().join("check.trace.json");
+    let check_stats = dir.join("check.stats.json");
+    let check_trace = dir.join("check.trace.json");
     let checked = spo(&[
         "check",
         rt.to_str().unwrap(),
@@ -170,10 +183,11 @@ fn traced_diff_and_check_write_captures_without_touching_stdout() {
 
 #[test]
 fn analyze_phase_spans_land_in_stats_and_trace() {
-    let rt = write_temp("rt4.jir", RUNTIME);
-    let api = write_temp("api4.jir", API);
-    let stats = temp_dir().join("analyze.stats.json");
-    let trace = temp_dir().join("analyze-phases.trace.json");
+    let dir = scratch();
+    let rt = write_temp(&dir, "rt4.jir", RUNTIME);
+    let api = write_temp(&dir, "api4.jir", API);
+    let stats = dir.join("analyze.stats.json");
+    let trace = dir.join("analyze-phases.trace.json");
     let analyzed = spo(&[
         "analyze",
         rt.to_str().unwrap(),
@@ -217,23 +231,25 @@ fn complete_event_names(path: &Path) -> BTreeSet<String> {
 
 #[test]
 fn daemon_round_trips_trace_ids_and_serves_captures() {
-    let rt = write_temp("rt3.jir", RUNTIME);
-    let api = write_temp("api3.jir", API);
-    let socket = temp_dir().join("traced.sock");
-    let _ = std::fs::remove_file(&socket);
+    let dir = scratch();
+    let rt = write_temp(&dir, "rt3.jir", RUNTIME);
+    let api = write_temp(&dir, "api3.jir", API);
+    let socket = dir.join("traced.sock");
     let load = format!("lib={},{}", rt.to_str().unwrap(), api.to_str().unwrap());
-    let mut daemon = Command::new(env!("CARGO_BIN_EXE_spo"))
-        .args([
-            "serve",
-            "--socket",
-            socket.to_str().unwrap(),
-            "--no-cache",
-            "--load",
-            &load,
-        ])
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("daemon starts");
+    let mut daemon = Daemon(
+        Command::new(env!("CARGO_BIN_EXE_spo"))
+            .args([
+                "serve",
+                "--socket",
+                socket.to_str().unwrap(),
+                "--no-cache",
+                "--load",
+                &load,
+            ])
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("daemon starts"),
+    );
     while !socket.exists() {
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
@@ -261,7 +277,7 @@ fn daemon_round_trips_trace_ids_and_serves_captures() {
     drop(stream);
     drop(reader);
     // Retrieval through the dedicated subcommand, written to a file.
-    let out_path = temp_dir().join("fetched.trace.json");
+    let out_path = dir.join("fetched.trace.json");
     let fetched = spo(&[
         "trace",
         "--socket",
@@ -291,6 +307,6 @@ fn daemon_round_trips_trace_ids_and_serves_captures() {
         r#"{"spo-rpc":1,"id":9,"method":"shutdown"}"#,
     ]);
     assert!(bye.status.success(), "{bye:?}");
-    let status = daemon.wait().expect("daemon drains");
+    let status = daemon.0.wait().expect("daemon drains");
     assert!(status.success());
 }
