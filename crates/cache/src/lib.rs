@@ -44,6 +44,17 @@
 //! analysis stores the new cone). Only missed roots ever need the call
 //! graph — [`CacheKeyer`] is built over just those.
 //!
+//! The table is built once per program and shared by every run over it:
+//! `compare_all` hashes each implementation once and hands that table to
+//! both its full run and its ablation, which re-prefix it for their own
+//! options ([`ContentTable::with_options`]). Each run then asks for all of
+//! its roots in one [`PolicyCache::lookup_all`] call: one file
+//! resolution, one shared-lock acquisition, one stats update. A stored
+//! cone is re-keyed in place: its identities are read straight out of the
+//! file's entry blob into a buffer reused across the call, and looked up
+//! in a map keyed by the identity hashes themselves, without re-hashing.
+//! DESIGN.md §11 gives the measured cost of each step.
+//!
 //! All key hashing is [`spo_jir::Fnv64`]: seedless, platform-independent,
 //! and stable across parses (it hashes resolved strings and structural
 //! tags, never interned ids). The whole-file checksum that guards each
@@ -86,16 +97,17 @@ use spo_jir::{
 use spo_obs::trace;
 use spo_resolve::{CallGraph, Hierarchy};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// The hash state every cache key of one program and options set starts
 /// from: format version, options token, structure salt.
-fn key_prefix(program: &Program, options: &AnalysisOptions) -> Fnv64 {
+fn key_prefix(structure: u64, options: &AnalysisOptions) -> Fnv64 {
     let mut h = Fnv64::new();
     h.write_u64(spo_index::FORMAT_VERSION as u64);
     h.write_str(&spo_index::options_token(options));
-    h.write_u64(structure_hash(program));
+    h.write_u64(structure);
     h
 }
 
@@ -107,28 +119,79 @@ fn fold_key(mut prefix: Fnv64, sorted_contents: &[u64]) -> u64 {
     prefix.finish()
 }
 
+/// A pass-through [`Hasher`] for keys that are already FNV-1a hashes:
+/// re-hashing them with SipHash would only cost time.
+#[derive(Default)]
+struct IdentityHasher(u64);
+
+impl Hasher for IdentityHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = v;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The options-independent half of a [`ContentTable`]: one program's
+/// structure salt and identity → content hash of every method.
+#[derive(Debug)]
+struct ProgramContents {
+    structure: u64,
+    content_by_identity: HashMap<u64, u64, BuildHasherDefault<IdentityHasher>>,
+}
+
 /// Current identity → content hashes of every method in one program, plus
 /// the key prefix (structure salt and options token) — everything needed
 /// to re-key a *stored* cone without building a call graph.
+///
+/// The hashes are computed once per program and shared:
+/// [`ContentTable::with_options`] re-prefixes the same hashes for another
+/// run's options without re-hashing the program.
+#[derive(Clone, Debug)]
 pub struct ContentTable {
+    options: AnalysisOptions,
     prefix: Fnv64,
-    content_by_identity: HashMap<u64, u64>,
+    contents: Arc<ProgramContents>,
 }
 
 impl ContentTable {
-    /// Hashes every method of `program` once (identity and content).
+    /// Hashes every method of `program` once (identity and content), and
+    /// the program's structure, keyed for `options`.
     pub fn new(program: &Program, options: &AnalysisOptions) -> ContentTable {
+        let mut content_by_identity =
+            HashMap::with_capacity_and_hasher(program.all_methods().count(), Default::default());
+        content_by_identity.extend(program.all_methods().map(|(id, _)| {
+            (
+                method_identity_hash(program, id),
+                method_content_hash(program, id),
+            )
+        }));
+        let contents = ProgramContents {
+            structure: structure_hash(program),
+            content_by_identity,
+        };
+        ContentTable::keyed(Arc::new(contents), options)
+    }
+
+    /// The same program's table keyed for `options`: shares the hashes,
+    /// recomputes only the key prefix.
+    pub fn with_options(&self, options: &AnalysisOptions) -> ContentTable {
+        ContentTable::keyed(Arc::clone(&self.contents), options)
+    }
+
+    fn keyed(contents: Arc<ProgramContents>, options: &AnalysisOptions) -> ContentTable {
         ContentTable {
-            prefix: key_prefix(program, options),
-            content_by_identity: program
-                .all_methods()
-                .map(|(id, _)| {
-                    (
-                        method_identity_hash(program, id),
-                        method_content_hash(program, id),
-                    )
-                })
-                .collect(),
+            options: *options,
+            prefix: key_prefix(contents.structure, options),
+            contents,
         }
     }
 
@@ -136,12 +199,19 @@ impl ContentTable {
     /// member no longer exists (the key then cannot match and the root
     /// must re-analyze).
     pub fn key_of_cone(&self, cone: &[u64]) -> Option<u64> {
-        let mut contents: Vec<u64> = cone
-            .iter()
-            .map(|identity| self.content_by_identity.get(identity).copied())
-            .collect::<Option<_>>()?;
-        contents.sort_unstable();
-        Some(fold_key(self.prefix, &contents))
+        self.key_of_ids(cone.iter().copied(), &mut Vec::new())
+    }
+
+    /// [`Self::key_of_cone`] over cone identities read in place, sorting
+    /// the member contents in `scratch` (reused across the roots of one
+    /// lookup, so re-keying allocates nothing per root).
+    fn key_of_ids(&self, cone: impl Iterator<Item = u64>, scratch: &mut Vec<u64>) -> Option<u64> {
+        scratch.clear();
+        for identity in cone {
+            scratch.push(*self.contents.content_by_identity.get(&identity)?);
+        }
+        scratch.sort_unstable();
+        Some(fold_key(self.prefix, scratch))
     }
 }
 
@@ -158,7 +228,7 @@ impl CacheKeyer {
     pub fn new(program: &Program, roots: &[MethodId], options: &AnalysisOptions) -> CacheKeyer {
         let hierarchy = Hierarchy::new(program);
         let cg = CallGraph::build(&hierarchy, roots.to_vec());
-        let prefix = key_prefix(program, options);
+        let prefix = key_prefix(structure_hash(program), options);
         // Dense re-indexing of the reachable set, then one hash pair per
         // reachable method and an epoch-stamped DFS per root with no
         // allocation inside the loop (cones overlap heavily, so per-root
@@ -283,11 +353,11 @@ struct File {
     dirty: bool,
 }
 
-/// What one lookup found.
+/// What one lookup found. A stale entry (its cone re-keys differently:
+/// an edit) is a miss; the follow-up store replaces it.
 enum Lookup {
     Hit(EntryPolicy),
     Miss,
-    Stale,
     Invalid(String),
 }
 
@@ -298,14 +368,22 @@ impl File {
             .map_or_else(String::new, |n| n.to_string_lossy().into_owned())
     }
 
-    fn lookup(&self, root_key: u64, signature: &str, table: &ContentTable) -> Lookup {
+    /// Finds `signature`'s entry and validates its cone against `table`,
+    /// re-keying in `scratch` (see [`ContentTable::key_of_ids`]).
+    fn lookup(
+        &self,
+        root_key: u64,
+        signature: &str,
+        table: &ContentTable,
+        scratch: &mut Vec<u64>,
+    ) -> Lookup {
         if let Some(fresh) = self.fresh.get(&root_key) {
-            return if fresh.entry.signature != signature {
-                Lookup::Miss
-            } else if table.key_of_cone(&fresh.cone) == Some(fresh.key) {
+            let valid = fresh.entry.signature == signature
+                && table.key_of_ids(fresh.cone.iter().copied(), scratch) == Some(fresh.key);
+            return if valid {
                 Lookup::Hit(fresh.entry.clone())
             } else {
-                Lookup::Stale
+                Lookup::Miss
             };
         }
         let index = match &self.index {
@@ -315,13 +393,13 @@ impl File {
         let Some(rec) = index.find(root_key) else {
             return Lookup::Miss;
         };
-        let read = || -> Result<Lookup, String> {
+        let mut read = || -> Result<Lookup, String> {
             if index.signature_of(rec)? != signature {
                 return Ok(Lookup::Miss);
             }
             // A stale cone is rejected before the policy is decoded.
-            if table.key_of_cone(&index.cone(rec)?) != Some(rec.cone_key) {
-                return Ok(Lookup::Stale);
+            if table.key_of_ids(index.cone(rec)?, scratch) != Some(rec.cone_key) {
+                return Ok(Lookup::Miss);
             }
             Ok(Lookup::Hit(index.decode_full(rec)?))
         };
@@ -508,67 +586,93 @@ impl PolicyCache {
         files.last_mut().expect("just pushed")
     }
 
-    /// Looks up `signature`'s policy in `library`'s file under `options`,
-    /// validating the stored cone against `table`. A stale entry (its
-    /// cone re-keys differently — an edit) is a plain miss; an
-    /// undecodable entry counts as invalidated, is dropped (healed on
-    /// flush), and emits a diagnostic. Either way the caller analyzes
+    /// Looks up the policy of each of `signatures` (one run's roots, in
+    /// root order) in `library`'s file under `table`'s options, validating
+    /// each stored cone against `table`. The answer is in the same order.
+    ///
+    /// One call resolves the file once, holds the shared lock once and
+    /// updates the counters once. A stale entry (its cone re-keys
+    /// differently — an edit) is a plain miss; an undecodable entry counts
+    /// as invalidated, is dropped (healed on flush), and emits a
+    /// diagnostic, in root order. Either way the caller analyzes that root
     /// cold.
-    pub fn lookup(
+    pub fn lookup_all(
         &self,
         library: &str,
-        options: &AnalysisOptions,
-        signature: &str,
         table: &ContentTable,
-    ) -> Option<EntryPolicy> {
-        let options = normalized(options);
-        let root_key = spo_index::root_key(signature);
-        // The hot path (hit, miss, stale) only reads, so concurrent
-        // sessions validate under the shared lock; the exclusive lock is
-        // taken only to load a file or to drop an undecodable entry.
+        signatures: &[String],
+    ) -> Vec<Option<EntryPolicy>> {
+        let options = normalized(&table.options);
+        let run = |file: &File| -> Vec<Lookup> {
+            let mut scratch = Vec::new();
+            signatures
+                .iter()
+                .map(|sig| file.lookup(spo_index::root_key(sig), sig, table, &mut scratch))
+                .collect()
+        };
+        // Hits, misses and stale entries only read, so concurrent sessions
+        // validate under the shared lock; the exclusive lock is taken only
+        // to load the file or to drop undecodable entries.
         let found = self
             .read_files()
             .iter()
             .find(|f| f.library == library && f.options == options && f.flushed.is_none())
-            .map(|f| f.lookup(root_key, signature, table));
+            .map(run);
         let found = found.unwrap_or_else(|| {
             let mut files = self.write_files();
-            self.file_mut(&mut files, library, options)
-                .lookup(root_key, signature, table)
+            run(self.file_mut(&mut files, library, options))
         });
-        match found {
-            Lookup::Hit(entry) => {
-                self.lock_stats().hits += 1;
-                trace::instant_now("cache.hit", "cache");
-                Some(entry)
-            }
-            Lookup::Miss => {
-                self.lock_stats().misses += 1;
-                trace::instant_now("cache.miss", "cache");
-                None
-            }
-            Lookup::Stale => {
-                // The follow-up store replaces the stale entry.
-                self.lock_stats().misses += 1;
-                trace::instant_now("cache.stale", "cache");
-                None
-            }
-            Lookup::Invalid(why) => {
-                let mut files = self.write_files();
-                let file = self.file_mut(&mut files, library, options);
+
+        let mut delta = CacheStats::default();
+        // Undecodable entries by root key, in root order. A later root
+        // with the same key finds its entry already dropped: a plain miss.
+        let mut invalid: Vec<(u64, &str, String)> = Vec::new();
+        let entries = found
+            .into_iter()
+            .zip(signatures)
+            .map(|(found, sig)| match found {
+                Lookup::Hit(entry) => {
+                    delta.hits += 1;
+                    Some(entry)
+                }
+                Lookup::Miss => {
+                    delta.misses += 1;
+                    None
+                }
+                Lookup::Invalid(why) => {
+                    let key = spo_index::root_key(sig);
+                    if invalid.iter().any(|(k, ..)| *k == key) {
+                        delta.misses += 1;
+                    } else {
+                        delta.invalidated += 1;
+                        invalid.push((key, sig, why));
+                    }
+                    None
+                }
+            })
+            .collect();
+        if !invalid.is_empty() {
+            let mut files = self.write_files();
+            let file = self.file_mut(&mut files, library, options);
+            for (key, ..) in &invalid {
                 // Idempotent if another session already dropped it.
-                file.dirty |= file.dropped.insert(root_key);
-                let unit = file.unit();
-                drop(files);
-                self.lock_stats().invalidated += 1;
+                file.dirty |= file.dropped.insert(*key);
+            }
+            let unit = file.unit();
+            drop(files);
+            for (_, sig, why) in invalid {
                 trace::instant_now("cache.invalidated", "cache");
                 self.push_diag(Diagnostic::cache_fallback(
-                    unit,
-                    format!("entry {signature}: {why}; falling back to cold analysis"),
+                    unit.clone(),
+                    format!("entry {sig}: {why}; falling back to cold analysis"),
                 ));
-                None
             }
         }
+        let mut stats = self.lock_stats();
+        stats.hits += delta.hits;
+        stats.misses += delta.misses;
+        stats.invalidated += delta.invalidated;
+        entries
     }
 
     /// Stores `entry` for `signature` in `library`'s file under
@@ -800,7 +904,19 @@ class t.A {
         entry: &EntryPolicy,
         table: &ContentTable,
     ) -> Option<EntryPolicy> {
-        cache.lookup("t", &OPTS, &entry.signature, table)
+        lookup_one(cache, "t", table, &entry.signature)
+    }
+
+    /// A one-root bulk lookup of `sig` in `library`'s file.
+    fn lookup_one(
+        cache: &PolicyCache,
+        library: &str,
+        table: &ContentTable,
+        sig: &str,
+    ) -> Option<EntryPolicy> {
+        let mut found = cache.lookup_all(library, table, &[sig.to_owned()]);
+        assert_eq!(found.len(), 1);
+        found.pop().flatten()
     }
 
     /// The cache files in `dir`.
@@ -925,11 +1041,11 @@ class t.A {
             let table = ContentTable::new(&program, &options);
             let sig = &entry.signature;
             assert_eq!(
-                reopened.lookup(library, &options, sig, &table),
+                lookup_one(&reopened, library, &table, sig),
                 Some(entry.clone())
             );
             if options == OPTS {
-                let got = reopened.lookup(library, &memo_none, sig, &table);
+                let got = lookup_one(&reopened, library, &table.with_options(&memo_none), sig);
                 assert_eq!(got, Some(entry));
             }
         }
@@ -1005,7 +1121,7 @@ class t.A {
             .find(|&r| program.method_signature(r) == *sig)
             .unwrap();
         assert_eq!(
-            cache.lookup("t", &OPTS, sig, &table),
+            lookup_one(&cache, "t", &table, sig),
             Some(EntryPolicy::clone(entry))
         );
         cache.store(
@@ -1034,7 +1150,7 @@ class t.A {
         }
         assert!(after.len() > before.len());
         let reopened = PolicyCache::open(&*dir).unwrap();
-        assert_eq!(reopened.lookup("t", &OPTS, sig, &table), Some(changed));
+        assert_eq!(lookup_one(&reopened, "t", &table, sig), Some(changed));
     }
 
     #[test]
@@ -1195,6 +1311,131 @@ class t.A {
         cache.flush();
         let bytes = std::fs::read(&path).unwrap();
         assert!(PolicyIndex::parse(&bytes).unwrap().is_empty());
+    }
+
+    #[test]
+    fn one_bulk_lookup_sorts_every_kind_of_root() {
+        // Two more leaf entry points whose one-member cones appear nowhere
+        // else in the file, so their blobs can be found and damaged.
+        let src = format!(
+            "{SRC}\nclass t.B {{\n  method public void p() {{\n    return;\n  }}\n  \
+             method public void q() {{\n    local int i;\n    i = 1;\n    return;\n  }}\n}}\n"
+        );
+        let program = spo_jir::parse_program(&src).unwrap();
+        let lib = Analyzer::new(&program, OPTS).analyze_library("t");
+        let roots = spo_resolve::entry_points(&program);
+        let keyer = CacheKeyer::new(&program, &roots, &OPTS);
+        let table = ContentTable::new(&program, &OPTS);
+        let root_of = |sig: &str| {
+            roots
+                .iter()
+                .copied()
+                .find(|&r| program.method_signature(r) == sig)
+                .unwrap()
+        };
+        let (read, idle, stale, p, q) = (
+            "t.A.read()",
+            "t.A.idle()",
+            "java.lang.System.getSecurityManager()",
+            "t.B.p()",
+            "t.B.q()",
+        );
+        let dir = temp_dir("bulk");
+        {
+            let cache = PolicyCache::open(&*dir).unwrap();
+            for sig in [read, idle, stale, p, q] {
+                let root = root_of(sig);
+                // The stale root is stored under a key its cone no longer
+                // re-keys to, as after an edit.
+                let key = keyer.key(root).unwrap() ^ u64::from(sig == stale);
+                cache.store(
+                    "t",
+                    &OPTS,
+                    sig,
+                    key,
+                    keyer.cone(root).unwrap(),
+                    &lib.entries[sig],
+                );
+            }
+        }
+        // Damage p's and q's blobs right after their (valid) cones.
+        let path = spc_files(&dir).pop().unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        for sig in [p, q] {
+            let cone_bytes: Vec<u8> = keyer.cone(root_of(sig)).unwrap()[0].to_le_bytes().to_vec();
+            let at = bytes.windows(8).position(|w| w == cone_bytes).unwrap() + 8;
+            bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        }
+        let body = bytes.len() - 8;
+        let sum = spo_index::checksum(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+
+        let cache = PolicyCache::open(&*dir).unwrap();
+        // Re-stored in this process: the in-memory entry wins over the file.
+        let mut restored = EntryPolicy::clone(&lib.entries[idle]);
+        restored
+            .check_origins
+            .insert(7, vec!["t.A.restored()".into()].into());
+        let root = root_of(idle);
+        let (key, cone) = (keyer.key(root).unwrap(), keyer.cone(root).unwrap());
+        cache.store("t", &OPTS, idle, key, cone, &restored);
+
+        let sigs: Vec<String> = [q, read, "t.A.absent()", stale, idle, p]
+            .map(str::to_owned)
+            .to_vec();
+        let before = cache.stats();
+        let found = cache.lookup_all("t", &table, &sigs);
+        assert_eq!(
+            found,
+            [
+                None,
+                Some(EntryPolicy::clone(&lib.entries[read])),
+                None,
+                None,
+                Some(restored.clone()),
+                None,
+            ]
+        );
+        let after = cache.stats();
+        assert_eq!(
+            (
+                after.hits - before.hits,
+                after.misses - before.misses,
+                after.invalidated - before.invalidated
+            ),
+            (2, 2, 2)
+        );
+        // One diagnostic per undecodable entry, in root order.
+        let diags = cache.take_diagnostics();
+        let messages: Vec<&str> = diags.iter().map(|d| d.message.as_str()).collect();
+        assert_eq!(messages.len(), 2, "{messages:?}");
+        assert!(messages[0].starts_with("entry t.B.q(): "), "{messages:?}");
+        assert!(messages[1].starts_with("entry t.B.p(): "), "{messages:?}");
+        assert!(diags.iter().all(|d| d.cause == spo_guard::Cause::Cache));
+
+        // The dropped entries are plain misses from now on.
+        assert_eq!(lookup_one(&cache, "t", &table, p), None);
+        assert_eq!(cache.stats().misses, after.misses + 1);
+        assert_eq!(cache.stats().invalidated, after.invalidated);
+        assert!(cache.take_diagnostics().is_empty());
+
+        // The flush heals the file: the damaged entries are gone and the
+        // re-stored one persists.
+        cache.flush();
+        drop(cache);
+        let bytes = std::fs::read(&path).unwrap();
+        let index = PolicyIndex::parse(&bytes).unwrap();
+        assert_eq!(index.len(), 3);
+        for sig in [p, q] {
+            assert!(index.find(spo_index::root_key(sig)).is_none(), "{sig}");
+        }
+        let healed = PolicyCache::open(&*dir).unwrap();
+        let found = healed.lookup_all("t", &table, &sigs);
+        assert_eq!(found[1], Some(EntryPolicy::clone(&lib.entries[read])));
+        assert_eq!(found[4], Some(restored));
+        assert_eq!(healed.stats().invalidated, 0);
+        assert!(healed.take_diagnostics().is_empty());
     }
 
     #[test]

@@ -389,6 +389,33 @@ impl AnalysisEngine {
         roots: &[MethodId],
         options: AnalysisOptions,
     ) -> (LibraryPolicies, EngineStats) {
+        let table = self.content_table(program, &options);
+        self.run(program, name, roots, options, table.as_ref())
+    }
+
+    /// The content table a cache-attached run validates stored cones
+    /// against (`None` without a cache): one hashing pass over `program`,
+    /// in a `cache.table` span and counted by the `cache.tables` work
+    /// counter.
+    fn content_table(&self, program: &Program, options: &AnalysisOptions) -> Option<ContentTable> {
+        self.cache.as_ref()?;
+        let rec = &self.instruments.recorder;
+        let _span = rec.span("cache.table");
+        rec.work_counter("cache.tables").incr();
+        Some(ContentTable::new(program, options))
+    }
+
+    /// One engine run over `roots`. With a cache attached, `table` is
+    /// `program`'s content table (under any options: the run re-keys it
+    /// for its own).
+    fn run(
+        &self,
+        program: &Program,
+        name: &str,
+        roots: &[MethodId],
+        options: AnalysisOptions,
+        table: Option<&ContentTable>,
+    ) -> (LibraryPolicies, EngineStats) {
         let t0 = Instant::now();
         // One timeline row for this run's serial phases (cache validation,
         // write-back, merge) plus one per worker below. Binding the lane
@@ -408,29 +435,32 @@ impl AnalysisEngine {
         // hits (merged below without analysis) and the cold work list. A
         // hit needs no call graph: each stored entry carries its cone as
         // identity hashes and is validated by re-keying it against the
-        // content table (one hashing pass over the program); only missed
-        // roots pay for cone construction, in the write-back below.
-        // Lookups run serially on this thread, so hit/miss accounting and
-        // diagnostics are deterministic.
-        let cache_state = self.cache.as_ref().map(|cache| {
-            let before = cache.stats();
-            (cache, ContentTable::new(program, &options), before)
-        });
+        // program's content table; only missed roots pay for cone
+        // construction, in the write-back below. One bulk lookup runs
+        // serially on this thread, so hit/miss accounting and diagnostics
+        // are deterministic.
+        let cache_state = self
+            .cache
+            .as_ref()
+            .zip(table)
+            .map(|(cache, table)| (cache, table.with_options(&options), cache.stats()));
         let mut cached: Vec<(usize, String, EntryPolicy)> = Vec::new();
         let work: Vec<usize> = match &cache_state {
             None => (0..roots.len()).collect(),
-            Some((cache, table, _)) => (0..roots.len())
-                .filter(|&idx| {
-                    let sig = program.method_signature(roots[idx]);
-                    match cache.lookup(name, &options, &sig, table) {
-                        Some(entry) => {
-                            cached.push((idx, sig, entry));
-                            false
-                        }
-                        None => true,
+            Some((cache, table, _)) => {
+                let _span = recorder.span("cache.lookup");
+                let sigs: Vec<String> =
+                    roots.iter().map(|&r| program.method_signature(r)).collect();
+                let found = cache.lookup_all(name, table, &sigs);
+                let mut work = Vec::new();
+                for (idx, (sig, entry)) in sigs.into_iter().zip(found).enumerate() {
+                    match entry {
+                        Some(entry) => cached.push((idx, sig, entry)),
+                        None => work.push(idx),
                     }
-                })
-                .collect(),
+                }
+                work
+            }
         };
         let workers = self.jobs().min(work.len()).max(1);
 
@@ -775,10 +805,17 @@ impl AnalysisEngine {
         implementations: &[(&str, &Program)],
         options: AnalysisOptions,
     ) -> ComparisonSet {
+        // With a cache attached, one content table per implementation
+        // serves both its full run and its ablation.
+        let tables: Vec<Option<ContentTable>> = implementations
+            .iter()
+            .map(|&(_, program)| self.content_table(program, &options))
+            .collect();
         let mut stats = EngineStats::default();
         let mut libraries = Vec::with_capacity(implementations.len());
-        for &(name, program) in implementations {
-            let (lib, s) = self.analyze_library(program, name, options);
+        for (&(name, program), table) in implementations.iter().zip(&tables) {
+            let roots = entry_points(program);
+            let (lib, s) = self.run(program, name, &roots, options, table.as_ref());
             stats.absorb(&s);
             libraries.push(lib);
         }
@@ -801,7 +838,7 @@ impl AnalysisEngine {
             rec.counter("engine.ablation.fallback"),
         );
         let mut intra = Vec::with_capacity(n);
-        for (k, &(name, program)) in implementations.iter().enumerate() {
+        for (k, (&(name, program), table)) in implementations.iter().zip(&tables).enumerate() {
             let demand = ablation_demand(
                 pairs
                     .iter()
@@ -815,7 +852,7 @@ impl AnalysisEngine {
                 None => fallbacks.incr(),
             }
             ablated.add(roots.len() as u64);
-            let (lib, s) = self.analyze_entries(program, name, &roots, intra_options);
+            let (lib, s) = self.run(program, name, &roots, intra_options, table.as_ref());
             stats.absorb(&s);
             intra.push(lib);
         }
@@ -1346,6 +1383,62 @@ class t.B {
         assert_eq!(warm.stats.cache_misses, 0, "{}", warm.stats);
         assert_eq!(warm.stats.cache_hits, analyzed as u64);
         assert_eq!(render(&warm), render(&cold));
+        assert!(cache.take_diagnostics().is_empty());
+    }
+
+    #[test]
+    fn warm_compare_all_after_an_edit_equals_a_cacheless_run() {
+        use spo_corpus::{generate, CorpusConfig, Lib};
+        let corpus = generate(&CorpusConfig::test_sized());
+        let options = AnalysisOptions::default();
+        let dir = cache_dir("edit-compare");
+        let cache = Arc::new(PolicyCache::open(dir.to_path_buf()).unwrap());
+        let libs = [Lib::Jdk, Lib::Harmony, Lib::Classpath];
+        let names = ["jdk", "harmony", "classpath"];
+        let fill: Vec<(&str, &Program)> = names
+            .iter()
+            .zip(libs)
+            .map(|(&name, lib)| (name, corpus.program(lib)))
+            .collect();
+        AnalysisEngine::new(2)
+            .with_cache(Arc::clone(&cache))
+            .compare_all(&fill, options);
+
+        // Drop one security check from one jdk method body.
+        let text = spo_jir::print_program(corpus.program(Lib::Jdk));
+        let line = text
+            .lines()
+            .find(|l| l.trim_start().starts_with("virtualinvoke sm.check"))
+            .unwrap();
+        let edited = spo_jir::parse_program(&text.replacen(&format!("{line}\n"), "", 1)).unwrap();
+        let mut implementations = fill;
+        implementations[0].1 = &edited;
+
+        let summary = |set: &ComparisonSet| {
+            let reports: Vec<String> = set
+                .comparisons
+                .iter()
+                .map(|c| spo_core::render_reports(&c.diff, &c.groups))
+                .collect();
+            let maps: Vec<_> = set
+                .libraries
+                .iter()
+                .chain(&set.intra)
+                .map(|l| (l.entries.clone(), l.degraded.clone(), l.stats.entry_points))
+                .collect();
+            (reports, maps)
+        };
+        for jobs in [1, 4] {
+            let cold = AnalysisEngine::new(jobs).compare_all(&implementations, options);
+            let warm = AnalysisEngine::new(jobs)
+                .with_cache(Arc::clone(&cache))
+                .compare_all(&implementations, options);
+            assert!(warm.stats.cache_hits > 0, "jobs {jobs}: {}", warm.stats);
+            // The first warm run re-analyzes the edited roots; it stores
+            // them, so the second hits everywhere.
+            assert_eq!(warm.stats.cache_misses > 0, jobs == 1, "{}", warm.stats);
+            assert_eq!(summary(&warm), summary(&cold), "jobs {jobs}");
+        }
         assert!(cache.take_diagnostics().is_empty());
     }
 

@@ -739,11 +739,17 @@ impl<'a> PolicyIndex<'a> {
     }
 
     /// The sorted cone identity list a record carries (empty in exports),
-    /// read without decoding the policies.
-    pub fn cone(&self, rec: Record) -> Result<Vec<u64>, String> {
+    /// read in place from the blob: no policy is decoded and nothing is
+    /// allocated.
+    pub fn cone(&self, rec: Record) -> Result<impl ExactSizeIterator<Item = u64> + '_, String> {
         let mut c = Cursor::new(self.blob_of(rec)?);
         c.u32()?;
-        (0..c.counted(8)?).map(|_| c.u64()).collect()
+        let n = c.counted(8)? as usize;
+        Ok(c.take(n * 8)?.chunks_exact(8).map(|word| {
+            let mut b = [0u8; 8];
+            b.copy_from_slice(word);
+            u64::from_le_bytes(b)
+        }))
     }
 
     fn decode_policy(&self, sig: &str, c: &mut Cursor<'_>) -> Result<EntryPolicy, String> {
@@ -897,15 +903,16 @@ impl<'a> PolicyIndex<'a> {
     ///
     /// Propagates blob decode failures.
     pub fn full_library(&self) -> Result<LibraryPolicies, String> {
+        let order = self.by_signature::<()>()?;
+        // One slot per record: the buffer never grows, and the map's
+        // collect reuses it.
+        let mut entries = Vec::with_capacity(order.len());
+        for (sig, i, ()) in order {
+            let entry = self.decode_full(self.row(i as usize))?;
+            entries.push((sig.to_owned(), Arc::new(entry)));
+        }
         let mut full = self.empty_library(self.entry_points_full);
-        full.entries = self
-            .by_signature::<()>()?
-            .into_iter()
-            .map(|(sig, i, ())| {
-                let entry = self.decode_full(self.row(i as usize))?;
-                Ok((sig.to_owned(), Arc::new(entry)))
-            })
-            .collect::<Result<_, String>>()?;
+        full.entries = entries.into_iter().collect();
         Ok(full)
     }
 
@@ -924,26 +931,30 @@ impl<'a> PolicyIndex<'a> {
         if !self.intra {
             return Err("index carries no intraprocedural policies".to_owned());
         }
-        // Records are decoded in signature order, so each map is built
-        // from an already sorted stream. The full map is built during the
-        // decode; each record's slot holds its intra policy until the
-        // intra map is built from the same table.
+        // Records are decoded in signature order, so the full map is
+        // built from an already sorted stream, out of a buffer of exactly
+        // one slot per record that `BTreeMap`'s collect reuses. Each
+        // record's table slot holds its intra policy meanwhile.
         let mut order = self.by_signature::<Option<Arc<EntryPolicy>>>()?;
+        let mut full_entries = Vec::with_capacity(order.len());
+        for (sig, i, slot) in &mut order {
+            let (f, intra) = self.decode(self.row(*i as usize))?;
+            *slot = intra;
+            full_entries.push((sig.to_string(), f));
+        }
         let mut full = self.empty_library(self.entry_points_full);
-        full.entries = order
-            .iter_mut()
-            .map(|(sig, i, slot)| {
-                let (f, intra) = self.decode(self.row(*i as usize))?;
-                *slot = intra;
-                Ok((sig.to_string(), f))
-            })
-            .collect::<Result<_, String>>()?;
+        full.entries = full_entries.into_iter().collect();
+        // The intra map has the same keys in the same order: a clone of
+        // the full map (no sort and no sort buffer, unlike a collect) with
+        // each record's intra policy swapped in. `self.intra` is set, so
+        // every record carries one.
         let mut intra = self.empty_library(self.entry_points_intra);
-        intra.entries = order
-            .into_iter()
-            // `self.intra` is set, so every record carries its intra policy.
-            .filter_map(|(sig, _, slot)| Some((sig.to_owned(), slot?)))
-            .collect();
+        intra.entries = full.entries.clone();
+        for (entry, (_, _, slot)) in intra.entries.values_mut().zip(order) {
+            if let Some(policy) = slot {
+                *entry = policy;
+            }
+        }
         Ok((full, intra))
     }
 }
@@ -1337,13 +1348,13 @@ mod tests {
             let sig = entry.signature.clone();
             if sig == replaced {
                 assert_eq!((&*entry, rec.cone_key), (&fresh, 42));
-                assert_eq!(index.cone(rec).unwrap(), [1]);
+                assert!(index.cone(rec).unwrap().eq([1]));
             } else {
                 let old = base.find(rec.root_key).unwrap();
                 assert_eq!(index.blob_of(rec).unwrap(), base.blob_of(old).unwrap());
                 assert_eq!(entry, full.entries[&sig]);
                 assert_eq!(rec.cone_key, old.cone_key);
-                assert_eq!(index.cone(rec).unwrap(), base.cone(old).unwrap());
+                assert!(index.cone(rec).unwrap().eq(base.cone(old).unwrap()));
             }
         }
     }

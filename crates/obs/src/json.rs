@@ -464,6 +464,9 @@ fn check_diagnostics_section(doc: &Value) -> Result<(), String> {
 ///
 /// * top level is an object with a `"schema"` field equal to
 ///   `spo-trace/1` and a non-negative integer `"dropped"`;
+/// * `"dropped_by_name"`, when present (every document this crate writes
+///   has it), is an object of non-negative integers summing to
+///   `"dropped"`;
 /// * `"traceEvents"` is an array of Chrome Trace Event objects: each has
 ///   a string `"name"`, a string `"ph"` in `{X, i, C, M}`, and integer
 ///   `"pid"`/`"tid"`;
@@ -486,9 +489,27 @@ pub fn validate_trace(input: &str) -> Result<(), String> {
             crate::trace::TRACE_SCHEMA
         ));
     }
-    doc.get("dropped")
+    let dropped = doc
+        .get("dropped")
         .and_then(Value::as_u64)
         .ok_or("missing non-negative integer \"dropped\"")?;
+    if let Some(by_name) = doc.get("dropped_by_name") {
+        let by_name = by_name
+            .as_object()
+            .ok_or("\"dropped_by_name\" is not an object")?;
+        let mut sum = 0u64;
+        for (name, n) in by_name {
+            let n = n.as_u64().ok_or_else(|| {
+                format!("\"dropped_by_name\".{name:?} is not a non-negative integer")
+            })?;
+            sum = sum.saturating_add(n);
+        }
+        if sum != dropped {
+            return Err(format!(
+                "\"dropped_by_name\" sums to {sum}, \"dropped\" is {dropped}"
+            ));
+        }
+    }
     let events = doc
         .get("traceEvents")
         .ok_or("missing field \"traceEvents\"")?
@@ -644,6 +665,19 @@ mod tests {
         let bad = r#"{"schema": "spo-trace/1", "dropped": 0, "traceEvents":
                       [{"name": "a", "ph": "X", "pid": 1, "tid": 1, "ts": 1.5}]}"#;
         assert!(validate_trace(bad).unwrap_err().contains("dur"));
+        // Per-name drops must be non-negative integers summing to "dropped".
+        let bad = r#"{"schema": "spo-trace/1", "dropped": 3,
+                      "dropped_by_name": {"a": 1, "b": 1}, "traceEvents": []}"#;
+        assert!(validate_trace(bad).unwrap_err().contains("sums to 2"));
+        let bad = r#"{"schema": "spo-trace/1", "dropped": 1,
+                      "dropped_by_name": {"a": -1, "b": 2}, "traceEvents": []}"#;
+        assert!(validate_trace(bad).unwrap_err().contains("non-negative"));
+        let bad = r#"{"schema": "spo-trace/1", "dropped": 0,
+                      "dropped_by_name": [], "traceEvents": []}"#;
+        assert!(validate_trace(bad).unwrap_err().contains("not an object"));
+        let ok = r#"{"schema": "spo-trace/1", "dropped": 3,
+                     "dropped_by_name": {"a": 1, "b": 2}, "traceEvents": []}"#;
+        validate_trace(ok).unwrap();
         // Fractional timestamps are fine.
         let ok = r#"{"schema": "spo-trace/1", "dropped": 0, "traceEvents":
                      [{"name": "a", "ph": "X", "pid": 1, "tid": 1,

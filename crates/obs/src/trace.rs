@@ -10,8 +10,8 @@
 //! disabled tracer or lane is a branch-and-return that never reads the
 //! clock. Each lane — one per engine worker, plus a main lane — is an
 //! independent bounded ring: when full, the oldest event is dropped and
-//! counted, so a runaway analysis can never exhaust memory through its
-//! own telemetry.
+//! counted under its name, so a runaway analysis can never exhaust memory
+//! through its own telemetry, and the capture says what it lost.
 //!
 //! ## Determinism boundary
 //!
@@ -58,9 +58,8 @@
 
 use crate::{Histogram, Span};
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt::Display;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -93,7 +92,14 @@ struct Event {
     kind: EventKind,
 }
 
-/// One lane's shared state: a bounded event ring plus an eviction count.
+/// A lane's bounded event ring and what it evicted, by event name.
+#[derive(Debug, Default)]
+struct Ring {
+    events: VecDeque<Event>,
+    dropped: HashMap<String, u64>,
+}
+
+/// One lane's shared state: a bounded event ring plus its evictions.
 #[derive(Debug)]
 pub(crate) struct LaneBuf {
     /// Chrome `tid` (1-based registration order).
@@ -103,18 +109,24 @@ pub(crate) struct LaneBuf {
     /// Shared epoch — all lanes of one tracer timestamp from it.
     epoch: Instant,
     capacity: usize,
-    events: Mutex<VecDeque<Event>>,
-    dropped: AtomicU64,
+    ring: Mutex<Ring>,
 }
 
 impl LaneBuf {
+    fn ring(&self) -> std::sync::MutexGuard<'_, Ring> {
+        self.ring.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn push(&self, ev: Event) {
-        let mut events = self.events.lock().unwrap_or_else(|e| e.into_inner());
-        if events.len() >= self.capacity {
-            events.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+        let mut ring = self.ring();
+        if ring.events.len() >= self.capacity {
+            if let Some(evicted) = ring.events.pop_front() {
+                // The evicted name becomes the key: no allocation once a
+                // name has been counted.
+                *ring.dropped.entry(evicted.name).or_insert(0) += 1;
+            }
         }
-        events.push_back(ev);
+        ring.events.push_back(ev);
     }
 
     fn push_now(&self, name: &str, cat: &'static str, kind: EventKind) {
@@ -196,23 +208,23 @@ impl Tracer {
             name: name.to_string(),
             epoch: shared.epoch,
             capacity: shared.lane_capacity,
-            events: Mutex::new(VecDeque::new()),
-            dropped: AtomicU64::new(0),
+            ring: Mutex::new(Ring::default()),
         });
         lanes.push(Arc::clone(&buf));
         TraceLane { inner: Some(buf) }
     }
 
-    /// Total events evicted from full rings across all lanes.
-    pub fn dropped(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |s| {
-            s.lanes
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .iter()
-                .map(|l| l.dropped.load(Ordering::Relaxed))
-                .sum()
-        })
+    /// Events evicted from full rings across all lanes, by event name.
+    pub fn dropped_by_name(&self) -> BTreeMap<String, u64> {
+        let mut by_name = BTreeMap::new();
+        if let Some(s) = &self.inner {
+            for lane in s.lanes.lock().unwrap_or_else(|e| e.into_inner()).iter() {
+                for (name, n) in &lane.ring().dropped {
+                    *by_name.entry(name.clone()).or_insert(0) += n;
+                }
+            }
+        }
+        by_name
     }
 
     /// Total events currently held across all lanes.
@@ -222,7 +234,7 @@ impl Tracer {
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .iter()
-                .map(|l| l.events.lock().unwrap_or_else(|e| e.into_inner()).len() as u64)
+                .map(|l| l.ring().events.len() as u64)
                 .sum()
         })
     }
@@ -231,15 +243,28 @@ impl Tracer {
     /// JSON object: `{"schema":"spo-trace/1", …, "traceEvents":[…]}`.
     /// Timestamps are microseconds since the tracer epoch (µs with ns
     /// precision, per the trace-event spec); each lane becomes one `tid`
-    /// with a `thread_name` metadata record. A disabled tracer serializes
-    /// to a schema-valid empty trace.
+    /// with a `thread_name` metadata record. `"dropped"` counts the
+    /// events evicted from full rings and `"dropped_by_name"` splits that
+    /// count by event name. A disabled tracer serializes to a
+    /// schema-valid empty trace.
     pub fn to_chrome_json(&self) -> String {
+        let dropped = self.dropped_by_name();
         let mut out = String::with_capacity(4096);
         out.push_str("{\"schema\":\"");
         out.push_str(TRACE_SCHEMA);
         out.push_str("\",\"displayTimeUnit\":\"ms\",\"dropped\":");
-        out.push_str(&self.dropped().to_string());
-        out.push_str(",\"traceEvents\":[");
+        out.push_str(&dropped.values().sum::<u64>().to_string());
+        out.push_str(",\"dropped_by_name\":{");
+        for (i, (name, n)) in dropped.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('"');
+            out.push_str(&crate::json::escape(name));
+            out.push_str("\":");
+            out.push_str(&n.to_string());
+        }
+        out.push_str("},\"traceEvents\":[");
         let mut first = true;
         let mut push = |out: &mut String, ev: String| {
             if !first {
@@ -263,8 +288,8 @@ impl Tracer {
                 );
             }
             for lane in lanes.iter() {
-                let events = lane.events.lock().unwrap_or_else(|e| e.into_inner());
-                for ev in events.iter() {
+                let ring = lane.ring();
+                for ev in ring.events.iter() {
                     push(&mut out, render_event(lane.tid, ev));
                 }
             }
@@ -448,13 +473,42 @@ mod tests {
             instant_now(&format!("ev{i}"), "test");
         }
         assert_eq!(tracer.event_count(), 16);
-        assert_eq!(tracer.dropped(), 24);
+        assert_eq!(tracer.dropped_by_name().values().sum::<u64>(), 24);
         let doc = tracer.to_chrome_json();
         json::validate_trace(&doc).unwrap();
-        // The oldest events were evicted; the newest survive.
-        assert!(!doc.contains("\"ev0\""));
-        assert!(doc.contains("\"ev39\""));
+        // The oldest events were evicted (named only in the per-name
+        // drop counts); the newest survive.
+        let events = &doc[doc.find("\"traceEvents\"").unwrap()..];
+        assert!(!events.contains("\"ev0\""));
+        assert!(events.contains("\"ev39\""));
         assert!(doc.contains("\"dropped\":24"));
+        assert!(doc.contains("\"ev0\":1"));
+    }
+
+    #[test]
+    fn evictions_are_counted_by_name_across_lanes() {
+        let tracer = Tracer::with_capacity(16);
+        for lane in ["a", "b"] {
+            let _bound = bind(&tracer.lane(lane));
+            for i in 0..21 {
+                instant_now(if i % 2 == 0 { "even" } else { "o\"dd" }, "test");
+            }
+        }
+        // Each lane got 21 events in a 16-event ring and evicted its five
+        // oldest: even, odd, even, odd, even.
+        let by_name = tracer.dropped_by_name();
+        assert_eq!(by_name.len(), 2);
+        assert_eq!((by_name["even"], by_name["o\"dd"]), (6, 4));
+        let doc = tracer.to_chrome_json();
+        json::validate_trace(&doc).unwrap();
+        assert!(
+            doc.contains(r#""dropped":10,"dropped_by_name":{"even":6,"o\"dd":4}"#),
+            "{doc}"
+        );
+        // A disabled tracer reports an empty split.
+        let off = Tracer::disabled().to_chrome_json();
+        assert!(off.contains(r#""dropped":0,"dropped_by_name":{}"#));
+        json::validate_trace(&off).unwrap();
     }
 
     #[test]

@@ -1191,6 +1191,10 @@ class t.A {
         let doc = capture.get("trace").unwrap().to_compact();
         spo_obs::json::validate_trace(&doc).expect("stored capture conforms to spo-trace/1");
         assert!(
+            doc.contains("\"dropped_by_name\":{"),
+            "per-name drop counts come from the shared writer"
+        );
+        assert!(
             doc.contains("queue.wait"),
             "admission latency is on the timeline"
         );

@@ -26,6 +26,7 @@ use spo_cache::PolicyCache;
 use spo_core::{AnalysisOptions, EventDef};
 use spo_engine::{AnalysisEngine, Instruments};
 use spo_jir::Program;
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -692,9 +693,9 @@ impl Outputs {
             let tracer = &self.tracer;
             std::fs::write(path, tracer.to_chrome_json()).map_err(|e| format!("{path}: {e}"))?;
             eprintln!(
-                "# trace: {} event(s) ({} dropped) -> {path}",
+                "# trace: {} event(s) ({}) -> {path}",
                 tracer.event_count(),
-                tracer.dropped()
+                dropped_summary(&tracer.dropped_by_name())
             );
         }
         if !self.enabled() {
@@ -715,6 +716,30 @@ impl Outputs {
         }
         Ok(())
     }
+}
+
+/// How many events the trace rings evicted, for the `# trace:` trailer:
+/// `0 dropped`, or the total and the most-dropped names, most first
+/// (`3666 dropped: jir.cfg 1238, fixpoint 1130, …`).
+fn dropped_summary(by_name: &BTreeMap<String, u64>) -> String {
+    const SHOWN: usize = 5;
+    let total: u64 = by_name.values().sum();
+    if total == 0 {
+        return "0 dropped".to_owned();
+    }
+    let mut names: Vec<(&String, &u64)> = by_name.iter().collect();
+    names.sort_by(|a, b| b.1.cmp(a.1).then_with(|| a.0.cmp(b.0)));
+    let mut out = format!("{total} dropped: ");
+    for (i, (name, n)) in names.iter().take(SHOWN).enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(&format!("{name} {n}"));
+    }
+    if names.len() > SHOWN {
+        out.push_str(", …");
+    }
+    out
 }
 
 /// One policy-analysis run as its flags set it up: the engine (jobs,
@@ -1445,6 +1470,24 @@ mod tests {
 
     fn argv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| (*s).to_owned()).collect()
+    }
+
+    #[test]
+    fn dropped_summary_names_the_most_dropped_first() {
+        let by_name = |pairs: &[(&str, u64)]| -> BTreeMap<String, u64> {
+            pairs.iter().map(|&(n, c)| (n.to_owned(), c)).collect()
+        };
+        assert_eq!(dropped_summary(&BTreeMap::new()), "0 dropped");
+        assert_eq!(
+            dropped_summary(&by_name(&[("fixpoint", 2), ("jir.cfg", 7), ("a", 2)])),
+            "11 dropped: jir.cfg 7, a 2, fixpoint 2"
+        );
+        let many: Vec<(String, u64)> = (1..=7).map(|i| (format!("n{i}"), i)).collect();
+        let many: BTreeMap<String, u64> = many.into_iter().collect();
+        assert_eq!(
+            dropped_summary(&many),
+            "28 dropped: n7 7, n6 6, n5 5, n4 4, n3 3, …"
+        );
     }
 
     fn command(name: &str) -> &'static Command {

@@ -630,6 +630,57 @@ fn diff_stats_json_deterministic_sections_match_across_jobs() {
     );
 }
 
+/// A warm `spo diff --cache-dir` builds one content table per program, not
+/// one per engine run, and times the table builds and the bulk cache
+/// lookups as the `cache.table` and `cache.lookup` phases.
+#[test]
+fn warm_diff_builds_one_content_table_per_program() {
+    use security_policy_oracle::obs::json;
+    let dir = scratch();
+    let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let jdk = manifest.join("examples/jir/figure1_jdk.jir");
+    let harmony = manifest.join("examples/jir/figure1_harmony.jir");
+    let cache = dir.join("cache");
+    let run = |tag: &str| {
+        let json_path = dir.join(format!("diff-{tag}.json"));
+        let out = spo(&[
+            "diff",
+            jdk.to_str().unwrap(),
+            "--vs",
+            harmony.to_str().unwrap(),
+            "--cache-dir",
+            cache.to_str().unwrap(),
+            "--stats-json",
+            json_path.to_str().unwrap(),
+        ]);
+        assert_eq!(out.status.code(), Some(1), "{tag}: {out:?}");
+        let stats = std::fs::read_to_string(&json_path).unwrap();
+        json::validate_stats(&stats).expect("valid snapshot");
+        (out.stdout, json::parse(&stats).unwrap())
+    };
+    let (cold_report, _) = run("cold");
+    let (warm_report, warm) = run("warm");
+    assert_eq!(warm_report, cold_report);
+    let work = |key: &str| {
+        warm.get("work")
+            .and_then(|w| w.get(key))
+            .and_then(|v| v.as_u64())
+    };
+    assert_eq!(work("cache.tables"), Some(2), "one table per program");
+    assert!(work("cache.hits").unwrap() > 0);
+    assert_eq!(work("cache.misses"), Some(0));
+    let phase = |key: &str| {
+        warm.get("durations")
+            .and_then(|d| d.get(key))
+            .and_then(|h| h.get("count"))
+            .and_then(|v| v.as_u64())
+    };
+    assert_eq!(phase("cache.table"), Some(2));
+    // One bulk lookup per engine run: a full run and an ablation for
+    // each program.
+    assert_eq!(phase("cache.lookup"), Some(4));
+}
+
 // ---------------------------------------------------------------------------
 // Degraded-mode robustness: exit code 2, restricted byte-identity, Ctrl-C.
 

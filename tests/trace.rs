@@ -111,6 +111,10 @@ fn traced_analyze_emits_valid_trace_and_identical_report() {
     );
     let doc = std::fs::read_to_string(&trace_path).unwrap();
     spo_obs::json::validate_trace(&doc).expect("capture conforms to spo-trace/1");
+    // Nothing was evicted, and both the document and the trailer say so.
+    assert!(doc.contains("\"dropped\":0,\"dropped_by_name\":{}"));
+    let stderr = String::from_utf8_lossy(&traced.stderr);
+    assert!(stderr.contains(" event(s) (0 dropped) -> "), "{stderr}");
     assert!(doc.contains("/main"), "main lane present");
     assert!(doc.contains("/worker00"), "one lane per engine worker");
     assert!(doc.contains("\"fixpoint\""), "dataflow spans present");
